@@ -27,15 +27,23 @@ __all__ = ["build_parser", "main"]
 DEFAULT_TOL = 1e-8
 
 
+def _checked_tol(value, source: str) -> float:
+    """``value`` as a float; raises ValueError unless finite and positive."""
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source}: tol must be finite and positive, got {value!r}")
+    return tol
+
+
 def _resolve_tol(flag_value, extras) -> float:
     """Priority: --tol flag, then the model file, then GAINLAB_TOL, then 1e-8."""
     if flag_value is not None:
-        return float(flag_value)
+        return _checked_tol(flag_value, "--tol")
     if extras.get("tol") is not None:
-        return float(extras["tol"])
+        return _checked_tol(extras["tol"], "model file")
     env = os.environ.get("GAINLAB_TOL")
     if env:
-        return float(env)
+        return _checked_tol(env, "GAINLAB_TOL")
     return DEFAULT_TOL
 
 
@@ -181,7 +189,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_worstcase(args) -> int:
     system, _ = modelio.parse_system(args.model)
     system = _require_standard(system, "worstcase")
-    rest_tol = args.tol if args.tol is not None else 1e-6
+    rest_tol = _checked_tol(args.tol, "--tol") if args.tol is not None else 1e-6
     signal, spec = sim.worst_case_periodic_input(system, args.horizon, rest_tol)
     t_end = args.t_max if args.t_max is not None else 3.0 * spec.period
     h = args.step if args.step is not None else spec.period / 4096.0
@@ -198,7 +206,7 @@ def _cmd_worstcase(args) -> int:
 def _cmd_verify(args) -> int:
     system, _ = modelio.parse_system(args.model)
     system = _require_standard(system, "verify")
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = _checked_tol(args.tol, "--tol") if args.tol is not None else 1e-9
     record = sim.verify_gain_equality(system, accuracy=args.accuracy, tol=tol)
     _write_output(modelio.dumps_document(modelio.verification_document(record)), args.out)
     return 0 if record.passed else 1

@@ -20,9 +20,7 @@ step must divide the delay exactly so history lookups stay on the grid.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +30,12 @@ from .linalg import (
     StateSpaceSystem,
     _expm,
     as_matrix,
-    is_hurwitz,
     spectral_norm,
     stability_certificate,
 )
 from .quadrature import adaptive_simpson
 from .signals import InputSignal, evaluate, signal_dim, sup_norm
-from .sim import simulate
+from .sim import _grid_steps, simulate
 
 __all__ = [
     "DelayPredictorSystem",
@@ -60,7 +57,8 @@ class DelayPredictorSystem:
     """Plant (A, B, G), predictor gain K, delay tau, filter rate mu.
 
     A is n x n, B is n x m, G is n x p, K is m x n; A + B K must be Hurwitz
-    (the design premise), tau and mu positive.
+    (the design premise), tau and mu positive.  The decay certificate of
+    A + B K, built once to decide that, is kept as ``certificate``.
     """
 
     a: np.ndarray
@@ -69,6 +67,7 @@ class DelayPredictorSystem:
     k: np.ndarray
     tau: float
     mu: float
+    certificate: StabilityCertificate = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.a = as_matrix(self.a, "a")
@@ -88,8 +87,10 @@ class DelayPredictorSystem:
             raise ValueError("tau must be positive")
         if not (self.mu > 0):
             raise ValueError("mu must be positive")
-        if not is_hurwitz(self.closed_loop):
-            raise NotHurwitzError("a + b k must be Hurwitz")
+        try:
+            self.certificate = stability_certificate(self.closed_loop)
+        except NotHurwitzError as exc:
+            raise NotHurwitzError("a + b k must be Hurwitz") from exc
         for arr in (self.a, self.b, self.g, self.k):
             arr.setflags(write=False)
 
@@ -108,10 +109,6 @@ class DelayPredictorSystem:
     @property
     def closed_loop(self) -> np.ndarray:
         return self.a + self.b @ self.k
-
-    @cached_property
-    def certificate(self) -> StabilityCertificate:
-        return stability_certificate(self.closed_loop)
 
 
 @dataclass(frozen=True)
@@ -205,11 +202,7 @@ def simulate_predictor(
         )
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
-    if t_end < h:
-        raise ValueError("t_end must be at least one step")
-    n_steps = int(round(t_end / h))
-    if abs(n_steps * h - t_end) > 1e-9 * max(1.0, t_end):
-        n_steps = int(math.floor(t_end / h + 1e-12))
+    n_steps = _grid_steps(t_end, h)
 
     kernels = _history_kernels(sys, h, hist_steps)
     weights = _trapezoid_weights(hist_steps)

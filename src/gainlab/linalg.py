@@ -2,16 +2,16 @@
 
 Everything downstream (gain estimates, simulation, delay bounds) is built on
 the handful of operations in this module: a scaling-and-squaring matrix
-exponential, a Kronecker-product Lyapunov solver, a tolerance-aware Cholesky
-positive-definiteness probe, and a cyclic Jacobi eigensolver for symmetric
-matrices.  Matrices are plain float64 ndarrays throughout.
+exponential, a Kronecker-product Lyapunov solver, and the decay certificate
+(M, sigma) read off its solution.  Positive-definiteness probes, symmetric
+eigendecompositions and spectral norms go to LAPACK through numpy.linalg.
+Matrices are plain float64 ndarrays throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,41 +162,32 @@ def lyapunov_solve(a, q) -> np.ndarray:
 
 def _cholesky_positive_definite(p: np.ndarray) -> bool:
     """Cholesky factorization probe with a trace-relative pivot floor."""
-    n = p.shape[0]
-    tol = 1e-12 * max(np.trace(p), 0.0)
-    l = np.zeros_like(p)
-    for k in range(n):
-        d = p[k, k] - l[k, :k] @ l[k, :k]
-        if d <= tol:
-            return False
-        l[k, k] = math.sqrt(d)
-        for i in range(k + 1, n):
-            l[i, k] = (p[i, k] - l[i, :k] @ l[k, :k]) / l[k, k]
-    return True
+    try:
+        l = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.diag(l) ** 2 > 1e-12 * max(np.trace(p), 0.0)))
 
 
 def is_hurwitz(a) -> bool:
     """Whether every eigenvalue of ``a`` has negative real part.
 
-    Decided without an eigensolver: A is Hurwitz iff A'P + PA = -I admits a
-    symmetric positive definite solution P.
+    Decided without a nonsymmetric eigensolver: A is Hurwitz iff A'P + PA = -I
+    admits a symmetric positive definite solution P, that is iff
+    stability_certificate(a) succeeds.
     """
-    a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"a must be square, got shape {a.shape}")
     try:
-        p = lyapunov_solve(a, np.eye(a.shape[0]))
-    except LyapunovSolveError:
+        stability_certificate(a)
+    except NotHurwitzError:
         return False
-    return _cholesky_positive_definite(p)
+    return True
 
 
 def symmetric_eigen(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
     Returns (w, v) with eigenvalues ``w`` ascending and orthonormal columns
-    ``v`` such that s = v @ diag(w) @ v.T.  Sweeps run until the off-diagonal
-    Frobenius mass falls below 1e-12 relative to the matrix norm.
+    ``v`` such that s = v @ diag(w) @ v.T.
     """
     s = as_matrix(s, "s")
     n = s.shape[0]
@@ -204,38 +195,8 @@ def symmetric_eigen(s) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"s must be square, got shape {s.shape}")
     if np.max(np.abs(s - s.T)) > 1e-10 * max(1.0, np.max(np.abs(s))):
         raise ValueError("s must be symmetric")
-    a = 0.5 * (s + s.T)
-    v = np.eye(n)
-    norm = max(np.linalg.norm(a), 1e-300)
-    for _ in range(60):
-        # measure the off-diagonal mass directly: subtracting squared sums
-        # cancels catastrophically once the mass drops below sqrt(eps)*norm
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= 1e-12 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rot_p = c * a[:, p] - sn * a[:, q]
-                rot_q = sn * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - sn * a[q, :]
-                rot_q = sn * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - sn * v[:, q]
-                rot_q = sn * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    w = np.diag(a).copy()
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(0.5 * (s + s.T))
+    return w, v
 
 
 def spectral_norm(m) -> float:
@@ -243,9 +204,7 @@ def spectral_norm(m) -> float:
     arr = np.asarray(m, dtype=float)
     if arr.ndim <= 1 or 1 in arr.shape:
         return float(np.linalg.norm(arr.reshape(-1)))
-    gram = arr.T @ arr if arr.shape[0] >= arr.shape[1] else arr @ arr.T
-    w, _ = symmetric_eigen(gram)
-    return math.sqrt(max(0.0, float(w[-1])))
+    return float(np.linalg.norm(arr, 2))
 
 
 @dataclass(frozen=True)
@@ -342,13 +301,14 @@ class StateSpaceSystem:
     """Strictly causal LTI system  x' = A x + B u,  y = C x  with Hurwitz A.
 
     Dimensions: A is n-by-n, B is n-by-m, C is p-by-n.  The constructor
-    rejects non-Hurwitz state matrices, so every instance carries a decay
-    certificate (computed lazily, cached).
+    rejects non-Hurwitz state matrices; the decay certificate it builds to
+    decide that (one Lyapunov solve) is kept as ``certificate``.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    certificate: StabilityCertificate = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.a = as_matrix(self.a, "A")
@@ -365,8 +325,10 @@ class StateSpaceSystem:
             raise DimensionError(
                 f"C must have {n} columns to match A, got shape {self.c.shape}"
             )
-        if not is_hurwitz(self.a):
-            raise NotHurwitzError("A is not Hurwitz")
+        try:
+            self.certificate = stability_certificate(self.a)
+        except NotHurwitzError as exc:
+            raise NotHurwitzError("A is not Hurwitz") from exc
         for arr in (self.a, self.b, self.c):
             arr.setflags(write=False)
 
@@ -381,10 +343,6 @@ class StateSpaceSystem:
     @property
     def p(self) -> int:
         return self.c.shape[0]
-
-    @cached_property
-    def certificate(self) -> StabilityCertificate:
-        return stability_certificate(self.a)
 
     def impulse_matrix(self, s: float) -> np.ndarray:
         """C exp(A s) B, the p-by-m response kernel at lag s."""

@@ -85,7 +85,7 @@ def parse_system(path):
     """
     doc = _load_json(path)
     extras = {
-        "tol": float(doc["tol"]) if "tol" in doc else None,
+        "tol": _scalar_field(doc, "tol", path) if "tol" in doc else None,
         "seed": int(doc["seed"]) if "seed" in doc else None,
     }
     delay_keys = {"G", "K", "tau", "mu"}

@@ -32,7 +32,7 @@ def adaptive_simpson(
     """
     if not (b >= a):
         raise ValueError(f"invalid interval [{a}, {b}]")
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     if b == a:
         return 0.0 * np.asarray(f(a), dtype=float) if np.ndim(f(a)) else 0.0
@@ -75,7 +75,7 @@ def tail_horizon(sigma: float, coefficient: float, tail_tol: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if tail_tol <= 0:
+    if not (tail_tol > 0):
         raise ValueError("tail_tol must be positive")
     if coefficient <= 0:
         return 0.0

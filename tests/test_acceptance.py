@@ -30,7 +30,7 @@ from gainlab import (
     vcurve,
     verify_gain_equality,
 )
-from conftest import random_hurwitz_matrix, random_siso_system
+from gainlab_testkit import random_hurwitz_matrix, random_siso_system
 
 
 def criterion(num, name, budget_s):

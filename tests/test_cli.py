@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +135,35 @@ class TestErrors:
 
     def test_missing_model_exit_2(self, capsys):
         assert main(["analyze"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, file_tol, flag, env",
+        [
+            ("analyze", float("nan"), None, None),
+            ("analyze", float("inf"), None, None),
+            ("analyze", -1.0, None, None),
+            ("analyze", True, None, None),
+            ("analyze", "1e-6", None, None),
+            ("analyze", None, "nan", None),
+            ("analyze", None, None, "nan"),
+            ("vt", None, None, "nan"),
+            ("verify", None, "nan", None),
+            ("worstcase", None, "nan", None),
+        ],
+    )
+    def test_bad_tol_exit_1(self, tmp_path, capsys, monkeypatch, command, file_tol, flag, env):
+        doc = {"A": [[0.0, 1.0], [-1.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+        if file_tol is not None:
+            doc["tol"] = file_tol
+        path = tmp_path / "osc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + (["--tol", flag] if flag is not None else [])
+        if env is not None:
+            monkeypatch.setenv("GAINLAB_TOL", env)
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "tol" in capsys.readouterr().err
 
     def test_delay_rejected_where_standard_needed(self, delay_file, capsys):
         assert main(["vt", delay_file]) == 1

@@ -24,7 +24,7 @@ from gainlab import (
     sinusoid_response,
     vcurve,
 )
-from conftest import OSCILLATOR_GAIN, oscillator_kernel, random_siso_system
+from gainlab_testkit import OSCILLATOR_GAIN, oscillator_kernel, random_siso_system
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
 

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from gainlab import (
     AssumptionH,
+    DelayPredictorSystem,
     DimensionError,
     LyapunovSolveError,
     NotHurwitzError,
@@ -19,7 +20,8 @@ from gainlab import (
     structure_flags,
     symmetric_eigen,
 )
-from conftest import random_hurwitz_matrix
+from gainlab import linalg
+from gainlab_testkit import random_hurwitz_matrix
 
 
 class TestMatExp:
@@ -132,8 +134,8 @@ class TestHurwitz:
 class TestSymmetricEigen:
     def test_matches_reference(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(1, 6))
+        draws = (int(rng.integers(1, 6)) for _ in range(50))
+        for n in itertools.chain(draws, (20, 40)):
             s = rng.standard_normal((n, n))
             s = s + s.T
             w, v = symmetric_eigen(s)
@@ -149,9 +151,8 @@ class TestSymmetricEigen:
 class TestSpectralNorm:
     def test_matches_reference(self):
         rng = np.random.default_rng(9)
-        for _ in range(30):
-            rows = int(rng.integers(1, 5))
-            cols = int(rng.integers(1, 5))
+        draws = ((int(rng.integers(1, 5)), int(rng.integers(1, 5))) for _ in range(30))
+        for rows, cols in itertools.chain(draws, ((20, 40), (40, 20), (40, 40))):
             m = rng.standard_normal((rows, cols))
             assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), abs=1e-10)
 
@@ -175,10 +176,15 @@ class TestStabilityCertificate:
 
     def test_decay_envelope_sampled(self):
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            a = random_hurwitz_matrix(rng, n_max=4, abscissa=-0.3)
+        for n in itertools.chain(itertools.repeat(None, 200), (20, 40)):
+            a = random_hurwitz_matrix(rng, n_max=4, abscissa=-0.3, n=n)
             cert = stability_certificate(a)
             assert cert.m >= 1.0 - 1e-12
+            w = scipy.linalg.eigvalsh(
+                scipy.linalg.solve_continuous_lyapunov(a.T, -np.eye(a.shape[0]))
+            )
+            assert cert.m == pytest.approx(math.sqrt(w[-1] / w[0]), rel=1e-10)
+            assert cert.sigma == pytest.approx(1.0 / (2.0 * w[-1]), rel=1e-10)
             for t in np.linspace(0.0, 10.0 / cert.sigma, 50):
                 bound = cert.m * math.exp(-cert.sigma * t) * (1.0 + 1e-8)
                 assert spectral_norm(mat_exp(a, t)) <= bound
@@ -250,12 +256,30 @@ class TestStateSpaceSystem:
         with pytest.raises(ValueError):
             StateSpaceSystem(a=[[float("nan")]], b=[[1.0]], c=[[1.0]])
 
+    def test_one_lyapunov_solve_per_system(self, monkeypatch):
+        calls = []
+        solve = linalg.lyapunov_solve
+
+        def counted(a, q):
+            calls.append(a)
+            return solve(a, q)
+
+        monkeypatch.setattr(linalg, "lyapunov_solve", counted)
+        sys = StateSpaceSystem(a=[[-1.0, 2.0], [0.0, -3.0]], b=[[1.0], [0.0]], c=[[1.0, 1.0]])
+        assert sys.certificate.sigma > 0
+        assert len(calls) == 1
+        loop = DelayPredictorSystem(
+            a=[[1.0]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=0.5, mu=2.0
+        )
+        assert loop.certificate.sigma > 0
+        assert len(calls) == 2
+
     def test_matrices_read_only(self, scalar_system):
         with pytest.raises(ValueError):
             scalar_system.a[0, 0] = 2.0
 
     def test_impulse_matrix(self, oscillator):
-        from conftest import oscillator_kernel
+        from gainlab_testkit import oscillator_kernel
 
         for s in (0.0, 0.7, 2.3):
             val = oscillator.impulse_matrix(s)[0, 0]

@@ -18,7 +18,7 @@ from gainlab import (
     verify_gain_equality,
     worst_case_periodic_input,
 )
-from conftest import random_hurwitz_matrix
+from gainlab_testkit import random_hurwitz_matrix
 
 
 class TestSimulateExactness:
