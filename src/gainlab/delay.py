@@ -29,11 +29,13 @@ from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
     _expm,
+    _expm_times,
+    _spectral_norms,
     as_matrix,
     spectral_norm,
     stability_certificate,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import simpson_panels
 from .signals import InputSignal, evaluate, signal_dim, sup_norm
 from .sim import _grid_steps, simulate
 
@@ -347,17 +349,17 @@ def delay_bounds(sys: DelayPredictorSystem, quad_tol: float = 1e-8) -> DelayBoun
     the asymptotic bound is (M / sigma) (|G| + int_0^tau phi + phi(tau) / mu)
     and the sup bound adds M int_0^tau r for the initial transient.
     """
-    if quad_tol <= 0:
+    if not (quad_tol > 0):
         raise ValueError("quad_tol must be positive")
     cert = sys.certificate
     bk = sys.b @ sys.k
     a_mat, g_mat = sys.a, sys.g
 
-    def integrand(s: float) -> np.ndarray:
-        eg = _expm(a_mat * s) @ g_mat
-        return np.array([spectral_norm(bk @ eg), spectral_norm(eg)])
+    def integrand(s: np.ndarray) -> np.ndarray:
+        eg = _expm_times(a_mat, s, g_mat)
+        return np.stack((_spectral_norms(bk @ eg), _spectral_norms(eg)), axis=1)
 
-    ints = adaptive_simpson(integrand, 0.0, sys.tau, quad_tol)
+    ints = simpson_panels(integrand, [0.0, sys.tau], quad_tol)[0]
     phi_int, r_int = float(ints[0]), float(ints[1])
     phi_tau = spectral_norm(bk @ _expm(a_mat * sys.tau) @ g_mat)
     g_norm = spectral_norm(g_mat)

@@ -30,10 +30,11 @@ from .linalg import (
     StateSpaceSystem,
     StructureFlags,
     _expm,
+    _expm_times,
     spectral_norm,
     structure_flags,
 )
-from .quadrature import adaptive_simpson, tail_horizon
+from .quadrature import simpson_panels, tail_horizon
 from .signals import BangBangInput
 
 __all__ = [
@@ -108,11 +109,10 @@ def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     if horizon == 0.0:
         return np.zeros(q), 0.0
 
-    def integrand(s: float) -> np.ndarray:
-        return np.abs(rows @ _expm(a * s) @ b).reshape(-1)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return np.abs(rows @ _expm_times(a, s, b))[:, :, 0]
 
-    vals = adaptive_simpson(integrand, 0.0, horizon, tol / 2.0)
-    return np.atleast_1d(vals), horizon
+    return simpson_panels(integrand, [0.0, horizon], tol / 2.0)[0], horizon
 
 
 def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
@@ -125,7 +125,7 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     by bang-bang inputs; for several outputs it is an upper bound (the best
     one over the standard output basis; see onb_upper_bound for refinement).
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     ints, horizon = _impulse_rows(sys, sys.c, tol)
     value = float(np.linalg.norm(ints))
@@ -195,9 +195,7 @@ def positivity_certificate(
     if horizon == 0.0:
         return PositivityCertificate.GRID_VERIFIED
     samples = np.linspace(0.0, horizon, grid_n)
-    kernels = np.stack(
-        [(sys.c @ _expm(sys.a * s) @ sys.b).reshape(-1) for s in samples]
-    )
+    kernels = (sys.c @ _expm_times(sys.a, samples, sys.b))[:, :, 0]
     gram = kernels @ kernels.T
     if float(np.min(gram)) >= -1e-12:
         return PositivityCertificate.GRID_VERIFIED
@@ -221,17 +219,22 @@ def max_terminal_output(
     """
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     if sys.p == 1:
-        a, b, c = sys.a, sys.b, sys.c
-
-        def integrand(s: float) -> float:
-            return float(np.linalg.norm(c @ _expm(a * s) @ b))
-
-        value = adaptive_simpson(integrand, 0.0, horizon, tol)
+        value = simpson_panels(_output_norms(sys), [0.0, horizon], tol)[0]
         return float(value), np.array([1.0])
     return _iterative_terminal_output(sys, horizon, restarts, tol, seed)
+
+
+def _output_norms(sys: StateSpaceSystem):
+    """Vectorized s -> |C exp(As) B| for a single-output system."""
+    a, b, c = sys.a, sys.b, sys.c
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return np.linalg.norm((c @ _expm_times(a, s, b))[:, 0, :], axis=1)
+
+    return integrand
 
 
 def _iterative_terminal_output(sys, horizon, restarts, tol, seed):
@@ -268,18 +271,22 @@ def _iterative_terminal_output(sys, horizon, restarts, tol, seed):
 
 
 def _aligned_terminal(sys, horizon, d, tol):
+    # Integrates [|v(s)|, exp(A (horizon - s)) B v(s) / |v(s)|] with
+    # v(s) = B' exp(A' (horizon - s)) C' d, the input aligned with d.
     a, b, c = sys.a, sys.b, sys.c
     ctd = c.T @ d
 
-    def integrand(s: float) -> np.ndarray:
-        eb = _expm(a * (horizon - s)) @ b
-        v = eb.T @ ctd
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return np.zeros(1 + sys.n)
-        return np.concatenate(([nv], eb @ (v / nv)))
+    def integrand(s: np.ndarray) -> np.ndarray:
+        eb = _expm_times(a, horizon - s, b)
+        v = np.swapaxes(eb, 1, 2) @ ctd
+        nv = np.linalg.norm(v, axis=1)
+        out = np.zeros((s.size, 1 + sys.n))
+        live = nv != 0.0
+        out[live, 0] = nv[live]
+        out[live, 1:] = (eb[live] @ (v[live] / nv[live, None])[:, :, None])[:, :, 0]
+        return out
 
-    return adaptive_simpson(integrand, 0.0, horizon, tol)
+    return simpson_panels(integrand, [0.0, horizon], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -306,28 +313,17 @@ def vcurve(
 ) -> VCurve:
     """Evaluate max_terminal_output on an increasing horizon grid.
 
-    Single-output systems accumulate the curve incrementally (one quadrature
-    per grid cell), so a dense grid costs no more than its largest horizon.
+    Single-output systems accumulate the curve incrementally (the grid
+    cells are the panels of one quadrature), so a dense grid costs no more
+    than its largest horizon.
     """
     hs = np.asarray(list(horizons), dtype=float)
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be strictly increasing and positive")
     if sys.p == 1:
-        a, b, c = sys.a, sys.b, sys.c
-
-        def integrand(s: float) -> float:
-            return float(np.linalg.norm(c @ _expm(a * s) @ b))
-
-        seg_tol = tol / hs.size
-        acc = 0.0
-        prev = 0.0
-        values = []
-        for t in hs:
-            acc += adaptive_simpson(integrand, prev, t, seg_tol)
-            values.append(acc)
-            prev = t
+        cells = simpson_panels(_output_norms(sys), np.concatenate(([0.0], hs)), tol / hs.size)
         dirs = [np.array([1.0])] * hs.size
-        return VCurve(horizons=hs, values=np.array(values), directions=dirs, exact=True)
+        return VCurve(horizons=hs, values=np.cumsum(cells), directions=dirs, exact=True)
     values = []
     dirs = []
     for t in hs:
@@ -372,27 +368,23 @@ def bang_bang_switches(
             horizon=horizon, switch_times=np.empty(0), initial_sign=1, zero_kernel=True
         )
 
-    def kernel_at(s: float) -> float:
-        return (c @ _expm(a * (horizon - s)) @ b).item()
-
     signs = np.where(kernel >= 0.0, 1, -1)
-    roots = []
     s_grid = np.linspace(0.0, horizon, samples)
-    for i in np.nonzero(signs[:-1] != signs[1:])[0]:
-        lo, hi = s_grid[i], s_grid[i + 1]
-        flo = kernel[i]
-        for _ in range(80):
-            if hi - lo <= 1e-12:
-                break
-            mid = 0.5 * (lo + hi)
-            fmid = kernel_at(mid)
-            if (fmid >= 0.0) == (flo >= 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    roots = [r for r in roots if 1e-12 < r < horizon - 1e-12]
-    roots = sorted(roots)
+    # Bisect every bracketing cell in lockstep, each until it is 1e-12 wide
+    # or has taken 80 steps.
+    cells = np.nonzero(signs[:-1] != signs[1:])[0]
+    lo, hi, flo = s_grid[cells], s_grid[cells + 1], kernel[cells]
+    for _ in range(80):
+        live = np.nonzero(~(hi - lo <= 1e-12))[0]
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = (c @ _expm_times(a, horizon - mid, b)).reshape(-1)
+        same = (fmid >= 0.0) == (flo[live] >= 0.0)
+        lo[live[same]] = mid[same]
+        flo[live[same]] = fmid[same]
+        hi[live[~same]] = mid[~same]
+    roots = sorted(r for r in 0.5 * (lo + hi) if 1e-12 < r < horizon - 1e-12)
     cleaned = []
     for r in roots:
         if not cleaned or r - cleaned[-1] > 1e-11:
@@ -492,7 +484,7 @@ def onb_upper_bound(
     additional orthonormal bases (seeded) are tried for multi-output systems
     and the minimum is returned.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     if random_bases < 0:
         raise ValueError("random_bases must be nonnegative")
@@ -526,7 +518,7 @@ def periodic_upper_estimate(
     estimate (kind "estimate"): a finite grid cannot certify the supremum,
     but the value converges to the impulse-response integral as T grows.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     if sys.m != 1:
         raise DimensionError("periodic estimate requires a single input")
@@ -538,14 +530,13 @@ def periodic_upper_estimate(
         raise ValueError("t_grid must contain positive periods")
     a, b, c = sys.a, sys.b, sys.c
     values = []
-    for t_per in horizons:
-        e_t = _expm(a * t_per)
+    for t_per, e_t in zip(horizons, _expm(a * horizons[:, None, None])):
         cmod = np.linalg.solve((e_t - np.eye(sys.n)).T, c.T).T
 
-        def integrand(s: float) -> float:
-            return float(np.linalg.norm(cmod @ _expm(a * s) @ b))
+        def integrand(s: np.ndarray, cmod=cmod) -> np.ndarray:
+            return np.linalg.norm((cmod @ _expm_times(a, s, b))[:, :, 0], axis=1)
 
-        values.append(float(adaptive_simpson(integrand, 0.0, float(t_per), tol)))
+        values.append(float(simpson_panels(integrand, [0.0, float(t_per)], tol)[0]))
     i_best = int(np.argmax(values))
     return GainEstimate(
         value=values[i_best],
@@ -696,7 +687,7 @@ def gain_report(
     ConsistencyError if any lower exceeds any upper beyond the combined
     tolerances (with extra slack against grid estimates).
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     notes: list[str] = []
     cert = sys.certificate

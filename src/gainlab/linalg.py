@@ -53,6 +53,9 @@ _PADE13 = (
     1.0,
 )
 _PADE13_THETA = 5.371920351148152
+# Matrix entries per stack handed to _expm by _expm_times: k = 65536 // n^2
+# matrices of n-by-n, about 0.5 MB per intermediate.
+_STACK_ENTRIES = 65536
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -78,16 +81,53 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scaling and squaring with the degree-13 Pade approximant."""
-    n = m.shape[0]
-    norm = np.linalg.norm(m, 1)
-    if norm == 0.0:
-        return np.eye(n)
-    squarings = 0
+    """exp(m) by scaling and squaring with the degree-13 Pade approximant.
+
+    ``m`` is one (n, n) matrix or a (k, n, n) stack; a stack is exponentiated
+    matrix by matrix in one pass of broadcast products and solves.  Each
+    matrix gets its own scaling count from its own 1-norm, a zero matrix
+    maps to the identity exactly, and only the matrices that were scaled
+    are squared back.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.ndim == 2:
+            norm = np.linalg.norm(m, 1)
+            if norm == 0.0:
+                return np.eye(m.shape[0])
+            squarings = _squarings(norm)
+            result = _pade13(m / (2.0**squarings) if squarings else m)
+            for _ in range(squarings):
+                result = result @ result
+        else:
+            norms = np.linalg.norm(m, 1, axis=(-2, -1))
+            squarings = np.array([_squarings(x) for x in norms], dtype=int)
+            # Work in order of ascending squarings, so that the matrices
+            # still to be squared at each level are a contiguous tail.
+            order = np.argsort(squarings, kind="stable")
+            squarings = squarings[order]
+            ordered = _pade13(m[order] / (2.0**squarings)[:, None, None])
+            for level in range(int(squarings.max(initial=0))):
+                tail = ordered[np.searchsorted(squarings, level, side="right") :]
+                tail[...] = tail @ tail
+            result = np.empty_like(ordered)
+            result[order] = ordered
+            result[norms == 0.0] = np.eye(m.shape[-1])
+    if not np.all(np.isfinite(result)):
+        raise OverflowError("matrix exponential overflowed double precision")
+    return result
+
+
+def _squarings(norm: float) -> int:
+    """Squarings that bring a matrix of 1-norm ``norm`` into the range
+    where the degree-13 Pade approximant is accurate to double precision."""
     if norm > _PADE13_THETA:
-        squarings = max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
-        m = m / (2.0**squarings)
-    ident = np.eye(n)
+        return max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
+    return 0
+
+
+def _pade13(m: np.ndarray) -> np.ndarray:
+    """The degree-13 Pade approximant to exp of a scaled matrix or stack."""
+    ident = np.eye(m.shape[-1])
     b = _PADE13
     m2 = m @ m
     m4 = m2 @ m2
@@ -106,13 +146,31 @@ def _expm(m: np.ndarray) -> np.ndarray:
         + b[2] * m2
         + b[0] * ident
     )
-    result = np.linalg.solve(v - u, v + u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            result = result @ result
-    if not np.all(np.isfinite(result)):
-        raise OverflowError("matrix exponential overflowed double precision")
-    return result
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm_times(a: np.ndarray, s, b: np.ndarray) -> np.ndarray:
+    """exp(s_k a) @ b for every entry s_k of ``s``, as a (k, n, m) array.
+
+    The exponentials are formed in stacks of at most _STACK_ENTRIES // n^2
+    matrices: peak memory does not grow with k, and larger stacks ran
+    slower than one matrix at a time once n reached a few tens.
+    """
+    s = np.asarray(s, dtype=float).reshape(-1)
+    n = a.shape[0]
+    chunk = max(1, _STACK_ENTRIES // (n * n))
+    out = np.empty((s.size, n, b.shape[1]))
+    for start in range(0, s.size, chunk):
+        part = s[start : start + chunk]
+        out[start : start + chunk] = _expm(a * part[:, None, None]) @ b
+    return out
+
+
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """spectral_norm of each matrix of a (k, rows, cols) stack."""
+    if 1 in stack.shape[1:]:
+        return np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 def mat_exp(a, t: float) -> np.ndarray:

@@ -4,7 +4,15 @@ The integrands in this package are norms of matrix exponentials: smooth
 almost everywhere but with isolated kinks where a component crosses zero.
 Plain adaptive Simpson handles those provided subdivision is allowed to
 continue below the kink scale; a width floor (default 1e-6 of the original
-interval) stops pathological recursion on a kink sitting exactly at a node.
+interval) stops pathological refinement on a kink sitting exactly at a node.
+
+The rule runs level-synchronously: all intervals still open at one depth
+are refined together, and their new midpoints go to the integrand in one
+vectorized call, so an integrand built on a stacked matrix exponential
+pays one call per level instead of one per node.  Every interval keeps the
+acceptance test of the classical recursion, so the nodes visited, the
+decisions taken and the sums formed are exactly those of the recursive
+rule.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "tail_horizon"]
+__all__ = ["adaptive_simpson", "simpson_panels", "tail_horizon"]
 
 
 def adaptive_simpson(
@@ -28,7 +36,8 @@ def adaptive_simpson(
 
     ``f`` may return a scalar or a 1-d array; arrays are integrated
     componentwise under a shared refinement (the acceptance test sums
-    absolute component errors, so each component meets ``tol``).
+    absolute component errors, so each component meets ``tol``).  ``f`` is
+    called once per node; simpson_panels takes a vectorized integrand.
     """
     if not (b >= a):
         raise ValueError(f"invalid interval [{a}, {b}]")
@@ -36,34 +45,98 @@ def adaptive_simpson(
         raise ValueError("tol must be positive")
     if b == a:
         return 0.0 * np.asarray(f(a), dtype=float) if np.ndim(f(a)) else 0.0
-    if min_width is None:
-        min_width = 1e-6 * (b - a)
-    fa = np.asarray(f(a), dtype=float)
-    mid = 0.5 * (a + b)
-    fm = np.asarray(f(mid), dtype=float)
-    fb = np.asarray(f(b), dtype=float)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    result = _refine(f, a, b, fa, fm, fb, whole, tol, min_width)
+
+    def stacked(s: np.ndarray) -> np.ndarray:
+        return np.array([np.asarray(f(x), dtype=float) for x in s])
+
+    result = simpson_panels(stacked, [a, b], tol, min_width)[0]
     if result.ndim == 0:
         return float(result)
     return result
 
 
-def _refine(f, a, b, fa, fm, fb, whole, tol, min_width):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm = np.asarray(f(lm), dtype=float)
-    frm = np.asarray(f(rm), dtype=float)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if float(np.sum(np.abs(delta))) <= 15.0 * tol or (b - a) <= min_width:
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _refine(f, a, mid, fa, flm, fm, left, half, min_width) + _refine(
-        f, mid, b, fm, frm, fb, right, half, min_width
-    )
+def simpson_panels(
+    f: Callable[[np.ndarray], np.ndarray],
+    edges,
+    tol: float,
+    min_width: float | None = None,
+) -> np.ndarray:
+    """Integrate ``f`` over each panel [edges[i], edges[i+1]].
+
+    ``f`` is vectorized: given a 1-d array of k nodes it returns an array of
+    shape (k,) or (k, q).  Each panel is refined as a separate
+    adaptive_simpson call would refine it, with tolerance ``tol`` and a
+    width floor of ``min_width`` (default 1e-6 of the panel's width); the
+    result has shape (panels,) or (panels, q).  Panels share their edge
+    nodes.
+    """
+    edges = np.asarray(edges, dtype=float).reshape(-1)
+    if edges.size < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be finite and strictly increasing")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    lo, hi = edges[:-1], edges[1:]
+    if min_width is None:
+        floor = 1e-6 * (hi - lo)
+    else:
+        floor = np.full(lo.size, float(min_width))
+    count = lo.size
+    mid = 0.5 * (lo + hi)
+    values = np.asarray(f(np.concatenate((edges, mid))), dtype=float)
+    f_lo, f_hi, f_mid = values[:count], values[1 : count + 1], values[count + 1 :]
+    # Interval widths / 6 as a column that broadcasts against the values.
+    shape = (-1,) + (1,) * (values.ndim - 1)
+
+    def weight(a, b):
+        return ((b - a) / 6.0).reshape(shape)
+
+    panel = np.arange(count)
+    whole = weight(lo, hi) * (f_lo + 4.0 * f_mid + f_hi)
+    # One entry per depth: which of its intervals were accepted, and their
+    # values (split intervals are filled in from their children below).
+    levels = []
+    level_tol = tol
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        l_mid = 0.5 * (lo + mid)
+        r_mid = 0.5 * (mid + hi)
+        fresh = np.asarray(f(np.concatenate((l_mid, r_mid))), dtype=float)
+        f_lm, f_rm = fresh[: lo.size], fresh[lo.size :]
+        left = weight(lo, mid) * (f_lo + 4.0 * f_lm + f_mid)
+        right = weight(mid, hi) * (f_mid + 4.0 * f_rm + f_hi)
+        delta = left + right - whole
+        err = np.abs(delta).reshape(lo.size, -1).sum(axis=1)
+        done = (err <= 15.0 * level_tol) | (hi - lo <= floor[panel])
+        value = np.empty_like(left)
+        value[done] = left[done] + right[done] + delta[done] / 15.0
+        levels.append((done, value))
+        split = ~done
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
+        f_lo, f_mid, f_hi = (
+            _interleave(f_lo[split], f_mid[split]),
+            _interleave(f_lm[split], f_rm[split]),
+            _interleave(f_mid[split], f_hi[split]),
+        )
+        whole = _interleave(left[split], right[split])
+        panel = np.repeat(panel[split], 2)
+        level_tol = 0.5 * level_tol
+    # Sum children into parents from the deepest level up, left + right, in
+    # the order the recursive rule adds them.
+    below = None
+    for done, value in reversed(levels):
+        if below is not None:
+            value[~done] = below[0::2] + below[1::2]
+        below = value
+    return below
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x0, y0, x1, y1, ...] along the first axis."""
+    out = np.empty((2 * x.shape[0],) + x.shape[1:], dtype=x.dtype)
+    out[0::2] = x
+    out[1::2] = y
+    return out
 
 
 def tail_horizon(sigma: float, coefficient: float, tail_tol: float) -> float:

@@ -39,3 +39,36 @@ def oscillator_kernel(s):
 
 
 OSCILLATOR_GAIN = 1.0 / math.tanh(math.pi / (2.0 * math.sqrt(3.0)))
+
+
+def recursive_simpson(f, a, b, tol, min_width=None):
+    """The classical depth-first adaptive Simpson rule, kept as the reference
+    for gainlab's level-synchronous one: same start (a, midpoint, b), same
+    acceptance test sum|delta| <= 15 tol or width <= min_width (default
+    1e-6 (b - a)), tol halved per level, and the same left + right sums."""
+    if min_width is None:
+        min_width = 1e-6 * (b - a)
+    fa = np.asarray(f(a), dtype=float)
+    mid = 0.5 * (a + b)
+    fm = np.asarray(f(mid), dtype=float)
+    fb = np.asarray(f(b), dtype=float)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    result = _refine(f, a, b, fa, fm, fb, whole, tol, min_width)
+    return float(result) if result.ndim == 0 else result
+
+
+def _refine(f, a, b, fa, fm, fb, whole, tol, min_width):
+    mid = 0.5 * (a + b)
+    lm = 0.5 * (a + mid)
+    rm = 0.5 * (mid + b)
+    flm = np.asarray(f(lm), dtype=float)
+    frm = np.asarray(f(rm), dtype=float)
+    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if float(np.sum(np.abs(delta))) <= 15.0 * tol or (b - a) <= min_width:
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return _refine(f, a, mid, fa, flm, fm, left, half, min_width) + _refine(
+        f, mid, b, fm, frm, fb, right, half, min_width
+    )

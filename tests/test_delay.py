@@ -189,8 +189,9 @@ class TestDelayBounds:
         assert rep.ios_bound == pytest.approx(1.0 + (1.0 - E_HALF), abs=1e-9)
 
     def test_rejects_bad_tol(self, scalar_delay):
-        with pytest.raises(ValueError):
-            delay_bounds(scalar_delay, quad_tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="^quad_tol must be positive$"):
+                delay_bounds(scalar_delay, quad_tol=tol)
 
 
 class TestEmpiricalCheck:

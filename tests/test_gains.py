@@ -24,9 +24,48 @@ from gainlab import (
     sinusoid_response,
     vcurve,
 )
+from gainlab import gains, linalg
 from gainlab_testkit import OSCILLATOR_GAIN, oscillator_kernel, random_siso_system
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
+
+TOL_ENTRY_POINTS = {
+    "l1_impulse_gain": lambda sys, tol: l1_impulse_gain(sys, tol=tol),
+    "max_terminal_output": lambda sys, tol: max_terminal_output(sys, 5.0, tol=tol),
+    "onb_upper_bound": lambda sys, tol: onb_upper_bound(sys, tol=tol),
+    "periodic_upper_estimate": lambda sys, tol: periodic_upper_estimate(sys, tol=tol),
+    "gain_report": lambda sys, tol: gain_report(sys, tol=tol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_rejects_bad_tol(entry, oscillator):
+    # NaN fails the entry guard itself, not a later check deep inside.
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            TOL_ENTRY_POINTS[entry](oscillator, tol)
+
+
+def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
+    # The quadrature hands each refinement level to the kernel in one stack,
+    # and the 1e-6 width floor caps the levels at 21 after the first call.
+    v_end, _ = max_terminal_output(oscillator, 20.0, tol=1e-10)
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return original(m)
+
+    original = linalg._expm
+    monkeypatch.setattr(linalg, "_expm", counting)
+    monkeypatch.setattr(gains, "_expm", counting)
+    est = l1_impulse_gain(oscillator)
+    assert 0 < len(calls) <= 22
+    assert est.value == pytest.approx(OSCILLATOR_GAIN, abs=1e-7)
+    calls.clear()
+    curve = vcurve(oscillator, np.linspace(0.5, 20.0, 40))
+    assert 0 < len(calls) <= 22
+    assert curve.values[-1] == pytest.approx(v_end, abs=1e-8)
 
 
 def transfer_magnitude(sys, omega):

@@ -39,6 +39,7 @@ class TestMatExp:
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(7)
+        by_size = {}
         for _ in range(50):
             n = int(rng.integers(1, 6))
             a = rng.uniform(-2.0, 2.0, (n, n))
@@ -47,6 +48,35 @@ class TestMatExp:
             ref = scipy.linalg.expm(a * t)
             bound = 1e-12 * math.exp(np.linalg.norm(a * t))
             assert np.linalg.norm(ours - ref) <= max(bound, 1e-13)
+            by_size.setdefault(n, []).append(a * t)
+        # The same draws again, exponentiated as one (k, n, n) stack per n
+        # behind a zero matrix and a skew matrix (its exponential is a
+        # rotation) whose 1-norm of 1500 needs 9 squarings.
+        for n, mats in by_size.items():
+            skew = rng.standard_normal((n, n))
+            skew = skew - skew.T
+            if n > 1:
+                skew *= 1500.0 / np.linalg.norm(skew, 1)
+                assert np.linalg.norm(skew, 1) > linalg._PADE13_THETA * 2.0**8
+            ours = linalg._expm(np.stack([np.zeros((n, n)), skew] + mats))
+            assert ours.shape == (len(mats) + 2, n, n)
+            np.testing.assert_array_equal(ours[0], np.eye(n))
+            assert np.linalg.norm(ours[1] - scipy.linalg.expm(skew)) <= 1e-10
+            for m, e in zip(mats, ours[2:]):
+                bound = 1e-12 * math.exp(np.linalg.norm(m))
+                assert np.linalg.norm(e - scipy.linalg.expm(m)) <= max(bound, 1e-13)
+
+    def test_stack_kernel_matches_one_by_one(self):
+        rng = np.random.default_rng(23)
+        a = random_hurwitz_matrix(rng, n=4, abscissa=-0.2)
+        b = rng.standard_normal((4, 2))
+        s = np.linspace(0.0, 30.0, 5000)  # more than one stack of 65536 // 16
+        stacked = linalg._expm_times(a, s, b)
+        assert stacked.shape == (s.size, 4, 2)
+        for k in (0, 1, 4095, 4096, 4999):
+            np.testing.assert_allclose(
+                stacked[k], scipy.linalg.expm(a * s[k]) @ b, rtol=1e-12, atol=1e-14
+            )
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)
@@ -80,6 +110,11 @@ class TestMatExp:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             mat_exp([[800.0]], 1.0)
+
+    def test_overflow_in_stack_reported(self):
+        stack = np.array([[[-1.0]], [[800.0]], [[0.0]]])
+        with pytest.raises(OverflowError):
+            linalg._expm(stack)
 
 
 class TestLyapunov:
@@ -154,7 +189,7 @@ class TestSpectralNorm:
         draws = ((int(rng.integers(1, 5)), int(rng.integers(1, 5))) for _ in range(30))
         for rows, cols in itertools.chain(draws, ((20, 40), (40, 20), (40, 40))):
             m = rng.standard_normal((rows, cols))
-            assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), abs=1e-10)
+            assert spectral_norm(m) == pytest.approx(scipy.linalg.svdvals(m)[0], abs=1e-10)
 
     def test_vector_shapes(self):
         assert spectral_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
