@@ -530,7 +530,7 @@ def periodic_upper_estimate(
         raise ValueError("t_grid must contain positive periods")
     a, b, c = sys.a, sys.b, sys.c
     values = []
-    for t_per, e_t in zip(horizons, _expm(a * horizons[:, None, None])):
+    for t_per, e_t in zip(horizons, _expm_times(a, horizons, np.eye(sys.n))):
         cmod = np.linalg.solve((e_t - np.eye(sys.n)).T, c.T).T
 
         def integrand(s: np.ndarray, cmod=cmod) -> np.ndarray:

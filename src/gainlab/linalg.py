@@ -84,34 +84,27 @@ def _expm(m: np.ndarray) -> np.ndarray:
     """exp(m) by scaling and squaring with the degree-13 Pade approximant.
 
     ``m`` is one (n, n) matrix or a (k, n, n) stack; a stack is exponentiated
-    matrix by matrix in one pass of broadcast products and solves.  Each
-    matrix gets its own scaling count from its own 1-norm, a zero matrix
-    maps to the identity exactly, and only the matrices that were scaled
-    are squared back.
+    matrix by matrix in one pass of broadcast products and solves, and one
+    matrix is handled as a stack of one.  Each matrix gets its own scaling
+    count from its own 1-norm, a zero matrix maps to the identity exactly,
+    and only the matrices that were scaled are squared back.
     """
+    if m.ndim == 2:
+        return _expm(m[None])[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        if m.ndim == 2:
-            norm = np.linalg.norm(m, 1)
-            if norm == 0.0:
-                return np.eye(m.shape[0])
-            squarings = _squarings(norm)
-            result = _pade13(m / (2.0**squarings) if squarings else m)
-            for _ in range(squarings):
-                result = result @ result
-        else:
-            norms = np.linalg.norm(m, 1, axis=(-2, -1))
-            squarings = np.array([_squarings(x) for x in norms], dtype=int)
-            # Work in order of ascending squarings, so that the matrices
-            # still to be squared at each level are a contiguous tail.
-            order = np.argsort(squarings, kind="stable")
-            squarings = squarings[order]
-            ordered = _pade13(m[order] / (2.0**squarings)[:, None, None])
-            for level in range(int(squarings.max(initial=0))):
-                tail = ordered[np.searchsorted(squarings, level, side="right") :]
-                tail[...] = tail @ tail
-            result = np.empty_like(ordered)
-            result[order] = ordered
-            result[norms == 0.0] = np.eye(m.shape[-1])
+        norms = np.linalg.norm(m, 1, axis=(-2, -1))
+        squarings = np.array([_squarings(x) for x in norms], dtype=int)
+        # Work in order of ascending squarings, so that the matrices still
+        # to be squared at each level are a contiguous tail.
+        order = np.argsort(squarings, kind="stable")
+        squarings = squarings[order]
+        ordered = _pade13(m[order] / (2.0**squarings)[:, None, None])
+        for level in range(int(squarings.max(initial=0))):
+            tail = ordered[np.searchsorted(squarings, level, side="right") :]
+            tail[...] = tail @ tail
+        result = np.empty_like(ordered)
+        result[order] = ordered
+        result[norms == 0.0] = np.eye(m.shape[-1])
     if not np.all(np.isfinite(result)):
         raise OverflowError("matrix exponential overflowed double precision")
     return result
@@ -167,7 +160,8 @@ def _expm_times(a: np.ndarray, s, b: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """spectral_norm of each matrix of a (k, rows, cols) stack."""
+    """Largest singular value of each matrix of a (k, rows, cols) stack,
+    the Euclidean norm when rows or cols is 1."""
     if 1 in stack.shape[1:]:
         return np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
     return np.linalg.norm(stack, 2, axis=(-2, -1))
@@ -260,9 +254,7 @@ def symmetric_eigen(s) -> tuple[np.ndarray, np.ndarray]:
 def spectral_norm(m) -> float:
     """Largest singular value of ``m`` (Euclidean norm for vector shapes)."""
     arr = np.asarray(m, dtype=float)
-    if arr.ndim <= 1 or 1 in arr.shape:
-        return float(np.linalg.norm(arr.reshape(-1)))
-    return float(np.linalg.norm(arr, 2))
+    return float(_spectral_norms(arr.reshape((1,) + np.atleast_2d(arr).shape))[0])
 
 
 @dataclass(frozen=True)

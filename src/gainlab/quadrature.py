@@ -12,7 +12,8 @@ vectorized call, so an integrand built on a stacked matrix exponential
 pays one call per level instead of one per node.  Every interval keeps the
 acceptance test of the classical recursion, so the nodes visited, the
 decisions taken and the sums formed are exactly those of the recursive
-rule.
+rule.  A level with too many open intervals is refined in contiguous
+groups, so memory stays bounded (see _refine).
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["adaptive_simpson", "simpson_panels", "tail_horizon"]
+
+# Node values held per level: at most _LIVE_ENTRIES // q open intervals of an
+# integrand with q components are refined together (see _refine).
+_LIVE_ENTRIES = 1 << 16
 
 
 def adaptive_simpson(
@@ -84,29 +89,46 @@ def simpson_panels(
     mid = 0.5 * (lo + hi)
     values = np.asarray(f(np.concatenate((edges, mid))), dtype=float)
     f_lo, f_hi, f_mid = values[:count], values[1 : count + 1], values[count + 1 :]
-    # Interval widths / 6 as a column that broadcasts against the values.
-    shape = (-1,) + (1,) * (values.ndim - 1)
+    whole = _weight(lo, hi, values) * (f_lo + 4.0 * f_mid + f_hi)
+    live = max(2, _LIVE_ENTRIES // max(1, values[0].size))
+    return _refine(f, live, tol, lo, hi, floor, f_lo, f_mid, f_hi, whole)
 
-    def weight(a, b):
-        return ((b - a) / 6.0).reshape(shape)
 
-    panel = np.arange(count)
-    whole = weight(lo, hi) * (f_lo + 4.0 * f_mid + f_hi)
+def _refine(f, live, tol, lo, hi, floor, f_lo, f_mid, f_hi, whole):
+    """Values of the intervals [lo_i, hi_i], refined level by level.
+
+    ``f_lo``, ``f_mid``, ``f_hi`` are the integrand at each interval's ends
+    and midpoint, ``whole`` its Simpson value, ``floor`` its width floor and
+    ``tol`` the tolerance of the current level.  When more than ``live``
+    intervals are open, they are handed on in contiguous groups of
+    live // 2, each refined to the end by its own call, so that memory stays
+    bounded when roundoff drives every interval down to its width floor.
+    """
     # One entry per depth: which of its intervals were accepted, and their
     # values (split intervals are filled in from their children below).
     levels = []
-    level_tol = tol
+    below = None
     while lo.size:
+        if lo.size > live:
+            step = live // 2
+            state = (lo, hi, floor, f_lo, f_mid, f_hi, whole)
+            below = np.concatenate(
+                [
+                    _refine(f, live, tol, *(x[i : i + step] for x in state))
+                    for i in range(0, lo.size, step)
+                ]
+            )
+            break
         mid = 0.5 * (lo + hi)
         l_mid = 0.5 * (lo + mid)
         r_mid = 0.5 * (mid + hi)
         fresh = np.asarray(f(np.concatenate((l_mid, r_mid))), dtype=float)
         f_lm, f_rm = fresh[: lo.size], fresh[lo.size :]
-        left = weight(lo, mid) * (f_lo + 4.0 * f_lm + f_mid)
-        right = weight(mid, hi) * (f_mid + 4.0 * f_rm + f_hi)
+        left = _weight(lo, mid, fresh) * (f_lo + 4.0 * f_lm + f_mid)
+        right = _weight(mid, hi, fresh) * (f_mid + 4.0 * f_rm + f_hi)
         delta = left + right - whole
         err = np.abs(delta).reshape(lo.size, -1).sum(axis=1)
-        done = (err <= 15.0 * level_tol) | (hi - lo <= floor[panel])
+        done = (err <= 15.0 * tol) | (hi - lo <= floor)
         value = np.empty_like(left)
         value[done] = left[done] + right[done] + delta[done] / 15.0
         levels.append((done, value))
@@ -119,16 +141,20 @@ def simpson_panels(
             _interleave(f_mid[split], f_hi[split]),
         )
         whole = _interleave(left[split], right[split])
-        panel = np.repeat(panel[split], 2)
-        level_tol = 0.5 * level_tol
+        floor = np.repeat(floor[split], 2)
+        tol = 0.5 * tol
     # Sum children into parents from the deepest level up, left + right, in
     # the order the recursive rule adds them.
-    below = None
     for done, value in reversed(levels):
         if below is not None:
             value[~done] = below[0::2] + below[1::2]
         below = value
     return below
+
+
+def _weight(a: np.ndarray, b: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Interval widths / 6 as a column that broadcasts against ``like``."""
+    return ((b - a) / 6.0).reshape((-1,) + (1,) * (like.ndim - 1))
 
 
 def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:

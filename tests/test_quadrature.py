@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gainlab import adaptive_simpson, tail_horizon
+from gainlab import adaptive_simpson, quadrature, tail_horizon
 from gainlab.quadrature import simpson_panels
 from gainlab_testkit import recursive_simpson
 
@@ -124,6 +124,27 @@ class TestLevelSynchronousCore:
         assert calls[0] == 3 and all(k % 2 == 0 for k in calls[1:])
         assert sum(calls) == len(ref_nodes)
         assert len(calls) <= 22  # the 1e-6 width floor caps the depth
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_capped_levels_keep_nodes_and_values(self, case, monkeypatch):
+        # With at most four open intervals per level the rule refines in
+        # contiguous groups; nodes and sums stay those of the recursion.
+        f, a, b, tol, min_width = REFERENCE_CASES[case]
+        g_ref, ref_nodes = recording(f)
+        g_new, new_nodes = recording(f)
+        recursive_simpson(g_ref, a, b, tol, min_width)
+        uncapped = adaptive_simpson(f, a, b, tol, min_width)
+        monkeypatch.setattr(quadrature, "_LIVE_ENTRIES", 4)
+        val = adaptive_simpson(g_new, a, b, tol, min_width)
+        assert sorted(new_nodes) == sorted(ref_nodes)
+        np.testing.assert_array_equal(val, uncapped)
+
+    def test_capped_levels_keep_panel_values(self, monkeypatch):
+        f = lambda s: np.abs(np.sin(3.0 * s)) * np.exp(-0.1 * s)  # noqa: E731
+        edges = np.array([0.0, 0.5, 2.0, 2.1, 7.0, 20.0])
+        uncapped = simpson_panels(f, edges, 1e-9)
+        monkeypatch.setattr(quadrature, "_LIVE_ENTRIES", 4)
+        np.testing.assert_array_equal(simpson_panels(f, edges, 1e-9), uncapped)
 
     def test_rejects_bad_edges(self):
         for edges in ([0.0], [0.0, 0.0, 1.0], [1.0, 0.0], [0.0, float("inf")]):
