@@ -14,7 +14,10 @@ a strong consistency check for the integrator.
 
 Simulation is classical RK4 with the distributed term J handled by a
 composite trapezoid rule over the stored z history (linear interpolation at
-half steps), with the kernel factors exp(A j h) B precomputed once.  The
+half steps), its weighted kernels h w_j exp(A j h) B taken once from
+linalg._expm_times.  Each step sums the stored samples z(t - j h), j >= 1,
+once and carries that sum to the next step; a stage adds the (h/2) B z term
+of its own z, and the half step uses the mean of the sums at both ends.  The
 step must divide the delay exactly so history lookups stay on the grid.
 """
 
@@ -59,8 +62,9 @@ class DelayPredictorSystem:
     """Plant (A, B, G), predictor gain K, delay tau, filter rate mu.
 
     A is n x n, B is n x m, G is n x p, K is m x n; A + B K must be Hurwitz
-    (the design premise), tau and mu positive.  The decay certificate of
-    A + B K, built once to decide that, is kept as ``certificate``.
+    (the design premise), tau and mu positive and finite.  The decay
+    certificate of A + B K, built once to decide that, is kept as
+    ``certificate``.
     """
 
     a: np.ndarray
@@ -85,10 +89,10 @@ class DelayPredictorSystem:
             raise DimensionError("g must have as many rows as a")
         if self.k.shape != (self.b.shape[1], n):
             raise DimensionError("k must be m x n for b of shape n x m")
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
-        if not (self.mu > 0):
-            raise ValueError("mu must be positive")
+        if not (0 < self.tau < np.inf):
+            raise ValueError("tau must be positive and finite")
+        if not (0 < self.mu < np.inf):
+            raise ValueError("mu must be positive and finite")
         try:
             self.certificate = stability_certificate(self.closed_loop)
         except NotHurwitzError as exc:
@@ -158,21 +162,13 @@ class DelayTrajectory:
     signal: InputSignal
 
 
-def _history_kernels(sys: DelayPredictorSystem, h: float, steps: int) -> np.ndarray:
-    e_h = _expm(sys.a * h)
-    kernels = np.empty((steps + 1, sys.n, sys.m))
-    block = sys.b.copy()
-    for j in range(steps + 1):
-        kernels[j] = block
-        block = e_h @ block
+def _weighted_kernels(sys: DelayPredictorSystem, h: float, steps: int) -> np.ndarray:
+    """Trapezoid-weighted kernels h w_j exp(A j h) B for j = 0..steps, where
+    w_j is 1/2 at both ends and 1 inside."""
+    kernels = _expm_times(sys.a, h * np.arange(steps + 1), sys.b)
+    kernels *= h
+    kernels[[0, -1]] *= 0.5
     return kernels
-
-
-def _trapezoid_weights(steps: int) -> np.ndarray:
-    w = np.ones(steps + 1)
-    w[0] = 0.5
-    w[-1] = 0.5
-    return w
 
 
 def simulate_predictor(
@@ -206,12 +202,12 @@ def simulate_predictor(
         raise DimensionError(f"y must have length {sys.n}")
     n_steps = _grid_steps(t_end, h)
 
-    kernels = _history_kernels(sys, h, hist_steps)
-    weights = _trapezoid_weights(hist_steps)
-    # Weighted kernels for the three node alignments used by the RK4 stages.
-    wk_full = kernels * (h * weights)[:, None, None]
-    wk_inner = wk_full[1:]
-    half_b = 0.5 * h * sys.b
+    kernels = _weighted_kernels(sys, h, hist_steps)
+    # J at time t is past + half_b @ z(t), where past sums the samples
+    # z(t - j h), j >= 1; past_kernels runs j = hist_steps..1 to match the
+    # ascending rows of z_record.
+    half_b = kernels[0]
+    past_kernels = kernels[:0:-1]
 
     a_mat, b_mat, g_mat, k_mat = sys.a, sys.b, sys.g, sys.k
     e_tau = _expm(a_mat * sys.tau)
@@ -224,25 +220,21 @@ def simulate_predictor(
     ys[0] = state0.y
     times = np.arange(n_steps + 1) * h
 
-    def rhs(y_s, z_s, z_delay, dist, u_val):
+    def rhs(y_s, z_s, z_delay, past, u_val):
         dy = a_mat @ y_s + b_mat @ z_delay + g_mat @ u_val
-        dz = a_zz @ z_s + k_amu @ (e_tau @ y_s + dist)
+        dz = a_zz @ z_s + k_amu @ (e_tau @ y_s + past + half_b @ z_s)
         return dy, dz
 
+    past_now = np.einsum("jnm,jm->n", past_kernels, z_record[:hist_steps])
     for k in range(n_steps):
         base = hist_steps + k
         t_now = k * h
-        window = z_record[base - hist_steps : base + 1][::-1]
-        dist_full = np.einsum("jnm,jm->n", wk_full, window)
-        win_one = z_record[base + 1 - hist_steps : base + 1][::-1]
-        dist_one = np.einsum("jnm,jm->n", wk_inner, win_one)
-        win_half = 0.5 * (
-            z_record[base + 1 - hist_steps : base + 1]
-            + z_record[base - hist_steps : base]
-        )[::-1]
-        dist_half = np.einsum("jnm,jm->n", wk_inner, win_half)
-        z_del_0 = z_record[base - hist_steps]
-        z_del_1 = z_record[base + 1 - hist_steps]
+        # The history sum at t_{k+1} uses stored samples only; at the half
+        # step the interpolated history gives the mean of the two sums.
+        past_next = np.einsum("jnm,jm->n", past_kernels, z_record[k + 1 : base + 1])
+        past_half = 0.5 * (past_now + past_next)
+        z_del_0 = z_record[k]
+        z_del_1 = z_record[k + 1]
         z_del_half = 0.5 * (z_del_0 + z_del_1)
         u0 = np.atleast_1d(evaluate(signal, t_now))
         u_half = np.atleast_1d(evaluate(signal, t_now + 0.5 * h))
@@ -250,23 +242,21 @@ def simulate_predictor(
 
         y0 = ys[k]
         z0 = z_record[base]
-        k1y, k1z = rhs(y0, z0, z_del_0, dist_full, u0)
-        zs2 = z0 + 0.5 * h * k1z
+        k1y, k1z = rhs(y0, z0, z_del_0, past_now, u0)
         k2y, k2z = rhs(
-            y0 + 0.5 * h * k1y, zs2, z_del_half, dist_half + half_b @ zs2, u_half
+            y0 + 0.5 * h * k1y, z0 + 0.5 * h * k1z, z_del_half, past_half, u_half
         )
-        zs3 = z0 + 0.5 * h * k2z
         k3y, k3z = rhs(
-            y0 + 0.5 * h * k2y, zs3, z_del_half, dist_half + half_b @ zs3, u_half
+            y0 + 0.5 * h * k2y, z0 + 0.5 * h * k2z, z_del_half, past_half, u_half
         )
-        zs4 = z0 + h * k3z
-        k4y, k4z = rhs(y0 + h * k3y, zs4, z_del_1, dist_one + half_b @ zs4, u1)
+        k4y, k4z = rhs(y0 + h * k3y, z0 + h * k3z, z_del_1, past_next, u1)
         y_next = y0 + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         z_next = z0 + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
         if not (np.all(np.isfinite(y_next)) and np.all(np.isfinite(z_next))):
             raise SimulationError(f"delay state diverged at t={(k + 1) * h}")
         ys[k + 1] = y_next
         z_record[base + 1] = z_next
+        past_now = past_next
 
     return DelayTrajectory(
         times=times,
@@ -291,10 +281,8 @@ def predictor_error_series(
     """
     hist_steps = traj.history_steps
     h = traj.step
-    kernels = _history_kernels(sys, h, hist_steps)
-    weights = _trapezoid_weights(hist_steps)
     # Reversed weighting: window row j' holds z(t - (hist_steps - j') h).
-    rwk = (kernels * (h * weights)[:, None, None])[::-1]
+    rwk = _weighted_kernels(sys, h, hist_steps)[::-1]
     windows = np.lib.stride_tricks.sliding_window_view(
         traj.z_record, hist_steps + 1, axis=0
     )

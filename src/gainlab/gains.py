@@ -669,16 +669,7 @@ def _pair_slack(low: GainEstimate, high: GainEstimate) -> float:
     return slack
 
 
-def gain_report(
-    sys: StateSpaceSystem,
-    tol: float = 1e-8,
-    omegas=None,
-    refine: bool = True,
-    random_bases: int = 4,
-    t_grid=None,
-    grid_n: int = 64,
-    seed: int = 0,
-) -> GainReport:
+def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> GainReport:
     """Assemble every applicable estimate into one audited report.
 
     Multi-input systems get a reduced report (constant-input lower bound
@@ -693,7 +684,7 @@ def gain_report(
     cert = sys.certificate
     flags = structure_flags(sys)
     if sys.m > 1:
-        dc = dc_gain(sys, grid_n=grid_n)
+        dc = dc_gain(sys)
         notes.append(
             "multi-input system: only the constant-input lower bound is computed"
         )
@@ -709,12 +700,13 @@ def gain_report(
             seed=seed,
             notes=tuple(notes),
         )
-    pos = positivity_certificate(sys, grid_n=grid_n)
     l1 = l1_impulse_gain(sys, tol)
-    dc = dc_gain(sys, grid_n=grid_n)
-    psi = sinusoid_lower_bound(sys, omegas=omegas, refine=refine)
-    onb = onb_upper_bound(sys, random_bases=random_bases, tol=tol, seed=seed)
-    periodic = periodic_upper_estimate(sys, t_grid=t_grid, tol=tol)
+    dc = dc_gain(sys)
+    pos = dc.details["positivity"]
+    pos = None if pos is None else PositivityCertificate(pos)
+    psi = sinusoid_lower_bound(sys)
+    onb = onb_upper_bound(sys, tol=tol, seed=seed)
+    periodic = periodic_upper_estimate(sys, tol=tol)
     if sys.p == 1:
         exact = l1
         uppers = [onb, periodic]

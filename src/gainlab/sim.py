@@ -95,12 +95,26 @@ class _Propagators:
         return (full @ z)[: self.sys.n]
 
 
+# Largest grid a simulation may record: verify's 40,960 steps are the most any
+# command takes by default, and ten million take minutes and hundreds of MB.
+_MAX_GRID_STEPS = 10**7
+
+
 def _grid_steps(t_end: float, h: float) -> int:
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("step h must be finite and positive")
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     if t_end < h:
         raise ValueError("t_end must be at least one step")
-    n_steps = int(round(t_end / h))
+    ratio = t_end / h
+    if ratio >= _MAX_GRID_STEPS + 0.5:
+        raise ValueError(
+            f"t_end / h = {ratio:.4g} grid steps exceeds the limit of "
+            f"{_MAX_GRID_STEPS}; use a larger step (--step) or a shorter "
+            "duration (--t-max)"
+        )
+    n_steps = int(round(ratio))
     if abs(n_steps * h - t_end) > 1e-9 * max(1.0, t_end):
         n_steps = int(math.floor(t_end / h + 1e-12))
     return n_steps

@@ -165,6 +165,48 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "{osc}", "--t-max", "inf"], "t_end must be finite"),
+            (["worstcase", "{osc}", "--t-max", "inf"], "t_end must be finite"),
+            (["simulate", "{osc}", "--t-max", "nan"], "t_end must be finite"),
+            (["simulate", "{osc}", "--step", "nan"], "step h must be finite"),
+            (["simulate", "{fast_delay}"], "--step"),
+            (["delay-demo", "{fast_delay}"], "--step"),
+        ],
+        ids=[
+            "simulate-inf",
+            "worstcase-inf",
+            "simulate-nan",
+            "simulate-step-nan",
+            "simulate-delay-fine-grid",
+            "delay-demo-fine-grid",
+        ],
+    )
+    def test_bad_grid_exit_1(self, oscillator_file, tmp_path, capsys, argv, message):
+        # tau = 1e-6 with the default step tau/64 asks for over 10^9 steps
+        doc = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-0.5]], "tau": 1e-6, "mu": 2.0}
+        fast_delay = tmp_path / "fast_delay.json"
+        fast_delay.write_text(json.dumps(doc))
+        files = {"osc": oscillator_file, "fast_delay": str(fast_delay)}
+        start = time.perf_counter()
+        assert main([arg.format(**files) for arg in argv]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert message in err
+        if "fast_delay" in argv[1]:
+            assert "grid steps exceeds the limit" in err and "--t-max" in err
+
+    def test_infinite_mu_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "delay.json"
+        path.write_text(
+            '{"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-0.5]], '
+            '"tau": 0.5, "mu": Infinity}'
+        )
+        assert main(["analyze", str(path)]) == 1
+        assert "mu must be positive and finite" in capsys.readouterr().err
+
     def test_delay_rejected_where_standard_needed(self, delay_file, capsys):
         assert main(["vt", delay_file]) == 1
         assert "standard" in capsys.readouterr().err

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from gainlab import (
+    BangBangInput,
     Constant,
     DelayPredictorSystem,
     DelayState,
     DimensionError,
     NotHurwitzError,
+    PeriodicExtension,
     Sinusoid,
     Zero,
     delay_bounds,
@@ -17,6 +19,7 @@ from gainlab import (
     predictor_error_series,
     simulate_predictor,
 )
+from gainlab_testkit import reference_error_grid, reference_predictor
 
 E_HALF = math.exp(-0.5)
 
@@ -43,7 +46,8 @@ class TestConstructor:
             )
 
     def test_rejects_bad_tau_mu(self):
-        for tau, mu in ((0.0, 1.0), (-1.0, 1.0), (0.5, 0.0), (0.5, -2.0)):
+        inf = float("inf")
+        for tau, mu in ((0.0, 1.0), (-1.0, 1.0), (inf, 1.0), (0.5, 0.0), (0.5, -2.0), (0.5, inf)):
             with pytest.raises(ValueError):
                 DelayPredictorSystem(
                     a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-0.5]], tau=tau, mu=mu
@@ -124,6 +128,69 @@ class TestPredictorDynamics:
         assert traj.z_record.shape == (steps + n_steps + 1, 1)
         assert traj.history_steps == steps
         np.testing.assert_array_equal(traj.z_record[steps:], traj.zs)
+
+
+UNSTABLE_PLANT = DelayPredictorSystem(
+    a=[[0.5]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=0.3, mu=1.0
+)
+TWO_INPUT_PLANT = DelayPredictorSystem(
+    a=[[-0.5, 1.0], [-1.0, -0.2]],
+    b=[[1.0, 0.0], [0.5, 1.0]],
+    g=[[1.0], [0.3]],
+    k=[[-0.4, 0.1], [0.2, -0.6]],
+    tau=0.4,
+    mu=3.0,
+)
+BANG_BANG = PeriodicExtension(
+    BangBangInput(horizon=1.0, switch_times=[0.37, 0.71]), base_span=1.0, period=1.5
+)
+
+
+def _relative_gap(value, reference):
+    return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
+class TestReferenceIntegrator:
+    """The carried history sum against the three-window loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "plant, signal",
+        [
+            (UNSTABLE_PLANT, Constant(u0=[1.0])),
+            (UNSTABLE_PLANT, Sinusoid(direction=[1.0], omega=2.0)),
+            (UNSTABLE_PLANT, BANG_BANG),
+            (TWO_INPUT_PLANT, Constant(u0=[1.0])),
+            (TWO_INPUT_PLANT, Sinusoid(direction=[1.0], omega=3.0)),
+            (TWO_INPUT_PLANT, Zero(dim=1)),
+            (None, Sinusoid(direction=[1.0], omega=1.0)),
+        ],
+        ids=[
+            "unstable-constant",
+            "unstable-sinusoid",
+            "unstable-bang-bang",
+            "two-input-constant",
+            "two-input-sinusoid",
+            "two-input-zero",
+            "scalar-sinusoid",
+        ],
+    )
+    def test_matches_reference(self, scalar_delay, plant, signal):
+        plant = scalar_delay if plant is None else plant
+        steps = 16
+        h = plant.tau / steps
+        rng = np.random.default_rng(7)
+        state = DelayState(
+            y=rng.standard_normal(plant.n),
+            z_history=rng.standard_normal((steps + 1, plant.m)),
+        )
+        traj = simulate_predictor(plant, signal, state, 5.0, h)
+        ys, z_record = reference_predictor(plant, signal, state, traj.times.size - 1, h)
+        assert _relative_gap(traj.ys, ys) <= 1e-13
+        assert _relative_gap(traj.z_record, z_record) <= 1e-13
+        xi, xi_ref = predictor_error_series(traj, plant)
+        assert _relative_gap(xi, reference_error_grid(traj, plant)) <= 1e-13
+        # the closed form starts from the reconstructed xi(0)
+        np.testing.assert_array_equal(xi_ref[0], xi[0])
 
 
 class TestPredictorError:

@@ -534,8 +534,27 @@ class TestGainReport:
         import gainlab.gains as gains_mod
 
         def fake_dc(sys, grid_n=64):
-            return GainEstimate(value=100.0, kind="lower", method="dc", tolerance=0.0)
+            return GainEstimate(
+                value=100.0,
+                kind="lower",
+                method="dc",
+                tolerance=0.0,
+                details={"positivity": None},
+            )
 
         monkeypatch.setattr(gains_mod, "dc_gain", fake_dc)
         with pytest.raises(ConsistencyError):
             gain_report(StateSpaceSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]))
+
+    def test_one_positivity_certificate(self, oscillator, monkeypatch):
+        calls = []
+        original = gains.positivity_certificate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gains, "positivity_certificate", counting)
+        rep = gain_report(oscillator, tol=1e-8)
+        assert len(calls) == 1
+        assert rep.positivity is None
