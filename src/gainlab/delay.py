@@ -15,14 +15,15 @@ a strong consistency check for the integrator.
 Simulation is classical RK4 with the distributed term J handled by a
 composite trapezoid rule over the stored z history (linear interpolation at
 half steps), its weighted kernels h w_j exp(A j h) B taken once from
-linalg._expm_times.  Each step sums the stored samples z(t - j h), j >= 1,
-once and carries that sum to the next step; a stage adds the (h/2) B z term
-of its own z, and the half step uses the mean of the sums at both ends.  The
+linalg._expm_times.  Everything a step reads is stored before it starts, so
+one linear RK4 step map is built per simulation: the history window folds
+into one matrix and the input drive is evaluated on the whole grid.  The
 step must divide the delay exactly so history lookups stay on the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ from .linalg import (
 )
 from .quadrature import simpson_panels
 from .signals import InputSignal, evaluate, signal_dim, sup_norm
-from .sim import _grid_steps, simulate
+from .sim import _MAX_GRID_STEPS, _grid_steps, simulate
 
 __all__ = [
     "DelayPredictorSystem",
@@ -171,6 +172,23 @@ def _weighted_kernels(sys: DelayPredictorSystem, h: float, steps: int) -> np.nda
     return kernels
 
 
+def _history_steps(tau: float, h: float) -> int:
+    """Grid steps tau / h of the z history; raises ValueError unless h is
+    finite and positive, divides tau and gives at most _MAX_GRID_STEPS."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive (--step), got {h!r}")
+    ratio = tau / h
+    if ratio >= _MAX_GRID_STEPS + 0.5:
+        raise ValueError(
+            f"tau / h = {ratio:.4g} history steps exceeds the limit of "
+            f"{_MAX_GRID_STEPS}; use a larger step (--step)"
+        )
+    steps = int(round(ratio))
+    if steps < 1 or abs(steps * h - tau) > 1e-9 * tau:
+        raise ValueError(f"step h={h!r} must divide tau={tau!r} (--step)")
+    return steps
+
+
 def simulate_predictor(
     sys: DelayPredictorSystem,
     signal: InputSignal,
@@ -183,17 +201,20 @@ def simulate_predictor(
     ``h`` must divide tau (relative tolerance 1e-9) and match the history
     grid in ``state0``.  Error order: the distributed term is trapezoid
     (order 2), so the global error is O(h^2) despite the RK4 shell.
+
+    One RK4 step map is built per call: with x = (y, z), a step is
+    x_{k+1} = x_k + (Phi - I) x_k + Q0 e0 + Qh eh + Q1 e1, the drives e taken
+    at t_k, t_k + h/2 and t_k + h.  Their history terms are linear in the
+    stored window z_record[k : k + N + 1] (N = tau / h), which is folded with
+    Phi - I into one (n + m) x (N + 1)(n + m) matrix acting on the last N + 1
+    rows of x, so a step is one matrix-vector product; the drives' input
+    terms are evaluated on the whole grid before the loop.
     """
     if signal_dim(signal) != sys.p:
         raise DimensionError(
             f"input dimension {signal_dim(signal)} does not match system p={sys.p}"
         )
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    ratio = sys.tau / h
-    hist_steps = int(round(ratio))
-    if hist_steps < 1 or abs(hist_steps * h - sys.tau) > 1e-9 * sys.tau:
-        raise ValueError("h must divide tau")
+    hist_steps = _history_steps(sys.tau, h)
     if state0.z_history.shape != (hist_steps + 1, sys.m):
         raise DimensionError(
             f"z_history must have shape ({hist_steps + 1}, {sys.m}) for h={h}"
@@ -201,68 +222,59 @@ def simulate_predictor(
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
     n_steps = _grid_steps(t_end, h)
+    n, m, d = sys.n, sys.m, sys.n + sys.m
 
+    # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
+    # sums the weighted samples z(t - j h), j >= 1; the j = 0 term is in lin.
     kernels = _weighted_kernels(sys, h, hist_steps)
-    # J at time t is past + half_b @ z(t), where past sums the samples
-    # z(t - j h), j >= 1; past_kernels runs j = hist_steps..1 to match the
-    # ascending rows of z_record.
-    half_b = kernels[0]
-    past_kernels = kernels[:0:-1]
+    k_amu = sys.k @ (sys.a + sys.mu * np.eye(n))
+    a_zz = sys.k @ sys.b - sys.mu * np.eye(m) + k_amu @ kernels[0]
+    lin = np.block([[sys.a, np.zeros((n, m))], [k_amu @ _expm(sys.a * sys.tau), a_zz]])
+    x, e0, eh, e1 = (np.eye(d, 4 * d, j * d) for j in range(4))
+    k1 = lin @ x + e0
+    k2 = lin @ (x + 0.5 * h * k1) + eh
+    k3 = lin @ (x + 0.5 * h * k2) + eh
+    k4 = lin @ (x + h * k3) + e1
+    # The increment x_{k+1} - x_k, so that x_k is added exactly as in RK4.
+    step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    grow, q0, qh, q1 = np.split(step, 4, axis=1)
 
-    a_mat, b_mat, g_mat, k_mat = sys.a, sys.b, sys.g, sys.k
-    e_tau = _expm(a_mat * sys.tau)
-    k_amu = k_mat @ (a_mat + sys.mu * np.eye(sys.n))
-    a_zz = k_mat @ b_mat - sys.mu * np.eye(sys.m)
+    # Rows of ``record`` are x = (y, z); the history rows before t_0 hold z
+    # only.  Window row r holds x(t_k - (N - r) h): S_k reads the z of rows
+    # 0..N-1 and S_{k+1} of rows 1..N with the kernels j = N..1, z(t - tau)
+    # is row 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of
+    # both ends, and row N is x_k itself.
+    past = kernels[:0:-1]
+    win = np.zeros((hist_steps + 1, d, d))
+    win[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+    win[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+    win[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+    win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+    win[-1] += grow
+    win = win.transpose(1, 0, 2).reshape(d, -1)
+    t_now = np.arange(n_steps) * h
+    drive = evaluate(signal, t_now) @ (q0[:, :n] @ sys.g).T
+    drive += evaluate(signal, t_now + 0.5 * h) @ (qh[:, :n] @ sys.g).T
+    drive += evaluate(signal, t_now + h) @ (q1[:, :n] @ sys.g).T
 
-    z_record = np.zeros((hist_steps + n_steps + 1, sys.m))
-    z_record[: hist_steps + 1] = state0.z_history
-    ys = np.empty((n_steps + 1, sys.n))
-    ys[0] = state0.y
-    times = np.arange(n_steps + 1) * h
-
-    def rhs(y_s, z_s, z_delay, past, u_val):
-        dy = a_mat @ y_s + b_mat @ z_delay + g_mat @ u_val
-        dz = a_zz @ z_s + k_amu @ (e_tau @ y_s + past + half_b @ z_s)
-        return dy, dz
-
-    past_now = np.einsum("jnm,jm->n", past_kernels, z_record[:hist_steps])
-    for k in range(n_steps):
-        base = hist_steps + k
-        t_now = k * h
-        # The history sum at t_{k+1} uses stored samples only; at the half
-        # step the interpolated history gives the mean of the two sums.
-        past_next = np.einsum("jnm,jm->n", past_kernels, z_record[k + 1 : base + 1])
-        past_half = 0.5 * (past_now + past_next)
-        z_del_0 = z_record[k]
-        z_del_1 = z_record[k + 1]
-        z_del_half = 0.5 * (z_del_0 + z_del_1)
-        u0 = np.atleast_1d(evaluate(signal, t_now))
-        u_half = np.atleast_1d(evaluate(signal, t_now + 0.5 * h))
-        u1 = np.atleast_1d(evaluate(signal, t_now + h))
-
-        y0 = ys[k]
-        z0 = z_record[base]
-        k1y, k1z = rhs(y0, z0, z_del_0, past_now, u0)
-        k2y, k2z = rhs(
-            y0 + 0.5 * h * k1y, z0 + 0.5 * h * k1z, z_del_half, past_half, u_half
-        )
-        k3y, k3z = rhs(
-            y0 + 0.5 * h * k2y, z0 + 0.5 * h * k2z, z_del_half, past_half, u_half
-        )
-        k4y, k4z = rhs(y0 + h * k3y, z0 + h * k3z, z_del_1, past_next, u1)
-        y_next = y0 + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z_next = z0 + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        if not (np.all(np.isfinite(y_next)) and np.all(np.isfinite(z_next))):
-            raise SimulationError(f"delay state diverged at t={(k + 1) * h}")
-        ys[k + 1] = y_next
-        z_record[base + 1] = z_next
-        past_now = past_next
+    record = np.zeros((hist_steps + n_steps + 1, d))
+    record[: hist_steps + 1, n:] = state0.z_history
+    record[hist_steps, :n] = state0.y
+    flat = record.reshape(-1)
+    # A diverging state overflows to inf or nan; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            window = flat[k * d : (k + hist_steps + 1) * d]
+            x_next = record[hist_steps + k] + (win @ window + drive[k])
+            if not np.isfinite(x_next).all():
+                raise SimulationError(f"delay state diverged at t={(k + 1) * h}")
+            record[hist_steps + k + 1] = x_next
 
     return DelayTrajectory(
-        times=times,
-        ys=ys,
-        zs=z_record[hist_steps:],
-        z_record=z_record,
+        times=np.arange(n_steps + 1) * h,
+        ys=record[hist_steps:, :n],
+        zs=record[hist_steps:, n:],
+        z_record=record[:, n:],
         step=h,
         history_steps=hist_steps,
         signal=signal,
@@ -402,8 +414,8 @@ def delay_empirical_check(
     """
     if not (0.0 < window < t_end):
         raise ValueError("window must lie strictly inside the duration")
+    hist_steps = _history_steps(sys.tau, h)
     bounds = delay_bounds(sys)
-    hist_steps = int(round(sys.tau / h))
     entries = []
     for signal in inputs:
         if sup_norm(signal) > 1.0 + 1e-9:

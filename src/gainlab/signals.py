@@ -9,7 +9,6 @@ is the only place where switching structure lives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -152,23 +151,30 @@ def sup_norm(signal: InputSignal) -> float:
     raise TypeError(f"not an input signal: {signal!r}")
 
 
-def evaluate(signal: InputSignal, t: float) -> np.ndarray:
-    """Signal value at time t as a 1-d array."""
+def evaluate(signal: InputSignal, t) -> np.ndarray:
+    """Value at time t as a (dim,) array, or at a 1-d array of k times as a
+    (k, dim) array; a scalar takes the same path, so both agree bit for bit."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return evaluate(signal, t.reshape(1))[0]
+    if t.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-d array of times")
     if isinstance(signal, Zero):
-        return np.zeros(signal.dim)
+        return np.zeros((t.size, signal.dim))
     if isinstance(signal, Constant):
-        return signal.u0.copy()
+        return np.tile(signal.u0, (t.size, 1))
     if isinstance(signal, Sinusoid):
-        return signal.direction * math.sin(signal.omega * t + signal.phase)
+        return np.sin(signal.omega * t + signal.phase)[:, None] * signal.direction
     if isinstance(signal, BangBangInput):
-        if signal.zero_kernel or t < 0.0 or t > signal.horizon:
-            return np.zeros(1)
-        return np.array([signal.sign_at(t)])
+        flips = np.searchsorted(signal.switch_times, t, side="right")
+        signs = np.where(flips % 2 == 0, 1.0, -1.0) * signal.initial_sign
+        off = signal.zero_kernel | (t < 0.0) | (t > signal.horizon)
+        return np.where(off, 0.0, signs)[:, None]
     if isinstance(signal, PeriodicExtension):
-        local = t - signal.period * math.floor(t / signal.period)
-        if local > signal.base_span:
-            return np.zeros(signal_dim(signal))
-        return evaluate(signal.base, local)
+        local = t - signal.period * np.floor(t / signal.period)
+        values = evaluate(signal.base, local)
+        values[local > signal.base_span] = 0.0
+        return values
     raise TypeError(f"not an input signal: {signal!r}")
 
 

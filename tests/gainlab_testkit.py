@@ -90,7 +90,7 @@ def _weighted_history_kernels(sys, h, steps):
 
 def reference_predictor(sys, signal, state0, n_steps, h):
     """The three-window RK4 predictor loop, kept as the reference for
-    gainlab's carried history sum: each step forms the trapezoid sums at
+    gainlab's precomputed step map: each step forms the trapezoid sums at
     t_k, t_k + h/2 and t_k + h from their own history windows.  Returns
     (ys, z_record) over ``n_steps`` steps, laid out as in a DelayTrajectory."""
     hist_steps = int(round(sys.tau / h))

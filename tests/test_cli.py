@@ -198,6 +198,36 @@ class TestErrors:
         if "fast_delay" in argv[1]:
             assert "grid steps exceeds the limit" in err and "--t-max" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("0", "step h must be finite and positive"),
+            ("nan", "step h must be finite and positive"),
+            ("inf", "step h must be finite and positive"),
+            ("-1", "step h must be finite and positive"),
+            ("1e-12", "history steps exceeds the limit"),
+        ],
+    )
+    def test_bad_delay_step_exit_1(self, delay_file, capsys, command, step, message):
+        start = time.perf_counter()
+        assert main([command, delay_file, "--step", step]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("gainlab: error: ")
+        assert message in err and "--step" in err
+
+    def test_delay_divergence_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "stiff.json"
+        doc = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-1.0]], "tau": 1, "mu": 1e4}
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--step", "1", "--t-max", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the diagnostic alone: no RuntimeWarning text ahead of it
+        assert captured.err.startswith("gainlab: error: delay state diverged at t=")
+        assert captured.err.count("\n") == 1
+
     def test_infinite_mu_exit_1(self, tmp_path, capsys):
         path = tmp_path / "delay.json"
         path.write_text(

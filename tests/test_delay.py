@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gainlab.delay as delaymod
 from gainlab import (
     BangBangInput,
     Constant,
@@ -11,6 +12,7 @@ from gainlab import (
     DimensionError,
     NotHurwitzError,
     PeriodicExtension,
+    SimulationError,
     Sinusoid,
     Zero,
     delay_bounds,
@@ -83,6 +85,25 @@ class TestDelayState:
         with pytest.raises(ValueError):
             simulate_predictor(scalar_delay, Zero(dim=1), state, 2.0, 0.3)
 
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            (0.0, "finite and positive"),
+            (-0.5, "finite and positive"),
+            (float("nan"), "finite and positive"),
+            (float("inf"), "finite and positive"),
+            (0.3, "must divide tau"),
+            (0.5e-9, "history steps exceeds the limit"),
+        ],
+    )
+    def test_bad_step_rejected_before_allocation(self, scalar_delay, h, message):
+        state = DelayState.resting(scalar_delay, 1)
+        with pytest.raises(ValueError, match=message) as info:
+            simulate_predictor(scalar_delay, Zero(dim=1), state, 2.0, h)
+        assert "--step" in str(info.value)
+        with pytest.raises(ValueError, match=message):
+            delay_empirical_check(scalar_delay, [Zero(dim=1)], 2.0, 1.0, h)
+
 
 class TestPredictorDynamics:
     def test_decoupled_observer_when_k_zero(self):
@@ -129,6 +150,38 @@ class TestPredictorDynamics:
         assert traj.history_steps == steps
         np.testing.assert_array_equal(traj.z_record[steps:], traj.zs)
 
+    def test_divergence_raises_simulation_error(self):
+        # RK4 is unstable at mu h = 1e4; the state overflows to inf and nan
+        sys = DelayPredictorSystem(
+            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=1e4
+        )
+        state = DelayState.resting(sys, 1)
+        with pytest.raises(SimulationError, match="diverged at t="):
+            simulate_predictor(sys, Constant(u0=[1.0]), state, 50.0, 1.0)
+
+    def test_one_step_map_per_simulation(self, scalar_delay, monkeypatch):
+        calls = {"evaluate": 0, "_expm_times": 0}
+
+        def counted(name):
+            original = getattr(delaymod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(delaymod, name, counted(name))
+        steps = 16
+        state = DelayState.resting(scalar_delay, steps)
+        for t_end in (1.0, 10.0):
+            calls.update(evaluate=0, _expm_times=0)
+            simulate_predictor(
+                scalar_delay, Sinusoid([1.0], 1.0), state, t_end, scalar_delay.tau / steps
+            )
+            assert calls == {"evaluate": 3, "_expm_times": 1}
+
 
 UNSTABLE_PLANT = DelayPredictorSystem(
     a=[[0.5]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=0.3, mu=1.0
@@ -151,7 +204,7 @@ def _relative_gap(value, reference):
 
 
 class TestReferenceIntegrator:
-    """The carried history sum against the three-window loop it replaced."""
+    """The precomputed RK4 step map against the three-window loop."""
 
     @pytest.mark.parametrize(
         "plant, signal",
@@ -191,6 +244,23 @@ class TestReferenceIntegrator:
         assert _relative_gap(xi, reference_error_grid(traj, plant)) <= 1e-13
         # the closed form starts from the reconstructed xi(0)
         np.testing.assert_array_equal(xi_ref[0], xi[0])
+
+    def test_matches_reference_on_cli_grid(self, scalar_delay):
+        # the CLI's default step tau/64 over a long run
+        steps = 64
+        h = scalar_delay.tau / steps
+        rng = np.random.default_rng(11)
+        state = DelayState(
+            y=rng.standard_normal(1), z_history=rng.standard_normal((steps + 1, 1))
+        )
+        signal = Sinusoid(direction=[1.0], omega=1.0)
+        traj = simulate_predictor(scalar_delay, signal, state, 40.0, h)
+        assert traj.times.size == 5121
+        ys, z_record = reference_predictor(
+            scalar_delay, signal, state, traj.times.size - 1, h
+        )
+        assert _relative_gap(traj.ys, ys) <= 1e-13
+        assert _relative_gap(traj.z_record, z_record) <= 1e-13
 
 
 class TestPredictorError:

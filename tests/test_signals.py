@@ -157,3 +157,75 @@ class TestSegments:
         segs = list(iter_segments(u, 0.5))
         assert len(segs) == 1
         assert segs[0].end == pytest.approx(0.5)
+
+
+SWITCHING = BangBangInput(horizon=2.0, switch_times=[0.5, 1.25], initial_sign=-1)
+ARRAY_CASES = [
+    (Zero(dim=3), np.linspace(-1.0, 5.0, 13)),
+    (Constant(u0=[3.0, -4.0]), np.linspace(-1.0, 5.0, 13)),
+    (Sinusoid(direction=[1.0], omega=1.0), np.arange(2000) * (0.5 / 64)),
+    (Sinusoid(direction=[0.6, 0.8], omega=0.1, phase=0.3), np.arange(2000) * 0.013),
+    (Sinusoid(direction=[1.0], omega=10.0, phase=-2.0), np.arange(2000) * 0.0071),
+    (Sinusoid(direction=[0.0, 1.0], omega=37.5, phase=math.pi / 3), np.linspace(0, 90, 997)),
+    # on each switch time, before 0, on and after the horizon
+    (SWITCHING, np.array([-1.0, -1e-300, 0.0, 0.3, 0.5, 0.9, 1.25, 1.9, 2.0, 2.0001, 7.0])),
+    (
+        BangBangInput(horizon=1.0, switch_times=[0.4], zero_kernel=True),
+        np.array([-0.5, 0.0, 0.4, 0.7, 1.0, 3.0]),
+    ),
+    # on period multiples, on base_span and inside the zero pad
+    (
+        PeriodicExtension(base=SWITCHING, base_span=2.0, period=3.0),
+        np.array([0.0, 0.5, 1.25, 2.0, 2.5, 3.0, 3.5, 5.0, 6.0, 9.0, 300.0, 301.25, 302.0]),
+    ),
+    (
+        PeriodicExtension(Sinusoid(direction=[1.0], omega=2.0, phase=0.3), 1.0, 1.5),
+        np.arange(400) * 0.0375,
+    ),
+]
+
+
+class TestArrayEvaluate:
+    @pytest.mark.parametrize(
+        "signal, times",
+        ARRAY_CASES,
+        ids=[
+            "zero",
+            "constant",
+            "sin-cli-grid",
+            "sin-slow-phase",
+            "sin-fast-phase",
+            "sin-2d",
+            "bang-bang",
+            "bang-bang-zero-kernel",
+            "periodic-bang-bang",
+            "periodic-sinusoid",
+        ],
+    )
+    def test_rows_match_scalar_calls(self, signal, times):
+        rows = evaluate(signal, times)
+        assert rows.shape == (times.size, signal_dim(signal))
+        for t, row in zip(times, rows):
+            scalar = evaluate(signal, float(t))
+            assert scalar.shape == (signal_dim(signal),)
+            np.testing.assert_array_equal(row, scalar)
+
+    def test_agrees_with_math_sin(self):
+        u = Sinusoid(direction=[0.6, 0.8], omega=2.5, phase=0.7)
+        times = np.arange(1000) * 0.01
+        expected = [u.direction * math.sin(2.5 * t + 0.7) for t in times.tolist()]
+        np.testing.assert_allclose(evaluate(u, times), expected, rtol=0, atol=1e-15)
+
+    def test_bang_bang_values(self):
+        values = evaluate(SWITCHING, np.array([-0.1, 0.0, 0.5, 1.25, 2.0, 2.1]))
+        np.testing.assert_array_equal(values[:, 0], [0.0, -1.0, 1.0, -1.0, -1.0, 0.0])
+
+    def test_shapes(self):
+        u = Constant(u0=[1.0, 2.0])
+        assert evaluate(u, 0.5).shape == (2,)
+        assert evaluate(u, np.float64(0.5)).shape == (2,)
+        assert evaluate(u, np.array([0.5])).shape == (1, 2)
+        assert evaluate(u, np.linspace(0.0, 1.0, 7)).shape == (7, 2)
+        assert evaluate(u, np.array([])).shape == (0, 2)
+        with pytest.raises(ValueError):
+            evaluate(u, np.zeros((2, 2)))
