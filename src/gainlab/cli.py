@@ -144,8 +144,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_vt(args) -> int:
     system, extras = modelio.parse_system(args.model)
     system = _require_standard(system, "vt")
-    if not (args.t_max > 0):
-        raise ValueError("--t-max must be positive")
+    if not (0 < args.t_max < math.inf):
+        raise ValueError("--t-max must be finite and positive")
     if args.points < 1:
         raise ValueError("--points must be at least 1")
     tol = _resolve_tol(args.tol, extras)
@@ -159,6 +159,9 @@ def _cmd_vt(args) -> int:
 def _cmd_sweep(args) -> int:
     system, _ = modelio.parse_system(args.model)
     system = _require_standard(system, "sweep")
+    for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite")
     if not (0 < args.omega_min <= args.omega_max):
         raise ValueError("need 0 < --omega-min <= --omega-max")
     if args.points < 1:

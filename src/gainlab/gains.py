@@ -29,8 +29,8 @@ from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
     StructureFlags,
-    _expm,
     _expm_times,
+    _orbit,
     spectral_norm,
     structure_flags,
 )
@@ -348,19 +348,14 @@ def bang_bang_switches(
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("bang-bang construction requires a SISO system")
-    if not (horizon > 0):
-        raise ValueError("horizon must be positive")
+    if not (0 < horizon < math.inf):
+        raise ValueError("horizon must be finite and positive")
     if samples < 2:
         raise ValueError("samples must be at least 2")
     a, b, c = sys.a, sys.b, sys.c
     step = horizon / (samples - 1)
-    # Propagate x_j = exp(A j step) B forward; the kernel at s is g(horizon-s).
-    e_step = _expm(a * step)
-    g = np.empty(samples)
-    x = b.reshape(-1).copy()
-    for j in range(samples):
-        g[j] = (c @ x).item()
-        x = e_step @ x
+    # g_j = C exp(A j step) B on the lag grid; the kernel at s is g(horizon-s).
+    g = _orbit(a, b[:, 0], step, samples) @ c[0]
     kernel = g[::-1]  # kernel[i] = g(horizon - s_i) on the s grid
     scale = spectral_norm(c) * spectral_norm(b)
     if np.max(np.abs(kernel)) <= 1e-14 * max(scale, 1e-300):
@@ -409,8 +404,8 @@ def sinusoid_response(sys: StateSpaceSystem, omega: float) -> float:
     """
     if sys.m != 1:
         raise DimensionError("sinusoid response requires a single input")
-    if not (omega > 0):
-        raise ValueError("omega must be positive")
+    if not (0 < omega < math.inf):
+        raise ValueError("omega must be finite and positive")
     n = sys.n
     xi = np.linalg.solve(sys.a @ sys.a + omega**2 * np.eye(n), sys.b).reshape(-1)
     c_xi = (sys.c @ xi).reshape(-1)

@@ -159,6 +159,26 @@ def _expm_times(a: np.ndarray, s, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _orbit(a: np.ndarray, v: np.ndarray, step: float, count: int) -> np.ndarray:
+    """exp(j step a) v for j = 0..count-1, as the rows of a (count, len(v)) array.
+
+    The powers exp(2^i step a) come from one _expm stack, and row j is the
+    product of the powers named by the binary digits of j: each power doubles
+    the rows filled, so no row carries more than log2(count) products.
+    """
+    out = np.empty((count, v.size))
+    out[0] = v
+    levels = (count - 1).bit_length()
+    if levels:
+        powers = _expm(a * (step * 2.0 ** np.arange(levels))[:, None, None])
+        filled = 1
+        for power in powers:
+            take = min(filled, count - filled)
+            out[filled : filled + take] = out[:take] @ power.T
+            filled += take
+    return out
+
+
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a (k, rows, cols) stack,
     the Euclidean norm when rows or cols is 1."""

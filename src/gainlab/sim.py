@@ -1,11 +1,12 @@
 """Exact simulation of stable LTI systems under piecewise-structured inputs.
 
 Inputs built from the signal vocabulary decompose into segments on which the
-dynamics admit a closed form: constants propagate through the block matrix
-exponential exp([[A, B], [0, 0]] dt), sinusoids through an augmentation with
-a two-state harmonic oscillator.  The simulator walks a uniform output grid,
-splitting steps at segment boundaries, so the recorded states are exact up
-to the matrix exponential (no ODE discretization error).
+input is constant or one sinusoid.  On each segment the state and the input's
+own state (the constant, or the sine and cosine of the phase) together follow
+one autonomous linear flow z' = G z, so the grid states the segment covers are
+one orbit z, exp(G h) z, exp(G h)^2 z, ... of that flow.  The simulator walks
+the segments and fills each one's grid rows from its orbit, so the recorded
+states are exact up to the matrix exponential (no ODE discretization error).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .exceptions import DimensionError, SimulationError
 from .gains import bang_bang_switches, l1_impulse_gain
-from .linalg import StateSpaceSystem, _expm, mat_exp
+from .linalg import _STACK_ENTRIES, StateSpaceSystem, _expm, _orbit, mat_exp
 from .quadrature import tail_horizon
 from .signals import (
     InputSignal,
@@ -55,48 +56,9 @@ class Trajectory:
         return np.linalg.norm(self.outputs, axis=1)
 
 
-class _Propagators:
-    """Per-simulation cache of segment propagators keyed by duration."""
-
-    def __init__(self, sys: StateSpaceSystem):
-        self.sys = sys
-        self.const: dict = {}
-        self.sin: dict = {}
-
-    def advance_const(self, x: np.ndarray, value: np.ndarray, dt: float) -> np.ndarray:
-        pair = self.const.get(dt)
-        if pair is None:
-            n, m = self.sys.n, self.sys.m
-            aug = np.zeros((n + m, n + m))
-            aug[:n, :n] = self.sys.a
-            aug[:n, n:] = self.sys.b
-            full = _expm(aug * dt)
-            pair = (full[:n, :n], full[:n, n:])
-            self.const[dt] = pair
-        phi, gamma = pair
-        return phi @ x + gamma @ value
-
-    def advance_sin(
-        self, x: np.ndarray, seg: Segment, t_local: float, dt: float
-    ) -> np.ndarray:
-        key = (dt, seg.omega, seg.direction.tobytes())
-        full = self.sin.get(key)
-        if full is None:
-            n = self.sys.n
-            aug = np.zeros((n + 2, n + 2))
-            aug[:n, :n] = self.sys.a
-            aug[:n, n] = self.sys.b @ seg.direction
-            aug[n, n + 1] = seg.omega
-            aug[n + 1, n] = -seg.omega
-            full = _expm(aug * dt)
-            self.sin[key] = full
-        theta = seg.omega * t_local + seg.theta0
-        z = np.concatenate((x, [math.sin(theta), math.cos(theta)]))
-        return (full @ z)[: self.sys.n]
-
-
 # Largest grid a simulation may record: verify's 40,960 steps are the most any
-# command takes by default, and ten million take minutes and hundreds of MB.
+# command takes by default.  A million steps simulate in about 0.2 s; the cap
+# bounds memory (ten million states of n floats) and CSV size, not time.
 _MAX_GRID_STEPS = 10**7
 
 
@@ -120,6 +82,29 @@ def _grid_steps(t_end: float, h: float) -> int:
     return n_steps
 
 
+def _generator(sys: StateSpaceSystem, seg: Segment, x: np.ndarray):
+    """(G, z0): the flow z' = G z of the state and the input's own state on
+    ``seg``, and its value at the segment start from state ``x``.
+
+    A constant u holds still: G = [[A, B], [0, 0]], z0 = (x, u).  A sinusoid
+    d sin(omega t + theta0) carries (sin, cos) of its phase through a harmonic
+    oscillator: G = [[A, B d e1'], [0, omega J]], z0 = (x, sin theta0, cos theta0).
+    """
+    n = sys.n
+    if seg.kind == "const":
+        w = seg.value
+        g = np.zeros((n + w.size, n + w.size))
+        g[:n, n:] = sys.b
+    else:
+        w = np.array([math.sin(seg.theta0), math.cos(seg.theta0)])
+        g = np.zeros((n + 2, n + 2))
+        g[:n, n] = sys.b @ seg.direction
+        g[n, n + 1] = seg.omega
+        g[n + 1, n] = -seg.omega
+    g[:n, :n] = sys.a
+    return g, np.concatenate((x, w))
+
+
 def simulate(
     sys: StateSpaceSystem,
     signal: InputSignal,
@@ -129,9 +114,11 @@ def simulate(
 ) -> Trajectory:
     """Propagate x' = Ax + Bu from ``x0`` and record every grid point.
 
-    The input must match the system's input dimension.  Within each grid
-    step the exact flow is composed segment by segment, so ``h`` controls
-    only the recording density, not the accuracy.
+    The input must match the system's input dimension.  The simulator walks
+    the input's segments; the grid states a segment covers are one orbit of
+    exp(G h) for the segment's flow z' = G z, filled in blocks each anchored
+    to the segment start, so ``h`` controls only the recording density, not
+    the accuracy.
     """
     if signal_dim(signal) != sys.m:
         raise DimensionError(
@@ -140,60 +127,44 @@ def simulate(
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (sys.n,):
         raise DimensionError(f"x0 must have length {sys.n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 contains non-finite entries")
     n_steps = _grid_steps(t_end, h)
     t_final = n_steps * h
-    segments = iter_segments(signal, t_final)
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, sys.n))
     states[0] = x
-    cache = _Propagators(sys)
     eps = 1e-12 * max(1.0, t_final)
-    seg_i = 0
-    cursor = 0.0
-    for k in range(1, n_steps + 1):
-        t_next = k * h
-        while t_next - cursor > eps:
-            while seg_i < len(segments) - 1 and segments[seg_i].end <= cursor + eps:
-                seg_i += 1
-            seg = segments[seg_i]
-            if seg.end <= cursor + eps:
-                break  # coverage exhausted within floating-point noise
-            stop = min(seg.end, t_next)
-            dt = stop - cursor
-            if dt > eps:
-                if seg.kind == "const":
-                    x = cache.advance_const(x, seg.value, dt)
-                else:
-                    x = cache.advance_sin(x, seg, cursor - seg.start, dt)
-            cursor = stop
-        cursor = t_next
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(f"state diverged at t={t_next}")
-        states[k] = x
+    k = 1
+    for seg in iter_segments(signal, t_final):
+        g, z = _generator(sys, seg, x)
+        stop = int(np.searchsorted(times, seg.end + eps, side="right"))
+        block = _STACK_ENTRIES // z.size
+        for lo in range(k, stop, block):
+            hi = min(lo + block, stop)
+            lead = _expm(g * (times[lo] - seg.start)) @ z
+            rows = _orbit(g, lead, h, hi - lo)[:, : sys.n]
+            bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
+            if bad.size:
+                raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
+            states[lo:hi] = rows
+        x = (_expm(g * (seg.end - seg.start)) @ z)[: sys.n]
+        k = stop
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)
 
 
 def steady_periodic_state(
-    sys: StateSpaceSystem,
-    signal: InputSignal,
-    period: float,
-    h: float | None = None,
+    sys: StateSpaceSystem, signal: InputSignal, period: float
 ) -> np.ndarray:
     """Initial state whose response to the periodic input is itself periodic.
 
-    Solves (exp(A period) - I) x = -x_zs(period) with the zero-state response
-    computed by exact segment propagation; ``h`` only sets the recording grid
-    used internally (the period must be an integer number of steps).
+    Solves (exp(A period) - I) x = -x_zs(period), with the zero-state
+    response x_zs(period) taken from one simulation of a single period.
     """
     if not (period > 0):
         raise ValueError("period must be positive")
-    if h is None:
-        h = period / 1024.0
-    n_sub = max(1, int(round(period / h)))
-    h_eff = period / n_sub
-    traj = simulate(sys, signal, np.zeros(sys.n), period, h_eff)
-    x_zs = traj.states[-1]
+    x_zs = simulate(sys, signal, np.zeros(sys.n), period, period).states[-1]
     e_t = mat_exp(sys.a, period)
     return np.linalg.solve(e_t - np.eye(sys.n), -x_zs)
 

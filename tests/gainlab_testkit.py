@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 
-from gainlab import StateSpaceSystem, evaluate, mat_exp
+from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, mat_exp
+from gainlab.linalg import _expm
+from gainlab.signals import Segment, iter_segments, signal_dim
+from gainlab.sim import Trajectory, _grid_steps
 
 
 def random_hurwitz_matrix(rng, n_max=5, abscissa=-0.2, scale=2.0, n=None):
@@ -161,3 +164,88 @@ def reference_error_grid(traj, sys):
         dist = np.einsum("jnm,jm->n", wk, window)
         xi[k] = traj.zs[k] - k_etau @ traj.ys[k] - sys.k @ dist
     return xi
+
+
+class _Propagators:
+    """Per-simulation cache of segment propagators keyed by duration."""
+
+    def __init__(self, sys: StateSpaceSystem):
+        self.sys = sys
+        self.const: dict = {}
+        self.sin: dict = {}
+
+    def advance_const(self, x: np.ndarray, value: np.ndarray, dt: float) -> np.ndarray:
+        pair = self.const.get(dt)
+        if pair is None:
+            n, m = self.sys.n, self.sys.m
+            aug = np.zeros((n + m, n + m))
+            aug[:n, :n] = self.sys.a
+            aug[:n, n:] = self.sys.b
+            full = _expm(aug * dt)
+            pair = (full[:n, :n], full[:n, n:])
+            self.const[dt] = pair
+        phi, gamma = pair
+        return phi @ x + gamma @ value
+
+    def advance_sin(
+        self, x: np.ndarray, seg: Segment, t_local: float, dt: float
+    ) -> np.ndarray:
+        key = (dt, seg.omega, seg.direction.tobytes())
+        full = self.sin.get(key)
+        if full is None:
+            n = self.sys.n
+            aug = np.zeros((n + 2, n + 2))
+            aug[:n, :n] = self.sys.a
+            aug[:n, n] = self.sys.b @ seg.direction
+            aug[n, n + 1] = seg.omega
+            aug[n + 1, n] = -seg.omega
+            full = _expm(aug * dt)
+            self.sin[key] = full
+        theta = seg.omega * t_local + seg.theta0
+        z = np.concatenate((x, [math.sin(theta), math.cos(theta)]))
+        return (full @ z)[: self.sys.n]
+
+
+def reference_simulate(sys, signal, x0, t_end, h):
+    """The grid-step simulator, kept as the reference for gainlab's
+    segment orbits: each grid step composes the exact segment flows it
+    crosses, one cached propagator product per piece."""
+    if signal_dim(signal) != sys.m:
+        raise DimensionError(
+            f"input dimension {signal_dim(signal)} does not match system m={sys.m}"
+        )
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape != (sys.n,):
+        raise DimensionError(f"x0 must have length {sys.n}")
+    n_steps = _grid_steps(t_end, h)
+    t_final = n_steps * h
+    segments = iter_segments(signal, t_final)
+    times = np.arange(n_steps + 1) * h
+    states = np.empty((n_steps + 1, sys.n))
+    states[0] = x
+    cache = _Propagators(sys)
+    eps = 1e-12 * max(1.0, t_final)
+    seg_i = 0
+    cursor = 0.0
+    for k in range(1, n_steps + 1):
+        t_next = k * h
+        while t_next - cursor > eps:
+            while seg_i < len(segments) - 1 and segments[seg_i].end <= cursor + eps:
+                seg_i += 1
+            seg = segments[seg_i]
+            if seg.end <= cursor + eps:
+                break  # coverage exhausted within floating-point noise
+            stop = min(seg.end, t_next)
+            dt = stop - cursor
+            if dt > eps:
+                if seg.kind == "const":
+                    x = cache.advance_const(x, seg.value, dt)
+                else:
+                    x = cache.advance_sin(x, seg, cursor - seg.start, dt)
+            cursor = stop
+        cursor = t_next
+        if not np.all(np.isfinite(x)):
+            raise SimulationError(f"state diverged at t={t_next}")
+        states[k] = x
+    outputs = states @ sys.c.T
+    return Trajectory(times=times, states=states, outputs=outputs, step=h)

@@ -198,6 +198,27 @@ class TestErrors:
         if "fast_delay" in argv[1]:
             assert "grid steps exceeds the limit" in err and "--t-max" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("vt", "--t-max"),
+            ("sweep", "--omega-min"),
+            ("sweep", "--omega-max"),
+            ("worstcase", "--horizon"),
+        ],
+    )
+    def test_bad_range_flag_exit_1(self, oscillator_file, capsys, command, flag, value):
+        start = time.perf_counter()
+        assert main([command, oscillator_file, f"{flag}={value}"]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the diagnostic alone, naming the value: no warning or traceback
+        assert captured.err.startswith("gainlab: error: ")
+        assert captured.err.count("\n") == 1
+        assert flag.lstrip("-") in captured.err
+
     @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
     @pytest.mark.parametrize(
         "step, message",

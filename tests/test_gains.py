@@ -57,8 +57,8 @@ def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
         return original(m)
 
     original = linalg._expm
+    # gains reaches _expm only through linalg (_expm_times, _orbit).
     monkeypatch.setattr(linalg, "_expm", counting)
-    monkeypatch.setattr(gains, "_expm", counting)
     est = l1_impulse_gain(oscillator)
     assert 0 < len(calls) <= 22
     assert est.value == pytest.approx(OSCILLATOR_GAIN, abs=1e-7)
@@ -290,6 +290,11 @@ class TestBangBangSwitches:
         with pytest.raises(DimensionError):
             bang_bang_switches(diag_two_output, 1.0)
 
+    def test_rejects_bad_horizon(self, scalar_system):
+        for horizon in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon must be finite and positive"):
+                bang_bang_switches(scalar_system, horizon)
+
 
 class TestSinusoidResponse:
     def test_scalar_closed_form(self, scalar_system):
@@ -307,8 +312,9 @@ class TestSinusoidResponse:
             )
 
     def test_rejects_bad_omega(self, scalar_system):
-        with pytest.raises(ValueError):
-            sinusoid_response(scalar_system, 0.0)
+        for omega in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="omega must be finite and positive"):
+                sinusoid_response(scalar_system, omega)
 
 
 class TestSinusoidLowerBound:

@@ -78,6 +78,20 @@ class TestMatExp:
                 stacked[k], scipy.linalg.expm(a * s[k]) @ b, rtol=1e-12, atol=1e-14
             )
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 1000, 1025])
+    def test_orbit_matches_reference(self, count):
+        # The constant-input generator [[A, B], [0, 0]] that simulate uses:
+        # singular, with a Hurwitz block, so rows neither blow up nor vanish.
+        rng = np.random.default_rng(29)
+        g = np.zeros((5, 5))
+        g[:4, :4] = random_hurwitz_matrix(rng, n=4, abscissa=-0.2)
+        g[:4, 4] = rng.standard_normal(4)
+        v = rng.standard_normal(5)
+        rows = linalg._orbit(g, v, 0.05, count)
+        assert rows.shape == (count, 5)
+        ref = np.array([scipy.linalg.expm(j * 0.05 * g) @ v for j in range(count)])
+        np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gainlab import (
+    BangBangInput,
     Constant,
     DimensionError,
+    PeriodicExtension,
     Sinusoid,
     StateSpaceSystem,
     Zero,
@@ -18,7 +21,8 @@ from gainlab import (
     verify_gain_equality,
     worst_case_periodic_input,
 )
-from gainlab_testkit import random_hurwitz_matrix
+from gainlab import linalg, sim
+from gainlab_testkit import random_hurwitz_matrix, reference_simulate
 
 
 class TestSimulateExactness:
@@ -56,8 +60,6 @@ class TestSimulateExactness:
         np.testing.assert_allclose(fine.states[::5], coarse.states, atol=1e-12)
 
     def test_bang_bang_segments_exact(self, scalar_system):
-        from gainlab import BangBangInput
-
         u = BangBangInput(horizon=2.0, switch_times=[1.0])
         traj = simulate(scalar_system, u, [0.0], 3.0, 0.125)
         # closed form: rises to 1-e^{-1}, then flips drive to -1, then decays
@@ -81,11 +83,114 @@ class TestSimulateExactness:
         with pytest.raises(ValueError):
             simulate(scalar_system, Zero(dim=1), [0.0], 1.0, 0.0)
 
+    @pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf]])
+    def test_rejects_non_finite_x0(self, oscillator, x0):
+        with pytest.raises(ValueError, match="x0"):
+            simulate(oscillator, Constant([1.0]), x0, 1.0, 0.1)
+
     def test_output_norms(self, diag_two_output):
         traj = simulate(diag_two_output, Constant(u0=[1.0]), np.zeros(2), 2.0, 0.5)
         norms = traj.output_norms()
         assert norms.shape == traj.times.shape
         np.testing.assert_allclose(norms, np.linalg.norm(traj.outputs, axis=1))
+
+
+def _two_input_system():
+    rng = np.random.default_rng(41)
+    a = random_hurwitz_matrix(rng, n=3)
+    return StateSpaceSystem(a=a, b=rng.standard_normal((3, 2)), c=rng.standard_normal((2, 3)))
+
+
+_BANG = dict(horizon=4.0, initial_sign=-1)
+# (signal, t_end, h) on the oscillator unless the signal has two channels.
+_REFERENCE_CASES = {
+    "zero": (Zero(dim=1), 5.0, 0.1),
+    "constant-one-step": (Constant([0.7]), 7.0, 7.0),
+    "constant-m2": (Constant([0.6, -0.8]), 20.0, 0.001),
+    "sinusoid": (Sinusoid([1.0], 2.3, 0.4), 10.0, 0.01),
+    # 20,000 rows of a 4-entry flow: more than one block of 65536 // 4 rows
+    "sinusoid-two-blocks": (Sinusoid([1.0], 0.7, -1.0), 200.0, 0.01),
+    "bang-switch-on-grid": (BangBangInput(switch_times=[1.0, 2.5], **_BANG), 6.0, 0.25),
+    "bang-switch-near-grid": (
+        BangBangInput(switch_times=[1.0 + 1e-13, 2.5 - 5e-14], **_BANG), 6.0, 0.25
+    ),
+    "bang-switch-in-cell": (BangBangInput(switch_times=[1.1, 2.37], **_BANG), 6.0, 0.25),
+    "periodic-bang-multiple": (
+        PeriodicExtension(BangBangInput(2.0, [0.5, 1.25]), 2.0, 3.0), 30.0, 0.125
+    ),
+    "periodic-bang-non-multiple": (
+        PeriodicExtension(BangBangInput(2.0, [0.5, 1.25]), 2.0, 3.3), 33.0, 0.125
+    ),
+    "periodic-sinusoid-multiple": (
+        PeriodicExtension(Sinusoid([1.0], 3.0), 1.5, 2.5), 25.0, 0.0625
+    ),
+    "periodic-sinusoid-non-multiple": (
+        PeriodicExtension(Sinusoid([1.0], 3.0), 1.5, 2.45), 25.0, 0.0625
+    ),
+}
+
+
+def _assert_matches_reference(traj, ref):
+    np.testing.assert_array_equal(traj.times, ref.times)
+    scale = np.max(np.abs(ref.states), axis=0)
+    assert np.all(np.abs(traj.states - ref.states) <= 1e-12 * scale)
+
+
+class TestReferenceSimulator:
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_grid_stepper(self, oscillator, case):
+        signal, t_end, h = _REFERENCE_CASES[case]
+        system = _two_input_system() if case == "constant-m2" else oscillator
+        x0 = np.linspace(0.5, -0.3, system.n)
+        traj = simulate(system, signal, x0, t_end, h)
+        _assert_matches_reference(traj, reference_simulate(system, signal, x0, t_end, h))
+
+    def test_many_blocks_per_segment(self, oscillator, monkeypatch):
+        # Blocks of 16 rows, each anchored to its segment start: the same
+        # rows as one block and as the grid stepper.
+        signal = PeriodicExtension(Sinusoid([1.0], 1.9, 0.2), 7.0, 9.0)
+        x0 = [0.4, -1.0]
+        whole = simulate(oscillator, signal, x0, 30.0, 0.01)
+        monkeypatch.setattr(sim, "_STACK_ENTRIES", 64)
+        blocked = simulate(oscillator, signal, x0, 30.0, 0.01)
+        np.testing.assert_allclose(blocked.states, whole.states, rtol=0, atol=1e-13)
+        _assert_matches_reference(
+            blocked, reference_simulate(oscillator, signal, x0, 30.0, 0.01)
+        )
+
+    def test_long_constant_run_matches_scipy(self):
+        # Over 2x10^5 steps no row is more than log2(2x10^5) products from
+        # the segment start; the grid stepper drifted to 7e-13 here.
+        rng = np.random.default_rng(5)
+        a = random_hurwitz_matrix(rng, n=6)
+        system = StateSpaceSystem(a=a, b=rng.standard_normal((6, 1)), c=np.ones((1, 6)))
+        x0 = np.ones(6)
+        traj = simulate(system, Constant([1.0]), x0, 200.0, 0.001)
+        assert traj.times.size == 200_001
+        gen = np.zeros((7, 7))
+        gen[:6, :6] = system.a
+        gen[:6, 6:] = system.b
+        z0 = np.append(x0, 1.0)
+        for k in range(0, traj.times.size, 5000):
+            ref = (scipy.linalg.expm(gen * traj.times[k]) @ z0)[:6]
+            assert np.linalg.norm(traj.states[k] - ref) <= 2e-13 * np.linalg.norm(ref)
+
+    def test_expm_calls_do_not_grow_with_the_grid(self, oscillator, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        original = linalg._expm
+        monkeypatch.setattr(linalg, "_expm", counting)
+        monkeypatch.setattr(sim, "_expm", counting)
+        counts = []
+        for steps in (10, 1000, 10000):
+            calls.clear()
+            simulate(oscillator, Constant([1.0]), np.zeros(2), 0.01 * steps, 0.01)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestDecayInvariant:
