@@ -400,21 +400,27 @@ def sinusoid_response(sys: StateSpaceSystem, omega: float) -> float:
     Single-input systems.  The steady response to sin(omega t + phase) is a
     two-term trigonometric state; maximizing its output norm over the period
     and phase gives a closed form in the resolvent-like vector
-    (A^2 + omega^2 I)^{-1} B.
+    (A^2 + omega^2 I)^{-1} B, evaluated on A / s, omega / s and output vectors
+    / u for powers of two s and u: exact rescalings, which keep every bit of
+    the unscaled form but none of its overflow (omega^2) or underflow.
     """
     if sys.m != 1:
         raise DimensionError("sinusoid response requires a single input")
     if not (0 < omega < math.inf):
         raise ValueError("omega must be finite and positive")
-    n = sys.n
-    xi = np.linalg.solve(sys.a @ sys.a + omega**2 * np.eye(n), sys.b).reshape(-1)
+    scale = math.ldexp(1.0, max(0, math.frexp(omega)[1] - 1))
+    a = sys.a / scale
+    omega = omega / scale
+    xi = np.linalg.solve(a @ a + omega**2 * np.eye(sys.n), sys.b).reshape(-1)
     c_xi = (sys.c @ xi).reshape(-1)
-    c_a_xi = (sys.c @ (sys.a @ xi)).reshape(-1)
+    c_a_xi = (sys.c @ (a @ xi)).reshape(-1)
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs([c_xi, c_a_xi]))))[1])
+    c_xi, c_a_xi = c_xi / unit, c_a_xi / unit
     term_q = omega**2 * float(c_xi @ c_xi)
     term_p = float(c_a_xi @ c_a_xi)
     cross = float(c_a_xi @ c_xi)
     inner = math.sqrt((term_q - term_p) ** 2 + 4.0 * omega**2 * cross**2)
-    return math.sqrt(max(0.0, 0.5 * (term_q + term_p + inner)))
+    return math.sqrt(max(0.0, 0.5 * (term_q + term_p + inner))) * unit / scale
 
 
 def sinusoid_lower_bound(

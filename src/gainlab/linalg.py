@@ -92,19 +92,26 @@ def _expm(m: np.ndarray) -> np.ndarray:
     if m.ndim == 2:
         return _expm(m[None])[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(m, 1, axis=(-2, -1))
-        squarings = np.array([_squarings(x) for x in norms], dtype=int)
-        # Work in order of ascending squarings, so that the matrices still
-        # to be squared at each level are a contiguous tail.
-        order = np.argsort(squarings, kind="stable")
-        squarings = squarings[order]
-        ordered = _pade13(m[order] / (2.0**squarings)[:, None, None])
-        for level in range(int(squarings.max(initial=0))):
-            tail = ordered[np.searchsorted(squarings, level, side="right") :]
+        norms = np.linalg.norm(m, 1, axis=(-2, -1)).tolist()
+        counts = [_squarings(x) for x in norms]
+        top = max(counts, default=0)
+        # Square a contiguous tail per level: order by ascending count, unless
+        # all counts are equal (always so for one matrix).
+        if min(counts, default=0) == top:
+            order, starts = None, [0] * top
+            result = _pade13(m / 2.0**top)
+        else:
+            order = np.argsort(counts, kind="stable")
+            squarings = np.array(counts)[order]
+            starts = np.searchsorted(squarings, np.arange(top), side="right")
+            result = _pade13(m[order] / (2.0**squarings)[:, None, None])
+        for start in starts:
+            tail = result[start:]
             tail[...] = tail @ tail
-        result = np.empty_like(ordered)
-        result[order] = ordered
-        result[norms == 0.0] = np.eye(m.shape[-1])
+        if order is not None:
+            result = result[np.argsort(order)]
+        if 0.0 in norms:
+            result[np.equal(norms, 0.0)] = np.eye(m.shape[-1])
     if not np.all(np.isfinite(result)):
         raise OverflowError("matrix exponential overflowed double precision")
     return result

@@ -4,7 +4,8 @@ System files are JSON documents with matrices as nested row-major arrays:
 "A", "B", "C" for a standard system, or "A", "B", "G", "K", "tau", "mu" for
 a delayed predictor loop, plus optional "tol" and "seed".  Reports are
 emitted through a custom JSON writer so floats carry 17 significant digits
-and identical inputs produce byte-identical documents.
+and identical inputs produce byte-identical documents.  CSV tables are formatted
+one block of rows per ``%``, with the same 17 digits as the JSON writer.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# Rows per ``%`` in csv_lines.  As fast as 1024, which raised the peak RSS
+# of a sim-verify loop by about 0.4 MB where 256 left it unchanged.
+_CSV_BLOCK_ROWS = 256
 
 
 def _load_json(path) -> dict:
@@ -272,47 +276,38 @@ def bound_document(est: GainEstimate) -> dict:
 
 
 def csv_lines(header, rows):
-    """Render rows as CSV text (comma separator, 17-digit floats)."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Render rows (an array or any iterable of rows) as CSV text: comma
+    separator, 17-digit floats, one ``%`` per block of _CSV_BLOCK_ROWS rows
+    on a float64 table ("%.17g" % x prints what f"{x:.17g}" does)."""
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    row = "\n" + ",".join(["%.17g"] * len(header))
+    parts = [",".join(header)]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _columns_csv(times, **blocks) -> str:
+    """CSV of a "t" column, then the columns name_1, name_2, ... of each block."""
+    header = ["t"] + [f"{k}_{i + 1}" for k, v in blocks.items() for i in range(v.shape[1])]
+    return csv_lines(header, np.column_stack((times, *blocks.values())))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    n = traj.states.shape[1]
-    p = traj.outputs.shape[1]
-    header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(p)]
-    rows = (
-        [traj.times[k], *traj.states[k], *traj.outputs[k]]
-        for k in range(traj.times.size)
-    )
-    return csv_lines(header, rows)
+    return _columns_csv(traj.times, x=traj.states, y=traj.outputs)
 
 
 def delay_trajectory_csv(
     traj: DelayTrajectory, xi: np.ndarray, xi_ref: np.ndarray
 ) -> str:
-    n = traj.ys.shape[1]
-    m = traj.zs.shape[1]
-    header = (
-        ["t"]
-        + [f"y_{i + 1}" for i in range(n)]
-        + [f"z_{i + 1}" for i in range(m)]
-        + [f"pred_err_{i + 1}" for i in range(m)]
-        + [f"pred_err_ref_{i + 1}" for i in range(m)]
-    )
-    rows = (
-        [traj.times[k], *traj.ys[k], *traj.zs[k], *xi[k], *xi_ref[k]]
-        for k in range(traj.times.size)
-    )
-    return csv_lines(header, rows)
+    return _columns_csv(traj.times, y=traj.ys, z=traj.zs, pred_err=xi, pred_err_ref=xi_ref)
 
 
 def vcurve_csv(curve: VCurve) -> str:
-    rows = zip(curve.horizons, curve.values)
-    return csv_lines(["T", "V"], rows)
+    return csv_lines(["T", "V"], np.column_stack((curve.horizons, curve.values)))
 
 
 def sweep_csv(omegas, values) -> str:
-    return csv_lines(["omega", "Psi"], zip(omegas, values))
+    return csv_lines(["omega", "Psi"], np.column_stack((omegas, values)))

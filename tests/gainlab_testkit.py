@@ -10,6 +10,7 @@ import numpy as np
 
 from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, mat_exp
 from gainlab.linalg import _expm
+from gainlab.modelio import _fmt
 from gainlab.signals import Segment, iter_segments, signal_dim
 from gainlab.sim import Trajectory, _grid_steps
 
@@ -249,3 +250,72 @@ def reference_simulate(sys, signal, x0, t_end, h):
         states[k] = x
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)
+
+
+def reference_csv_lines(header, rows):
+    """The value-by-value CSV writer, kept as the reference for gainlab's
+    block formatter: one _fmt call per value, rows joined one at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(ours, reference):
+    """Equal texts, or an error naming the first differing line (pytest's own
+    diff of two long CSV texts takes minutes)."""
+    if ours != reference:
+        a, b = ours.split("\n"), reference.split("\n")
+        i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+        raise AssertionError(
+            f"line {i}: {a[i : i + 1]} != {b[i : i + 1]} ({len(a)} against {len(b)} lines)"
+        )
+
+
+def reference_trajectory_csv(traj):
+    n = traj.states.shape[1]
+    p = traj.outputs.shape[1]
+    header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(p)]
+    rows = (
+        [traj.times[k], *traj.states[k], *traj.outputs[k]]
+        for k in range(traj.times.size)
+    )
+    return reference_csv_lines(header, rows)
+
+
+def reference_delay_trajectory_csv(traj, xi, xi_ref):
+    n = traj.ys.shape[1]
+    m = traj.zs.shape[1]
+    header = (
+        ["t"]
+        + [f"y_{i + 1}" for i in range(n)]
+        + [f"z_{i + 1}" for i in range(m)]
+        + [f"pred_err_{i + 1}" for i in range(m)]
+        + [f"pred_err_ref_{i + 1}" for i in range(m)]
+    )
+    rows = (
+        [traj.times[k], *traj.ys[k], *traj.zs[k], *xi[k], *xi_ref[k]]
+        for k in range(traj.times.size)
+    )
+    return reference_csv_lines(header, rows)
+
+
+def reference_vcurve_csv(curve):
+    return reference_csv_lines(["T", "V"], zip(curve.horizons, curve.values))
+
+
+def reference_sweep_csv(omegas, values):
+    return reference_csv_lines(["omega", "Psi"], zip(omegas, values))
+
+
+def reference_sinusoid_response(sys, omega):
+    """The unscaled closed form of gainlab's sinusoid_response, kept as the
+    reference its power-of-two rescaling must reproduce bit for bit."""
+    xi = np.linalg.solve(sys.a @ sys.a + omega**2 * np.eye(sys.n), sys.b).reshape(-1)
+    c_xi = (sys.c @ xi).reshape(-1)
+    c_a_xi = (sys.c @ (sys.a @ xi)).reshape(-1)
+    term_q = omega**2 * float(c_xi @ c_xi)
+    term_p = float(c_a_xi @ c_a_xi)
+    cross = float(c_a_xi @ c_xi)
+    inner = math.sqrt((term_q - term_p) ** 2 + 4.0 * omega**2 * cross**2)
+    return math.sqrt(max(0.0, 0.5 * (term_q + term_p + inner)))

@@ -4,7 +4,26 @@ import time
 import numpy as np
 import pytest
 
+from gainlab import (
+    Constant,
+    DelayState,
+    predictor_error_series,
+    simulate,
+    simulate_predictor,
+    sinusoid_response,
+    vcurve,
+    worst_case_periodic_input,
+)
 from gainlab.cli import main
+from gainlab.delay import _history_steps
+from gainlab.modelio import parse_system
+from gainlab_testkit import (
+    assert_same_text,
+    reference_delay_trajectory_csv,
+    reference_sweep_csv,
+    reference_trajectory_csv,
+    reference_vcurve_csv,
+)
 
 
 @pytest.fixture
@@ -302,6 +321,19 @@ class TestSweep:
     def test_bad_range(self, scalar_file, capsys):
         assert main(["sweep", scalar_file, "--omega-min", "-1"]) == 1
 
+    def test_huge_omega_max(self, oscillator_file, capsys):
+        # omega^2 overflows above about 1.3e154; Psi must not collapse to 0
+        # where |H(i omega)| = 1 / |1 - omega^2 + i omega| is representable.
+        argv = ["sweep", oscillator_file, "--omega-max", "1e300", "--points", "3"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [list(map(float, line.split(","))) for line in captured.out.split()[1:]]
+        assert [omega for omega, _ in rows] == pytest.approx([1e-3, 10**148.5, 1e300])
+        assert rows[0][1] == pytest.approx(1.0, rel=1e-6)
+        assert rows[1][1] == pytest.approx(10**-297, rel=1e-12, abs=0.0)
+        assert rows[2][1] == 0.0  # 1e-600 rounds to zero
+
 
 class TestSimulate:
     def test_standard_csv(self, scalar_file, capsys):
@@ -382,3 +414,48 @@ class TestDelayDemo:
 
     def test_standard_file_rejected(self, scalar_file, capsys):
         assert main(["delay-demo", scalar_file]) == 1
+
+
+class TestCsvCommandsMatchReference:
+    """Each CSV command prints what the value-by-value reference writer makes
+    of the library objects the command builds."""
+
+    def run(self, capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_simulate(self, oscillator_file, capsys):
+        out = self.run(capsys, ["simulate", oscillator_file, "--t-max", "12.5"])
+        system, _ = parse_system(oscillator_file)
+        traj = simulate(system, Constant(u0=[1.0]), np.zeros(2), 12.5, 0.01)
+        assert_same_text(out, reference_trajectory_csv(traj))
+
+    def test_worstcase(self, oscillator_file, capsys):
+        out = self.run(capsys, ["worstcase", oscillator_file, "--horizon", "8"])
+        system, _ = parse_system(oscillator_file)
+        signal, spec = worst_case_periodic_input(system, 8.0, 1e-6)
+        traj = simulate(system, signal, np.zeros(2), 3.0 * spec.period, spec.period / 4096.0)
+        assert_same_text(out, reference_trajectory_csv(traj))
+
+    def test_sweep(self, oscillator_file, capsys):
+        argv = ["sweep", oscillator_file, "--omega-min", "0.01", "--omega-max", "100"]
+        out = self.run(capsys, argv + ["--points", "37"])
+        system, _ = parse_system(oscillator_file)
+        omegas = np.geomspace(0.01, 100.0, 37)
+        values = [sinusoid_response(system, w) for w in omegas]
+        assert_same_text(out, reference_sweep_csv(omegas, values))
+
+    def test_vt(self, oscillator_file, capsys):
+        out = self.run(capsys, ["vt", oscillator_file, "--t-max", "6", "--points", "12"])
+        system, _ = parse_system(oscillator_file)
+        curve = vcurve(system, np.linspace(0.5, 6.0, 12), tol=1e-8, seed=0)
+        assert_same_text(out, reference_vcurve_csv(curve))
+
+    def test_delay_simulate(self, delay_file, capsys):
+        out = self.run(capsys, ["simulate", delay_file, "--t-max", "9"])
+        system, _ = parse_system(delay_file)
+        h = system.tau / 64.0
+        state = DelayState.resting(system, _history_steps(system.tau, h))
+        traj = simulate_predictor(system, Constant(u0=[1.0]), state, 9.0, h)
+        xi, xi_ref = predictor_error_series(traj, system)
+        assert_same_text(out, reference_delay_trajectory_csv(traj, xi, xi_ref))

@@ -25,7 +25,12 @@ from gainlab import (
     vcurve,
 )
 from gainlab import gains, linalg
-from gainlab_testkit import OSCILLATOR_GAIN, oscillator_kernel, random_siso_system
+from gainlab_testkit import (
+    OSCILLATOR_GAIN,
+    oscillator_kernel,
+    random_siso_system,
+    reference_sinusoid_response,
+)
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
 
@@ -315,6 +320,26 @@ class TestSinusoidResponse:
         for omega in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="omega must be finite and positive"):
                 sinusoid_response(scalar_system, omega)
+
+    def test_unscaled_form_to_the_bit(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            sys = random_siso_system(rng, n_max=6)
+            for omega in np.geomspace(1e-3, 1e40, 25):
+                assert sinusoid_response(sys, omega) == reference_sinusoid_response(sys, omega)
+
+    def test_huge_omega(self, scalar_system, oscillator):
+        # Python floats: omega**2 raised OverflowError above about 1.3e154.
+        # First order, closed form 1 / sqrt(1 + omega^2) = (1 / omega) / sqrt(1 + omega^-2).
+        for omega in (1e200, 1e300, 1.7976931348623157e308):
+            assert sinusoid_response(scalar_system, omega) == pytest.approx(
+                (1.0 / omega) / math.sqrt(1.0 + omega**-2.0), rel=1e-15, abs=0.0
+            )
+        # Relative degree two: Psi ~ 1 / omega^2 underflowed to 0 from about 1e77.
+        for omega in (1e30, 1e77, 1e100, 1e150):
+            assert sinusoid_response(oscillator, omega) == pytest.approx(
+                omega**-2.0, rel=1e-12, abs=0.0
+            )
 
 
 class TestSinusoidLowerBound:

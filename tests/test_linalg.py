@@ -66,6 +66,21 @@ class TestMatExp:
                 bound = 1e-12 * math.exp(np.linalg.norm(m))
                 assert np.linalg.norm(e - scipy.linalg.expm(m)) <= max(bound, 1e-13)
 
+    def test_stack_rows_equal_single_matrices(self):
+        # Mixed scaling counts in shuffled order (reordered, squared by
+        # levels, scattered back) and equal counts (no reordering): every
+        # row is the matrix's own exponential to the bit.
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 3, 6):
+            mats = [rng.standard_normal((n, n)) - 3.0 * np.eye(n) for _ in range(9)]
+            mixed = np.array(mats) * np.array([0.1, 50, 3, 0, 40, 7, 0.5, 20, 2])[:, None, None]
+            equal = np.array(mats) * 0.01
+            for stack in (mixed, equal):
+                ours = linalg._expm(stack)
+                for m, e in zip(stack, ours):
+                    np.testing.assert_array_equal(e, linalg._expm(m))
+            np.testing.assert_array_equal(linalg._expm(mixed)[3], np.eye(n))
+
     def test_stack_kernel_matches_one_by_one(self):
         rng = np.random.default_rng(23)
         a = random_hurwitz_matrix(rng, n=4, abscissa=-0.2)

@@ -9,15 +9,20 @@ from gainlab import (
     DelayPredictorSystem,
     DelayState,
     NotHurwitzError,
+    Sinusoid,
     StateSpaceSystem,
     delay_bounds,
     gain_report,
     l1_impulse_gain,
+    predictor_error_series,
     simulate,
     simulate_predictor,
+    sinusoid_response,
     vcurve,
     verify_gain_equality,
+    worst_case_periodic_input,
 )
+from gainlab import modelio
 from gainlab.modelio import (
     bound_document,
     csv_lines,
@@ -31,6 +36,15 @@ from gainlab.modelio import (
     trajectory_csv,
     vcurve_csv,
     verification_document,
+)
+from gainlab_testkit import (
+    assert_same_text,
+    random_hurwitz_matrix,
+    reference_csv_lines,
+    reference_delay_trajectory_csv,
+    reference_sweep_csv,
+    reference_trajectory_csv,
+    reference_vcurve_csv,
 )
 
 
@@ -270,3 +284,118 @@ class TestCsv:
         lines = sweep_csv([0.1, 1.0], [0.9, 0.7]).strip().split("\n")
         assert lines[0] == "omega,Psi"
         assert lines[1].startswith("0.1")
+
+
+def _random_system(rng, n, p=1):
+    a = random_hurwitz_matrix(rng, n=n)
+    return StateSpaceSystem(
+        a=a, b=rng.uniform(-2.0, 2.0, (n, 1)), c=rng.uniform(-2.0, 2.0, (p, n))
+    )
+
+
+def _delay_traj(system, t_end, steps):
+    state = DelayState.resting(system, steps)
+    signal = Constant(u0=np.ones(system.p) / np.sqrt(system.p))
+    traj = simulate_predictor(system, signal, state, t_end, system.tau / steps)
+    return (traj, *predictor_error_series(traj, system))
+
+
+BLOCK = modelio._CSV_BLOCK_ROWS
+FOUR_STATE_LOOP = DelayPredictorSystem(
+    a=[[-0.5, 0.4, 0.0, 0.1], [-0.3, -0.6, 0.2, 0.0], [0.0, 0.1, -0.4, 0.3], [0.2, 0.0, -0.1, -0.7]],
+    b=[[0.5], [-0.3], [0.8], [0.1]],
+    g=[[0.2], [0.7], [-0.4], [0.3]],
+    k=[[-0.5, 0.3, -0.8, -0.1]],
+    tau=0.6,
+    mu=2.5,
+)
+
+
+class TestCsvMatchesReference:
+    """Every CSV emitter's bytes equal the value-by-value reference writer's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_trajectory_csv_simulate(self, n):
+        rng = np.random.default_rng(100 + n)
+        system = _random_system(rng, n, p=1 + n % 2)
+        for signal in (Constant(u0=[1.0]), Sinusoid([1.0], 2.3, 0.4)):
+            traj = simulate(system, signal, rng.standard_normal(n), 7.3, 0.01)
+            assert_same_text(trajectory_csv(traj), reference_trajectory_csv(traj))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_trajectory_csv_worst_case(self, n):
+        rng = np.random.default_rng(200 + n)
+        system = _random_system(rng, n)
+        signal, spec = worst_case_periodic_input(system, 4.0, 1e-6)
+        traj = simulate(system, signal, np.zeros(n), 2.0 * spec.period, spec.period / 1500)
+        assert_same_text(trajectory_csv(traj), reference_trajectory_csv(traj))
+
+    @pytest.mark.parametrize("name", ["scalar", "four-state"])
+    def test_delay_trajectory_csv(self, scalar_delay, name):
+        system = scalar_delay if name == "scalar" else FOUR_STATE_LOOP
+        traj, xi, xi_ref = _delay_traj(system, 6.0, 32)
+        assert_same_text(
+            delay_trajectory_csv(traj, xi, xi_ref),
+            reference_delay_trajectory_csv(traj, xi, xi_ref),
+        )
+
+    def test_vcurve_and_sweep_csv(self, oscillator):
+        curve = vcurve(oscillator, np.linspace(0.5, 10.0, 20))
+        assert_same_text(vcurve_csv(curve), reference_vcurve_csv(curve))
+        omegas = np.geomspace(1e-3, 1e3, 200)
+        values = [sinusoid_response(oscillator, w) for w in omegas]
+        assert_same_text(sweep_csv(omegas, values), reference_sweep_csv(omegas, values))
+
+    def test_edge_values(self):
+        edge = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+        text = csv_lines(["a", "b", "c"], [edge[:3], edge[3:], [1, 2.5, 3]])
+        assert text == reference_csv_lines(["a", "b", "c"], [edge[:3], edge[3:], [1, 2.5, 3]])
+        assert text.split("\n")[1:4] == [
+            "-0,nan,inf",
+            "-inf,4.9406564584124654e-324,1.7976931348623157e+308",
+            "1,2.5,3",
+        ]
+        assert csv_lines(["a"], [[0.1]]) == "a\n0.10000000000000001\n"
+        assert csv_lines(["a"], []) == reference_csv_lines(["a"], []) == "a\n"
+
+    @pytest.mark.parametrize("k", [BLOCK - 1, BLOCK, BLOCK + 1, 1023, 1024, 1025, 4 * BLOCK + 1])
+    def test_block_boundaries(self, k):
+        rows = np.random.default_rng(k).standard_normal((k, 3)) * np.logspace(-300, 300, k)[:, None]
+        header = ["a", "b", "c"]
+        assert_same_text(csv_lines(header, rows), reference_csv_lines(header, rows))
+
+    def test_any_iterable_of_rows(self):
+        t = np.linspace(0.0, 1.0, 7)
+        y = np.sin(t)
+        expected = reference_csv_lines(["t", "y"], zip(t, y))
+        assert csv_lines(["t", "y"], [[a, b] for a, b in zip(t, y)]) == expected
+        assert csv_lines(["t", "y"], list(zip(t, y))) == expected
+        assert csv_lines(["t", "y"], zip(t, y)) == expected
+        assert csv_lines(["t", "y"], ((a, b) for a, b in zip(t, y))) == expected
+        assert csv_lines(["t", "y"], np.column_stack((t, y))) == expected
+
+    def test_no_emitter_formats_one_value_at_a_time(self, oscillator, monkeypatch):
+        traj = simulate(oscillator, Constant(u0=[1.0]), np.zeros(2), 99.99, 0.01)
+        assert traj.times.size == 10_000
+        delay_traj, xi, xi_ref = _delay_traj(FOUR_STATE_LOOP, 0.6 * 9999 / 64, 64)
+        assert delay_traj.times.size == 10_000
+        curve = vcurve(oscillator, [1.0, 2.0])
+        expected = [
+            reference_trajectory_csv(traj),
+            reference_delay_trajectory_csv(delay_traj, xi, xi_ref),
+            reference_vcurve_csv(curve),
+            reference_sweep_csv(traj.times, traj.outputs[:, 0]),
+        ]
+
+        def refuse(value):
+            raise AssertionError("a CSV emitter formatted a single value")
+
+        monkeypatch.setattr(modelio, "_fmt", refuse)
+        ours = [
+            modelio.trajectory_csv(traj),
+            modelio.delay_trajectory_csv(delay_traj, xi, xi_ref),
+            modelio.vcurve_csv(curve),
+            modelio.sweep_csv(traj.times, traj.outputs[:, 0]),
+        ]
+        for text, reference in zip(ours, expected):
+            assert_same_text(text, reference)
