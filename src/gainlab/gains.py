@@ -6,8 +6,10 @@ sup norm of the output, equivalently to the limsup of the output norm) is
 approached here from both sides:
 
 * exact values where available: the L1 norm of the impulse response for
-  single-output systems, and the magnitude of the DC gain whenever the
-  response kernel is sign-definite (positivity certificates);
+  single-output systems, summed between the kernel's certified zeros (the
+  same sign partition gives the terminal-output curve and the bang-bang
+  switches), and the magnitude of the DC gain whenever the response kernel
+  is sign-definite (positivity certificates);
 * lower bounds from steady sinusoid responses;
 * upper bounds from orthonormal output decompositions, from periodic
   worst-case steady states, and from decay-certificate arithmetic.
@@ -26,6 +28,7 @@ import numpy as np
 
 from .exceptions import ConsistencyError, DimensionError
 from .linalg import (
+    _STACK_ENTRIES,
     StabilityCertificate,
     StateSpaceSystem,
     StructureFlags,
@@ -89,45 +92,145 @@ class PositivityCertificate(enum.Enum):
     GRID_VERIFIED = "grid-verified"
 
 
+def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float):
+    """(roots, integrals, unresolved) for the kernels g_i(s) = rows_i exp(As) b
+    of a single-input system: roots[i] the increasing zeros of g_i,
+    integrals[j, i] the integral of |g_i| over [0, ends[j]], and the
+    certified worst-case loss left in them.
+
+    On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
+    logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
+    h^2 / 8 (max |g_i^(k+2)| at the ends + h^2 / 8 ||rows_i A^(k+4)|| G |x|)
+    of its chord, x = exp(As) b at the cell's start.  So the cell holds no
+    zero if g_i exceeds e_0 in one sign at both ends, and at most one if g_i'
+    exceeds e_1 in one sign at both ends.  Any other cell can hide zeros
+    costing 2 h e_0 (4 h e_0 across a sign change); it is halved until that
+    fits its share of ``budget`` or it is 1e-6 of the horizon wide.  Between
+    zeros the integral of |g_i| is the change of H_i = rows_i A^-1 exp(As) b.
+    """
+    a, b, q = sys.a, sys.b, rows.shape[0]
+    ends = np.asarray(ends, dtype=float)
+    t_end = float(ends[-1])
+    powers = [rows @ np.linalg.matrix_power(a, k) for k in range(6)]
+    # g_i and its first three derivatives are x @ lift.T; A^4, A^5 bound the rest.
+    lift, high = np.concatenate(powers[:4]), np.linalg.norm(powers[4:], axis=2)[None]
+    mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
+    count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
+    # Cells per block: x and four kernel rows per sample fill a quarter stack.
+    block = max(1, _STACK_ENTRIES // (4 * (sys.n + 4 * q)))
+    brackets, lost = [], 0.0
+    for first in range(0, count, block):
+        last, width = min(first + block, count), t_end / count
+        lead = _expm_times(a, first * width, b)[0]
+        x = _orbit(a, lead[:, 0], width, last - first + 1)
+        v = (x @ lift.T).reshape(-1, 4, q)
+        cells = [np.arange(first, last) * width, x[:-1], v[:-1], v[1:]]
+        while True:
+            start, x, v0, v1 = cells
+            chord = width**2 / 8.0
+            grow = min(sys.certificate.m, math.exp(mu * width)) * np.linalg.norm(x, axis=1)
+            bound = np.maximum(abs(v0[:, 2:]), abs(v1[:, 2:])) + chord * grow[:, None, None] * high
+            e0, e1 = chord * bound[:, 0], chord * bound[:, 1]
+            g0, p0, g1, p1 = v0[:, 0], v0[:, 1], v1[:, 0], v1[:, 1]
+            flip = (g0 >= 0.0) != (g1 >= 0.0)
+            monotone = (p0 * p1 > 0.0) & (np.minimum(abs(p0), abs(p1)) > e1)
+            clear = monotone | (~flip & (np.minimum(abs(g0), abs(g1)) > e0))
+            loss = np.where(clear, 0.0, width * e0 * np.where(flip, 4.0, 2.0)).sum(axis=1)
+            # Each cell's loss within its share of the budget keeps the sum within it.
+            done = (loss <= budget * width / t_end) | (width < 2e-6 * t_end)
+            lost += float(loss[done].sum())
+            c, i = np.nonzero(flip & done[:, None])
+            brackets.append((i, start[c], x[c], np.full(c.size, width), g0[c, i], g1[c, i]))
+            if done.all():
+                break
+            start, x, v0, v1 = (part[~done] for part in cells)
+            width /= 2.0
+            xm = x @ _expm_times(a, width, np.eye(sys.n))[0].T
+            vm = (xm @ lift.T).reshape(-1, 4, q)
+            pairs = (start, start + width), (x, xm), (v0, vm), (vm, v1)
+            cells = [np.concatenate(pair) for pair in pairs]
+    row, start, x, width, g0, g1 = map(np.concatenate, zip(*brackets))
+    offset, x = _kernel_zeros(a, rows[row], powers[1][row], x, width, g0, g1)
+    t = start + offset
+    h_rows = np.linalg.solve(a.T, rows.T).T
+    h_roots = np.einsum("kn,kn->k", h_rows[row], x)
+    h_ends = _expm_times(a, ends, b)[:, :, 0] @ h_rows.T
+    order = np.lexsort((t, row))
+    parts = np.split(order, np.searchsorted(row[order], np.arange(1, q)))
+    roots, integrals = [], np.empty((ends.size, q))
+    for i, part in enumerate(parts):
+        h = np.concatenate(([h_rows[i] @ b[:, 0]], h_roots[part]))
+        total = np.concatenate(([0.0], np.cumsum(abs(np.diff(h)))))
+        k = np.searchsorted(t[part], ends)
+        integrals[:, i] = total[k] + abs(h_ends[:, i] - h[k])
+        roots.append(t[part])
+    return roots, integrals, lost
+
+
+def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
+    """Zeros of g_k(t) = rows_k exp(At) x0_k on [0, width_k], across which g_k
+    changes sign (g0, g1 its end values): Newton on (g, g') from the secant
+    point, bisecting where a step would leave the bracket or not halve the
+    last one, all in lockstep.  Returns the zeros (to 1e-13) and
+    exp(A zero_k) x0_k."""
+    lo, hi, last = np.zeros(width.size), width.copy(), width.copy()
+    t, x = width * g0 / (g0 - g1), x0.copy()
+    live = np.arange(t.size)
+    for iteration in range(100):
+        tl = t[live]
+        x[live] = np.einsum("kij,kj->ki", _expm_times(a, tl, np.eye(a.shape[0])), x0[live])
+        g = np.einsum("kn,kn->k", rows[live], x[live])
+        below = (g >= 0.0) == (g0[live] >= 0.0)
+        lo[live[below]], hi[live[~below]] = tl[below], tl[~below]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / np.einsum("kn,kn->k", ra[live], x[live])
+        nxt, lo_l, hi_l = tl - step, lo[live], hi[live]
+        bisect = ~((nxt > lo_l) & (nxt < hi_l) & (abs(step) <= 0.5 * last[live]))
+        nxt[bisect] = 0.5 * (lo_l + hi_l)[bisect]
+        last[live] = abs(nxt - tl)
+        done = (abs(step) <= 1e-13) | (hi_l - lo_l <= 1e-13) | (iteration == 99)
+        t[live[~done]] = nxt[~done]
+        live = live[~done]
+        if not live.size:
+            break
+    return t, x
+
+
 def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     """Componentwise L1 norms of s -> rows @ exp(As) @ B for a single-input
-    system: the vector (integral of |row_i exp(As) B| ds)_i plus the horizon
-    used.
+    system: the vector (integral of |row_i exp(As) B| ds)_i, the horizon
+    used, the zeros of each row's kernel and the certified loss left.
 
-    Half the budget goes to quadrature, half to the certified tail, the tail
-    share split evenly across components.
+    Half the budget goes to the sign partition, half to the certified tail,
+    the tail share split evenly across components.
     """
     if sys.m != 1:
         raise DimensionError("impulse-response integrals require a single input")
     cert = sys.certificate
-    a = sys.a
-    b = sys.b
     q = rows.shape[0]
     row_norms = np.linalg.norm(rows, axis=1)
-    coef = float(np.max(row_norms)) * cert.m * spectral_norm(b)
+    coef = float(np.max(row_norms)) * cert.m * spectral_norm(sys.b)
     horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
     if horizon == 0.0:
-        return np.zeros(q), 0.0
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return np.abs(rows @ _expm_times(a, s, b))[:, :, 0]
-
-    return simpson_panels(integrand, [0.0, horizon], tol / 2.0)[0], horizon
+        return np.zeros(q), 0.0, [np.empty(0)] * q, 0.0
+    roots, ints, lost = _sign_partition(sys, rows, [horizon], tol / 2.0)
+    return ints[0], horizon, roots, lost
 
 
 def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     """Gain from the componentwise L1 norms of the impulse response.
 
     Single-input systems only.  Each output component's kernel is integrated
-    over [0, infinity) (adaptive quadrature plus a certified exponential
-    tail) and the component integrals are combined in Euclidean norm.  For a
-    single output this is the exact minimum peak gain, realized in the limit
-    by bang-bang inputs; for several outputs it is an upper bound (the best
+    over [0, infinity) (summed between its certified zeros, plus a certified
+    exponential tail; details give the zero counts ``roots`` and the loss
+    bound ``unresolved_bound``) and combined in Euclidean norm.  For a single
+    output this is the exact minimum peak gain, realized in the limit by
+    bang-bang inputs; for several outputs it is an upper bound (the best
     one over the standard output basis; see onb_upper_bound for refinement).
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    ints, horizon = _impulse_rows(sys, sys.c, tol)
+    ints, horizon, roots, lost = _impulse_rows(sys, sys.c, tol)
     value = float(np.linalg.norm(ints))
     kind = "exact" if sys.p == 1 else "upper"
     return GainEstimate(
@@ -138,6 +241,8 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
         details={
             "component_integrals": [float(v) for v in ints],
             "horizon": horizon,
+            "roots": [int(r.size) for r in roots],
+            "unresolved_bound": lost,
         },
     )
 
@@ -213,28 +318,18 @@ def max_terminal_output(
     with inputs bounded by one in Euclidean norm.
 
     Returns (value, direction) where direction is the unit output direction
-    achieving the value.  Single-output systems are exact (the optimizer is
-    bang-bang against the kernel sign); with several outputs the value comes
-    from an iterated direction-alignment ascent and is a lower estimate.
+    achieving the value.  SISO systems are exact (the optimizer is bang-bang
+    against the kernel sign, the value summed between its zeros); otherwise
+    the value comes from an iterated direction-alignment ascent, and with
+    several outputs it is a lower estimate.
     """
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    if sys.p == 1:
-        value = simpson_panels(_output_norms(sys), [0.0, horizon], tol)[0]
-        return float(value), np.array([1.0])
+    if sys.p == 1 and sys.m == 1:
+        return float(_sign_partition(sys, sys.c, [horizon], tol)[1][0, 0]), np.array([1.0])
     return _iterative_terminal_output(sys, horizon, restarts, tol, seed)
-
-
-def _output_norms(sys: StateSpaceSystem):
-    """Vectorized s -> |C exp(As) B| for a single-output system."""
-    a, b, c = sys.a, sys.b, sys.c
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return np.linalg.norm((c @ _expm_times(a, s, b))[:, 0, :], axis=1)
-
-    return integrand
 
 
 def _iterative_terminal_output(sys, horizon, restarts, tol, seed):
@@ -313,84 +408,46 @@ def vcurve(
 ) -> VCurve:
     """Evaluate max_terminal_output on an increasing horizon grid.
 
-    Single-output systems accumulate the curve incrementally (the grid
-    cells are the panels of one quadrature), so a dense grid costs no more
-    than its largest horizon.
+    SISO systems read the curve off one sign partition of the kernel (each
+    value a partial sum), so a dense grid costs no more than its largest
+    horizon.
     """
     hs = np.asarray(list(horizons), dtype=float)
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be strictly increasing and positive")
-    if sys.p == 1:
-        cells = simpson_panels(_output_norms(sys), np.concatenate(([0.0], hs)), tol / hs.size)
-        dirs = [np.array([1.0])] * hs.size
-        return VCurve(horizons=hs, values=np.cumsum(cells), directions=dirs, exact=True)
-    values = []
-    dirs = []
-    for t in hs:
-        val, d = max_terminal_output(sys, t, restarts=restarts, tol=tol, seed=seed)
-        values.append(val)
-        dirs.append(d)
-    return VCurve(horizons=hs, values=np.array(values), directions=dirs, exact=False)
+    if sys.p == 1 and sys.m == 1:
+        values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0]
+        return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
+    points = [max_terminal_output(sys, t, restarts=restarts, tol=tol, seed=seed) for t in hs]
+    values, dirs = zip(*points)
+    return VCurve(hs, np.array(values), list(dirs), exact=sys.p == 1)
 
 
-def bang_bang_switches(
-    sys: StateSpaceSystem, horizon: float, samples: int = 4096
-) -> BangBangInput:
+def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
     """Optimal switching input for the terminal-output problem on [0, horizon].
 
     For a SISO system the optimizer of |y(horizon)| is u(s) = sgn of the
-    kernel C exp(A (horizon - s)) B, with sgn(0) taken as +1.  The kernel's
-    sign changes are located on a dense sample grid and polished by bisection
-    to 1e-12; pairs of sign changes falling inside one grid cell can be
-    missed, which the dense default sampling makes unlikely.
-
-    An identically vanishing kernel yields the zero-input marker.
+    kernel C exp(A (horizon - s)) B, with sgn(0) taken as +1: it switches at
+    horizon - r for the kernel's certified zeros r, good to 1e-12.  An
+    identically vanishing kernel yields the zero-input marker.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("bang-bang construction requires a SISO system")
     if not (0 < horizon < math.inf):
         raise ValueError("horizon must be finite and positive")
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    a, b, c = sys.a, sys.b, sys.c
-    step = horizon / (samples - 1)
-    # g_j = C exp(A j step) B on the lag grid; the kernel at s is g(horizon-s).
-    g = _orbit(a, b[:, 0], step, samples) @ c[0]
-    kernel = g[::-1]  # kernel[i] = g(horizon - s_i) on the s grid
-    scale = spectral_norm(c) * spectral_norm(b)
-    if np.max(np.abs(kernel)) <= 1e-14 * max(scale, 1e-300):
-        return BangBangInput(
-            horizon=horizon, switch_times=np.empty(0), initial_sign=1, zero_kernel=True
-        )
-
-    signs = np.where(kernel >= 0.0, 1, -1)
-    s_grid = np.linspace(0.0, horizon, samples)
-    # Bisect every bracketing cell in lockstep, each until it is 1e-12 wide
-    # or has taken 80 steps.
-    cells = np.nonzero(signs[:-1] != signs[1:])[0]
-    lo, hi, flo = s_grid[cells], s_grid[cells + 1], kernel[cells]
-    for _ in range(80):
-        live = np.nonzero(~(hi - lo <= 1e-12))[0]
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        fmid = (c @ _expm_times(a, horizon - mid, b)).reshape(-1)
-        same = (fmid >= 0.0) == (flo[live] >= 0.0)
-        lo[live[same]] = mid[same]
-        flo[live[same]] = fmid[same]
-        hi[live[~same]] = mid[~same]
-    roots = sorted(r for r in 0.5 * (lo + hi) if 1e-12 < r < horizon - 1e-12)
-    cleaned = []
-    for r in roots:
-        if not cleaned or r - cleaned[-1] > 1e-11:
-            cleaned.append(r)
-    nonzero = np.nonzero(np.abs(kernel) > 1e-14 * max(scale, 1e-300))[0]
-    initial = int(signs[nonzero[0]]) if nonzero.size else 1
+    scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
+    roots, ints, _ = _sign_partition(sys, sys.c, [horizon], 1e-12 * scale)
+    zero = bool(ints[0, 0] <= 1e-14 * scale * horizon)
+    lags = roots[0][(roots[0] > 1e-12) & (roots[0] < horizon - 1e-12) & (not zero)]
+    switches = horizon - lags[::-1]
+    # The first sign is the kernel's between its last zero and the horizon.
+    mid = 0.5 * (horizon + (lags[-1] if lags.size else 0.0))
+    kernel = (sys.c @ _expm_times(sys.a, mid, sys.b))[0, 0, 0]
     return BangBangInput(
         horizon=horizon,
-        switch_times=np.array(cleaned),
-        initial_sign=initial,
-        zero_kernel=False,
+        switch_times=switches[np.diff(switches, prepend=-math.inf) > 1e-11],
+        initial_sign=-1 if kernel < 0.0 and not zero else 1,
+        zero_kernel=zero,
     )
 
 
@@ -489,14 +546,13 @@ def onb_upper_bound(
         raise ValueError("tol must be positive")
     if random_bases < 0:
         raise ValueError("random_bases must be nonnegative")
-    ints, _ = _impulse_rows(sys, sys.c, tol)
-    values = [float(np.linalg.norm(ints))]
-    if sys.p > 1 and random_bases > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(random_bases):
-            qmat, _ = np.linalg.qr(rng.standard_normal((sys.p, sys.p)))
-            ints, _ = _impulse_rows(sys, qmat.T @ sys.c, tol)
-            values.append(float(np.linalg.norm(ints)))
+    rng = np.random.default_rng(seed)
+    draws = random_bases if sys.p > 1 else 0
+    bases = [np.eye(sys.p)] + [
+        np.linalg.qr(rng.standard_normal((sys.p, sys.p)))[0].T for _ in range(draws)
+    ]
+    ints = _impulse_rows(sys, np.vstack([q @ sys.c for q in bases]), tol)[0]
+    values = [float(np.linalg.norm(v)) for v in ints.reshape(len(bases), sys.p)]
     best = int(np.argmin(values))
     return GainEstimate(
         value=values[best],

@@ -9,9 +9,10 @@ import math
 import numpy as np
 
 from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, mat_exp
-from gainlab.linalg import _expm
+from gainlab.linalg import _expm, _expm_times, _orbit, spectral_norm
 from gainlab.modelio import _fmt
-from gainlab.signals import Segment, iter_segments, signal_dim
+from gainlab.quadrature import simpson_panels, tail_horizon
+from gainlab.signals import BangBangInput, Segment, iter_segments, signal_dim
 from gainlab.sim import Trajectory, _grid_steps
 
 
@@ -43,6 +44,120 @@ def oscillator_kernel(s):
 
 
 OSCILLATOR_GAIN = 1.0 / math.tanh(math.pi / (2.0 * math.sqrt(3.0)))
+
+
+def damped_oscillator(w, d):
+    """x'' + d x' + w^2 x = u, y = x: kernel exp(-d s / 2) sin(w_d s) / w_d
+    with w_d = sqrt(w^2 - d^2 / 4), zero at s = k pi / w_d."""
+    return StateSpaceSystem(a=[[0.0, 1.0], [-w * w, -d]], b=[[0.0], [1.0]], c=[[1.0, 0.0]])
+
+
+def damped_oscillator_l1(w, d, t=math.inf):
+    """Closed-form integral of the damped oscillator's |kernel| over [0, t].
+
+    Each half period [k pi / w_d, (k + 1) pi / w_d] carries q^k (1 + q) / w^2,
+    q = exp(-d pi / (2 w_d)); over [0, tau] the kernel integrates to
+    (w_d - exp(-d tau / 2) (d / 2 sin(w_d tau) + w_d cos(w_d tau))) / (w^2 w_d).
+    """
+    w_d = math.sqrt(w * w - d * d / 4.0)
+    q = math.exp(-d * math.pi / (2.0 * w_d))
+    if t == math.inf:
+        return (1.0 + q) / ((1.0 - q) * w * w)
+    k = math.floor(t * w_d / math.pi)
+    tau = t - k * math.pi / w_d
+    swing = d / 2.0 * math.sin(w_d * tau) + w_d * math.cos(w_d * tau)
+    part = w_d - math.exp(-d * tau / 2.0) * swing
+    return (1.0 + q) * (1.0 - q**k) / ((1.0 - q) * w * w) + q**k * part / (w * w * w_d)
+
+
+def reference_impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
+    """The adaptive Simpson integral, kept as the reference for gainlab's
+    kernel sign partition.  Componentwise L1 norms of s -> rows @ exp(As) @ B
+    for a single-input system: the vector (integral of |row_i exp(As) B| ds)_i
+    plus the horizon used.
+
+    Half the budget goes to quadrature, half to the certified tail, the tail
+    share split evenly across components.
+    """
+    if sys.m != 1:
+        raise DimensionError("impulse-response integrals require a single input")
+    cert = sys.certificate
+    a = sys.a
+    b = sys.b
+    q = rows.shape[0]
+    row_norms = np.linalg.norm(rows, axis=1)
+    coef = float(np.max(row_norms)) * cert.m * spectral_norm(b)
+    horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
+    if horizon == 0.0:
+        return np.zeros(q), 0.0
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return np.abs(rows @ _expm_times(a, s, b))[:, :, 0]
+
+    return simpson_panels(integrand, [0.0, horizon], tol / 2.0)[0], horizon
+
+
+def reference_bang_bang_switches(
+    sys: StateSpaceSystem, horizon: float, samples: int = 4096
+) -> BangBangInput:
+    """The sampled switch finder, kept as the reference for gainlab's kernel
+    sign partition.  Optimal switching input for the terminal-output problem
+    on [0, horizon].
+
+    For a SISO system the optimizer of |y(horizon)| is u(s) = sgn of the
+    kernel C exp(A (horizon - s)) B, with sgn(0) taken as +1.  The kernel's
+    sign changes are located on a dense sample grid and polished by bisection
+    to 1e-12; pairs of sign changes falling inside one grid cell can be
+    missed, which the dense default sampling makes unlikely.
+
+    An identically vanishing kernel yields the zero-input marker.
+    """
+    if sys.m != 1 or sys.p != 1:
+        raise DimensionError("bang-bang construction requires a SISO system")
+    if not (0 < horizon < math.inf):
+        raise ValueError("horizon must be finite and positive")
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    a, b, c = sys.a, sys.b, sys.c
+    step = horizon / (samples - 1)
+    # g_j = C exp(A j step) B on the lag grid; the kernel at s is g(horizon-s).
+    g = _orbit(a, b[:, 0], step, samples) @ c[0]
+    kernel = g[::-1]  # kernel[i] = g(horizon - s_i) on the s grid
+    scale = spectral_norm(c) * spectral_norm(b)
+    if np.max(np.abs(kernel)) <= 1e-14 * max(scale, 1e-300):
+        return BangBangInput(
+            horizon=horizon, switch_times=np.empty(0), initial_sign=1, zero_kernel=True
+        )
+
+    signs = np.where(kernel >= 0.0, 1, -1)
+    s_grid = np.linspace(0.0, horizon, samples)
+    # Bisect every bracketing cell in lockstep, each until it is 1e-12 wide
+    # or has taken 80 steps.
+    cells = np.nonzero(signs[:-1] != signs[1:])[0]
+    lo, hi, flo = s_grid[cells], s_grid[cells + 1], kernel[cells]
+    for _ in range(80):
+        live = np.nonzero(~(hi - lo <= 1e-12))[0]
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = (c @ _expm_times(a, horizon - mid, b)).reshape(-1)
+        same = (fmid >= 0.0) == (flo[live] >= 0.0)
+        lo[live[same]] = mid[same]
+        flo[live[same]] = fmid[same]
+        hi[live[~same]] = mid[~same]
+    roots = sorted(r for r in 0.5 * (lo + hi) if 1e-12 < r < horizon - 1e-12)
+    cleaned = []
+    for r in roots:
+        if not cleaned or r - cleaned[-1] > 1e-11:
+            cleaned.append(r)
+    nonzero = np.nonzero(np.abs(kernel) > 1e-14 * max(scale, 1e-300))[0]
+    initial = int(signs[nonzero[0]]) if nonzero.size else 1
+    return BangBangInput(
+        horizon=horizon,
+        switch_times=np.array(cleaned),
+        initial_sign=initial,
+        zero_kernel=False,
+    )
 
 
 def recursive_simpson(f, a, b, tol, min_width=None):

@@ -19,6 +19,7 @@ from gainlab.delay import _history_steps
 from gainlab.modelio import parse_system
 from gainlab_testkit import (
     assert_same_text,
+    damped_oscillator_l1,
     reference_delay_trajectory_csv,
     reference_sweep_csv,
     reference_trajectory_csv,
@@ -128,6 +129,17 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerance"] == pytest.approx(1e-7)
+
+    def test_fast_oscillator_exact(self, tmp_path, capsys):
+        # w = 10, d = 1: quadrature missed the kernel (onb=8e-142 below dc=0.01)
+        # and the report stopped with a ConsistencyError.
+        path = tmp_path / "fast.json"
+        model = {"A": [[0.0, 1.0], [-100.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+        path.write_text(json.dumps(model))
+        assert main(["analyze", str(path)]) == 0
+        exact = json.loads(capsys.readouterr().out)["exact"]
+        assert exact["method"] == "l1-impulse"
+        assert abs(exact["value"] - damped_oscillator_l1(10.0, 1.0)) <= exact["tolerance"]
 
     def test_deterministic_bytes(self, oscillator_file, capsys):
         main(["analyze", oscillator_file])
@@ -381,6 +393,16 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["asymptotic_gain"] >= 0.99
         assert doc["gamma"] == pytest.approx(1.0, abs=1e-7)
+
+    def test_oscillator_w3_passes(self, tmp_path, capsys):
+        # gamma came out 2.5e-13 and the check exited 1.
+        path = tmp_path / "w3.json"
+        model = {"A": [[0.0, 1.0], [-9.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+        path.write_text(json.dumps(model))
+        assert main(["verify", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True
+        assert abs(doc["gamma"] - damped_oscillator_l1(3.0, 1.0)) <= 1e-9
 
     def test_bad_accuracy_exit_1(self, scalar_file, capsys):
         assert main(["verify", scalar_file, "--accuracy", "2.0"]) == 1

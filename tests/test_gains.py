@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gainlab import (
     CertificateBoundInput,
@@ -27,8 +28,13 @@ from gainlab import (
 from gainlab import gains, linalg
 from gainlab_testkit import (
     OSCILLATOR_GAIN,
+    damped_oscillator,
+    damped_oscillator_l1,
     oscillator_kernel,
+    random_hurwitz_matrix,
     random_siso_system,
+    reference_bang_bang_switches,
+    reference_impulse_rows,
     reference_sinusoid_response,
 )
 
@@ -137,6 +143,94 @@ class TestL1ImpulseGain:
         sys = StateSpaceSystem(a=-np.eye(2), b=np.eye(2), c=[[1.0, 0.0]])
         with pytest.raises(DimensionError):
             l1_impulse_gain(sys)
+
+
+# x'' + d x' + w^2 x = u, y = x.  (10, 0.02) is left out: its decay-certificate
+# horizon needs about 3e7 kernel samples.
+OSCILLATOR_FAMILY = [(w, d) for w in (1.0, 2.0, 3.0, 5.0, 10.0) for d in (1.0, 0.3)] + [
+    (2.0, 0.02),
+    (0.5, 0.02),
+]
+
+
+class TestOscillatorClosedForms:
+    """||g||_1 = coth(pi d / (4 w_d)) / w^2 and zeros k pi / w_d, w_d = sqrt(w^2 - d^2 / 4)."""
+
+    @pytest.mark.parametrize("w, d", OSCILLATOR_FAMILY)
+    def test_l1_within_tol(self, w, d):
+        est = l1_impulse_gain(damped_oscillator(w, d), tol=1e-8)
+        assert est.kind == "exact"
+        assert abs(est.value - damped_oscillator_l1(w, d)) <= 1e-8
+        assert est.details["unresolved_bound"] <= 0.5e-8
+
+    @pytest.mark.parametrize("w, d", [c for c in OSCILLATOR_FAMILY if c[0] < 10.0])
+    def test_root_count(self, w, d):
+        # At w = 10 the kernel underflows to 0 (exp(-d s / 2) < 1e-308) well
+        # before the horizon, so its zeros there are not representable.
+        est = l1_impulse_gain(damped_oscillator(w, d), tol=1e-8)
+        w_d = math.sqrt(w * w - d * d / 4.0)
+        assert est.details["roots"] == [math.floor(est.details["horizon"] * w_d / math.pi)]
+
+    def test_readme_oscillator_to_rounding(self, oscillator):
+        assert abs(l1_impulse_gain(oscillator).value - OSCILLATOR_GAIN) <= 1e-12
+
+    @pytest.mark.parametrize("w, d", [(1.0, 1.0), (3.0, 0.3), (10.0, 1.0), (2.0, 0.02)])
+    def test_vcurve_partial_integrals(self, w, d):
+        hs = np.linspace(0.5, 20.0, 40)
+        curve = vcurve(damped_oscillator(w, d), hs, tol=1e-9)
+        expected = [damped_oscillator_l1(w, d, t) for t in hs]
+        np.testing.assert_allclose(curve.values, expected, rtol=0.0, atol=1e-9)
+
+    def test_terminal_output_not_above_gain(self):
+        # Adaptive Simpson gave 0.12743522 here, above ||g||_1 = 0.12742672.
+        value, _ = max_terminal_output(damped_oscillator(10.0, 1.0), 20.0)
+        assert abs(value - damped_oscillator_l1(10.0, 1.0, 20.0)) <= 1e-9
+        assert value <= damped_oscillator_l1(10.0, 1.0)
+
+    @pytest.mark.parametrize("w", [3.0, 10.0])
+    def test_bang_bang_switch_times(self, w):
+        t_end = 12.0
+        w_d = math.sqrt(w * w - 0.25)
+        u = bang_bang_switches(damped_oscillator(w, 1.0), t_end)
+        lags = np.arange(1, math.floor(t_end * w_d / math.pi) + 1) * math.pi / w_d
+        np.testing.assert_allclose(u.switch_times, np.sort(t_end - lags), rtol=0.0, atol=1e-9)
+        # On [0, first switch) the kernel is read at lags between its last zero and t_end.
+        assert u.initial_sign == (1 if math.sin(w_d * t_end) >= 0.0 else -1)
+
+
+class TestReferencePaths:
+    def test_l1_agrees_with_simpson(self):
+        # Both claim tol, so they agree within 2 tol.  Simpson's error estimate
+        # holds where |g| is smooth, on kernels that keep one sign; across a
+        # sign change it missed tol by up to 15% on these draws.
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            sys = random_siso_system(rng, n_max=4)
+            est = l1_impulse_gain(sys, tol=1e-8)
+            ref, horizon = reference_impulse_rows(sys, sys.c, 1e-8)
+            assert est.details["horizon"] == horizon
+            assert est.details["unresolved_bound"] <= 0.5e-8
+            assert abs(est.value - ref[0]) <= (1e-8 if est.details["roots"] == [0] else 2e-8)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_bang_bang_agrees_with_sampled(self, n):
+        rng = np.random.default_rng(50 + n)
+        for t_end in (3.0, 10.0, 25.0):
+            for _ in range(5):
+                a = random_hurwitz_matrix(rng, n=n)
+                b, c = rng.uniform(-2.0, 2.0, (n, 1)), rng.uniform(-2.0, 2.0, (1, n))
+                sys = StateSpaceSystem(a=a, b=b, c=c)
+                ours, ref = bang_bang_switches(sys, t_end), reference_bang_bang_switches(sys, t_end)
+                np.testing.assert_allclose(ours.switch_times, ref.switch_times, rtol=0.0, atol=1e-9)
+                first = ours.switch_times[0] if ours.switch_times.size else t_end
+                kernel = (c @ scipy.linalg.expm(a * (t_end - first / 2.0)) @ b).item()
+                assert ours.initial_sign == (1 if kernel >= 0.0 else -1)
+                # The sampled finder reads the sign off its first sample above
+                # 1e-14 of |C| |B|, past the first switch where the kernel at
+                # t_end is below that.
+                at_end = (c @ scipy.linalg.expm(a * t_end) @ b).item()
+                if abs(at_end) > 1e-14 * np.linalg.norm(c) * np.linalg.norm(b):
+                    assert ours.initial_sign == ref.initial_sign
 
 
 class TestDcGain:
