@@ -6,13 +6,17 @@ sup norm of the output, equivalently to the limsup of the output norm) is
 approached here from both sides:
 
 * exact values where available: the L1 norm of the impulse response for
-  single-output systems, summed between the kernel's certified zeros (the
-  same sign partition gives the terminal-output curve and the bang-bang
-  switches), and the magnitude of the DC gain whenever the response kernel
-  is sign-definite (positivity certificates);
-* lower bounds from steady sinusoid responses;
+  single-output systems, and the magnitude of the DC gain whenever the
+  response kernel is sign-definite (positivity certificates);
+* lower bounds from steady sinusoid responses and terminal outputs;
 * upper bounds from orthonormal output decompositions, from periodic
   worst-case steady states, and from decay-certificate arithmetic.
+
+Every integral of a single-input scalar kernel |row exp(As) b| (the L1 norm,
+the terminal-output curve and its multi-output ascent, the periodic values of
+a single output, the bang-bang switches and the positivity proof) comes from
+one certified partition of the kernel at its zeros.  Adaptive Simpson is left
+for integrands that are vector norms.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable.
@@ -89,14 +93,15 @@ class PositivityCertificate(enum.Enum):
 
     METZLER_NONNEG = "metzler-nonneg"
     ASSUMPTION_H = "assumption-h"
-    GRID_VERIFIED = "grid-verified"
+    SIGN_PARTITION = "sign-partition"
 
 
 def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float):
-    """(roots, integrals, unresolved) for the kernels g_i(s) = rows_i exp(As) b
+    """(roots, signed, unresolved) for the kernels g_i(s) = rows_i exp(As) b
     of a single-input system: roots[i] the increasing zeros of g_i,
-    integrals[j, i] the integral of |g_i| over [0, ends[j]], and the
-    certified worst-case loss left in them.
+    signed[j, i] the state integral of sgn(g_i(s)) exp(As) b over
+    [0, ends[j]], and the certified worst-case loss left in them.  The
+    integral of |g_i| over [0, ends[j]] is rows_i @ signed[j, i].
 
     On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
     logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
@@ -106,7 +111,7 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
     exceeds e_1 in one sign at both ends.  Any other cell can hide zeros
     costing 2 h e_0 (4 h e_0 across a sign change); it is halved until that
     fits its share of ``budget`` or it is 1e-6 of the horizon wide.  Between
-    zeros the integral of |g_i| is the change of H_i = rows_i A^-1 exp(As) b.
+    zeros exp(As) b integrates to the change of A^-1 exp(As) b.
     """
     a, b, q = sys.a, sys.b, rows.shape[0]
     ends = np.asarray(ends, dtype=float)
@@ -152,19 +157,23 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
     row, start, x, width, g0, g1 = map(np.concatenate, zip(*brackets))
     offset, x = _kernel_zeros(a, rows[row], powers[1][row], x, width, g0, g1)
     t = start + offset
-    h_rows = np.linalg.solve(a.T, rows.T).T
-    h_roots = np.einsum("kn,kn->k", h_rows[row], x)
-    h_ends = _expm_times(a, ends, b)[:, :, 0] @ h_rows.T
+    # Each step of y = A^-1 exp(As) b between zeros, signed by the kernel's
+    # sign across it (the sign of its change along the row), adds to signed.
+    y_roots = np.linalg.solve(a, x.T).T
+    y_ends = np.linalg.solve(a, _expm_times(a, ends, b)[:, :, 0].T).T
+    y_start = np.linalg.solve(a, b).T
     order = np.lexsort((t, row))
     parts = np.split(order, np.searchsorted(row[order], np.arange(1, q)))
-    roots, integrals = [], np.empty((ends.size, q))
+    roots, signed = [], np.empty((ends.size, q, sys.n))
     for i, part in enumerate(parts):
-        h = np.concatenate(([h_rows[i] @ b[:, 0]], h_roots[part]))
-        total = np.concatenate(([0.0], np.cumsum(abs(np.diff(h)))))
+        y = np.vstack((y_start, y_roots[part]))
         k = np.searchsorted(t[part], ends)
-        integrals[:, i] = total[k] + abs(h_ends[:, i] - h[k])
+        steps = np.vstack((np.diff(y, axis=0), y_ends - y[k]))
+        steps *= np.sign(steps @ rows[i])[:, None]
+        total = np.vstack((np.zeros_like(y_start), np.cumsum(steps[: -ends.size], axis=0)))
+        signed[:, i] = total[k] + steps[-ends.size :]
         roots.append(t[part])
-    return roots, integrals, lost
+    return roots, signed, lost
 
 
 def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
@@ -213,8 +222,8 @@ def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
     if horizon == 0.0:
         return np.zeros(q), 0.0, [np.empty(0)] * q, 0.0
-    roots, ints, lost = _sign_partition(sys, rows, [horizon], tol / 2.0)
-    return ints[0], horizon, roots, lost
+    roots, signed, lost = _sign_partition(sys, rows, [horizon], tol / 2.0)
+    return (signed[0] * rows).sum(axis=1), horizon, roots, lost
 
 
 def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
@@ -247,12 +256,13 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     )
 
 
-def dc_gain(sys: StateSpaceSystem, grid_n: int = 64) -> GainEstimate:
+def dc_gain(sys: StateSpaceSystem) -> GainEstimate:
     """Norm of the steady output under the worst constant unit input.
 
     Always a valid lower bound on the peak gain.  For single-input systems
-    whose response kernel carries a positivity certificate the constant
-    input is worst-case overall and the value is exact.
+    whose response kernel carries a positivity certificate (see
+    positivity_certificate) the constant input is worst-case overall and the
+    value is exact.
     """
     xdc = np.linalg.solve(sys.a, sys.b)
     mdc = sys.c @ xdc
@@ -260,7 +270,7 @@ def dc_gain(sys: StateSpaceSystem, grid_n: int = 64) -> GainEstimate:
     kind = "lower"
     pos = None
     if sys.m == 1:
-        pos = positivity_certificate(sys, grid_n=grid_n)
+        pos = positivity_certificate(sys)
         if pos is not None:
             kind = "exact"
     return GainEstimate(
@@ -272,21 +282,23 @@ def dc_gain(sys: StateSpaceSystem, grid_n: int = 64) -> GainEstimate:
     )
 
 
-def positivity_certificate(
-    sys: StateSpaceSystem, grid_n: int = 64, horizon_tol: float = 1e-8
-) -> PositivityCertificate | None:
-    """Certify that the response kernel never changes sign.
+# Positivity is proved on the horizon past which every kernel row integrates
+# to less than this.
+_POSITIVITY_TAIL = 1e-8
+
+
+def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | None:
+    """Certify that each output's response kernel never changes sign.
 
     Checked in order: symmetric negative definite A with identity output
     (exact, via the orthogonal diagonalization), Metzler A with nonnegative
-    B and C (exact), and a pairwise sign check of the impulse response on a
-    grid (non-rigorous; grid_n samples on the certified horizon).  Returns
-    None when nothing applies.
+    B and C (exact), and the kernel sign partition: no row of C exp(As) b
+    has a zero or an unresolved cell on the horizon past which its integral
+    is below 1e-8 (so the DC value misses the L1 gain by at most 2e-8 per
+    output).  Returns None when nothing applies.
     """
     if sys.m != 1:
         raise DimensionError("positivity certificates require a single input")
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
     flags = structure_flags(sys)
     if flags.assumption_h is not None and sys.c.shape == (sys.n, sys.n) and np.array_equal(
         sys.c, np.eye(sys.n)
@@ -296,15 +308,12 @@ def positivity_certificate(
         return PositivityCertificate.METZLER_NONNEG
     cert = sys.certificate
     coef = spectral_norm(sys.c) * cert.m * spectral_norm(sys.b)
-    horizon = tail_horizon(cert.sigma, coef, horizon_tol)
-    if horizon == 0.0:
-        return PositivityCertificate.GRID_VERIFIED
-    samples = np.linspace(0.0, horizon, grid_n)
-    kernels = (sys.c @ _expm_times(sys.a, samples, sys.b))[:, :, 0]
-    gram = kernels @ kernels.T
-    if float(np.min(gram)) >= -1e-12:
-        return PositivityCertificate.GRID_VERIFIED
-    return None
+    horizon = tail_horizon(cert.sigma, coef, _POSITIVITY_TAIL)
+    if horizon > 0.0:
+        roots, _, lost = _sign_partition(sys, sys.c, [horizon], _POSITIVITY_TAIL)
+        if lost > 0.0 or any(r.size for r in roots):
+            return None
+    return PositivityCertificate.SIGN_PARTITION
 
 
 def max_terminal_output(
@@ -321,14 +330,15 @@ def max_terminal_output(
     achieving the value.  SISO systems are exact (the optimizer is bang-bang
     against the kernel sign, the value summed between its zeros); otherwise
     the value comes from an iterated direction-alignment ascent, and with
-    several outputs it is a lower estimate.
+    several outputs it is a lower estimate.  With one input each ascent step
+    is one sign partition of the kernel d'C exp(As) b.
     """
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
     if not (tol > 0):
         raise ValueError("tol must be positive")
     if sys.p == 1 and sys.m == 1:
-        return float(_sign_partition(sys, sys.c, [horizon], tol)[1][0, 0]), np.array([1.0])
+        return float(_aligned_terminal(sys, horizon, np.ones(1), tol)[0]), np.array([1.0])
     return _iterative_terminal_output(sys, horizon, restarts, tol, seed)
 
 
@@ -338,26 +348,18 @@ def _iterative_terminal_output(sys, horizon, restarts, tol, seed):
     # Each iterate is feasible, so the best value seen is a valid lower
     # estimate whatever the iteration does.
     rng = np.random.default_rng(seed)
-    a, b, c = sys.a, sys.b, sys.c
-    n, p = sys.n, sys.p
-    starts = [np.eye(p)[i] for i in range(p)]
+    starts = list(np.eye(sys.p))
     for _ in range(max(0, restarts)):
-        vec = rng.standard_normal(p)
+        vec = rng.standard_normal(sys.p)
         starts.append(vec / np.linalg.norm(vec))
-    best_value = 0.0
-    best_dir = starts[0]
-    for d0 in starts:
-        d = d0
+    best_value, best_dir = 0.0, starts[0]
+    for d in starts:
         last = -np.inf
         for _ in range(40):
-            out = _aligned_terminal(sys, horizon, d, tol)
-            j_val = out[0]
-            x_t = out[1:]
-            y_t = c @ x_t
+            y_t = sys.c @ _aligned_terminal(sys, horizon, d, tol)[1:]
             value = float(np.linalg.norm(y_t))
             if value > best_value:
-                best_value = value
-                best_dir = y_t / value if value > 0 else d
+                best_value, best_dir = value, y_t / value
             if value <= 0 or value - last <= tol * max(1.0, value):
                 break
             last = value
@@ -367,9 +369,14 @@ def _iterative_terminal_output(sys, horizon, restarts, tol, seed):
 
 def _aligned_terminal(sys, horizon, d, tol):
     # Integrates [|v(s)|, exp(A (horizon - s)) B v(s) / |v(s)|] with
-    # v(s) = B' exp(A' (horizon - s)) C' d, the input aligned with d.
+    # v(s) = B' exp(A' (horizon - s)) C' d, the input aligned with d.  With
+    # one input v(horizon - r) = d'C exp(Ar) b is a scalar kernel, whose
+    # signed state integral x is the second entry and d'C x the first.
     a, b, c = sys.a, sys.b, sys.c
     ctd = c.T @ d
+    if sys.m == 1:
+        x = _sign_partition(sys, ctd[None], [horizon], tol)[1][0, 0]
+        return np.concatenate(([ctd @ x], x))
 
     def integrand(s: np.ndarray) -> np.ndarray:
         eb = _expm_times(a, horizon - s, b)
@@ -416,7 +423,7 @@ def vcurve(
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be strictly increasing and positive")
     if sys.p == 1 and sys.m == 1:
-        values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0]
+        values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
     points = [max_terminal_output(sys, t, restarts=restarts, tol=tol, seed=seed) for t in hs]
     values, dirs = zip(*points)
@@ -436,8 +443,8 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
     if not (0 < horizon < math.inf):
         raise ValueError("horizon must be finite and positive")
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
-    roots, ints, _ = _sign_partition(sys, sys.c, [horizon], 1e-12 * scale)
-    zero = bool(ints[0, 0] <= 1e-14 * scale * horizon)
+    roots, signed, _ = _sign_partition(sys, sys.c, [horizon], 1e-12 * scale)
+    zero = bool(signed[0, 0] @ sys.c[0] <= 1e-14 * scale * horizon)
     lags = roots[0][(roots[0] > 1e-12) & (roots[0] < horizon - 1e-12) & (not zero)]
     switches = horizon - lags[::-1]
     # The first sign is the kernel's between its last zero and the horizon.
@@ -574,6 +581,8 @@ def periodic_upper_estimate(
     The supremum over the default dyadic grid {2^k / sigma, k = -2..6} is an
     estimate (kind "estimate"): a finite grid cannot certify the supremum,
     but the value converges to the impulse-response integral as T grows.
+    With one output each period's kernel is scalar and integrated by its
+    sign partition; several outputs go to adaptive Simpson.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -589,6 +598,9 @@ def periodic_upper_estimate(
     values = []
     for t_per, e_t in zip(horizons, _expm_times(a, horizons, np.eye(sys.n))):
         cmod = np.linalg.solve((e_t - np.eye(sys.n)).T, c.T).T
+        if sys.p == 1:
+            values.append(float(_sign_partition(sys, cmod, [t_per], tol)[1][0, 0] @ cmod[0]))
+            continue
 
         def integrand(s: np.ndarray, cmod=cmod) -> np.ndarray:
             return np.linalg.norm((cmod @ _expm_times(a, s, b))[:, :, 0], axis=1)
@@ -738,43 +750,24 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     if not (tol > 0):
         raise ValueError("tol must be positive")
     notes: list[str] = []
-    cert = sys.certificate
-    flags = structure_flags(sys)
-    if sys.m > 1:
-        dc = dc_gain(sys)
-        notes.append(
-            "multi-input system: only the constant-input lower bound is computed"
-        )
-        return GainReport(
-            exact=None,
-            lowers=(dc,),
-            uppers=(),
-            dims=(sys.n, sys.m, sys.p),
-            structure=flags,
-            positivity=None,
-            certificate=cert,
-            tolerance=tol,
-            seed=seed,
-            notes=tuple(notes),
-        )
-    l1 = l1_impulse_gain(sys, tol)
     dc = dc_gain(sys)
     pos = dc.details["positivity"]
     pos = None if pos is None else PositivityCertificate(pos)
-    psi = sinusoid_lower_bound(sys)
-    onb = onb_upper_bound(sys, tol=tol, seed=seed)
-    periodic = periodic_upper_estimate(sys, tol=tol)
-    if sys.p == 1:
-        exact = l1
-        uppers = [onb, periodic]
+    exact, lowers, uppers = None, [dc], []
+    if sys.m > 1:
+        notes.append("multi-input system: only the constant-input lower bound is computed")
     else:
-        exact = dc if dc.kind == "exact" else None
-        uppers = [l1, onb, periodic]
-        if exact is None:
-            notes.append("no exactness certificate: value bracketed only")
-    lowers = [dc, psi]
-    if pos is PositivityCertificate.GRID_VERIFIED:
-        notes.append("positivity verified on a sample grid only (non-rigorous)")
+        l1 = l1_impulse_gain(sys, tol)
+        lowers.append(sinusoid_lower_bound(sys))
+        onb = onb_upper_bound(sys, tol=tol, seed=seed)
+        periodic = periodic_upper_estimate(sys, tol=tol)
+        if sys.p == 1:
+            exact, uppers = l1, [onb, periodic]
+        else:
+            exact = dc if dc.kind == "exact" else None
+            uppers = [l1, onb, periodic]
+            if exact is None:
+                notes.append("no exactness certificate: value bracketed only")
     for low in lowers:
         for high in uppers:
             if low.value > high.value + _pair_slack(low, high):
@@ -798,9 +791,9 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
         lowers=tuple(lowers),
         uppers=tuple(uppers),
         dims=(sys.n, sys.m, sys.p),
-        structure=flags,
+        structure=structure_flags(sys),
         positivity=pos,
-        certificate=cert,
+        certificate=sys.certificate,
         tolerance=tol,
         seed=seed,
         notes=tuple(notes),

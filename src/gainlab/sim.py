@@ -195,12 +195,8 @@ def worst_case_periodic_input(
     if not (0.0 < rest_tolerance < 1.0):
         raise ValueError("rest_tolerance must lie in (0, 1)")
     cert = sys.certificate
-    rest = float(math.ceil(math.log(cert.m / rest_tolerance) / cert.sigma))
-    rest = max(rest, 0.0)
+    rest = _rest_length(cert, rest_tolerance)
     achieved = cert.m * math.exp(-cert.sigma * rest)
-    if achieved > rest_tolerance:
-        rest += 1.0
-        achieved = cert.m * math.exp(-cert.sigma * rest)
     bang = bang_bang_switches(sys, horizon)
     signal = PeriodicExtension(base=bang, base_span=horizon, period=horizon + rest)
     spec = WorstCaseSpec(
@@ -211,6 +207,12 @@ def worst_case_periodic_input(
         achieved_decay=achieved,
     )
     return signal, spec
+
+
+def _rest_length(cert, rest_tolerance: float) -> float:
+    """Smallest integer R >= 0 with M exp(-sigma R) <= rest_tolerance."""
+    rest = max(float(math.ceil(math.log(cert.m / rest_tolerance) / cert.sigma)), 0.0)
+    return rest + 1.0 if cert.m * math.exp(-cert.sigma * rest) > rest_tolerance else rest
 
 
 class EmpiricalGains(NamedTuple):
@@ -270,10 +272,12 @@ def verify_gain_equality(
     Builds a worst-case periodic input whose parameters are derived from the
     requested relative ``accuracy``: the horizon is long enough that the
     terminal-output value falls short of the gain by at most accuracy/2
-    (certified tail), the rest tolerance small enough that inter-period
-    leakage costs at most accuracy/4 each way.  The simulated asymptotic
-    output must land in [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol];
-    failure is reported in the record, not raised.
+    (certified tail) and is a whole number of recording steps
+    period / steps_per_period (so the output's peaks at horizon + k period
+    are recorded), the rest tolerance small enough that inter-period leakage
+    costs at most accuracy/4 each way.  The simulated asymptotic output must
+    land in [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol]; failure is
+    reported in the record, not raised.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("gain-equality verification requires a SISO system")
@@ -299,6 +303,9 @@ def verify_gain_equality(
     horizon = max(horizon * 1.05, 1.0 / cert.sigma)
     rest_tol = accuracy * gamma * cert.sigma / (4.0 * cert.m * coef)
     rest_tol = min(max(rest_tol, 1e-14), 0.25)
+    rest = _rest_length(cert, rest_tol)
+    j = min(math.ceil(steps_per_period * horizon / (horizon + rest)), steps_per_period - 1)
+    horizon = max(horizon, j * rest / (steps_per_period - j))
     signal, spec = worst_case_periodic_input(sys, horizon, rest_tol)
     h = spec.period / steps_per_period
     t_end = periods * spec.period

@@ -160,6 +160,46 @@ def reference_bang_bang_switches(
     )
 
 
+def reference_aligned_terminal(sys, horizon, d, tol):
+    """The adaptive Simpson integral, kept as the reference for gainlab's
+    kernel sign partition on single-input systems.
+
+    Integrates [|v(s)|, exp(A (horizon - s)) B v(s) / |v(s)|] with
+    v(s) = B' exp(A' (horizon - s)) C' d, the input aligned with d.
+    """
+    a, b, c = sys.a, sys.b, sys.c
+    ctd = c.T @ d
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        eb = _expm_times(a, horizon - s, b)
+        v = np.swapaxes(eb, 1, 2) @ ctd
+        nv = np.linalg.norm(v, axis=1)
+        out = np.zeros((s.size, 1 + sys.n))
+        live = nv != 0.0
+        out[live, 0] = nv[live]
+        out[live, 1:] = (eb[live] @ (v[live] / nv[live, None])[:, :, None])[:, :, 0]
+        return out
+
+    return simpson_panels(integrand, [0.0, horizon], tol)[0]
+
+
+def reference_periodic_values(sys, t_grid, tol):
+    """The adaptive Simpson integrals, kept as the reference for gainlab's
+    kernel sign partition on single-output systems: for each period T the
+    integral of the norm of C (exp(AT) - I)^{-1} exp(As) B over [0, T]."""
+    horizons = np.asarray(list(t_grid), dtype=float)
+    a, b, c = sys.a, sys.b, sys.c
+    values = []
+    for t_per, e_t in zip(horizons, _expm_times(a, horizons, np.eye(sys.n))):
+        cmod = np.linalg.solve((e_t - np.eye(sys.n)).T, c.T).T
+
+        def integrand(s: np.ndarray, cmod=cmod) -> np.ndarray:
+            return np.linalg.norm((cmod @ _expm_times(a, s, b))[:, :, 0], axis=1)
+
+        values.append(float(simpson_panels(integrand, [0.0, float(t_per)], tol)[0]))
+    return values
+
+
 def recursive_simpson(f, a, b, tol, min_width=None):
     """The classical depth-first adaptive Simpson rule, kept as the reference
     for gainlab's level-synchronous one: same start (a, midpoint, b), same

@@ -141,6 +141,18 @@ class TestAnalyze:
         assert exact["method"] == "l1-impulse"
         assert abs(exact["value"] - damped_oscillator_l1(10.0, 1.0)) <= exact["tolerance"]
 
+    @pytest.mark.parametrize("w, d", [(3.0, 0.3), (2.0, 0.02)])
+    def test_periodic_meets_exact_on_light_damping(self, tmp_path, capsys, w, d):
+        # Adaptive Simpson lost the kernel at the long periods of the grid:
+        # periodic=1.40769 (w = 3) and 31.82232 (w = 2) fell below exact.
+        path = tmp_path / "light.json"
+        model = {"A": [[0.0, 1.0], [-w * w, -d]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+        path.write_text(json.dumps(model))
+        assert main(["analyze", str(path), "--tol", "1e-6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        (periodic,) = [e for e in doc["uppers"] if e["method"] == "periodic"]
+        assert abs(periodic["value"] - doc["exact"]["value"]) <= 1e-6
+
     def test_deterministic_bytes(self, oscillator_file, capsys):
         main(["analyze", oscillator_file])
         first = capsys.readouterr().out

@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 
 from gainlab import (
     CertificateBoundInput,
@@ -33,8 +36,10 @@ from gainlab_testkit import (
     oscillator_kernel,
     random_hurwitz_matrix,
     random_siso_system,
+    reference_aligned_terminal,
     reference_bang_bang_switches,
     reference_impulse_rows,
+    reference_periodic_values,
     reference_sinusoid_response,
 )
 
@@ -77,6 +82,56 @@ def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
     curve = vcurve(oscillator, np.linspace(0.5, 20.0, 40))
     assert 0 < len(calls) <= 22
     assert curve.values[-1] == pytest.approx(v_end, abs=1e-8)
+
+
+def seeded_three_output():
+    """Five states, one input, three outputs: entries uniform in [-2, 2], A
+    shifted to abscissa -0.2."""
+    rng = np.random.default_rng(5)
+    a = random_hurwitz_matrix(rng, n=5)
+    return StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (5, 1)), c=rng.uniform(-2.0, 2.0, (3, 5)))
+
+
+def quad_kernel_integrals(a, b, row, t_end):
+    """SciPy reference for g(r) = row exp(Ar) b on [0, t_end]: the integral of
+    |g| followed by the integral of sgn(g(r)) exp(Ar) b, by quad_vec split at
+    the zeros brentq finds between 2001 samples."""
+
+    def g(r):
+        return float(row @ scipy.linalg.expm(a * r) @ b[:, 0])
+
+    grid = np.linspace(0.0, t_end, 2001)
+    vals = [g(r) for r in grid]
+    zeros = [
+        scipy.optimize.brentq(g, lo, hi, xtol=1e-15)
+        for lo, hi, v0, v1 in zip(grid, grid[1:], vals, vals[1:])
+        if (v0 >= 0.0) != (v1 >= 0.0)
+    ]
+
+    def f(r):
+        x = scipy.linalg.expm(a * r) @ b[:, 0]
+        return np.sign(row @ x) * np.concatenate(([row @ x], x))
+
+    return scipy.integrate.quad_vec(f, 0.0, t_end, epsabs=1e-13, epsrel=1e-13, points=zeros)[0]
+
+
+def test_single_input_scalar_kernels_skip_simpson(monkeypatch, oscillator, diag_two_output):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simpson_panels reached")
+
+    monkeypatch.setattr(gains, "simpson_panels", refuse)
+    three = seeded_three_output()
+    l1_impulse_gain(oscillator)
+    onb_upper_bound(three)
+    periodic_upper_estimate(oscillator)
+    for sys in (oscillator, three):
+        max_terminal_output(sys, 5.0)
+        vcurve(sys, [1.0, 2.0])
+    assert positivity_certificate(oscillator) is None
+    bang_bang_switches(oscillator, 5.0)
+    # Two outputs make the periodic integrand a vector norm, still Simpson's.
+    with pytest.raises(AssertionError, match="simpson_panels reached"):
+        periodic_upper_estimate(diag_two_output)
 
 
 def transfer_magnitude(sys, omega):
@@ -232,6 +287,39 @@ class TestReferencePaths:
                 if abs(at_end) > 1e-14 * np.linalg.norm(c) * np.linalg.norm(b):
                     assert ours.initial_sign == ref.initial_sign
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_aligned_terminal_agrees_with_simpson(self, p):
+        # Simpson's value holds its tol.  Its terminal state stops at the width
+        # floor where the aligned input jumps (5.6e-6 off at tol 1e-8 on these
+        # draws), so the state is held to SciPy's quad instead.
+        rng = np.random.default_rng(60 + p)
+        for _ in range(8):
+            n = int(rng.integers(1, 6))
+            a = random_hurwitz_matrix(rng, n=n)
+            sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (n, 1)), c=rng.uniform(-2.0, 2.0, (p, n)))
+            d = rng.standard_normal(p)
+            d /= np.linalg.norm(d)
+            for t_end in (1.0, 5.0, 20.0):
+                ours = gains._aligned_terminal(sys, t_end, d, 1e-8)
+                ref = reference_aligned_terminal(sys, t_end, d, 1e-8)
+                assert abs(ours[0] - ref[0]) <= 2e-8
+                quad = quad_kernel_integrals(sys.a, sys.b, d @ sys.c, t_end)
+                np.testing.assert_allclose(ours, quad, rtol=0.0, atol=1e-8)
+
+    def test_periodic_agrees_with_simpson(self):
+        # Where Simpson misses its own tol (by up to 100x on these draws) the
+        # value is held to SciPy's quad instead.
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            sys = random_siso_system(rng, n_max=5)
+            est = periodic_upper_estimate(sys, tol=1e-8)
+            ref = reference_periodic_values(sys, est.details["horizons"], 1e-8)
+            for t_per, ours, simpson in zip(est.details["horizons"], est.details["values"], ref):
+                if abs(ours - simpson) > 2e-8:
+                    e_t = scipy.linalg.expm(sys.a * t_per)
+                    row = np.linalg.solve((e_t - np.eye(sys.n)).T, sys.c[0])
+                    assert abs(ours - quad_kernel_integrals(sys.a, sys.b, row, t_per)[0]) <= 1e-8
+
 
 class TestDcGain:
     def test_scalar(self, scalar_system):
@@ -246,10 +334,10 @@ class TestDcGain:
         assert est.details["positivity"] == "metzler-nonneg"
         assert est.value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_grid_verified(self, triangular_positive):
+    def test_sign_partition(self, triangular_positive):
         est = dc_gain(triangular_positive)
         assert est.kind == "exact"
-        assert est.details["positivity"] == "grid-verified"
+        assert est.details["positivity"] == "sign-partition"
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_oscillator_lower_only(self, oscillator):
@@ -287,14 +375,22 @@ class TestPositivityCertificate:
             is PositivityCertificate.METZLER_NONNEG
         )
 
-    def test_grid_verified(self, triangular_positive):
+    def test_sign_partition(self, triangular_positive):
         assert (
             positivity_certificate(triangular_positive)
-            is PositivityCertificate.GRID_VERIFIED
+            is PositivityCertificate.SIGN_PARTITION
         )
 
     def test_oscillator_none(self, oscillator):
         assert positivity_certificate(oscillator) is None
+
+    @pytest.mark.parametrize("w, d", [(5.0, 0.1), (7.0, 1.0), (10.0, 1.0)])
+    def test_fast_oscillator_dc_is_lower(self, w, d):
+        # 64 kernel samples on the horizon all fell on one side of zero here,
+        # and dc = 1 / w^2 was labelled exact far below the gain.
+        sys = damped_oscillator(w, d)
+        assert positivity_certificate(sys) is None
+        assert dc_gain(sys).kind == "lower"
 
     def test_rejects_multi_input(self):
         sys = StateSpaceSystem(a=-np.eye(2), b=np.eye(2), c=[[1.0, 0.0]])
@@ -340,6 +436,16 @@ class TestVCurve:
     def test_monotone_nondecreasing(self, oscillator):
         curve = vcurve(oscillator, np.linspace(0.5, 20.0, 40), tol=1e-9)
         assert np.all(np.diff(curve.values) >= -1e-9)
+
+    def test_three_output_curve_in_seconds(self):
+        # Each ascent step integrated its aligned kernel by adaptive Simpson:
+        # 15 s for these 40 horizons.
+        sys = seeded_three_output()
+        start = time.perf_counter()
+        curve = vcurve(sys, np.linspace(0.5, 20.0, 40), tol=1e-8)
+        assert time.perf_counter() - start < 5.0
+        assert not curve.exact
+        assert np.max(curve.values) <= l1_impulse_gain(sys, tol=1e-8).value + 1e-8
 
     def test_two_output_not_exact(self, diag_two_output):
         curve = vcurve(diag_two_output, [1.0, 5.0], tol=1e-8)
@@ -641,10 +747,10 @@ class TestGainReport:
         assert len(rep.lowers) == 1
         assert any("multi-input" in note for note in rep.notes)
 
-    def test_grid_positivity_notes(self, triangular_positive):
+    def test_sign_partition_positivity_needs_no_note(self, triangular_positive):
         rep = gain_report(triangular_positive, tol=1e-9)
-        assert rep.positivity is PositivityCertificate.GRID_VERIFIED
-        assert any("grid" in note for note in rep.notes)
+        assert rep.positivity is PositivityCertificate.SIGN_PARTITION
+        assert rep.notes == ()
 
     def test_random_systems_self_consistent(self):
         rng = np.random.default_rng(99)

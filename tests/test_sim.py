@@ -317,3 +317,31 @@ class TestVerifyGainEquality:
             verify_gain_equality(scalar_system, accuracy=0.0)
         with pytest.raises(DimensionError):
             verify_gain_equality(diag_two_output, accuracy=0.1)
+
+    def test_recording_grid_holds_the_peak(self):
+        # A base system of the acceptance generator (n = 6) whose kernel turns
+        # 3.2 rad/s while the period / 4096 recording step is 0.77: on a grid
+        # missing t = horizon the recorded peak was 8.798 against gamma 9.2061.
+        a = [
+            [-1.86342345497911, 0.5619239642157292, 1.3067361248523501,
+             -1.759276479846307, -0.6536811038884678, 1.8874922140825285],
+            [0.8495857389873507, -1.4916062151305978, -1.9707171103083239,
+             -1.9238393762866566, -0.4510268831139781, 1.3719059130472107],
+            [-1.307918888998222, 0.367119832998164, -0.36088190132698417,
+             0.8090937198170485, 0.3895288320100003, -0.2820739355761104],
+            [-0.735762438973333, 1.8846477261327195, -1.8308140377471323,
+             -0.47982499683712065, -1.8734125516217448, -1.1447465835923292],
+            [0.41407703181591593, 0.022774488480753252, -1.3598247222792406,
+             0.7012552311873241, 1.0252254054532948, 0.007169281115787296],
+            [-1.7360824694248662, -1.7409461551897838, -1.3984430545939919,
+             1.553502759504648, -1.878247584195786, -2.085445175058518],
+        ]
+        b = [[0.2889100532097215], [0.10444598464800015], [-0.8969201141355443],
+             [-0.6004720262612651], [-0.7232279211369055], [1.1793327264543207]]
+        c = [[1.5679277899453936, 0.4155976347790187, -0.5652500609530646,
+              1.0397568390428318, 1.1366757107368017, -1.9614455075560877]]
+        record = verify_gain_equality(StateSpaceSystem(a=a, b=b, c=c), accuracy=0.02)
+        step = record.period / 4096
+        assert record.horizon / step == pytest.approx(round(record.horizon / step), abs=1e-6)
+        assert record.passed
+        assert record.asymptotic_gain == pytest.approx(record.gamma, rel=1e-12)
