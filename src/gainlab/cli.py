@@ -50,9 +50,7 @@ def _resolve_tol(flag_value, extras) -> float:
 def _resolve_seed(flag_value, extras) -> int:
     """Priority: --seed flag, then the model file (checked when parsed), then 0."""
     if flag_value is not None:
-        if flag_value < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {flag_value}")
-        return flag_value
+        return gains._checked_seed(flag_value, "--seed")
     if extras.get("seed") is not None:
         return extras["seed"]
     return 0
@@ -170,7 +168,7 @@ def _cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValueError("--points must be at least 1")
     omegas = np.geomspace(args.omega_min, args.omega_max, args.points)
-    values = [gains.sinusoid_response(system, w) for w in omegas]
+    values = gains.sinusoid_sweep(system, omegas)
     _write_output(modelio.sweep_csv(omegas, values), args.out)
     return 0
 

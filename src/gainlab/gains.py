@@ -8,9 +8,10 @@ approached here from both sides:
 * exact values where available: the L1 norm of the impulse response for
   single-output systems, and the magnitude of the DC gain whenever the
   response kernel is sign-definite (positivity certificates);
-* lower bounds from steady sinusoid responses and terminal outputs;
-* upper bounds from orthonormal output decompositions, from periodic
-  worst-case steady states, and from decay-certificate arithmetic.
+* lower bounds from steady sinusoid responses, from periodic bang-bang
+  inputs (whose steady outputs tend to the gain) and from terminal outputs;
+* upper bounds from orthonormal output decompositions and from
+  decay-certificate arithmetic.
 
 Every integral of a single-input scalar kernel |row exp(As) b| (the L1 norm
 and the ONB bases, the terminal-output curve and its ascent, the SISO periodic
@@ -57,6 +58,7 @@ __all__ = [
     "vcurve",
     "bang_bang_switches",
     "sinusoid_response",
+    "sinusoid_sweep",
     "sinusoid_lower_bound",
     "onb_upper_bound",
     "periodic_upper_estimate",
@@ -94,6 +96,13 @@ class PositivityCertificate(enum.Enum):
     METZLER_NONNEG = "metzler-nonneg"
     ASSUMPTION_H = "assumption-h"
     SIGN_PARTITION = "sign-partition"
+
+
+def _checked_seed(seed, source: str = "seed") -> int:
+    """``seed`` itself; raises ValueError unless a non-negative, non-bool integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float):
@@ -207,8 +216,10 @@ def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
 
 def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     """Componentwise L1 norms of s -> rows @ exp(As) @ B for a single-input
-    system: the vector (integral of |row_i exp(As) B| ds)_i, the horizon
-    used, the zeros of each row's kernel and the certified loss left.
+    system: the vector (integral of |row_i exp(As) B| ds)_i, the horizon H
+    used, the zeros of each row's kernel, the certified loss left and the
+    signed state integrals W_i = integral of sgn(row_i exp(As) b) exp(As) b
+    over [0, H].
 
     Half the budget goes to the sign partition, half to the certified tail,
     the tail share split evenly across components.
@@ -221,9 +232,9 @@ def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     coef = float(np.max(row_norms)) * cert.m * spectral_norm(sys.b)
     horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
     if horizon == 0.0:
-        return np.zeros(q), 0.0, [np.empty(0)] * q, 0.0
+        return np.zeros(q), 0.0, [np.empty(0)] * q, 0.0, np.zeros((q, sys.n))
     roots, signed, lost = _sign_partition(sys, rows, [horizon], tol / 2.0)
-    return (signed[0] * rows).sum(axis=1), horizon, roots, lost
+    return (signed[0] * rows).sum(axis=1), horizon, roots, lost, signed[0]
 
 
 def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
@@ -239,7 +250,12 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    ints, horizon, roots, lost = _impulse_rows(sys, sys.c, tol)
+    return _l1_gain(sys, tol)[0]
+
+
+def _l1_gain(sys, tol):
+    # l1_impulse_gain and the signed state integrals of its partition.
+    ints, horizon, roots, lost, signed = _impulse_rows(sys, sys.c, tol)
     value = float(np.linalg.norm(ints))
     kind = "exact" if sys.p == 1 else "upper"
     return GainEstimate(
@@ -253,6 +269,26 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
             "roots": [int(r.size) for r in roots],
             "unresolved_bound": lost,
         },
+    ), signed
+
+
+def _periodic_bound(sys, l1: GainEstimate, signed) -> GainEstimate:
+    # The L1 partition's bang-bang input u(t) = sgn g(H - t), g(s) = c exp(As) b,
+    # repeated with period H, settles at phase 0 to the output
+    # c (I - exp(AH))^-1 W_H.  An input realises it, so it is a lower bound
+    # whatever zeros the partition found; it differs from the partial
+    # integral c W_H by c exp(AH) (I - exp(AH))^-1 W_H, within the tail share
+    # of tol.
+    period, value = l1.details["horizon"], 0.0
+    if period > 0.0:
+        flow = _expm_times(sys.a, period, np.eye(sys.n))[0]
+        value = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow, signed[0])))
+    return GainEstimate(
+        value=value,
+        kind="lower",
+        method="periodic",
+        tolerance=l1.tolerance,
+        details={"period": period, "roots": l1.details["roots"][0]},
     )
 
 
@@ -339,6 +375,7 @@ def max_terminal_output(
         raise ValueError("horizon must be positive")
     if not (tol > 0):
         raise ValueError("tol must be positive")
+    _checked_seed(seed)
     if sys.p == 1 and sys.m == 1:
         return float(_aligned_terminal(sys, horizon, np.ones(1), tol)[0]), np.array([1.0])
     return _iterative_terminal_output(sys, horizon, restarts, tol, seed)
@@ -424,6 +461,7 @@ def vcurve(
     hs = np.asarray(list(horizons), dtype=float)
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be strictly increasing and positive")
+    _checked_seed(seed)
     if sys.p == 1 and sys.m == 1:
         values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
@@ -470,23 +508,41 @@ def sinusoid_response(sys: StateSpaceSystem, omega: float) -> float:
     / u for powers of two s and u: exact rescalings, which keep every bit of
     the unscaled form but none of its overflow (omega^2) or underflow.
     """
+    return float(sinusoid_sweep(sys, [omega])[0])
+
+
+def sinusoid_sweep(sys: StateSpaceSystem, omegas) -> np.ndarray:
+    """sinusoid_response at each frequency of ``omegas``: each frequency's
+    rescaled system in one stack, and one batched solve for all of them."""
     if sys.m != 1:
         raise DimensionError("sinusoid response requires a single input")
-    if not (0 < omega < math.inf):
+    omega = np.asarray(omegas, dtype=float).reshape(-1)
+    if not np.all((omega > 0) & (omega < math.inf)):
         raise ValueError("omega must be finite and positive")
-    scale = math.ldexp(1.0, max(0, math.frexp(omega)[1] - 1))
-    a = sys.a / scale
-    omega = omega / scale
-    xi = np.linalg.solve(a @ a + omega**2 * np.eye(sys.n), sys.b).reshape(-1)
-    c_xi = (sys.c @ xi).reshape(-1)
-    c_a_xi = (sys.c @ (a @ xi)).reshape(-1)
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs([c_xi, c_a_xi]))))[1])
+    scale = np.ldexp(1.0, np.maximum(0, np.frexp(omega)[1] - 1))
+    a = sys.a / scale[:, None, None]
+    w2 = _square(omega / scale)
+    xi = np.linalg.solve(a @ a + w2[:, None, None] * np.eye(sys.n), sys.b[None])
+    c_xi, c_a_xi = sys.c @ xi, sys.c @ (a @ xi)
+    peak = np.maximum(abs(c_xi).max(axis=(1, 2)), abs(c_a_xi).max(axis=(1, 2)))
+    unit = np.ldexp(1.0, np.frexp(peak)[1])[:, None, None]
     c_xi, c_a_xi = c_xi / unit, c_a_xi / unit
-    term_q = omega**2 * float(c_xi @ c_xi)
-    term_p = float(c_a_xi @ c_a_xi)
-    cross = float(c_a_xi @ c_xi)
-    inner = math.sqrt((term_q - term_p) ** 2 + 4.0 * omega**2 * cross**2)
-    return math.sqrt(max(0.0, 0.5 * (term_q + term_p + inner))) * unit / scale
+    term_q = w2 * _dots(c_xi, c_xi)
+    term_p = _dots(c_a_xi, c_a_xi)
+    cross = _dots(c_a_xi, c_xi)
+    inner = np.sqrt(_square(term_q - term_p) + 4.0 * w2 * _square(cross))
+    return np.sqrt(np.maximum(0.0, 0.5 * (term_q + term_p + inner))) * unit[:, 0, 0] / scale
+
+
+def _square(x):
+    # The C library's pow(x, 2), which Python floats use: x * x differs from
+    # it in the last bit about once in a thousand.
+    return np.float_power(x, 2)
+
+
+def _dots(u, v):
+    # Inner products of a stack of column vectors, one BLAS dot each.
+    return (np.swapaxes(u, 1, 2) @ v)[:, 0, 0]
 
 
 def sinusoid_lower_bound(
@@ -495,15 +551,16 @@ def sinusoid_lower_bound(
     """Best sinusoid response over a frequency grid, optionally polished.
 
     A valid lower bound on the peak gain for every frequency; the returned
-    value is the grid maximum, improved by a golden-section pass (in log
-    frequency) around the winning grid point when ``refine`` is set.
+    value is the grid maximum (one sinusoid_sweep), improved by a
+    golden-section pass (in log frequency) around the winning grid point
+    when ``refine`` is set.
     """
     if omegas is None:
         omegas = np.logspace(-3.0, 3.0, 200)
     omegas = np.asarray(list(omegas), dtype=float)
     if omegas.size == 0 or np.any(omegas <= 0):
         raise ValueError("omegas must be positive")
-    vals = np.array([sinusoid_response(sys, w) for w in omegas])
+    vals = sinusoid_sweep(sys, omegas)
     i_best = int(np.argmax(vals))
     best_omega = float(omegas[i_best])
     best = float(vals[i_best])
@@ -553,6 +610,7 @@ def onb_upper_bound(
     """
     if random_bases < 0:
         raise ValueError("random_bases must be nonnegative")
+    _checked_seed(seed)
     return _onb_bound(sys, l1_impulse_gain(sys, tol), random_bases, tol, seed)
 
 
@@ -578,16 +636,18 @@ def _onb_bound(sys, l1: GainEstimate, random_bases: int, tol: float, seed: int) 
 def periodic_upper_estimate(
     sys: StateSpaceSystem, t_grid=None, tol: float = 1e-8
 ) -> GainEstimate:
-    """Grid estimate of the limiting periodic steady-state bound, SISO only.
+    """Best periodic steady-state output over a grid of periods, SISO only.
 
     For each period T the integral of |c (exp(AT) - I)^{-1} exp(As) b| over
-    [0, T] (by its sign partition) bounds the asymptotic output of every
-    T-periodic unit input, and its supremum over T bounds the gain.  On the
-    default grid {2^k / sigma, k = -2..6} it is an estimate: a finite grid
-    cannot certify the supremum, but the value tends to the L1 gain.  For
-    several outputs the norm integral is at least the L1 bound less twice
-    the integral of ||C exp(As) b|| beyond T (Minkowski's inequality), so it
-    could never tighten a report; they raise DimensionError.
+    [0, T] (by its sign partition) is the asymptotic output, at phase 0, of
+    the best T-periodic unit input: the bang-bang one, which realises it.  So
+    every value is a lower bound on the gain, and their supremum over T is
+    the gain; on the default grid {2^k / sigma, k = -2..6} the maximum tends
+    to the L1 gain.  gain_report reads the same bound off its L1 partition
+    (one period, the L1 horizon) instead.  For several outputs the norm
+    integral is at least the L1 bound less twice the integral of
+    ||C exp(As) b|| beyond T (Minkowski's inequality), so it could never
+    tighten a report; they raise DimensionError.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -605,7 +665,7 @@ def periodic_upper_estimate(
     i_best = int(np.argmax(values))
     return GainEstimate(
         value=values[i_best],
-        kind="estimate",
+        kind="lower",
         method="periodic",
         tolerance=tol,
         details={
@@ -727,11 +787,7 @@ class GainReport:
 
 
 def _pair_slack(low: GainEstimate, high: GainEstimate) -> float:
-    scale = max(1.0, low.value, high.value)
-    slack = low.tolerance + high.tolerance + 1e-9 * scale
-    if high.kind == "estimate":
-        slack += 1e-4 * scale
-    return slack
+    return low.tolerance + high.tolerance + 1e-9 * max(1.0, low.value, high.value)
 
 
 def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> GainReport:
@@ -741,12 +797,16 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     only) with an explanatory note.  Single-input reports carry the exact
     value when one is available, all lower and upper figures, and raise
     ConsistencyError if any lower exceeds any upper beyond the combined
-    tolerances (with extra slack against grid estimates).  The ONB bound's
-    standard basis is the L1 value, and only SISO reports run the periodic
-    estimate.
+    tolerances.  The ONB bound's standard basis is the L1 value.  SISO
+    reports also list the ``periodic`` lower bound: the steady output of the
+    L1 partition's bang-bang input repeated with the L1 horizon as period
+    (details: ``period`` and the zero count ``roots``).  The exact L1 value
+    may exceed it by no more than the pair's tolerances, so an input
+    realises the exact figure.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
+    _checked_seed(seed)
     notes: list[str] = []
     dc = dc_gain(sys)
     pos = dc.details["positivity"]
@@ -755,11 +815,17 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     if sys.m > 1:
         notes.append("multi-input system: only the constant-input lower bound is computed")
     else:
-        l1 = l1_impulse_gain(sys, tol)
+        l1, signed = _l1_gain(sys, tol)
         lowers.append(sinusoid_lower_bound(sys))
         onb = _onb_bound(sys, l1, random_bases=4, tol=tol, seed=seed)
         if sys.p == 1:
-            exact, uppers = l1, [onb, periodic_upper_estimate(sys, tol=tol)]
+            periodic = _periodic_bound(sys, l1, signed)
+            if l1.value - periodic.value > _pair_slack(periodic, l1):
+                raise ConsistencyError(
+                    f"exact {l1.value} exceeds the periodic input's output {periodic.value}"
+                )
+            exact, uppers = l1, [onb]
+            lowers.append(periodic)
         else:
             exact = dc if dc.kind == "exact" else None
             uppers = [l1, onb]

@@ -22,7 +22,7 @@ from .delay import (
     DelayTrajectory,
 )
 from .exceptions import NotHurwitzError
-from .gains import CertificateBoundInput, GainEstimate, GainReport, VCurve
+from .gains import CertificateBoundInput, GainEstimate, GainReport, VCurve, _checked_seed
 from .linalg import StateSpaceSystem
 from .sim import GainEqualityRecord, Trajectory
 
@@ -80,13 +80,6 @@ def _scalar_field(doc: dict, key: str, path) -> float:
     return float(value)
 
 
-def _seed_field(doc: dict, path) -> int:
-    value = doc["seed"]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{path}: 'seed' must be a non-negative integer, got {value!r}")
-    return value
-
-
 def parse_system(path):
     """Read a system file; returns (system, extras).
 
@@ -97,7 +90,7 @@ def parse_system(path):
     doc = _load_json(path)
     extras = {
         "tol": _scalar_field(doc, "tol", path) if "tol" in doc else None,
-        "seed": _seed_field(doc, path) if "seed" in doc else None,
+        "seed": _checked_seed(doc["seed"], f"{path}: 'seed'") if "seed" in doc else None,
     }
     delay_keys = {"G", "K", "tau", "mu"}
     if delay_keys & set(doc):

@@ -150,7 +150,7 @@ class TestAnalyze:
         path.write_text(json.dumps(model))
         assert main(["analyze", str(path), "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        (periodic,) = [e for e in doc["uppers"] if e["method"] == "periodic"]
+        (periodic,) = [e for e in doc["lowers"] if e["method"] == "periodic"]
         assert abs(periodic["value"] - doc["exact"]["value"]) <= 1e-6
 
     def test_deterministic_bytes(self, oscillator_file, capsys):

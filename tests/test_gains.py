@@ -26,6 +26,7 @@ from gainlab import (
     positivity_certificate,
     sinusoid_lower_bound,
     sinusoid_response,
+    sinusoid_sweep,
     vcurve,
 )
 from gainlab import gains, linalg
@@ -60,6 +61,26 @@ def test_rejects_bad_tol(entry, oscillator):
     for tol in (0.0, -1e-8, float("nan")):
         with pytest.raises(ValueError, match="^tol must be positive$"):
             TOL_ENTRY_POINTS[entry](oscillator, tol)
+
+
+SEED_ENTRY_POINTS = {
+    "gain_report": lambda sys, seed: gain_report(sys, seed=seed),
+    "onb_upper_bound": lambda sys, seed: onb_upper_bound(sys, seed=seed),
+    "max_terminal_output": lambda sys, seed: max_terminal_output(sys, 5.0, seed=seed),
+    "vcurve": lambda sys, seed: vcurve(sys, [1.0, 2.0], seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+def test_rejects_bad_seed_first(entry):
+    # gain_report(seed=-1) on this model raised NumPy's bare ValueError from
+    # default_rng after the l1, positivity and sinusoid work.
+    sys = seeded_three_output()
+    for seed in (-1, True, 1.5, "3", None):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+            SEED_ENTRY_POINTS[entry](sys, seed)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
@@ -152,6 +173,53 @@ def test_report_partitions_l1_kernel_once(monkeypatch, oscillator):
     rows.clear()
     gain_report(seeded_three_output())
     assert rows == [3, 12]
+
+
+def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_positive):
+    # The periodic lower bound is read off the L1 partition, so a SISO report
+    # partitions only for positivity and L1; the sinusoid grid is one solve.
+    def refuse(*args, **kwargs):
+        raise AssertionError("periodic_upper_estimate reached")
+
+    calls, in_positivity = [], []
+    partition, certify = gains._sign_partition, gains.positivity_certificate
+
+    def counting_partition(*args, **kwargs):
+        calls.append(1)
+        return partition(*args, **kwargs)
+
+    def counting_certify(sys):
+        start = len(calls)
+        certificate = certify(sys)
+        in_positivity.append(len(calls) - start)
+        return certificate
+
+    monkeypatch.setattr(gains, "periodic_upper_estimate", refuse)
+    monkeypatch.setattr(gains, "_sign_partition", counting_partition)
+    monkeypatch.setattr(gains, "positivity_certificate", counting_certify)
+    # Positivity partitions once (a zero before 1 / sigma), twice (the first
+    # zero of the README oscillator lies past 1 / sigma; certified) or never
+    # (Metzler).
+    metzler = StateSpaceSystem(a=[[-2.0, 1.0], [1.0, -2.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
+    cases = (damped_oscillator(3.0, 1.0), 1), (oscillator, 2), (triangular_positive, 2), (metzler, 0)
+    for sys, expected in cases:
+        calls.clear()
+        in_positivity.clear()
+        gain_report(sys)
+        assert in_positivity == [expected]
+        assert len(calls) == expected + 1
+
+    solves = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    est = sinusoid_lower_bound(oscillator, refine=False)
+    assert len(solves) == 1
+    assert est.details["grid_points"] == 200
 
 
 def oscillator_two_output(w, d):
@@ -581,6 +649,29 @@ class TestSinusoidResponse:
             for omega in np.geomspace(1e-3, 1e40, 25):
                 assert sinusoid_response(sys, omega) == reference_sinusoid_response(sys, omega)
 
+    def test_sweep_is_single_calls_to_the_bit(self):
+        # One batched solve over the frequency stack, p up to 3 outputs: the
+        # same bits as one call per frequency and as the unscaled closed form.
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            n, p = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            a = random_hurwitz_matrix(rng, n=n)
+            sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (n, 1)), c=rng.uniform(-2.0, 2.0, (p, n)))
+            unscaled = np.geomspace(1e-3, 1e40, 60)
+            omegas = np.concatenate((unscaled, [1e100, 1e300, 1.7976931348623157e308]))
+            sweep = sinusoid_sweep(sys, omegas)
+            assert [float(v) for v in sweep] == [sinusoid_response(sys, w) for w in omegas]
+            assert [float(v) for v in sweep[: unscaled.size]] == [
+                reference_sinusoid_response(sys, w) for w in unscaled
+            ]
+
+    def test_sweep_rejects_bad_omega(self, scalar_system):
+        for bad in ([1.0, 0.0], [math.inf], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="omega must be finite and positive"):
+                sinusoid_sweep(scalar_system, bad)
+        with pytest.raises(DimensionError):
+            sinusoid_sweep(StateSpaceSystem(a=-np.eye(2), b=np.eye(2), c=[[1.0, 0.0]]), [1.0])
+
     def test_huge_omega(self, scalar_system, oscillator):
         # Python floats: omega**2 raised OverflowError above about 1.3e154.
         # First order, closed form 1 / sqrt(1 + omega^2) = (1 / omega) / sqrt(1 + omega^-2).
@@ -642,7 +733,7 @@ class TestOnbUpperBound:
 class TestPeriodicUpperEstimate:
     def test_scalar_identically_one(self, scalar_system):
         est = periodic_upper_estimate(scalar_system, tol=1e-10)
-        assert est.kind == "estimate"
+        assert est.kind == "lower"
         np.testing.assert_allclose(est.details["values"], 1.0, atol=1e-9)
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
@@ -673,6 +764,44 @@ class TestPeriodicUpperEstimate:
     def test_rejects_bad_grid(self, scalar_system):
         with pytest.raises(ValueError):
             periodic_upper_estimate(scalar_system, t_grid=[0.0])
+
+
+class TestPeriodicLowerBound:
+    """The report's ``periodic`` entry against SciPy: the steady output, at
+    phase 0, of the bang-bang input u(t) = sgn g(H - t), g(s) = c exp(As) b,
+    repeated with the L1 horizon H as period."""
+
+    SYSTEMS = [
+        ("readme-oscillator", lambda: damped_oscillator(1.0, 1.0)),
+        ("oscillator-3-0.3", lambda: damped_oscillator(3.0, 0.3)),
+        ("oscillator-10-1", lambda: damped_oscillator(10.0, 1.0)),
+        ("scalar", lambda: StateSpaceSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]])),
+    ] + [
+        (f"random-{k}", lambda k=k: random_siso_system(np.random.default_rng(800 + k)))
+        for k in range(5)
+    ]
+
+    @pytest.mark.parametrize("make", [m for _, m in SYSTEMS], ids=[i for i, _ in SYSTEMS])
+    def test_matches_scipy_steady_output(self, make):
+        sys, tol = make(), 1e-8
+        rep = gain_report(sys, tol=tol)
+        (periodic,) = [e for e in rep.lowers if e.method == "periodic"]
+        period = periodic.details["period"]
+        assert periodic.kind == "lower"
+        assert period == rep.exact.details["horizon"]
+        assert periodic.details["roots"] == rep.exact.details["roots"][0]
+        # Past 40 / |abscissa| the kernel has decayed by e^-40: SciPy's
+        # integrals stop there, on [0, H] for W_H and on [0, inf) for the gain.
+        decay = -float(np.max(scipy.linalg.eigvals(sys.a).real))
+        t_end = 40.0 / decay
+        w_h = quad_kernel_integrals(sys.a, sys.b, sys.c[0], min(period, t_end))[1:]
+        flow = scipy.linalg.expm(sys.a * period)
+        steady = abs(float(sys.c[0] @ scipy.linalg.solve(np.eye(sys.n) - flow, w_h)))
+        assert abs(periodic.value - steady) <= 1e-9 * steady
+        l1_ref = quad_kernel_integrals(sys.a, sys.b, sys.c[0], t_end)[0]
+        scale = max(1.0, l1_ref)
+        assert periodic.value <= l1_ref + 1e-12 * scale
+        assert rep.exact.value - periodic.value <= tol
 
 
 class TestCertificateBound:
@@ -773,8 +902,8 @@ class TestGainReport:
         assert rep.exact.value == pytest.approx(1.0, abs=1e-9)
         assert rep.positivity is PositivityCertificate.ASSUMPTION_H
         assert rep.dims == (1, 1, 1)
-        assert {e.method for e in rep.lowers} == {"dc", "sinusoid"}
-        assert {e.method for e in rep.uppers} == {"onb", "periodic"}
+        assert {e.method for e in rep.lowers} == {"dc", "sinusoid", "periodic"}
+        assert {e.method for e in rep.uppers} == {"onb"}
         for low in rep.lowers:
             assert low.value <= rep.exact.value + 1e-9
 
@@ -832,6 +961,15 @@ class TestGainReport:
         monkeypatch.setattr(gains_mod, "dc_gain", fake_dc)
         with pytest.raises(ConsistencyError):
             gain_report(StateSpaceSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]))
+
+    def test_exact_above_periodic_detected(self, oscillator, monkeypatch):
+        # No input would realise an exact value above the periodic output.
+        def short(sys, l1, signed):
+            return GainEstimate(value=l1.value - 1e-3, kind="lower", method="periodic", tolerance=l1.tolerance)
+
+        monkeypatch.setattr(gains, "_periodic_bound", short)
+        with pytest.raises(ConsistencyError, match="periodic input"):
+            gain_report(oscillator)
 
     def test_one_positivity_certificate(self, oscillator, monkeypatch):
         calls = []
