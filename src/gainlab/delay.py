@@ -189,6 +189,10 @@ def _history_steps(tau: float, h: float) -> int:
     return steps
 
 
+# Grid steps whose input drive simulate_predictor builds at once.
+_DRIVE_BLOCK = 1 << 16
+
+
 def simulate_predictor(
     sys: DelayPredictorSystem,
     signal: InputSignal,
@@ -208,7 +212,8 @@ def simulate_predictor(
     stored window z_record[k : k + N + 1] (N = tau / h), which is folded with
     Phi - I into one (n + m) x (N + 1)(n + m) matrix acting on the last N + 1
     rows of x, so a step is one matrix-vector product; the drives' input
-    terms are evaluated on the whole grid before the loop.
+    terms are evaluated for blocks of at most _DRIVE_BLOCK steps as the loop
+    reaches them, which bounds their memory.
     """
     if signal_dim(signal) != sys.p:
         raise DimensionError(
@@ -252,23 +257,24 @@ def simulate_predictor(
     win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
     win[-1] += grow
     win = win.transpose(1, 0, 2).reshape(d, -1)
-    t_now = np.arange(n_steps) * h
-    drive = evaluate(signal, t_now) @ (q0[:, :n] @ sys.g).T
-    drive += evaluate(signal, t_now + 0.5 * h) @ (qh[:, :n] @ sys.g).T
-    drive += evaluate(signal, t_now + h) @ (q1[:, :n] @ sys.g).T
 
     record = np.zeros((hist_steps + n_steps + 1, d))
     record[: hist_steps + 1, n:] = state0.z_history
     record[hist_steps, :n] = state0.y
     flat = record.reshape(-1)
-    # A diverging state overflows to inf or nan; the check below reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            window = flat[k * d : (k + hist_steps + 1) * d]
-            x_next = record[hist_steps + k] + (win @ window + drive[k])
-            if not np.isfinite(x_next).all():
-                raise SimulationError(f"delay state diverged at t={(k + 1) * h}")
-            record[hist_steps + k + 1] = x_next
+    for first in range(0, n_steps, _DRIVE_BLOCK):
+        t_now = np.arange(first, min(first + _DRIVE_BLOCK, n_steps)) * h
+        drive = evaluate(signal, t_now) @ (q0[:, :n] @ sys.g).T
+        drive += evaluate(signal, t_now + 0.5 * h) @ (qh[:, :n] @ sys.g).T
+        drive += evaluate(signal, t_now + h) @ (q1[:, :n] @ sys.g).T
+        # A diverging state overflows to inf or nan; the check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(first, first + t_now.size):
+                window = flat[k * d : (k + hist_steps + 1) * d]
+                x_next = record[hist_steps + k] + (win @ window + drive[k - first])
+                if not np.isfinite(x_next).all():
+                    raise SimulationError(f"delay state diverged at t={(k + 1) * h}")
+                record[hist_steps + k + 1] = x_next
 
     return DelayTrajectory(
         times=np.arange(n_steps + 1) * h,

@@ -367,9 +367,8 @@ def max_terminal_output(
     Returns (value, direction) where direction is the unit output direction
     achieving the value.  SISO systems are exact (the optimizer is bang-bang
     against the kernel sign, the value summed between its zeros); otherwise
-    the value comes from an iterated direction-alignment ascent, and with
-    several outputs it is a lower estimate.  With one input each ascent step
-    is one sign partition of the kernel d'C exp(As) b.
+    the value comes from vcurve's direction-alignment ascent on the one
+    horizon, and with several outputs it is a lower estimate.
     """
     if not (horizon > 0):
         raise ValueError("horizon must be positive")
@@ -378,32 +377,45 @@ def max_terminal_output(
     _checked_seed(seed)
     if sys.p == 1 and sys.m == 1:
         return float(_aligned_terminal(sys, horizon, np.ones(1), tol)[0]), np.array([1.0])
-    return _iterative_terminal_output(sys, horizon, restarts, tol, seed)
+    values, dirs = _iterative_terminal_output(sys, np.array([float(horizon)]), restarts, tol, seed)
+    return float(values[0]), dirs[0]
 
 
-def _iterative_terminal_output(sys, horizon, restarts, tol, seed):
-    # Alternate between the optimal input for a fixed output direction and
-    # realigning the direction with the terminal output that input produces.
-    # Each iterate is feasible, so the best value seen is a valid lower
-    # estimate whatever the iteration does.
+def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
+    # Each (start, horizon) pair alternates between the optimal input for its
+    # output direction and realigning the direction with the terminal output
+    # that input produces, at most 40 times.  The pairs run in lockstep: with
+    # one input a step is one sign partition of every live pair's kernel
+    # d'C exp(As) b out to the last horizon, each pair reading its terminal
+    # state at its own horizon.  Each iterate is feasible, so the best value
+    # seen per horizon is a valid lower estimate whatever the iteration does.
     rng = np.random.default_rng(seed)
-    starts = list(np.eye(sys.p))
-    for _ in range(max(0, restarts)):
-        vec = rng.standard_normal(sys.p)
-        starts.append(vec / np.linalg.norm(vec))
-    best_value, best_dir = 0.0, starts[0]
-    for d in starts:
-        last = -np.inf
-        for _ in range(40):
-            y_t = sys.c @ _aligned_terminal(sys, horizon, d, tol)[1:]
-            value = float(np.linalg.norm(y_t))
-            if value > best_value:
-                best_value, best_dir = value, y_t / value
-            if value <= 0 or value - last <= tol * max(1.0, value):
-                break
-            last = value
-            d = y_t / value
-    return best_value, best_dir
+    draws = rng.standard_normal((max(0, restarts), sys.p))
+    starts = [*np.eye(sys.p), *(v / np.linalg.norm(v) for v in draws)]
+    k, s = horizons.size, len(starts)
+    horizon_of = np.repeat(np.arange(k), s)
+    d = np.tile(starts, (k, 1))
+    best, best_dir = np.zeros(k * s), np.tile(starts[0], (k * s, 1))
+    last, live = np.full(k * s, -np.inf), np.arange(k * s)
+    for _ in range(40):
+        if sys.m == 1:
+            signed = _sign_partition(sys, d[live] @ sys.c, horizons, tol)[1]
+            x = signed[horizon_of[live], np.arange(live.size)]
+        else:
+            x = np.array([_aligned_terminal(sys, horizons[horizon_of[j]], d[j], tol)[1:] for j in live])
+        y = x @ sys.c.T
+        value = np.linalg.norm(y, axis=1)
+        up = value > best[live]
+        best[live[up]], best_dir[live[up]] = value[up], y[up] / value[up, None]
+        stop = (value <= 0) | (value - last[live] <= tol * np.maximum(1.0, value))
+        last[live], d[live[~stop]] = value, y[~stop] / value[~stop, None]
+        live = live[~stop]
+        if not live.size:
+            break
+    # Per horizon, the first start to reach the best value, as one start
+    # after another would find it.
+    pick = best.reshape(k, s).argmax(axis=1) + s * np.arange(k)
+    return best[pick], best_dir[pick]
 
 
 def _aligned_terminal(sys, horizon, d, tol):
@@ -455,19 +467,23 @@ def vcurve(
     """Evaluate max_terminal_output on an increasing horizon grid.
 
     SISO systems read the curve off one sign partition of the kernel (each
-    value a partial sum), so a dense grid costs no more than its largest
-    horizon.
+    value a partial sum).  Otherwise the direction-alignment ascent runs from
+    the standard basis and ``restarts`` seeded directions at every horizon at
+    once.  With one input each of its at most 40 steps is one sign partition,
+    out to the largest horizon, for all starts and horizons, so a grid of any
+    size costs at most 40 partitions, as one horizon does.
     """
     hs = np.asarray(list(horizons), dtype=float)
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be strictly increasing and positive")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
     _checked_seed(seed)
     if sys.p == 1 and sys.m == 1:
         values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
-    points = [max_terminal_output(sys, t, restarts=restarts, tol=tol, seed=seed) for t in hs]
-    values, dirs = zip(*points)
-    return VCurve(hs, np.array(values), list(dirs), exact=sys.p == 1)
+    values, dirs = _iterative_terminal_output(sys, hs, restarts, tol, seed)
+    return VCurve(hs, values, list(dirs), exact=sys.p == 1)
 
 
 def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:

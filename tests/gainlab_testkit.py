@@ -7,8 +7,11 @@ test tree's conftest.py (perfbench/tests has one) when both run in one session.
 import math
 
 import numpy as np
+import scipy.integrate
+import scipy.linalg
+import scipy.optimize
 
-from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, mat_exp
+from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, gains, mat_exp
 from gainlab.linalg import _expm, _expm_times, _orbit, spectral_norm
 from gainlab.modelio import _fmt
 from gainlab.quadrature import simpson_panels, tail_horizon
@@ -68,6 +71,35 @@ def damped_oscillator_l1(w, d, t=math.inf):
     swing = d / 2.0 * math.sin(w_d * tau) + w_d * math.cos(w_d * tau)
     part = w_d - math.exp(-d * tau / 2.0) * swing
     return (1.0 + q) * (1.0 - q**k) / ((1.0 - q) * w * w) + q**k * part / (w * w * w_d)
+
+
+def kernel_zeros(a, b, row, t_end, samples=2001):
+    """SciPy reference for the zeros of g(r) = row exp(Ar) b on [0, t_end]:
+    brentq between the sign changes of ``samples`` equally spaced samples."""
+
+    def g(r):
+        return float(row @ scipy.linalg.expm(a * r) @ b[:, 0])
+
+    grid = np.linspace(0.0, t_end, samples)
+    vals = [g(r) for r in grid]
+    return [
+        scipy.optimize.brentq(g, lo, hi, xtol=1e-15)
+        for lo, hi, v0, v1 in zip(grid, grid[1:], vals, vals[1:])
+        if (v0 >= 0.0) != (v1 >= 0.0)
+    ]
+
+
+def quad_kernel_integrals(a, b, row, t_end, samples=2001):
+    """SciPy reference for g(r) = row exp(Ar) b on [0, t_end]: the integral of
+    |g| followed by the integral of sgn(g(r)) exp(Ar) b, by quad_vec split at
+    the zeros of kernel_zeros."""
+
+    def f(r):
+        x = scipy.linalg.expm(a * r) @ b[:, 0]
+        return np.sign(row @ x) * np.concatenate(([row @ x], x))
+
+    zeros = kernel_zeros(a, b, row, t_end, samples)
+    return scipy.integrate.quad_vec(f, 0.0, t_end, epsabs=1e-13, epsrel=1e-13, points=zeros)[0]
 
 
 def reference_impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
@@ -181,6 +213,33 @@ def reference_aligned_terminal(sys, horizon, d, tol):
         return out
 
     return simpson_panels(integrand, [0.0, horizon], tol)[0]
+
+
+def reference_terminal_ascent(sys, horizons, restarts=8, tol=1e-9, seed=0):
+    """The start-by-start direction-alignment ascent, one horizon after
+    another, kept as the reference for gainlab's lockstep one: the value at
+    each horizon, each ascent step one call of ``gains._aligned_terminal``
+    for one start and one horizon."""
+    values = []
+    for horizon in horizons:
+        rng = np.random.default_rng(seed)
+        starts = list(np.eye(sys.p))
+        for _ in range(max(0, restarts)):
+            vec = rng.standard_normal(sys.p)
+            starts.append(vec / np.linalg.norm(vec))
+        best_value = 0.0
+        for d in starts:
+            last = -np.inf
+            for _ in range(40):
+                y_t = sys.c @ gains._aligned_terminal(sys, horizon, d, tol)[1:]
+                value = float(np.linalg.norm(y_t))
+                best_value = max(best_value, value)
+                if value <= 0 or value - last <= tol * max(1.0, value):
+                    break
+                last = value
+                d = y_t / value
+        values.append(best_value)
+    return np.array(values)
 
 
 def reference_periodic_values(sys, t_grid, tol):

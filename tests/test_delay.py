@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,47 @@ TWO_INPUT_PLANT = DelayPredictorSystem(
 BANG_BANG = PeriodicExtension(
     BangBangInput(horizon=1.0, switch_times=[0.37, 0.71]), base_span=1.0, period=1.5
 )
+
+
+def _two_input_run(steps):
+    h = TWO_INPUT_PLANT.tau / 4
+    state = DelayState.resting(TWO_INPUT_PLANT, 4)
+    signal = Sinusoid(direction=[1.0], omega=3.0)
+    return simulate_predictor(TWO_INPUT_PLANT, signal, state, steps * h, h)
+
+
+def test_input_drive_built_in_blocks(monkeypatch):
+    # 2 x 10^5 steps are four drive blocks of 2^16 steps, three evaluate calls
+    # each; a one-block drive gives the same trajectory.
+    calls = []
+    evaluate = delaymod.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(delaymod, "evaluate", counting)
+    blocked = _two_input_run(200_000)
+    assert blocked.times.size == 200_001 and len(calls) == 12
+    monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", 10**6)
+    calls.clear()
+    whole = _two_input_run(200_000)
+    assert len(calls) == 3
+    for ours, reference in ((blocked.ys, whole.ys), (blocked.zs, whole.zs)):
+        assert np.all(np.abs(ours - reference) <= 1e-15 * np.max(np.abs(reference), axis=0))
+
+
+def test_drive_blocks_bound_memory(monkeypatch):
+    # Tracing slows the step loop about 30x, so the four-block layout above is
+    # traced at a thirty-second of its size: 6,250 steps in blocks of 2^11.
+    peaks = []
+    for block in (1 << 11, 10**6):
+        monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", block)
+        tracemalloc.start()
+        _two_input_run(6_250)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= (2.0 / 3.0) * peaks[1]
 
 
 def _relative_gap(value, reference):

@@ -3,9 +3,7 @@ import time
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
-import scipy.optimize
 
 from gainlab import (
     CertificateBoundInput,
@@ -35,6 +33,7 @@ from gainlab_testkit import (
     damped_oscillator,
     damped_oscillator_l1,
     oscillator_kernel,
+    quad_kernel_integrals,
     random_hurwitz_matrix,
     random_siso_system,
     reference_aligned_terminal,
@@ -42,6 +41,7 @@ from gainlab_testkit import (
     reference_impulse_rows,
     reference_periodic_values,
     reference_sinusoid_response,
+    reference_terminal_ascent,
 )
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
@@ -49,6 +49,7 @@ SQRT5_HALF = math.sqrt(5.0) / 2.0
 TOL_ENTRY_POINTS = {
     "l1_impulse_gain": lambda sys, tol: l1_impulse_gain(sys, tol=tol),
     "max_terminal_output": lambda sys, tol: max_terminal_output(sys, 5.0, tol=tol),
+    "vcurve": lambda sys, tol: vcurve(sys, [1.0, 2.0], tol=tol),
     "onb_upper_bound": lambda sys, tol: onb_upper_bound(sys, tol=tol),
     "periodic_upper_estimate": lambda sys, tol: periodic_upper_estimate(sys, tol=tol),
     "gain_report": lambda sys, tol: gain_report(sys, tol=tol),
@@ -111,29 +112,6 @@ def seeded_three_output():
     rng = np.random.default_rng(5)
     a = random_hurwitz_matrix(rng, n=5)
     return StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (5, 1)), c=rng.uniform(-2.0, 2.0, (3, 5)))
-
-
-def quad_kernel_integrals(a, b, row, t_end):
-    """SciPy reference for g(r) = row exp(Ar) b on [0, t_end]: the integral of
-    |g| followed by the integral of sgn(g(r)) exp(Ar) b, by quad_vec split at
-    the zeros brentq finds between 2001 samples."""
-
-    def g(r):
-        return float(row @ scipy.linalg.expm(a * r) @ b[:, 0])
-
-    grid = np.linspace(0.0, t_end, 2001)
-    vals = [g(r) for r in grid]
-    zeros = [
-        scipy.optimize.brentq(g, lo, hi, xtol=1e-15)
-        for lo, hi, v0, v1 in zip(grid, grid[1:], vals, vals[1:])
-        if (v0 >= 0.0) != (v1 >= 0.0)
-    ]
-
-    def f(r):
-        x = scipy.linalg.expm(a * r) @ b[:, 0]
-        return np.sign(row @ x) * np.concatenate(([row @ x], x))
-
-    return scipy.integrate.quad_vec(f, 0.0, t_end, epsabs=1e-13, epsrel=1e-13, points=zeros)[0]
 
 
 def test_single_input_scalar_kernels_skip_simpson(monkeypatch, oscillator):
@@ -519,6 +497,41 @@ class TestPositivityCertificate:
         assert time.perf_counter() - start < 0.2
 
 
+def identity_output_oscillator(w, d):
+    """The damped oscillator with both states as outputs (C = I)."""
+    osc = damped_oscillator(w, d)
+    return StateSpaceSystem(a=osc.a, b=osc.b, c=np.eye(2))
+
+
+DIAGONAL = [[-1.0, 0.0], [0.0, -2.0]]
+# name -> (system, restarts, tol) for the lockstep ascent against the
+# reference.  Two seeded restarts keep the reference's one partition per
+# start, horizon and step affordable; the multi-input ascent integrates a
+# vector norm by adaptive Simpson, so it runs at tol 1e-6.
+ASCENT_CASES = {
+    "three-output": lambda: (seeded_three_output(), 8, 1e-8),
+    **{
+        f"oscillator-{w}-{d}": (lambda w=w, d=d: (identity_output_oscillator(w, d), 2, 1e-8))
+        for w, d in ((1.0, 1.0), (3.0, 0.3), (10.0, 1.0), (7.0, 0.1))
+    },
+    "m2-p2": lambda: (
+        StateSpaceSystem(a=DIAGONAL, b=[[1.0, 0.5], [0.0, 1.0]], c=[[1.0, 0.0], [1.0, 1.0]]),
+        2,
+        1e-6,
+    ),
+    "m3-p2": lambda: (
+        StateSpaceSystem(a=DIAGONAL, b=[[1.0, 0.0, 1.0], [0.0, 1.0, -0.5]], c=np.eye(2)),
+        2,
+        1e-6,
+    ),
+    "m2-p1": lambda: (
+        StateSpaceSystem(a=[[0.0, 1.0], [-1.0, -1.0]], b=np.eye(2), c=[[1.0, 0.5]]),
+        2,
+        1e-6,
+    ),
+}
+
+
 class TestMaxTerminalOutput:
     def test_scalar_closed_form(self, scalar_system):
         # V(T) = integral of e^{-s} over [0, T]
@@ -559,14 +572,41 @@ class TestVCurve:
         assert np.all(np.diff(curve.values) >= -1e-9)
 
     def test_three_output_curve_in_seconds(self):
-        # Each ascent step integrated its aligned kernel by adaptive Simpson:
-        # 15 s for these 40 horizons.
+        # The ascent took 15 s for these 40 horizons when adaptive Simpson
+        # integrated each step, and 2.3 s with one sign partition per start,
+        # horizon and step; in lockstep it takes 0.4 s.
         sys = seeded_three_output()
         start = time.perf_counter()
         curve = vcurve(sys, np.linspace(0.5, 20.0, 40), tol=1e-8)
         assert time.perf_counter() - start < 5.0
         assert not curve.exact
         assert np.max(curve.values) <= l1_impulse_gain(sys, tol=1e-8).value + 1e-8
+
+    @pytest.mark.parametrize("case", sorted(ASCENT_CASES))
+    def test_lockstep_ascent_matches_reference(self, case):
+        # The lockstep partitions run out to the last horizon, the reference's
+        # out to each one, so the values differ only by rounding.
+        sys, restarts, tol = ASCENT_CASES[case]()
+        hs = np.linspace(0.5, 20.0, 40)
+        curve = vcurve(sys, hs, restarts=restarts, tol=tol)
+        reference = reference_terminal_ascent(sys, hs, restarts=restarts, tol=tol)
+        np.testing.assert_allclose(curve.values, reference, rtol=1e-12, atol=0.0)
+
+    def test_ascent_costs_one_partition_per_step(self, monkeypatch):
+        # One partition per start, horizon and step made 1,706 calls here.
+        calls = []
+        partition = gains._sign_partition
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(gains, "_sign_partition", counting)
+        vcurve(seeded_three_output(), np.linspace(0.5, 20.0, 40), tol=1e-8)
+        assert 0 < len(calls) <= 40
+        calls.clear()
+        max_terminal_output(identity_output_oscillator(1.0, 1.0), 20.0)
+        assert 0 < len(calls) <= 40
 
     def test_two_output_not_exact(self, diag_two_output):
         curve = vcurve(diag_two_output, [1.0, 5.0], tol=1e-8)

@@ -22,7 +22,13 @@ from gainlab import (
     worst_case_periodic_input,
 )
 from gainlab import linalg, sim
-from gainlab_testkit import random_hurwitz_matrix, reference_simulate
+from gainlab_testkit import (
+    kernel_zeros,
+    quad_kernel_integrals,
+    random_hurwitz_matrix,
+    random_siso_system,
+    reference_simulate,
+)
 
 
 class TestSimulateExactness:
@@ -303,6 +309,44 @@ class TestEmpiricalGains:
             empirical_gains(scalar_system, Constant(u0=[1.0]), 10.0, 20.0, 0.1)
 
 
+def steady_bang_bang_peak(sys, record, steps_per_period=4096):
+    """SciPy reference for verify_gain_equality's asymptotic output.  Over one
+    period the bang-bang part u(s) = sgn g(H - s), g(r) = c exp(Ar) b, leaves
+    the state W_H = integral of sgn(g(r)) exp(Ar) b over [0, H] (quad_vec
+    split at brentq's zeros), and the rest carries it to exp(AR) W_H.  The
+    steady state at phase 0 is (I - exp(AT))^-1 exp(AR) W_H; it is propagated
+    over the period's recording grid in closed form, the input constant
+    between switches, and the largest |y| on the grid is returned."""
+    a, b, row = sys.a, sys.b, sys.c[0]
+    horizon, period = record.horizon, record.period
+
+    def flow(t):
+        return scipy.linalg.expm(a * t)
+
+    def sign(r):
+        return np.sign(row @ flow(r) @ b[:, 0])
+
+    samples = max(2001, math.ceil(8.0 * np.linalg.norm(a, 1) * horizon))
+    zeros = kernel_zeros(a, b, row, horizon, samples)
+    w_h = quad_kernel_integrals(a, b, row, horizon, samples)[1:]
+    x = np.linalg.solve(np.eye(sys.n) - flow(period), flow(period - horizon) @ w_h)
+    h = period / steps_per_period
+    a_inv_b = np.linalg.solve(a, b[:, 0])
+    cuts = np.append(horizon - np.asarray(zeros), horizon)
+    outputs = [row @ x]
+    for i in range(steps_per_period):
+        t0, t1 = i * h, (i + 1) * h
+        pieces = np.concatenate(([t0], np.sort(cuts[(cuts > t0) & (cuts < t1)]), [t1]))
+        # Over a piece [s0, s1] with constant u the state gains
+        # u (exp(A (t1 - s0)) - exp(A (t1 - s1))) A^-1 b by time t1.
+        x = flow(h) @ x
+        for s0, s1 in zip(pieces, pieces[1:]):
+            if s0 + s1 < 2.0 * horizon:
+                x += sign(horizon - 0.5 * (s0 + s1)) * ((flow(t1 - s0) - flow(t1 - s1)) @ a_inv_b)
+        outputs.append(row @ x)
+    return float(np.max(np.abs(outputs)))
+
+
 class TestVerifyGainEquality:
     def test_scalar_passes(self, scalar_system):
         record = verify_gain_equality(scalar_system, accuracy=0.02)
@@ -345,3 +389,17 @@ class TestVerifyGainEquality:
         assert record.horizon / step == pytest.approx(round(record.horizon / step), abs=1e-6)
         assert record.passed
         assert record.asymptotic_gain == pytest.approx(record.gamma, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", ["scalar_system", "oscillator", "random-0", "random-7", "random-9"]
+    )
+    def test_matches_closed_form_steady_output(self, model, request):
+        # The random draws' kernels change sign 35, 3 and 28 times before
+        # their horizons.
+        if model.startswith("random-"):
+            sys = random_siso_system(np.random.default_rng(int(model.split("-")[1])))
+        else:
+            sys = request.getfixturevalue(model)
+        record = verify_gain_equality(sys, accuracy=0.02)
+        peak = steady_bang_bang_peak(sys, record)
+        assert abs(record.asymptotic_gain - peak) <= 1e-9 * peak
