@@ -177,7 +177,8 @@ def _cmd_simulate(args) -> int:
     system, _ = modelio.parse_system(args.model)
     if isinstance(system, DelayPredictorSystem):
         h = args.step if args.step is not None else system.tau / 64.0
-        state0 = DelayState.resting(system, delaymod._history_steps(system.tau, h))
+        hist_steps, _ = delaymod._delay_grid(system.tau, h, args.t_max)
+        state0 = DelayState.resting(system, hist_steps)
         signal = Constant(_unit_direction(system.p))
         traj = delaymod.simulate_predictor(system, signal, state0, args.t_max, h)
         xi, xi_ref = delaymod.predictor_error_series(traj, system)

@@ -17,8 +17,11 @@ composite trapezoid rule over the stored z history (linear interpolation at
 half steps), its weighted kernels h w_j exp(A j h) B taken once from
 linalg._expm_times.  Everything a step reads is stored before it starts, so
 one linear RK4 step map is built per simulation: the history window folds
-into one matrix and the input drive is evaluated on the whole grid.  The
-step must divide the delay exactly so history lookups stay on the grid.
+into one matrix and the input drive is evaluated in blocks of the grid.
+The resulting recurrence has constant coefficients, so a block of steps is
+solved at once, as one Toeplitz matrix-vector product of the recurrence's
+impulse responses.  The step must divide the delay exactly so history
+lookups stay on the grid.
 """
 
 from __future__ import annotations
@@ -189,8 +192,54 @@ def _history_steps(tau: float, h: float) -> int:
     return steps
 
 
+# Largest n_steps * (N + 1), the stored rows a simulation of n_steps steps
+# over an N-step history reads: every grid of at most _MAX_GRID_STEPS steps
+# at the default step tau / 64 fits.
+_MAX_DELAY_WORK = 65 * _MAX_GRID_STEPS
+
+
+def _delay_grid(tau: float, h: float, t_end: float) -> tuple[int, int]:
+    """(N, n_steps): the history steps tau / h and the grid steps t_end / h;
+    raises ValueError unless both are legal and n_steps (N + 1) is at most
+    _MAX_DELAY_WORK, so a simulation's work has a bound."""
+    hist_steps = _history_steps(tau, h)
+    n_steps = _grid_steps(t_end, h)
+    work = n_steps * (hist_steps + 1)
+    if work > _MAX_DELAY_WORK:
+        raise ValueError(
+            f"{n_steps} grid steps over {hist_steps + 1} history rows read "
+            f"{work:.4g} stored rows, over the limit of {_MAX_DELAY_WORK:.4g}; "
+            "use a larger step (--step) or a shorter duration (--t-max)"
+        )
+    return hist_steps, n_steps
+
+
 # Grid steps whose input drive simulate_predictor builds at once.
 _DRIVE_BLOCK = 1 << 16
+# Grid steps simulate_predictor solves at once: at most this many impulse
+# responses make up its block Toeplitz matrix.
+_SOLVE_BLOCK = 32
+
+
+def _impulse_responses(blocks: np.ndarray, count: int) -> np.ndarray:
+    """Responses R_0 = I, R_j = R_{j-1} + sum_r W_r R_{j-1-N+r} (R_i = 0 for
+    i < 0) of x_{k+1} = x_k + sum_r W_r x_{k-N+r} + g_k to a unit g_0, for
+    the N + 1 window blocks W_r stacked in ``blocks``: x_{j+1} = R_j g_0.
+    Stops before the first response that is not finite, so that at least
+    R_0 is returned; an unstable step map overflows within a few steps."""
+    n_blocks, d = blocks.shape[0], blocks.shape[1]
+    resp = np.zeros((count, d, d))
+    resp[0] = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, count):
+            lo = max(0, j - n_blocks)
+            nxt = resp[j - 1] + np.einsum(
+                "sab,sbc->ac", blocks[lo + n_blocks - j :], resp[lo:j]
+            )
+            if not np.isfinite(nxt).all():
+                return resp[:j]
+            resp[j] = nxt
+    return resp
 
 
 def simulate_predictor(
@@ -203,30 +252,36 @@ def simulate_predictor(
     """Integrate the delayed interconnection with RK4 on a uniform grid.
 
     ``h`` must divide tau (relative tolerance 1e-9) and match the history
-    grid in ``state0``.  Error order: the distributed term is trapezoid
-    (order 2), so the global error is O(h^2) despite the RK4 shell.
+    grid in ``state0``; the grid must pass _delay_grid's work bound.  Error
+    order: the distributed term is trapezoid (order 2), so the global error
+    is O(h^2) despite the RK4 shell.
 
     One RK4 step map is built per call: with x = (y, z), a step is
     x_{k+1} = x_k + (Phi - I) x_k + Q0 e0 + Qh eh + Q1 e1, the drives e taken
     at t_k, t_k + h/2 and t_k + h.  Their history terms are linear in the
     stored window z_record[k : k + N + 1] (N = tau / h), which is folded with
-    Phi - I into one (n + m) x (N + 1)(n + m) matrix acting on the last N + 1
-    rows of x, so a step is one matrix-vector product; the drives' input
-    terms are evaluated for blocks of at most _DRIVE_BLOCK steps as the loop
-    reaches them, which bounds their memory.
+    Phi - I into one (n + m) x (N + 1)(n + m) matrix ``win`` acting on the
+    last N + 1 rows of x:  x_{k+1} = x_k + win window_k + drive_k.  That
+    recurrence has constant coefficients, so the L = _SOLVE_BLOCK steps after
+    a known row x_{k0} are X = T_L (windows win' + drive + x_{k0} e_0): the
+    windows are the stored rows with those not yet solved still zero, and
+    T_L is the block lower-triangular Toeplitz matrix of the recurrence's
+    first L impulse responses, built once per call, so a block of steps is
+    one matrix product for the windows and one Toeplitz matvec.  The drives'
+    input terms are evaluated for blocks of at most _DRIVE_BLOCK steps as
+    the solve reaches them, which bounds their memory.
     """
     if signal_dim(signal) != sys.p:
         raise DimensionError(
             f"input dimension {signal_dim(signal)} does not match system p={sys.p}"
         )
-    hist_steps = _history_steps(sys.tau, h)
+    hist_steps, n_steps = _delay_grid(sys.tau, h, t_end)
     if state0.z_history.shape != (hist_steps + 1, sys.m):
         raise DimensionError(
             f"z_history must have shape ({hist_steps + 1}, {sys.m}) for h={h}"
         )
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
-    n_steps = _grid_steps(t_end, h)
     n, m, d = sys.n, sys.m, sys.n + sys.m
 
     # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
@@ -250,31 +305,57 @@ def simulate_predictor(
     # is row 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of
     # both ends, and row N is x_k itself.
     past = kernels[:0:-1]
-    win = np.zeros((hist_steps + 1, d, d))
-    win[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-    win[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-    win[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-    win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-    win[-1] += grow
-    win = win.transpose(1, 0, 2).reshape(d, -1)
+    blocks = np.zeros((hist_steps + 1, d, d))
+    blocks[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+    blocks[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+    blocks[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+    blocks[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+    blocks[-1] += grow
+    win = blocks.transpose(1, 0, 2).reshape(d, -1)
+
+    resp = _impulse_responses(blocks, _SOLVE_BLOCK)
+    size = resp.shape[0]
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    resp = np.concatenate((resp, np.zeros((1, d, d))))
+    toeplitz = resp[np.where(lag >= 0, lag, size)].transpose(0, 2, 1, 3)
+    toeplitz = toeplitz.reshape(size * d, size * d)
 
     record = np.zeros((hist_steps + n_steps + 1, d))
     record[: hist_steps + 1, n:] = state0.z_history
     record[hist_steps, :n] = state0.y
-    flat = record.reshape(-1)
+    # windows[k] is the flat record rows k..k+N, a view that sees each row
+    # as soon as it is written.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        record.reshape(-1), (hist_steps + 1) * d
+    )[::d]
     for first in range(0, n_steps, _DRIVE_BLOCK):
-        t_now = np.arange(first, min(first + _DRIVE_BLOCK, n_steps)) * h
+        last = min(first + _DRIVE_BLOCK, n_steps)
+        t_now = np.arange(first, last) * h
         drive = evaluate(signal, t_now) @ (q0[:, :n] @ sys.g).T
         drive += evaluate(signal, t_now + 0.5 * h) @ (qh[:, :n] @ sys.g).T
         drive += evaluate(signal, t_now + h) @ (q1[:, :n] @ sys.g).T
         # A diverging state overflows to inf or nan; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(first, first + t_now.size):
-                window = flat[k * d : (k + hist_steps + 1) * d]
-                x_next = record[hist_steps + k] + (win @ window + drive[k - first])
-                if not np.isfinite(x_next).all():
-                    raise SimulationError(f"delay state diverged at t={(k + 1) * h}")
-                record[hist_steps + k + 1] = x_next
+            for k in range(first, last, size):
+                rows = min(size, last - k)
+                forcing = windows[k : k + rows] @ win.T + drive[k - first : k - first + rows]
+                forcing[0] += record[hist_steps + k]
+                sub = toeplitz[: rows * d, : rows * d]
+                block = (sub @ forcing.reshape(-1)).reshape(rows, d)
+                finite = np.isfinite(block).all(axis=1)
+                if not finite.all():
+                    # A non-finite forcing row j reaches the rows before it
+                    # only as 0 * inf through the zeros above the diagonal;
+                    # solved without it, those rows are as the step by step
+                    # recurrence leaves them, and row j is where it fails.
+                    bad = ~np.isfinite(forcing).all(axis=1)
+                    if bad.any():
+                        j = int(np.argmax(bad))
+                        head = toeplitz[: j * d, : j * d] @ forcing[:j].reshape(-1)
+                        finite = np.append(np.isfinite(head.reshape(j, d)).all(axis=1), False)
+                    t_bad = (k + 1 + int(np.argmin(finite))) * h
+                    raise SimulationError(f"delay state diverged at t={t_bad}")
+                record[hist_steps + k + 1 : hist_steps + k + rows + 1] = block
 
     return DelayTrajectory(
         times=np.arange(n_steps + 1) * h,
@@ -420,7 +501,7 @@ def delay_empirical_check(
     """
     if not (0.0 < window < t_end):
         raise ValueError("window must lie strictly inside the duration")
-    hist_steps = _history_steps(sys.tau, h)
+    hist_steps, _ = _delay_grid(sys.tau, h, t_end)
     bounds = delay_bounds(sys)
     entries = []
     for signal in inputs:

@@ -315,6 +315,18 @@ class TestErrors:
         assert err.startswith("gainlab: error: ")
         assert message in err and "--step" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
+    @pytest.mark.parametrize("step", ["5e-7", "5e-8"])
+    def test_delay_grid_work_exit_1(self, delay_file, capsys, command, step):
+        # tau = 0.5: 2,000 steps over a 10^6-step history, or 20,000 over
+        # 10^7; the first used to take seconds and the second to hang.
+        start = time.perf_counter()
+        assert main([command, delay_file, "--t-max", "1e-3", "--step", step]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
+        assert "stored rows" in err and "--step" in err and "--t-max" in err
+
     def test_delay_divergence_exit_1(self, tmp_path, capsys):
         path = tmp_path / "stiff.json"
         doc = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-1.0]], "tau": 1, "mu": 1e4}

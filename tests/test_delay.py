@@ -86,6 +86,17 @@ class TestDelayState:
         with pytest.raises(ValueError):
             simulate_predictor(scalar_delay, Zero(dim=1), state, 2.0, 0.3)
 
+    def test_grid_work_bounded(self):
+        # Every grid of at most _MAX_GRID_STEPS steps at the default step
+        # tau / 64 stays legal; one more history row is over the bound.
+        limit = delaymod._MAX_GRID_STEPS
+        tau = 0.5
+        h = tau / 64
+        assert delaymod._delay_grid(tau, h, limit * h) == (64, limit)
+        h = tau / 65
+        with pytest.raises(ValueError, match="stored rows.*--step.*--t-max"):
+            delaymod._delay_grid(tau, h, limit * h)
+
     @pytest.mark.parametrize(
         "h, message",
         [
@@ -160,6 +171,41 @@ class TestPredictorDynamics:
         with pytest.raises(SimulationError, match="diverged at t="):
             simulate_predictor(sys, Constant(u0=[1.0]), state, 50.0, 1.0)
 
+    @pytest.mark.parametrize("mu", [1e4, 1e6, 1e9])
+    def test_zero_input_from_rest_with_unstable_step_map(self, mu):
+        # mu h >= 1e4 makes RK4 unstable, so the impulse responses overflow
+        # within a few steps; the block must stop short of them, or inf * 0
+        # turns this all-zero run into a spurious divergence.
+        sys = DelayPredictorSystem(
+            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=mu
+        )
+        traj = simulate_predictor(sys, Zero(dim=1), DelayState.resting(sys, 1), 50.0, 1.0)
+        assert not traj.ys.any() and not traj.z_record.any()
+
+    @pytest.mark.parametrize(
+        "mu, h, t_end, t_bad",
+        [(1e4, 1.0, 50.0, 21.0), (300.0, 0.25, 200.0, 12.5), (60.0, 1.0 / 16, 400.0, 29.5)],
+    )
+    def test_divergence_reported_at_first_nonfinite_row(self, mu, h, t_end, t_bad):
+        # The rows where the step by step recurrence first overflows.
+        sys = DelayPredictorSystem(
+            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=mu
+        )
+        state = DelayState.resting(sys, int(round(1.0 / h)))
+        with pytest.raises(SimulationError, match="diverged at t=") as info:
+            simulate_predictor(sys, Constant(u0=[1.0]), state, t_end, h)
+        assert float(str(info.value).rpartition("=")[2]) == t_bad
+
+    def test_overflowing_forcing_does_not_poison_earlier_rows(self):
+        # With N = 1, x_1 = W_1 z(0) is finite, but the forcing of x_2 holds
+        # W_0 z(0), which overflows; x_1 is solved without it.
+        sys = DelayPredictorSystem(
+            a=[[2.0]], b=[[1.0]], g=[[1.0]], k=[[-3.0]], tau=1.0, mu=1.0
+        )
+        state = DelayState(y=np.zeros(1), z_history=[[0.0], [1e306]])
+        with pytest.raises(SimulationError, match=r"diverged at t=2\.0$"):
+            simulate_predictor(sys, Zero(dim=1), state, 4.0, 1.0)
+
     def test_one_step_map_per_simulation(self, scalar_delay, monkeypatch):
         calls = {"evaluate": 0, "_expm_times": 0}
 
@@ -229,13 +275,13 @@ def test_input_drive_built_in_blocks(monkeypatch):
 
 
 def test_drive_blocks_bound_memory(monkeypatch):
-    # Tracing slows the step loop about 30x, so the four-block layout above is
-    # traced at a thirty-second of its size: 6,250 steps in blocks of 2^11.
+    # Tracing slows the blocked solve about 15x, so the four-block layout above
+    # is traced at an eighth of its size: 25,000 steps in blocks of 2^13.
     peaks = []
-    for block in (1 << 11, 10**6):
+    for block in (1 << 13, 10**6):
         monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", block)
         tracemalloc.start()
-        _two_input_run(6_250)
+        _two_input_run(25_000)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] <= (2.0 / 3.0) * peaks[1]
@@ -301,6 +347,27 @@ class TestReferenceIntegrator:
         ys, z_record = reference_predictor(
             scalar_delay, signal, state, traj.times.size - 1, h
         )
+        assert _relative_gap(traj.ys, ys) <= 1e-13
+        assert _relative_gap(traj.z_record, z_record) <= 1e-13
+
+
+    @pytest.mark.parametrize("hist_steps", [1, 4, 64, 200])
+    @pytest.mark.parametrize(
+        "blocks", [0.5, 3.25], ids=["shorter-than-a-block", "not-a-block-multiple"]
+    )
+    def test_matches_reference_across_block_boundaries(self, hist_steps, blocks):
+        # N = tau / h on both sides of the block length L
+        n_steps = int(blocks * delaymod._SOLVE_BLOCK) + 1
+        h = TWO_INPUT_PLANT.tau / hist_steps
+        rng = np.random.default_rng(hist_steps)
+        state = DelayState(
+            y=rng.standard_normal(TWO_INPUT_PLANT.n),
+            z_history=rng.standard_normal((hist_steps + 1, TWO_INPUT_PLANT.m)),
+        )
+        signal = Sinusoid(direction=[1.0], omega=3.0)
+        traj = simulate_predictor(TWO_INPUT_PLANT, signal, state, n_steps * h, h)
+        assert traj.times.size == n_steps + 1
+        ys, z_record = reference_predictor(TWO_INPUT_PLANT, signal, state, n_steps, h)
         assert _relative_gap(traj.ys, ys) <= 1e-13
         assert _relative_gap(traj.z_record, z_record) <= 1e-13
 
