@@ -221,25 +221,23 @@ _DRIVE_BLOCK = 1 << 16
 _SOLVE_BLOCK = 32
 
 
-def _impulse_responses(blocks: np.ndarray, count: int) -> np.ndarray:
+def _impulse_responses(win: np.ndarray, count: int) -> np.ndarray:
     """Responses R_0 = I, R_j = R_{j-1} + sum_r W_r R_{j-1-N+r} (R_i = 0 for
-    i < 0) of x_{k+1} = x_k + sum_r W_r x_{k-N+r} + g_k to a unit g_0, for
-    the N + 1 window blocks W_r stacked in ``blocks``: x_{j+1} = R_j g_0.
-    Stops before the first response that is not finite, so that at least
-    R_0 is returned; an unstable step map overflows within a few steps."""
-    n_blocks, d = blocks.shape[0], blocks.shape[1]
+    i < 0) of x_{k+1} = x_k + win (x_{k-N}, ..., x_k) + g_k, win = [W_0 ..
+    W_N], to a unit g_0: x_{j+1} = R_j g_0.  Cut before the first response
+    that is not finite, so that at least R_0 is returned; an unstable step
+    map overflows within a few steps."""
+    d = win.shape[0]
+    n_blocks = win.shape[1] // d
     resp = np.zeros((count, d, d))
     resp[0] = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, count):
             lo = max(0, j - n_blocks)
-            nxt = resp[j - 1] + np.einsum(
-                "sab,sbc->ac", blocks[lo + n_blocks - j :], resp[lo:j]
-            )
-            if not np.isfinite(nxt).all():
-                return resp[:j]
-            resp[j] = nxt
-    return resp
+            past = resp[lo:j].reshape(-1, d)
+            resp[j] = resp[j - 1] + win[:, (lo + n_blocks - j) * d :] @ past
+    finite = np.isfinite(resp).all(axis=(1, 2))
+    return resp if finite.all() else resp[: np.argmin(finite)]
 
 
 def simulate_predictor(
@@ -305,15 +303,15 @@ def simulate_predictor(
     # is row 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of
     # both ends, and row N is x_k itself.
     past = kernels[:0:-1]
-    blocks = np.zeros((hist_steps + 1, d, d))
-    blocks[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-    blocks[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-    blocks[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-    blocks[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-    blocks[-1] += grow
-    win = blocks.transpose(1, 0, 2).reshape(d, -1)
+    win = np.zeros((hist_steps + 1, d, d))
+    win[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+    win[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+    win[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+    win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+    win[-1] += grow
+    win = win.transpose(1, 0, 2).reshape(d, -1)
 
-    resp = _impulse_responses(blocks, _SOLVE_BLOCK)
+    resp = _impulse_responses(win, _SOLVE_BLOCK)
     size = resp.shape[0]
     lag = np.subtract.outer(np.arange(size), np.arange(size))
     resp = np.concatenate((resp, np.zeros((1, d, d))))
