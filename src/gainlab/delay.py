@@ -234,8 +234,8 @@ def _impulse_responses(win: np.ndarray, count: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, count):
             lo = max(0, j - n_blocks)
-            past = resp[lo:j].reshape(-1, d)
-            resp[j] = resp[j - 1] + win[:, (lo + n_blocks - j) * d :] @ past
+            earlier = resp[lo:j].reshape(-1, d)
+            resp[j] = resp[j - 1] + win[:, (lo + n_blocks - j) * d :] @ earlier
     finite = np.isfinite(resp).all(axis=(1, 2))
     return resp if finite.all() else resp[: np.argmin(finite)]
 
