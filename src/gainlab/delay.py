@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, NotHurwitzError, SimulationError
+from .gains import _checked_tol
 from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
@@ -434,8 +435,7 @@ def delay_bounds(sys: DelayPredictorSystem, quad_tol: float = 1e-8) -> DelayBoun
     the asymptotic bound is (M / sigma) (|G| + int_0^tau phi + phi(tau) / mu)
     and the sup bound adds M int_0^tau r for the initial transient.
     """
-    if not (quad_tol > 0):
-        raise ValueError("quad_tol must be positive")
+    _checked_tol(quad_tol, "quad_tol")
     cert = sys.certificate
     bk = sys.b @ sys.k
     a_mat, g_mat = sys.a, sys.g

@@ -8,8 +8,8 @@ approached here from both sides:
 * exact values where available: the L1 norm of the impulse response for
   single-output systems, and the magnitude of the DC gain whenever the
   response kernel is sign-definite (positivity certificates);
-* lower bounds from steady sinusoid responses, from periodic bang-bang
-  inputs (whose steady outputs tend to the gain) and from terminal outputs;
+* lower bounds from sinusoid sweeps, from periodic bang-bang inputs (whose
+  steady outputs tend to the gain) and from terminal outputs;
 * upper bounds from orthonormal output decompositions and from
   decay-certificate arithmetic.
 
@@ -20,19 +20,22 @@ certified partition of the kernel at its zeros; adaptive Simpson is left for
 the multi-input ascent, whose integrand is a vector norm.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
-label, and the tolerance they were computed to, so reports stay auditable.
+label, and the tolerance they were computed to, so reports stay auditable;
+callers' tolerances, seeds and horizons are checked before any computation.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConsistencyError, DimensionError
 from .linalg import (
+    _MAX_GRID_STEPS,
     _STACK_ENTRIES,
     StabilityCertificate,
     StateSpaceSystem,
@@ -103,6 +106,12 @@ def _checked_seed(seed, source: str = "seed") -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {seed!r}")
     return seed
+
+
+def _checked_tol(tol, source: str = "tol") -> None:
+    """Raises ValueError unless ``tol`` is a finite, positive, real, non-bool number."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"{source} must be finite and positive, got {tol!r}")
 
 
 def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float):
@@ -248,8 +257,7 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     bang-bang inputs; for several outputs it is an upper bound (the best
     one over the standard output basis; see onb_upper_bound for refinement).
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    _checked_tol(tol)
     return _l1_gain(sys, tol)[0]
 
 
@@ -365,20 +373,11 @@ def max_terminal_output(
     with inputs bounded by one in Euclidean norm.
 
     Returns (value, direction) where direction is the unit output direction
-    achieving the value.  SISO systems are exact (the optimizer is bang-bang
-    against the kernel sign, the value summed between its zeros); otherwise
-    the value comes from vcurve's direction-alignment ascent on the one
-    horizon, and with several outputs it is a lower estimate.
+    achieving the value: vcurve on the one horizon, so SISO systems are exact
+    and several outputs give a lower estimate.
     """
-    if not (horizon > 0):
-        raise ValueError("horizon must be positive")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    _checked_seed(seed)
-    if sys.p == 1 and sys.m == 1:
-        return float(_aligned_terminal(sys, horizon, np.ones(1), tol)[0]), np.array([1.0])
-    values, dirs = _iterative_terminal_output(sys, np.array([float(horizon)]), restarts, tol, seed)
-    return float(values[0]), dirs[0]
+    curve = vcurve(sys, [horizon], restarts, tol, seed)
+    return float(curve.values[0]), curve.directions[0]
 
 
 def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
@@ -471,14 +470,18 @@ def vcurve(
     the standard basis and ``restarts`` seeded directions at every horizon at
     once.  With one input each of its at most 40 steps is one sign partition,
     out to the largest horizon, for all starts and horizons, so a grid of any
-    size costs at most 40 partitions, as one horizon does.
+    size costs at most 40 partitions, as one horizon does.  Horizons must be
+    finite, and the largest at most _MAX_GRID_STEPS cells of 1 / (2 ||A||_1).
     """
-    hs = np.asarray(list(horizons), dtype=float)
-    if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
-        raise ValueError("horizons must be strictly increasing and positive")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    _checked_tol(tol)
     _checked_seed(seed)
+    hs = np.asarray(list(horizons), dtype=float)
+    if hs.size == 0 or not np.all((hs > 0) & (hs < math.inf)) or np.any(np.diff(hs) <= 0):
+        raise ValueError("horizons must be finite, positive and strictly increasing")
+    if 2.0 * np.linalg.norm(sys.a, 1) * hs[-1] > _MAX_GRID_STEPS:
+        raise ValueError(
+            f"horizon {hs[-1]:.4g} needs more than {_MAX_GRID_STEPS} partition cells (--t-max)"
+        )
     if sys.p == 1 and sys.m == 1:
         values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
@@ -529,25 +532,31 @@ def sinusoid_response(sys: StateSpaceSystem, omega: float) -> float:
 
 def sinusoid_sweep(sys: StateSpaceSystem, omegas) -> np.ndarray:
     """sinusoid_response at each frequency of ``omegas``: each frequency's
-    rescaled system in one stack, and one batched solve for all of them."""
+    rescaled system in a stack of at most _STACK_ENTRIES // n^2, and one
+    batched solve per stack, so peak memory does not grow with the grid."""
     if sys.m != 1:
         raise DimensionError("sinusoid response requires a single input")
-    omega = np.asarray(omegas, dtype=float).reshape(-1)
-    if not np.all((omega > 0) & (omega < math.inf)):
+    grid = np.asarray(omegas, dtype=float).reshape(-1)
+    if not np.all((grid > 0) & (grid < math.inf)):
         raise ValueError("omega must be finite and positive")
-    scale = np.ldexp(1.0, np.maximum(0, np.frexp(omega)[1] - 1))
-    a = sys.a / scale[:, None, None]
-    w2 = _square(omega / scale)
-    xi = np.linalg.solve(a @ a + w2[:, None, None] * np.eye(sys.n), sys.b[None])
-    c_xi, c_a_xi = sys.c @ xi, sys.c @ (a @ xi)
-    peak = np.maximum(abs(c_xi).max(axis=(1, 2)), abs(c_a_xi).max(axis=(1, 2)))
-    unit = np.ldexp(1.0, np.frexp(peak)[1])[:, None, None]
-    c_xi, c_a_xi = c_xi / unit, c_a_xi / unit
-    term_q = w2 * _dots(c_xi, c_xi)
-    term_p = _dots(c_a_xi, c_a_xi)
-    cross = _dots(c_a_xi, c_xi)
-    inner = np.sqrt(_square(term_q - term_p) + 4.0 * w2 * _square(cross))
-    return np.sqrt(np.maximum(0.0, 0.5 * (term_q + term_p + inner))) * unit[:, 0, 0] / scale
+    out, chunk = np.empty(grid.size), max(1, _STACK_ENTRIES // (sys.n * sys.n))
+    for start in range(0, grid.size, chunk):
+        omega = grid[start : start + chunk]
+        scale = np.ldexp(1.0, np.maximum(0, np.frexp(omega)[1] - 1))
+        a = sys.a / scale[:, None, None]
+        w2 = _square(omega / scale)
+        xi = np.linalg.solve(a @ a + w2[:, None, None] * np.eye(sys.n), sys.b[None])
+        c_xi, c_a_xi = sys.c @ xi, sys.c @ (a @ xi)
+        peak = np.maximum(abs(c_xi).max(axis=(1, 2)), abs(c_a_xi).max(axis=(1, 2)))
+        unit = np.ldexp(1.0, np.frexp(peak)[1])[:, None, None]
+        c_xi, c_a_xi = c_xi / unit, c_a_xi / unit
+        term_q = w2 * _dots(c_xi, c_xi)
+        term_p = _dots(c_a_xi, c_a_xi)
+        cross = _dots(c_a_xi, c_xi)
+        inner = np.sqrt(_square(term_q - term_p) + 4.0 * w2 * _square(cross))
+        psi = np.sqrt(np.maximum(0.0, 0.5 * (term_q + term_p + inner)))
+        out[start : start + chunk] = psi * unit[:, 0, 0] / scale
+    return out
 
 
 def _square(x):
@@ -561,15 +570,22 @@ def _dots(u, v):
     return (np.swapaxes(u, 1, 2) @ v)[:, 0, 0]
 
 
+# The zoom narrows its bracket 32-fold per round, 10^6-fold in all.
+_ZOOM_POINTS = 65
+_ZOOM_ROUNDS = 4
+
+
 def sinusoid_lower_bound(
     sys: StateSpaceSystem, omegas=None, refine: bool = True
 ) -> GainEstimate:
     """Best sinusoid response over a frequency grid, optionally polished.
 
     A valid lower bound on the peak gain for every frequency; the returned
-    value is the grid maximum (one sinusoid_sweep), improved by a
-    golden-section pass (in log frequency) around the winning grid point
-    when ``refine`` is set.
+    value is the grid maximum (one sinusoid_sweep), improved when ``refine``
+    is set by a zoom in log frequency: the bracket starts at the winning grid
+    point's neighbours, and each of 4 rounds sweeps 65 log-spaced
+    frequencies across it, ends included, in one batch, keeps the best value
+    seen and narrows the bracket to the round's best point's neighbours.
     """
     if omegas is None:
         omegas = np.logspace(-3.0, 3.0, 200)
@@ -578,32 +594,16 @@ def sinusoid_lower_bound(
         raise ValueError("omegas must be positive")
     vals = sinusoid_sweep(sys, omegas)
     i_best = int(np.argmax(vals))
-    best_omega = float(omegas[i_best])
-    best = float(vals[i_best])
-    if refine and omegas.size > 1:
-        lo = math.log(omegas[max(0, i_best - 1)])
-        hi = math.log(omegas[min(omegas.size - 1, i_best + 1)])
-        if hi > lo:
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            x1 = hi - phi * (hi - lo)
-            x2 = lo + phi * (hi - lo)
-            f1 = sinusoid_response(sys, math.exp(x1))
-            f2 = sinusoid_response(sys, math.exp(x2))
-            for _ in range(20):
-                if f1 < f2:
-                    lo = x1
-                    x1, f1 = x2, f2
-                    x2 = lo + phi * (hi - lo)
-                    f2 = sinusoid_response(sys, math.exp(x2))
-                else:
-                    hi = x2
-                    x2, f2 = x1, f1
-                    x1 = hi - phi * (hi - lo)
-                    f1 = sinusoid_response(sys, math.exp(x1))
-            for x, f in ((x1, f1), (x2, f2)):
-                if f > best:
-                    best = f
-                    best_omega = math.exp(x)
+    best, best_omega = float(vals[i_best]), float(omegas[i_best])
+    bracket = omegas[[max(0, i_best - 1), min(omegas.size - 1, i_best + 1)]]
+    if refine and bracket[1] > bracket[0]:
+        for _ in range(_ZOOM_ROUNDS):
+            points = np.geomspace(bracket[0], bracket[1], _ZOOM_POINTS)
+            vals = sinusoid_sweep(sys, points)
+            j = int(np.argmax(vals))
+            if vals[j] > best:
+                best, best_omega = float(vals[j]), float(points[j])
+            bracket = points[[max(0, j - 1), min(_ZOOM_POINTS - 1, j + 1)]]
     return GainEstimate(
         value=best,
         kind="lower",
@@ -624,6 +624,7 @@ def onb_upper_bound(
     ``random_bases`` additional orthonormal bases (seeded, one partition) are
     tried for multi-output systems and the minimum is returned.
     """
+    _checked_tol(tol)
     if random_bases < 0:
         raise ValueError("random_bases must be nonnegative")
     _checked_seed(seed)
@@ -665,8 +666,7 @@ def periodic_upper_estimate(
     ||C exp(As) b|| beyond T (Minkowski's inequality), so it could never
     tighten a report; they raise DimensionError.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    _checked_tol(tol)
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("periodic estimate requires a SISO system")
     if t_grid is None:
@@ -820,8 +820,7 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     may exceed it by no more than the pair's tolerances, so an input
     realises the exact figure.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    _checked_tol(tol)
     _checked_seed(seed)
     notes: list[str] = []
     dc = dc_gain(sys)

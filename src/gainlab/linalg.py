@@ -56,6 +56,11 @@ _PADE13_THETA = 5.371920351148152
 # Matrix entries per stack handed to _expm by _expm_times: k = 65536 // n^2
 # matrices of n-by-n, about 0.5 MB per intermediate.
 _STACK_ENTRIES = 65536
+# Largest simulation grid, and the most base cells a terminal-output
+# partition may cut a caller's horizon into.  verify's 40,960 steps are the
+# most any command takes by default; a million steps simulate in about 0.2 s.
+# The cap bounds memory (ten million states of n floats) and CSV size.
+_MAX_GRID_STEPS = 10**7
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import DimensionError, SimulationError
 from .gains import bang_bang_switches, l1_impulse_gain
-from .linalg import _STACK_ENTRIES, StateSpaceSystem, _expm, _orbit, mat_exp
+from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _expm, _orbit, mat_exp
 from .quadrature import tail_horizon
 from .signals import (
     InputSignal,
@@ -54,12 +54,6 @@ class Trajectory:
 
     def output_norms(self) -> np.ndarray:
         return np.linalg.norm(self.outputs, axis=1)
-
-
-# Largest grid a simulation may record: verify's 40,960 steps are the most any
-# command takes by default.  A million steps simulate in about 0.2 s; the cap
-# bounds memory (ten million states of n floats) and CSV size, not time.
-_MAX_GRID_STEPS = 10**7
 
 
 def _grid_steps(t_end: float, h: float) -> int:

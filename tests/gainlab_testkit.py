@@ -533,3 +533,39 @@ def reference_sinusoid_response(sys, omega):
     cross = float(c_a_xi @ c_xi)
     inner = math.sqrt((term_q - term_p) ** 2 + 4.0 * omega**2 * cross**2)
     return math.sqrt(max(0.0, 0.5 * (term_q + term_p + inner)))
+
+
+def reference_sinusoid_refine(sys, omegas=None):
+    """The golden-section refinement gainlab's sinusoid_lower_bound used before
+    its batched zoom: the grid maximum, then 20 golden-section steps in log
+    frequency between the winning grid point's neighbours, one
+    sinusoid_response per step.  Returns (value, omega)."""
+    if omegas is None:
+        omegas = np.logspace(-3.0, 3.0, 200)
+    omegas = np.asarray(list(omegas), dtype=float)
+    vals = gains.sinusoid_sweep(sys, omegas)
+    i_best = int(np.argmax(vals))
+    best_omega, best = float(omegas[i_best]), float(vals[i_best])
+    lo = math.log(omegas[max(0, i_best - 1)])
+    hi = math.log(omegas[min(omegas.size - 1, i_best + 1)])
+    if hi > lo:
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1 = hi - phi * (hi - lo)
+        x2 = lo + phi * (hi - lo)
+        f1 = gains.sinusoid_response(sys, math.exp(x1))
+        f2 = gains.sinusoid_response(sys, math.exp(x2))
+        for _ in range(20):
+            if f1 < f2:
+                lo = x1
+                x1, f1 = x2, f2
+                x2 = lo + phi * (hi - lo)
+                f2 = gains.sinusoid_response(sys, math.exp(x2))
+            else:
+                hi = x2
+                x2, f2 = x1, f1
+                x1 = hi - phi * (hi - lo)
+                f1 = gains.sinusoid_response(sys, math.exp(x1))
+        for x, f in ((x1, f1), (x2, f2)):
+            if f > best:
+                best, best_omega = f, math.exp(x)
+    return best, best_omega

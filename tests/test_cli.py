@@ -327,6 +327,16 @@ class TestErrors:
         assert err.startswith("gainlab: error: ") and err.count("\n") == 1
         assert "stored rows" in err and "--step" in err and "--t-max" in err
 
+    def test_vt_partition_cells_exit_1(self, oscillator_file, capsys):
+        # ||A||_1 = 2: T = 1e9 needs 4 x 10^9 base cells, about half an hour
+        # of partition before the cell limit.
+        start = time.perf_counter()
+        assert main(["vt", oscillator_file, "--t-max", "1e9"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
+        assert "partition cells" in err and "--t-max" in err
+
     def test_delay_divergence_exit_1(self, tmp_path, capsys):
         path = tmp_path / "stiff.json"
         doc = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-1.0]], "tau": 1, "mu": 1e4}

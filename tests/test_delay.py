@@ -434,9 +434,16 @@ class TestDelayBounds:
         assert rep.oag_bound == pytest.approx(1.0, abs=1e-9)
         assert rep.ios_bound == pytest.approx(1.0 + (1.0 - E_HALF), abs=1e-9)
 
-    def test_rejects_bad_tol(self, scalar_delay):
-        for tol in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="^quad_tol must be positive$"):
+    def test_rejects_bad_tol(self, scalar_delay, monkeypatch):
+        # quad_tol=inf returned a "certified" bound from one Simpson panel;
+        # True passed as 1.0.  Both now fail before any quadrature.
+        def refuse(*args, **kwargs):
+            raise AssertionError("computation reached")
+
+        monkeypatch.setattr(delaymod, "simpson_panels", refuse)
+        monkeypatch.setattr(delaymod, "_expm", refuse)
+        for tol in (math.inf, math.nan, True, 0, 0.0, -1e-6, "1e-6"):
+            with pytest.raises(ValueError, match="^quad_tol must be finite and positive, got "):
                 delay_bounds(scalar_delay, quad_tol=tol)
 
 

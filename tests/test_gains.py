@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from gainlab_testkit import (
     reference_bang_bang_switches,
     reference_impulse_rows,
     reference_periodic_values,
+    reference_sinusoid_refine,
     reference_sinusoid_response,
     reference_terminal_ascent,
 )
@@ -56,11 +58,27 @@ TOL_ENTRY_POINTS = {
 }
 
 
+BAD_TOLS = (math.inf, math.nan, True, 0, 0.0, -1e-6, -1e-8, "1e-6")
+
+
+def refuse_computation(monkeypatch):
+    """Make linalg._expm and np.linalg.solve raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation reached")
+
+    monkeypatch.setattr(linalg, "_expm", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+
+
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
-def test_rejects_bad_tol(entry, oscillator):
-    # NaN fails the entry guard itself, not a later check deep inside.
-    for tol in (0.0, -1e-8, float("nan")):
-        with pytest.raises(ValueError, match="^tol must be positive$"):
+def test_rejects_bad_tol(entry, oscillator, monkeypatch):
+    # Each entry point checks its tolerance before any computation.  tol=inf
+    # failed l1_impulse_gain and gain_report with "math domain error" and was
+    # accepted by the rest; tol=True passed everywhere as 1.0.
+    refuse_computation(monkeypatch)
+    for tol in BAD_TOLS:
+        with pytest.raises(ValueError, match="^tol must be finite and positive, got "):
             TOL_ENTRY_POINTS[entry](oscillator, tol)
 
 
@@ -197,6 +215,12 @@ def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     est = sinusoid_lower_bound(oscillator, refine=False)
     assert len(solves) == 1
+    assert est.details["grid_points"] == 200
+    # The golden-section refinement made 22 more solves, one per frequency;
+    # the zoom makes one per round.
+    solves.clear()
+    est = sinusoid_lower_bound(oscillator)
+    assert len(solves) == 1 + gains._ZOOM_ROUNDS <= 6
     assert est.details["grid_points"] == 200
 
 
@@ -557,6 +581,18 @@ class TestMaxTerminalOutput:
         with pytest.raises(ValueError):
             max_terminal_output(scalar_system, 0.0)
 
+    def test_siso_is_one_horizon_curve(self):
+        # The one-horizon curve replaced a SISO branch that integrated the
+        # aligned kernel itself; the values agree to the bit here.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            sys = random_siso_system(rng, n_max=6)
+            for t in (0.3, 2.0, 11.0):
+                value, direction = max_terminal_output(sys, t)
+                reference = gains._aligned_terminal(sys, t, np.ones(1), 1e-9)[0]
+                assert value == pytest.approx(reference, rel=1e-15, abs=0.0)
+                assert direction == pytest.approx([1.0])
+
 
 class TestVCurve:
     def test_matches_pointwise(self, oscillator):
@@ -618,6 +654,28 @@ class TestVCurve:
             vcurve(scalar_system, [2.0, 1.0])
         with pytest.raises(ValueError):
             vcurve(scalar_system, [])
+
+    def test_rejects_non_finite_horizon(self, oscillator, diag_two_output, monkeypatch):
+        # Infinite horizons raised OverflowError converting the cell count.
+        refuse_computation(monkeypatch)
+        message = "^horizons must be finite, positive and strictly increasing$"
+        for sys in (oscillator, diag_two_output):
+            for bad in ([1.0, math.inf], [math.nan], [1.0, math.nan]):
+                with pytest.raises(ValueError, match=message):
+                    vcurve(sys, bad)
+            with pytest.raises(ValueError, match=message):
+                max_terminal_output(sys, math.inf)
+
+    def test_rejects_horizon_past_cell_limit(self, oscillator, diag_two_output, monkeypatch):
+        # ||A||_1 = 2 for both: T = 1e9 asks for 4 x 10^9 base cells, about
+        # half an hour of partition; 2.6e6 just passes the 10^7 limit.
+        refuse_computation(monkeypatch)
+        for sys in (oscillator, diag_two_output):
+            for horizons in ([1.0, 1e9], [2.6e6]):
+                with pytest.raises(ValueError, match=r"partition cells.*\(--t-max\)$"):
+                    vcurve(sys, horizons)
+            with pytest.raises(ValueError, match="partition cells"):
+                max_terminal_output(sys, 2.6e6)
 
 
 class TestBangBangSwitches:
@@ -705,6 +763,21 @@ class TestSinusoidResponse:
                 reference_sinusoid_response(sys, w) for w in unscaled
             ]
 
+    def test_sweep_memory_bounded(self):
+        # One stack for the whole grid peaked at 176 MB; stacks of
+        # _STACK_ENTRIES // n^2 frequencies keep the peak to a few MB.
+        rng = np.random.default_rng(33)
+        a = random_hurwitz_matrix(rng, n=6)
+        sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (6, 1)), c=rng.uniform(-2.0, 2.0, (2, 6)))
+        omegas = np.geomspace(1e-3, 1e3, 200_000)
+        tracemalloc.start()
+        try:
+            sinusoid_sweep(sys, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_sweep_rejects_bad_omega(self, scalar_system):
         for bad in ([1.0, 0.0], [math.inf], [1.0, math.nan]):
             with pytest.raises(ValueError, match="omega must be finite and positive"):
@@ -748,6 +821,25 @@ class TestSinusoidLowerBound:
     def test_rejects_bad_grid(self, scalar_system):
         with pytest.raises(ValueError):
             sinusoid_lower_bound(scalar_system, omegas=[-1.0, 1.0])
+
+    def test_zoom_between_golden_section_and_gain(self):
+        # The acceptance suite's 100 draws and five oscillators, two of them
+        # lightly damped: the zoom never falls below the golden-section
+        # refinement it replaced, and stays a lower bound on the L1 gain
+        # (closed form for the oscillators: (10, 0.02) takes 18 s at 1e-10).
+        rng = np.random.default_rng(12345)
+        cases = [random_siso_system(rng, n_max=5) for _ in range(100)]
+        cases += [(1.0, 1.0), (3.0, 0.3), (10.0, 0.02), (7.0, 0.1), (0.5, 0.05)]
+        for trial, case in enumerate(cases):
+            if isinstance(case, tuple):
+                sys, gain = damped_oscillator(*case), damped_oscillator_l1(*case)
+            else:
+                sys, gain = case, l1_impulse_gain(case, tol=1e-10).value
+            est = sinusoid_lower_bound(sys)
+            reference = reference_sinusoid_refine(sys)[0]
+            assert est.value >= reference - 1e-12 * max(1.0, reference), trial
+            assert est.value <= gain + 1e-9 * max(1.0, gain), trial
+            assert est.value == sinusoid_response(sys, est.details["omega"]), trial
 
 
 class TestOnbUpperBound:
