@@ -4,11 +4,17 @@ Commands map one-to-one onto library calls; every document embeds the
 tolerances, seeds, and certificates used, and identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 computation or verification
 failure, 2 usage error.
+
+Every command takes one path through ``main``, which builds the parser on its
+first call and reuses it for the rest of the process.  It reads the model file
+once, rejects a kind the command does not accept (``_COMMANDS``), calls the
+command's handler, which returns (text, exit code), and writes the text once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys as _sys
@@ -20,6 +26,8 @@ from . import delay as delaymod
 from . import gains, modelio, sim
 from .delay import DelayPredictorSystem, DelayState
 from .exceptions import GainlabError
+from .gains import CertificateBoundInput
+from .linalg import _MAX_GRID_STEPS, StateSpaceSystem
 from .signals import Constant, Sinusoid
 
 __all__ = ["build_parser", "main"]
@@ -30,8 +38,7 @@ DEFAULT_TOL = 1e-8
 def _checked_tol(value, source: str) -> float:
     """``value`` as a float; raises ValueError unless finite and positive."""
     tol = float(value)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{source}: tol must be finite and positive, got {value!r}")
+    gains._checked_tol(tol, f"{source}: tol")
     return tol
 
 
@@ -56,11 +63,14 @@ def _resolve_seed(flag_value, extras) -> int:
     return 0
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        _sys.stdout.write(text)
+def _checked_points(points: int) -> int:
+    """``points`` itself, at most simulate's cap on CSV rows; checked before
+    any grid is allocated."""
+    if points < 1:
+        raise ValueError("--points must be at least 1")
+    if points > _MAX_GRID_STEPS:
+        raise ValueError(f"--points {points} exceeds the limit of {_MAX_GRID_STEPS}")
+    return points
 
 
 def _unit_direction(dim: int) -> np.ndarray:
@@ -123,14 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_standard(system, command: str):
-    if isinstance(system, DelayPredictorSystem):
-        raise ValueError(f"{command} requires a standard (A, B, C) system file")
-    return system
-
-
-def _cmd_analyze(args) -> int:
-    system, extras = modelio.parse_system(args.model)
+def _cmd_analyze(args, system, extras):
     tol = _resolve_tol(args.tol, extras)
     seed = _resolve_seed(args.seed, extras)
     if isinstance(system, DelayPredictorSystem):
@@ -138,43 +141,32 @@ def _cmd_analyze(args) -> int:
     else:
         report = gains.gain_report(system, tol=tol, seed=seed)
         doc = modelio.gain_report_document(report)
-    _write_output(modelio.dumps_document(doc), args.out)
-    return 0
+    return modelio.dumps_document(doc), 0
 
 
-def _cmd_vt(args) -> int:
-    system, extras = modelio.parse_system(args.model)
-    system = _require_standard(system, "vt")
+def _cmd_vt(args, system, extras):
     if not (0 < args.t_max < math.inf):
         raise ValueError("--t-max must be finite and positive")
-    if args.points < 1:
-        raise ValueError("--points must be at least 1")
+    points = _checked_points(args.points)
     tol = _resolve_tol(args.tol, extras)
     seed = _resolve_seed(args.seed, extras)
-    grid = np.linspace(args.t_max / args.points, args.t_max, args.points)
+    grid = np.linspace(args.t_max / points, args.t_max, points)
     curve = gains.vcurve(system, grid, tol=tol, seed=seed)
-    _write_output(modelio.vcurve_csv(curve), args.out)
-    return 0
+    return modelio.vcurve_csv(curve), 0
 
 
-def _cmd_sweep(args) -> int:
-    system, _ = modelio.parse_system(args.model)
-    system = _require_standard(system, "sweep")
+def _cmd_sweep(args, system, extras):
     for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite")
     if not (0 < args.omega_min <= args.omega_max):
         raise ValueError("need 0 < --omega-min <= --omega-max")
-    if args.points < 1:
-        raise ValueError("--points must be at least 1")
-    omegas = np.geomspace(args.omega_min, args.omega_max, args.points)
+    omegas = np.geomspace(args.omega_min, args.omega_max, _checked_points(args.points))
     values = gains.sinusoid_sweep(system, omegas)
-    _write_output(modelio.sweep_csv(omegas, values), args.out)
-    return 0
+    return modelio.sweep_csv(omegas, values), 0
 
 
-def _cmd_simulate(args) -> int:
-    system, _ = modelio.parse_system(args.model)
+def _cmd_simulate(args, system, extras):
     if isinstance(system, DelayPredictorSystem):
         h = args.step if args.step is not None else system.tau / 64.0
         hist_steps, _ = delaymod._delay_grid(system.tau, h, args.t_max)
@@ -182,19 +174,16 @@ def _cmd_simulate(args) -> int:
         signal = Constant(_unit_direction(system.p))
         traj = delaymod.simulate_predictor(system, signal, state0, args.t_max, h)
         xi, xi_ref = delaymod.predictor_error_series(traj, system)
-        _write_output(modelio.delay_trajectory_csv(traj, xi, xi_ref), args.out)
-        return 0
+        return modelio.delay_trajectory_csv(traj, xi, xi_ref), 0
     h = args.step if args.step is not None else 0.01
     signal = Constant(_unit_direction(system.m))
     traj = sim.simulate(system, signal, np.zeros(system.n), args.t_max, h)
-    _write_output(modelio.trajectory_csv(traj), args.out)
-    return 0
+    return modelio.trajectory_csv(traj), 0
 
 
-def _cmd_worstcase(args) -> int:
-    system, _ = modelio.parse_system(args.model)
-    system = _require_standard(system, "worstcase")
+def _cmd_worstcase(args, system, extras):
     rest_tol = _checked_tol(args.tol, "--tol") if args.tol is not None else 1e-6
+    gains._check_partition_cells(system, args.horizon, "--horizon")
     signal, spec = sim.worst_case_periodic_input(system, args.horizon, rest_tol)
     t_end = args.t_max if args.t_max is not None else 3.0 * spec.period
     h = args.step if args.step is not None else spec.period / 4096.0
@@ -204,30 +193,22 @@ def _cmd_worstcase(args) -> int:
         f"period={spec.period:g} rest_tolerance={spec.rest_tolerance:g}",
         file=_sys.stderr,
     )
-    _write_output(modelio.trajectory_csv(traj), args.out)
-    return 0
+    return modelio.trajectory_csv(traj), 0
 
 
-def _cmd_verify(args) -> int:
-    system, _ = modelio.parse_system(args.model)
-    system = _require_standard(system, "verify")
+def _cmd_verify(args, system, extras):
     tol = _checked_tol(args.tol, "--tol") if args.tol is not None else 1e-9
     record = sim.verify_gain_equality(system, accuracy=args.accuracy, tol=tol)
-    _write_output(modelio.dumps_document(modelio.verification_document(record)), args.out)
-    return 0 if record.passed else 1
+    text = modelio.dumps_document(modelio.verification_document(record))
+    return text, 0 if record.passed else 1
 
 
-def _cmd_bound41(args) -> int:
-    data = modelio.parse_certificate_bound_input(args.model)
+def _cmd_bound41(args, data, extras):
     est = gains.certificate_gain_bound(data)
-    _write_output(modelio.dumps_document(modelio.bound_document(est)), args.out)
-    return 0
+    return modelio.dumps_document(modelio.bound_document(est)), 0
 
 
-def _cmd_delay_demo(args) -> int:
-    system, _ = modelio.parse_system(args.model)
-    if not isinstance(system, DelayPredictorSystem):
-        raise ValueError("delay-demo requires a delay system file")
+def _cmd_delay_demo(args, system, extras):
     sigma = system.certificate.sigma
     t_end = args.t_max if args.t_max is not None else max(20.0 / sigma, 10.0 * system.tau)
     window = args.window if args.window is not None else t_end / 4.0
@@ -241,32 +222,48 @@ def _cmd_delay_demo(args) -> int:
     ]
     labels = ["constant", "sin-0.1", "sin-1", "sin-10"]
     check = delaymod.delay_empirical_check(system, inputs, t_end, window, h)
-    _write_output(
-        modelio.dumps_document(modelio.delay_demo_document(check, labels)), args.out
-    )
-    return 0
+    return modelio.dumps_document(modelio.delay_demo_document(check, labels)), 0
 
 
+# Each command's handler(args, model, extras) and the model it accepts: a
+# StateSpaceSystem or DelayPredictorSystem file, either (None), or a
+# certificate-bound document.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "vt": _cmd_vt,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "worstcase": _cmd_worstcase,
-    "verify": _cmd_verify,
-    "bound41": _cmd_bound41,
-    "delay-demo": _cmd_delay_demo,
+    "analyze": (_cmd_analyze, None),
+    "vt": (_cmd_vt, StateSpaceSystem),
+    "sweep": (_cmd_sweep, StateSpaceSystem),
+    "simulate": (_cmd_simulate, None),
+    "worstcase": (_cmd_worstcase, StateSpaceSystem),
+    "verify": (_cmd_verify, StateSpaceSystem),
+    "bound41": (_cmd_bound41, CertificateBoundInput),
+    "delay-demo": (_cmd_delay_demo, DelayPredictorSystem),
 }
+_KIND_NAMES = {
+    StateSpaceSystem: "a standard (A, B, C) system file",
+    DelayPredictorSystem: "a delay system file",
+}
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
+    handler, kind = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if kind is CertificateBoundInput:
+            model, extras = modelio.parse_certificate_bound_input(args.model), {}
+        else:
+            model, extras = modelio.parse_system(args.model)
+            if kind is not None and not isinstance(model, kind):
+                raise ValueError(f"{args.command} requires {_KIND_NAMES[kind]}")
+        text, code = handler(args, model, extras)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            _sys.stdout.write(text)
+        return code
     except (GainlabError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"gainlab: error: {exc}", file=_sys.stderr)
         return 1

@@ -441,6 +441,16 @@ def _aligned_terminal(sys, horizon, d, tol):
     return simpson_panels(integrand, [0.0, horizon], tol)[0]
 
 
+def _check_partition_cells(sys: StateSpaceSystem, horizon: float, flag: str) -> None:
+    """Raises ValueError, naming the command-line ``flag`` that set it, when a
+    finite ``horizon`` needs more than _MAX_GRID_STEPS sign-partition cells of
+    1 / (2 ||A||_1).  Non-finite horizons are left to the caller's own check."""
+    if math.isfinite(horizon) and 2.0 * np.linalg.norm(sys.a, 1) * horizon > _MAX_GRID_STEPS:
+        raise ValueError(
+            f"horizon {horizon:.4g} needs more than {_MAX_GRID_STEPS} partition cells ({flag})"
+        )
+
+
 @dataclass(frozen=True)
 class VCurve:
     """Largest reachable terminal output norm as a function of the horizon."""
@@ -472,19 +482,25 @@ def vcurve(
     out to the largest horizon, for all starts and horizons, so a grid of any
     size costs at most 40 partitions, as one horizon does.  Horizons must be
     finite, and the largest at most _MAX_GRID_STEPS cells of 1 / (2 ||A||_1).
+    The ascent's signed states, n entries per (start, horizon) pair at each
+    of the k horizons, k^2 (p + restarts) n in all, may number at most
+    _MAX_GRID_STEPS.
     """
     _checked_tol(tol)
     _checked_seed(seed)
     hs = np.asarray(list(horizons), dtype=float)
     if hs.size == 0 or not np.all((hs > 0) & (hs < math.inf)) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be finite, positive and strictly increasing")
-    if 2.0 * np.linalg.norm(sys.a, 1) * hs[-1] > _MAX_GRID_STEPS:
-        raise ValueError(
-            f"horizon {hs[-1]:.4g} needs more than {_MAX_GRID_STEPS} partition cells (--t-max)"
-        )
+    _check_partition_cells(sys, hs[-1], "--t-max")
     if sys.p == 1 and sys.m == 1:
         values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
+    entries = hs.size**2 * (sys.p + max(0, restarts)) * sys.n
+    if entries > _MAX_GRID_STEPS:
+        raise ValueError(
+            f"{hs.size} horizons need {entries} ascent state entries, more than "
+            f"{_MAX_GRID_STEPS}; use fewer points (--points)"
+        )
     values, dirs = _iterative_terminal_output(sys, hs, restarts, tol, seed)
     return VCurve(hs, values, list(dirs), exact=sys.p == 1)
 

@@ -1,5 +1,9 @@
+import argparse
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from gainlab import (
     vcurve,
     worst_case_periodic_input,
 )
+from gainlab import cli
 from gainlab.cli import main
 from gainlab.delay import _history_steps
 from gainlab.modelio import parse_system
@@ -337,6 +342,54 @@ class TestErrors:
         assert err.startswith("gainlab: error: ") and err.count("\n") == 1
         assert "partition cells" in err and "--t-max" in err
 
+    @pytest.mark.parametrize(
+        "argv, needles",
+        [
+            (["worstcase", "{osc}", "--horizon", "1e9"], ["partition cells", "--horizon"]),
+            (["vt", "{osc}", "--points", "10000001"], ["--points", "10000000"]),
+            (["sweep", "{osc}", "--points", "10000001"], ["--points", "10000000"]),
+            (["vt", "{osc_ci}", "--points", "1000"], ["ascent state entries", "--points"]),
+        ],
+        ids=["worstcase-horizon", "vt-points", "sweep-points", "vt-ascent-state"],
+    )
+    def test_size_cap_exit_1(self, oscillator_file, tmp_path, capsys, argv, needles):
+        # Past each cap the work grows without bound: worstcase took 10.9 s
+        # at --horizon 1e7 (1e9: about 18 minutes), vt and sweep seconds and
+        # about 180 MB at 10^6 points, and the C = I oscillator's ascent,
+        # which holds 1000^2 (2 + 8) 2 = 2 x 10^7 signed state entries at
+        # 1000 points, took 171 s and 1.3 GB at 2,000.
+        osc_ci = tmp_path / "osc_ci.json"
+        doc = {"A": [[0.0, 1.0], [-1.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]}
+        osc_ci.write_text(json.dumps(doc))
+        files = {"osc": oscillator_file, "osc_ci": str(osc_ci)}
+        start = time.perf_counter()
+        assert main([arg.format(**files) for arg in argv]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gainlab: error: ") and captured.err.count("\n") == 1
+        assert all(needle in captured.err for needle in needles)
+
+    @pytest.mark.parametrize(
+        "file_tol, flag, env, message",
+        [
+            (-1.0, None, None, "model file: tol must be finite and positive, got -1.0"),
+            (None, "nan", None, "--tol: tol must be finite and positive, got nan"),
+            (None, None, "nan", "GAINLAB_TOL: tol must be finite and positive, got nan"),
+        ],
+    )
+    def test_bad_tol_message(self, tmp_path, capsys, monkeypatch, file_tol, flag, env, message):
+        doc = {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}
+        if file_tol is not None:
+            doc["tol"] = file_tol
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(doc))
+        if env is not None:
+            monkeypatch.setenv("GAINLAB_TOL", env)
+        argv = ["analyze", str(path)] + (["--tol", flag] if flag is not None else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"gainlab: error: {message}\n"
+
     def test_delay_divergence_exit_1(self, tmp_path, capsys):
         path = tmp_path / "stiff.json"
         doc = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-1.0]], "tau": 1, "mu": 1e4}
@@ -360,6 +413,74 @@ class TestErrors:
     def test_delay_rejected_where_standard_needed(self, delay_file, capsys):
         assert main(["vt", delay_file]) == 1
         assert "standard" in capsys.readouterr().err
+
+
+class TestDispatch:
+    """main builds the parser once per process, and no call's arguments
+    reach the next."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            names.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        return names
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(parser, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(parser, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import gainlab.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert run.stdout == "0\n"
+
+    def test_first_call_builds_nine_later_calls_none(self, built, scalar_file, capsys):
+        assert main(["analyze", scalar_file]) == 0
+        assert len(built) == 9
+        assert built[0] == "gainlab"
+        for argv in (["analyze", scalar_file], ["vt", scalar_file], [], ["sweep"]):
+            main(argv)
+        assert len(built) == 9
+
+    def test_no_arguments_carried_over(self, oscillator_file, capsys, monkeypatch):
+        monkeypatch.delenv("GAINLAB_TOL", raising=False)
+
+        def vt_rows(argv):
+            assert main(["vt", oscillator_file, *argv]) == 0
+            return len(capsys.readouterr().out.strip().split("\n")) - 1
+
+        def analyze_tol(argv):
+            assert main(["analyze", oscillator_file, *argv]) == 0
+            return json.loads(capsys.readouterr().out)["tolerance"]
+
+        for usage_error in ([], ["vt", oscillator_file, "--points", "many"]):
+            if usage_error:
+                assert main(usage_error) == 2
+            assert vt_rows(["--points", "20"]) == 20
+            if usage_error:
+                assert main(usage_error) == 2
+            assert vt_rows([]) == 40
+            assert analyze_tol(["--tol", "1e-6"]) == 1e-6
+            if usage_error:
+                assert main(usage_error) == 2
+            assert analyze_tol([]) == 1e-8
 
 
 class TestVt:

@@ -677,6 +677,18 @@ class TestVCurve:
             with pytest.raises(ValueError, match="partition cells"):
                 max_terminal_output(sys, 2.6e6)
 
+    def test_rejects_ascent_past_state_limit(self, oscillator, monkeypatch):
+        # C = I: k horizons hold k^2 (2 + restarts) 2 signed state entries,
+        # 40 horizons 1.3 x 10^5 of them; 2,000 took 171 s and 1.3 GB.
+        two_output = StateSpaceSystem(a=oscillator.a, b=oscillator.b, c=np.eye(2))
+        refuse_computation(monkeypatch)
+        for k, restarts in ((708, 8), (1000, 8), (1119, 2)):
+            with pytest.raises(ValueError, match=r"ascent state entries.*\(--points\)$"):
+                vcurve(two_output, np.linspace(0.01, 10.0, k), restarts=restarts)
+        # 707^2 (2 + 8) 2 is just under the limit: the ascent starts.
+        with pytest.raises(AssertionError, match="computation reached"):
+            vcurve(two_output, np.linspace(0.01, 10.0, 707))
+
 
 class TestBangBangSwitches:
     def test_scalar_no_switches(self, scalar_system):
