@@ -36,8 +36,12 @@ DEFAULT_TOL = 1e-8
 
 
 def _checked_tol(value, source: str) -> float:
-    """``value`` as a float; raises ValueError unless finite and positive."""
-    tol = float(value)
+    """``value`` as a float; raises ValueError, naming ``source``, unless it
+    converts to a finite, positive float."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = value
     gains._checked_tol(tol, f"{source}: tol")
     return tol
 

@@ -6,8 +6,9 @@ sup norm of the output, equivalently to the limsup of the output norm) is
 approached here from both sides:
 
 * exact values where available: the L1 norm of the impulse response for
-  single-output systems, and the magnitude of the DC gain whenever the
-  response kernel is sign-definite (positivity certificates);
+  single-output systems, read as the steady output of the periodic
+  bang-bang input that realises it, and the magnitude of the DC gain
+  whenever the response kernel is sign-definite (positivity certificates);
 * lower bounds from sinusoid sweeps, from periodic bang-bang inputs (whose
   steady outputs tend to the gain) and from terminal outputs;
 * upper bounds from orthonormal output decompositions and from
@@ -250,25 +251,34 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     """Gain from the componentwise L1 norms of the impulse response.
 
     Single-input systems only.  Each output component's kernel is integrated
-    over [0, infinity) (summed between its certified zeros, plus a certified
-    exponential tail; details give the zero counts ``roots`` and the loss
-    bound ``unresolved_bound``) and combined in Euclidean norm.  For a single
-    output this is the exact minimum peak gain, realized in the limit by
-    bang-bang inputs; for several outputs it is an upper bound (the best
-    one over the standard output basis; see onb_upper_bound for refinement).
+    over [0, infinity) (summed between its certified zeros out to a horizon
+    H past which a certified exponential tail is within tol; details give
+    these partial integrals ``component_integrals``, H ``horizon``, the zero
+    counts ``roots`` and the loss bound ``unresolved_bound``).  For several
+    outputs their Euclidean norm is an upper bound (the best one over the
+    standard output basis; see onb_upper_bound for refinement).  For a single
+    output the value is the exact minimum peak gain, read as the steady
+    output at phase 0 of the partition's bang-bang input u(t) = sgn g(H - t),
+    g(s) = c exp(As) b, repeated with period H: |c (I - exp(AH))^-1 W_H|,
+    W_H the signed state integral over [0, H].  An input realises it, so it
+    never exceeds the gain; ConsistencyError is raised if it falls below
+    the partial integral c W_H by more than twice tol (plus 1e-9 relative).
     """
     _checked_tol(tol)
-    return _l1_gain(sys, tol)[0]
-
-
-def _l1_gain(sys, tol):
-    # l1_impulse_gain and the signed state integrals of its partition.
     ints, horizon, roots, lost, signed = _impulse_rows(sys, sys.c, tol)
     value = float(np.linalg.norm(ints))
-    kind = "exact" if sys.p == 1 else "upper"
+    if sys.p == 1 and horizon > 0.0:
+        flow = _expm_times(sys.a, horizon, np.eye(sys.n))[0]
+        periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow, signed[0])))
+        # _pair_slack of two figures computed to tol.
+        if value - periodic > 2.0 * tol + 1e-9 * max(1.0, value, periodic):
+            raise ConsistencyError(
+                f"partial integral {value} exceeds the periodic input's output {periodic}"
+            )
+        value = periodic
     return GainEstimate(
         value=value,
-        kind=kind,
+        kind="exact" if sys.p == 1 else "upper",
         method="l1-impulse",
         tolerance=tol,
         details={
@@ -277,26 +287,6 @@ def _l1_gain(sys, tol):
             "roots": [int(r.size) for r in roots],
             "unresolved_bound": lost,
         },
-    ), signed
-
-
-def _periodic_bound(sys, l1: GainEstimate, signed) -> GainEstimate:
-    # The L1 partition's bang-bang input u(t) = sgn g(H - t), g(s) = c exp(As) b,
-    # repeated with period H, settles at phase 0 to the output
-    # c (I - exp(AH))^-1 W_H.  An input realises it, so it is a lower bound
-    # whatever zeros the partition found; it differs from the partial
-    # integral c W_H by c exp(AH) (I - exp(AH))^-1 W_H, within the tail share
-    # of tol.
-    period, value = l1.details["horizon"], 0.0
-    if period > 0.0:
-        flow = _expm_times(sys.a, period, np.eye(sys.n))[0]
-        value = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow, signed[0])))
-    return GainEstimate(
-        value=value,
-        kind="lower",
-        method="periodic",
-        tolerance=l1.tolerance,
-        details={"period": period, "roots": l1.details["roots"][0]},
     )
 
 
@@ -419,14 +409,10 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
 
 def _aligned_terminal(sys, horizon, d, tol):
     # Integrates [|v(s)|, exp(A (horizon - s)) B v(s) / |v(s)|] with
-    # v(s) = B' exp(A' (horizon - s)) C' d, the input aligned with d.  With
-    # one input v(horizon - r) = d'C exp(Ar) b is a scalar kernel, whose
-    # signed state integral x is the second entry and d'C x the first.
+    # v(s) = B' exp(A' (horizon - s)) C' d, the input aligned with d, for
+    # several inputs (one input takes the sign partition instead).
     a, b, c = sys.a, sys.b, sys.c
     ctd = c.T @ d
-    if sys.m == 1:
-        x = _sign_partition(sys, ctd[None], [horizon], tol)[1][0, 0]
-        return np.concatenate(([ctd @ x], x))
 
     def integrand(s: np.ndarray) -> np.ndarray:
         eb = _expm_times(a, horizon - s, b)
@@ -676,11 +662,12 @@ def periodic_upper_estimate(
     the best T-periodic unit input: the bang-bang one, which realises it.  So
     every value is a lower bound on the gain, and their supremum over T is
     the gain; on the default grid {2^k / sigma, k = -2..6} the maximum tends
-    to the L1 gain.  gain_report reads the same bound off its L1 partition
-    (one period, the L1 horizon) instead.  For several outputs the norm
-    integral is at least the L1 bound less twice the integral of
-    ||C exp(As) b|| beyond T (Minkowski's inequality), so it could never
-    tighten a report; they raise DimensionError.
+    to the L1 gain.  l1_impulse_gain's exact SISO figure is such a steady
+    output too, for its own partition's bang-bang input and the L1 horizon
+    as period.  For several outputs the norm integral is at least the L1
+    bound less twice the integral of ||C exp(As) b|| beyond T (Minkowski's
+    inequality), so it could never tighten a report; they raise
+    DimensionError.
     """
     _checked_tol(tol)
     if sys.m != 1 or sys.p != 1:
@@ -827,14 +814,10 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
 
     Multi-input systems get a reduced report (constant-input lower bound
     only) with an explanatory note.  Single-input reports carry the exact
-    value when one is available, all lower and upper figures, and raise
-    ConsistencyError if any lower exceeds any upper beyond the combined
-    tolerances.  The ONB bound's standard basis is the L1 value.  SISO
-    reports also list the ``periodic`` lower bound: the steady output of the
-    L1 partition's bang-bang input repeated with the L1 horizon as period
-    (details: ``period`` and the zero count ``roots``).  The exact L1 value
-    may exceed it by no more than the pair's tolerances, so an input
-    realises the exact figure.
+    value when one is available (for a single output the L1 partition's
+    periodic output, see l1_impulse_gain), all lower and upper figures, and
+    raise ConsistencyError if any lower exceeds any upper beyond the
+    combined tolerances.  The ONB bound's standard basis is the L1 value.
     """
     _checked_tol(tol)
     _checked_seed(seed)
@@ -846,17 +829,11 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     if sys.m > 1:
         notes.append("multi-input system: only the constant-input lower bound is computed")
     else:
-        l1, signed = _l1_gain(sys, tol)
+        l1 = l1_impulse_gain(sys, tol)
         lowers.append(sinusoid_lower_bound(sys))
         onb = _onb_bound(sys, l1, random_bases=4, tol=tol, seed=seed)
         if sys.p == 1:
-            periodic = _periodic_bound(sys, l1, signed)
-            if l1.value - periodic.value > _pair_slack(periodic, l1):
-                raise ConsistencyError(
-                    f"exact {l1.value} exceeds the periodic input's output {periodic.value}"
-                )
             exact, uppers = l1, [onb]
-            lowers.append(periodic)
         else:
             exact = dc if dc.kind == "exact" else None
             uppers = [l1, onb]

@@ -40,6 +40,15 @@ def random_siso_system(rng, n_max=5):
     return StateSpaceSystem(a=a, b=b, c=c)
 
 
+def random_metzler_system(rng, n_max=5):
+    """Random SISO system with a Hurwitz Metzler A and nonnegative b and c,
+    so its kernel is positive."""
+    n = int(rng.integers(1, n_max + 1))
+    a = rng.uniform(0.0, 2.0, (n, n))
+    a -= (float(np.max(np.linalg.eigvals(a).real)) + 0.2) * np.eye(n)
+    return StateSpaceSystem(a=a, b=rng.uniform(0.0, 2.0, (n, 1)), c=rng.uniform(0.0, 2.0, (1, n)))
+
+
 def oscillator_kernel(s):
     """Closed-form impulse response of the damped oscillator fixture."""
     s = np.asarray(s, dtype=float)
@@ -215,11 +224,23 @@ def reference_aligned_terminal(sys, horizon, d, tol):
     return simpson_panels(integrand, [0.0, horizon], tol)[0]
 
 
+def aligned_terminal(sys, horizon, d, tol):
+    """[d'C x, x] for x the terminal state at ``horizon`` under the input
+    aligned with d: with one input v(horizon - r) = d'C exp(Ar) b is a scalar
+    kernel, and x its signed state integral over one sign partition;
+    several inputs take ``gains._aligned_terminal``'s Simpson integral."""
+    if sys.m != 1:
+        return gains._aligned_terminal(sys, horizon, d, tol)
+    ctd = sys.c.T @ d
+    x = gains._sign_partition(sys, ctd[None], [horizon], tol)[1][0, 0]
+    return np.concatenate(([ctd @ x], x))
+
+
 def reference_terminal_ascent(sys, horizons, restarts=8, tol=1e-9, seed=0):
     """The start-by-start direction-alignment ascent, one horizon after
     another, kept as the reference for gainlab's lockstep one: the value at
-    each horizon, each ascent step one call of ``gains._aligned_terminal``
-    for one start and one horizon."""
+    each horizon, each ascent step one call of ``aligned_terminal`` for one
+    start and one horizon."""
     values = []
     for horizon in horizons:
         rng = np.random.default_rng(seed)
@@ -231,7 +252,7 @@ def reference_terminal_ascent(sys, horizons, restarts=8, tol=1e-9, seed=0):
         for d in starts:
             last = -np.inf
             for _ in range(40):
-                y_t = sys.c @ gains._aligned_terminal(sys, horizon, d, tol)[1:]
+                y_t = sys.c @ aligned_terminal(sys, horizon, d, tol)[1:]
                 value = float(np.linalg.norm(y_t))
                 best_value = max(best_value, value)
                 if value <= 0 or value - last <= tol * max(1.0, value):

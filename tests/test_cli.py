@@ -155,8 +155,7 @@ class TestAnalyze:
         path.write_text(json.dumps(model))
         assert main(["analyze", str(path), "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        (periodic,) = [e for e in doc["lowers"] if e["method"] == "periodic"]
-        assert abs(periodic["value"] - doc["exact"]["value"]) <= 1e-6
+        assert abs(doc["exact"]["value"] - damped_oscillator_l1(w, d)) <= 1e-6
 
     def test_deterministic_bytes(self, oscillator_file, capsys):
         main(["analyze", oscillator_file])
@@ -376,6 +375,7 @@ class TestErrors:
             (-1.0, None, None, "model file: tol must be finite and positive, got -1.0"),
             (None, "nan", None, "--tol: tol must be finite and positive, got nan"),
             (None, None, "nan", "GAINLAB_TOL: tol must be finite and positive, got nan"),
+            (None, None, "abc", "GAINLAB_TOL: tol must be finite and positive, got 'abc'"),
         ],
     )
     def test_bad_tol_message(self, tmp_path, capsys, monkeypatch, file_tol, flag, env, message):

@@ -31,11 +31,13 @@ from gainlab import (
 from gainlab import gains, linalg
 from gainlab_testkit import (
     OSCILLATOR_GAIN,
+    aligned_terminal,
     damped_oscillator,
     damped_oscillator_l1,
     oscillator_kernel,
     quad_kernel_integrals,
     random_hurwitz_matrix,
+    random_metzler_system,
     random_siso_system,
     reference_aligned_terminal,
     reference_bang_bang_switches,
@@ -415,7 +417,7 @@ class TestReferencePaths:
             d = rng.standard_normal(p)
             d /= np.linalg.norm(d)
             for t_end in (1.0, 5.0, 20.0):
-                ours = gains._aligned_terminal(sys, t_end, d, 1e-8)
+                ours = aligned_terminal(sys, t_end, d, 1e-8)
                 ref = reference_aligned_terminal(sys, t_end, d, 1e-8)
                 assert abs(ours[0] - ref[0]) <= 2e-8
                 quad = quad_kernel_integrals(sys.a, sys.b, d @ sys.c, t_end)
@@ -589,7 +591,7 @@ class TestMaxTerminalOutput:
             sys = random_siso_system(rng, n_max=6)
             for t in (0.3, 2.0, 11.0):
                 value, direction = max_terminal_output(sys, t)
-                reference = gains._aligned_terminal(sys, t, np.ones(1), 1e-9)[0]
+                reference = aligned_terminal(sys, t, np.ones(1), 1e-9)[0]
                 assert value == pytest.approx(reference, rel=1e-15, abs=0.0)
                 assert direction == pytest.approx([1.0])
 
@@ -911,7 +913,7 @@ class TestPeriodicUpperEstimate:
 
 
 class TestPeriodicLowerBound:
-    """The report's ``periodic`` entry against SciPy: the steady output, at
+    """The report's exact SISO value against SciPy: the steady output, at
     phase 0, of the bang-bang input u(t) = sgn g(H - t), g(s) = c exp(As) b,
     repeated with the L1 horizon H as period."""
 
@@ -920,6 +922,7 @@ class TestPeriodicLowerBound:
         ("oscillator-3-0.3", lambda: damped_oscillator(3.0, 0.3)),
         ("oscillator-10-1", lambda: damped_oscillator(10.0, 1.0)),
         ("scalar", lambda: StateSpaceSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]])),
+        ("metzler", lambda: random_metzler_system(np.random.default_rng(812))),
     ] + [
         (f"random-{k}", lambda k=k: random_siso_system(np.random.default_rng(800 + k)))
         for k in range(5)
@@ -929,11 +932,9 @@ class TestPeriodicLowerBound:
     def test_matches_scipy_steady_output(self, make):
         sys, tol = make(), 1e-8
         rep = gain_report(sys, tol=tol)
-        (periodic,) = [e for e in rep.lowers if e.method == "periodic"]
-        period = periodic.details["period"]
-        assert periodic.kind == "lower"
-        assert period == rep.exact.details["horizon"]
-        assert periodic.details["roots"] == rep.exact.details["roots"][0]
+        exact = rep.exact
+        period = exact.details["horizon"]
+        assert exact.kind == "exact"
         # Past 40 / |abscissa| the kernel has decayed by e^-40: SciPy's
         # integrals stop there, on [0, H] for W_H and on [0, inf) for the gain.
         decay = -float(np.max(scipy.linalg.eigvals(sys.a).real))
@@ -941,11 +942,15 @@ class TestPeriodicLowerBound:
         w_h = quad_kernel_integrals(sys.a, sys.b, sys.c[0], min(period, t_end))[1:]
         flow = scipy.linalg.expm(sys.a * period)
         steady = abs(float(sys.c[0] @ scipy.linalg.solve(np.eye(sys.n) - flow, w_h)))
-        assert abs(periodic.value - steady) <= 1e-9 * steady
+        assert abs(exact.value - steady) <= 1e-9 * steady
         l1_ref = quad_kernel_integrals(sys.a, sys.b, sys.c[0], t_end)[0]
         scale = max(1.0, l1_ref)
-        assert periodic.value <= l1_ref + 1e-12 * scale
-        assert rep.exact.value - periodic.value <= tol
+        assert exact.value <= l1_ref + 1e-12 * scale
+        assert exact.details["component_integrals"][0] - exact.value <= tol
+        # On a positive kernel the periodic output is c (-A^-1) b itself.
+        if rep.positivity is not None:
+            (dc,) = [e.value for e in rep.lowers if e.method == "dc"]
+            assert abs(exact.value - dc) <= 1e-12 * scale
 
 
 class TestCertificateBound:
@@ -1046,7 +1051,7 @@ class TestGainReport:
         assert rep.exact.value == pytest.approx(1.0, abs=1e-9)
         assert rep.positivity is PositivityCertificate.ASSUMPTION_H
         assert rep.dims == (1, 1, 1)
-        assert {e.method for e in rep.lowers} == {"dc", "sinusoid", "periodic"}
+        assert {e.method for e in rep.lowers} == {"dc", "sinusoid"}
         assert {e.method for e in rep.uppers} == {"onb"}
         for low in rep.lowers:
             assert low.value <= rep.exact.value + 1e-9
@@ -1107,13 +1112,32 @@ class TestGainReport:
             gain_report(StateSpaceSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]))
 
     def test_exact_above_periodic_detected(self, oscillator, monkeypatch):
-        # No input would realise an exact value above the periodic output.
-        def short(sys, l1, signed):
-            return GainEstimate(value=l1.value - 1e-3, kind="lower", method="periodic", tolerance=l1.tolerance)
+        # A periodic output short of the partial integral would leave the
+        # exact value uncertified.
+        impulse_rows = gains._impulse_rows
 
-        monkeypatch.setattr(gains, "_periodic_bound", short)
+        def inflated(sys, rows, tol):
+            ints, *rest = impulse_rows(sys, rows, tol)
+            return (ints + 1e-3, *rest)
+
+        monkeypatch.setattr(gains, "_impulse_rows", inflated)
         with pytest.raises(ConsistencyError, match="periodic input"):
             gain_report(oscillator)
+
+    def test_siso_report_calls_l1_impulse_gain_once(self, oscillator, monkeypatch):
+        # The report's L1 figure comes through the public estimator, so
+        # tracing it times the report's L1 partition.
+        calls = []
+        original = gains.l1_impulse_gain
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gains, "l1_impulse_gain", counting)
+        rep = gain_report(oscillator, tol=1e-8)
+        assert len(calls) == 1
+        assert rep.exact.method == "l1-impulse"
 
     def test_one_positivity_certificate(self, oscillator, monkeypatch):
         calls = []
