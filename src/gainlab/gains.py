@@ -5,10 +5,11 @@ peak gain (the smallest constant relating the sup norm of the input to the
 sup norm of the output, equivalently to the limsup of the output norm) is
 approached here from both sides:
 
-* exact values where available: the L1 norm of the impulse response for
-  single-output systems, read as the steady output of the periodic
-  bang-bang input that realises it, and the magnitude of the DC gain
-  whenever the response kernel is sign-definite (positivity certificates);
+* exact values where available: the magnitude of the DC gain whenever the
+  response kernel is sign-definite (positivity certificates, from structure
+  or from the kernel's sign partition), else for single-output systems the
+  L1 norm of the impulse response, read as the steady output of the
+  periodic bang-bang input that realises it;
 * lower bounds from sinusoid sweeps, from periodic bang-bang inputs (whose
   steady outputs tend to the gain) and from terminal outputs;
 * upper bounds from orthonormal output decompositions and from
@@ -22,7 +23,8 @@ the multi-input ascent, whose integrand is a vector norm.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
-callers' tolerances, seeds and horizons are checked before any computation.
+callers' tolerances, seeds, counts and horizons are checked before any
+computation.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     if sys.p == 1 and horizon > 0.0:
         flow = _expm_times(sys.a, horizon, np.eye(sys.n))[0]
         periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow, signed[0])))
-        # _pair_slack of two figures computed to tol.
+        # gain_report's slack for a pair of figures computed to tol.
         if value - periodic > 2.0 * tol + 1e-9 * max(1.0, value, periodic):
             raise ConsistencyError(
                 f"partial integral {value} exceeds the periodic input's output {periodic}"
@@ -296,29 +298,36 @@ def dc_gain(sys: StateSpaceSystem) -> GainEstimate:
     Always a valid lower bound on the peak gain.  For single-input systems
     whose response kernel carries a positivity certificate (see
     positivity_certificate) the constant input is worst-case overall and the
-    value is exact.
+    value is exact: to rounding under a structural certificate, and to
+    2e-8 sqrt(p) more under SIGN_PARTITION, whose 1e-8 tail per output is
+    left unchecked.
     """
-    xdc = np.linalg.solve(sys.a, sys.b)
-    mdc = sys.c @ xdc
-    value = float(spectral_norm(mdc))
-    kind = "lower"
-    pos = None
-    if sys.m == 1:
-        pos = positivity_certificate(sys)
-        if pos is not None:
-            kind = "exact"
-    return GainEstimate(
-        value=value,
-        kind=kind,
-        method="dc",
-        tolerance=1e-12 * max(1.0, value),
-        details={"positivity": None if pos is None else pos.value},
-    )
+    pos = positivity_certificate(sys) if sys.m == 1 else None
+    return _dc_estimate(sys, pos, 2.0 * _POSITIVITY_TAIL * math.sqrt(sys.p))
+
+
+def _dc_estimate(sys, pos, partition_slack: float) -> GainEstimate:
+    # The dc figure, exact when pos certifies positivity; partition_slack is
+    # what a sign partition's unchecked tails can add to the L1 gain above it.
+    value = float(spectral_norm(sys.c @ np.linalg.solve(sys.a, sys.b)))
+    slack = partition_slack if pos is PositivityCertificate.SIGN_PARTITION else 0.0
+    kind, details = ("lower", None) if pos is None else ("exact", pos.value)
+    return GainEstimate(value, kind, "dc", slack + 1e-12 * max(1.0, value), {"positivity": details})
 
 
 # Positivity is proved on the horizon past which every kernel row integrates
 # to less than this.
 _POSITIVITY_TAIL = 1e-8
+
+
+def _structural_positivity(sys, flags: StructureFlags) -> PositivityCertificate | None:
+    # Symmetric negative definite A with identity output, or Metzler A with
+    # nonnegative B and C: positivity of a single-input kernel by structure.
+    if flags.assumption_h is not None and np.array_equal(sys.c, np.eye(sys.n)):
+        return PositivityCertificate.ASSUMPTION_H
+    if flags.metzler and flags.nonnegative_b and flags.nonnegative_c:
+        return PositivityCertificate.METZLER_NONNEG
+    return None
 
 
 def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | None:
@@ -334,13 +343,9 @@ def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | Non
     """
     if sys.m != 1:
         raise DimensionError("positivity certificates require a single input")
-    flags = structure_flags(sys)
-    if flags.assumption_h is not None and sys.c.shape == (sys.n, sys.n) and np.array_equal(
-        sys.c, np.eye(sys.n)
-    ):
-        return PositivityCertificate.ASSUMPTION_H
-    if flags.metzler and flags.nonnegative_b and flags.nonnegative_c:
-        return PositivityCertificate.METZLER_NONNEG
+    pos = _structural_positivity(sys, structure_flags(sys))
+    if pos is not None:
+        return pos
     cert = sys.certificate
     coef = spectral_norm(sys.c) * cert.m * spectral_norm(sys.b)
     horizon = tail_horizon(cert.sigma, coef, _POSITIVITY_TAIL)
@@ -379,7 +384,7 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     # state at its own horizon.  Each iterate is feasible, so the best value
     # seen per horizon is a valid lower estimate whatever the iteration does.
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((max(0, restarts), sys.p))
+    draws = rng.standard_normal((restarts, sys.p))
     starts = [*np.eye(sys.p), *(v / np.linalg.norm(v) for v in draws)]
     k, s = horizons.size, len(starts)
     horizon_of = np.repeat(np.arange(k), s)
@@ -473,6 +478,7 @@ def vcurve(
     _MAX_GRID_STEPS.
     """
     _checked_tol(tol)
+    _checked_seed(restarts, "restarts")
     _checked_seed(seed)
     hs = np.asarray(list(horizons), dtype=float)
     if hs.size == 0 or not np.all((hs > 0) & (hs < math.inf)) or np.any(np.diff(hs) <= 0):
@@ -481,7 +487,7 @@ def vcurve(
     if sys.p == 1 and sys.m == 1:
         values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
-    entries = hs.size**2 * (sys.p + max(0, restarts)) * sys.n
+    entries = hs.size**2 * (sys.p + restarts) * sys.n
     if entries > _MAX_GRID_STEPS:
         raise ValueError(
             f"{hs.size} horizons need {entries} ascent state entries, more than "
@@ -627,8 +633,7 @@ def onb_upper_bound(
     tried for multi-output systems and the minimum is returned.
     """
     _checked_tol(tol)
-    if random_bases < 0:
-        raise ValueError("random_bases must be nonnegative")
+    _checked_seed(random_bases, "random_bases")
     _checked_seed(seed)
     return _onb_bound(sys, l1_impulse_gain(sys, tol), random_bases, tol, seed)
 
@@ -791,7 +796,10 @@ def certificate_gain_bound(data: CertificateBoundInput) -> GainEstimate:
 
 @dataclass(frozen=True)
 class GainReport:
-    """All gain figures for one system, cross-checked for consistency."""
+    """All gain figures for one system, cross-checked for consistency:
+    ``exact`` is dc (also in ``lowers``) whenever ``positivity`` is certified,
+    else the L1 figure for one input and output; only several outputs have
+    ``uppers``."""
 
     exact: GainEstimate | None
     lowers: tuple
@@ -805,64 +813,52 @@ class GainReport:
     notes: tuple
 
 
-def _pair_slack(low: GainEstimate, high: GainEstimate) -> float:
-    return low.tolerance + high.tolerance + 1e-9 * max(1.0, low.value, high.value)
-
-
 def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> GainReport:
     """Assemble every applicable estimate into one audited report.
 
     Multi-input systems get a reduced report (constant-input lower bound
-    only) with an explanatory note.  Single-input reports carry the exact
-    value when one is available (for a single output the L1 partition's
-    periodic output, see l1_impulse_gain), all lower and upper figures, and
-    raise ConsistencyError if any lower exceeds any upper beyond the
-    combined tolerances.  The ONB bound's standard basis is the L1 value.
+    only) with an explanatory note.  A single-input report takes positivity
+    from structure (then one output needs no partition at all) or else from
+    its one L1 partition: no zero and nothing unresolved in any output's
+    kernel certifies SIGN_PARTITION, and as each kernel's tail is within
+    tol / (2p) the dc value is then exact to tol (plus 1e-12 relative).
+    ConsistencyError is raised if any lower or exact figure exceeds any
+    upper or exact one beyond their combined tolerances.
     """
     _checked_tol(tol)
     _checked_seed(seed)
-    notes: list[str] = []
-    dc = dc_gain(sys)
-    pos = dc.details["positivity"]
-    pos = None if pos is None else PositivityCertificate(pos)
-    exact, lowers, uppers = None, [dc], []
+    flags = structure_flags(sys)
+    pos, l1, uppers = None, None, []
+    if sys.m == 1:
+        pos = _structural_positivity(sys, flags)
+        if pos is None or sys.p > 1:
+            l1 = l1_impulse_gain(sys, tol)
+            if pos is None and l1.details["unresolved_bound"] == 0.0 and not any(l1.details["roots"]):
+                pos = PositivityCertificate.SIGN_PARTITION
+        if sys.p > 1:
+            uppers = [l1, _onb_bound(sys, l1, random_bases=4, tol=tol, seed=seed)]
+    dc = _dc_estimate(sys, pos, tol)
+    exact = dc if pos is not None else l1 if sys.p == 1 else None
     if sys.m > 1:
-        notes.append("multi-input system: only the constant-input lower bound is computed")
+        lowers, notes = [dc], ["multi-input system: only the constant-input lower bound is computed"]
     else:
-        l1 = l1_impulse_gain(sys, tol)
-        lowers.append(sinusoid_lower_bound(sys))
-        onb = _onb_bound(sys, l1, random_bases=4, tol=tol, seed=seed)
-        if sys.p == 1:
-            exact, uppers = l1, [onb]
-        else:
-            exact = dc if dc.kind == "exact" else None
-            uppers = [l1, onb]
-            if exact is None:
-                notes.append("no exactness certificate: value bracketed only")
-    for low in lowers:
-        for high in uppers:
-            if low.value > high.value + _pair_slack(low, high):
+        lowers = [dc, sinusoid_lower_bound(sys)]
+        notes = [] if exact is not None else ["no exactness certificate: value bracketed only"]
+    ends = [] if exact is None else [exact]
+    for low in lowers + ends:
+        for high in uppers + ends:
+            slack = low.tolerance + high.tolerance + 1e-9 * max(1.0, low.value, high.value)
+            if low is not high and low.value > high.value + slack:
                 raise ConsistencyError(
-                    f"lower bound {low.method}={low.value} exceeds "
-                    f"upper bound {high.method}={high.value}"
-                )
-    if exact is not None:
-        for low in lowers:
-            if low.value > exact.value + _pair_slack(low, exact):
-                raise ConsistencyError(
-                    f"lower bound {low.method}={low.value} exceeds exact {exact.value}"
-                )
-        for high in uppers:
-            if high.value < exact.value - _pair_slack(exact, high):
-                raise ConsistencyError(
-                    f"upper bound {high.method}={high.value} below exact {exact.value}"
+                    f"{low.kind} {low.method}={low.value} exceeds "
+                    f"{high.kind} {high.method}={high.value}"
                 )
     return GainReport(
         exact=exact,
         lowers=tuple(lowers),
         uppers=tuple(uppers),
         dims=(sys.n, sys.m, sys.p),
-        structure=structure_flags(sys),
+        structure=flags,
         positivity=pos,
         certificate=sys.certificate,
         tolerance=tol,

@@ -106,7 +106,8 @@ class TestAnalyze:
         assert main(["analyze", scalar_file, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         doc = json.loads(out.read_text())
-        assert doc["exact"]["method"] == "l1-impulse"
+        assert doc["exact"]["method"] == "dc"
+        assert doc["uppers"] == []
 
     def test_delay_file_gets_bounds(self, delay_file, capsys):
         assert main(["analyze", delay_file]) == 0

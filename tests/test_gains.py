@@ -104,6 +104,25 @@ def test_rejects_bad_seed_first(entry):
         assert time.perf_counter() - start < 0.05
 
 
+COUNT_ENTRY_POINTS = {
+    "onb_upper_bound": ("random_bases", lambda sys, k: onb_upper_bound(sys, random_bases=k)),
+    "vcurve": ("restarts", lambda sys, k: vcurve(sys, [1.0, 2.0], restarts=k)),
+    "max_terminal_output": ("restarts", lambda sys, k: max_terminal_output(sys, 5.0, restarts=k)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_rejects_bad_count_first(entry, monkeypatch):
+    # onb_upper_bound(random_bases=2.5) raised NumPy's TypeError after a whole
+    # L1 partition, and vcurve(restarts=-3) ran with no restarts.
+    name, call = COUNT_ENTRY_POINTS[entry]
+    sys = seeded_three_output()
+    refuse_computation(monkeypatch)
+    for count in (-3, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got "):
+            call(sys, count)
+
+
 def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
     # The quadrature hands each refinement level to the kernel in one stack,
     # and the 1e-6 width floor caps the levels at 21 after the first call.
@@ -174,38 +193,34 @@ def test_report_partitions_l1_kernel_once(monkeypatch, oscillator):
 
 
 def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_positive):
-    # The periodic lower bound is read off the L1 partition, so a SISO report
-    # partitions only for positivity and L1; the sinusoid grid is one solve.
+    # The report reads positivity off its own L1 partition: one partition per
+    # SISO report, none when structure certifies positivity (Metzler).  The
+    # sinusoid grid is one solve.
     def refuse(*args, **kwargs):
-        raise AssertionError("periodic_upper_estimate reached")
+        raise AssertionError("refused call reached")
 
-    calls, in_positivity = [], []
-    partition, certify = gains._sign_partition, gains.positivity_certificate
+    calls = []
+    partition = gains._sign_partition
 
     def counting_partition(*args, **kwargs):
         calls.append(1)
         return partition(*args, **kwargs)
 
-    def counting_certify(sys):
-        start = len(calls)
-        certificate = certify(sys)
-        in_positivity.append(len(calls) - start)
-        return certificate
-
-    monkeypatch.setattr(gains, "periodic_upper_estimate", refuse)
+    for name in ("periodic_upper_estimate", "positivity_certificate", "dc_gain"):
+        monkeypatch.setattr(gains, name, refuse)
     monkeypatch.setattr(gains, "_sign_partition", counting_partition)
-    monkeypatch.setattr(gains, "positivity_certificate", counting_certify)
-    # Positivity partitions once (a zero before 1 / sigma), twice (the first
-    # zero of the README oscillator lies past 1 / sigma; certified) or never
-    # (Metzler).
     metzler = StateSpaceSystem(a=[[-2.0, 1.0], [1.0, -2.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
-    cases = (damped_oscillator(3.0, 1.0), 1), (oscillator, 2), (triangular_positive, 2), (metzler, 0)
-    for sys, expected in cases:
+    cases = (
+        (damped_oscillator(3.0, 1.0), 1, None),
+        (oscillator, 1, None),
+        (triangular_positive, 1, PositivityCertificate.SIGN_PARTITION),
+        (metzler, 0, PositivityCertificate.METZLER_NONNEG),
+    )
+    for sys, expected, positivity in cases:
         calls.clear()
-        in_positivity.clear()
-        gain_report(sys)
-        assert in_positivity == [expected]
-        assert len(calls) == expected + 1
+        rep = gain_report(sys)
+        assert len(calls) == expected
+        assert rep.positivity is positivity
 
     solves = []
     solve = np.linalg.solve
@@ -456,6 +471,12 @@ class TestDcGain:
         assert est.kind == "exact"
         assert est.details["positivity"] == "sign-partition"
         assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_sign_partition_tolerance_covers_tail(self, triangular_positive, metzler_system):
+        # The partition leaves each kernel's 1e-8 tail unchecked, so the L1
+        # gain may exceed the dc value by 2e-8; the tolerance said 1e-12.
+        assert dc_gain(triangular_positive).tolerance >= 2e-8
+        assert dc_gain(metzler_system).tolerance == 1e-12
 
     def test_oscillator_lower_only(self, oscillator):
         est = dc_gain(oscillator)
@@ -913,7 +934,7 @@ class TestPeriodicUpperEstimate:
 
 
 class TestPeriodicLowerBound:
-    """The report's exact SISO value against SciPy: the steady output, at
+    """l1_impulse_gain's exact SISO value against SciPy: the steady output, at
     phase 0, of the bang-bang input u(t) = sgn g(H - t), g(s) = c exp(As) b,
     repeated with the L1 horizon H as period."""
 
@@ -931,8 +952,7 @@ class TestPeriodicLowerBound:
     @pytest.mark.parametrize("make", [m for _, m in SYSTEMS], ids=[i for i, _ in SYSTEMS])
     def test_matches_scipy_steady_output(self, make):
         sys, tol = make(), 1e-8
-        rep = gain_report(sys, tol=tol)
-        exact = rep.exact
+        exact = l1_impulse_gain(sys, tol)
         period = exact.details["horizon"]
         assert exact.kind == "exact"
         # Past 40 / |abscissa| the kernel has decayed by e^-40: SciPy's
@@ -948,9 +968,8 @@ class TestPeriodicLowerBound:
         assert exact.value <= l1_ref + 1e-12 * scale
         assert exact.details["component_integrals"][0] - exact.value <= tol
         # On a positive kernel the periodic output is c (-A^-1) b itself.
-        if rep.positivity is not None:
-            (dc,) = [e.value for e in rep.lowers if e.method == "dc"]
-            assert abs(exact.value - dc) <= 1e-12 * scale
+        if positivity_certificate(sys) is not None:
+            assert abs(exact.value - dc_gain(sys).value) <= 1e-12 * scale
 
 
 class TestCertificateBound:
@@ -1051,8 +1070,9 @@ class TestGainReport:
         assert rep.exact.value == pytest.approx(1.0, abs=1e-9)
         assert rep.positivity is PositivityCertificate.ASSUMPTION_H
         assert rep.dims == (1, 1, 1)
+        assert rep.exact.method == "dc"
         assert {e.method for e in rep.lowers} == {"dc", "sinusoid"}
-        assert {e.method for e in rep.uppers} == {"onb"}
+        assert rep.uppers == ()
         for low in rep.lowers:
             assert low.value <= rep.exact.value + 1e-9
 
@@ -1086,6 +1106,48 @@ class TestGainReport:
         assert rep.positivity is PositivityCertificate.SIGN_PARTITION
         assert rep.notes == ()
 
+    @pytest.mark.parametrize("n", [9, 19, 39])
+    def test_heat_equation_dc_without_partition(self, n, monkeypatch):
+        # u_t = u_xx on (0, 1), u(0) = v, u(1) = 0, y = u(0.3), on n interior
+        # nodes: Metzler, so the gain is the dc value, and the discrete steady
+        # state is linear in x, so that is 1 - 0.3 at every n.
+        h2, k = (n + 1.0) ** 2, 3 * (n + 1) // 10
+        a = h2 * (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n))
+        b, c = np.zeros((n, 1)), np.zeros((1, n))
+        b[0, 0], c[0, k - 1] = h2, 1.0
+        sys = StateSpaceSystem(a=a, b=b, c=c)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sign partition reached")
+
+        monkeypatch.setattr(gains, "_sign_partition", refuse)
+        rep = gain_report(sys)
+        assert rep.positivity is PositivityCertificate.METZLER_NONNEG
+        assert rep.exact.method == "dc"
+        assert abs(rep.exact.value - 0.7) <= 1e-10
+        assert rep.uppers == ()
+
+    @pytest.mark.parametrize("seed, p", [(900, 1), (901, 1), (902, 2), (903, 3)])
+    def test_sign_partition_dc_against_scipy_l1(self, seed, p):
+        # A Metzler system with nonnegative b and C in random coordinates: its
+        # kernels stay positive but its structure no longer shows it, so the
+        # report certifies positivity by its L1 partition, and its dc figure
+        # must meet SciPy's L1 gain within the tolerance it states.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        a = rng.uniform(0.0, 2.0, (n, n))
+        a -= (float(np.max(np.linalg.eigvals(a).real)) + 0.3) * np.eye(n)
+        t = rng.standard_normal((n, n)) + n * np.eye(n)
+        t_inv = np.linalg.inv(t)
+        b, c = rng.uniform(0.0, 2.0, (n, 1)), rng.uniform(0.0, 2.0, (p, n))
+        sys = StateSpaceSystem(a=t @ a @ t_inv, b=t @ b, c=c @ t_inv)
+        rep = gain_report(sys, tol=1e-8)
+        assert rep.positivity is PositivityCertificate.SIGN_PARTITION
+        assert rep.exact.method == "dc"
+        t_end = 40.0 / 0.3
+        l1 = [quad_kernel_integrals(sys.a, sys.b, row, t_end)[0] for row in sys.c]
+        assert abs(float(np.linalg.norm(l1)) - rep.exact.value) <= rep.exact.tolerance
+
     def test_random_systems_self_consistent(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
@@ -1096,19 +1158,11 @@ class TestGainReport:
                 assert low.value <= rep.exact.value + 1e-6 * max(1.0, rep.exact.value)
 
     def test_inconsistency_detected(self, monkeypatch):
-        import gainlab.gains as gains_mod
+        def fake_sinusoid(sys, omegas=None, refine=True):
+            return GainEstimate(value=100.0, kind="lower", method="sinusoid", tolerance=0.0)
 
-        def fake_dc(sys, grid_n=64):
-            return GainEstimate(
-                value=100.0,
-                kind="lower",
-                method="dc",
-                tolerance=0.0,
-                details={"positivity": None},
-            )
-
-        monkeypatch.setattr(gains_mod, "dc_gain", fake_dc)
-        with pytest.raises(ConsistencyError):
+        monkeypatch.setattr(gains, "sinusoid_lower_bound", fake_sinusoid)
+        with pytest.raises(ConsistencyError, match="^lower sinusoid=100.0 exceeds exact dc="):
             gain_report(StateSpaceSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]))
 
     def test_exact_above_periodic_detected(self, oscillator, monkeypatch):
@@ -1138,16 +1192,3 @@ class TestGainReport:
         rep = gain_report(oscillator, tol=1e-8)
         assert len(calls) == 1
         assert rep.exact.method == "l1-impulse"
-
-    def test_one_positivity_certificate(self, oscillator, monkeypatch):
-        calls = []
-        original = gains.positivity_certificate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(gains, "positivity_certificate", counting)
-        rep = gain_report(oscillator, tol=1e-8)
-        assert len(calls) == 1
-        assert rep.positivity is None
