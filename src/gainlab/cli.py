@@ -27,12 +27,14 @@ from . import gains, modelio, sim
 from .delay import DelayPredictorSystem, DelayState
 from .exceptions import GainlabError
 from .gains import CertificateBoundInput
-from .linalg import _MAX_GRID_STEPS, StateSpaceSystem
+from .linalg import StateSpaceSystem
 from .signals import Constant, Sinusoid
 
 __all__ = ["build_parser", "main"]
 
 DEFAULT_TOL = 1e-8
+# Largest vt and sweep grid: about 125 bytes per point, so 125 MB at the cap.
+_MAX_POINTS = 10**6
 
 
 def _checked_tol(value, source: str) -> float:
@@ -68,12 +70,12 @@ def _resolve_seed(flag_value, extras) -> int:
 
 
 def _checked_points(points: int) -> int:
-    """``points`` itself, at most simulate's cap on CSV rows; checked before
-    any grid is allocated."""
+    """``points`` itself, at most _MAX_POINTS; checked before any grid is
+    allocated."""
     if points < 1:
         raise ValueError("--points must be at least 1")
-    if points > _MAX_GRID_STEPS:
-        raise ValueError(f"--points {points} exceeds the limit of {_MAX_GRID_STEPS}")
+    if points > _MAX_POINTS:
+        raise ValueError(f"--points {points} exceeds the limit of {_MAX_POINTS}")
     return points
 
 

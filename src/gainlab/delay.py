@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .quadrature import simpson_panels
 from .signals import InputSignal, evaluate, signal_dim, sup_norm
-from .sim import _MAX_GRID_STEPS, _grid_steps, simulate
+from .sim import _MAX_GRID_STEPS, _grid_steps, _measured_gains, simulate
 
 __all__ = [
     "DelayPredictorSystem",
@@ -251,9 +251,10 @@ def simulate_predictor(
     """Integrate the delayed interconnection with RK4 on a uniform grid.
 
     ``h`` must divide tau (relative tolerance 1e-9) and match the history
-    grid in ``state0``; the grid must pass _delay_grid's work bound.  Error
-    order: the distributed term is trapezoid (order 2), so the global error
-    is O(h^2) despite the RK4 shell.
+    grid in ``state0``; the grid must pass _delay_grid's work bound, and the
+    step map's window, (N + 1)(n + m)^2 entries for N = tau / h, may hold at
+    most _MAX_GRID_STEPS.  Error order: the distributed term is trapezoid
+    (order 2), so the global error is O(h^2) despite the RK4 shell.
 
     One RK4 step map is built per call: with x = (y, z), a step is
     x_{k+1} = x_k + (Phi - I) x_k + Q0 e0 + Qh eh + Q1 e1, the drives e taken
@@ -282,6 +283,11 @@ def simulate_predictor(
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
     n, m, d = sys.n, sys.m, sys.n + sys.m
+    if (hist_steps + 1) * d * d > _MAX_GRID_STEPS:
+        raise ValueError(
+            f"a {hist_steps}-step history needs {(hist_steps + 1) * d * d} window entries, "
+            f"over the limit of {_MAX_GRID_STEPS}; use a larger step (--step)"
+        )
 
     # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
     # sums the weighted samples z(t - j h), j >= 1; the j = 0 term is in lin.
@@ -507,17 +513,13 @@ def delay_empirical_check(
             raise ValueError("empirical checks require inputs bounded by one")
         state0 = DelayState.resting(sys, hist_steps)
         traj = simulate_predictor(sys, signal, state0, t_end, h)
-        norms = np.linalg.norm(traj.ys, axis=1)
-        sup_gain = float(np.max(norms))
-        tail = traj.times >= traj.times[-1] - window - 1e-12
-        asym = float(np.max(norms[tail]))
-        within = sup_gain <= bounds.oag_bound + tolerance
+        measured = _measured_gains(traj.times, np.linalg.norm(traj.ys, axis=1), window)
         entries.append(
             DelayEmpiricalEntry(
-                sup_gain=sup_gain,
-                asymptotic_gain=asym,
-                gap_to_oag=bounds.oag_bound - sup_gain,
-                within=within,
+                sup_gain=measured.sup_gain,
+                asymptotic_gain=measured.asymptotic_gain,
+                gap_to_oag=bounds.oag_bound - measured.sup_gain,
+                within=measured.sup_gain <= bounds.oag_bound + tolerance,
             )
         )
     return DelayEmpiricalCheck(

@@ -17,9 +17,9 @@ approached here from both sides:
 
 Every integral of a single-input scalar kernel |row exp(As) b| (the L1 norm
 and the ONB bases, the terminal-output curve and its ascent, the SISO periodic
-values, the bang-bang switches and the positivity proof) comes from one
-certified partition of the kernel at its zeros; adaptive Simpson is left for
-the multi-input ascent, whose integrand is a vector norm.
+values, the bang-bang switches and the positivity proof) comes from a certified
+partition of the kernel at its zeros, C's rows and the ONB bases' in one;
+adaptive Simpson is left for the multi-input ascent's vector-norm integrand.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
@@ -121,8 +121,8 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
     """(roots, signed, unresolved) for the kernels g_i(s) = rows_i exp(As) b
     of a single-input system: roots[i] the increasing zeros of g_i,
     signed[j, i] the state integral of sgn(g_i(s)) exp(As) b over
-    [0, ends[j]], and the certified worst-case loss left in them.  The
-    integral of |g_i| over [0, ends[j]] is rows_i @ signed[j, i].
+    [0, ends[j]], and unresolved[i] the certified worst-case loss left in
+    row i.  The integral of |g_i| over [0, ends[j]] is rows_i @ signed[j, i].
 
     On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
     logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
@@ -144,7 +144,7 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
     count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
     # Cells per block: x and four kernel rows per sample fill a quarter stack.
     block = max(1, _STACK_ENTRIES // (4 * (sys.n + 4 * q)))
-    brackets, lost = [], 0.0
+    brackets, lost = [], np.zeros(q)
     for first in range(0, count, block):
         last, width = min(first + block, count), t_end / count
         lead = _expm_times(a, first * width, b)[0]
@@ -161,10 +161,10 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
             flip = (g0 >= 0.0) != (g1 >= 0.0)
             monotone = (p0 * p1 > 0.0) & (np.minimum(abs(p0), abs(p1)) > e1)
             clear = monotone | (~flip & (np.minimum(abs(g0), abs(g1)) > e0))
-            loss = np.where(clear, 0.0, width * e0 * np.where(flip, 4.0, 2.0)).sum(axis=1)
+            loss = np.where(clear, 0.0, width * e0 * np.where(flip, 4.0, 2.0))
             # Each cell's loss within its share of the budget keeps the sum within it.
-            done = (loss <= budget * width / t_end) | (width < 2e-6 * t_end)
-            lost += float(loss[done].sum())
+            done = (loss.sum(axis=1) <= budget * width / t_end) | (width < 2e-6 * t_end)
+            lost += loss[done].sum(axis=0)
             c, i = np.nonzero(flip & done[:, None])
             brackets.append((i, start[c], x[c], np.full(c.size, width), g0[c, i], g1[c, i]))
             if done.all():
@@ -227,24 +227,20 @@ def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
 
 
 def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
-    """Componentwise L1 norms of s -> rows @ exp(As) @ B for a single-input
-    system: the vector (integral of |row_i exp(As) B| ds)_i, the horizon H
-    used, the zeros of each row's kernel, the certified loss left and the
-    signed state integrals W_i = integral of sgn(row_i exp(As) b) exp(As) b
-    over [0, H].
-
-    Half the budget goes to the sign partition, half to the certified tail,
-    the tail share split evenly across components.
+    """(ints, H, roots, unresolved, W) for the kernels row_i exp(As) b of a
+    single-input system: ints[i] the integral of |row_i exp(As) b| over
+    [0, H], and the rest _sign_partition's on [0, H], W_i = signed[0, i].
+    Half the budget goes to the partition, half to the certified tail, the
+    tail share split evenly across rows.
     """
     if sys.m != 1:
         raise DimensionError("impulse-response integrals require a single input")
     cert = sys.certificate
     q = rows.shape[0]
-    row_norms = np.linalg.norm(rows, axis=1)
-    coef = float(np.max(row_norms)) * cert.m * spectral_norm(sys.b)
+    coef = float(np.max(np.linalg.norm(rows, axis=1))) * cert.m * spectral_norm(sys.b)
     horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
     if horizon == 0.0:
-        return np.zeros(q), 0.0, [np.empty(0)] * q, 0.0, np.zeros((q, sys.n))
+        return np.zeros(q), 0.0, [np.empty(0)] * q, np.zeros(q), np.zeros((q, sys.n))
     roots, signed, lost = _sign_partition(sys, rows, [horizon], tol / 2.0)
     return (signed[0] * rows).sum(axis=1), horizon, roots, lost, signed[0]
 
@@ -267,8 +263,13 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
     the partial integral c W_H by more than twice tol (plus 1e-9 relative).
     """
     _checked_tol(tol)
-    ints, horizon, roots, lost, signed = _impulse_rows(sys, sys.c, tol)
-    value = float(np.linalg.norm(ints))
+    return _l1_gain(sys, sys.c[:0], tol)[0]
+
+
+def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
+    # l1_impulse_gain's estimate off C's rows, and the extra rows' L1 norms.
+    ints, horizon, roots, lost, signed = _impulse_rows(sys, np.vstack((sys.c, extra_rows)), tol)
+    value = float(np.linalg.norm(ints[: sys.p]))
     if sys.p == 1 and horizon > 0.0:
         flow = _expm_times(sys.a, horizon, np.eye(sys.n))[0]
         periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow, signed[0])))
@@ -284,12 +285,12 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
         method="l1-impulse",
         tolerance=tol,
         details={
-            "component_integrals": [float(v) for v in ints],
+            "component_integrals": [float(v) for v in ints[: sys.p]],
             "horizon": horizon,
-            "roots": [int(r.size) for r in roots],
-            "unresolved_bound": lost,
+            "roots": [int(r.size) for r in roots[: sys.p]],
+            "unresolved_bound": float(lost[: sys.p].sum()),
         },
-    )
+    ), ints[sys.p :]
 
 
 def dc_gain(sys: StateSpaceSystem) -> GainEstimate:
@@ -352,7 +353,7 @@ def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | Non
     if horizon > 0.0:
         for end in sorted({min(horizon, 1.0 / cert.sigma), horizon}):
             roots, _, lost = _sign_partition(sys, sys.c, [end], _POSITIVITY_TAIL)
-            if lost > 0.0 or any(r.size for r in roots):
+            if lost.any() or any(r.size for r in roots):
                 return None
     return PositivityCertificate.SIGN_PARTITION
 
@@ -629,26 +630,23 @@ def onb_upper_bound(
     For any orthonormal basis (e_i) of the output space, the Euclidean
     combination of the componentwise impulse-response L1 norms along e_i' C
     bounds the gain.  The standard basis (l1_impulse_gain) is always tried;
-    ``random_bases`` additional orthonormal bases (seeded, one partition) are
+    ``random_bases`` more (seeded, their rows in one partition with C's) are
     tried for multi-output systems and the minimum is returned.
     """
     _checked_tol(tol)
     _checked_seed(random_bases, "random_bases")
     _checked_seed(seed)
-    return _onb_bound(sys, l1_impulse_gain(sys, tol), random_bases, tol, seed)
+    return _onb_bound(sys, random_bases, tol, seed)[1]
 
 
-def _onb_bound(sys, l1: GainEstimate, random_bases: int, tol: float, seed: int) -> GainEstimate:
-    # The standard basis is l1 itself; only the drawn bases need a partition.
-    values = [l1.value]
-    if sys.p > 1 and random_bases:
-        rng = np.random.default_rng(seed)
-        draws = rng.standard_normal((random_bases, sys.p, sys.p))
-        rows = np.vstack([np.linalg.qr(g)[0].T @ sys.c for g in draws])
-        ints = _impulse_rows(sys, rows, tol)[0]
-        values += [float(np.linalg.norm(v)) for v in ints.reshape(random_bases, sys.p)]
+def _onb_bound(sys, random_bases: int, tol: float, seed: int):
+    # (l1, onb): the standard basis is l1 itself; the drawn bases ride along.
+    draws = np.random.default_rng(seed).standard_normal((random_bases * (sys.p > 1), sys.p, sys.p))
+    rows = [np.linalg.qr(g)[0].T @ sys.c for g in draws]
+    l1, ints = _l1_gain(sys, np.reshape(rows, (-1, sys.n)), tol)
+    values = [l1.value, *(float(np.linalg.norm(v)) for v in ints.reshape(-1, sys.p))]
     best = int(np.argmin(values))
-    return GainEstimate(
+    return l1, GainEstimate(
         value=values[best],
         kind="upper",
         method="onb",
@@ -819,8 +817,9 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     Multi-input systems get a reduced report (constant-input lower bound
     only) with an explanatory note.  A single-input report takes positivity
     from structure (then one output needs no partition at all) or else from
-    its one L1 partition: no zero and nothing unresolved in any output's
-    kernel certifies SIGN_PARTITION, and as each kernel's tail is within
+    its one sign partition, of C's rows and, for several outputs, the ONB
+    bound's drawn bases: no zero and nothing unresolved in any of C's rows
+    certifies SIGN_PARTITION, and as each of their tails is within
     tol / (2p) the dc value is then exact to tol (plus 1e-12 relative).
     ConsistencyError is raised if any lower or exact figure exceeds any
     upper or exact one beyond their combined tolerances.
@@ -832,11 +831,11 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     if sys.m == 1:
         pos = _structural_positivity(sys, flags)
         if pos is None or sys.p > 1:
-            l1 = l1_impulse_gain(sys, tol)
+            l1, onb = _onb_bound(sys, random_bases=4, tol=tol, seed=seed)
             if pos is None and l1.details["unresolved_bound"] == 0.0 and not any(l1.details["roots"]):
                 pos = PositivityCertificate.SIGN_PARTITION
-        if sys.p > 1:
-            uppers = [l1, _onb_bound(sys, l1, random_bases=4, tol=tol, seed=seed)]
+            if sys.p > 1:
+                uppers = [l1, onb]
     dc = _dc_estimate(sys, pos, tol)
     exact = dc if pos is not None else l1 if sys.p == 1 else None
     if sys.m > 1:

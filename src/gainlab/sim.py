@@ -231,11 +231,14 @@ def empirical_gains(
     if not (0.0 < window < t_end):
         raise ValueError("window must lie strictly inside the duration")
     traj = simulate(sys, signal, np.zeros(sys.n), t_end, h)
-    norms = traj.output_norms()
-    sup_gain = float(np.max(norms))
-    tail = traj.times >= traj.times[-1] - window - 1e-12
-    asymptotic = float(np.max(norms[tail]))
-    return EmpiricalGains(sup_gain=sup_gain, asymptotic_gain=asymptotic)
+    return _measured_gains(traj.times, traj.output_norms(), window)
+
+
+def _measured_gains(times: np.ndarray, norms: np.ndarray, window: float) -> EmpiricalGains:
+    """The largest output norm on the grid ``times``, and the largest over
+    its trailing ``window``."""
+    tail = times >= times[-1] - window - 1e-12
+    return EmpiricalGains(float(np.max(norms)), float(np.max(norms[tail])))
 
 
 @dataclass(frozen=True)

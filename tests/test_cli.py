@@ -332,6 +332,23 @@ class TestErrors:
         assert err.startswith("gainlab: error: ") and err.count("\n") == 1
         assert "stored rows" in err and "--step" in err and "--t-max" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
+    def test_delay_window_exit_1(self, delay_file, capsys, monkeypatch, command):
+        # tau = 0.5, h = 1.25e-7: 80 steps over a 4 x 10^6-step history pass
+        # the work bound, but the step map's window would hold (N + 1) 2^2 =
+        # 1.6 x 10^7 entries (the simulator holds about 410 bytes per history
+        # step at n = 4).
+        def refuse(*args, **kwargs):
+            raise AssertionError("_weighted_kernels reached")
+
+        monkeypatch.setattr("gainlab.delay._weighted_kernels", refuse)
+        start = time.perf_counter()
+        assert main([command, delay_file, "--t-max", "1e-5", "--step", "1.25e-7"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
+        assert "window entries" in err and "--step" in err
+
     def test_vt_partition_cells_exit_1(self, oscillator_file, capsys):
         # ||A||_1 = 2: T = 1e9 needs 4 x 10^9 base cells, about half an hour
         # of partition before the cell limit.
@@ -346,18 +363,18 @@ class TestErrors:
         "argv, needles",
         [
             (["worstcase", "{osc}", "--horizon", "1e9"], ["partition cells", "--horizon"]),
-            (["vt", "{osc}", "--points", "10000001"], ["--points", "10000000"]),
-            (["sweep", "{osc}", "--points", "10000001"], ["--points", "10000000"]),
+            (["vt", "{osc}", "--points", "1000001"], ["--points", "1000000"]),
+            (["sweep", "{osc}", "--points", "1000001"], ["--points", "1000000"]),
             (["vt", "{osc_ci}", "--points", "1000"], ["ascent state entries", "--points"]),
         ],
         ids=["worstcase-horizon", "vt-points", "sweep-points", "vt-ascent-state"],
     )
     def test_size_cap_exit_1(self, oscillator_file, tmp_path, capsys, argv, needles):
         # Past each cap the work grows without bound: worstcase took 10.9 s
-        # at --horizon 1e7 (1e9: about 18 minutes), vt and sweep seconds and
-        # about 180 MB at 10^6 points, and the C = I oscillator's ascent,
-        # which holds 1000^2 (2 + 8) 2 = 2 x 10^7 signed state entries at
-        # 1000 points, took 171 s and 1.3 GB at 2,000.
+        # at --horizon 1e7 (1e9: about 18 minutes), vt holds about 125
+        # bytes per point (69 MB peak RSS at 3 x 10^5 points), and the C = I
+        # oscillator's ascent, which holds 1000^2 (2 + 8) 2 = 2 x 10^7 signed
+        # state entries at 1000 points, took 171 s and 1.3 GB at 2,000.
         osc_ci = tmp_path / "osc_ci.json"
         doc = {"A": [[0.0, 1.0], [-1.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]}
         osc_ci.write_text(json.dumps(doc))

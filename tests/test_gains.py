@@ -175,8 +175,9 @@ def test_single_input_scalar_kernels_skip_simpson(monkeypatch, oscillator):
 
 
 def test_report_partitions_l1_kernel_once(monkeypatch, oscillator):
-    # The ONB bound's standard basis is the L1 value; only drawn bases (p > 1)
-    # need a second partition, of their 4 x p rows.
+    # The ONB bound's standard basis is the L1 value, and its drawn bases
+    # (p > 1) ride in the same partition: C's p rows and 4 x p more.  A
+    # standalone ONB bound makes that one partition too.
     rows = []
     original = gains._impulse_rows
 
@@ -189,13 +190,59 @@ def test_report_partitions_l1_kernel_once(monkeypatch, oscillator):
     assert rows == [1]
     rows.clear()
     gain_report(seeded_three_output())
-    assert rows == [3, 12]
+    assert rows == [15]
+    rows.clear()
+    onb_upper_bound(seeded_three_output())
+    assert rows == [15]
+
+
+def test_drawn_basis_loss_leaves_c_rows_certified(monkeypatch):
+    # Both kernels, e^{-s} and 2 e^{-s}, are positive (triangular_positive
+    # with a second output).  Loss planted on a drawn-basis row of the shared
+    # partition stays on that row, so the report still certifies positivity
+    # from C's rows and l1 states nothing unresolved.
+    a, b, c = [[-1.0, -1.0], [0.0, -2.0]], [[1.0], [0.0]], [[1.0, -1.0], [2.0, -1.0]]
+    sys = StateSpaceSystem(a=a, b=b, c=c)
+    partition = gains._sign_partition
+    planted = []
+
+    def lossy(s, rows, ends, budget):
+        roots, signed, lost = partition(s, rows, ends, budget)
+        lost[-1] += 1e-3
+        planted.append(rows.shape[0])
+        return roots, signed, lost
+
+    monkeypatch.setattr(gains, "_sign_partition", lossy)
+    rep = gain_report(sys)
+    assert planted == [10]
+    assert rep.positivity is PositivityCertificate.SIGN_PARTITION
+    assert rep.uppers[0].details["unresolved_bound"] == 0.0
+
+
+@pytest.mark.parametrize("seed, p", [(910, 2), (911, 3)])
+def test_report_l1_and_onb_against_scipy(seed, p):
+    # Every basis value of the shared partition, the standard one (l1) and
+    # the drawn ones rebuilt from the seed, meets SciPy's integrals within tol.
+    rng = np.random.default_rng(seed)
+    n, tol = int(rng.integers(2, 5)), 1e-6
+    c = rng.uniform(-2.0, 2.0, (p, n))
+    sys = StateSpaceSystem(a=random_hurwitz_matrix(rng, n=n), b=rng.uniform(-2.0, 2.0, (n, 1)), c=c)
+    l1, onb = gain_report(sys, tol=tol, seed=seed).uppers
+    draws = np.random.default_rng(seed).standard_normal((4, p, p))
+    bases = [np.eye(p), *(np.linalg.qr(g)[0].T for g in draws)]
+    t_end = 40.0 / 0.2
+    refs = [
+        np.linalg.norm([quad_kernel_integrals(sys.a, sys.b, row, t_end)[0] for row in e @ sys.c])
+        for e in bases
+    ]
+    assert abs(l1.value - refs[0]) <= tol
+    np.testing.assert_allclose(onb.details["basis_values"], refs, rtol=0.0, atol=tol)
 
 
 def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_positive):
     # The report reads positivity off its own L1 partition: one partition per
-    # SISO report, none when structure certifies positivity (Metzler).  The
-    # sinusoid grid is one solve.
+    # SISO report, and per p = 3 report (the ONB bases share it), none when
+    # structure certifies positivity (Metzler).  The sinusoid grid is one solve.
     def refuse(*args, **kwargs):
         raise AssertionError("refused call reached")
 
@@ -213,6 +260,7 @@ def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_
     cases = (
         (damped_oscillator(3.0, 1.0), 1, None),
         (oscillator, 1, None),
+        (seeded_three_output(), 1, None),
         (triangular_positive, 1, PositivityCertificate.SIGN_PARTITION),
         (metzler, 0, PositivityCertificate.METZLER_NONNEG),
     )
@@ -1178,17 +1226,17 @@ class TestGainReport:
         with pytest.raises(ConsistencyError, match="periodic input"):
             gain_report(oscillator)
 
-    def test_siso_report_calls_l1_impulse_gain_once(self, oscillator, monkeypatch):
-        # The report's L1 figure comes through the public estimator, so
-        # tracing it times the report's L1 partition.
+    def test_siso_report_computes_l1_once(self, oscillator, monkeypatch):
+        # The report's L1 figure comes from the partition it would share with
+        # the ONB bound's drawn bases, and one output draws none.
         calls = []
-        original = gains.l1_impulse_gain
+        original = gains._l1_gain
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(sys, extra_rows, tol):
+            calls.append(extra_rows.shape[0])
+            return original(sys, extra_rows, tol)
 
-        monkeypatch.setattr(gains, "l1_impulse_gain", counting)
+        monkeypatch.setattr(gains, "_l1_gain", counting)
         rep = gain_report(oscillator, tol=1e-8)
-        assert len(calls) == 1
+        assert calls == [0]
         assert rep.exact.method == "l1-impulse"
