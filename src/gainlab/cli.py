@@ -175,7 +175,7 @@ def _cmd_sweep(args, system, extras):
 def _cmd_simulate(args, system, extras):
     if isinstance(system, DelayPredictorSystem):
         h = args.step if args.step is not None else system.tau / 64.0
-        hist_steps, _ = delaymod._delay_grid(system.tau, h, args.t_max)
+        hist_steps, _ = delaymod._predictor_grid(system, h, args.t_max)
         state0 = DelayState.resting(system, hist_steps)
         signal = Constant(_unit_direction(system.p))
         traj = delaymod.simulate_predictor(system, signal, state0, args.t_max, h)

@@ -215,6 +215,21 @@ def _delay_grid(tau: float, h: float, t_end: float) -> tuple[int, int]:
     return hist_steps, n_steps
 
 
+def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[int, int]:
+    """_delay_grid's (N, n_steps) for ``sys``; raises ValueError also when the
+    RK4 step map's window, (N + 1)(n + m)^2 entries, would hold more than
+    _MAX_GRID_STEPS: checked where the grid is derived, before a caller
+    allocates anything of N rows (a resting history, the kernels)."""
+    hist_steps, n_steps = _delay_grid(sys.tau, h, t_end)
+    entries = (hist_steps + 1) * (sys.n + sys.m) ** 2
+    if entries > _MAX_GRID_STEPS:
+        raise ValueError(
+            f"a {hist_steps}-step history needs {entries} window entries, "
+            f"over the limit of {_MAX_GRID_STEPS}; use a larger step (--step)"
+        )
+    return hist_steps, n_steps
+
+
 # Grid steps whose input drive simulate_predictor builds at once.
 _DRIVE_BLOCK = 1 << 16
 # Grid steps simulate_predictor solves at once: at most this many impulse
@@ -251,10 +266,11 @@ def simulate_predictor(
     """Integrate the delayed interconnection with RK4 on a uniform grid.
 
     ``h`` must divide tau (relative tolerance 1e-9) and match the history
-    grid in ``state0``; the grid must pass _delay_grid's work bound, and the
-    step map's window, (N + 1)(n + m)^2 entries for N = tau / h, may hold at
-    most _MAX_GRID_STEPS.  Error order: the distributed term is trapezoid
-    (order 2), so the global error is O(h^2) despite the RK4 shell.
+    grid in ``state0``; the grid must pass _predictor_grid: _delay_grid's
+    work bound, and a step map window, (N + 1)(n + m)^2 entries for
+    N = tau / h, of at most _MAX_GRID_STEPS.  Error order: the distributed
+    term is trapezoid (order 2), so the global error is O(h^2) despite the
+    RK4 shell.
 
     One RK4 step map is built per call: with x = (y, z), a step is
     x_{k+1} = x_k + (Phi - I) x_k + Q0 e0 + Qh eh + Q1 e1, the drives e taken
@@ -275,7 +291,7 @@ def simulate_predictor(
         raise DimensionError(
             f"input dimension {signal_dim(signal)} does not match system p={sys.p}"
         )
-    hist_steps, n_steps = _delay_grid(sys.tau, h, t_end)
+    hist_steps, n_steps = _predictor_grid(sys, h, t_end)
     if state0.z_history.shape != (hist_steps + 1, sys.m):
         raise DimensionError(
             f"z_history must have shape ({hist_steps + 1}, {sys.m}) for h={h}"
@@ -283,11 +299,6 @@ def simulate_predictor(
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
     n, m, d = sys.n, sys.m, sys.n + sys.m
-    if (hist_steps + 1) * d * d > _MAX_GRID_STEPS:
-        raise ValueError(
-            f"a {hist_steps}-step history needs {(hist_steps + 1) * d * d} window entries, "
-            f"over the limit of {_MAX_GRID_STEPS}; use a larger step (--step)"
-        )
 
     # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
     # sums the weighted samples z(t - j h), j >= 1; the j = 0 term is in lin.
@@ -505,7 +516,7 @@ def delay_empirical_check(
     """
     if not (0.0 < window < t_end):
         raise ValueError("window must lie strictly inside the duration")
-    hist_steps, _ = _delay_grid(sys.tau, h, t_end)
+    hist_steps, _ = _predictor_grid(sys, h, t_end)
     bounds = delay_bounds(sys)
     entries = []
     for signal in inputs:

@@ -43,6 +43,7 @@ from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
     StructureFlags,
+    _expm_stack,
     _expm_times,
     _orbit,
     spectral_norm,
@@ -117,12 +118,74 @@ def _checked_tol(tol, source: str = "tol") -> None:
         raise ValueError(f"{source} must be finite and positive, got {tol!r}")
 
 
+class _KernelFlow:
+    """The row-independent part of a sign partition: the flow x(s) = exp(As) b
+    of one single-input system on the base cells of one increasing grid
+    ``ends``, with each matrix exponential the partition needs formed once,
+    whatever rows are partitioned on it (the lockstep ascent partitions new
+    rows on one flow at each of its steps).
+
+    It holds A^0..A^5, the logarithmic norm mu of A, the cell count and
+    width w, exp(A ends[-1]) and the states y = A^-1 exp(As) b at s = 0 and
+    at each end; and, formed on first use, the orbit powers exp(2^i w A),
+    one exp(w / 2^k A) per halving level k and, per block length, every
+    block's lead exp(first w A) b.  Each lead is formed directly: carried
+    from the last block by one fixed exponential, it drifts into rounding
+    noise (and false zeros) where the kernel underflows.
+    """
+
+    def __init__(self, sys: StateSpaceSystem, ends):
+        a, b = self.a, self.b = sys.a, sys.b
+        self.ends = np.asarray(ends, dtype=float)
+        t_end = float(self.ends[-1])
+        self.a_powers = [np.linalg.matrix_power(a, k) for k in range(6)]
+        self.mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
+        self.count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
+        self.width = t_end / self.count
+        # exp(A e) b in _expm_times's stacks, keeping the last exp(A e) whole.
+        chunk, x_ends = max(1, _STACK_ENTRIES // a.size), np.empty((self.ends.size, a.shape[0]))
+        for start in range(0, self.ends.size, chunk):
+            exps = _expm_stack(a, self.ends[start : start + chunk])
+            x_ends[start : start + chunk] = (exps @ b)[:, :, 0]
+        self.exp_end = exps[-1]
+        self.y_ends = np.linalg.solve(a, x_ends.T).T
+        self.y_start = np.linalg.solve(a, b).T
+        self._powers, self._halves, self._leads = [], {}, {}
+
+    def powers(self, cells: int) -> list[np.ndarray]:
+        """The orbit powers exp(2^i w A) that _orbit takes over ``cells`` cells
+        (and any formed before), forming only the levels not yet formed."""
+        have, levels = len(self._powers), cells.bit_length()
+        if levels > have:
+            self._powers += list(_expm_stack(self.a, self.width * 2.0 ** np.arange(have, levels)))
+        return self._powers
+
+    def half(self, level: int) -> np.ndarray:
+        """exp(w / 2^level A), the step to the midpoints of halving level ``level``."""
+        if level not in self._halves:
+            step = self.width / 2.0**level
+            self._halves[level] = _expm_times(self.a, step, np.eye(self.a.shape[0]))[0]
+        return self._halves[level]
+
+    def leads(self, block: int) -> np.ndarray:
+        """exp(first w A) b at the first cell of every block of ``block`` cells;
+        the first block's is I b, which is what _expm gives for exp(0)."""
+        if block not in self._leads:
+            later = _expm_times(self.a, np.arange(block, self.count, block) * self.width, self.b)
+            first = np.eye(self.a.shape[0]) @ self.b
+            self._leads[block] = np.concatenate((first[None], later))[:, :, 0]
+        return self._leads[block]
+
+
 def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float):
     """(roots, signed, unresolved) for the kernels g_i(s) = rows_i exp(As) b
     of a single-input system: roots[i] the increasing zeros of g_i,
     signed[j, i] the state integral of sgn(g_i(s)) exp(As) b over
     [0, ends[j]], and unresolved[i] the certified worst-case loss left in
     row i.  The integral of |g_i| over [0, ends[j]] is rows_i @ signed[j, i].
+    ``ends`` is an increasing grid, or a _KernelFlow on one, which callers
+    partitioning several row sets on one grid share; given a grid, the
+    partition builds its own flow.
 
     On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
     logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
@@ -134,27 +197,24 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
     fits its share of ``budget`` or it is 1e-6 of the horizon wide.  Between
     zeros exp(As) b integrates to the change of A^-1 exp(As) b.
     """
-    a, b, q = sys.a, sys.b, rows.shape[0]
-    ends = np.asarray(ends, dtype=float)
-    t_end = float(ends[-1])
-    powers = [rows @ np.linalg.matrix_power(a, k) for k in range(6)]
+    flow = ends if isinstance(ends, _KernelFlow) else _KernelFlow(sys, ends)
+    a, q, count = sys.a, rows.shape[0], flow.count
+    t_end = float(flow.ends[-1])
+    powers = [rows @ power for power in flow.a_powers]
     # g_i and its first three derivatives are x @ lift.T; A^4, A^5 bound the rest.
     lift, high = np.concatenate(powers[:4]), np.linalg.norm(powers[4:], axis=2)[None]
-    mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
-    count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
     # Cells per block: x and four kernel rows per sample fill a quarter stack.
     block = max(1, _STACK_ENTRIES // (4 * (sys.n + 4 * q)))
     brackets, lost = [], np.zeros(q)
-    for first in range(0, count, block):
-        last, width = min(first + block, count), t_end / count
-        lead = _expm_times(a, first * width, b)[0]
-        x = _orbit(a, lead[:, 0], width, last - first + 1)
+    for first, lead in zip(range(0, count, block), flow.leads(block)):
+        last, width, level = min(first + block, count), flow.width, 0
+        x = _orbit(flow.powers(last - first), lead, last - first + 1)
         v = (x @ lift.T).reshape(-1, 4, q)
         cells = [np.arange(first, last) * width, x[:-1], v[:-1], v[1:]]
         while True:
             start, x, v0, v1 = cells
             chord = width**2 / 8.0
-            grow = min(sys.certificate.m, math.exp(mu * width)) * np.linalg.norm(x, axis=1)
+            grow = min(sys.certificate.m, math.exp(flow.mu * width)) * np.linalg.norm(x, axis=1)
             bound = np.maximum(abs(v0[:, 2:]), abs(v1[:, 2:])) + chord * grow[:, None, None] * high
             e0, e1 = chord * bound[:, 0], chord * bound[:, 1]
             g0, p0, g1, p1 = v0[:, 0], v0[:, 1], v1[:, 0], v1[:, 1]
@@ -170,31 +230,49 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
             if done.all():
                 break
             start, x, v0, v1 = (part[~done] for part in cells)
-            width /= 2.0
-            xm = x @ _expm_times(a, width, np.eye(sys.n))[0].T
+            level, width = level + 1, width / 2.0
+            xm = x @ flow.half(level).T
             vm = (xm @ lift.T).reshape(-1, 4, q)
             pairs = (start, start + width), (x, xm), (v0, vm), (vm, v1)
             cells = [np.concatenate(pair) for pair in pairs]
     row, start, x, width, g0, g1 = map(np.concatenate, zip(*brackets))
     offset, x = _kernel_zeros(a, rows[row], powers[1][row], x, width, g0, g1)
-    t = start + offset
-    # Each step of y = A^-1 exp(As) b between zeros, signed by the kernel's
-    # sign across it (the sign of its change along the row), adds to signed.
     y_roots = np.linalg.solve(a, x.T).T
-    y_ends = np.linalg.solve(a, _expm_times(a, ends, b)[:, :, 0].T).T
-    y_start = np.linalg.solve(a, b).T
-    order = np.lexsort((t, row))
-    parts = np.split(order, np.searchsorted(row[order], np.arange(1, q)))
-    roots, signed = [], np.empty((ends.size, q, sys.n))
-    for i, part in enumerate(parts):
-        y = np.vstack((y_start, y_roots[part]))
-        k = np.searchsorted(t[part], ends)
-        steps = np.vstack((np.diff(y, axis=0), y_ends - y[k]))
-        steps *= np.sign(steps @ rows[i])[:, None]
-        total = np.vstack((np.zeros_like(y_start), np.cumsum(steps[: -ends.size], axis=0)))
-        signed[:, i] = total[k] + steps[-ends.size :]
-        roots.append(t[part])
+    roots, signed = _signed_states(rows, row, start + offset, y_roots, flow)
     return roots, signed, lost
+
+
+def _signed_states(rows, row, t, y_roots, flow):
+    """(roots, signed) from the zeros t of the kernels rows_i exp(As) b (row
+    their row numbers) and y = A^-1 exp(As) b at each: _sign_partition's
+    per-row zeros and signed state integrals over [0, flow.ends[j]].
+
+    Each step of y between consecutive zeros, and from the last zero before
+    an end to the end, is signed by the kernel's sign across it (the sign of
+    its change along the row).  Row i's states (y at 0, then at its zeros)
+    fill y_pad[i], padded with its last state to the most zeros any row has,
+    so every row's signed steps add up in one cumulative sum along axis 1:
+    sequential, and so bit for bit the sum of each row on its own.
+    """
+    q, ends = rows.shape[0], flow.ends
+    order = np.lexsort((t, row))
+    counts = np.bincount(row, minlength=q)
+    bounds = np.cumsum(counts)
+    # pos[i, j]: row i's j-th state, 0 the start, its last repeated after it.
+    pos = np.minimum(np.arange(int(counts.max()) + 1), counts[:, None])
+    at = np.where(pos > 0, (bounds - counts)[:, None] + pos, 0)
+    y_pad = np.vstack((flow.y_start, y_roots[order]))[at]
+    # k[i, j]: how many of row i's zeros lie before ends[j].
+    past = row * (ends.size + 1) + np.searchsorted(ends, t, side="right")
+    k = np.bincount(past, minlength=q * (ends.size + 1)).reshape(q, -1).cumsum(axis=1)[:, :-1]
+    inner, each = pos.shape[1] - 1, np.arange(q)[:, None]
+    steps = np.concatenate((np.diff(y_pad, axis=1), flow.y_ends - y_pad[each, k]), axis=1)
+    steps *= np.sign(steps @ rows[:, :, None])
+    total = np.zeros_like(y_pad)
+    np.cumsum(steps[:, :inner], axis=1, out=total[:, 1:])
+    signed = np.ascontiguousarray((total[each, k] + steps[:, inner:]).transpose(1, 0, 2))
+    t = t[order]
+    return [t[stop - count : stop] for stop, count in zip(bounds.tolist(), counts.tolist())], signed
 
 
 def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
@@ -227,11 +305,12 @@ def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
 
 
 def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
-    """(ints, H, roots, unresolved, W) for the kernels row_i exp(As) b of a
-    single-input system: ints[i] the integral of |row_i exp(As) b| over
-    [0, H], and the rest _sign_partition's on [0, H], W_i = signed[0, i].
-    Half the budget goes to the partition, half to the certified tail, the
-    tail share split evenly across rows.
+    """(ints, H, roots, unresolved, W, exp(AH)) for the kernels row_i exp(As) b
+    of a single-input system: ints[i] the integral of |row_i exp(As) b| over
+    [0, H], the rest _sign_partition's on [0, H], W_i = signed[0, i], and
+    the partition flow's exp(AH) (None when H = 0).  Half the budget goes to
+    the partition, half to the certified tail, the tail share split evenly
+    across rows.
     """
     if sys.m != 1:
         raise DimensionError("impulse-response integrals require a single input")
@@ -240,9 +319,10 @@ def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     coef = float(np.max(np.linalg.norm(rows, axis=1))) * cert.m * spectral_norm(sys.b)
     horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
     if horizon == 0.0:
-        return np.zeros(q), 0.0, [np.empty(0)] * q, np.zeros(q), np.zeros((q, sys.n))
-    roots, signed, lost = _sign_partition(sys, rows, [horizon], tol / 2.0)
-    return (signed[0] * rows).sum(axis=1), horizon, roots, lost, signed[0]
+        return np.zeros(q), 0.0, [np.empty(0)] * q, np.zeros(q), np.zeros((q, sys.n)), None
+    flow = _KernelFlow(sys, [horizon])
+    roots, signed, lost = _sign_partition(sys, rows, flow, tol / 2.0)
+    return (signed[0] * rows).sum(axis=1), horizon, roots, lost, signed[0], flow.exp_end
 
 
 def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
@@ -267,12 +347,15 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
 
 
 def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
-    # l1_impulse_gain's estimate off C's rows, and the extra rows' L1 norms.
-    ints, horizon, roots, lost, signed = _impulse_rows(sys, np.vstack((sys.c, extra_rows)), tol)
+    """(l1_impulse_gain's estimate off C's rows, the extra rows' L1 norms),
+    from one _impulse_rows partition of C's rows and ``extra_rows``.  The
+    SISO periodic figure |c (I - exp(AH))^-1 W_H| takes the exp(AH) that the
+    partition's flow formed for its end, H."""
+    rows = np.vstack((sys.c, extra_rows))
+    ints, horizon, roots, lost, signed, exp_h = _impulse_rows(sys, rows, tol)
     value = float(np.linalg.norm(ints[: sys.p]))
     if sys.p == 1 and horizon > 0.0:
-        flow = _expm_times(sys.a, horizon, np.eye(sys.n))[0]
-        periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow, signed[0])))
+        periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - exp_h, signed[0])))
         # gain_report's slack for a pair of figures computed to tol.
         if value - periodic > 2.0 * tol + 1e-9 * max(1.0, value, periodic):
             raise ConsistencyError(
@@ -384,6 +467,8 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     # d'C exp(As) b out to the last horizon, each pair reading its terminal
     # state at its own horizon.  Each iterate is feasible, so the best value
     # seen per horizon is a valid lower estimate whatever the iteration does.
+    # Every step partitions on one kernel flow over the horizons.
+    flow = _KernelFlow(sys, horizons) if sys.m == 1 else None
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((restarts, sys.p))
     starts = [*np.eye(sys.p), *(v / np.linalg.norm(v) for v in draws)]
@@ -394,7 +479,7 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     last, live = np.full(k * s, -np.inf), np.arange(k * s)
     for _ in range(40):
         if sys.m == 1:
-            signed = _sign_partition(sys, d[live] @ sys.c, horizons, tol)[1]
+            signed = _sign_partition(sys, d[live] @ sys.c, flow, tol)[1]
             x = signed[horizon_of[live], np.arange(live.size)]
         else:
             x = np.array([_aligned_terminal(sys, horizons[horizon_of[j]], d[j], tol)[1:] for j in live])
@@ -472,7 +557,10 @@ def vcurve(
     the standard basis and ``restarts`` seeded directions at every horizon at
     once.  With one input each of its at most 40 steps is one sign partition,
     out to the largest horizon, for all starts and horizons, so a grid of any
-    size costs at most 40 partitions, as one horizon does.  Horizons must be
+    size costs at most 40 partitions, as one horizon does.  The steps share
+    one kernel flow, whose matrix exponentials (orbit powers, halving steps,
+    block leads, end states) are formed once per curve: a step adds only its
+    rows' kernel values and the Newton polish of their zeros.  Horizons must be
     finite, and the largest at most _MAX_GRID_STEPS cells of 1 / (2 ||A||_1).
     The ascent's signed states, n entries per (start, horizon) pair at each
     of the k horizons, k^2 (p + restarts) n in all, may number at most

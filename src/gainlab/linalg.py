@@ -154,6 +154,11 @@ def _pade13(m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
+def _expm_stack(a: np.ndarray, s) -> np.ndarray:
+    """exp(s_k a) for every entry s_k of ``s``, as one (k, n, n) _expm stack."""
+    return _expm(a * np.asarray(s, dtype=float).reshape(-1)[:, None, None])
+
+
 def _expm_times(a: np.ndarray, s, b: np.ndarray) -> np.ndarray:
     """exp(s_k a) @ b for every entry s_k of ``s``, as a (k, n, m) array.
 
@@ -166,28 +171,27 @@ def _expm_times(a: np.ndarray, s, b: np.ndarray) -> np.ndarray:
     chunk = max(1, _STACK_ENTRIES // (n * n))
     out = np.empty((s.size, n, b.shape[1]))
     for start in range(0, s.size, chunk):
-        part = s[start : start + chunk]
-        out[start : start + chunk] = _expm(a * part[:, None, None]) @ b
+        out[start : start + chunk] = _expm_stack(a, s[start : start + chunk]) @ b
     return out
 
 
-def _orbit(a: np.ndarray, v: np.ndarray, step: float, count: int) -> np.ndarray:
+def _orbit(powers: np.ndarray | list[np.ndarray], v: np.ndarray, count: int) -> np.ndarray:
     """exp(j step a) v for j = 0..count-1, as the rows of a (count, len(v)) array.
 
-    The powers exp(2^i step a) come from one _expm stack, and row j is the
-    product of the powers named by the binary digits of j: each power doubles
-    the rows filled, so no row carries more than log2(count) products.
+    ``powers`` holds exp(2^i step a) for i = 0, 1, ..., at least
+    (count - 1).bit_length() of them (one _expm_stack of step * 2^i), so
+    callers that walk one orbit in many pieces form them once.  Row j is the
+    product of the powers named by the binary digits of j: each power
+    doubles the rows filled, so no row carries more than log2(count)
+    products.
     """
     out = np.empty((count, v.size))
     out[0] = v
-    levels = (count - 1).bit_length()
-    if levels:
-        powers = _expm(a * (step * 2.0 ** np.arange(levels))[:, None, None])
-        filled = 1
-        for power in powers:
-            take = min(filled, count - filled)
-            out[filled : filled + take] = out[:take] @ power.T
-            filled += take
+    filled = 1
+    for power in powers[: (count - 1).bit_length()]:
+        take = min(filled, count - filled)
+        out[filled : filled + take] = out[:take] @ power.T
+        filled += take
     return out
 
 

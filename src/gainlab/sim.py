@@ -19,7 +19,15 @@ import numpy as np
 
 from .exceptions import DimensionError, SimulationError
 from .gains import bang_bang_switches, l1_impulse_gain
-from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _expm, _orbit, mat_exp
+from .linalg import (
+    _MAX_GRID_STEPS,
+    _STACK_ENTRIES,
+    StateSpaceSystem,
+    _expm,
+    _expm_stack,
+    _orbit,
+    mat_exp,
+)
 from .quadrature import tail_horizon
 from .signals import (
     InputSignal,
@@ -134,10 +142,13 @@ def simulate(
         g, z = _generator(sys, seg, x)
         stop = int(np.searchsorted(times, seg.end + eps, side="right"))
         block = _STACK_ENTRIES // z.size
+        # The segment's first block is its longest: its orbit powers serve all.
+        levels = max(0, min(block, stop - k) - 1).bit_length()
+        powers = _expm_stack(g, h * 2.0 ** np.arange(levels)) if levels else ()
         for lo in range(k, stop, block):
             hi = min(lo + block, stop)
             lead = _expm(g * (times[lo] - seg.start)) @ z
-            rows = _orbit(g, lead, h, hi - lo)[:, : sys.n]
+            rows = _orbit(powers, lead, hi - lo)[:, : sys.n]
             bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
             if bad.size:
                 raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")

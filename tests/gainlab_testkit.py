@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.optimize
 
 from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, gains, mat_exp
-from gainlab.linalg import _expm, _expm_times, _orbit, spectral_norm
+from gainlab.linalg import _expm, _expm_stack, _expm_times, _orbit, spectral_norm
 from gainlab.modelio import _fmt
 from gainlab.quadrature import simpson_panels, tail_horizon
 from gainlab.signals import BangBangInput, Segment, iter_segments, signal_dim
@@ -162,7 +162,8 @@ def reference_bang_bang_switches(
     a, b, c = sys.a, sys.b, sys.c
     step = horizon / (samples - 1)
     # g_j = C exp(A j step) B on the lag grid; the kernel at s is g(horizon-s).
-    g = _orbit(a, b[:, 0], step, samples) @ c[0]
+    powers = _expm_stack(a, step * 2.0 ** np.arange((samples - 1).bit_length()))
+    g = _orbit(powers, b[:, 0], samples) @ c[0]
     kernel = g[::-1]  # kernel[i] = g(horizon - s_i) on the s grid
     scale = spectral_norm(c) * spectral_norm(b)
     if np.max(np.abs(kernel)) <= 1e-14 * max(scale, 1e-300):
@@ -234,6 +235,24 @@ def aligned_terminal(sys, horizon, d, tol):
     ctd = sys.c.T @ d
     x = gains._sign_partition(sys, ctd[None], [horizon], tol)[1][0, 0]
     return np.concatenate(([ctd @ x], x))
+
+
+def signed_states_loop(rows, row, t, y_roots, flow):
+    """``gains._signed_states`` one row at a time, the loop its padded
+    cumulative sum replaced: the reference it must match bit for bit."""
+    q, ends = rows.shape[0], flow.ends
+    order = np.lexsort((t, row))
+    parts = np.split(order, np.searchsorted(row[order], np.arange(1, q)))
+    roots, signed = [], np.empty((ends.size, q, flow.y_start.shape[1]))
+    for i, part in enumerate(parts):
+        y = np.vstack((flow.y_start, y_roots[part]))
+        k = np.searchsorted(t[part], ends)
+        steps = np.vstack((np.diff(y, axis=0), flow.y_ends - y[k]))
+        steps *= np.sign(steps @ rows[i])[:, None]
+        total = np.vstack((np.zeros_like(flow.y_start), np.cumsum(steps[: -ends.size], axis=0)))
+        signed[:, i] = total[k] + steps[-ends.size :]
+        roots.append(t[part])
+    return roots, signed
 
 
 def reference_terminal_ascent(sys, horizons, restarts=8, tol=1e-9, seed=0):

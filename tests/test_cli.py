@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("gainlab: error: ") and err.count("\n") == 1
         assert "window entries" in err and "--step" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
+    def test_delay_window_refused_before_allocating(self, delay_file, capsys, command):
+        # tau = 0.5, h = tau / 9.9e6: 20 steps pass the work bound, but the
+        # window, (N + 1) 2^2 entries, is over its limit.  The resting
+        # history of N + 1 rows alone made an 89 MB peak before the refusal.
+        tracemalloc.start()
+        try:
+            code = main([command, delay_file, "--t-max", "1e-6", "--step", repr(0.5 / 9.9e6)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 10 * 2**20
+        assert "window entries" in capsys.readouterr().err
 
     def test_vt_partition_cells_exit_1(self, oscillator_file, capsys):
         # ||A||_1 = 2: T = 1e9 needs 4 x 10^9 base cells, about half an hour

@@ -46,6 +46,7 @@ from gainlab_testkit import (
     reference_sinusoid_refine,
     reference_sinusoid_response,
     reference_terminal_ascent,
+    signed_states_loop,
 )
 
 SQRT5_HALF = math.sqrt(5.0) / 2.0
@@ -143,6 +144,70 @@ def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
     curve = vcurve(oscillator, np.linspace(0.5, 20.0, 40))
     assert 0 < len(calls) <= 22
     assert curve.values[-1] == pytest.approx(v_end, abs=1e-8)
+
+
+def test_partition_forms_orbit_powers_once(monkeypatch):
+    # A seeded n = 6 SISO system whose L1 partition at tol 1e-6 walks 4
+    # blocks of cells: one stack of orbit powers exp(2^i w A) serves every
+    # block, and each halving step exp(w / 2^k A) is formed once.
+    rng = np.random.default_rng(0)
+    a = random_hurwitz_matrix(rng, n=6)
+    sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (6, 1)), c=rng.uniform(-2.0, 2.0, (1, 6)))
+    stacks = []
+    original = linalg._expm
+
+    def recording(m):
+        stacks.append(m)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "_expm", recording)
+    horizon = l1_impulse_gain(sys, tol=1e-6).details["horizon"]
+    monkeypatch.undo()
+    flow = gains._KernelFlow(sys, [horizon])
+    block = linalg._STACK_ENTRIES // (4 * (sys.n + 4))
+    assert -(-flow.count // block) == 4
+    assert sum(np.array_equal(m[0], a * flow.width) for m in stacks) == 1
+    for level in range(1, 4):
+        assert sum(np.array_equal(m[0], a * (flow.width / 2.0**level)) for m in stacks) <= 1
+
+
+def test_close_zero_pairs_halve_cells_on_a_shared_flow():
+    # g(s) = exp(-s) (1 - eps - cos s) has a pair of zeros 2 acos(1 - eps)
+    # apart at each 2 pi k, inside one base cell, so those cells are halved
+    # level after level, each level's step taken from the flow.  The zeros
+    # meet their closed form, and a flow other rows already used gives the
+    # partition's bits again.
+    eps, t_end = 1e-4, 20.0
+    a = [[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]]
+    sys = StateSpaceSystem(a=a, b=[[1.0], [1.0], [0.0]], c=[[1.0 - eps, -1.0, 0.0]])
+    flow = gains._KernelFlow(sys, [t_end])
+    gains._sign_partition(sys, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]), flow, 1e-10)
+    shared = gains._sign_partition(sys, sys.c, flow, 1e-10)
+    fresh = gains._sign_partition(sys, sys.c, [t_end], 1e-10)
+    r = math.acos(1.0 - eps)
+    zeros = sorted(z for k in range(4) for z in (2.0 * math.pi * k - r, 2.0 * math.pi * k + r) if z > 0)
+    np.testing.assert_allclose(shared[0][0], zeros, rtol=0.0, atol=1e-12)
+    assert np.array_equal(shared[0][0], fresh[0][0])
+    assert np.array_equal(shared[1], fresh[1]) and np.array_equal(shared[2], fresh[2])
+
+
+def test_signed_states_match_per_row_loop():
+    # Rows with unequal zero counts, one with none, and ends before the first
+    # zero, among the zeros and after the last: the padded cumulative sum
+    # equals the per-row loop it replaced bit for bit.
+    sys = seeded_three_output()
+    flow = gains._KernelFlow(sys, [0.05, 1.0, 2.5, 7.0, 19.0, 20.0])
+    rng = np.random.default_rng(4)
+    counts = [3, 0, 7, 1, 12]
+    row = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    t = rng.uniform(0.1, 19.5, row.size)
+    y_roots = rng.standard_normal((row.size, sys.n))
+    rows = rng.standard_normal((len(counts), sys.n))
+    roots, signed = gains._signed_states(rows, row, t, y_roots, flow)
+    ref_roots, ref_signed = signed_states_loop(rows, row, t, y_roots, flow)
+    assert [r.size for r in roots] == counts
+    assert all(np.array_equal(r, ref) for r, ref in zip(roots, ref_roots))
+    assert np.array_equal(signed, ref_signed)
 
 
 def seeded_three_output():
@@ -714,6 +779,37 @@ class TestVCurve:
         calls.clear()
         max_terminal_output(identity_output_oscillator(1.0, 1.0), 20.0)
         assert 0 < len(calls) <= 40
+
+    def test_ascent_expm_calls(self, monkeypatch):
+        # The ascent's steps share one kernel flow: its orbit powers, halving
+        # steps, block leads and end exponentials are formed once, not per
+        # step and block (3,412 calls when each block formed its own).
+        calls = []
+        original = linalg._expm
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(linalg, "_expm", counting)
+        vcurve(identity_output_oscillator(10.0, 1.0), np.linspace(0.5, 20.0, 40), tol=1e-8)
+        assert len(calls) == 43
+
+    def test_shared_flow_partitions_bit_for_bit(self):
+        # Row sets of changing size, so of changing block length, partitioned
+        # in turn on one flow as the ascent does: each equals a partition
+        # that builds its own flow.
+        sys = seeded_three_output()
+        hs = np.linspace(0.5, 20.0, 40)
+        flow = gains._KernelFlow(sys, hs)
+        rng = np.random.default_rng(3)
+        for q in (120, 33, 5, 1, 12):
+            rows = rng.standard_normal((q, sys.p)) @ sys.c
+            shared = gains._sign_partition(sys, rows, flow, 1e-8)
+            fresh = gains._sign_partition(sys, rows, hs, 1e-8)
+            assert len(shared[0]) == len(fresh[0]) == q
+            assert all(np.array_equal(r, f) for r, f in zip(shared[0], fresh[0]))
+            assert np.array_equal(shared[1], fresh[1]) and np.array_equal(shared[2], fresh[2])
 
     def test_two_output_not_exact(self, diag_two_output):
         curve = vcurve(diag_two_output, [1.0, 5.0], tol=1e-8)

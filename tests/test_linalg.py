@@ -102,7 +102,8 @@ class TestMatExp:
         g[:4, :4] = random_hurwitz_matrix(rng, n=4, abscissa=-0.2)
         g[:4, 4] = rng.standard_normal(4)
         v = rng.standard_normal(5)
-        rows = linalg._orbit(g, v, 0.05, count)
+        powers = linalg._expm_stack(g, 0.05 * 2.0 ** np.arange((count - 1).bit_length()))
+        rows = linalg._orbit(powers, v, count)
         assert rows.shape == (count, 5)
         ref = np.array([scipy.linalg.expm(j * 0.05 * g) @ v for j in range(count)])
         np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
