@@ -16,8 +16,9 @@ Simulation is classical RK4 with the distributed term J handled by a
 composite trapezoid rule over the stored z history (linear interpolation at
 half steps), its weighted kernels h w_j exp(A j h) B taken once from
 linalg._expm_times.  Everything a step reads is stored before it starts, so
-one linear RK4 step map is built per simulation: the history window folds
-into one matrix and the input drive is evaluated in blocks of the grid.
+one linear RK4 step map serves every input on one grid (delay_empirical_check
+builds one for all its inputs): the history window folds into one matrix and
+the input drive is evaluated in blocks of the grid.
 The resulting recurrence has constant coefficients, so a block of steps is
 solved at once, as one Toeplitz matrix-vector product of the recurrence's
 impulse responses.  The step must divide the delay exactly so history
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,27 +272,10 @@ def simulate_predictor(
     work bound, and a step map window, (N + 1)(n + m)^2 entries for
     N = tau / h, of at most _MAX_GRID_STEPS.  Error order: the distributed
     term is trapezoid (order 2), so the global error is O(h^2) despite the
-    RK4 shell.
-
-    One RK4 step map is built per call: with x = (y, z), a step is
-    x_{k+1} = x_k + (Phi - I) x_k + Q0 e0 + Qh eh + Q1 e1, the drives e taken
-    at t_k, t_k + h/2 and t_k + h.  Their history terms are linear in the
-    stored window z_record[k : k + N + 1] (N = tau / h), which is folded with
-    Phi - I into one (n + m) x (N + 1)(n + m) matrix ``win`` acting on the
-    last N + 1 rows of x:  x_{k+1} = x_k + win window_k + drive_k.  That
-    recurrence has constant coefficients, so the L = _SOLVE_BLOCK steps after
-    a known row x_{k0} are X = T_L (windows win' + drive + x_{k0} e_0): the
-    windows are the stored rows with those not yet solved still zero, and
-    T_L is the block lower-triangular Toeplitz matrix of the recurrence's
-    first L impulse responses, built once per call, so a block of steps is
-    one matrix product for the windows and one Toeplitz matvec.  The drives'
-    input terms are evaluated for blocks of at most _DRIVE_BLOCK steps as
-    the solve reaches them, which bounds their memory.
+    RK4 shell.  One _StepMap is built per call (see _rk4_step_map) and
+    solved by _solve_predictor.
     """
-    if signal_dim(signal) != sys.p:
-        raise DimensionError(
-            f"input dimension {signal_dim(signal)} does not match system p={sys.p}"
-        )
+    _check_input(sys, signal)
     hist_steps, n_steps = _predictor_grid(sys, h, t_end)
     if state0.z_history.shape != (hist_steps + 1, sys.m):
         raise DimensionError(
@@ -298,6 +283,40 @@ def simulate_predictor(
         )
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
+    step_map = _rk4_step_map(sys, h, hist_steps)
+    return _solve_predictor(sys, step_map, signal, state0, n_steps, h)
+
+
+def _check_input(sys: DelayPredictorSystem, signal: InputSignal) -> None:
+    if signal_dim(signal) != sys.p:
+        raise DimensionError(
+            f"input dimension {signal_dim(signal)} does not match system p={sys.p}"
+        )
+
+
+class _StepMap(NamedTuple):
+    """The RK4 step map of one system on one grid, whatever the input.
+
+    With x = (y, z), a step is x_{k+1} = x_k + (Phi - I) x_k + Q0 e0 +
+    Qh eh + Q1 e1, the drives e taken at t_k, t_k + h/2 and t_k + h.  Their
+    history terms are linear in the stored window z_record[k : k + N + 1]
+    (N = tau / h), which is folded with Phi - I into one (n + m) x
+    (N + 1)(n + m) matrix ``win`` acting on the last N + 1 rows of x:
+    x_{k+1} = x_k + win window_k + drive_k.  That recurrence has constant
+    coefficients, so the L = _SOLVE_BLOCK steps after a known row x_{k0} are
+    X = T_L (windows win' + drive + x_{k0} e_0), with ``toeplitz`` T_L the
+    block lower-triangular Toeplitz matrix of the recurrence's first L
+    impulse responses.  ``drives`` holds Q0, Qh and Q1 restricted to the
+    input: Q[:, :n] G, so drive_k sums them times u at the three times.
+    """
+
+    win: np.ndarray
+    toeplitz: np.ndarray
+    drives: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _StepMap:
+    """The _StepMap of ``sys`` at step h over a history of hist_steps steps."""
     n, m, d = sys.n, sys.m, sys.n + sys.m
 
     # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
@@ -335,7 +354,30 @@ def simulate_predictor(
     resp = np.concatenate((resp, np.zeros((1, d, d))))
     toeplitz = resp[np.where(lag >= 0, lag, size)].transpose(0, 2, 1, 3)
     toeplitz = toeplitz.reshape(size * d, size * d)
+    drives = tuple(q[:, :n] @ sys.g for q in (q0, qh, q1))
+    return _StepMap(win=win, toeplitz=toeplitz, drives=drives)
 
+
+def _solve_predictor(
+    sys: DelayPredictorSystem,
+    step_map: _StepMap,
+    signal: InputSignal,
+    state0: DelayState,
+    n_steps: int,
+    h: float,
+) -> DelayTrajectory:
+    """simulate_predictor's grid record for a checked input and start.
+
+    Solves _SOLVE_BLOCK steps at a time, one matrix product for the windows
+    and one Toeplitz matvec; the windows are the stored rows with those not
+    yet solved still zero.  The drives' input terms are evaluated for blocks
+    of at most _DRIVE_BLOCK steps as the solve reaches them, which bounds
+    their memory.
+    """
+    n, d = sys.n, sys.n + sys.m
+    hist_steps = state0.z_history.shape[0] - 1
+    win, toeplitz = step_map.win, step_map.toeplitz
+    size = toeplitz.shape[0] // d
     record = np.zeros((hist_steps + n_steps + 1, d))
     record[: hist_steps + 1, n:] = state0.z_history
     record[hist_steps, :n] = state0.y
@@ -344,12 +386,13 @@ def simulate_predictor(
     windows = np.lib.stride_tricks.sliding_window_view(
         record.reshape(-1), (hist_steps + 1) * d
     )[::d]
+    q0g, qhg, q1g = step_map.drives
     for first in range(0, n_steps, _DRIVE_BLOCK):
         last = min(first + _DRIVE_BLOCK, n_steps)
         t_now = np.arange(first, last) * h
-        drive = evaluate(signal, t_now) @ (q0[:, :n] @ sys.g).T
-        drive += evaluate(signal, t_now + 0.5 * h) @ (qh[:, :n] @ sys.g).T
-        drive += evaluate(signal, t_now + h) @ (q1[:, :n] @ sys.g).T
+        drive = evaluate(signal, t_now) @ q0g.T
+        drive += evaluate(signal, t_now + 0.5 * h) @ qhg.T
+        drive += evaluate(signal, t_now + h) @ q1g.T
         # A diverging state overflows to inf or nan; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(first, last, size):
@@ -516,14 +559,16 @@ def delay_empirical_check(
     """
     if not (0.0 < window < t_end):
         raise ValueError("window must lie strictly inside the duration")
-    hist_steps, _ = _predictor_grid(sys, h, t_end)
+    hist_steps, n_steps = _predictor_grid(sys, h, t_end)
     bounds = delay_bounds(sys)
+    state0 = DelayState.resting(sys, hist_steps)
+    step_map = _rk4_step_map(sys, h, hist_steps)
     entries = []
     for signal in inputs:
         if sup_norm(signal) > 1.0 + 1e-9:
             raise ValueError("empirical checks require inputs bounded by one")
-        state0 = DelayState.resting(sys, hist_steps)
-        traj = simulate_predictor(sys, signal, state0, t_end, h)
+        _check_input(sys, signal)
+        traj = _solve_predictor(sys, step_map, signal, state0, n_steps, h)
         measured = _measured_gains(traj.times, np.linalg.norm(traj.ys, axis=1), window)
         entries.append(
             DelayEmpiricalEntry(

@@ -4,14 +4,18 @@ System files are JSON documents with matrices as nested row-major arrays:
 "A", "B", "C" for a standard system, or "A", "B", "G", "K", "tau", "mu" for
 a delayed predictor loop, plus optional "tol" and "seed".  Reports are
 emitted through a custom JSON writer so floats carry 17 significant digits
-and identical inputs produce byte-identical documents.  CSV tables are formatted
-one block of rows per ``%``, with the same 17 digits as the JSON writer.
+and identical inputs produce byte-identical documents.  CSV values carry the
+same 17 digits, byte for byte as ``"%.17g" % x``: a large table (a simulated
+trajectory) is printed by NumPy arithmetic in blocks of rows, a small one
+(a V(T) curve, a sweep) one block of rows per ``%``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +48,17 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-# Rows per ``%`` in csv_lines.  As fast as 1024, which raised the peak RSS
-# of a sim-verify loop by about 0.4 MB where 256 left it unchanged.
+# Rows per ``%`` in csv_lines, for tables under _CSV_ARRAY_VALUES values.
+# As fast as 1024, which raised the peak RSS of a sim-verify loop by about
+# 0.4 MB where 256 left it unchanged.
 _CSV_BLOCK_ROWS = 256
+# Tables of at least _CSV_ARRAY_VALUES values are printed by _g17_lines, in
+# blocks of _CSV_ARRAY_ROWS rows.  Per value it takes about a third of the
+# 0.7 us of ``%``, but each block has a fixed cost of about 0.2 ms (shared
+# 2-CPU x86-64 machine), so ``%`` stays faster up to about 500 values.  One
+# block per table raised the peak RSS of a sim-verify run from 56 to 72 MB.
+_CSV_ARRAY_VALUES = 2048
+_CSV_ARRAY_ROWS = 1024
 
 
 def _load_json(path) -> dict:
@@ -277,16 +289,234 @@ def bound_document(est: GainEstimate) -> dict:
 
 def csv_lines(header, rows):
     """Render rows (an array or any iterable of rows) as CSV text: comma
-    separator, 17-digit floats, one ``%`` per block of _CSV_BLOCK_ROWS rows
-    on a float64 table ("%.17g" % x prints what f"{x:.17g}" does)."""
+    separator, every value printed as ``"%.17g" % x`` prints it.
+
+    The rows become one float64 table.  A table of at least
+    _CSV_ARRAY_VALUES values is written by _g17_lines in blocks of
+    _CSV_ARRAY_ROWS rows; a smaller one takes one ``%`` per block of
+    _CSV_BLOCK_ROWS rows.  Both give the same bytes.
+    """
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    row = "\n" + ",".join(["%.17g"] * len(header))
     parts = [",".join(header)]
+    if table.size >= _CSV_ARRAY_VALUES:
+        parts.append("\n")
+        for start in range(0, len(table), _CSV_ARRAY_ROWS):
+            parts.append(_g17_lines(table[start : start + _CSV_ARRAY_ROWS]))
+        return "".join(parts)
+    row = "\n" + ",".join(["%.17g"] * len(header))
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
         block = table[start : start + _CSV_BLOCK_ROWS]
         parts.append(row * len(block) % tuple(block.ravel().tolist()))
     parts.append("\n")
     return "".join(parts)
+
+
+# Bytes of one _g17_lines cell: the longest "%.17g" text,
+# "-1.2345678901234567e-300", then a separator.
+_CELL = 25
+# Range of E = floor(log10 |x|) over 1e-300 <= |x| < 1e300, one step beyond
+# it each way for a corrected estimate; k = 16 - E indexes the scales.
+_E_MIN, _E_MAX = -301, 300
+_K_MIN = 16 - _E_MAX
+# Layout classes: fixed notation for each E in -4..16, then exponent notation.
+_FIXED_MIN, _EXP_CLASS = -4, 21
+
+
+class _G17Tables(NamedTuple):
+    """Lookup tables of _g17_lines, built once by _g17_tables."""
+
+    # Per k - _K_MIN, scales with 2^s (hi + lo) = 10^k: s = 0, hi = 10^k,
+    # lo = 0 for 0 <= k <= 22, where 10^k is a double; else s = k and
+    # hi + lo = 5^k to about 106 bits.  head + rest is hi split in halves.
+    two: np.ndarray
+    hi: np.ndarray
+    head: np.ndarray
+    rest: np.ndarray
+    lo: np.ndarray
+    # Entry g: g as 4 ASCII digits, one little-endian uint32.
+    quads: np.ndarray
+    # [j, g]: the significant digits that a D ends at whose 4-digit group j
+    # (group 0 is its first digit alone) holds g, or 0 for g = 0.
+    ends: np.ndarray
+    # Row c: the uint32 masks that keep the first c digits of D's five
+    # groups as laid out by quads.
+    masks: np.ndarray
+    # Row E - _E_MIN: "e+05" or "e-300", zero padded to 5 bytes.
+    exps: np.ndarray
+    # Per layout class: the digits printed whatever they hold (E + 1 in
+    # fixed notation for E >= 0, 0 for E < 0, 1 in exponent notation).
+    whole: np.ndarray
+
+
+@functools.cache
+def _g17_tables() -> _G17Tables:
+    """Built on first use; the scales come from exact Python integers."""
+    scales = []
+    for k in range(_K_MIN, 16 - _E_MIN + 1):
+        if 0 <= k <= 22:
+            scales.append((1.0, float(10**k), 0.0))
+        else:
+            # hi nearest 5^k, lo nearest the rest: int / int rounds correctly.
+            num, den = (5**k, 1) if k > 0 else (1, 5**-k)
+            hi = num / den
+            hi_num, hi_den = hi.as_integer_ratio()
+            scales.append((2.0**k, hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    two, hi, lo = np.array(scales).T
+    head, rest = _split(hi)
+    g = np.arange(10**4)
+    digits = (g[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    last = 3 - sum(g % 10**i == 0 for i in (1, 2, 3))
+    ends = np.where(g > 0, np.arange(-2, 18, 4)[:, None] + last, 0)
+    keep = np.arange(20) < np.arange(3, 21)[:, None]
+    exps = np.array([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)], "S5")
+    fixed = np.arange(_FIXED_MIN, _EXP_CLASS + _FIXED_MIN)
+    return _G17Tables(
+        two=two,
+        hi=hi,
+        head=head,
+        rest=rest,
+        lo=lo,
+        quads=(digits + ord("0")).view("<u4").reshape(-1),
+        ends=ends.astype(np.uint8),
+        masks=(keep * np.uint8(255)).view("<u4"),
+        exps=exps.view(np.uint8).reshape(-1, 5),
+        whole=np.append(np.maximum(fixed + 1, 0), 1).astype(np.uint8),
+    )
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of v into a 26-bit head and the exact rest."""
+    c = v * 134217729.0
+    head = c - (c - v)
+    return head, v - head
+
+
+def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of a 2-d uint8 or uint32 array, taken whole."""
+    row = np.dtype((np.void, a.shape[1] * a.itemsize))
+    return np.take(a.view(row).reshape(-1), index).view(a.dtype).reshape(len(index), a.shape[1])
+
+
+def _g17_significand(a: np.ndarray, e10: np.ndarray, tab: _G17Tables):
+    """(D, move, near) for t = a 10^(16 - e10): D = round-half-even(t) as
+    int64; move = -1 where t < 10^16, +1 where t >= 10^17, else 0; and
+    whether t may lie within 1e-12 of a rounding or range boundary, where
+    a scale that 10^k is rounded to could misjudge it.
+
+    a 10^k is y (hi + lo) with y = a 2^s exact; Dekker's product gives
+    y hi = p + err exactly (Dekker, Numer. Math. 18, 1971).  Where move is
+    0, p is above 2^53, so an even integer, and D = p + rint(err + y lo).
+    """
+    i = 16 - _K_MIN - e10
+    exact = np.all((e10 >= -6) & (e10 <= 16))
+    y = a if exact else a * tab.two[i]
+    hh, hl = tab.head[i], tab.rest[i]
+    p = y * tab.hi[i]
+    yh, yl = _split(y)
+    err = ((yh * hh - p) + yh * hl + yl * hh) + yl * hl
+    if not exact:
+        err += y * tab.lo[i]
+    r = np.rint(err)
+    # (p - 10^j) + err has the sign of t - 10^j: the difference is exact
+    # near 10^j, and a rounded sum keeps its exact sum's sign.
+    below = (p - 1e16) + err
+    above = (p - 1e17) + err
+    move = (above >= 0).view(np.int8) - (below < 0).view(np.int8)
+    if exact:
+        near = np.zeros(a.size, bool)
+    else:
+        near = np.abs(np.abs(err - r) - 0.5) < 1e-12
+        near |= (np.abs(below) < 1e-12) | (np.abs(above) < 1e-12)
+    return p.astype(np.int64) + r.astype(np.int64), move, near
+
+
+def _g17_lines(block: np.ndarray) -> str:
+    """The CSV lines of a 2-d float64 ``block``, each value as "%.17g"
+    prints it, each line ended by a newline.
+
+    For 1e-300 <= |x| < 1e300 the 17 digits are D = round(|x| 10^(16 - E))
+    for the decimal exponent E of |x|: floor(log10 |x|), corrected once
+    where the product falls outside [10^16, 10^17), and raised by one where
+    D rounds up to 10^17.  The values are sorted by layout class (fixed
+    notation for each -4 <= E <= 16, exponent notation otherwise), and
+    each class's cells of _CELL bytes are filled by column-slice copies:
+    D's digits from a 4-digit table, trailing zeros blanked to zero bytes,
+    which pad the cells and are dropped at the end.  ±0, inf, nan, the
+    values outside that range and those near a rounding boundary are
+    formatted by "%.17g" itself, once per bit pattern.
+    """
+    tab = _g17_tables()
+    x = block.ravel()
+    a = np.abs(x)
+    fast = np.flatnonzero((a >= 1e-300) & (a < 1e300))
+    a = a[fast]
+    e10 = np.floor(np.log10(a)).astype(np.intp)
+    d, move, near = _g17_significand(a, e10, tab)
+    off = np.flatnonzero(move)
+    if off.size:
+        e10[off] += move[off]
+        d[off], move[off], near[off] = _g17_significand(a[off], e10[off], tab)
+        near[off] |= move[off] != 0
+    carry = d == 10**17
+    e10[carry] += 1
+    d[carry] = 10**16
+    if near.any():
+        fast, d, e10 = fast[~near], d[~near], e10[~near]
+
+    fixed = (e10 >= _FIXED_MIN) & (e10 < _FIXED_MIN + _EXP_CLASS)
+    cls = np.where(fixed, e10 - _FIXED_MIN, _EXP_CLASS).astype(np.uint8)
+    order = np.argsort(cls, kind="stable")
+    counts = np.bincount(cls, minlength=_EXP_CLASS + 1)
+    d = d[order]
+    lead = d // 10**8
+    groups = np.empty((5, d.size), np.intp)
+    groups[0] = lead // 10**8
+    groups[1], groups[2] = np.divmod(lead - groups[0] * 10**8, 10**4)
+    groups[3], groups[4] = np.divmod(d - lead * 10**8, 10**4)
+    sig = tab.ends[0][groups[0]]
+    for j in range(1, 5):
+        np.maximum(sig, tab.ends[j][groups[j]], out=sig)
+    # Beyond the digits printed whatever they hold, trailing zeros drop.
+    whole = np.repeat(tab.whole, counts)
+    quads = np.empty((d.size, 5), np.uint32)
+    quads.T[...] = tab.quads[groups]
+    quads &= _rows(tab.masks, np.maximum(sig, whole))
+    digits = quads.view(np.uint8)[:, 3:]
+    point = (sig > whole) * np.uint8(ord("."))
+
+    out = np.zeros((d.size + 1, _CELL), np.uint8)
+    stops = np.cumsum(counts)
+    for c in np.flatnonzero(counts):
+        e, rows = c + _FIXED_MIN, slice(stops[c] - counts[c], stops[c])
+        dig = digits[rows]
+        if c == _EXP_CLASS:
+            out[rows, 1] = dig[:, 0]
+            out[rows, 2] = point[rows]
+            out[rows, 3:19] = dig[:, 1:]
+            out[rows, 19:24] = _rows(tab.exps, e10[order[rows]] - _E_MIN)
+        elif e >= 0:
+            out[rows, 1 : e + 2] = dig[:, : e + 1]
+            out[rows, e + 2] = point[rows]
+            out[rows, e + 3 : 19] = dig[:, e + 1 :]
+        else:
+            out[rows, 1 : 2 - e] = ord("0")
+            out[rows, 2] = ord(".")
+            out[rows, 2 - e : 19 - e] = dig
+
+    # Cell i is row src[i] of out; the last row, all zero, serves the rest.
+    src = np.full(x.size, d.size)
+    src[fast[order]] = np.arange(d.size)
+    cells = _rows(out, src)
+    cells[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    slow = np.flatnonzero(src == d.size)
+    if slow.size:
+        unique, inverse = np.unique(x[slow].view(np.int64), return_inverse=True)
+        texts = [b"%.17g" % value for value in unique.view(np.float64).tolist()]
+        texts = np.array(texts, f"S{_CELL - 1}").view(np.uint8).reshape(-1, _CELL - 1)
+        cells[slow, : _CELL - 1] = texts[inverse]
+    cells[:, -1] = ord(",")
+    cells[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _columns_csv(times, **blocks) -> str:

@@ -137,23 +137,34 @@ def simulate(
     states = np.empty((n_steps + 1, sys.n))
     states[0] = x
     eps = 1e-12 * max(1.0, t_final)
+    # A generator met again (every constant segment has the same one) reuses
+    # its orbit powers and each exp(G s) already formed in this call.
+    powers_of, flows = {}, {}
+
+    def flow(key, g, s):
+        if (key, s) not in flows:
+            flows[key, s] = _expm(g * s)
+        return flows[key, s]
+
     k = 1
     for seg in iter_segments(signal, t_final):
         g, z = _generator(sys, seg, x)
+        key = g.tobytes()
         stop = int(np.searchsorted(times, seg.end + eps, side="right"))
         block = _STACK_ENTRIES // z.size
-        # The segment's first block is its longest: its orbit powers serve all.
-        levels = max(0, min(block, stop - k) - 1).bit_length()
-        powers = _expm_stack(g, h * 2.0 ** np.arange(levels)) if levels else ()
+        if key not in powers_of:
+            # Enough levels for the longest block left on the grid.
+            levels = max(0, min(block, n_steps + 1 - k) - 1).bit_length()
+            powers_of[key] = _expm_stack(g, h * 2.0 ** np.arange(levels)) if levels else ()
         for lo in range(k, stop, block):
             hi = min(lo + block, stop)
-            lead = _expm(g * (times[lo] - seg.start)) @ z
-            rows = _orbit(powers, lead, hi - lo)[:, : sys.n]
+            lead = flow(key, g, times[lo] - seg.start) @ z
+            rows = _orbit(powers_of[key], lead, hi - lo)[:, : sys.n]
             bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
             if bad.size:
                 raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
             states[lo:hi] = rows
-        x = (_expm(g * (seg.end - seg.start)) @ z)[: sys.n]
+        x = (flow(key, g, seg.end - seg.start) @ z)[: sys.n]
         k = stop
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)

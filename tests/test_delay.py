@@ -470,6 +470,40 @@ class TestEmpiricalCheck:
         # the constant disturbance settles exactly on the asymptotic bound
         assert abs(check.entries[0].gap_to_oag) <= 2e-3
 
+    def test_one_step_map_serves_every_input(self, monkeypatch):
+        system = DelayPredictorSystem(
+            a=[[0.2, 1.0], [-1.0, -0.3]],
+            b=[[0.0], [1.0]],
+            g=[[0.5], [-0.2]],
+            k=[[-0.6, -1.4]],
+            tau=0.4,
+            mu=3.0,
+        )
+        h, t_end, window = system.tau / 32.0, 12.0, 3.0
+        inputs = [
+            Constant([1.0]),
+            Sinusoid([1.0], 0.1),
+            Sinusoid([1.0], 1.0),
+            PeriodicExtension(BangBangInput(1.5, [0.7]), 1.5, 2.5),
+        ]
+        builds = []
+        original = delaymod._rk4_step_map
+
+        def counting(*args):
+            builds.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(delaymod, "_rk4_step_map", counting)
+        check = delay_empirical_check(system, inputs, t_end, window, h)
+        assert builds == [(h, 32)]
+        monkeypatch.setattr(delaymod, "_rk4_step_map", original)
+        for signal, entry in zip(inputs, check.entries):
+            traj = simulate_predictor(system, signal, DelayState.resting(system, 32), t_end, h)
+            norms = np.linalg.norm(traj.ys, axis=1)
+            tail = traj.times >= traj.times[-1] - window - 1e-12
+            assert entry.sup_gain == float(np.max(norms))
+            assert entry.asymptotic_gain == float(np.max(norms[tail]))
+
     def test_rejects_oversized_input(self, scalar_delay):
         with pytest.raises(ValueError):
             delay_empirical_check(

@@ -301,6 +301,9 @@ def _delay_traj(system, t_end, steps):
 
 
 BLOCK = modelio._CSV_BLOCK_ROWS
+ARRAY_ROWS = modelio._CSV_ARRAY_ROWS
+# Rows of the smallest three-column table that _g17_lines writes.
+ARRAY_CUT = -(-modelio._CSV_ARRAY_VALUES // 3)
 FOUR_STATE_LOOP = DelayPredictorSystem(
     a=[[-0.5, 0.4, 0.0, 0.1], [-0.3, -0.6, 0.2, 0.0], [0.0, 0.1, -0.4, 0.3], [0.2, 0.0, -0.1, -0.7]],
     b=[[0.5], [-0.3], [0.8], [0.1]],
@@ -358,7 +361,21 @@ class TestCsvMatchesReference:
         assert csv_lines(["a"], [[0.1]]) == "a\n0.10000000000000001\n"
         assert csv_lines(["a"], []) == reference_csv_lines(["a"], []) == "a\n"
 
-    @pytest.mark.parametrize("k", [BLOCK - 1, BLOCK, BLOCK + 1, 1023, 1024, 1025, 4 * BLOCK + 1])
+    @pytest.mark.parametrize(
+        "k",
+        [
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 1,
+            ARRAY_CUT - 1,
+            ARRAY_CUT,
+            ARRAY_ROWS - 1,
+            ARRAY_ROWS,
+            ARRAY_ROWS + 1,
+            2 * ARRAY_ROWS + 1,
+            4 * BLOCK + 1,
+        ],
+    )
     def test_block_boundaries(self, k):
         rows = np.random.default_rng(k).standard_normal((k, 3)) * np.logspace(-300, 300, k)[:, None]
         header = ["a", "b", "c"]
@@ -399,3 +416,74 @@ class TestCsvMatchesReference:
         ]
         for text, reference in zip(ours, expected):
             assert_same_text(text, reference)
+
+
+def _float_bits(rng, size):
+    return rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
+
+
+def _neighbours(centres, steps=3):
+    """Each centre and its ``steps`` nearest doubles on either side."""
+    bits = np.asarray(centres, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-steps, steps + 1)).view(np.float64).ravel()
+
+
+def _exact_ties(rng, powers):
+    """Doubles q 2^-j, j in ``powers``, whose 18 significant digits end in
+    5: the 17-digit rounding is an exact tie, decided half to even.  For
+    j <= 23, 10^(j - 1) is a double and the ties are decided in NumPy."""
+    values = []
+    for j in powers:
+        lo, hi = -(-(10**17) // 5**j), 10**18 // 5**j
+        q = rng.integers(lo, hi, 40) | 1
+        values.append(q.astype(float) * 2.0**-j)
+    return np.concatenate(values)
+
+
+def _g17_cases():
+    rng = np.random.default_rng(2024)
+    m = rng.integers(10**15, 10**16, 60)
+    return {
+        "bit-patterns": _float_bits(rng, 6000),
+        "powers-of-ten": _neighbours(10.0 ** np.arange(-323, 309), 1),
+        "decimal-ties": np.concatenate([(10 * m + 5) / 10.0**j for j in range(0, 36)]),
+        "exact-ties": _exact_ties(rng, range(8, 24)),
+        "ties-beyond-exact-scales": _exact_ties(rng, range(24, 26)),
+        "boundaries": _neighbours(
+            [1e-4, 1e-5, 1e16, 1e17, 9.999999999999999e16, 1e-300, 1e300, 1e-301, 1e299],
+            40,
+        ),
+        "decay-past-1e-300": np.geomspace(1e-280, 5e-324, 3000),
+        "specials": np.array(
+            [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.2250738585072014e-308,
+             1e-310, 1.7976931348623157e308, 0.5, 1.0, 0.1, 100.0, 123456.0]
+        ),
+    }
+
+
+class TestG17Writer:
+    """csv_lines on either side of _CSV_ARRAY_VALUES prints every float64
+    as the "%.17g" reference writer does."""
+
+    @pytest.mark.parametrize("name", list(_g17_cases()))
+    def test_both_paths_match_reference(self, name, monkeypatch):
+        values = _g17_cases()[name]
+        values = np.concatenate((values, -values))
+        rows = -(-max(values.size, modelio._CSV_ARRAY_VALUES) // 5)
+        table = np.resize(values, (rows, 5))
+        header = ["a", "b", "c", "d", "e"]
+        calls = []
+        original = modelio._g17_lines
+        monkeypatch.setattr(modelio, "_g17_lines", lambda b: calls.append(b.shape) or original(b))
+        assert_same_text(csv_lines(header, table), reference_csv_lines(header, table))
+        assert calls and max(rows for rows, _ in calls) <= ARRAY_ROWS
+        calls.clear()
+        small = modelio._CSV_ARRAY_VALUES // 5 - 1
+        for start in range(0, len(table), small):
+            part = table[start : start + small]
+            assert_same_text(csv_lines(header, part), reference_csv_lines(header, part))
+        assert not calls
+
+    def test_block_of_values_printed_by_percent_alone(self):
+        block = np.array([[0.0, -0.0, math.nan], [math.inf, 1e-310, -1e300]])
+        assert modelio._g17_lines(block) == reference_csv_lines([], block)[1:]

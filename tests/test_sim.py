@@ -22,6 +22,7 @@ from gainlab import (
     worst_case_periodic_input,
 )
 from gainlab import linalg, sim
+from gainlab.signals import iter_segments as signal_segments
 from gainlab_testkit import (
     kernel_zeros,
     quad_kernel_integrals,
@@ -197,6 +198,32 @@ class TestReferenceSimulator:
             simulate(oscillator, Constant([1.0]), np.zeros(2), 0.01 * steps, 0.01)
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
+
+
+    def test_orbit_powers_once_per_generator(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        system = random_siso_system(rng, 3)
+        signal, spec = worst_case_periodic_input(system, 3.0, 1e-6)
+        stacks, generators = [], set()
+        original_stack, original_generator = sim._expm_stack, sim._generator
+
+        def counting_stack(a, s):
+            stacks.append(a.tobytes())
+            return original_stack(a, s)
+
+        def recording_generator(*args):
+            g, z = original_generator(*args)
+            generators.add(g.tobytes())
+            return g, z
+
+        whole = simulate(system, signal, np.zeros(system.n), 10.0 * spec.period, spec.period / 512)
+        monkeypatch.setattr(sim, "_expm_stack", counting_stack)
+        monkeypatch.setattr(sim, "_generator", recording_generator)
+        traj = simulate(system, signal, np.zeros(system.n), 10.0 * spec.period, spec.period / 512)
+        segments = sum(1 for _ in signal_segments(signal, 10.0 * spec.period))
+        assert segments >= 20
+        assert sorted(stacks) == sorted(generators)
+        np.testing.assert_array_equal(traj.states, whole.states)
 
 
 class TestDecayInvariant:
