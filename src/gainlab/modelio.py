@@ -320,6 +320,8 @@ _E_MIN, _E_MAX = -301, 300
 _K_MIN = 16 - _E_MAX
 # Layout classes: fixed notation for each E in -4..16, then exponent notation.
 _FIXED_MIN, _EXP_CLASS = -4, 21
+# 1-based places of D's 17 digits.
+_PLACES = np.arange(1, 18, dtype=np.uint8)
 
 
 class _G17Tables(NamedTuple):
@@ -333,14 +335,6 @@ class _G17Tables(NamedTuple):
     head: np.ndarray
     rest: np.ndarray
     lo: np.ndarray
-    # Entry g: g as 4 ASCII digits, one little-endian uint32.
-    quads: np.ndarray
-    # [j, g]: the significant digits that a D ends at whose 4-digit group j
-    # (group 0 is its first digit alone) holds g, or 0 for g = 0.
-    ends: np.ndarray
-    # Row c: the uint32 masks that keep the first c digits of D's five
-    # groups as laid out by quads.
-    masks: np.ndarray
     # Row E - _E_MIN: "e+05" or "e-300", zero padded to 5 bytes.
     exps: np.ndarray
     # Per layout class: the digits printed whatever they hold (E + 1 in
@@ -363,11 +357,6 @@ def _g17_tables() -> _G17Tables:
             scales.append((2.0**k, hi, (num * hi_den - hi_num * den) / (den * hi_den)))
     two, hi, lo = np.array(scales).T
     head, rest = _split(hi)
-    g = np.arange(10**4)
-    digits = (g[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
-    last = 3 - sum(g % 10**i == 0 for i in (1, 2, 3))
-    ends = np.where(g > 0, np.arange(-2, 18, 4)[:, None] + last, 0)
-    keep = np.arange(20) < np.arange(3, 21)[:, None]
     exps = np.array([b"e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)], "S5")
     fixed = np.arange(_FIXED_MIN, _EXP_CLASS + _FIXED_MIN)
     return _G17Tables(
@@ -376,9 +365,6 @@ def _g17_tables() -> _G17Tables:
         head=head,
         rest=rest,
         lo=lo,
-        quads=(digits + ord("0")).view("<u4").reshape(-1),
-        ends=ends.astype(np.uint8),
-        masks=(keep * np.uint8(255)).view("<u4"),
         exps=exps.view(np.uint8).reshape(-1, 5),
         whole=np.append(np.maximum(fixed + 1, 0), 1).astype(np.uint8),
     )
@@ -392,7 +378,7 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Rows ``index`` of a 2-d uint8 or uint32 array, taken whole."""
+    """Rows ``index`` of a 2-d uint8 array, taken whole."""
     row = np.dtype((np.void, a.shape[1] * a.itemsize))
     return np.take(a.view(row).reshape(-1), index).view(a.dtype).reshape(len(index), a.shape[1])
 
@@ -400,33 +386,28 @@ def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _g17_significand(a: np.ndarray, e10: np.ndarray, tab: _G17Tables):
     """(D, move, near) for t = a 10^(16 - e10): D = round-half-even(t) as
     int64; move = -1 where t < 10^16, +1 where t >= 10^17, else 0; and
-    whether t may lie within 1e-12 of a rounding or range boundary, where
-    a scale that 10^k is rounded to could misjudge it.
+    near, whether t may lie within 1e-12 of a rounding or range boundary,
+    which a scale 10^k rounded to a double-double could misjudge.
 
     a 10^k is y (hi + lo) with y = a 2^s exact; Dekker's product gives
-    y hi = p + err exactly (Dekker, Numer. Math. 18, 1971).  Where move is
-    0, p is above 2^53, so an even integer, and D = p + rint(err + y lo).
+    y hi = p + e exactly (Dekker, Numer. Math. 18, 1971), and err is
+    e + y lo.  Where move is 0, p is above 2^53, so an even integer, and
+    D = p + rint(err).
     """
     i = 16 - _K_MIN - e10
-    exact = np.all((e10 >= -6) & (e10 <= 16))
-    y = a if exact else a * tab.two[i]
+    y = a * tab.two[i]
     hh, hl = tab.head[i], tab.rest[i]
     p = y * tab.hi[i]
     yh, yl = _split(y)
-    err = ((yh * hh - p) + yh * hl + yl * hh) + yl * hl
-    if not exact:
-        err += y * tab.lo[i]
+    err = ((yh * hh - p) + yh * hl + yl * hh) + yl * hl + y * tab.lo[i]
     r = np.rint(err)
     # (p - 10^j) + err has the sign of t - 10^j: the difference is exact
     # near 10^j, and a rounded sum keeps its exact sum's sign.
     below = (p - 1e16) + err
     above = (p - 1e17) + err
     move = (above >= 0).view(np.int8) - (below < 0).view(np.int8)
-    if exact:
-        near = np.zeros(a.size, bool)
-    else:
-        near = np.abs(np.abs(err - r) - 0.5) < 1e-12
-        near |= (np.abs(below) < 1e-12) | (np.abs(above) < 1e-12)
+    near = np.abs(np.abs(err - r) - 0.5) < 1e-12
+    near |= (np.abs(below) < 1e-12) | (np.abs(above) < 1e-12)
     return p.astype(np.int64) + r.astype(np.int64), move, near
 
 
@@ -439,11 +420,11 @@ def _g17_lines(block: np.ndarray) -> str:
     where the product falls outside [10^16, 10^17), and raised by one where
     D rounds up to 10^17.  The values are sorted by layout class (fixed
     notation for each -4 <= E <= 16, exponent notation otherwise), and
-    each class's cells of _CELL bytes are filled by column-slice copies:
-    D's digits from a 4-digit table, trailing zeros blanked to zero bytes,
-    which pad the cells and are dropped at the end.  ±0, inf, nan, the
-    values outside that range and those near a rounding boundary are
-    formatted by "%.17g" itself, once per bit pattern.
+    each class's cells of _CELL bytes are filled by column-slice copies of
+    D's digits, trailing zeros blanked to zero bytes, which pad the cells
+    and are dropped at the end.  ±0, inf, nan, the values outside that
+    range and those near a rounding boundary are formatted by "%.17g"
+    itself, once per bit pattern.
     """
     tab = _g17_tables()
     x = block.ravel()
@@ -467,21 +448,23 @@ def _g17_lines(block: np.ndarray) -> str:
     cls = np.where(fixed, e10 - _FIXED_MIN, _EXP_CLASS).astype(np.uint8)
     order = np.argsort(cls, kind="stable")
     counts = np.bincount(cls, minlength=_EXP_CLASS + 1)
-    d = d[order]
-    lead = d // 10**8
-    groups = np.empty((5, d.size), np.intp)
-    groups[0] = lead // 10**8
-    groups[1], groups[2] = np.divmod(lead - groups[0] * 10**8, 10**4)
-    groups[3], groups[4] = np.divmod(d - lead * 10**8, 10**4)
-    sig = tab.ends[0][groups[0]]
-    for j in range(1, 5):
-        np.maximum(sig, tab.ends[j][groups[j]], out=sig)
-    # Beyond the digits printed whatever they hold, trailing zeros drop.
+    # D's 17 digits as ASCII, one row of the array per place, from its
+    # first 9 and last 8 digits in int32 (faster to divide than int64);
+    # beyond the digits printed whatever they hold, trailing zeros become
+    # zero bytes.
+    digits = np.empty((17, d.size), np.uint8)
+    head, tail = np.divmod(d[order], 10**8)
+    for q, places in ((head, range(8, -1, -1)), (tail, range(16, 8, -1))):
+        q = q.astype(np.int32)
+        for j in places:
+            r = q // 10
+            digits[j] = q - 10 * r
+            q = r
+    sig = ((digits > 0) * _PLACES[:, None]).max(axis=0)
     whole = np.repeat(tab.whole, counts)
-    quads = np.empty((d.size, 5), np.uint32)
-    quads.T[...] = tab.quads[groups]
-    quads &= _rows(tab.masks, np.maximum(sig, whole))
-    digits = quads.view(np.uint8)[:, 3:]
+    digits += np.uint8(ord("0"))
+    digits *= _PLACES[:, None] <= np.maximum(sig, whole)
+    digits = digits.T
     point = (sig > whole) * np.uint8(ord("."))
 
     out = np.zeros((d.size + 1, _CELL), np.uint8)

@@ -138,14 +138,8 @@ def simulate(
     states[0] = x
     eps = 1e-12 * max(1.0, t_final)
     # A generator met again (every constant segment has the same one) reuses
-    # its orbit powers and each exp(G s) already formed in this call.
+    # its orbit powers, and its flow over a segment length met again.
     powers_of, flows = {}, {}
-
-    def flow(key, g, s):
-        if (key, s) not in flows:
-            flows[key, s] = _expm(g * s)
-        return flows[key, s]
-
     k = 1
     for seg in iter_segments(signal, t_final):
         g, z = _generator(sys, seg, x)
@@ -158,13 +152,16 @@ def simulate(
             powers_of[key] = _expm_stack(g, h * 2.0 ** np.arange(levels)) if levels else ()
         for lo in range(k, stop, block):
             hi = min(lo + block, stop)
-            lead = flow(key, g, times[lo] - seg.start) @ z
+            lead = _expm(g * (times[lo] - seg.start)) @ z
             rows = _orbit(powers_of[key], lead, hi - lo)[:, : sys.n]
             bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
             if bad.size:
                 raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
             states[lo:hi] = rows
-        x = (flow(key, g, seg.end - seg.start) @ z)[: sys.n]
+        span = key, seg.end - seg.start
+        if span not in flows:
+            flows[span] = _expm(g * span[1])
+        x = (flows[span] @ z)[: sys.n]
         k = stop
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)

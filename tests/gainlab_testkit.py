@@ -16,7 +16,7 @@ from gainlab.linalg import _expm, _expm_stack, _expm_times, _orbit, spectral_nor
 from gainlab.modelio import _fmt
 from gainlab.quadrature import simpson_panels, tail_horizon
 from gainlab.signals import BangBangInput, Segment, iter_segments, signal_dim
-from gainlab.sim import Trajectory, _grid_steps
+from gainlab.sim import _STACK_ENTRIES, Trajectory, _generator, _grid_steps
 
 
 def random_hurwitz_matrix(rng, n_max=5, abscissa=-0.2, scale=2.0, n=None):
@@ -504,6 +504,34 @@ def reference_simulate(sys, signal, x0, t_end, h):
         states[k] = x
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)
+
+
+def segmentwise_simulate(sys, signal, x0, t_end, h):
+    """gainlab's segment-orbit simulator with nothing shared between
+    segments: each forms its own orbit powers exp(2^i h G), as many as its
+    first block needs, and its own flow exp(G (end - start)).  Kept as the
+    bit-for-bit reference for the powers and flows a call reuses."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    n_steps = _grid_steps(t_end, h)
+    t_final = n_steps * h
+    times = np.arange(n_steps + 1) * h
+    states = np.empty((n_steps + 1, sys.n))
+    states[0] = x
+    eps = 1e-12 * max(1.0, t_final)
+    k = 1
+    for seg in iter_segments(signal, t_final):
+        g, z = _generator(sys, seg, x)
+        stop = int(np.searchsorted(times, seg.end + eps, side="right"))
+        block = _STACK_ENTRIES // z.size
+        levels = max(0, min(block, stop - k) - 1).bit_length()
+        powers = _expm_stack(g, h * 2.0 ** np.arange(levels)) if levels else ()
+        for lo in range(k, stop, block):
+            hi = min(lo + block, stop)
+            lead = _expm(g * (times[lo] - seg.start)) @ z
+            states[lo:hi] = _orbit(powers, lead, hi - lo)[:, : sys.n]
+        x = (_expm(g * (seg.end - seg.start)) @ z)[: sys.n]
+        k = stop
+    return Trajectory(times=times, states=states, outputs=states @ sys.c.T, step=h)
 
 
 def reference_csv_lines(header, rows):

@@ -484,6 +484,22 @@ class TestG17Writer:
             assert_same_text(csv_lines(header, part), reference_csv_lines(header, part))
         assert not calls
 
+    def test_values_at_a_boundary_are_flagged_near(self):
+        # Exact 17-digit ties at k = 16 - E = 23 and 24, where 5^k is not a
+        # double and only the double-double scale decides them, and
+        # t = 10^16 exactly at k = -1..-6: each is flagged near, so "%.17g"
+        # prints it, and no ordinary value is.
+        ties = np.concatenate((np.arange(3, 17, 2) * 2.0**-24, np.array([1, 3]) * 2.0**-25))
+        a = np.concatenate((ties, 10.0 ** np.arange(17, 23)))
+        e10 = np.floor(np.log10(a)).astype(np.intp)
+        assert set((16 - e10).tolist()) == {23, 24, -1, -2, -3, -4, -5, -6}
+        _, _, near = modelio._g17_significand(a, e10, modelio._g17_tables())
+        assert near.all()
+        a = np.abs(np.random.default_rng(5).standard_normal(1000)) * 1e-7
+        e10 = np.floor(np.log10(a)).astype(np.intp)
+        _, move, near = modelio._g17_significand(a, e10, modelio._g17_tables())
+        assert not near[move == 0].any()
+
     def test_block_of_values_printed_by_percent_alone(self):
         block = np.array([[0.0, -0.0, math.nan], [math.inf, 1e-310, -1e300]])
         assert modelio._g17_lines(block) == reference_csv_lines([], block)[1:]

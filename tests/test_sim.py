@@ -29,6 +29,7 @@ from gainlab_testkit import (
     random_hurwitz_matrix,
     random_siso_system,
     reference_simulate,
+    segmentwise_simulate,
 )
 
 
@@ -199,7 +200,6 @@ class TestReferenceSimulator:
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
 
-
     def test_orbit_powers_once_per_generator(self, monkeypatch):
         rng = np.random.default_rng(11)
         system = random_siso_system(rng, 3)
@@ -216,14 +216,27 @@ class TestReferenceSimulator:
             generators.add(g.tobytes())
             return g, z
 
-        whole = simulate(system, signal, np.zeros(system.n), 10.0 * spec.period, spec.period / 512)
+        args = (system, signal, np.zeros(system.n), 10.0 * spec.period, spec.period / 512)
         monkeypatch.setattr(sim, "_expm_stack", counting_stack)
         monkeypatch.setattr(sim, "_generator", recording_generator)
-        traj = simulate(system, signal, np.zeros(system.n), 10.0 * spec.period, spec.period / 512)
+        traj = simulate(*args)
+        monkeypatch.undo()
         segments = sum(1 for _ in signal_segments(signal, 10.0 * spec.period))
         assert segments >= 20
         assert sorted(stacks) == sorted(generators)
-        np.testing.assert_array_equal(traj.states, whole.states)
+        # Longer shared power stacks and reused flows change no bit.
+        np.testing.assert_array_equal(traj.states, segmentwise_simulate(*args).states)
+
+    def test_flows_reused_per_generator_and_length(self):
+        # A sinusoid on every other unit interval, zero between: two
+        # generators, every segment 1.0 long, so a flow must be told apart
+        # by its generator as well as its length.
+        system = random_siso_system(np.random.default_rng(12), 3)
+        signal = PeriodicExtension(Sinusoid([1.0], 2.1, 0.3), 1.0, 2.0)
+        args = (system, signal, np.zeros(system.n), 12.0, 1.0 / 64)
+        lengths = {seg.end - seg.start for seg in signal_segments(signal, 12.0)}
+        assert lengths == {1.0}
+        np.testing.assert_array_equal(simulate(*args).states, segmentwise_simulate(*args).states)
 
 
 class TestDecayInvariant:
