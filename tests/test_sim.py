@@ -200,10 +200,18 @@ class TestReferenceSimulator:
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
 
-    def test_orbit_powers_once_per_generator(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        system = random_siso_system(rng, 3)
-        signal, spec = worst_case_periodic_input(system, 3.0, 1e-6)
+    @pytest.mark.parametrize("case", ["worst-case-periodic", "sinusoid-every-other-interval"])
+    def test_orbit_powers_once_per_generator(self, case, monkeypatch):
+        if case == "worst-case-periodic":
+            system = random_siso_system(np.random.default_rng(11), 3)
+            signal, spec = worst_case_periodic_input(system, 3.0, 1e-6)
+            t_end, h = 10.0 * spec.period, spec.period / 512
+        else:
+            # Two generators, every segment 1.0 long: a reused flow must be
+            # told apart by its generator as well as its length.
+            system = random_siso_system(np.random.default_rng(12), 3)
+            signal = PeriodicExtension(Sinusoid([1.0], 2.1, 0.3), 1.0, 2.0)
+            t_end, h = 12.0, 1.0 / 64
         stacks, generators = [], set()
         original_stack, original_generator = sim._expm_stack, sim._generator
 
@@ -216,27 +224,15 @@ class TestReferenceSimulator:
             generators.add(g.tobytes())
             return g, z
 
-        args = (system, signal, np.zeros(system.n), 10.0 * spec.period, spec.period / 512)
+        args = (system, signal, np.zeros(system.n), t_end, h)
         monkeypatch.setattr(sim, "_expm_stack", counting_stack)
         monkeypatch.setattr(sim, "_generator", recording_generator)
         traj = simulate(*args)
         monkeypatch.undo()
-        segments = sum(1 for _ in signal_segments(signal, 10.0 * spec.period))
-        assert segments >= 20
+        assert sum(1 for _ in signal_segments(signal, t_end)) >= 12
         assert sorted(stacks) == sorted(generators)
         # Longer shared power stacks and reused flows change no bit.
         np.testing.assert_array_equal(traj.states, segmentwise_simulate(*args).states)
-
-    def test_flows_reused_per_generator_and_length(self):
-        # A sinusoid on every other unit interval, zero between: two
-        # generators, every segment 1.0 long, so a flow must be told apart
-        # by its generator as well as its length.
-        system = random_siso_system(np.random.default_rng(12), 3)
-        signal = PeriodicExtension(Sinusoid([1.0], 2.1, 0.3), 1.0, 2.0)
-        args = (system, signal, np.zeros(system.n), 12.0, 1.0 / 64)
-        lengths = {seg.end - seg.start for seg in signal_segments(signal, 12.0)}
-        assert lengths == {1.0}
-        np.testing.assert_array_equal(simulate(*args).states, segmentwise_simulate(*args).states)
 
 
 class TestDecayInvariant:
