@@ -16,13 +16,13 @@ Simulation is classical RK4 with the distributed term J handled by a
 composite trapezoid rule over the stored z history (linear interpolation at
 half steps), its weighted kernels h w_j exp(A j h) B taken once from
 linalg._expm_times.  Everything a step reads is stored before it starts, so
-one linear RK4 step map serves every input on one grid (delay_empirical_check
-builds one for all its inputs): the history window folds into one matrix and
-the input drive is evaluated in blocks of the grid.
-The resulting recurrence has constant coefficients, so a block of steps is
-solved at once, as one Toeplitz matrix-vector product of the recurrence's
-impulse responses.  The step must divide the delay exactly so history
-lookups stay on the grid.
+one linear RK4 step map serves every input on one grid: the history window
+folds into one matrix on the stored z rows and the input drive is evaluated
+in blocks of the grid.  The resulting recurrence has constant coefficients,
+so a block of steps is solved at once, as one Toeplitz matrix-vector product
+of the recurrence's impulse responses, and delay_empirical_check solves all
+its inputs in one pass, block by block.  The step must divide the delay
+exactly so history lookups stay on the grid.
 """
 
 from __future__ import annotations
@@ -237,6 +237,9 @@ _DRIVE_BLOCK = 1 << 16
 # Grid steps simulate_predictor solves at once: at most this many impulse
 # responses make up its block Toeplitz matrix.
 _SOLVE_BLOCK = 32
+# Record entries, (N + n_steps + 1)(n + m) per input, of the inputs that
+# _solve_predictor solves together.
+_GROUP_ENTRIES = 1 << 20
 
 
 def _impulse_responses(win: np.ndarray, count: int) -> np.ndarray:
@@ -284,7 +287,8 @@ def simulate_predictor(
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
     step_map = _rk4_step_map(sys, h, hist_steps)
-    return _solve_predictor(sys, step_map, signal, state0, n_steps, h)
+    (traj,) = _solve_predictor(sys, step_map, [signal], state0, n_steps, h)
+    return traj
 
 
 def _check_input(sys: DelayPredictorSystem, signal: InputSignal) -> None:
@@ -301,16 +305,19 @@ class _StepMap(NamedTuple):
     Qh eh + Q1 e1, the drives e taken at t_k, t_k + h/2 and t_k + h.  Their
     history terms are linear in the stored window z_record[k : k + N + 1]
     (N = tau / h), which is folded with Phi - I into one (n + m) x
-    (N + 1)(n + m) matrix ``win`` acting on the last N + 1 rows of x:
-    x_{k+1} = x_k + win window_k + drive_k.  That recurrence has constant
-    coefficients, so the L = _SOLVE_BLOCK steps after a known row x_{k0} are
-    X = T_L (windows win' + drive + x_{k0} e_0), with ``toeplitz`` T_L the
-    block lower-triangular Toeplitz matrix of the recurrence's first L
-    impulse responses.  ``drives`` holds Q0, Qh and Q1 restricted to the
-    input: Q[:, :n] G, so drive_k sums them times u at the three times.
+    (N + 1)(n + m) matrix W acting on the last N + 1 rows of x:
+    x_{k+1} = x_k + W window_k + drive_k.  W reads y in row N only: it is
+    kept as ``win_z`` on the window's z columns and ``win_y`` on y_k.  That
+    recurrence has constant coefficients, so the L = _SOLVE_BLOCK steps after
+    a known row x_{k0} are X = T_L (windows W' + drive + x_{k0} e_0), with
+    ``toeplitz`` T_L the block lower-triangular Toeplitz matrix of the
+    recurrence's first L impulse responses.  ``drives`` holds Q0, Qh and Q1
+    restricted to the input: Q[:, :n] G, so drive_k sums them times u at the
+    three times.
     """
 
-    win: np.ndarray
+    win_z: np.ndarray
+    win_y: np.ndarray
     toeplitz: np.ndarray
     drives: tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -334,11 +341,10 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
     step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     grow, q0, qh, q1 = np.split(step, 4, axis=1)
 
-    # Rows of ``record`` are x = (y, z); the history rows before t_0 hold z
-    # only.  Window row r holds x(t_k - (N - r) h): S_k reads the z of rows
-    # 0..N-1 and S_{k+1} of rows 1..N with the kernels j = N..1, z(t - tau)
-    # is row 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of
-    # both ends, and row N is x_k itself.
+    # Window row r holds x(t_k - (N - r) h): S_k reads the z of rows 0..N-1
+    # and S_{k+1} of rows 1..N with the kernels j = N..1, z(t - tau) is row
+    # 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of both
+    # ends, and row N is x_k itself.
     past = kernels[:0:-1]
     win = np.zeros((hist_steps + 1, d, d))
     win[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
@@ -346,85 +352,103 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
     win[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
     win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
     win[-1] += grow
-    win = win.transpose(1, 0, 2).reshape(d, -1)
+    win = win.transpose(1, 0, 2)
 
-    resp = _impulse_responses(win, _SOLVE_BLOCK)
+    resp = _impulse_responses(win.reshape(d, -1), _SOLVE_BLOCK)
     size = resp.shape[0]
     lag = np.subtract.outer(np.arange(size), np.arange(size))
     resp = np.concatenate((resp, np.zeros((1, d, d))))
     toeplitz = resp[np.where(lag >= 0, lag, size)].transpose(0, 2, 1, 3)
     toeplitz = toeplitz.reshape(size * d, size * d)
     drives = tuple(q[:, :n] @ sys.g for q in (q0, qh, q1))
-    return _StepMap(win=win, toeplitz=toeplitz, drives=drives)
+    return _StepMap(win[:, :, n:].reshape(d, -1), win[:, -1, :n].copy(), toeplitz, drives)
 
 
-def _solve_predictor(
-    sys: DelayPredictorSystem,
-    step_map: _StepMap,
-    signal: InputSignal,
-    state0: DelayState,
-    n_steps: int,
-    h: float,
-) -> DelayTrajectory:
-    """simulate_predictor's grid record for a checked input and start.
+def _solve_predictor(sys, step_map, signals, state0, n_steps, h):
+    """simulate_predictor's grid record of each checked input from one start,
+    yielded in order.  Inputs are solved in groups whose records fit in
+    _GROUP_ENTRIES (or one at a time); a group's records are freed with its
+    trajectories, before the next group's are made."""
+    entries = (state0.z_history.shape[0] + n_steps) * (sys.n + sys.m)
+    group = max(1, _GROUP_ENTRIES // entries)
+    for first in range(0, len(signals), group):
+        yield from _solve_group(sys, step_map, signals[first : first + group], state0, n_steps, h)
 
-    Solves _SOLVE_BLOCK steps at a time, one matrix product for the windows
-    and one Toeplitz matvec; the windows are the stored rows with those not
-    yet solved still zero.  The drives' input terms are evaluated for blocks
-    of at most _DRIVE_BLOCK steps as the solve reaches them, which bounds
-    their memory.
-    """
-    n, d = sys.n, sys.n + sys.m
-    hist_steps = state0.z_history.shape[0] - 1
-    win, toeplitz = step_map.win, step_map.toeplitz
+
+def _solve_group(sys, step_map, signals, state0, n_steps, h) -> list[DelayTrajectory]:
+    """_solve_predictor's trajectories of one group, _SOLVE_BLOCK steps at a
+    time: per input, one product of the z windows (unsolved rows still zero)
+    and one Toeplitz matvec, stacked so that each input's arithmetic is that
+    of a group of one.  The drive is evaluated, and the solve checked for
+    divergence, in blocks of at most _DRIVE_BLOCK steps."""
+    n, d, count = sys.n, sys.n + sys.m, len(signals)
+    hist_steps, toeplitz = state0.z_history.shape[0] - 1, step_map.toeplitz
     size = toeplitz.shape[0] // d
-    record = np.zeros((hist_steps + n_steps + 1, d))
-    record[: hist_steps + 1, n:] = state0.z_history
-    record[hist_steps, :n] = state0.y
-    # windows[k] is the flat record rows k..k+N, a view that sees each row
-    # as soon as it is written.
+    ys = np.zeros((count, n_steps + 1, n))
+    zs = np.zeros((count, hist_steps + n_steps + 1, sys.m))
+    ys[:, 0], zs[:, : hist_steps + 1] = state0.y, state0.z_history
+    win_z, win_y = step_map.win_z.T, step_map.win_y.T
+    # windows[i, k] is input i's z rows k..k+N flattened, a view that sees
+    # each row as soon as it is written.
     windows = np.lib.stride_tricks.sliding_window_view(
-        record.reshape(-1), (hist_steps + 1) * d
-    )[::d]
+        zs.reshape(count, -1), (hist_steps + 1) * sys.m, axis=1
+    )[:, :: sys.m]
+
+    def forcing(sel: slice, k: int, drive: np.ndarray) -> np.ndarray:
+        # The forcing of the steps after row k, for the inputs ``sel``.
+        out = windows[sel, k : k + drive.shape[1]] @ win_z + drive
+        out[:, :1] += ys[sel, k : k + 1] @ win_y
+        out[:, 0, :n] += ys[sel, k]
+        out[:, 0, n:] += zs[sel, hist_steps + k]
+        return out
+
+    def diverged_at(i: int, finite: np.ndarray) -> float:
+        # finite flags input i's rows from first + 1 on; the solve block after
+        # row k holds the first bad one, and its forcing is formed again.
+        k = first + int(np.argmin(finite)) // size * size
+        finite = finite[k - first : k - first + size]
+        ys[i, k + 1 :], zs[i, hist_steps + k + 1 :] = 0.0, 0.0
+        f = forcing(slice(i, i + 1), k, drive[i : i + 1, k - first : k - first + size])[0]
+        bad = ~np.isfinite(f).all(axis=1)
+        if bad.any():
+            # A non-finite forcing row j reaches the rows before it only as
+            # 0 * inf through the zeros above the diagonal; solved without it,
+            # those rows are as the step by step recurrence leaves them, and
+            # row j is where it fails.
+            j = int(np.argmax(bad))
+            head = toeplitz[: j * d, : j * d] @ f[:j].reshape(-1)
+            finite = np.append(np.isfinite(head.reshape(j, d)).all(axis=1), False)
+        return (k + 1 + int(np.argmin(finite))) * h
+
     q0g, qhg, q1g = step_map.drives
     for first in range(0, n_steps, _DRIVE_BLOCK):
         last = min(first + _DRIVE_BLOCK, n_steps)
         t_now = np.arange(first, last) * h
-        drive = evaluate(signal, t_now) @ q0g.T
-        drive += evaluate(signal, t_now + 0.5 * h) @ qhg.T
-        drive += evaluate(signal, t_now + h) @ q1g.T
+        drive = np.empty((count, last - first, d))
+        for i, signal in enumerate(signals):
+            drive[i] = evaluate(signal, t_now) @ q0g.T
+            drive[i] += evaluate(signal, t_now + 0.5 * h) @ qhg.T
+            drive[i] += evaluate(signal, t_now + h) @ q1g.T
         # A diverging state overflows to inf or nan; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(first, last, size):
                 rows = min(size, last - k)
-                forcing = windows[k : k + rows] @ win.T + drive[k - first : k - first + rows]
-                forcing[0] += record[hist_steps + k]
-                sub = toeplitz[: rows * d, : rows * d]
-                block = (sub @ forcing.reshape(-1)).reshape(rows, d)
-                finite = np.isfinite(block).all(axis=1)
-                if not finite.all():
-                    # A non-finite forcing row j reaches the rows before it
-                    # only as 0 * inf through the zeros above the diagonal;
-                    # solved without it, those rows are as the step by step
-                    # recurrence leaves them, and row j is where it fails.
-                    bad = ~np.isfinite(forcing).all(axis=1)
-                    if bad.any():
-                        j = int(np.argmax(bad))
-                        head = toeplitz[: j * d, : j * d] @ forcing[:j].reshape(-1)
-                        finite = np.append(np.isfinite(head.reshape(j, d)).all(axis=1), False)
-                    t_bad = (k + 1 + int(np.argmin(finite))) * h
-                    raise SimulationError(f"delay state diverged at t={t_bad}")
-                record[hist_steps + k + 1 : hist_steps + k + rows + 1] = block
+                f = forcing(slice(None), k, drive[:, k - first : k - first + rows])
+                block = toeplitz[: rows * d, : rows * d] @ f.reshape(count, -1, 1)
+                block = block.reshape(count, rows, d)
+                ys[:, k + 1 : k + rows + 1] = block[..., :n]
+                zs[:, hist_steps + k + 1 : hist_steps + k + rows + 1] = block[..., n:]
+            finite = np.isfinite(ys[:, first + 1 : last + 1]).all(axis=2)
+            finite &= np.isfinite(zs[:, hist_steps + first + 1 : hist_steps + last + 1]).all(axis=2)
+            if not finite.all():
+                t_bad = min(diverged_at(i, row) for i, row in enumerate(finite) if not row.all())
+                raise SimulationError(f"delay state diverged at t={t_bad}")
 
-    return DelayTrajectory(
-        times=np.arange(n_steps + 1) * h,
-        ys=record[hist_steps:, :n],
-        zs=record[hist_steps:, n:],
-        z_record=record[:, n:],
-        step=h,
-        history_steps=hist_steps,
-        signal=signal,
-    )
+    times = np.arange(n_steps + 1) * h
+    return [
+        DelayTrajectory(times, ys[i], zs[i, hist_steps:], zs[i], h, hist_steps, signal)
+        for i, signal in enumerate(signals)
+    ]
 
 
 def predictor_error_series(
@@ -559,28 +583,26 @@ def delay_empirical_check(
     """
     if not (0.0 < window < t_end):
         raise ValueError("window must lie strictly inside the duration")
-    hist_steps, n_steps = _predictor_grid(sys, h, t_end)
-    bounds = delay_bounds(sys)
-    state0 = DelayState.resting(sys, hist_steps)
-    step_map = _rk4_step_map(sys, h, hist_steps)
-    entries = []
+    inputs = tuple(inputs)
     for signal in inputs:
         if sup_norm(signal) > 1.0 + 1e-9:
             raise ValueError("empirical checks require inputs bounded by one")
         _check_input(sys, signal)
-        traj = _solve_predictor(sys, step_map, signal, state0, n_steps, h)
+    hist_steps, n_steps = _predictor_grid(sys, h, t_end)
+    bounds = delay_bounds(sys)
+    state0 = DelayState.resting(sys, hist_steps)
+    step_map = _rk4_step_map(sys, h, hist_steps)
+
+    def entry(traj: DelayTrajectory) -> DelayEmpiricalEntry:
         measured = _measured_gains(traj.times, np.linalg.norm(traj.ys, axis=1), window)
-        entries.append(
-            DelayEmpiricalEntry(
-                sup_gain=measured.sup_gain,
-                asymptotic_gain=measured.asymptotic_gain,
-                gap_to_oag=bounds.oag_bound - measured.sup_gain,
-                within=measured.sup_gain <= bounds.oag_bound + tolerance,
-            )
-        )
+        sup, oag = measured.sup_gain, bounds.oag_bound
+        return DelayEmpiricalEntry(sup, measured.asymptotic_gain, oag - sup, sup <= oag + tolerance)
+
+    # map keeps no trajectory while the next group is solved.
+    entries = tuple(map(entry, _solve_predictor(sys, step_map, inputs, state0, n_steps, h)))
     return DelayEmpiricalCheck(
         bounds=bounds,
-        entries=tuple(entries),
+        entries=entries,
         all_within_oag=all(e.within for e in entries),
         tolerance=tolerance,
     )

@@ -117,6 +117,15 @@ class TestDelayState:
             delay_empirical_check(scalar_delay, [Zero(dim=1)], 2.0, 1.0, h)
 
 
+# (mu, h, t_end, t): the step by step recurrence of a unit constant input
+# first overflows at t.
+DIVERGENCE_CASES = [
+    (1e4, 1.0, 50.0, 21.0),
+    (300.0, 0.25, 200.0, 12.5),
+    (60.0, 1.0 / 16, 400.0, 29.5),
+]
+
+
 class TestPredictorDynamics:
     def test_decoupled_observer_when_k_zero(self):
         sys = DelayPredictorSystem(
@@ -182,10 +191,7 @@ class TestPredictorDynamics:
         traj = simulate_predictor(sys, Zero(dim=1), DelayState.resting(sys, 1), 50.0, 1.0)
         assert not traj.ys.any() and not traj.z_record.any()
 
-    @pytest.mark.parametrize(
-        "mu, h, t_end, t_bad",
-        [(1e4, 1.0, 50.0, 21.0), (300.0, 0.25, 200.0, 12.5), (60.0, 1.0 / 16, 400.0, 29.5)],
-    )
+    @pytest.mark.parametrize("mu, h, t_end, t_bad", DIVERGENCE_CASES)
     def test_divergence_reported_at_first_nonfinite_row(self, mu, h, t_end, t_bad):
         # The rows where the step by step recurrence first overflows.
         sys = DelayPredictorSystem(
@@ -205,6 +211,16 @@ class TestPredictorDynamics:
         state = DelayState(y=np.zeros(1), z_history=[[0.0], [1e306]])
         with pytest.raises(SimulationError, match=r"diverged at t=2\.0$"):
             simulate_predictor(sys, Zero(dim=1), state, 4.0, 1.0)
+
+    @pytest.mark.parametrize("mu, h, t_end, t_bad", DIVERGENCE_CASES)
+    def test_divergence_reported_across_drive_blocks(self, monkeypatch, mu, h, t_end, t_bad):
+        # 40-step drive blocks, not a multiple of _SOLVE_BLOCK, put the first
+        # bad row in the first, second and twelfth drive block, at the end of
+        # a solve block in the last case; the check after each drive block
+        # finds the same row as a check after every solve block.
+        monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", 40)
+        self.test_divergence_reported_at_first_nonfinite_row(mu, h, t_end, t_bad)
+        self.test_overflowing_forcing_does_not_poison_earlier_rows()
 
     def test_one_step_map_per_simulation(self, scalar_delay, monkeypatch):
         calls = {"evaluate": 0, "_expm_times": 0}
@@ -244,6 +260,18 @@ TWO_INPUT_PLANT = DelayPredictorSystem(
 BANG_BANG = PeriodicExtension(
     BangBangInput(horizon=1.0, switch_times=[0.37, 0.71]), base_span=1.0, period=1.5
 )
+
+# The system and battery of test_one_step_map_serves_every_input.
+BATTERY_PLANT = DelayPredictorSystem(
+    a=[[0.2, 1.0], [-1.0, -0.3]], b=[[0.0], [1.0]], g=[[0.5], [-0.2]], k=[[-0.6, -1.4]],
+    tau=0.4, mu=3.0,
+)
+BATTERY = [
+    Constant([1.0]),
+    Sinusoid([1.0], 0.1),
+    Sinusoid([1.0], 1.0),
+    PeriodicExtension(BangBangInput(1.5, [0.7]), 1.5, 2.5),
+]
 
 
 def _two_input_run(steps):
@@ -503,6 +531,69 @@ class TestEmpiricalCheck:
             tail = traj.times >= traj.times[-1] - window - 1e-12
             assert entry.sup_gain == float(np.max(norms))
             assert entry.asymptotic_gain == float(np.max(norms[tail]))
+
+    @pytest.mark.parametrize("mu, h, t_end, t_bad", DIVERGENCE_CASES)
+    @pytest.mark.parametrize("first", [True, False], ids=["zero-first", "zero-last"])
+    def test_battery_diverges_where_its_input_does(self, mu, h, t_end, t_bad, first):
+        # The zero input stays at rest on the unstable step map; the battery
+        # reports the constant's divergence, at the time a one-input run does.
+        sys = DelayPredictorSystem(
+            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=mu
+        )
+        state = DelayState.resting(sys, int(round(1.0 / h)))
+        with pytest.raises(SimulationError) as alone:
+            simulate_predictor(sys, Constant(u0=[1.0]), state, t_end, h)
+        battery = [Zero(dim=1), Constant(u0=[1.0])][:: 1 if first else -1]
+        with pytest.raises(SimulationError) as together:
+            delay_empirical_check(sys, battery, t_end, 1.0, h)
+        assert str(together.value) == str(alone.value) == f"delay state diverged at t={t_bad}"
+
+    @pytest.mark.parametrize(
+        "battery",
+        [
+            [Constant([1.0]), Sinusoid([1.0], 1.0), Constant([2.0])],
+            [Constant([1.0]), Sinusoid([1.0], 1.0), Constant([0.5, 0.5])],
+        ],
+        ids=["last-sup-norm-2", "last-wrong-dimension"],
+    )
+    def test_checks_every_input_before_solving(self, scalar_delay, battery, monkeypatch):
+        solves = []
+        monkeypatch.setattr(delaymod, "_solve_predictor", lambda *args: solves.append(args))
+        with pytest.raises(ValueError):
+            delay_empirical_check(scalar_delay, battery, 5.0, 1.0, scalar_delay.tau / 16.0)
+        assert solves == []
+
+    def test_battery_solved_in_one_call(self, monkeypatch):
+        # 960 steps in 256-step drive blocks: four blocks, three evaluate
+        # calls per input in each, and one solve for the whole battery.
+        solves, evaluations = [], []
+        solve, evaluate = delaymod._solve_predictor, delaymod.evaluate
+        monkeypatch.setattr(delaymod, "_solve_predictor", lambda *a: solves.append(1) or solve(*a))
+        monkeypatch.setattr(delaymod, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
+        monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", 256)
+        h = BATTERY_PLANT.tau / 32.0
+        check = delay_empirical_check(BATTERY_PLANT, BATTERY, 12.0, 3.0, h)
+        assert len(check.entries) == 4
+        assert len(solves) == 1 and len(evaluations) == 3 * 4 * 4
+
+    def test_groups_match_one_pass(self, monkeypatch):
+        # Each input's arithmetic is the same whatever group it is solved in.
+        h = BATTERY_PLANT.tau / 32.0
+        together = delay_empirical_check(BATTERY_PLANT, BATTERY, 12.0, 3.0, h)
+        monkeypatch.setattr(delaymod, "_GROUP_ENTRIES", 1)
+        alone = delay_empirical_check(BATTERY_PLANT, BATTERY, 12.0, 3.0, h)
+        assert alone.entries == together.entries
+
+    def test_battery_memory_does_not_grow_with_inputs(self):
+        # 320,000 steps: an input's record, 960,195 entries, is over
+        # _GROUP_ENTRIES, so the inputs are solved one at a time.
+        h, peaks = BATTERY_PLANT.tau / 64.0, []
+        for battery in (BATTERY[:1], BATTERY):
+            tracemalloc.start()
+            delay_empirical_check(BATTERY_PLANT, battery, 2000.0, 3.0, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0]
 
     def test_rejects_oversized_input(self, scalar_delay):
         with pytest.raises(ValueError):
