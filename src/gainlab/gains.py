@@ -20,6 +20,10 @@ and the ONB bases, the terminal-output curve and its ascent, the SISO periodic
 values, the bang-bang switches and the positivity proof) comes from a certified
 partition of the kernel at its zeros, C's rows and the ONB bases' in one;
 adaptive Simpson is left for the multi-input ascent's vector-norm integrand.
+Each caller builds one kernel flow (_KernelFlow) on its grid and partitions
+its rows on it: the flow alone holds what the partition takes from the
+system (A, b, n, the certificate's M) and every exponential it needs, the
+SISO periodic figures' exp(AT) included.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
@@ -119,11 +123,13 @@ def _checked_tol(tol, source: str = "tol") -> None:
 
 
 class _KernelFlow:
-    """The row-independent part of a sign partition: the flow x(s) = exp(As) b
+    """Everything of a sign partition but its rows: the flow x(s) = exp(As) b
     of one single-input system on the base cells of one increasing grid
     ``ends``, with each matrix exponential the partition needs formed once,
     whatever rows are partitioned on it (the lockstep ascent partitions new
-    rows on one flow at each of its steps).
+    rows on one flow at each of its steps).  It keeps A, b, n and the
+    certificate's M, not the system, so it is the one object that holds the
+    partition's state coordinates.
 
     It holds A^0..A^5, the logarithmic norm mu of A, the cell count and
     width w, exp(A ends[-1]) and the states y = A^-1 exp(As) b at s = 0 and
@@ -136,6 +142,7 @@ class _KernelFlow:
 
     def __init__(self, sys: StateSpaceSystem, ends):
         a, b = self.a, self.b = sys.a, sys.b
+        self.n, self.m_const = sys.n, sys.certificate.m
         self.ends = np.asarray(ends, dtype=float)
         t_end = float(self.ends[-1])
         self.a_powers = [np.linalg.matrix_power(a, k) for k in range(6)]
@@ -143,7 +150,7 @@ class _KernelFlow:
         self.count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
         self.width = t_end / self.count
         # exp(A e) b in _expm_times's stacks, keeping the last exp(A e) whole.
-        chunk, x_ends = max(1, _STACK_ENTRIES // a.size), np.empty((self.ends.size, a.shape[0]))
+        chunk, x_ends = max(1, _STACK_ENTRIES // a.size), np.empty((self.ends.size, self.n))
         for start in range(0, self.ends.size, chunk):
             exps = _expm_stack(a, self.ends[start : start + chunk])
             x_ends[start : start + chunk] = (exps @ b)[:, :, 0]
@@ -164,7 +171,7 @@ class _KernelFlow:
         """exp(w / 2^level A), the step to the midpoints of halving level ``level``."""
         if level not in self._halves:
             step = self.width / 2.0**level
-            self._halves[level] = _expm_times(self.a, step, np.eye(self.a.shape[0]))[0]
+            self._halves[level] = _expm_times(self.a, step, np.eye(self.n))[0]
         return self._halves[level]
 
     def leads(self, block: int) -> np.ndarray:
@@ -172,20 +179,20 @@ class _KernelFlow:
         the first block's is I b, which is what _expm gives for exp(0)."""
         if block not in self._leads:
             later = _expm_times(self.a, np.arange(block, self.count, block) * self.width, self.b)
-            first = np.eye(self.a.shape[0]) @ self.b
+            first = np.eye(self.n) @ self.b
             self._leads[block] = np.concatenate((first[None], later))[:, :, 0]
         return self._leads[block]
 
 
-def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float):
+def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     """(roots, signed, unresolved) for the kernels g_i(s) = rows_i exp(As) b
-    of a single-input system: roots[i] the increasing zeros of g_i,
-    signed[j, i] the state integral of sgn(g_i(s)) exp(As) b over
-    [0, ends[j]], and unresolved[i] the certified worst-case loss left in
-    row i.  The integral of |g_i| over [0, ends[j]] is rows_i @ signed[j, i].
-    ``ends`` is an increasing grid, or a _KernelFlow on one, which callers
-    partitioning several row sets on one grid share; given a grid, the
-    partition builds its own flow.
+    of the single-input system that ``flow`` was built from: roots[i] the
+    increasing zeros of g_i, signed[j, i] the state integral of
+    sgn(g_i(s)) exp(As) b over [0, flow.ends[j]], and unresolved[i] the
+    certified worst-case loss left in row i.  The integral of |g_i| over
+    [0, ends[j]] is rows_i @ signed[j, i].  The partition reads A, b, n and M
+    from the flow alone, and callers partitioning several row sets on one
+    grid share one flow.
 
     On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
     logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
@@ -197,14 +204,13 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
     fits its share of ``budget`` or it is 1e-6 of the horizon wide.  Between
     zeros exp(As) b integrates to the change of A^-1 exp(As) b.
     """
-    flow = ends if isinstance(ends, _KernelFlow) else _KernelFlow(sys, ends)
-    a, q, count = sys.a, rows.shape[0], flow.count
+    q, count = rows.shape[0], flow.count
     t_end = float(flow.ends[-1])
     powers = [rows @ power for power in flow.a_powers]
     # g_i and its first three derivatives are x @ lift.T; A^4, A^5 bound the rest.
     lift, high = np.concatenate(powers[:4]), np.linalg.norm(powers[4:], axis=2)[None]
     # Cells per block: x and four kernel rows per sample fill a quarter stack.
-    block = max(1, _STACK_ENTRIES // (4 * (sys.n + 4 * q)))
+    block = max(1, _STACK_ENTRIES // (4 * (flow.n + 4 * q)))
     brackets, lost = [], np.zeros(q)
     for first, lead in zip(range(0, count, block), flow.leads(block)):
         last, width, level = min(first + block, count), flow.width, 0
@@ -214,7 +220,7 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
         while True:
             start, x, v0, v1 = cells
             chord = width**2 / 8.0
-            grow = min(sys.certificate.m, math.exp(flow.mu * width)) * np.linalg.norm(x, axis=1)
+            grow = min(flow.m_const, math.exp(flow.mu * width)) * np.linalg.norm(x, axis=1)
             bound = np.maximum(abs(v0[:, 2:]), abs(v1[:, 2:])) + chord * grow[:, None, None] * high
             e0, e1 = chord * bound[:, 0], chord * bound[:, 1]
             g0, p0, g1, p1 = v0[:, 0], v0[:, 1], v1[:, 0], v1[:, 1]
@@ -236,8 +242,8 @@ def _sign_partition(sys: StateSpaceSystem, rows: np.ndarray, ends, budget: float
             pairs = (start, start + width), (x, xm), (v0, vm), (vm, v1)
             cells = [np.concatenate(pair) for pair in pairs]
     row, start, x, width, g0, g1 = map(np.concatenate, zip(*brackets))
-    offset, x = _kernel_zeros(a, rows[row], powers[1][row], x, width, g0, g1)
-    y_roots = np.linalg.solve(a, x.T).T
+    offset, x = _kernel_zeros(flow, rows[row], powers[1][row], x, width, g0, g1)
+    y_roots = np.linalg.solve(flow.a, x.T).T
     roots, signed = _signed_states(rows, row, start + offset, y_roots, flow)
     return roots, signed, lost
 
@@ -275,18 +281,18 @@ def _signed_states(rows, row, t, y_roots, flow):
     return [t[stop - count : stop] for stop, count in zip(bounds.tolist(), counts.tolist())], signed
 
 
-def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
-    """Zeros of g_k(t) = rows_k exp(At) x0_k on [0, width_k], across which g_k
-    changes sign (g0, g1 its end values): Newton on (g, g') from the secant
-    point, bisecting where a step would leave the bracket or not halve the
-    last one, all in lockstep.  Returns the zeros (to 1e-13) and
-    exp(A zero_k) x0_k."""
-    lo, hi, last = np.zeros(width.size), width.copy(), width.copy()
+def _kernel_zeros(flow, rows, ra, x0, width, g0, g1):
+    """Zeros of g_k(t) = rows_k exp(At) x0_k, A the flow's, on [0, width_k],
+    across which g_k changes sign (g0, g1 its end values): Newton on (g, g')
+    from the secant point, bisecting where a step would leave the bracket or
+    not halve the last one, all in lockstep.  Returns the zeros (to 1e-13)
+    and exp(A zero_k) x0_k."""
+    a, lo, hi, last = flow.a, np.zeros(width.size), width.copy(), width.copy()
     t, x = width * g0 / (g0 - g1), x0.copy()
     live = np.arange(t.size)
     for iteration in range(100):
         tl = t[live]
-        x[live] = np.einsum("kij,kj->ki", _expm_times(a, tl, np.eye(a.shape[0])), x0[live])
+        x[live] = np.einsum("kij,kj->ki", _expm_times(a, tl, np.eye(flow.n)), x0[live])
         g = np.einsum("kn,kn->k", rows[live], x[live])
         below = (g >= 0.0) == (g0[live] >= 0.0)
         lo[live[below]], hi[live[~below]] = tl[below], tl[~below]
@@ -302,27 +308,6 @@ def _kernel_zeros(a, rows, ra, x0, width, g0, g1):
         if not live.size:
             break
     return t, x
-
-
-def _impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
-    """(ints, H, roots, unresolved, W, exp(AH)) for the kernels row_i exp(As) b
-    of a single-input system: ints[i] the integral of |row_i exp(As) b| over
-    [0, H], the rest _sign_partition's on [0, H], W_i = signed[0, i], and
-    the partition flow's exp(AH) (None when H = 0).  Half the budget goes to
-    the partition, half to the certified tail, the tail share split evenly
-    across rows.
-    """
-    if sys.m != 1:
-        raise DimensionError("impulse-response integrals require a single input")
-    cert = sys.certificate
-    q = rows.shape[0]
-    coef = float(np.max(np.linalg.norm(rows, axis=1))) * cert.m * spectral_norm(sys.b)
-    horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
-    if horizon == 0.0:
-        return np.zeros(q), 0.0, [np.empty(0)] * q, np.zeros(q), np.zeros((q, sys.n)), None
-    flow = _KernelFlow(sys, [horizon])
-    roots, signed, lost = _sign_partition(sys, rows, flow, tol / 2.0)
-    return (signed[0] * rows).sum(axis=1), horizon, roots, lost, signed[0], flow.exp_end
 
 
 def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
@@ -348,14 +333,25 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
 
 def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
     """(l1_impulse_gain's estimate off C's rows, the extra rows' L1 norms),
-    from one _impulse_rows partition of C's rows and ``extra_rows``.  The
-    SISO periodic figure |c (I - exp(AH))^-1 W_H| takes the exp(AH) that the
-    partition's flow formed for its end, H."""
+    from one sign partition of C's rows and ``extra_rows`` on [0, H].  Half
+    the budget goes to the partition, half to the certified tail past H, the
+    tail share split evenly across rows.  The SISO periodic figure
+    |c (I - exp(AH))^-1 W_H| takes the exp(AH) that the partition's flow
+    formed for its end, H."""
+    if sys.m != 1:
+        raise DimensionError("impulse-response integrals require a single input")
     rows = np.vstack((sys.c, extra_rows))
-    ints, horizon, roots, lost, signed, exp_h = _impulse_rows(sys, rows, tol)
+    q, cert = rows.shape[0], sys.certificate
+    coef = float(np.max(np.linalg.norm(rows, axis=1))) * cert.m * spectral_norm(sys.b)
+    horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
+    ints, roots, lost = np.zeros(q), [np.empty(0)] * q, np.zeros(q)
+    if horizon > 0.0:
+        flow = _KernelFlow(sys, [horizon])
+        roots, signed, lost = _sign_partition(flow, rows, tol / 2.0)
+        ints = (signed[0] * rows).sum(axis=1)
     value = float(np.linalg.norm(ints[: sys.p]))
     if sys.p == 1 and horizon > 0.0:
-        periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - exp_h, signed[0])))
+        periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow.exp_end, signed[0, 0])))
         # gain_report's slack for a pair of figures computed to tol.
         if value - periodic > 2.0 * tol + 1e-9 * max(1.0, value, periodic):
             raise ConsistencyError(
@@ -435,7 +431,7 @@ def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | Non
     horizon = tail_horizon(cert.sigma, coef, _POSITIVITY_TAIL)
     if horizon > 0.0:
         for end in sorted({min(horizon, 1.0 / cert.sigma), horizon}):
-            roots, _, lost = _sign_partition(sys, sys.c, [end], _POSITIVITY_TAIL)
+            roots, _, lost = _sign_partition(_KernelFlow(sys, [end]), sys.c, _POSITIVITY_TAIL)
             if lost.any() or any(r.size for r in roots):
                 return None
     return PositivityCertificate.SIGN_PARTITION
@@ -479,7 +475,7 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     last, live = np.full(k * s, -np.inf), np.arange(k * s)
     for _ in range(40):
         if sys.m == 1:
-            signed = _sign_partition(sys, d[live] @ sys.c, flow, tol)[1]
+            signed = _sign_partition(flow, d[live] @ sys.c, tol)[1]
             x = signed[horizon_of[live], np.arange(live.size)]
         else:
             x = np.array([_aligned_terminal(sys, horizons[horizon_of[j]], d[j], tol)[1:] for j in live])
@@ -574,7 +570,7 @@ def vcurve(
         raise ValueError("horizons must be finite, positive and strictly increasing")
     _check_partition_cells(sys, hs[-1], "--t-max")
     if sys.p == 1 and sys.m == 1:
-        values = _sign_partition(sys, sys.c, hs, tol)[1][:, 0] @ sys.c[0]
+        values = _sign_partition(_KernelFlow(sys, hs), sys.c, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
     entries = hs.size**2 * (sys.p + restarts) * sys.n
     if entries > _MAX_GRID_STEPS:
@@ -599,7 +595,7 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
     if not (0 < horizon < math.inf):
         raise ValueError("horizon must be finite and positive")
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
-    roots, signed, _ = _sign_partition(sys, sys.c, [horizon], 1e-12 * scale)
+    roots, signed, _ = _sign_partition(_KernelFlow(sys, [horizon]), sys.c, 1e-12 * scale)
     zero = bool(signed[0, 0] @ sys.c[0] <= 1e-14 * scale * horizon)
     lags = roots[0][(roots[0] > 1e-12) & (roots[0] < horizon - 1e-12) & (not zero)]
     switches = horizon - lags[::-1]
@@ -672,17 +668,15 @@ _ZOOM_POINTS = 65
 _ZOOM_ROUNDS = 4
 
 
-def sinusoid_lower_bound(
-    sys: StateSpaceSystem, omegas=None, refine: bool = True
-) -> GainEstimate:
-    """Best sinusoid response over a frequency grid, optionally polished.
+def sinusoid_lower_bound(sys: StateSpaceSystem, omegas=None) -> GainEstimate:
+    """Best sinusoid response over a frequency grid, then polished.
 
     A valid lower bound on the peak gain for every frequency; the returned
-    value is the grid maximum (one sinusoid_sweep), improved when ``refine``
-    is set by a zoom in log frequency: the bracket starts at the winning grid
-    point's neighbours, and each of 4 rounds sweeps 65 log-spaced
-    frequencies across it, ends included, in one batch, keeps the best value
-    seen and narrows the bracket to the round's best point's neighbours.
+    value is the grid maximum (one sinusoid_sweep), improved by a zoom in
+    log frequency: the bracket starts at the winning grid point's
+    neighbours, and each of 4 rounds sweeps 65 log-spaced frequencies across
+    it, ends included, in one batch, keeps the best value seen and narrows
+    the bracket to the round's best point's neighbours.
     """
     if omegas is None:
         omegas = np.logspace(-3.0, 3.0, 200)
@@ -693,7 +687,7 @@ def sinusoid_lower_bound(
     i_best = int(np.argmax(vals))
     best, best_omega = float(vals[i_best]), float(omegas[i_best])
     bracket = omegas[[max(0, i_best - 1), min(omegas.size - 1, i_best + 1)]]
-    if refine and bracket[1] > bracket[0]:
+    if bracket[1] > bracket[0]:
         for _ in range(_ZOOM_ROUNDS):
             points = np.geomspace(bracket[0], bracket[1], _ZOOM_POINTS)
             vals = sinusoid_sweep(sys, points)
@@ -749,7 +743,8 @@ def periodic_upper_estimate(
     """Best periodic steady-state output over a grid of periods, SISO only.
 
     For each period T the integral of |c (exp(AT) - I)^{-1} exp(As) b| over
-    [0, T] (by its sign partition) is the asymptotic output, at phase 0, of
+    [0, T] (by its sign partition, whose flow forms exp(AT) for the
+    resolvent too) is the asymptotic output, at phase 0, of
     the best T-periodic unit input: the bang-bang one, which realises it.  So
     every value is a lower bound on the gain, and their supremum over T is
     the gain; on the default grid {2^k / sigma, k = -2..6} the maximum tends
@@ -766,12 +761,13 @@ def periodic_upper_estimate(
     if t_grid is None:
         t_grid = [2.0**k / sys.certificate.sigma for k in range(-2, 7)]
     horizons = np.asarray(list(t_grid), dtype=float)
-    if horizons.size == 0 or np.any(horizons <= 0):
-        raise ValueError("t_grid must contain positive periods")
+    if horizons.size == 0 or not np.all((horizons > 0) & (horizons < math.inf)):
+        raise ValueError("t_grid must contain finite positive periods")
     values = []
-    for t_per, e_t in zip(horizons, _expm_times(sys.a, horizons, np.eye(sys.n))):
-        cmod = np.linalg.solve((e_t - np.eye(sys.n)).T, sys.c.T).T
-        values.append(float(_sign_partition(sys, cmod, [t_per], tol)[1][0, 0] @ cmod[0]))
+    for t_per in horizons:
+        flow = _KernelFlow(sys, [t_per])
+        cmod = np.linalg.solve((flow.exp_end - np.eye(sys.n)).T, sys.c.T).T
+        values.append(float(_sign_partition(flow, cmod, tol)[1][0, 0] @ cmod[0]))
     i_best = int(np.argmax(values))
     return GainEstimate(
         value=values[i_best],
@@ -793,6 +789,8 @@ class CertificateBoundInput:
     b_samples: nondecreasing envelope samples (t_k, b_k), t_0 = 0, as a
         right-open step function.
     t_grid: candidate horizons.
+
+    Every number must be finite; ValueError names the field that is not.
     """
 
     certificates: tuple
@@ -804,13 +802,15 @@ class CertificateBoundInput:
         if not certs:
             raise ValueError("at least one (M, sigma) certificate is required")
         for m_const, sigma in certs:
-            if m_const < 1.0:
-                raise ValueError(f"certificate constant M={m_const} must be >= 1")
-            if sigma <= 0.0:
-                raise ValueError(f"certificate rate sigma={sigma} must be > 0")
+            if not 1.0 <= m_const < math.inf:
+                raise ValueError(f"certificate constant M={m_const} must be finite and >= 1")
+            if not 0.0 < sigma < math.inf:
+                raise ValueError(f"certificate rate sigma={sigma} must be finite and > 0")
         samples = np.atleast_2d(np.asarray(self.b_samples, dtype=float))
         if samples.shape[1] != 2:
             raise ValueError("b_samples must be (t, b) pairs")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("b_samples must be finite")
         if samples[0, 0] != 0.0:
             raise ValueError("b_samples must start at t = 0")
         if np.any(np.diff(samples[:, 0]) <= 0):
@@ -818,8 +818,8 @@ class CertificateBoundInput:
         if np.any(np.diff(samples[:, 1]) < 0) or np.any(samples[:, 1] < 0):
             raise ValueError("b_samples values must be nonnegative and nondecreasing")
         grid = np.atleast_1d(np.asarray(self.t_grid, dtype=float))
-        if grid.size == 0 or np.any(grid <= 0):
-            raise ValueError("t_grid must contain positive horizons")
+        if grid.size == 0 or not np.all((grid > 0) & (grid < math.inf)):
+            raise ValueError("t_grid must contain finite positive horizons")
         object.__setattr__(self, "certificates", certs)
         object.__setattr__(self, "b_samples", samples)
         object.__setattr__(self, "t_grid", grid)

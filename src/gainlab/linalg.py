@@ -19,7 +19,6 @@ from .exceptions import DimensionError, LyapunovSolveError, NotHurwitzError
 
 __all__ = [
     "as_matrix",
-    "as_vector",
     "mat_exp",
     "lyapunov_solve",
     "is_hurwitz",
@@ -68,16 +67,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate and return ``v`` as a finite 1-d float64 array."""
-    arr = np.array(v, dtype=float).reshape(-1)
     if arr.size == 0:
         raise DimensionError(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
@@ -352,25 +341,22 @@ class StructureFlags:
     assumption_h: AssumptionH | None
 
 
-def structure_flags(sys: "StateSpaceSystem", tol: float = 0.0) -> StructureFlags:
+def structure_flags(sys: "StateSpaceSystem") -> StructureFlags:
     """Detect Metzler/nonnegativity structure and symmetric negative
-    definiteness of the state matrix.
+    definiteness of the state matrix, by exact sign and symmetry tests.
 
-    ``tol`` relaxes every sign and symmetry test; the default is an exact
-    test.  The assumption_h field is populated only when A is symmetric
-    (within tol) with all eigenvalues below -tol.
+    The assumption_h field is populated only when A is exactly symmetric
+    with all eigenvalues negative.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     a, b, c = sys.a, sys.b, sys.c
     off = a - np.diag(np.diag(a))
-    metzler = bool(np.all(off >= -tol))
-    nonneg_b = bool(np.all(b >= -tol))
-    nonneg_c = bool(np.all(c >= -tol))
+    metzler = bool(np.all(off >= 0.0))
+    nonneg_b = bool(np.all(b >= 0.0))
+    nonneg_c = bool(np.all(c >= 0.0))
     assumption = None
-    if np.max(np.abs(a - a.T)) <= tol:
+    if np.array_equal(a, a.T):
         w, v = symmetric_eigen(0.5 * (a + a.T))
-        if np.all(w < -tol):
+        if np.all(w < 0.0):
             # A = v diag(w) v', so with q = v' the lambdas -w are positive.
             order = np.argsort(-w)  # ascending lambdas
             assumption = AssumptionH(q=v[:, order].T.copy(), lambdas=-w[order])

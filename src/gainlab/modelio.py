@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-# Rows per ``%`` in csv_lines, for tables under _CSV_ARRAY_VALUES values.
-# As fast as 1024, which raised the peak RSS of a sim-verify loop by about
-# 0.4 MB where 256 left it unchanged.
-_CSV_BLOCK_ROWS = 256
 # Tables of at least _CSV_ARRAY_VALUES values are printed by _g17_lines, in
 # blocks of _CSV_ARRAY_ROWS rows.  Per value it takes about a third of the
 # 0.7 us of ``%``, but each block has a fixed cost of about 0.2 ms (shared
@@ -293,22 +289,16 @@ def csv_lines(header, rows):
 
     The rows become one float64 table.  A table of at least
     _CSV_ARRAY_VALUES values is written by _g17_lines in blocks of
-    _CSV_ARRAY_ROWS rows; a smaller one takes one ``%`` per block of
-    _CSV_BLOCK_ROWS rows.  Both give the same bytes.
+    _CSV_ARRAY_ROWS rows; a smaller one takes one ``%``.  Both give the same
+    bytes.
     """
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    parts = [",".join(header)]
+    head = ",".join(header)
     if table.size >= _CSV_ARRAY_VALUES:
-        parts.append("\n")
-        for start in range(0, len(table), _CSV_ARRAY_ROWS):
-            parts.append(_g17_lines(table[start : start + _CSV_ARRAY_ROWS]))
-        return "".join(parts)
+        starts = range(0, len(table), _CSV_ARRAY_ROWS)
+        return head + "\n" + "".join(_g17_lines(table[i : i + _CSV_ARRAY_ROWS]) for i in starts)
     row = "\n" + ",".join(["%.17g"] * len(header))
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
-    parts.append("\n")
-    return "".join(parts)
+    return head + row * len(table) % tuple(table.ravel().tolist()) + "\n"
 
 
 # Bytes of one _g17_lines cell: the longest "%.17g" text,

@@ -276,24 +276,27 @@ class GainEqualityRecord:
     passed: bool
 
 
+# verify_gain_equality records each period in this many steps, and runs
+# this many periods, measuring the asymptotic output over the last half.
+_VERIFY_STEPS = 4096
+_VERIFY_PERIODS = 10
+
+
 def verify_gain_equality(
-    sys: StateSpaceSystem,
-    accuracy: float,
-    tol: float = 1e-9,
-    steps_per_period: int = 4096,
-    periods: int = 10,
+    sys: StateSpaceSystem, accuracy: float, tol: float = 1e-9
 ) -> GainEqualityRecord:
     """Demonstrate numerically that the asymptotic gain reaches the peak gain.
 
     Builds a worst-case periodic input whose parameters are derived from the
     requested relative ``accuracy``: the horizon is long enough that the
     terminal-output value falls short of the gain by at most accuracy/2
-    (certified tail) and is a whole number of recording steps
-    period / steps_per_period (so the output's peaks at horizon + k period
-    are recorded), the rest tolerance small enough that inter-period leakage
-    costs at most accuracy/4 each way.  The simulated asymptotic output must
-    land in [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol]; failure is
-    reported in the record, not raised.
+    (certified tail) and is a whole number of recording steps period / 4096
+    (so the output's peaks at horizon + k period are recorded), the rest
+    tolerance small enough that inter-period leakage costs at most
+    accuracy/4 each way.  The input runs for 10 periods, and its simulated
+    asymptotic output over the last 5 must land in
+    [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol]; failure is reported in
+    the record, not raised.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("gain-equality verification requires a SISO system")
@@ -320,12 +323,12 @@ def verify_gain_equality(
     rest_tol = accuracy * gamma * cert.sigma / (4.0 * cert.m * coef)
     rest_tol = min(max(rest_tol, 1e-14), 0.25)
     rest = _rest_length(cert, rest_tol)
-    j = min(math.ceil(steps_per_period * horizon / (horizon + rest)), steps_per_period - 1)
-    horizon = max(horizon, j * rest / (steps_per_period - j))
+    j = min(math.ceil(_VERIFY_STEPS * horizon / (horizon + rest)), _VERIFY_STEPS - 1)
+    horizon = max(horizon, j * rest / (_VERIFY_STEPS - j))
     signal, spec = worst_case_periodic_input(sys, horizon, rest_tol)
-    h = spec.period / steps_per_period
-    t_end = periods * spec.period
-    window = min(5, periods // 2) * spec.period
+    h = spec.period / _VERIFY_STEPS
+    t_end = _VERIFY_PERIODS * spec.period
+    window = _VERIFY_PERIODS // 2 * spec.period
     emp = empirical_gains(sys, signal, t_end, window, h)
     lower_target = (1.0 - accuracy) * gamma
     upper_limit = gamma * (1.0 + 1e-6) + 2.0 * tol

@@ -233,7 +233,7 @@ def aligned_terminal(sys, horizon, d, tol):
     if sys.m != 1:
         return gains._aligned_terminal(sys, horizon, d, tol)
     ctd = sys.c.T @ d
-    x = gains._sign_partition(sys, ctd[None], [horizon], tol)[1][0, 0]
+    x = gains._sign_partition(gains._KernelFlow(sys, [horizon]), ctd[None], tol)[1][0, 0]
     return np.concatenate(([ctd @ x], x))
 
 

@@ -14,16 +14,25 @@ import numpy as np
 
 from gainlab import (
     CertificateBoundInput,
+    Constant,
+    DelayPredictorSystem,
+    DelayState,
+    Sinusoid,
     StateSpaceSystem,
     bang_bang_switches,
     certificate_gain_bound,
     dc_gain,
+    delay_bounds,
+    delay_empirical_check,
     is_hurwitz,
     l1_impulse_gain,
     mat_exp,
+    max_terminal_output,
     onb_upper_bound,
     periodic_upper_estimate,
+    predictor_error_residual,
     simulate,
+    simulate_predictor,
     sinusoid_lower_bound,
     spectral_norm,
     stability_certificate,
@@ -181,8 +190,6 @@ def test_acceptance_6_bang_bang_realization():
 
 
 def max_terminal(sys, horizon):
-    from gainlab import max_terminal_output
-
     return max_terminal_output(sys, horizon, tol=1e-10)
 
 
@@ -213,17 +220,6 @@ def test_acceptance_7_certificate_closed_form():
 
 @criterion(8, "delay-oracle", budget_s=60.0)
 def test_acceptance_8_delay_oracle():
-    from gainlab import (
-        Constant,
-        DelayPredictorSystem,
-        DelayState,
-        Sinusoid,
-        delay_bounds,
-        delay_empirical_check,
-        predictor_error_residual,
-        simulate_predictor,
-    )
-
     sys = DelayPredictorSystem(
         a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-0.5]], tau=0.5, mu=2.0
     )

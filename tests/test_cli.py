@@ -641,6 +641,32 @@ class TestBound41:
     def test_rejects_system_file(self, scalar_file, capsys):
         assert main(["bound41", scalar_file]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("T_grid", [2.0, float("inf")], "t_grid"),
+            ("T_grid", [float("nan")], "t_grid"),
+            ("b_samples", [[0.0, 1.0], [1.0, float("nan")]], "b_samples"),
+            ("b_samples", [[0.0, 1.0], [float("inf"), 2.0]], "b_samples"),
+            ("certificates", [[float("inf"), 1.0]], "M=inf"),
+            ("certificates", [[2.0, float("nan")]], "sigma=nan"),
+            ("certificates", [[2.0, float("inf")]], "sigma=inf"),
+        ],
+        ids=["T-inf", "T-nan", "b-nan", "t-inf", "M-inf", "sigma-nan", "sigma-inf"],
+    )
+    def test_rejects_non_finite_data(self, tmp_path, capsys, key, value, field):
+        # JSON's Infinity and NaN once gave exit 0, a "horizon": inf document
+        # or a bound, or an error naming no field.
+        doc = {"certificates": [[2.0, 1.0]], "b_samples": [[0.0, 1.0]], "T_grid": [2.0]}
+        path = tmp_path / "b41.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        start = time.perf_counter()
+        assert main(["bound41", str(path)]) == 1
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and field in err
+
 
 class TestDelayDemo:
     def test_battery(self, delay_file, capsys):

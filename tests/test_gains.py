@@ -181,9 +181,9 @@ def test_close_zero_pairs_halve_cells_on_a_shared_flow():
     a = [[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]]
     sys = StateSpaceSystem(a=a, b=[[1.0], [1.0], [0.0]], c=[[1.0 - eps, -1.0, 0.0]])
     flow = gains._KernelFlow(sys, [t_end])
-    gains._sign_partition(sys, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]), flow, 1e-10)
-    shared = gains._sign_partition(sys, sys.c, flow, 1e-10)
-    fresh = gains._sign_partition(sys, sys.c, [t_end], 1e-10)
+    gains._sign_partition(flow, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]), 1e-10)
+    shared = gains._sign_partition(flow, sys.c, 1e-10)
+    fresh = gains._sign_partition(gains._KernelFlow(sys, [t_end]), sys.c, 1e-10)
     r = math.acos(1.0 - eps)
     zeros = sorted(z for k in range(4) for z in (2.0 * math.pi * k - r, 2.0 * math.pi * k + r) if z > 0)
     np.testing.assert_allclose(shared[0][0], zeros, rtol=0.0, atol=1e-12)
@@ -244,13 +244,13 @@ def test_report_partitions_l1_kernel_once(monkeypatch, oscillator):
     # (p > 1) ride in the same partition: C's p rows and 4 x p more.  A
     # standalone ONB bound makes that one partition too.
     rows = []
-    original = gains._impulse_rows
+    original = gains._sign_partition
 
-    def counting(sys, r, tol):
+    def counting(flow, r, budget):
         rows.append(r.shape[0])
-        return original(sys, r, tol)
+        return original(flow, r, budget)
 
-    monkeypatch.setattr(gains, "_impulse_rows", counting)
+    monkeypatch.setattr(gains, "_sign_partition", counting)
     gain_report(oscillator)
     assert rows == [1]
     rows.clear()
@@ -271,8 +271,8 @@ def test_drawn_basis_loss_leaves_c_rows_certified(monkeypatch):
     partition = gains._sign_partition
     planted = []
 
-    def lossy(s, rows, ends, budget):
-        roots, signed, lost = partition(s, rows, ends, budget)
+    def lossy(flow, rows, budget):
+        roots, signed, lost = partition(flow, rows, budget)
         lost[-1] += 1e-3
         planted.append(rows.shape[0])
         return roots, signed, lost
@@ -282,6 +282,40 @@ def test_drawn_basis_loss_leaves_c_rows_certified(monkeypatch):
     assert planted == [10]
     assert rep.positivity is PositivityCertificate.SIGN_PARTITION
     assert rep.uppers[0].details["unresolved_bound"] == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_l1_figure_ignores_state_coordinates(tol, p):
+    # The kernel C exp(As) b does not depend on the state coordinates, and an
+    # orthogonal change x -> Q x (Q drawn as the benchmark draws it) keeps
+    # the certificate (M, sigma) and the norms of b and C's rows: so H and
+    # the zero counts stay put, and the value moves within tol, though the
+    # partition's cells of 1 / (2 ||A||_1) do not.  Zeros where exp(As) b
+    # has underflowed are rounding noise in any coordinates (the p = 3 draw
+    # 9 has 131 zeros per row before its H = 6812 reaches them, and more
+    # after, a different number in each), so only the others are compared.
+    rng = np.random.default_rng(22 + p)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        a = random_hurwitz_matrix(rng, n=n)
+        b, c = rng.uniform(-2.0, 2.0, (n, 1)), rng.uniform(-2.0, 2.0, (p, n))
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q *= np.sign(np.diag(r))
+        estimates, counts = [], []
+        for sys in StateSpaceSystem(a=a, b=b, c=c), StateSpaceSystem(a=q @ a @ q.T, b=q @ b, c=c @ q.T):
+            est = l1_impulse_gain(sys, tol)
+            flow = gains._KernelFlow(sys, [est.details["horizon"]])
+            roots = gains._sign_partition(flow, sys.c, tol / 2.0)[0]
+            assert [t.size for t in roots] == est.details["roots"]
+            norms = [np.linalg.norm(linalg._expm_times(a, t, b)[:, :, 0], axis=1) for t in roots]
+            estimates.append(est)
+            counts.append([int(np.sum(x >= 1e-300)) for x in norms])
+        base, moved = estimates
+        horizon = base.details["horizon"]
+        assert abs(moved.details["horizon"] - horizon) <= 1e-12 * horizon
+        assert counts[0] == counts[1]
+        assert abs(moved.value - base.value) <= tol
 
 
 @pytest.mark.parametrize("seed, p", [(910, 2), (911, 3)])
@@ -343,9 +377,9 @@ def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    est = sinusoid_lower_bound(oscillator, refine=False)
+    # The bound's 200-point grid maximum is one solve.
+    sinusoid_sweep(oscillator, np.logspace(-3.0, 3.0, 200)).max()
     assert len(solves) == 1
-    assert est.details["grid_points"] == 200
     # The golden-section refinement made 22 more solves, one per frequency;
     # the zoom makes one per round.
     solves.clear()
@@ -805,8 +839,8 @@ class TestVCurve:
         rng = np.random.default_rng(3)
         for q in (120, 33, 5, 1, 12):
             rows = rng.standard_normal((q, sys.p)) @ sys.c
-            shared = gains._sign_partition(sys, rows, flow, 1e-8)
-            fresh = gains._sign_partition(sys, rows, hs, 1e-8)
+            shared = gains._sign_partition(flow, rows, 1e-8)
+            fresh = gains._sign_partition(gains._KernelFlow(sys, hs), rows, 1e-8)
             assert len(shared[0]) == len(fresh[0]) == q
             assert all(np.array_equal(r, f) for r, f in zip(shared[0], fresh[0]))
             assert np.array_equal(shared[1], fresh[1]) and np.array_equal(shared[2], fresh[2])
@@ -993,9 +1027,9 @@ class TestSinusoidLowerBound:
         assert est.value <= OSCILLATOR_GAIN
 
     def test_refinement_improves(self, oscillator):
-        coarse = sinusoid_lower_bound(oscillator, omegas=[0.3, 1.0, 3.0], refine=False)
-        fine = sinusoid_lower_bound(oscillator, omegas=[0.3, 1.0, 3.0], refine=True)
-        assert fine.value >= coarse.value - 1e-15
+        coarse = sinusoid_sweep(oscillator, [0.3, 1.0, 3.0]).max()
+        fine = sinusoid_lower_bound(oscillator, omegas=[0.3, 1.0, 3.0])
+        assert fine.value >= coarse - 1e-15
 
     def test_rejects_bad_grid(self, scalar_system):
         with pytest.raises(ValueError):
@@ -1073,8 +1107,10 @@ class TestPeriodicUpperEstimate:
             periodic_upper_estimate(diag_two_output, t_grid=[40.0], tol=1e-10)
 
     def test_rejects_bad_grid(self, scalar_system):
-        with pytest.raises(ValueError):
-            periodic_upper_estimate(scalar_system, t_grid=[0.0])
+        # A non-finite period once reached the matrix exponential.
+        for grid in ([0.0], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="t_grid"):
+                periodic_upper_estimate(scalar_system, t_grid=grid)
 
 
 class TestPeriodicLowerBound:
@@ -1302,7 +1338,7 @@ class TestGainReport:
                 assert low.value <= rep.exact.value + 1e-6 * max(1.0, rep.exact.value)
 
     def test_inconsistency_detected(self, monkeypatch):
-        def fake_sinusoid(sys, omegas=None, refine=True):
+        def fake_sinusoid(sys, omegas=None):
             return GainEstimate(value=100.0, kind="lower", method="sinusoid", tolerance=0.0)
 
         monkeypatch.setattr(gains, "sinusoid_lower_bound", fake_sinusoid)
@@ -1311,14 +1347,13 @@ class TestGainReport:
 
     def test_exact_above_periodic_detected(self, oscillator, monkeypatch):
         # A periodic output short of the partial integral would leave the
-        # exact value uncertified.
-        impulse_rows = gains._impulse_rows
+        # exact value uncertified: a flow whose exp(AH) is -I halves it.
+        class Reflected(gains._KernelFlow):
+            def __init__(self, sys, ends):
+                super().__init__(sys, ends)
+                self.exp_end = -np.eye(sys.n)
 
-        def inflated(sys, rows, tol):
-            ints, *rest = impulse_rows(sys, rows, tol)
-            return (ints + 1e-3, *rest)
-
-        monkeypatch.setattr(gains, "_impulse_rows", inflated)
+        monkeypatch.setattr(gains, "_KernelFlow", Reflected)
         with pytest.raises(ConsistencyError, match="periodic input"):
             gain_report(oscillator)
 

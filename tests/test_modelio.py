@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from gainlab import (
+    CertificateBoundInput,
     Constant,
     DelayPredictorSystem,
     DelayState,
     NotHurwitzError,
     Sinusoid,
     StateSpaceSystem,
+    Zero,
+    certificate_gain_bound,
     delay_bounds,
     gain_report,
     l1_impulse_gain,
@@ -226,8 +229,6 @@ class TestDeterministicSerialization:
         assert parsed["gamma"] == pytest.approx(1.0, abs=1e-7)
 
     def test_bound_document(self):
-        from gainlab import CertificateBoundInput, certificate_gain_bound
-
         est = certificate_gain_bound(
             CertificateBoundInput(
                 certificates=[(2.0, 1.0)], b_samples=[[0.0, 1.0]], t_grid=[4.0]
@@ -261,8 +262,6 @@ class TestCsv:
         assert len(lines) == 1 + traj.times.size
 
     def test_delay_trajectory_csv(self, scalar_delay):
-        from gainlab import Zero, predictor_error_series
-
         steps = 8
         state = DelayState.resting(scalar_delay, steps)
         traj = simulate_predictor(
@@ -300,7 +299,6 @@ def _delay_traj(system, t_end, steps):
     return (traj, *predictor_error_series(traj, system))
 
 
-BLOCK = modelio._CSV_BLOCK_ROWS
 ARRAY_ROWS = modelio._CSV_ARRAY_ROWS
 # Rows of the smallest three-column table that _g17_lines writes.
 ARRAY_CUT = -(-modelio._CSV_ARRAY_VALUES // 3)
@@ -364,16 +362,17 @@ class TestCsvMatchesReference:
     @pytest.mark.parametrize(
         "k",
         [
-            BLOCK - 1,
-            BLOCK,
-            BLOCK + 1,
+            # Tables under _CSV_ARRAY_VALUES values, each printed by one %.
+            255,
+            256,
+            257,
             ARRAY_CUT - 1,
+            # Tables printed by _g17_lines, in blocks of ARRAY_ROWS rows.
             ARRAY_CUT,
             ARRAY_ROWS - 1,
             ARRAY_ROWS,
             ARRAY_ROWS + 1,
             2 * ARRAY_ROWS + 1,
-            4 * BLOCK + 1,
         ],
     )
     def test_block_boundaries(self, k):

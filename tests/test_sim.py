@@ -14,6 +14,7 @@ from gainlab import (
     Zero,
     bang_bang_switches,
     empirical_gains,
+    evaluate,
     mat_exp,
     max_terminal_output,
     simulate,
@@ -317,8 +318,6 @@ class TestWorstCasePeriodicInput:
         assert spec.achieved_decay <= 1e-6
         assert signal.base_span == pytest.approx(10.0)
         # rest phase is silent
-        from gainlab import evaluate
-
         assert evaluate(signal, 10.0 + 2.0)[0] == 0.0
         assert evaluate(signal, spec.period + 1.0)[0] == evaluate(signal, 1.0)[0]
 
