@@ -22,8 +22,8 @@ partition of the kernel at its zeros, C's rows and the ONB bases' in one;
 adaptive Simpson is left for the multi-input ascent's vector-norm integrand.
 Each caller builds one kernel flow (_KernelFlow) on its grid and partitions
 its rows on it: the flow alone holds what the partition takes from the
-system (A, b, n, the certificate's M) and every exponential it needs, the
-SISO periodic figures' exp(AT) included.
+system (A, b, n, the certificate's M) and its two stacks of exponentials,
+at the ends (the SISO periodic figures' exp(AT)) and the orbit powers.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
@@ -125,7 +125,7 @@ def _checked_tol(tol, source: str = "tol") -> None:
 class _KernelFlow:
     """Everything of a sign partition but its rows: the flow x(s) = exp(As) b
     of one single-input system on the base cells of one increasing grid
-    ``ends``, with each matrix exponential the partition needs formed once,
+    ``ends``, with the matrix exponentials the partition needs formed once,
     whatever rows are partitioned on it (the lockstep ascent partitions new
     rows on one flow at each of its steps).  It keeps A, b, n and the
     certificate's M, not the system, so it is the one object that holds the
@@ -133,11 +133,12 @@ class _KernelFlow:
 
     It holds A^0..A^5, the logarithmic norm mu of A, the cell count and
     width w, exp(A ends[-1]) and the states y = A^-1 exp(As) b at s = 0 and
-    at each end; and, formed on first use, the orbit powers exp(2^i w A),
-    one exp(w / 2^k A) per halving level k and, per block length, every
-    block's lead exp(first w A) b.  Each lead is formed directly: carried
-    from the last block by one fixed exponential, it drifts into rounding
-    noise (and false zeros) where the kernel underflows.
+    at each end, and the orbit powers exp(2^i w A) for 2^i up to the cell
+    count: its only exponentials.  A block's lead is a row of the orbit over
+    the powers from the block length up, a product of at most log2(blocks)
+    of them (one carried from the last block by one fixed exponential
+    drifts into rounding noise, and false zeros, where the kernel
+    underflows); inside a cell the flow is _cell_flow's Taylor series.
     """
 
     def __init__(self, sys: StateSpaceSystem, ends):
@@ -157,31 +158,17 @@ class _KernelFlow:
         self.exp_end = exps[-1]
         self.y_ends = np.linalg.solve(a, x_ends.T).T
         self.y_start = np.linalg.solve(a, b).T
-        self._powers, self._halves, self._leads = [], {}, {}
+        self.powers = list(_expm_stack(a, self.width * 2.0 ** np.arange(self.count.bit_length())))
 
-    def powers(self, cells: int) -> list[np.ndarray]:
-        """The orbit powers exp(2^i w A) that _orbit takes over ``cells`` cells
-        (and any formed before), forming only the levels not yet formed."""
-        have, levels = len(self._powers), cells.bit_length()
-        if levels > have:
-            self._powers += list(_expm_stack(self.a, self.width * 2.0 ** np.arange(have, levels)))
-        return self._powers
 
-    def half(self, level: int) -> np.ndarray:
-        """exp(w / 2^level A), the step to the midpoints of halving level ``level``."""
-        if level not in self._halves:
-            step = self.width / 2.0**level
-            self._halves[level] = _expm_times(self.a, step, np.eye(self.n))[0]
-        return self._halves[level]
-
-    def leads(self, block: int) -> np.ndarray:
-        """exp(first w A) b at the first cell of every block of ``block`` cells;
-        the first block's is I b, which is what _expm gives for exp(0)."""
-        if block not in self._leads:
-            later = _expm_times(self.a, np.arange(block, self.count, block) * self.width, self.b)
-            first = np.eye(self.n) @ self.b
-            self._leads[block] = np.concatenate((first[None], later))[:, :, 0]
-        return self._leads[block]
+def _cell_flow(a: np.ndarray, t, x: np.ndarray) -> np.ndarray:
+    """exp(t_k A) x_k for each row x_k of ``x`` (t a scalar or one t_k per
+    row), by Horner on the Taylor series to its A^18 term.  Inside a base
+    cell ||t A||_1 <= 1/2, so the terms left out are below 1e-21 relative."""
+    t, y = np.reshape(t, (-1, 1)), x
+    for k in range(18, 0, -1):
+        y = x + (t / k) * (y @ a.T)
+    return y
 
 
 def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
@@ -192,7 +179,8 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     certified worst-case loss left in row i.  The integral of |g_i| over
     [0, ends[j]] is rows_i @ signed[j, i].  The partition reads A, b, n and M
     from the flow alone, and callers partitioning several row sets on one
-    grid share one flow.
+    grid share one flow.  It walks blocks of 2^k cells, the most that fill a
+    quarter stack, each from its lead exp(first w A) b, an orbit row.
 
     On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
     logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
@@ -209,12 +197,13 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     powers = [rows @ power for power in flow.a_powers]
     # g_i and its first three derivatives are x @ lift.T; A^4, A^5 bound the rest.
     lift, high = np.concatenate(powers[:4]), np.linalg.norm(powers[4:], axis=2)[None]
-    # Cells per block: x and four kernel rows per sample fill a quarter stack.
-    block = max(1, _STACK_ENTRIES // (4 * (flow.n + 4 * q)))
+    # Per sample, x and four kernel rows: a block fills at most a quarter stack.
+    block = 1 << (max(1, _STACK_ENTRIES // (4 * (flow.n + 4 * q))).bit_length() - 1)
+    leads = _orbit(flow.powers[block.bit_length() - 1 :], flow.b[:, 0], -(-count // block))
     brackets, lost = [], np.zeros(q)
-    for first, lead in zip(range(0, count, block), flow.leads(block)):
-        last, width, level = min(first + block, count), flow.width, 0
-        x = _orbit(flow.powers(last - first), lead, last - first + 1)
+    for first, lead in zip(range(0, count, block), leads):
+        last, width = min(first + block, count), flow.width
+        x = _orbit(flow.powers, lead, last - first + 1)
         v = (x @ lift.T).reshape(-1, 4, q)
         cells = [np.arange(first, last) * width, x[:-1], v[:-1], v[1:]]
         while True:
@@ -236,8 +225,8 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
             if done.all():
                 break
             start, x, v0, v1 = (part[~done] for part in cells)
-            level, width = level + 1, width / 2.0
-            xm = x @ flow.half(level).T
+            width /= 2.0
+            xm = _cell_flow(flow.a, width, x)
             vm = (xm @ lift.T).reshape(-1, 4, q)
             pairs = (start, start + width), (x, xm), (v0, vm), (vm, v1)
             cells = [np.concatenate(pair) for pair in pairs]
@@ -292,7 +281,7 @@ def _kernel_zeros(flow, rows, ra, x0, width, g0, g1):
     live = np.arange(t.size)
     for iteration in range(100):
         tl = t[live]
-        x[live] = np.einsum("kij,kj->ki", _expm_times(a, tl, np.eye(flow.n)), x0[live])
+        x[live] = _cell_flow(a, tl, x0[live])
         g = np.einsum("kn,kn->k", rows[live], x[live])
         below = (g >= 0.0) == (g0[live] >= 0.0)
         lo[live[below]], hi[live[~below]] = tl[below], tl[~below]
@@ -554,9 +543,9 @@ def vcurve(
     once.  With one input each of its at most 40 steps is one sign partition,
     out to the largest horizon, for all starts and horizons, so a grid of any
     size costs at most 40 partitions, as one horizon does.  The steps share
-    one kernel flow, whose matrix exponentials (orbit powers, halving steps,
-    block leads, end states) are formed once per curve: a step adds only its
-    rows' kernel values and the Newton polish of their zeros.  Horizons must be
+    one kernel flow, whose matrix exponentials (end states, orbit powers) are
+    formed once per curve: a step adds only its rows' kernel values and the
+    Newton polish of their zeros, neither of which forms one.  Horizons must be
     finite, and the largest at most _MAX_GRID_STEPS cells of 1 / (2 ||A||_1).
     The ascent's signed states, n entries per (start, horizon) pair at each
     of the k horizons, k^2 (p + restarts) n in all, may number at most
@@ -786,9 +775,9 @@ class CertificateBoundInput:
     """Inputs for the decay-certificate gain bound.
 
     certificates: (M, sigma) pairs, each M >= 1, sigma > 0.
-    b_samples: nondecreasing envelope samples (t_k, b_k), t_0 = 0, as a
-        right-open step function.
-    t_grid: candidate horizons.
+    b_samples: k rows (t_k, b_k) of nondecreasing envelope samples, t_0 = 0,
+        as a right-open step function.
+    t_grid: candidate horizons, one flat list.
 
     Every number must be finite; ValueError names the field that is not.
     """
@@ -798,6 +787,12 @@ class CertificateBoundInput:
     t_grid: np.ndarray
 
     def __post_init__(self) -> None:
+        samples = np.atleast_2d(np.asarray(self.b_samples, dtype=float))
+        grid = np.atleast_1d(np.asarray(self.t_grid, dtype=float))
+        if samples.ndim != 2 or samples.shape[1] != 2:
+            raise ValueError(f"b_samples must be (t, b) pairs, got shape {samples.shape}")
+        if grid.ndim != 1:
+            raise ValueError(f"t_grid must be a flat list of horizons, got shape {grid.shape}")
         certs = tuple((float(m), float(s)) for m, s in self.certificates)
         if not certs:
             raise ValueError("at least one (M, sigma) certificate is required")
@@ -806,9 +801,6 @@ class CertificateBoundInput:
                 raise ValueError(f"certificate constant M={m_const} must be finite and >= 1")
             if not 0.0 < sigma < math.inf:
                 raise ValueError(f"certificate rate sigma={sigma} must be finite and > 0")
-        samples = np.atleast_2d(np.asarray(self.b_samples, dtype=float))
-        if samples.shape[1] != 2:
-            raise ValueError("b_samples must be (t, b) pairs")
         if not np.all(np.isfinite(samples)):
             raise ValueError("b_samples must be finite")
         if samples[0, 0] != 0.0:
@@ -817,7 +809,6 @@ class CertificateBoundInput:
             raise ValueError("b_samples times must be strictly increasing")
         if np.any(np.diff(samples[:, 1]) < 0) or np.any(samples[:, 1] < 0):
             raise ValueError("b_samples values must be nonnegative and nondecreasing")
-        grid = np.atleast_1d(np.asarray(self.t_grid, dtype=float))
         if grid.size == 0 or not np.all((grid > 0) & (grid < math.inf)):
             raise ValueError("t_grid must contain finite positive horizons")
         object.__setattr__(self, "certificates", certs)

@@ -65,9 +65,16 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _has_bool(value) -> bool:
+    # JSON's true and false, which NumPy would read as 1 and 0.
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _matrix_field(doc: dict, key: str, path) -> np.ndarray:
     if key not in doc:
         raise ValueError(f"{path}: missing matrix {key!r}")
+    if _has_bool(doc[key]):
+        raise ValueError(f"{path}: matrix {key!r} must hold numbers, not booleans")
     try:
         arr = np.array(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -133,6 +140,8 @@ def parse_certificate_bound_input(path) -> CertificateBoundInput:
     for key in ("certificates", "b_samples", "T_grid"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
+        if _has_bool(doc[key]):
+            raise ValueError(f"{path}: {key!r} must hold numbers, not booleans")
     try:
         certificates = tuple((float(m), float(s)) for m, s in doc["certificates"])
         b_samples = np.array(doc["b_samples"], dtype=float)

@@ -443,6 +443,32 @@ class TestErrors:
         assert main(["analyze", str(path)]) == 1
         assert "mu must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("B", [[True], [False]]),
+            ("A", [[0.0, 1.0], [-1.0, True]]),
+            ("C", [[1.0, False]]),
+            ("K", [[True]]),
+        ],
+        ids=["B", "A", "C", "delay-K"],
+    )
+    def test_boolean_matrix_entry_exit_1(self, tmp_path, capsys, key, value):
+        # JSON's true and false were read as 1 and 0: B = [[true], [false]]
+        # ran as B = [[1], [0]] and exited 0.
+        if key == "K":
+            doc = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "tau": 0.5, "mu": 2.0}
+        else:
+            doc = {"A": [[0.0, 1.0], [-1.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        start = time.perf_counter()
+        assert main(["analyze", str(path)]) == 1
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and f"matrix {key!r}" in err and "boolean" in err
+
     def test_delay_rejected_where_standard_needed(self, delay_file, capsys):
         assert main(["vt", delay_file]) == 1
         assert "standard" in capsys.readouterr().err
@@ -657,6 +683,31 @@ class TestBound41:
     def test_rejects_non_finite_data(self, tmp_path, capsys, key, value, field):
         # JSON's Infinity and NaN once gave exit 0, a "horizon": inf document
         # or a bound, or an error naming no field.
+        doc = {"certificates": [[2.0, 1.0]], "b_samples": [[0.0, 1.0]], "T_grid": [2.0]}
+        path = tmp_path / "b41.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        start = time.perf_counter()
+        assert main(["bound41", str(path)]) == 1
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and field in err
+
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("T_grid", [[1.0, 2.0]], "t_grid"),
+            ("b_samples", [[[0.0, 1.0], [1.0, 2.0]]], "b_samples"),
+            ("certificates", [[True, 0.5]], "'certificates'"),
+            ("b_samples", [[0.0, 1.0], [1.0, True]], "'b_samples'"),
+            ("T_grid", [True, 4.0], "'T_grid'"),
+        ],
+        ids=["T-2d", "b-3d", "M-bool", "b-bool", "T-bool"],
+    )
+    def test_rejects_wrong_rank_and_booleans(self, tmp_path, capsys, key, value, field):
+        # A 2-d T_grid crashed with a TypeError traceback, a 3-d b_samples
+        # gave an error naming no field, and true was read as 1 (M = 1).
         doc = {"certificates": [[2.0, 1.0]], "b_samples": [[0.0, 1.0]], "T_grid": [2.0]}
         path = tmp_path / "b41.json"
         path.write_text(json.dumps({**doc, key: value}))

@@ -147,9 +147,11 @@ def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
 
 
 def test_partition_forms_orbit_powers_once(monkeypatch):
-    # A seeded n = 6 SISO system whose L1 partition at tol 1e-6 walks 4
-    # blocks of cells: one stack of orbit powers exp(2^i w A) serves every
-    # block, and each halving step exp(w / 2^k A) is formed once.
+    # A seeded n = 6 SISO system whose L1 partition at tol 1e-6 walks 5
+    # blocks of 1,024 cells, the largest power of two within a quarter
+    # stack: one stack of orbit powers exp(2^i w A) serves every block and
+    # every block's lead, and no exponential of a sub-cell width is formed
+    # (the halving midpoints and the zeros' polish take a Taylor series).
     rng = np.random.default_rng(0)
     a = random_hurwitz_matrix(rng, n=6)
     sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (6, 1)), c=rng.uniform(-2.0, 2.0, (1, 6)))
@@ -164,19 +166,44 @@ def test_partition_forms_orbit_powers_once(monkeypatch):
     horizon = l1_impulse_gain(sys, tol=1e-6).details["horizon"]
     monkeypatch.undo()
     flow = gains._KernelFlow(sys, [horizon])
-    block = linalg._STACK_ENTRIES // (4 * (sys.n + 4))
-    assert -(-flow.count // block) == 4
+    block = 1 << ((linalg._STACK_ENTRIES // (4 * (sys.n + 4))).bit_length() - 1)
+    assert block == 1024 and -(-flow.count // block) == 5
     assert sum(np.array_equal(m[0], a * flow.width) for m in stacks) == 1
-    for level in range(1, 4):
-        assert sum(np.array_equal(m[0], a * (flow.width / 2.0**level)) for m in stacks) <= 1
+    narrowest = min(float(np.linalg.norm(m, 1, axis=(1, 2)).min()) for m in stacks)
+    assert narrowest >= np.linalg.norm(a * flow.width, 1)
+
+
+def test_partitioned_flow_forms_no_exponential(monkeypatch):
+    # Once a flow has been partitioned, partitioning rows on it again forms
+    # no matrix exponential: the blocks' leads are orbit rows, and the
+    # halving midpoints and every Newton iterate of the zeros' polish are
+    # Taylor series inside one cell.  The oscillator's output kernel is zero
+    # at k pi / w_d.
+    sys = damped_oscillator(3.0, 0.3)
+    flow = gains._KernelFlow(sys, [20.0, 60.0])
+    rows = np.array([[1.0, 0.0], [0.3, -1.0]])
+    gains._sign_partition(flow, rows, 1e-10)
+    calls = []
+    original = linalg._expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "_expm", counting)
+    roots = gains._sign_partition(flow, rows, 1e-10)[0]
+    assert calls == []
+    w_d = math.sqrt(9.0 - 0.3**2 / 4.0)
+    zeros = np.arange(1, int(60.0 * w_d / math.pi) + 1) * math.pi / w_d
+    np.testing.assert_allclose(roots[0], zeros, rtol=0.0, atol=1e-12)
 
 
 def test_close_zero_pairs_halve_cells_on_a_shared_flow():
     # g(s) = exp(-s) (1 - eps - cos s) has a pair of zeros 2 acos(1 - eps)
     # apart at each 2 pi k, inside one base cell, so those cells are halved
-    # level after level, each level's step taken from the flow.  The zeros
-    # meet their closed form, and a flow other rows already used gives the
-    # partition's bits again.
+    # level after level, each midpoint reached by the Taylor series of its
+    # cell's flow.  The zeros meet their closed form, and a flow other rows
+    # already used gives the partition's bits again.
     eps, t_end = 1e-4, 20.0
     a = [[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]]
     sys = StateSpaceSystem(a=a, b=[[1.0], [1.0], [0.0]], c=[[1.0 - eps, -1.0, 0.0]])
@@ -189,6 +216,32 @@ def test_close_zero_pairs_halve_cells_on_a_shared_flow():
     np.testing.assert_allclose(shared[0][0], zeros, rtol=0.0, atol=1e-12)
     assert np.array_equal(shared[0][0], fresh[0][0])
     assert np.array_equal(shared[1], fresh[1]) and np.array_equal(shared[2], fresh[2])
+
+
+def cell_flow_systems():
+    """Random Hurwitz A of several sizes, a Jordan chain and two companion
+    oscillators, lightly damped and fast."""
+    rng = np.random.default_rng(23)
+    systems = {f"random-{n}": random_hurwitz_matrix(rng, n=n) for n in (2, 3, 5, 10, 20, 40)}
+    systems["jordan-20"] = -0.5 * np.eye(20) + np.eye(20, k=1)
+    for w, d in (100.0, 1e-3), (10.0, 0.02):
+        systems[f"oscillator-{w:g}-{d:g}"] = damped_oscillator(w, d).a
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(cell_flow_systems()))
+def test_cell_flow_meets_scipy_expm(name):
+    # Within a base cell of w = 1 / (2 ||A||_1) the Taylor series is exact to
+    # double precision: each exp(t A) x, for t from 0 to w, meets SciPy's
+    # within 1e-15 relative in the 1-norm.
+    a = cell_flow_systems()[name]
+    w = 1.0 / (2.0 * np.linalg.norm(a, 1))
+    t = np.repeat([0.0, w / 1024.0, w / 7.0, w / 2.0, w], 3)
+    x = np.random.default_rng(a.shape[0]).standard_normal((t.size, a.shape[0]))
+    y = gains._cell_flow(a, t, x)
+    for t_k, x_k, y_k in zip(t, x, y):
+        ref = scipy.linalg.expm(t_k * a) @ x_k
+        assert np.linalg.norm(y_k - ref, 1) <= 1e-15 * np.linalg.norm(ref, 1)
 
 
 def test_signed_states_match_per_row_loop():
@@ -815,9 +868,11 @@ class TestVCurve:
         assert 0 < len(calls) <= 40
 
     def test_ascent_expm_calls(self, monkeypatch):
-        # The ascent's steps share one kernel flow: its orbit powers, halving
-        # steps, block leads and end exponentials are formed once, not per
-        # step and block (3,412 calls when each block formed its own).
+        # The ascent's steps share one kernel flow, whose end stack and orbit
+        # powers are its only exponentials: formed once, not per step and
+        # block (3,412 calls when each block formed its own; 43 while the
+        # flow formed block leads and halving steps, and the zeros' polish
+        # one stack per iteration).
         calls = []
         original = linalg._expm
 
@@ -827,7 +882,7 @@ class TestVCurve:
 
         monkeypatch.setattr(linalg, "_expm", counting)
         vcurve(identity_output_oscillator(10.0, 1.0), np.linspace(0.5, 20.0, 40), tol=1e-8)
-        assert len(calls) == 43
+        assert len(calls) == 2
 
     def test_shared_flow_partitions_bit_for_bit(self):
         # Row sets of changing size, so of changing block length, partitioned
