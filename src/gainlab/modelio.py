@@ -137,20 +137,21 @@ def parse_certificate_bound_input(path) -> CertificateBoundInput:
     starting at t = 0, "T_grid" as a list of horizons.
     """
     doc = _load_json(path)
-    for key in ("certificates", "b_samples", "T_grid"):
+    fields = []
+    for key, convert in (
+        ("certificates", lambda rows: tuple((float(m), float(s)) for m, s in rows)),
+        ("b_samples", lambda rows: np.array(rows, dtype=float)),
+        ("T_grid", lambda rows: np.array(rows, dtype=float)),
+    ):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
         if _has_bool(doc[key]):
             raise ValueError(f"{path}: {key!r} must hold numbers, not booleans")
-    try:
-        certificates = tuple((float(m), float(s)) for m, s in doc["certificates"])
-        b_samples = np.array(doc["b_samples"], dtype=float)
-        t_grid = np.array(doc["T_grid"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed certificate-bound data") from exc
-    return CertificateBoundInput(
-        certificates=certificates, b_samples=b_samples, t_grid=t_grid
-    )
+        try:
+            fields.append(convert(doc[key]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed certificate-bound data in {key!r}") from exc
+    return CertificateBoundInput(*fields)
 
 
 def _fmt(value) -> str:

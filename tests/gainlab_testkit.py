@@ -590,17 +590,24 @@ def reference_sweep_csv(omegas, values):
     return reference_csv_lines(["omega", "Psi"], zip(omegas, values))
 
 
-def reference_sinusoid_response(sys, omega):
-    """The unscaled closed form of gainlab's sinusoid_response, kept as the
-    reference its power-of-two rescaling must reproduce bit for bit."""
-    xi = np.linalg.solve(sys.a @ sys.a + omega**2 * np.eye(sys.n), sys.b).reshape(-1)
-    c_xi = (sys.c @ xi).reshape(-1)
-    c_a_xi = (sys.c @ (sys.a @ xi)).reshape(-1)
-    term_q = omega**2 * float(c_xi @ c_xi)
-    term_p = float(c_a_xi @ c_a_xi)
-    cross = float(c_a_xi @ c_xi)
-    inner = math.sqrt((term_q - term_p) ** 2 + 4.0 * omega**2 * cross**2)
-    return math.sqrt(max(0.0, 0.5 * (term_q + term_p + inner)))
+def heat_system(n):
+    """u_t = u_xx on (0, 1), u(0) = v, u(1) = 0, y = u(x_k) with
+    k = 3 (n + 1) // 10, by finite differences on n interior nodes: A is
+    symmetric, with condition number about 0.4 (n + 1)^2."""
+    h2, k = (n + 1.0) ** 2, 3 * (n + 1) // 10
+    a = h2 * (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n))
+    b, c = np.zeros((n, 1)), np.zeros((1, n))
+    b[0, 0], c[0, k - 1] = h2, 1.0
+    return StateSpaceSystem(a=a, b=b, c=c)
+
+
+def eigenbasis_sinusoid_response(c, q, lam, b, omega):
+    """Peak steady output under the worst unit sinusoid at ``omega`` for
+    A = Q diag(lam) Q' with Q orthogonal: G = C Q (Q' b / (i omega - lam)),
+    with no solve, and the peak is the larger singular value of
+    [Re G, Im G]."""
+    g = (c @ q) @ ((q.T @ np.reshape(b, -1)) / (1j * omega - lam))
+    return float(np.linalg.svd(np.column_stack((g.real, g.imag)), compute_uv=False)[0])
 
 
 def reference_sinusoid_refine(sys, omegas=None):

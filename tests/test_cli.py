@@ -702,12 +702,17 @@ class TestBound41:
             ("certificates", [[True, 0.5]], "'certificates'"),
             ("b_samples", [[0.0, 1.0], [1.0, True]], "'b_samples'"),
             ("T_grid", [True, 4.0], "'T_grid'"),
+            ("certificates", [[2.0, 1.0, 3.0]], "'certificates'"),
+            ("certificates", 5, "'certificates'"),
+            ("b_samples", [[0.0, 1.0], [1.0]], "'b_samples'"),
+            ("T_grid", [1.0, [2.0]], "'T_grid'"),
         ],
-        ids=["T-2d", "b-3d", "M-bool", "b-bool", "T-bool"],
+        ids=["T-2d", "b-3d", "M-bool", "b-bool", "T-bool", "M-row-of-3", "M-number", "b-ragged", "T-ragged"],
     )
     def test_rejects_wrong_rank_and_booleans(self, tmp_path, capsys, key, value, field):
-        # A 2-d T_grid crashed with a TypeError traceback, a 3-d b_samples
-        # gave an error naming no field, and true was read as 1 (M = 1).
+        # A 2-d T_grid crashed with a TypeError traceback, a 3-d b_samples,
+        # a ragged array and a 3-entry certificate row gave an error naming
+        # no field, and true was read as 1 (M = 1).
         doc = {"certificates": [[2.0, 1.0]], "b_samples": [[0.0, 1.0]], "T_grid": [2.0]}
         path = tmp_path / "b41.json"
         path.write_text(json.dumps({**doc, key: value}))

@@ -34,6 +34,8 @@ from gainlab_testkit import (
     aligned_terminal,
     damped_oscillator,
     damped_oscillator_l1,
+    eigenbasis_sinusoid_response,
+    heat_system,
     oscillator_kernel,
     quad_kernel_integrals,
     random_hurwitz_matrix,
@@ -44,7 +46,6 @@ from gainlab_testkit import (
     reference_impulse_rows,
     reference_periodic_values,
     reference_sinusoid_refine,
-    reference_sinusoid_response,
     reference_terminal_ascent,
     signed_states_loop,
 )
@@ -1008,28 +1009,42 @@ class TestSinusoidResponse:
             with pytest.raises(ValueError, match="omega must be finite and positive"):
                 sinusoid_response(scalar_system, omega)
 
-    def test_unscaled_form_to_the_bit(self):
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            sys = random_siso_system(rng, n_max=6)
-            for omega in np.geomspace(1e-3, 1e40, 25):
-                assert sinusoid_response(sys, omega) == reference_sinusoid_response(sys, omega)
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_heat_family_against_eigenbasis(self, n):
+        # cond(A) is about 0.4 (n + 1)^2.  A solve with A^2 + omega^2 I squares
+        # it and missed the 40-digit figure by 1.1e-11 at n = 40 and 1.5e-11
+        # at n = 60; one complex solve with i omega I - A stays within 1e-14.
+        sys = heat_system(n)
+        lam, q = np.linalg.eigh(sys.a)
+        for omega in (1e-3, 1e-2, 1.0, 100.0):
+            ref = eigenbasis_sinusoid_response(sys.c, q, lam, sys.b, omega)
+            assert abs(sinusoid_response(sys, omega) - ref) <= 1e-12 * max(1.0, ref), omega
+
+    def test_stiff_normal_against_eigenbasis(self):
+        # Eigenvalues -1e-2 ... -1e3 in a random orthogonal basis, p = 2: the
+        # A^2 + omega^2 I solve was off by up to 1e-6 relative on such draws.
+        rng = np.random.default_rng(0)
+        lam = -np.logspace(-2.0, 3.0, 6)
+        for trial in range(5):
+            q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            b, c = rng.uniform(-1.0, 1.0, (6, 1)), rng.uniform(-1.0, 1.0, (2, 6))
+            sys = StateSpaceSystem(a=q @ np.diag(lam) @ q.T, b=b, c=c)
+            for omega in (1e-3, 1e-2, 1.0, 100.0):
+                assert sinusoid_response(sys, omega) == pytest.approx(
+                    eigenbasis_sinusoid_response(c, q, lam, b, omega), rel=1e-11, abs=0.0
+                ), (trial, omega)
 
     def test_sweep_is_single_calls_to_the_bit(self):
         # One batched solve over the frequency stack, p up to 3 outputs: the
-        # same bits as one call per frequency and as the unscaled closed form.
+        # same bits as one call per frequency.
         rng = np.random.default_rng(32)
         for _ in range(30):
             n, p = int(rng.integers(1, 7)), int(rng.integers(1, 4))
             a = random_hurwitz_matrix(rng, n=n)
             sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (n, 1)), c=rng.uniform(-2.0, 2.0, (p, n)))
-            unscaled = np.geomspace(1e-3, 1e40, 60)
-            omegas = np.concatenate((unscaled, [1e100, 1e300, 1.7976931348623157e308]))
+            omegas = np.concatenate((np.geomspace(1e-3, 1e40, 60), [1e100, 1e300, 1.7976931348623157e308]))
             sweep = sinusoid_sweep(sys, omegas)
             assert [float(v) for v in sweep] == [sinusoid_response(sys, w) for w in omegas]
-            assert [float(v) for v in sweep[: unscaled.size]] == [
-                reference_sinusoid_response(sys, w) for w in unscaled
-            ]
 
     def test_sweep_memory_bounded(self):
         # One stack for the whole grid peaked at 176 MB; stacks of
@@ -1053,18 +1068,31 @@ class TestSinusoidResponse:
         with pytest.raises(DimensionError):
             sinusoid_sweep(StateSpaceSystem(a=-np.eye(2), b=np.eye(2), c=[[1.0, 0.0]]), [1.0])
 
-    def test_huge_omega(self, scalar_system, oscillator):
+    def test_huge_omega(self, scalar_system, oscillator, diag_two_output):
         # Python floats: omega**2 raised OverflowError above about 1.3e154.
         # First order, closed form 1 / sqrt(1 + omega^2) = (1 / omega) / sqrt(1 + omega^-2).
-        for omega in (1e200, 1e300, 1.7976931348623157e308):
+        largest = 1.7976931348623157e308
+        for omega in (1e200, 1e300, largest):
             assert sinusoid_response(scalar_system, omega) == pytest.approx(
                 (1.0 / omega) / math.sqrt(1.0 + omega**-2.0), rel=1e-15, abs=0.0
             )
-        # Relative degree two: Psi ~ 1 / omega^2 underflowed to 0 from about 1e77.
+            # p = 2, G_k = 1 / (i omega + k): Psi ~ sqrt(2) / omega, subnormal
+            # at the largest double.
+            assert sinusoid_response(diag_two_output, omega) == pytest.approx(
+                math.sqrt(2.0) / omega, rel=1e-12, abs=0.0
+            )
+        # Relative degree two: Psi ~ 1 / omega^2 (it once underflowed to 0 from
+        # about 1e77), and 0.0 where 1 / omega^2 underflows.
         for omega in (1e30, 1e77, 1e100, 1e150):
             assert sinusoid_response(oscillator, omega) == pytest.approx(
                 omega**-2.0, rel=1e-12, abs=0.0
             )
+        assert sinusoid_response(oscillator, largest) == 0.0
+        # Never NaN, and no complex value written into the float output
+        # (NumPy's ComplexWarning is a RuntimeWarning, an error here).
+        for sys in (diag_two_output, oscillator):
+            sweep = sinusoid_sweep(sys, np.append(np.logspace(0.0, 308.0, 200), largest))
+            assert np.all(np.isfinite(sweep)) and np.all(sweep >= 0.0)
 
 
 class TestSinusoidLowerBound:
@@ -1346,11 +1374,7 @@ class TestGainReport:
         # u_t = u_xx on (0, 1), u(0) = v, u(1) = 0, y = u(0.3), on n interior
         # nodes: Metzler, so the gain is the dc value, and the discrete steady
         # state is linear in x, so that is 1 - 0.3 at every n.
-        h2, k = (n + 1.0) ** 2, 3 * (n + 1) // 10
-        a = h2 * (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n))
-        b, c = np.zeros((n, 1)), np.zeros((1, n))
-        b[0, 0], c[0, k - 1] = h2, 1.0
-        sys = StateSpaceSystem(a=a, b=b, c=c)
+        sys = heat_system(n)
 
         def refuse(*args, **kwargs):
             raise AssertionError("sign partition reached")
