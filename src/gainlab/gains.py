@@ -22,8 +22,9 @@ partition of the kernel at its zeros, C's rows and the ONB bases' in one;
 adaptive Simpson is left for the multi-input ascent's vector-norm integrand.
 Each caller builds one kernel flow (_KernelFlow) on its grid and partitions
 its rows on it: the flow alone holds what the partition takes from the
-system (A, b, n, the certificate's M) and its two stacks of exponentials,
-at the ends (the SISO periodic figures' exp(AT)) and the orbit powers.
+system (A, b, n, the certificate's M), its two stacks of exponentials, at
+the ends (the SISO periodic figures' exp(AT)) and the orbit powers, and the
+Taylor stack of its base cell, formed on first use.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
@@ -37,6 +38,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +49,8 @@ from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
     StructureFlags,
+    _cell_flow,
+    _cell_stack,
     _expm_stack,
     _expm_times,
     _orbit,
@@ -138,7 +142,10 @@ class _KernelFlow:
     the powers from the block length up, a product of at most log2(blocks)
     of them (one carried from the last block by one fixed exponential
     drifts into rounding noise, and false zeros, where the kernel
-    underflows); inside a cell the flow is _cell_flow's Taylor series.
+    underflows).  Inside a cell the flow exp(tA) x is one product with the
+    cell's Taylor stack (``cell_stack``, _cell_stack(w A)), formed when a
+    halving or a zero first needs it: a partition whose cells all clear
+    their tests never pays for it.
     """
 
     def __init__(self, sys: StateSpaceSystem, ends):
@@ -160,15 +167,9 @@ class _KernelFlow:
         self.y_start = np.linalg.solve(a, b).T
         self.powers = list(_expm_stack(a, self.width * 2.0 ** np.arange(self.count.bit_length())))
 
-
-def _cell_flow(a: np.ndarray, t, x: np.ndarray) -> np.ndarray:
-    """exp(t_k A) x_k for each row x_k of ``x`` (t a scalar or one t_k per
-    row), by Horner on the Taylor series to its A^18 term.  Inside a base
-    cell ||t A||_1 <= 1/2, so the terms left out are below 1e-21 relative."""
-    t, y = np.reshape(t, (-1, 1)), x
-    for k in range(18, 0, -1):
-        y = x + (t / k) * (y @ a.T)
-    return y
+    @cached_property
+    def cell_stack(self) -> np.ndarray:
+        return _cell_stack(self.a * self.width)
 
 
 def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
@@ -226,7 +227,7 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
                 break
             start, x, v0, v1 = (part[~done] for part in cells)
             width /= 2.0
-            xm = _cell_flow(flow.a, width, x)
+            xm = _cell_flow(flow.cell_stack, width / flow.width, x)
             vm = (xm @ lift.T).reshape(-1, 4, q)
             pairs = (start, start + width), (x, xm), (v0, vm), (vm, v1)
             cells = [np.concatenate(pair) for pair in pairs]
@@ -276,12 +277,14 @@ def _kernel_zeros(flow, rows, ra, x0, width, g0, g1):
     from the secant point, bisecting where a step would leave the bracket or
     not halve the last one, all in lockstep.  Returns the zeros (to 1e-13)
     and exp(A zero_k) x0_k."""
-    a, lo, hi, last = flow.a, np.zeros(width.size), width.copy(), width.copy()
+    lo, hi, last = np.zeros(width.size), width.copy(), width.copy()
     t, x = width * g0 / (g0 - g1), x0.copy()
     live = np.arange(t.size)
     for iteration in range(100):
+        if not live.size:
+            break
         tl = t[live]
-        x[live] = _cell_flow(a, tl, x0[live])
+        x[live] = _cell_flow(flow.cell_stack, tl / flow.width, x0[live])
         g = np.einsum("kn,kn->k", rows[live], x[live])
         below = (g >= 0.0) == (g0[live] >= 0.0)
         lo[live[below]], hi[live[~below]] = tl[below], tl[~below]
@@ -294,8 +297,6 @@ def _kernel_zeros(flow, rows, ra, x0, width, g0, g1):
         done = (abs(step) <= 1e-13) | (hi_l - lo_l <= 1e-13) | (iteration == 99)
         t[live[~done]] = nxt[~done]
         live = live[~done]
-        if not live.size:
-            break
     return t, x
 
 

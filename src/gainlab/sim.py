@@ -5,8 +5,12 @@ input is constant or one sinusoid.  On each segment the state and the input's
 own state (the constant, or the sine and cosine of the phase) together follow
 one autonomous linear flow z' = G z, so the grid states the segment covers are
 one orbit z, exp(G h) z, exp(G h)^2 z, ... of that flow.  The simulator walks
-the segments and fills each one's grid rows from its orbit, so the recorded
-states are exact up to the matrix exponential (no ODE discretization error).
+the segments and fills each one's grid rows from its orbit.  Each generator G
+forms one stack of powers exp(2^i c G), c = h / 2^j the widest cell with
+||c G||_1 <= 1/2, and the Taylor series of its cell flow; a flow over any
+time t is the powers named by the binary digits of t // c and one Taylor
+product over the remainder.  So the recorded states are exact up to those
+powers and that series (no ODE discretization error).
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from .linalg import (
     _MAX_GRID_STEPS,
     _STACK_ENTRIES,
     StateSpaceSystem,
-    _expm,
+    _cell_flow,
+    _cell_stack,
     _expm_stack,
     _orbit,
     mat_exp,
@@ -107,6 +112,37 @@ def _generator(sys: StateSpaceSystem, seg: Segment, x: np.ndarray):
     return g, np.concatenate((x, w))
 
 
+class _GeneratorFlow(NamedTuple):
+    """The flow z' = G z of one generator on a grid of step h: the cell
+    c = h / 2^j, j the least with ||c G||_1 <= 1/2, the powers exp(2^i c G)
+    for 2^i c up to the grid's end (powers[j] = exp(G h), from which the
+    orbits walk), and the Taylor stack of exp(s c G)."""
+
+    cell: float
+    j: int
+    powers: np.ndarray
+    stack: np.ndarray
+
+
+def _generator_flow(g: np.ndarray, h: float, n_steps: int) -> _GeneratorFlow:
+    j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(g, 1)) * h)))
+    cell = h / 2.0**j
+    powers = _expm_stack(g, cell * 2.0 ** np.arange(j + n_steps.bit_length()))
+    return _GeneratorFlow(cell, j, powers, _cell_stack(g * cell))
+
+
+def _advance(flow: _GeneratorFlow, z: np.ndarray, t: float) -> np.ndarray:
+    """exp(G t) z for 0 <= t <= the grid's end: the powers named by the
+    binary digits of t // cell, lowest first, then the cell's Taylor series
+    over the remainder."""
+    cells, rest = divmod(t, flow.cell)
+    cells = int(cells)
+    for i in range(cells.bit_length()):
+        if cells >> i & 1:
+            z = flow.powers[i] @ z
+    return _cell_flow(flow.stack, rest / flow.cell, z)
+
+
 def simulate(
     sys: StateSpaceSystem,
     signal: InputSignal,
@@ -118,9 +154,9 @@ def simulate(
 
     The input must match the system's input dimension.  The simulator walks
     the input's segments; the grid states a segment covers are one orbit of
-    exp(G h) for the segment's flow z' = G z, filled in blocks each anchored
-    to the segment start, so ``h`` controls only the recording density, not
-    the accuracy.
+    exp(G h) for the segment's flow z' = G z, filled in blocks whose leads,
+    like the state at the segment's end, are flows from the segment start,
+    so ``h`` controls only the recording density, not the accuracy.
     """
     if signal_dim(signal) != sys.m:
         raise DimensionError(
@@ -138,30 +174,26 @@ def simulate(
     states[0] = x
     eps = 1e-12 * max(1.0, t_final)
     # A generator met again (every constant segment has the same one) reuses
-    # its orbit powers, and its flow over a segment length met again.
-    powers_of, flows = {}, {}
+    # its flow: one stack of powers and one Taylor stack.
+    flows = {}
     k = 1
     for seg in iter_segments(signal, t_final):
         g, z = _generator(sys, seg, x)
         key = g.tobytes()
+        if key not in flows:
+            flows[key] = _generator_flow(g, h, n_steps)
+        flow = flows[key]
         stop = int(np.searchsorted(times, seg.end + eps, side="right"))
         block = _STACK_ENTRIES // z.size
-        if key not in powers_of:
-            # Enough levels for the longest block left on the grid.
-            levels = max(0, min(block, n_steps + 1 - k) - 1).bit_length()
-            powers_of[key] = _expm_stack(g, h * 2.0 ** np.arange(levels)) if levels else ()
         for lo in range(k, stop, block):
             hi = min(lo + block, stop)
-            lead = _expm(g * (times[lo] - seg.start)) @ z
-            rows = _orbit(powers_of[key], lead, hi - lo)[:, : sys.n]
-            bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
-            if bad.size:
+            lead = _advance(flow, z, times[lo] - seg.start)
+            rows = _orbit(flow.powers[flow.j :], lead, hi - lo)[:, : sys.n]
+            if not np.isfinite(rows).all():
+                bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
                 raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
             states[lo:hi] = rows
-        span = key, seg.end - seg.start
-        if span not in flows:
-            flows[span] = _expm(g * span[1])
-        x = (flows[span] @ z)[: sys.n]
+        x = _advance(flow, z, seg.end - seg.start)[: sys.n]
         k = stop
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)

@@ -12,7 +12,15 @@ import scipy.linalg
 import scipy.optimize
 
 from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, gains, mat_exp
-from gainlab.linalg import _expm, _expm_stack, _expm_times, _orbit, spectral_norm
+from gainlab.linalg import (
+    _cell_flow,
+    _cell_stack,
+    _expm,
+    _expm_stack,
+    _expm_times,
+    _orbit,
+    spectral_norm,
+)
 from gainlab.modelio import _fmt
 from gainlab.quadrature import simpson_panels, tail_horizon
 from gainlab.signals import BangBangInput, Segment, iter_segments, signal_dim
@@ -508,9 +516,13 @@ def reference_simulate(sys, signal, x0, t_end, h):
 
 def segmentwise_simulate(sys, signal, x0, t_end, h):
     """gainlab's segment-orbit simulator with nothing shared between
-    segments: each forms its own orbit powers exp(2^i h G), as many as its
-    first block needs, and its own flow exp(G (end - start)).  Kept as the
-    bit-for-bit reference for the powers and flows a call reuses."""
+    segments: each forms its own cell c = h / 2^j (j the least with
+    ||c G||_1 <= 1/2), its own ladder of powers exp(2^i c G) up to its
+    longest flow, and its own Taylor stack of the cell.  Each flow from the
+    segment start (a block's lead, the end state) is the powers named by
+    the binary digits of t // c, lowest first, then one Taylor product over
+    the remainder.  Kept as the bit-for-bit reference for the flows a call
+    shares between segments."""
     x = np.asarray(x0, dtype=float).reshape(-1)
     n_steps = _grid_steps(t_end, h)
     t_final = n_steps * h
@@ -523,13 +535,24 @@ def segmentwise_simulate(sys, signal, x0, t_end, h):
         g, z = _generator(sys, seg, x)
         stop = int(np.searchsorted(times, seg.end + eps, side="right"))
         block = _STACK_ENTRIES // z.size
-        levels = max(0, min(block, stop - k) - 1).bit_length()
-        powers = _expm_stack(g, h * 2.0 ** np.arange(levels)) if levels else ()
+        j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(g, 1)) * h)))
+        cell = h / 2.0**j
+        longest = max(seg.end, times[stop - 1]) - seg.start
+        ladder = _expm_stack(g, cell * 2.0 ** np.arange(int(longest / cell + 1.0).bit_length()))
+        stack = _cell_stack(g * cell)
+
+        def flow(t):
+            cells, rest = divmod(t, cell)
+            v, cells = z, int(cells)
+            for i in range(cells.bit_length()):
+                if cells >> i & 1:
+                    v = ladder[i] @ v
+            return _cell_flow(stack, rest / cell, v)
+
         for lo in range(k, stop, block):
             hi = min(lo + block, stop)
-            lead = _expm(g * (times[lo] - seg.start)) @ z
-            states[lo:hi] = _orbit(powers, lead, hi - lo)[:, : sys.n]
-        x = (_expm(g * (seg.end - seg.start)) @ z)[: sys.n]
+            states[lo:hi] = _orbit(ladder[j:], flow(times[lo] - seg.start), hi - lo)[:, : sys.n]
+        x = flow(seg.end - seg.start)[: sys.n]
         k = stop
     return Trajectory(times=times, states=states, outputs=states @ sys.c.T, step=h)
 

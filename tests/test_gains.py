@@ -199,6 +199,20 @@ def test_partitioned_flow_forms_no_exponential(monkeypatch):
     np.testing.assert_allclose(roots[0], zeros, rtol=0.0, atol=1e-12)
 
 
+def test_cell_stack_formed_only_for_brackets_or_halvings():
+    # A kernel e^-s + e^-2s with no zero whose cells all clear their tests
+    # takes no Taylor step, so its flow never forms the cell's Taylor
+    # stack; the oscillator's zeros do.
+    sys = StateSpaceSystem(a=[[-1.0, 0.0], [0.0, -2.0]], b=[[1.0], [1.0]], c=[[1.0, 1.0]])
+    flow = gains._KernelFlow(sys, [10.0])
+    assert gains._sign_partition(flow, sys.c, 1e-8)[0][0].size == 0
+    assert "cell_stack" not in vars(flow)
+    sys = damped_oscillator(3.0, 0.3)
+    flow = gains._KernelFlow(sys, [10.0])
+    assert gains._sign_partition(flow, sys.c, 1e-8)[0][0].size > 0
+    assert "cell_stack" in vars(flow)
+
+
 def test_close_zero_pairs_halve_cells_on_a_shared_flow():
     # g(s) = exp(-s) (1 - eps - cos s) has a pair of zeros 2 acos(1 - eps)
     # apart at each 2 pi k, inside one base cell, so those cells are halved
@@ -232,14 +246,14 @@ def cell_flow_systems():
 
 @pytest.mark.parametrize("name", sorted(cell_flow_systems()))
 def test_cell_flow_meets_scipy_expm(name):
-    # Within a base cell of w = 1 / (2 ||A||_1) the Taylor series is exact to
-    # double precision: each exp(t A) x, for t from 0 to w, meets SciPy's
+    # Within a cell of w = 1 / (2 ||A||_1) the Taylor stack is exact to
+    # double precision: each exp(t A) x, for t from -w to w, meets SciPy's
     # within 1e-15 relative in the 1-norm.
     a = cell_flow_systems()[name]
     w = 1.0 / (2.0 * np.linalg.norm(a, 1))
-    t = np.repeat([0.0, w / 1024.0, w / 7.0, w / 2.0, w], 3)
+    t = np.repeat([0.0, w / 1024.0, w / 7.0, w / 2.0, w, -w / 3.0], 3)
     x = np.random.default_rng(a.shape[0]).standard_normal((t.size, a.shape[0]))
-    y = gains._cell_flow(a, t, x)
+    y = linalg._cell_flow(linalg._cell_stack(a * w), t / w, x)
     for t_k, x_k, y_k in zip(t, x, y):
         ref = scipy.linalg.expm(t_k * a) @ x_k
         assert np.linalg.norm(y_k - ref, 1) <= 1e-15 * np.linalg.norm(ref, 1)

@@ -9,6 +9,7 @@ from gainlab import (
     Constant,
     DimensionError,
     PeriodicExtension,
+    SimulationError,
     Sinusoid,
     StateSpaceSystem,
     Zero,
@@ -97,6 +98,14 @@ class TestSimulateExactness:
         with pytest.raises(ValueError, match="x0"):
             simulate(oscillator, Constant([1.0]), x0, 1.0, 0.1)
 
+    def test_divergence_names_the_first_non_finite_row(self):
+        # x_1 = 1e3 t e^-t x_2(0) passes the largest double between the grid
+        # rows at t = 0.25 and t = 0.5, inside one orbit block.
+        system = StateSpaceSystem(a=[[-1.0, 1e3], [0.0, -1.0]], b=[[0.0], [1.0]], c=[[1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match=r"diverged at t=0\.5$"):
+                simulate(system, Zero(dim=1), [0.0, 8e305], 5.0, 0.25)
+
     def test_output_norms(self, diag_two_output):
         traj = simulate(diag_two_output, Constant(u0=[1.0]), np.zeros(2), 2.0, 0.5)
         norms = traj.output_norms()
@@ -119,6 +128,9 @@ _REFERENCE_CASES = {
     "sinusoid": (Sinusoid([1.0], 2.3, 0.4), 10.0, 0.01),
     # 20,000 rows of a 4-entry flow: more than one block of 65536 // 4 rows
     "sinusoid-two-blocks": (Sinusoid([1.0], 0.7, -1.0), 200.0, 0.01),
+    # ||G||_1 h = 21 * 0.25 = 5.25: the cell is h / 16, four ladder powers
+    # below exp(G h).
+    "sinusoid-coarse-step": (Sinusoid([1.0], 20.0, 0.3), 6.0, 0.25),
     "bang-switch-on-grid": (BangBangInput(switch_times=[1.0, 2.5], **_BANG), 6.0, 0.25),
     "bang-switch-near-grid": (
         BangBangInput(switch_times=[1.0 + 1e-13, 2.5 - 5e-14], **_BANG), 6.0, 0.25
@@ -185,6 +197,8 @@ class TestReferenceSimulator:
             assert np.linalg.norm(traj.states[k] - ref) <= 2e-13 * np.linalg.norm(ref)
 
     def test_expm_calls_do_not_grow_with_the_grid(self, oscillator, monkeypatch):
+        # Neither longer grids nor more periods (each two more segments of
+        # one generator) add a matrix exponential.
         calls = []
 
         def counting(m):
@@ -193,13 +207,41 @@ class TestReferenceSimulator:
 
         original = linalg._expm
         monkeypatch.setattr(linalg, "_expm", counting)
-        monkeypatch.setattr(sim, "_expm", counting)
-        counts = []
-        for steps in (10, 1000, 10000):
-            calls.clear()
-            simulate(oscillator, Constant([1.0]), np.zeros(2), 0.01 * steps, 0.01)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == counts[2]
+        monkeypatch.setattr(sim, "_expm", counting, raising=False)
+        periodic = PeriodicExtension(BangBangInput(2.0, [0.5, 1.25]), 2.0, 3.0)
+        for signal, t_ends in (Constant([1.0]), (1.25, 125.0, 1250.0)), (periodic, (6.0, 60.0, 600.0)):
+            counts = []
+            for t_end in t_ends:
+                calls.clear()
+                simulate(oscillator, signal, np.zeros(2), t_end, 0.125)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] == counts[2]
+
+    def test_periodic_input_reaches_expm_only_through_one_stack_per_generator(self, monkeypatch):
+        # verify's run: 10 periods of a worst-case input at 4096 steps each,
+        # 20 segments or more.  Each generator's one _expm_stack is the only
+        # matrix exponential; no segment's lead or end state forms one.
+        system = random_siso_system(np.random.default_rng(11), 3)
+        signal, spec = worst_case_periodic_input(system, 3.0, 1e-6)
+        t_end, h = 10.0 * spec.period, spec.period / 4096
+        stacks, calls = [], []
+        original_stack, original_expm = sim._expm_stack, linalg._expm
+
+        def counting_stack(a, s):
+            stacks.append(a.tobytes())
+            return original_stack(a, s)
+
+        def counting_expm(m):
+            calls.append(m.shape)
+            return original_expm(m)
+
+        monkeypatch.setattr(sim, "_expm_stack", counting_stack)
+        monkeypatch.setattr(linalg, "_expm", counting_expm)
+        # Also counted: an _expm that sim called directly.
+        monkeypatch.setattr(sim, "_expm", counting_expm, raising=False)
+        simulate(system, signal, np.zeros(system.n), t_end, h)
+        assert sum(1 for _ in signal_segments(signal, t_end)) >= 20
+        assert len(set(stacks)) == len(stacks) == len(calls)
 
     @pytest.mark.parametrize("case", ["worst-case-periodic", "sinusoid-every-other-interval"])
     def test_orbit_powers_once_per_generator(self, case, monkeypatch):
