@@ -19,10 +19,11 @@ linalg._expm_times.  Everything a step reads is stored before it starts, so
 one linear RK4 step map serves every input on one grid: the history window
 folds into one matrix on the stored z rows and the input drive is evaluated
 in blocks of the grid.  The resulting recurrence has constant coefficients,
-so a block of steps is solved at once, as one Toeplitz matrix-vector product
-of the recurrence's impulse responses, and delay_empirical_check solves all
-its inputs in one pass, block by block.  The step must divide the delay
-exactly so history lookups stay on the grid.
+so a block of steps is one precomputed block map times the solved rows it
+reads plus the block-Toeplitz matrix of the recurrence's impulse responses
+times its drive, the latter formed for a whole drive block at once;
+delay_empirical_check solves all its inputs in one pass, block by block.
+The step must divide the delay exactly so history lookups stay on the grid.
 """
 
 from __future__ import annotations
@@ -234,31 +235,13 @@ def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[
 
 # Grid steps whose input drive simulate_predictor builds at once.
 _DRIVE_BLOCK = 1 << 16
-# Grid steps simulate_predictor solves at once: at most this many impulse
-# responses make up its block Toeplitz matrix.
+# Grid steps L that simulate_predictor solves at once, fewer only where the
+# block map would be too large or its rows overflow.  Of 8, 16, 24, 32, 48
+# and 64, 32 ran the benchmark's delay loops fastest (2-CPU x86-64).
 _SOLVE_BLOCK = 32
 # Record entries, (N + n_steps + 1)(n + m) per input, of the inputs that
 # _solve_predictor solves together.
 _GROUP_ENTRIES = 1 << 20
-
-
-def _impulse_responses(win: np.ndarray, count: int) -> np.ndarray:
-    """Responses R_0 = I, R_j = R_{j-1} + sum_r W_r R_{j-1-N+r} (R_i = 0 for
-    i < 0) of x_{k+1} = x_k + win (x_{k-N}, ..., x_k) + g_k, win = [W_0 ..
-    W_N], to a unit g_0: x_{j+1} = R_j g_0.  Cut before the first response
-    that is not finite, so that at least R_0 is returned; an unstable step
-    map overflows within a few steps."""
-    d = win.shape[0]
-    n_blocks = win.shape[1] // d
-    resp = np.zeros((count, d, d))
-    resp[0] = np.eye(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, count):
-            lo = max(0, j - n_blocks)
-            earlier = resp[lo:j].reshape(-1, d)
-            resp[j] = resp[j - 1] + win[:, (lo + n_blocks - j) * d :] @ earlier
-    finite = np.isfinite(resp).all(axis=(1, 2))
-    return resp if finite.all() else resp[: np.argmin(finite)]
 
 
 def simulate_predictor(
@@ -308,18 +291,29 @@ class _StepMap(NamedTuple):
     (N + 1)(n + m) matrix W acting on the last N + 1 rows of x:
     x_{k+1} = x_k + W window_k + drive_k.  W reads y in row N only: it is
     kept as ``win_z`` on the window's z columns and ``win_y`` on y_k.  That
-    recurrence has constant coefficients, so the L = _SOLVE_BLOCK steps after
-    a known row x_{k0} are X = T_L (windows W' + drive + x_{k0} e_0), with
-    ``toeplitz`` T_L the block lower-triangular Toeplitz matrix of the
-    recurrence's first L impulse responses.  ``drives`` holds Q0, Qh and Q1
-    restricted to the input: Q[:, :n] G, so drive_k sums them times u at the
-    three times.
+    recurrence has constant coefficients, so the L steps after a known row
+    x_k (L at most _SOLVE_BLOCK) are X = H S_k + T drive, with S_k = (z rows
+    k..k+N, y_k) the only solved data they read, T the block lower-triangular
+    Toeplitz matrix of the recurrence's first L impulse responses and H =
+    T F, F the forcing of the L steps by S_k; ``toeplitz`` and ``block``
+    keep T and H transposed.  ``drives`` stacks Q0, Qh and Q1 restricted to
+    the input, (Q[:, :n] G)', so drive_k is u at the three times, side by
+    side, times it.
     """
 
     win_z: np.ndarray
     win_y: np.ndarray
     toeplitz: np.ndarray
-    drives: tuple[np.ndarray, np.ndarray, np.ndarray]
+    block: np.ndarray
+    drives: np.ndarray
+
+
+def _shifted_rows(strip: np.ndarray, step: int, count: int) -> np.ndarray:
+    """Rows j = 0..count-1 of a block Toeplitz matrix, stacked: block row j
+    is ``strip`` shifted right by j step columns, zeros shifted in."""
+    padded = np.concatenate((np.zeros((len(strip), (count - 1) * step)), strip), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, strip.shape[1], axis=1)
+    return windows[:, (count - 1) * step :: -step].transpose(1, 0, 2).reshape(-1, strip.shape[1])
 
 
 def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _StepMap:
@@ -353,15 +347,32 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
     win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
     win[-1] += grow
     win = win.transpose(1, 0, 2)
+    win_z, win_y, win = win[:, :, n:].reshape(d, -1), win[:, -1, :n].copy(), win.reshape(d, -1)
 
-    resp = _impulse_responses(win.reshape(d, -1), _SOLVE_BLOCK)
-    size = resp.shape[0]
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    resp = np.concatenate((resp, np.zeros((1, d, d))))
-    toeplitz = resp[np.where(lag >= 0, lag, size)].transpose(0, 2, 1, 3)
-    toeplitz = toeplitz.reshape(size * d, size * d)
-    drives = tuple(q[:, :n] @ sys.g for q in (q0, qh, q1))
-    return _StepMap(win[:, :, n:].reshape(d, -1), win[:, -1, :n].copy(), toeplitz, drives)
+    # Block row j of [R, H] maps a unit drive g_k and S_k to x_{k+1+j}.  Both
+    # obey the recurrence, from R_0 = I and H_0 = F_0, and H_j also takes
+    # F_j: step k + j reads W_{i-j} z_{k+i}, i = j..N, off S_k, and step k
+    # also x_k and W_y y_k.  An unstable step map overflows within a few
+    # steps.  H has L (n + m) rows, one column per entry of S_k and at most
+    # _MAX_GRID_STEPS entries, whatever N is.
+    cols = win_z.shape[1] + n
+    size = min(_SOLVE_BLOCK, max(1, _MAX_GRID_STEPS // (d * cols)))
+    rows = np.zeros((size, d, d + cols))  # [R_j, H_j]
+    rows[:, :, d:-n] = _shifted_rows(win_z, m, size).reshape(size, d, -1)
+    rows[0, :, :d], rows[0, :, -n:] = np.eye(d), win_y + np.eye(d, n)
+    rows[0, n:, -n - m : -n] += np.eye(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, size):
+            lo = max(0, j - hist_steps - 1)
+            earlier = rows[lo:j].reshape(-1, d + cols)
+            rows[j] += rows[j - 1] + win[:, (lo + hist_steps + 1 - j) * d :] @ earlier
+    # Cut before the first block row that is not finite, keeping row 0.
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    cut = size if finite.all() else max(1, int(np.argmin(finite)))
+    toeplitz = _shifted_rows(rows[:cut, :, :d].transpose(2, 0, 1).reshape(d, -1), d, cut)
+    block = rows[:cut, :, d:].reshape(cut * d, cols).T.copy()
+    drives = np.concatenate([(q[:, :n] @ sys.g).T for q in (q0, qh, q1)])
+    return _StepMap(win_z, win_y, toeplitz, block, drives)
 
 
 def _solve_predictor(sys, step_map, signals, state0, n_steps, h):
@@ -375,79 +386,70 @@ def _solve_predictor(sys, step_map, signals, state0, n_steps, h):
         yield from _solve_group(sys, step_map, signals[first : first + group], state0, n_steps, h)
 
 
-def _solve_group(sys, step_map, signals, state0, n_steps, h) -> list[DelayTrajectory]:
-    """_solve_predictor's trajectories of one group, _SOLVE_BLOCK steps at a
-    time: per input, one product of the z windows (unsolved rows still zero)
-    and one Toeplitz matvec, stacked so that each input's arithmetic is that
-    of a group of one.  The drive is evaluated, and the solve checked for
-    divergence, in blocks of at most _DRIVE_BLOCK steps."""
-    n, d, count = sys.n, sys.n + sys.m, len(signals)
-    hist_steps, toeplitz = state0.z_history.shape[0] - 1, step_map.toeplitz
-    size = toeplitz.shape[0] // d
-    ys = np.zeros((count, n_steps + 1, n))
-    zs = np.zeros((count, hist_steps + n_steps + 1, sys.m))
-    ys[:, 0], zs[:, : hist_steps + 1] = state0.y, state0.z_history
-    win_z, win_y = step_map.win_z.T, step_map.win_y.T
-    # windows[i, k] is input i's z rows k..k+N flattened, a view that sees
-    # each row as soon as it is written.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        zs.reshape(count, -1), (hist_steps + 1) * sys.m, axis=1
-    )[:, :: sys.m]
+def _drive(step_map: _StepMap, signal: InputSignal, t: np.ndarray, h: float, out) -> None:
+    """Write drive_k of ``signal`` at the grid times t into ``out``."""
+    inputs = [evaluate(signal, t + c * h) for c in (0.0, 0.5, 1.0)]
+    np.matmul(np.concatenate(inputs, axis=1), step_map.drives, out=out)
 
-    def forcing(sel: slice, k: int, drive: np.ndarray) -> np.ndarray:
-        # The forcing of the steps after row k, for the inputs ``sel``.
-        out = windows[sel, k : k + drive.shape[1]] @ win_z + drive
-        out[:, :1] += ys[sel, k : k + 1] @ win_y
-        out[:, 0, :n] += ys[sel, k]
-        out[:, 0, n:] += zs[sel, hist_steps + k]
-        return out
+
+def _solve_group(sys, step_map, signals, state0, n_steps, h) -> list[DelayTrajectory]:
+    """_solve_predictor's trajectories of one group, L steps at a time, in one
+    record per input whose row N + k is x_k = (y_k, z_k).  Per drive block
+    of at most _DRIVE_BLOCK steps, drive_k is written into row N + k + 1 and
+    T drive over it, one product per input; per solve block, one stacked
+    product of H with each input's S_k is added to its rows, so that each
+    input's arithmetic is that of a group of one.  Divergence is checked
+    after each drive block."""
+    n, d, count = sys.n, sys.n + sys.m, len(signals)
+    hist_steps, block_map = state0.z_history.shape[0] - 1, step_map.block
+    size = block_map.shape[1] // d
+    # A block runs up to size - 1 rows past its drive block; the next drive
+    # block overwrites them, and the record keeps them past the grid's end.
+    rec = np.zeros((count, hist_steps + n_steps + size, d))
+    rec[:, : hist_steps + 1, n:], rec[:, hist_steps, :n] = state0.z_history, state0.y
+    xs = rec[:, hist_steps:]
+    state = np.empty((count, 1, block_map.shape[0]))
+    state_z = state[:, 0, :-n].reshape(count, hist_steps + 1, -1)
 
     def diverged_at(i: int, finite: np.ndarray) -> float:
-        # finite flags input i's rows from first + 1 on; the solve block after
-        # row k holds the first bad one, and its forcing is formed again.
-        k = first + int(np.argmin(finite)) // size * size
-        finite = finite[k - first : k - first + size]
-        ys[i, k + 1 :], zs[i, hist_steps + k + 1 :] = 0.0, 0.0
-        f = forcing(slice(i, i + 1), k, drive[i : i + 1, k - first : k - first + size])[0]
-        bad = ~np.isfinite(f).all(axis=1)
-        if bad.any():
-            # A non-finite forcing row j reaches the rows before it only as
-            # 0 * inf through the zeros above the diagonal; solved without it,
-            # those rows are as the step by step recurrence leaves them, and
-            # row j is where it fails.
-            j = int(np.argmax(bad))
-            head = toeplitz[: j * d, : j * d] @ f[:j].reshape(-1)
-            finite = np.append(np.isfinite(head.reshape(j, d)).all(axis=1), False)
-        return (k + 1 + int(np.argmin(finite))) * h
+        # finite flags input i's rows from first + 1 on.  Stepping the
+        # recurrence through the solve block after row k0 that holds the first
+        # bad one names the row where it fails, else the block's own.
+        j = int(np.argmin(finite))
+        k0 = first + j // size * size
+        drive = np.empty((min(size, last - k0), d))
+        _drive(step_map, signals[i], np.arange(k0, k0 + len(drive)) * h, h, drive)
+        for k, drive_k in enumerate(drive, start=k0):
+            x = xs[i, k] + drive_k + step_map.win_y @ xs[i, k, :n]
+            x += step_map.win_z @ rec[i, k : k + hist_steps + 1, n:].reshape(-1)
+            if not np.isfinite(x).all():
+                return (k + 1) * h
+            xs[i, k + 1] = x
+        return (first + j + 1) * h
 
-    q0g, qhg, q1g = step_map.drives
     for first in range(0, n_steps, _DRIVE_BLOCK):
         last = min(first + _DRIVE_BLOCK, n_steps)
-        t_now = np.arange(first, last) * h
-        drive = np.empty((count, last - first, d))
-        for i, signal in enumerate(signals):
-            drive[i] = evaluate(signal, t_now) @ q0g.T
-            drive[i] += evaluate(signal, t_now + 0.5 * h) @ qhg.T
-            drive[i] += evaluate(signal, t_now + h) @ q1g.T
+        t_now = np.arange(first, first + -(-(last - first) // size) * size) * h
         # A diverging state overflows to inf or nan; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
+            for i, signal in enumerate(signals):
+                drive = xs[i, first + 1 : first + 1 + len(t_now)]
+                _drive(step_map, signal, t_now, h, drive)
+                drive = drive.reshape(-1, size * d)
+                np.matmul(drive, step_map.toeplitz, out=drive)
             for k in range(first, last, size):
-                rows = min(size, last - k)
-                f = forcing(slice(None), k, drive[:, k - first : k - first + rows])
-                block = toeplitz[: rows * d, : rows * d] @ f.reshape(count, -1, 1)
-                block = block.reshape(count, rows, d)
-                ys[:, k + 1 : k + rows + 1] = block[..., :n]
-                zs[:, hist_steps + k + 1 : hist_steps + k + rows + 1] = block[..., n:]
-            finite = np.isfinite(ys[:, first + 1 : last + 1]).all(axis=2)
-            finite &= np.isfinite(zs[:, hist_steps + first + 1 : hist_steps + last + 1]).all(axis=2)
-            if not finite.all():
+                state_z[...] = rec[:, k : k + hist_steps + 1, n:]
+                state[:, 0, -n:] = xs[:, k, :n]
+                xs[:, k + 1 : k + size + 1] += (state @ block_map).reshape(count, size, d)
+            if not np.isfinite(xs[:, first + 1 : last + 1]).all():
+                finite = np.isfinite(xs[:, first + 1 : last + 1]).all(axis=2)
                 t_bad = min(diverged_at(i, row) for i, row in enumerate(finite) if not row.all())
                 raise SimulationError(f"delay state diverged at t={t_bad}")
 
-    times = np.arange(n_steps + 1) * h
+    times, rec = np.arange(n_steps + 1) * h, rec[:, : hist_steps + n_steps + 1]
     return [
-        DelayTrajectory(times, ys[i], zs[i, hist_steps:], zs[i], h, hist_steps, signal)
-        for i, signal in enumerate(signals)
+        DelayTrajectory(times, x[hist_steps:, :n], x[hist_steps:, n:], x[:, n:], h, hist_steps, u)
+        for x, u in zip(rec, signals)
     ]
 
 
@@ -464,11 +466,9 @@ def predictor_error_series(
     hist_steps = traj.history_steps
     h = traj.step
     # Reversed weighting: window row j' holds z(t - (hist_steps - j') h).
-    rwk = _weighted_kernels(sys, h, hist_steps)[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(
-        traj.z_record, hist_steps + 1, axis=0
-    )
-    dist = np.einsum("jnm,kmj->kn", rwk, windows)
+    rwk = _weighted_kernels(sys, h, hist_steps)[::-1].transpose(0, 2, 1).reshape(-1, sys.n)
+    windows = np.lib.stride_tricks.sliding_window_view(traj.z_record.reshape(-1), len(rwk))
+    dist = windows[:: sys.m] @ rwk
     e_tau = _expm(sys.a * sys.tau)
     k_etau = sys.k @ e_tau
     xi_grid = traj.zs - traj.ys @ k_etau.T - dist @ sys.k.T

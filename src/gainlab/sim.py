@@ -177,24 +177,26 @@ def simulate(
     # its flow: one stack of powers and one Taylor stack.
     flows = {}
     k = 1
-    for seg in iter_segments(signal, t_final):
-        g, z = _generator(sys, seg, x)
-        key = g.tobytes()
-        if key not in flows:
-            flows[key] = _generator_flow(g, h, n_steps)
-        flow = flows[key]
-        stop = int(np.searchsorted(times, seg.end + eps, side="right"))
-        block = _STACK_ENTRIES // z.size
-        for lo in range(k, stop, block):
-            hi = min(lo + block, stop)
-            lead = _advance(flow, z, times[lo] - seg.start)
-            rows = _orbit(flow.powers[flow.j :], lead, hi - lo)[:, : sys.n]
-            if not np.isfinite(rows).all():
-                bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
-                raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
-            states[lo:hi] = rows
-        x = _advance(flow, z, seg.end - seg.start)[: sys.n]
-        k = stop
+    # A diverging state overflows to inf or nan; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg in iter_segments(signal, t_final):
+            g, z = _generator(sys, seg, x)
+            key = g.tobytes()
+            if key not in flows:
+                flows[key] = _generator_flow(g, h, n_steps)
+            flow = flows[key]
+            stop = int(np.searchsorted(times, seg.end + eps, side="right"))
+            block = _STACK_ENTRIES // z.size
+            for lo in range(k, stop, block):
+                hi = min(lo + block, stop)
+                lead = _advance(flow, z, times[lo] - seg.start)
+                rows = _orbit(flow.powers[flow.j :], lead, hi - lo)[:, : sys.n]
+                if not np.isfinite(rows).all():
+                    bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
+                    raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
+                states[lo:hi] = rows
+            x = _advance(flow, z, seg.end - seg.start)[: sys.n]
+            k = stop
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)
 

@@ -399,6 +399,27 @@ class TestReferenceIntegrator:
         assert _relative_gap(traj.ys, ys) <= 1e-13
         assert _relative_gap(traj.z_record, z_record) <= 1e-13
 
+    @pytest.mark.parametrize("hist_steps", [1, 4, 64])
+    @pytest.mark.parametrize("block", [1, 5, 32, 96])
+    def test_matches_reference_at_any_block_length(self, monkeypatch, hist_steps, block):
+        # N < L, N = L - 1 and N > L: a block reads its history and y only
+        # from rows solved before it, whatever its length.  The grid holds
+        # two blocks of the longest L and part of a third.
+        monkeypatch.setattr(delaymod, "_SOLVE_BLOCK", block)
+        n_steps = 2 * 96 + 11
+        h = TWO_INPUT_PLANT.tau / hist_steps
+        rng = np.random.default_rng(100 + hist_steps)
+        state = DelayState(
+            y=rng.standard_normal(TWO_INPUT_PLANT.n),
+            z_history=rng.standard_normal((hist_steps + 1, TWO_INPUT_PLANT.m)),
+        )
+        signal = Sinusoid(direction=[1.0], omega=3.0)
+        traj = simulate_predictor(TWO_INPUT_PLANT, signal, state, n_steps * h, h)
+        assert delaymod._rk4_step_map(TWO_INPUT_PLANT, h, hist_steps).toeplitz.shape[0] == 4 * block
+        ys, z_record = reference_predictor(TWO_INPUT_PLANT, signal, state, n_steps, h)
+        assert _relative_gap(traj.ys, ys) <= 1e-13
+        assert _relative_gap(traj.z_record, z_record) <= 1e-13
+
 
 class TestPredictorError:
     def test_zero_input_error_identically_zero(self, scalar_delay):
