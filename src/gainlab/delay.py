@@ -14,15 +14,16 @@ a strong consistency check for the integrator.
 
 Simulation is classical RK4 with the distributed term J handled by a
 composite trapezoid rule over the stored z history (linear interpolation at
-half steps), its weighted kernels h w_j exp(A j h) B taken once from
-linalg._expm_times.  Everything a step reads is stored before it starts, so
-one linear RK4 step map serves every input on one grid: the history window
-folds into one matrix on the stored z rows and the input drive is evaluated
-in blocks of the grid.  The resulting recurrence has constant coefficients,
-so a block of steps is one precomputed block map times the solved rows it
-reads plus the block-Toeplitz matrix of the recurrence's impulse responses
-times its drive, the latter formed for a whole drive block at once;
-delay_empirical_check solves all its inputs in one pass, block by block.
+half steps), its weighted kernels h w_j exp(A j h) B taken once as one
+orbit of B under a linalg._Flow of A.  Everything a step reads is stored
+before it starts, so one linear RK4 step map serves every input on one
+grid: the history window folds into one matrix on the stored z rows and the
+input drive is evaluated in blocks of the grid.  The resulting recurrence
+has constant coefficients, so a block of steps is one precomputed block map
+times the solved rows it reads plus the block-Toeplitz matrix of the
+recurrence's impulse responses times its drive, the latter formed for a
+whole drive block at once; delay_empirical_check solves all its inputs in
+one pass, block by block.
 The step must divide the delay exactly so history lookups stay on the grid.
 """
 
@@ -41,6 +42,7 @@ from .linalg import (
     StateSpaceSystem,
     _expm,
     _expm_times,
+    _grid_flow,
     _spectral_norms,
     as_matrix,
     spectral_norm,
@@ -172,9 +174,9 @@ class DelayTrajectory:
 
 def _weighted_kernels(sys: DelayPredictorSystem, h: float, steps: int) -> np.ndarray:
     """Trapezoid-weighted kernels h w_j exp(A j h) B for j = 0..steps, where
-    w_j is 1/2 at both ends and 1 inside."""
-    kernels = _expm_times(sys.a, h * np.arange(steps + 1), sys.b)
-    kernels *= h
+    w_j is 1/2 at both ends and 1 inside: one orbit of B's columns."""
+    flow, level = _grid_flow(sys.a, h, steps * h)
+    kernels = h * flow.orbit(sys.b, steps + 1, level)
     kernels[[0, -1]] *= 0.5
     return kernels
 
@@ -323,29 +325,33 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
     # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
     # sums the weighted samples z(t - j h), j >= 1; the j = 0 term is in lin.
     kernels = _weighted_kernels(sys, h, hist_steps)
-    k_amu = sys.k @ (sys.a + sys.mu * np.eye(n))
-    a_zz = sys.k @ sys.b - sys.mu * np.eye(m) + k_amu @ kernels[0]
-    lin = np.block([[sys.a, np.zeros((n, m))], [k_amu @ _expm(sys.a * sys.tau), a_zz]])
     x, e0, eh, e1 = (np.eye(d, 4 * d, j * d) for j in range(4))
-    k1 = lin @ x + e0
-    k2 = lin @ (x + 0.5 * h * k1) + eh
-    k3 = lin @ (x + 0.5 * h * k2) + eh
-    k4 = lin @ (x + h * k3) + e1
-    # The increment x_{k+1} - x_k, so that x_k is added exactly as in RK4.
-    step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    grow, q0, qh, q1 = np.split(step, 4, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if it overflows
+        k_amu = sys.k @ (sys.a + sys.mu * np.eye(n))
+        a_zz = sys.k @ sys.b - sys.mu * np.eye(m) + k_amu @ kernels[0]
+        lin = np.block([[sys.a, np.zeros((n, m))], [k_amu @ _expm(sys.a * sys.tau), a_zz]])
+        k1 = lin @ x + e0
+        k2 = lin @ (x + 0.5 * h * k1) + eh
+        k3 = lin @ (x + 0.5 * h * k2) + eh
+        k4 = lin @ (x + h * k3) + e1
+        # The increment x_{k+1} - x_k, so that x_k is added exactly as in RK4.
+        step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        grow, q0, qh, q1 = np.split(step, 4, axis=1)
 
-    # Window row r holds x(t_k - (N - r) h): S_k reads the z of rows 0..N-1
-    # and S_{k+1} of rows 1..N with the kernels j = N..1, z(t - tau) is row
-    # 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of both
-    # ends, and row N is x_k itself.
-    past = kernels[:0:-1]
-    win = np.zeros((hist_steps + 1, d, d))
-    win[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-    win[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-    win[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-    win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-    win[-1] += grow
+        # Window row r holds x(t_k - (N - r) h): S_k reads the z of rows 0..N-1
+        # and S_{k+1} of rows 1..N with the kernels j = N..1, z(t - tau) is row
+        # 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of both
+        # ends, and row N is x_k itself.
+        past = kernels[:0:-1]
+        win = np.zeros((hist_steps + 1, d, d))
+        win[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+        win[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
+        win[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+        win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
+        win[-1] += grow
+        drives = np.concatenate([(q[:, :n] @ sys.g).T for q in (q0, qh, q1)])
+    if not (np.isfinite(win).all() and np.isfinite(drives).all()):
+        raise ValueError(f"the RK4 step map overflows at h={h!r}; use a smaller step (--step)")
     win = win.transpose(1, 0, 2)
     win_z, win_y, win = win[:, :, n:].reshape(d, -1), win[:, -1, :n].copy(), win.reshape(d, -1)
 
@@ -371,7 +377,6 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
     cut = size if finite.all() else max(1, int(np.argmin(finite)))
     toeplitz = _shifted_rows(rows[:cut, :, :d].transpose(2, 0, 1).reshape(d, -1), d, cut)
     block = rows[:cut, :, d:].reshape(cut * d, cols).T.copy()
-    drives = np.concatenate([(q[:, :n] @ sys.g).T for q in (q0, qh, q1)])
     return _StepMap(win_z, win_y, toeplitz, block, drives)
 
 
@@ -463,22 +468,15 @@ def predictor_error_series(
     xi' = -mu xi - K exp(A tau) G u from the reconstructed xi(0), which the
     exact LTI simulator integrates without discretization error.
     """
-    hist_steps = traj.history_steps
-    h = traj.step
+    hist_steps, h = traj.history_steps, traj.step
     # Reversed weighting: window row j' holds z(t - (hist_steps - j') h).
     rwk = _weighted_kernels(sys, h, hist_steps)[::-1].transpose(0, 2, 1).reshape(-1, sys.n)
     windows = np.lib.stride_tricks.sliding_window_view(traj.z_record.reshape(-1), len(rwk))
     dist = windows[:: sys.m] @ rwk
-    e_tau = _expm(sys.a * sys.tau)
-    k_etau = sys.k @ e_tau
+    k_etau = sys.k @ _expm(sys.a * sys.tau)
     xi_grid = traj.zs - traj.ys @ k_etau.T - dist @ sys.k.T
-    xi0 = xi_grid[0]
-    closed = StateSpaceSystem(
-        a=-sys.mu * np.eye(sys.m),
-        b=-(k_etau @ sys.g),
-        c=np.eye(sys.m),
-    )
-    ref = simulate(closed, traj.signal, xi0, float(traj.times[-1]), h)
+    closed = StateSpaceSystem(a=-sys.mu * np.eye(sys.m), b=-(k_etau @ sys.g), c=np.eye(sys.m))
+    ref = simulate(closed, traj.signal, xi_grid[0], float(traj.times[-1]), h)
     return xi_grid, ref.states
 
 

@@ -20,10 +20,10 @@ and the ONB bases, the terminal-output curve and its ascent, the SISO periodic
 values, the bang-bang switches and the positivity proof) comes from a certified
 partition of the kernel at its zeros, C's rows and the ONB bases' in one;
 adaptive Simpson is left for the multi-input ascent's vector-norm integrand.
-Each caller builds one kernel flow (_KernelFlow) on its grid and partitions
-its rows on it: the flow alone holds what the partition takes from the
-system (A, b, n, the certificate's M), its two stacks of exponentials, at
-the ends (the SISO periodic figures' exp(AT)) and the orbit powers, and the
+Each caller builds one kernel flow (_KernelFlow, a linalg._Flow of A) on its
+grid and partitions its rows on it: the flow alone holds what the partition
+takes from the system (A, b, n, the certificate's M), its exponentials at
+the ends (the SISO periodic figures' exp(AT)) and its orbit powers, and the
 Taylor stack of its base cell, formed on first use.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
@@ -38,7 +38,6 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +48,9 @@ from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
     StructureFlags,
-    _cell_flow,
-    _cell_stack,
     _expm_stack,
     _expm_times,
-    _orbit,
+    _Flow,
     spectral_norm,
     structure_flags,
 )
@@ -126,37 +123,35 @@ def _checked_tol(tol, source: str = "tol") -> None:
         raise ValueError(f"{source} must be finite and positive, got {tol!r}")
 
 
-class _KernelFlow:
+class _KernelFlow(_Flow):
     """Everything of a sign partition but its rows: the flow x(s) = exp(As) b
     of one single-input system on the base cells of one increasing grid
     ``ends``, with the matrix exponentials the partition needs formed once,
     whatever rows are partitioned on it (the lockstep ascent partitions new
-    rows on one flow at each of its steps).  It keeps A, b, n and the
-    certificate's M, not the system, so it is the one object that holds the
-    partition's state coordinates.
+    rows on one flow at each of its steps).  It keeps A (the _Flow's
+    matrix), b, n and the certificate's M, not the system, so it is the one
+    object that holds the partition's state coordinates.
 
-    It holds A^0..A^5, the logarithmic norm mu of A, the cell count and
-    width w, exp(A ends[-1]) and the states y = A^-1 exp(As) b at s = 0 and
-    at each end, and the orbit powers exp(2^i w A) for 2^i up to the cell
-    count: its only exponentials.  A block's lead is a row of the orbit over
-    the powers from the block length up, a product of at most log2(blocks)
-    of them (one carried from the last block by one fixed exponential
-    drifts into rounding noise, and false zeros, where the kernel
-    underflows).  Inside a cell the flow exp(tA) x is one product with the
-    cell's Taylor stack (``cell_stack``, _cell_stack(w A)), formed when a
-    halving or a zero first needs it: a partition whose cells all clear
-    their tests never pays for it.
+    It is the _Flow of A on ``count`` cells up to ends[-1]; of its own it
+    holds A^0..A^5, the logarithmic norm mu of A, exp(A ends[-1]) and the
+    states y = A^-1 exp(As) b at s = 0 and at each end.  A block's lead is a
+    row of the orbit at the block's stride, a product of at most
+    log2(blocks) powers (one carried from the last block by one fixed
+    exponential drifts into rounding noise, and false zeros, where the
+    kernel underflows).  A halving or a zero steps inside a cell by the
+    Taylor stack, so a partition whose cells all clear their tests never
+    forms it.
     """
 
     def __init__(self, sys: StateSpaceSystem, ends):
-        a, b = self.a, self.b = sys.a, sys.b
-        self.n, self.m_const = sys.n, sys.certificate.m
+        a, b = sys.a, sys.b
+        self.b, self.n, self.m_const = b, sys.n, sys.certificate.m
         self.ends = np.asarray(ends, dtype=float)
         t_end = float(self.ends[-1])
         self.a_powers = [np.linalg.matrix_power(a, k) for k in range(6)]
         self.mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
         self.count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
-        self.width = t_end / self.count
+        super().__init__(a, t_end / self.count, t_end)
         # exp(A e) b in _expm_times's stacks, keeping the last exp(A e) whole.
         chunk, x_ends = max(1, _STACK_ENTRIES // a.size), np.empty((self.ends.size, self.n))
         for start in range(0, self.ends.size, chunk):
@@ -165,11 +160,6 @@ class _KernelFlow:
         self.exp_end = exps[-1]
         self.y_ends = np.linalg.solve(a, x_ends.T).T
         self.y_start = np.linalg.solve(a, b).T
-        self.powers = list(_expm_stack(a, self.width * 2.0 ** np.arange(self.count.bit_length())))
-
-    @cached_property
-    def cell_stack(self) -> np.ndarray:
-        return _cell_stack(self.a * self.width)
 
 
 def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
@@ -200,11 +190,11 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     lift, high = np.concatenate(powers[:4]), np.linalg.norm(powers[4:], axis=2)[None]
     # Per sample, x and four kernel rows: a block fills at most a quarter stack.
     block = 1 << (max(1, _STACK_ENTRIES // (4 * (flow.n + 4 * q))).bit_length() - 1)
-    leads = _orbit(flow.powers[block.bit_length() - 1 :], flow.b[:, 0], -(-count // block))
+    leads = flow.orbit(flow.b[:, 0], -(-count // block), block.bit_length() - 1)
     brackets, lost = [], np.zeros(q)
     for first, lead in zip(range(0, count, block), leads):
-        last, width = min(first + block, count), flow.width
-        x = _orbit(flow.powers, lead, last - first + 1)
+        last, width = min(first + block, count), flow.cell
+        x = flow.orbit(lead, last - first + 1)
         v = (x @ lift.T).reshape(-1, 4, q)
         cells = [np.arange(first, last) * width, x[:-1], v[:-1], v[1:]]
         while True:
@@ -227,13 +217,13 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
                 break
             start, x, v0, v1 = (part[~done] for part in cells)
             width /= 2.0
-            xm = _cell_flow(flow.cell_stack, width / flow.width, x)
+            xm = flow.taylor(width / flow.cell, x)
             vm = (xm @ lift.T).reshape(-1, 4, q)
             pairs = (start, start + width), (x, xm), (v0, vm), (vm, v1)
             cells = [np.concatenate(pair) for pair in pairs]
     row, start, x, width, g0, g1 = map(np.concatenate, zip(*brackets))
     offset, x = _kernel_zeros(flow, rows[row], powers[1][row], x, width, g0, g1)
-    y_roots = np.linalg.solve(flow.a, x.T).T
+    y_roots = np.linalg.solve(flow.matrix, x.T).T
     roots, signed = _signed_states(rows, row, start + offset, y_roots, flow)
     return roots, signed, lost
 
@@ -284,7 +274,7 @@ def _kernel_zeros(flow, rows, ra, x0, width, g0, g1):
         if not live.size:
             break
         tl = t[live]
-        x[live] = _cell_flow(flow.cell_stack, tl / flow.width, x0[live])
+        x[live] = flow.taylor(tl / flow.cell, x0[live])
         g = np.einsum("kn,kn->k", rows[live], x[live])
         below = (g >= 0.0) == (g0[live] >= 0.0)
         lo[live[below]], hi[live[~below]] = tl[below], tl[~below]
@@ -585,13 +575,14 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
     if not (0 < horizon < math.inf):
         raise ValueError("horizon must be finite and positive")
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
-    roots, signed, _ = _sign_partition(_KernelFlow(sys, [horizon]), sys.c, 1e-12 * scale)
+    flow = _KernelFlow(sys, [horizon])
+    roots, signed, _ = _sign_partition(flow, sys.c, 1e-12 * scale)
     zero = bool(signed[0, 0] @ sys.c[0] <= 1e-14 * scale * horizon)
     lags = roots[0][(roots[0] > 1e-12) & (roots[0] < horizon - 1e-12) & (not zero)]
     switches = horizon - lags[::-1]
     # The first sign is the kernel's between its last zero and the horizon.
     mid = 0.5 * (horizon + (lags[-1] if lags.size else 0.0))
-    kernel = (sys.c @ _expm_times(sys.a, mid, sys.b))[0, 0, 0]
+    kernel = sys.c[0] @ flow.advance(sys.b[:, 0], mid)
     return BangBangInput(
         horizon=horizon,
         switch_times=switches[np.diff(switches, prepend=-math.inf) > 1e-11],

@@ -2,18 +2,20 @@
 
 Everything downstream (gain estimates, simulation, delay bounds) is built on
 the handful of operations in this module: a scaling-and-squaring matrix
-exponential, the Taylor series of a flow exp(s c M) over one cell c with
-||c M||_1 <= 1/2 (one stack of scaled powers, read by one product), a
-Kronecker-product Lyapunov solver, and the decay certificate (M, sigma)
-read off its solution.  Positive-definiteness probes, symmetric
-eigendecompositions and spectral norms go to LAPACK through numpy.linalg.
-Matrices are plain float64 ndarrays throughout.
+exponential, the one flow object _Flow (exp(t M) by a ladder of powers
+exp(2^i c M) over cells c with ||c M||_1 <= 1/2, and the Taylor series of a
+cell, one stack of scaled powers read by one product), a Kronecker-product
+Lyapunov solver, and the decay certificate (M, sigma) read off its
+solution.  Positive-definiteness probes, symmetric eigendecompositions and
+spectral norms go to LAPACK through numpy.linalg.  Matrices are plain
+float64 ndarrays throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -171,7 +173,9 @@ def _expm_times(a: np.ndarray, s, b: np.ndarray) -> np.ndarray:
 
 
 def _orbit(powers: np.ndarray | list[np.ndarray], v: np.ndarray, count: int) -> np.ndarray:
-    """exp(j step a) v for j = 0..count-1, as the rows of a (count, len(v)) array.
+    """exp(j step a) v for j = 0..count-1, stacked along a new first axis:
+    ``v`` one vector, giving (count, n), or an (n, k) matrix whose columns
+    each walk the orbit, giving (count, n, k).
 
     ``powers`` holds exp(2^i step a) for i = 0, 1, ..., at least
     (count - 1).bit_length() of them (one _expm_stack of step * 2^i), so
@@ -180,14 +184,15 @@ def _orbit(powers: np.ndarray | list[np.ndarray], v: np.ndarray, count: int) -> 
     doubles the rows filled, so no row carries more than log2(count)
     products.
     """
-    out = np.empty((count, v.size))
-    out[0] = v
+    k = v.size // v.shape[0]  # v's columns, one for a vector
+    out = np.empty((count * k, v.shape[0]))
+    out[:k] = v.T.reshape(k, -1)
     filled = 1
     for power in powers[: (count - 1).bit_length()]:
         take = min(filled, count - filled)
-        out[filled : filled + take] = out[:take] @ power.T
+        out[filled * k : (filled + take) * k] = out[: take * k] @ power.T
         filled += take
-    return out
+    return out.reshape(count, *v.T.shape).swapaxes(1, -1)
 
 
 def _cell_stack(m: np.ndarray) -> np.ndarray:
@@ -213,6 +218,50 @@ def _cell_flow(stack: np.ndarray, s, x: np.ndarray) -> np.ndarray:
     terms = (x @ stack).reshape(*x.shape[:-1], _CELL_TERMS, stack.shape[0])
     weights = np.asarray(s, dtype=float)[..., None, None] ** _CELL_DEGREES
     return (weights @ terms)[..., 0, :]
+
+
+class _Flow:
+    """The flow exp(t M) of a square M for 0 <= t <= ``end`` on cells of
+    width ``cell``, ||cell M||_1 <= 1/2 (the caller's choice), walked by the
+    gains partition, the simulator and the delay kernels alike: the powers
+    exp(2^i cell M) for 2^i up to end / cell cells, in one _expm_stack, and
+    the cell's Taylor ``stack``, formed on first use (a flow walked only on
+    multiples of its cell never forms it)."""
+
+    def __init__(self, matrix: np.ndarray, cell: float, end: float):
+        self.matrix, self.cell = matrix, cell
+        cells = int(end / cell + 0.5)
+        self.powers = _expm_stack(matrix, cell * 2.0 ** np.arange(cells.bit_length()))
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return _cell_stack(self.matrix * self.cell)
+
+    def taylor(self, s, x: np.ndarray) -> np.ndarray:
+        """exp(s cell M) x by _cell_flow, for s in [-1, 1] (or one s per row of x)."""
+        return _cell_flow(self.stack, s, x)
+
+    def advance(self, z: np.ndarray, t: float) -> np.ndarray:
+        """exp(t M) z for 0 <= t <= end, ``z`` one vector: the powers named
+        by the binary digits of t // cell, lowest first, then one Taylor
+        product over the remainder."""
+        cells, rest = divmod(t, self.cell)
+        cells = int(cells)
+        for i in range(cells.bit_length()):
+            if cells >> i & 1:
+                z = self.powers[i] @ z
+        return self.taylor(rest / self.cell, z) if rest else z
+
+    def orbit(self, z: np.ndarray, count: int, level: int = 0) -> np.ndarray:
+        """_orbit of ``z`` over ``count`` strides of 2^level cells."""
+        return _orbit(self.powers[level:], z, count)
+
+
+def _grid_flow(matrix: np.ndarray, h: float, end: float) -> tuple[_Flow, int]:
+    """(flow, j): the _Flow of M to ``end`` on cells h / 2^j, j the least with
+    ||(h / 2^j) M||_1 <= 1/2, so that a grid of step h is its orbit at level j."""
+    j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(matrix, 1)) * h)))
+    return _Flow(matrix, h / 2.0**j, end), j
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Every signal the simulator accepts is, on any bounded window, a finite
 concatenation of segments on which it is either constant or a pure sinusoid.
-``iter_segments`` performs that decomposition; the simulator then propagates
-each segment through a closed-form augmented exponential, so signal handling
-is the only place where switching structure lives.
+``iter_segments`` performs that decomposition; the simulator then carries the
+state and the input's own state across each segment as one linear flow, so
+signal handling is the only place where switching structure lives.
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ own state (the constant, or the sine and cosine of the phase) together follow
 one autonomous linear flow z' = G z, so the grid states the segment covers are
 one orbit z, exp(G h) z, exp(G h)^2 z, ... of that flow.  The simulator walks
 the segments and fills each one's grid rows from its orbit.  Each generator G
-forms one stack of powers exp(2^i c G), c = h / 2^j the widest cell with
-||c G||_1 <= 1/2, and the Taylor series of its cell flow; a flow over any
-time t is the powers named by the binary digits of t // c and one Taylor
-product over the remainder.  So the recorded states are exact up to those
-powers and that series (no ODE discretization error).
+is one linalg._Flow on cells c = h / 2^j, the widest with ||c G||_1 <= 1/2:
+one stack of powers exp(2^i c G) and the Taylor series of its cell flow; a
+flow over any time t is the powers named by the binary digits of t // c and
+one Taylor product over the remainder.  So the recorded states are exact up
+to those powers and that series (no ODE discretization error).
 """
 
 from __future__ import annotations
@@ -23,16 +23,7 @@ import numpy as np
 
 from .exceptions import DimensionError, SimulationError
 from .gains import bang_bang_switches, l1_impulse_gain
-from .linalg import (
-    _MAX_GRID_STEPS,
-    _STACK_ENTRIES,
-    StateSpaceSystem,
-    _cell_flow,
-    _cell_stack,
-    _expm_stack,
-    _orbit,
-    mat_exp,
-)
+from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _grid_flow, mat_exp
 from .quadrature import tail_horizon
 from .signals import (
     InputSignal,
@@ -89,58 +80,24 @@ def _grid_steps(t_end: float, h: float) -> int:
     return n_steps
 
 
-def _generator(sys: StateSpaceSystem, seg: Segment, x: np.ndarray):
-    """(G, z0): the flow z' = G z of the state and the input's own state on
-    ``seg``, and its value at the segment start from state ``x``.
+def _generator(sys: StateSpaceSystem, seg: Segment) -> np.ndarray:
+    """G, the flow z' = G z of the state and the input's own state on ``seg``.
 
-    A constant u holds still: G = [[A, B], [0, 0]], z0 = (x, u).  A sinusoid
+    A constant u holds still: G = [[A, B], [0, 0]], z = (x, u).  A sinusoid
     d sin(omega t + theta0) carries (sin, cos) of its phase through a harmonic
-    oscillator: G = [[A, B d e1'], [0, omega J]], z0 = (x, sin theta0, cos theta0).
+    oscillator: G = [[A, B d e1'], [0, omega J]], z = (x, sin, cos).
     """
     n = sys.n
     if seg.kind == "const":
-        w = seg.value
-        g = np.zeros((n + w.size, n + w.size))
+        g = np.zeros((n + sys.m, n + sys.m))
         g[:n, n:] = sys.b
     else:
-        w = np.array([math.sin(seg.theta0), math.cos(seg.theta0)])
         g = np.zeros((n + 2, n + 2))
         g[:n, n] = sys.b @ seg.direction
         g[n, n + 1] = seg.omega
         g[n + 1, n] = -seg.omega
     g[:n, :n] = sys.a
-    return g, np.concatenate((x, w))
-
-
-class _GeneratorFlow(NamedTuple):
-    """The flow z' = G z of one generator on a grid of step h: the cell
-    c = h / 2^j, j the least with ||c G||_1 <= 1/2, the powers exp(2^i c G)
-    for 2^i c up to the grid's end (powers[j] = exp(G h), from which the
-    orbits walk), and the Taylor stack of exp(s c G)."""
-
-    cell: float
-    j: int
-    powers: np.ndarray
-    stack: np.ndarray
-
-
-def _generator_flow(g: np.ndarray, h: float, n_steps: int) -> _GeneratorFlow:
-    j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(g, 1)) * h)))
-    cell = h / 2.0**j
-    powers = _expm_stack(g, cell * 2.0 ** np.arange(j + n_steps.bit_length()))
-    return _GeneratorFlow(cell, j, powers, _cell_stack(g * cell))
-
-
-def _advance(flow: _GeneratorFlow, z: np.ndarray, t: float) -> np.ndarray:
-    """exp(G t) z for 0 <= t <= the grid's end: the powers named by the
-    binary digits of t // cell, lowest first, then the cell's Taylor series
-    over the remainder."""
-    cells, rest = divmod(t, flow.cell)
-    cells = int(cells)
-    for i in range(cells.bit_length()):
-        if cells >> i & 1:
-            z = flow.powers[i] @ z
-    return _cell_flow(flow.stack, rest / flow.cell, z)
+    return g
 
 
 def simulate(
@@ -174,28 +131,29 @@ def simulate(
     states[0] = x
     eps = 1e-12 * max(1.0, t_final)
     # A generator met again (every constant segment has the same one) reuses
-    # its flow: one stack of powers and one Taylor stack.
+    # its flow and orbit level, keyed on what G depends on: G is formed once.
     flows = {}
     k = 1
     # A diverging state overflows to inf or nan; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for seg in iter_segments(signal, t_final):
-            g, z = _generator(sys, seg, x)
-            key = g.tobytes()
+            key = seg.kind if seg.kind == "const" else (seg.omega, seg.direction.tobytes())
             if key not in flows:
-                flows[key] = _generator_flow(g, h, n_steps)
-            flow = flows[key]
+                flows[key] = _grid_flow(_generator(sys, seg), h, t_final)
+            flow, j = flows[key]
+            w = seg.value if seg.kind == "const" else [math.sin(seg.theta0), math.cos(seg.theta0)]
+            z = np.concatenate((x, w))
             stop = int(np.searchsorted(times, seg.end + eps, side="right"))
             block = _STACK_ENTRIES // z.size
             for lo in range(k, stop, block):
                 hi = min(lo + block, stop)
-                lead = _advance(flow, z, times[lo] - seg.start)
-                rows = _orbit(flow.powers[flow.j :], lead, hi - lo)[:, : sys.n]
+                lead = flow.advance(z, times[lo] - seg.start)
+                rows = flow.orbit(lead, hi - lo, j)[:, : sys.n]
                 if not np.isfinite(rows).all():
                     bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
                     raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
                 states[lo:hi] = rows
-            x = _advance(flow, z, seg.end - seg.start)[: sys.n]
+            x = flow.advance(z, seg.end - seg.start)[: sys.n]
             k = stop
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)

@@ -532,7 +532,8 @@ def segmentwise_simulate(sys, signal, x0, t_end, h):
     eps = 1e-12 * max(1.0, t_final)
     k = 1
     for seg in iter_segments(signal, t_final):
-        g, z = _generator(sys, seg, x)
+        w = seg.value if seg.kind == "const" else [math.sin(seg.theta0), math.cos(seg.theta0)]
+        g, z = _generator(sys, seg), np.concatenate((x, w))
         stop = int(np.searchsorted(times, seg.end + eps, side="right"))
         block = _STACK_ENTRIES // z.size
         j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(g, 1)) * h)))

@@ -322,6 +322,19 @@ class TestErrors:
         assert message in err and "--step" in err
 
     @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
+    def test_overflowing_step_map_exit_1(self, tmp_path, capsys, command):
+        # mu h = 2.5e99: the RK4 stages of the step map overflow.  That used
+        # to print two RuntimeWarnings (errors under this suite's warning
+        # filter) and report the state diverged at t = 0.25.
+        model = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-0.5]], "tau": 1.0, "mu": 1e100}
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(model))
+        assert main([command, str(path), "--step", "0.25"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
+        assert "step map overflows" in err and "--step" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
     @pytest.mark.parametrize("step", ["5e-7", "5e-8"])
     def test_delay_grid_work_exit_1(self, delay_file, capsys, command, step):
         # tau = 0.5: 2,000 steps over a 10^6-step history, or 20,000 over

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gainlab.delay as delaymod
+from gainlab import linalg
 from gainlab import (
     BangBangInput,
     Constant,
@@ -223,10 +224,13 @@ class TestPredictorDynamics:
         self.test_overflowing_forcing_does_not_poison_earlier_rows()
 
     def test_one_step_map_per_simulation(self, scalar_delay, monkeypatch):
-        calls = {"evaluate": 0, "_expm_times": 0}
+        # One linalg._Flow per simulation: the step map's kernels are its
+        # one orbit.
+        calls = {"evaluate": 0, "_Flow": 0}
+        modules = {"evaluate": delaymod, "_Flow": linalg}
 
         def counted(name):
-            original = getattr(delaymod, name)
+            original = getattr(modules[name], name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -235,15 +239,15 @@ class TestPredictorDynamics:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(delaymod, name, counted(name))
+            monkeypatch.setattr(modules[name], name, counted(name))
         steps = 16
         state = DelayState.resting(scalar_delay, steps)
         for t_end in (1.0, 10.0):
-            calls.update(evaluate=0, _expm_times=0)
+            calls.update(evaluate=0, _Flow=0)
             simulate_predictor(
                 scalar_delay, Sinusoid([1.0], 1.0), state, t_end, scalar_delay.tau / steps
             )
-            assert calls == {"evaluate": 3, "_expm_times": 1}
+            assert calls == {"evaluate": 3, "_Flow": 1}
 
 
 UNSTABLE_PLANT = DelayPredictorSystem(

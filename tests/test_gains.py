@@ -169,9 +169,9 @@ def test_partition_forms_orbit_powers_once(monkeypatch):
     flow = gains._KernelFlow(sys, [horizon])
     block = 1 << ((linalg._STACK_ENTRIES // (4 * (sys.n + 4))).bit_length() - 1)
     assert block == 1024 and -(-flow.count // block) == 5
-    assert sum(np.array_equal(m[0], a * flow.width) for m in stacks) == 1
+    assert sum(np.array_equal(m[0], a * flow.cell) for m in stacks) == 1
     narrowest = min(float(np.linalg.norm(m, 1, axis=(1, 2)).min()) for m in stacks)
-    assert narrowest >= np.linalg.norm(a * flow.width, 1)
+    assert narrowest >= np.linalg.norm(a * flow.cell, 1)
 
 
 def test_partitioned_flow_forms_no_exponential(monkeypatch):
@@ -206,11 +206,11 @@ def test_cell_stack_formed_only_for_brackets_or_halvings():
     sys = StateSpaceSystem(a=[[-1.0, 0.0], [0.0, -2.0]], b=[[1.0], [1.0]], c=[[1.0, 1.0]])
     flow = gains._KernelFlow(sys, [10.0])
     assert gains._sign_partition(flow, sys.c, 1e-8)[0][0].size == 0
-    assert "cell_stack" not in vars(flow)
+    assert "stack" not in vars(flow)
     sys = damped_oscillator(3.0, 0.3)
     flow = gains._KernelFlow(sys, [10.0])
     assert gains._sign_partition(flow, sys.c, 1e-8)[0][0].size > 0
-    assert "cell_stack" in vars(flow)
+    assert "stack" in vars(flow)
 
 
 def test_close_zero_pairs_halve_cells_on_a_shared_flow():
@@ -248,15 +248,18 @@ def cell_flow_systems():
 def test_cell_flow_meets_scipy_expm(name):
     # Within a cell of w = 1 / (2 ||A||_1) the Taylor stack is exact to
     # double precision: each exp(t A) x, for t from -w to w, meets SciPy's
-    # within 1e-15 relative in the 1-norm.
+    # within 1e-15 relative in the 1-norm, taken by _cell_flow on its own
+    # stack and by the taylor step of a _Flow on cells of w.
     a = cell_flow_systems()[name]
     w = 1.0 / (2.0 * np.linalg.norm(a, 1))
     t = np.repeat([0.0, w / 1024.0, w / 7.0, w / 2.0, w, -w / 3.0], 3)
     x = np.random.default_rng(a.shape[0]).standard_normal((t.size, a.shape[0]))
-    y = linalg._cell_flow(linalg._cell_stack(a * w), t / w, x)
-    for t_k, x_k, y_k in zip(t, x, y):
-        ref = scipy.linalg.expm(t_k * a) @ x_k
-        assert np.linalg.norm(y_k - ref, 1) <= 1e-15 * np.linalg.norm(ref, 1)
+    by_function = linalg._cell_flow(linalg._cell_stack(a * w), t / w, x)
+    by_flow = linalg._Flow(a, w, w).taylor(t / w, x)
+    for y in by_function, by_flow:
+        for t_k, x_k, y_k in zip(t, x, y):
+            ref = scipy.linalg.expm(t_k * a) @ x_k
+            assert np.linalg.norm(y_k - ref, 1) <= 1e-15 * np.linalg.norm(ref, 1)
 
 
 def test_signed_states_match_per_row_loop():

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,16 +99,15 @@ class TestMatExp:
     def test_orbit_matches_reference(self, count):
         # The constant-input generator [[A, B], [0, 0]] that simulate uses:
         # singular, with a Hurwitz block, so rows neither blow up nor vanish.
-        rng = np.random.default_rng(29)
-        g = np.zeros((5, 5))
-        g[:4, :4] = random_hurwitz_matrix(rng, n=4, abscissa=-0.2)
-        g[:4, 4] = rng.standard_normal(4)
-        v = rng.standard_normal(5)
+        # Walked by _orbit on its own power stack and by a _Flow to the
+        # orbit's end.
+        g, v = flow_generator()
         powers = linalg._expm_stack(g, 0.05 * 2.0 ** np.arange((count - 1).bit_length()))
-        rows = linalg._orbit(powers, v, count)
-        assert rows.shape == (count, 5)
         ref = np.array([scipy.linalg.expm(j * 0.05 * g) @ v for j in range(count)])
-        np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        by_flow = linalg._Flow(g, 0.05, 0.05 * (count - 1)).orbit(v, count)
+        for rows in linalg._orbit(powers, v, count), by_flow:
+            assert rows.shape == (count, 5)
+            np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)
@@ -145,6 +146,71 @@ class TestMatExp:
         stack = np.array([[[-1.0]], [[800.0]], [[0.0]]])
         with pytest.raises(OverflowError):
             linalg._expm(stack)
+
+
+def flow_generator():
+    """The constant-input generator [[A, B], [0, 0]] of a seeded n = 4 SISO
+    system, and a start vector."""
+    rng = np.random.default_rng(29)
+    g = np.zeros((5, 5))
+    g[:4, :4] = random_hurwitz_matrix(rng, n=4, abscissa=-0.2)
+    g[:4, 4] = rng.standard_normal(4)
+    return g, rng.standard_normal(5)
+
+
+class TestFlow:
+    # A _Flow on cells of a power of two, so every cell multiple is exact.
+    def flow(self):
+        g, v = flow_generator()
+        cell = 2.0 ** -math.ceil(math.log2(2.0 * np.linalg.norm(g, 1)))
+        return linalg._Flow(g, cell, 37 * cell), g, v
+
+    def test_advance_meets_scipy_expm(self):
+        # At t = 0, inside the first cell, at cell multiples named by one
+        # power and by several, between multiples, and at the end time.
+        flow, g, v = self.flow()
+        c = flow.cell
+        for t in (0.0, c / 3.0, c, 4.0 * c, 11.0 * c, 11.6 * c, 36.2 * c, 37.0 * c):
+            ref = scipy.linalg.expm(t * g) @ v
+            got = flow.advance(v, t)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        np.testing.assert_array_equal(flow.advance(v, 0.0), v)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_orbit_strides_meet_scipy_expm(self, level):
+        # Strides of 1 and 4 cells, of a vector and of a matrix's columns.
+        flow, g, v = self.flow()
+        count = 37 // 2**level + 1
+        columns = np.stack((v, -2.0 * v[::-1]), axis=1)
+        rows, cols = flow.orbit(v, count, level), flow.orbit(columns, count, level)
+        assert rows.shape == (count, 5) and cols.shape == (count, 5, 2)
+        for j in range(count):
+            e = scipy.linalg.expm(j * 2**level * flow.cell * g)
+            scale = np.max(np.abs(e @ columns))
+            np.testing.assert_allclose(rows[j], e @ v, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(cols[j], e @ columns, rtol=0, atol=1e-13 * scale)
+
+    def test_grid_walk_forms_no_taylor_stack(self):
+        # Orbits and advances by whole cells take powers alone; the first
+        # advance off the grid forms the cell's Taylor stack.
+        flow, _, v = self.flow()
+        flow.orbit(v, 38)
+        for cells in (0, 1, 6, 37):
+            flow.advance(v, cells * flow.cell)
+        assert "stack" not in vars(flow)
+        flow.advance(v, 2.5 * flow.cell)
+        assert "stack" in vars(flow)
+
+
+def test_ladder_and_taylor_code_only_in_linalg():
+    # gains, sim and delay walk every flow through linalg._Flow: none of
+    # them imports the orbit, cell stack or cell flow primitives.
+    primitives = {"_orbit", "_cell_stack", "_cell_flow"}
+    for name in ("gains", "sim", "delay"):
+        tree = ast.parse(Path(linalg.__file__).with_name(f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                assert not primitives & {alias.name for alias in node.names}, name
 
 
 class TestLyapunov:

@@ -218,23 +218,24 @@ class TestReferenceSimulator:
 
     def test_periodic_input_reaches_expm_only_through_one_stack_per_generator(self, monkeypatch):
         # verify's run: 10 periods of a worst-case input at 4096 steps each,
-        # 20 segments or more.  Each generator's one _expm_stack is the only
-        # matrix exponential; no segment's lead or end state forms one.
+        # 20 segments or more.  Each generator's one linalg._Flow, whose
+        # power stack is one _expm call, is the only matrix exponential; no
+        # segment's lead or end state forms one.
         system = random_siso_system(np.random.default_rng(11), 3)
         signal, spec = worst_case_periodic_input(system, 3.0, 1e-6)
         t_end, h = 10.0 * spec.period, spec.period / 4096
         stacks, calls = [], []
-        original_stack, original_expm = sim._expm_stack, linalg._expm
+        original_flow, original_expm = linalg._Flow, linalg._expm
 
-        def counting_stack(a, s):
-            stacks.append(a.tobytes())
-            return original_stack(a, s)
+        def counting_flow(matrix, cell, end):
+            stacks.append(matrix.tobytes())
+            return original_flow(matrix, cell, end)
 
         def counting_expm(m):
             calls.append(m.shape)
             return original_expm(m)
 
-        monkeypatch.setattr(sim, "_expm_stack", counting_stack)
+        monkeypatch.setattr(linalg, "_Flow", counting_flow)
         monkeypatch.setattr(linalg, "_expm", counting_expm)
         # Also counted: an _expm that sim called directly.
         monkeypatch.setattr(sim, "_expm", counting_expm, raising=False)
@@ -255,19 +256,19 @@ class TestReferenceSimulator:
             signal = PeriodicExtension(Sinusoid([1.0], 2.1, 0.3), 1.0, 2.0)
             t_end, h = 12.0, 1.0 / 64
         stacks, generators = [], set()
-        original_stack, original_generator = sim._expm_stack, sim._generator
+        original_flow, original_generator = linalg._Flow, sim._generator
 
-        def counting_stack(a, s):
-            stacks.append(a.tobytes())
-            return original_stack(a, s)
+        def counting_flow(matrix, cell, end):
+            stacks.append(matrix.tobytes())
+            return original_flow(matrix, cell, end)
 
         def recording_generator(*args):
-            g, z = original_generator(*args)
+            g = original_generator(*args)
             generators.add(g.tobytes())
-            return g, z
+            return g
 
         args = (system, signal, np.zeros(system.n), t_end, h)
-        monkeypatch.setattr(sim, "_expm_stack", counting_stack)
+        monkeypatch.setattr(linalg, "_Flow", counting_flow)
         monkeypatch.setattr(sim, "_generator", recording_generator)
         traj = simulate(*args)
         monkeypatch.undo()
