@@ -79,6 +79,13 @@ def _checked_points(points: int) -> int:
     return points
 
 
+def _check_flag(flag: str, value, what: str, below: float = math.inf) -> None:
+    """Raise ValueError naming ``flag`` and ``what`` unless ``value`` was not
+    given or lies in (0, below), so is finite: called before any work."""
+    if value is not None and not (0 < value < below):
+        raise ValueError(f"{flag}: {what}, got {value!r}")
+
+
 def _unit_direction(dim: int) -> np.ndarray:
     return np.ones(dim) / math.sqrt(dim)
 
@@ -151,8 +158,7 @@ def _cmd_analyze(args, system, extras):
 
 
 def _cmd_vt(args, system, extras):
-    if not (0 < args.t_max < math.inf):
-        raise ValueError("--t-max must be finite and positive")
+    _check_flag("--t-max", args.t_max, "largest horizon must be finite and positive")
     points = _checked_points(args.points)
     tol = _resolve_tol(args.tol, extras)
     seed = _resolve_seed(args.seed, extras)
@@ -172,7 +178,13 @@ def _cmd_sweep(args, system, extras):
     return modelio.sweep_csv(omegas, values), 0
 
 
+def _check_grid_flags(args) -> None:
+    _check_flag("--t-max", args.t_max, "t_end must be finite and positive")
+    _check_flag("--step", args.step, "step h must be finite and positive")
+
+
 def _cmd_simulate(args, system, extras):
+    _check_grid_flags(args)
     if isinstance(system, DelayPredictorSystem):
         h = args.step if args.step is not None else system.tau / 64.0
         hist_steps, _ = delaymod._predictor_grid(system, h, args.t_max)
@@ -189,6 +201,7 @@ def _cmd_simulate(args, system, extras):
 
 def _cmd_worstcase(args, system, extras):
     rest_tol = _checked_tol(args.tol, "--tol") if args.tol is not None else 1e-6
+    _check_grid_flags(args)
     gains._check_partition_cells(system, args.horizon, "--horizon")
     signal, spec = sim.worst_case_periodic_input(system, args.horizon, rest_tol)
     t_end = args.t_max if args.t_max is not None else 3.0 * spec.period
@@ -215,8 +228,11 @@ def _cmd_bound41(args, data, extras):
 
 
 def _cmd_delay_demo(args, system, extras):
+    _check_grid_flags(args)
     sigma = system.certificate.sigma
     t_end = args.t_max if args.t_max is not None else max(20.0 / sigma, 10.0 * system.tau)
+    inside = f"window must lie strictly inside the duration (0, {t_end!r})"
+    _check_flag("--window", args.window, inside, t_end)
     window = args.window if args.window is not None else t_end / 4.0
     h = args.step if args.step is not None else system.tau / 64.0
     direction = _unit_direction(system.p)

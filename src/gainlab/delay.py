@@ -160,7 +160,9 @@ class DelayTrajectory:
     """Grid record of a predictor simulation.
 
     z_record holds the full z sample sequence including the initial history,
-    so z_record[history_steps + k] is z at times[k].
+    so z_record[history_steps + k] is z at times[k].  kernels and exp_a_tau
+    are the step map's _weighted_kernels and exp(A tau), which
+    predictor_error_series reuses.
     """
 
     times: np.ndarray
@@ -170,6 +172,8 @@ class DelayTrajectory:
     step: float
     history_steps: int
     signal: InputSignal
+    kernels: np.ndarray = field(repr=False)
+    exp_a_tau: np.ndarray = field(repr=False)
 
 
 def _weighted_kernels(sys: DelayPredictorSystem, h: float, steps: int) -> np.ndarray:
@@ -300,7 +304,8 @@ class _StepMap(NamedTuple):
     T F, F the forcing of the L steps by S_k; ``toeplitz`` and ``block``
     keep T and H transposed.  ``drives`` stacks Q0, Qh and Q1 restricted to
     the input, (Q[:, :n] G)', so drive_k is u at the three times, side by
-    side, times it.
+    side, times it.  ``kernels`` and ``exp_a_tau`` are the
+    _weighted_kernels and exp(A tau) the map is built from.
     """
 
     win_z: np.ndarray
@@ -308,6 +313,8 @@ class _StepMap(NamedTuple):
     toeplitz: np.ndarray
     block: np.ndarray
     drives: np.ndarray
+    kernels: np.ndarray
+    exp_a_tau: np.ndarray
 
 
 def _shifted_rows(strip: np.ndarray, step: int, count: int) -> np.ndarray:
@@ -325,11 +332,12 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
     # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
     # sums the weighted samples z(t - j h), j >= 1; the j = 0 term is in lin.
     kernels = _weighted_kernels(sys, h, hist_steps)
+    exp_a_tau = _expm(sys.a * sys.tau)
     x, e0, eh, e1 = (np.eye(d, 4 * d, j * d) for j in range(4))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if it overflows
         k_amu = sys.k @ (sys.a + sys.mu * np.eye(n))
         a_zz = sys.k @ sys.b - sys.mu * np.eye(m) + k_amu @ kernels[0]
-        lin = np.block([[sys.a, np.zeros((n, m))], [k_amu @ _expm(sys.a * sys.tau), a_zz]])
+        lin = np.block([[sys.a, np.zeros((n, m))], [k_amu @ exp_a_tau, a_zz]])
         k1 = lin @ x + e0
         k2 = lin @ (x + 0.5 * h * k1) + eh
         k3 = lin @ (x + 0.5 * h * k2) + eh
@@ -377,7 +385,7 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
     cut = size if finite.all() else max(1, int(np.argmin(finite)))
     toeplitz = _shifted_rows(rows[:cut, :, :d].transpose(2, 0, 1).reshape(d, -1), d, cut)
     block = rows[:cut, :, d:].reshape(cut * d, cols).T.copy()
-    return _StepMap(win_z, win_y, toeplitz, block, drives)
+    return _StepMap(win_z, win_y, toeplitz, block, drives, kernels, exp_a_tau)
 
 
 def _solve_predictor(sys, step_map, signals, state0, n_steps, h):
@@ -453,7 +461,10 @@ def _solve_group(sys, step_map, signals, state0, n_steps, h) -> list[DelayTrajec
 
     times, rec = np.arange(n_steps + 1) * h, rec[:, : hist_steps + n_steps + 1]
     return [
-        DelayTrajectory(times, x[hist_steps:, :n], x[hist_steps:, n:], x[:, n:], h, hist_steps, u)
+        DelayTrajectory(
+            times, x[hist_steps:, :n], x[hist_steps:, n:], x[:, n:], h, hist_steps, u,
+            step_map.kernels, step_map.exp_a_tau,
+        )
         for x, u in zip(rec, signals)
     ]
 
@@ -468,15 +479,14 @@ def predictor_error_series(
     xi' = -mu xi - K exp(A tau) G u from the reconstructed xi(0), which the
     exact LTI simulator integrates without discretization error.
     """
-    hist_steps, h = traj.history_steps, traj.step
-    # Reversed weighting: window row j' holds z(t - (hist_steps - j') h).
-    rwk = _weighted_kernels(sys, h, hist_steps)[::-1].transpose(0, 2, 1).reshape(-1, sys.n)
+    # Reversed weighting: window row j' holds z(t - (N - j') h), N = tau / h.
+    rwk = traj.kernels[::-1].transpose(0, 2, 1).reshape(-1, sys.n)
     windows = np.lib.stride_tricks.sliding_window_view(traj.z_record.reshape(-1), len(rwk))
     dist = windows[:: sys.m] @ rwk
-    k_etau = sys.k @ _expm(sys.a * sys.tau)
+    k_etau = sys.k @ traj.exp_a_tau
     xi_grid = traj.zs - traj.ys @ k_etau.T - dist @ sys.k.T
     closed = StateSpaceSystem(a=-sys.mu * np.eye(sys.m), b=-(k_etau @ sys.g), c=np.eye(sys.m))
-    ref = simulate(closed, traj.signal, xi_grid[0], float(traj.times[-1]), h)
+    ref = simulate(closed, traj.signal, xi_grid[0], float(traj.times[-1]), traj.step)
     return xi_grid, ref.states
 
 

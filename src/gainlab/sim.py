@@ -11,6 +11,14 @@ one stack of powers exp(2^i c G) and the Taylor series of its cell flow; a
 flow over any time t is the powers named by the binary digits of t // c and
 one Taylor product over the remainder.  So the recorded states are exact up
 to those powers and that series (no ODE discretization error).
+
+A periodic input needs one period's walk.  From a start state x_k, period k
+records the zero-state outputs of the first period plus the free response
+C exp(A j h) x_k, and x_{k+1} = exp(A period) x_k + x_zs(period): the free
+response is an orbit of the same generator flow from (x_k, 0), and
+exp(A period) is the top-left block of its power exp(G period).  So
+verify_gain_equality walks one of its ten periods, and steady_periodic_state
+reads the periodic start state off the same one-period helper.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from .exceptions import DimensionError, SimulationError
 from .gains import bang_bang_switches, l1_impulse_gain
-from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _grid_flow, mat_exp
+from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _Flow, _grid_flow
 from .quadrature import tail_horizon
 from .signals import (
     InputSignal,
@@ -115,24 +123,29 @@ def simulate(
     like the state at the segment's end, are flows from the segment start,
     so ``h`` controls only the recording density, not the accuracy.
     """
-    if signal_dim(signal) != sys.m:
-        raise DimensionError(
-            f"input dimension {signal_dim(signal)} does not match system m={sys.m}"
-        )
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (sys.n,):
         raise DimensionError(f"x0 must have length {sys.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
+    return _walk(sys, signal, x, t_end, h, {})
+
+
+def _walk(sys, signal, x, t_end, h, flows) -> Trajectory:
+    """simulate's walk from the checked state x.  A generator met again
+    (every constant segment has the same one) reuses its (flow, orbit level)
+    in ``flows``, keyed on what G depends on, so G is formed once; the
+    caller may read the flows afterwards."""
+    if signal_dim(signal) != sys.m:
+        raise DimensionError(
+            f"input dimension {signal_dim(signal)} does not match system m={sys.m}"
+        )
     n_steps = _grid_steps(t_end, h)
     t_final = n_steps * h
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, sys.n))
     states[0] = x
     eps = 1e-12 * max(1.0, t_final)
-    # A generator met again (every constant segment has the same one) reuses
-    # its flow and orbit level, keyed on what G depends on: G is formed once.
-    flows = {}
     k = 1
     # A diverging state overflows to inf or nan; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,13 +178,32 @@ def steady_periodic_state(
     """Initial state whose response to the periodic input is itself periodic.
 
     Solves (exp(A period) - I) x = -x_zs(period), with the zero-state
-    response x_zs(period) taken from one simulation of a single period.
+    response x_zs(period) and exp(A period) from _one_period.
     """
     if not (period > 0):
         raise ValueError("period must be positive")
-    x_zs = simulate(sys, signal, np.zeros(sys.n), period, period).states[-1]
-    e_t = mat_exp(sys.a, period)
-    return np.linalg.solve(e_t - np.eye(sys.n), -x_zs)
+    zero_state, e_period, _, _ = _one_period(sys, signal, period, 1)
+    return np.linalg.solve(e_period - np.eye(sys.n), -zero_state.states[-1])
+
+
+def _one_period(
+    sys: StateSpaceSystem, signal: InputSignal, period: float, steps: int
+) -> tuple[Trajectory, np.ndarray, _Flow, int]:
+    """(trajectory, exp(A period), flow, level): the zero-state response to
+    ``signal`` over one period, recorded in ``steps`` steps of h = period /
+    steps (steps a power of two), and one generator flow of its walk with
+    its orbit level.
+
+    Every generator is block upper triangular with A top left, and its
+    input state enters no state row, so from z = (x, 0) the flow's orbit
+    at ``level`` walks exp(A j h) x in its first n rows, and its last power,
+    exp(G period) (2^level cells a step, steps a power of two), holds
+    exp(A period) top left.
+    """
+    flows = {}
+    zero_state = _walk(sys, signal, np.zeros(sys.n), period, period / steps, flows)
+    flow, level = next(iter(flows.values()))
+    return zero_state, flow.powers[-1][: sys.n, : sys.n], flow, level
 
 
 class WorstCaseSpec(NamedTuple):
@@ -285,8 +317,10 @@ def verify_gain_equality(
     (certified tail) and is a whole number of recording steps period / 4096
     (so the output's peaks at horizon + k period are recorded), the rest
     tolerance small enough that inter-period leakage costs at most
-    accuracy/4 each way.  The input runs for 10 periods, and its simulated
-    asymptotic output over the last 5 must land in
+    accuracy/4 each way.  The input runs for 10 periods from rest, recorded
+    without simulating more than the first: each later period's outputs are
+    the first's plus the free response of its start state.  The asymptotic
+    output over the last 5 periods must land in
     [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol]; failure is reported in
     the record, not raised.
     """
@@ -318,10 +352,19 @@ def verify_gain_equality(
     j = min(math.ceil(_VERIFY_STEPS * horizon / (horizon + rest)), _VERIFY_STEPS - 1)
     horizon = max(horizon, j * rest / (_VERIFY_STEPS - j))
     signal, spec = worst_case_periodic_input(sys, horizon, rest_tol)
-    h = spec.period / _VERIFY_STEPS
-    t_end = _VERIFY_PERIODS * spec.period
-    window = _VERIFY_PERIODS // 2 * spec.period
-    emp = empirical_gains(sys, signal, t_end, window, h)
+    # The input repeats every period, so period k's outputs are the zero-state
+    # ones plus the free response C exp(A j h) x_k of its start state, with
+    # x_0 = 0 and x_{k+1} = exp(A period) x_k + x_zs(period).
+    zero_state, e_period, flow, level = _one_period(sys, signal, spec.period, _VERIFY_STEPS)
+    x_zs = zero_state.states[-1]
+    starts = np.zeros((flow.matrix.shape[0], _VERIFY_PERIODS + 1))  # columns (x_k, 0)
+    for k in range(_VERIFY_PERIODS):
+        starts[: sys.n, k + 1] = e_period @ starts[: sys.n, k] + x_zs
+    free = sys.c @ flow.orbit(starts[:, :-1], _VERIFY_STEPS, level)[:, : sys.n]
+    outputs = zero_state.outputs[:-1] + free[:, 0]
+    norms = np.abs(np.append(outputs.T, sys.c @ starts[: sys.n, -1]))
+    times = np.arange(norms.size) * zero_state.step
+    emp = _measured_gains(times, norms, _VERIFY_PERIODS // 2 * spec.period)
     lower_target = (1.0 - accuracy) * gamma
     upper_limit = gamma * (1.0 + 1e-6) + 2.0 * tol
     passed = lower_target <= emp.asymptotic_gain <= upper_limit

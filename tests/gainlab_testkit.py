@@ -11,7 +11,17 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from gainlab import DimensionError, SimulationError, StateSpaceSystem, evaluate, gains, mat_exp
+from gainlab import (
+    DimensionError,
+    PeriodicExtension,
+    SimulationError,
+    StateSpaceSystem,
+    bang_bang_switches,
+    empirical_gains,
+    evaluate,
+    gains,
+    mat_exp,
+)
 from gainlab.linalg import (
     _cell_flow,
     _cell_stack,
@@ -24,7 +34,14 @@ from gainlab.linalg import (
 from gainlab.modelio import _fmt
 from gainlab.quadrature import simpson_panels, tail_horizon
 from gainlab.signals import BangBangInput, Segment, iter_segments, signal_dim
-from gainlab.sim import _STACK_ENTRIES, Trajectory, _generator, _grid_steps
+from gainlab.sim import (
+    _STACK_ENTRIES,
+    _VERIFY_PERIODS,
+    _VERIFY_STEPS,
+    Trajectory,
+    _generator,
+    _grid_steps,
+)
 
 
 def random_hurwitz_matrix(rng, n_max=5, abscissa=-0.2, scale=2.0, n=None):
@@ -512,6 +529,20 @@ def reference_simulate(sys, signal, x0, t_end, h):
         states[k] = x
     outputs = states @ sys.c.T
     return Trajectory(times=times, states=states, outputs=outputs, step=h)
+
+
+def full_recording_gains(sys, record):
+    """verify_gain_equality's sup and asymptotic gains the long way: the
+    record's worst-case input simulated over all _VERIFY_PERIODS periods
+    from rest by empirical_gains, on verify's grid of period /
+    _VERIFY_STEPS and its window of the last half of the periods."""
+    signal = PeriodicExtension(
+        bang_bang_switches(sys, record.horizon), record.horizon, record.period
+    )
+    periods, period = _VERIFY_PERIODS, record.period
+    return empirical_gains(
+        sys, signal, periods * period, periods // 2 * period, period / _VERIFY_STEPS
+    )
 
 
 def segmentwise_simulate(sys, signal, x0, t_end, h):

@@ -302,6 +302,31 @@ class TestErrors:
         assert captured.err.count("\n") == 1
         assert flag.lstrip("-") in captured.err
 
+    @pytest.mark.parametrize(
+        "command, model, flag, value",
+        [("delay-demo", "delay", "--t-max", v) for v in ("nan", "inf", "0", "-5")]
+        + [("delay-demo", "delay", "--window", v) for v in ("nan", "inf", "0", "-1", "100")]
+        + [("delay-demo", "delay", "--step", v) for v in ("nan", "0")]
+        + [(c, "osc", "--t-max", v) for c in ("simulate", "worstcase") for v in ("inf", "nan")]
+        + [("simulate", "delay", "--t-max", "nan"), ("worstcase", "osc", "--step", "nan")],
+    )
+    def test_bad_grid_flag_named_before_any_work(
+        self, oscillator_file, delay_file, capsys, monkeypatch, command, model, flag, value
+    ):
+        # delay-demo's --t-max used to be reported as a window outside the
+        # duration, simulate's and worstcase's as "t_end", without the flag.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for name in ("delay.delay_bounds", "delay._rk4_step_map", "sim.bang_bang_switches"):
+            monkeypatch.setattr(f"gainlab.{name}", refuse)
+        path = {"osc": oscillator_file, "delay": delay_file}[model]
+        assert main([command, path, f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gainlab: error: {flag}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
     @pytest.mark.parametrize(
         "step, message",

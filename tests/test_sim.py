@@ -26,6 +26,7 @@ from gainlab import (
 from gainlab import linalg, sim
 from gainlab.signals import iter_segments as signal_segments
 from gainlab_testkit import (
+    full_recording_gains,
     kernel_zeros,
     quad_kernel_integrals,
     random_hurwitz_matrix,
@@ -424,6 +425,17 @@ def steady_bang_bang_peak(sys, record, steps_per_period=4096):
     return float(np.max(np.abs(outputs)))
 
 
+# The random draws' kernels change sign 35, 3 and 28 times before their
+# horizons.
+VERIFY_MODELS = ["scalar_system", "oscillator", "random-0", "random-7", "random-9"]
+
+
+def verify_model(model, request):
+    if model.startswith("random-"):
+        return random_siso_system(np.random.default_rng(int(model.split("-")[1])))
+    return request.getfixturevalue(model)
+
+
 class TestVerifyGainEquality:
     def test_scalar_passes(self, scalar_system):
         record = verify_gain_equality(scalar_system, accuracy=0.02)
@@ -467,16 +479,38 @@ class TestVerifyGainEquality:
         assert record.passed
         assert record.asymptotic_gain == pytest.approx(record.gamma, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "model", ["scalar_system", "oscillator", "random-0", "random-7", "random-9"]
-    )
+    @pytest.mark.parametrize("model", VERIFY_MODELS)
     def test_matches_closed_form_steady_output(self, model, request):
-        # The random draws' kernels change sign 35, 3 and 28 times before
-        # their horizons.
-        if model.startswith("random-"):
-            sys = random_siso_system(np.random.default_rng(int(model.split("-")[1])))
-        else:
-            sys = request.getfixturevalue(model)
+        sys = verify_model(model, request)
         record = verify_gain_equality(sys, accuracy=0.02)
         peak = steady_bang_bang_peak(sys, record)
         assert abs(record.asymptotic_gain - peak) <= 1e-9 * peak
+
+    @pytest.mark.parametrize("model", VERIFY_MODELS)
+    def test_matches_full_recording(self, model, request):
+        # verify reads periods 1..9 off period 0's walk; simulating all ten
+        # records the same outputs up to rounding.
+        sys = verify_model(model, request)
+        record = verify_gain_equality(sys, accuracy=0.02)
+        full = full_recording_gains(sys, record)
+        assert record.sup_gain == pytest.approx(full.sup_gain, rel=1e-13, abs=0.0)
+        assert record.asymptotic_gain == pytest.approx(full.asymptotic_gain, rel=1e-13, abs=0.0)
+
+    def test_walks_the_segments_of_one_period(self, monkeypatch):
+        # Ten periods of random-0's input are 375 segments; verify walks the
+        # first period's 37 and no more.
+        sys = verify_model("random-0", None)
+        walked = []
+
+        def counting(signal, t_end):
+            segments = original(signal, t_end)
+            walked.append((t_end, len(segments)))
+            return segments
+
+        original = sim.iter_segments
+        monkeypatch.setattr(sim, "iter_segments", counting)
+        record = verify_gain_equality(sys, accuracy=0.02)
+        monkeypatch.undo()
+        base = bang_bang_switches(sys, record.horizon)
+        signal = PeriodicExtension(base, record.horizon, record.period)
+        assert walked == [(record.period, len(signal_segments(signal, record.period)))]
