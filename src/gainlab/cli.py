@@ -178,34 +178,41 @@ def _cmd_sweep(args, system, extras):
     return modelio.sweep_csv(omegas, values), 0
 
 
-def _check_grid_flags(args) -> None:
+def _check_grid_flags(args, h: float) -> None:
+    """Check --t-max and --step, and that a given --t-max holds one step of
+    the grid step ``h`` the command will take."""
     _check_flag("--t-max", args.t_max, "t_end must be finite and positive")
     _check_flag("--step", args.step, "step h must be finite and positive")
+    if args.t_max is not None and args.t_max < h:
+        raise ValueError(f"--t-max: t_end must be at least one step ({h!r}), got {args.t_max!r}")
 
 
 def _cmd_simulate(args, system, extras):
-    _check_grid_flags(args)
-    if isinstance(system, DelayPredictorSystem):
-        h = args.step if args.step is not None else system.tau / 64.0
+    delayed = isinstance(system, DelayPredictorSystem)
+    h = args.step if args.step is not None else system.tau / 64.0 if delayed else 0.01
+    _check_grid_flags(args, h)
+    if delayed:
         hist_steps, _ = delaymod._predictor_grid(system, h, args.t_max)
         state0 = DelayState.resting(system, hist_steps)
         signal = Constant(_unit_direction(system.p))
         traj = delaymod.simulate_predictor(system, signal, state0, args.t_max, h)
         xi, xi_ref = delaymod.predictor_error_series(traj, system)
         return modelio.delay_trajectory_csv(traj, xi, xi_ref), 0
-    h = args.step if args.step is not None else 0.01
     signal = Constant(_unit_direction(system.m))
     traj = sim.simulate(system, signal, np.zeros(system.n), args.t_max, h)
     return modelio.trajectory_csv(traj), 0
 
 
 def _cmd_worstcase(args, system, extras):
-    rest_tol = _checked_tol(args.tol, "--tol") if args.tol is not None else 1e-6
-    _check_grid_flags(args)
+    _check_flag("--horizon", args.horizon, "horizon must be finite and positive")
+    _check_flag("--tol", args.tol, "rest tolerance must lie in (0, 1)", 1.0)
+    rest_tol = args.tol if args.tol is not None else 1e-6
+    period = args.horizon + sim._rest_length(system.certificate, rest_tol)
+    h = args.step if args.step is not None else period / 4096.0
+    _check_grid_flags(args, h)
     gains._check_partition_cells(system, args.horizon, "--horizon")
     signal, spec = sim.worst_case_periodic_input(system, args.horizon, rest_tol)
     t_end = args.t_max if args.t_max is not None else 3.0 * spec.period
-    h = args.step if args.step is not None else spec.period / 4096.0
     traj = sim.simulate(system, signal, np.zeros(system.n), t_end, h)
     print(
         f"worst-case input: horizon={spec.horizon:g} rest={spec.rest:g} "
@@ -216,6 +223,7 @@ def _cmd_worstcase(args, system, extras):
 
 
 def _cmd_verify(args, system, extras):
+    _check_flag("--accuracy", args.accuracy, "accuracy must lie in (0, 1)", 1.0)
     tol = _checked_tol(args.tol, "--tol") if args.tol is not None else 1e-9
     record = sim.verify_gain_equality(system, accuracy=args.accuracy, tol=tol)
     text = modelio.dumps_document(modelio.verification_document(record))
@@ -228,13 +236,13 @@ def _cmd_bound41(args, data, extras):
 
 
 def _cmd_delay_demo(args, system, extras):
-    _check_grid_flags(args)
+    h = args.step if args.step is not None else system.tau / 64.0
+    _check_grid_flags(args, h)
     sigma = system.certificate.sigma
     t_end = args.t_max if args.t_max is not None else max(20.0 / sigma, 10.0 * system.tau)
     inside = f"window must lie strictly inside the duration (0, {t_end!r})"
     _check_flag("--window", args.window, inside, t_end)
     window = args.window if args.window is not None else t_end / 4.0
-    h = args.step if args.step is not None else system.tau / 64.0
     direction = _unit_direction(system.p)
     inputs = [
         Constant(direction),

@@ -312,19 +312,22 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
 
 
 def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
-    """(l1_impulse_gain's estimate off C's rows, the extra rows' L1 norms),
-    from one sign partition of C's rows and ``extra_rows`` on [0, H].  Half
-    the budget goes to the partition, half to the certified tail past H, the
-    tail share split evenly across rows.  The SISO periodic figure
-    |c (I - exp(AH))^-1 W_H| takes the exp(AH) that the partition's flow
-    formed for its end, H."""
+    """(l1_impulse_gain's estimate off C's rows, the extra rows' L1 norms,
+    every row's zeros on [0, H], the partition's _KernelFlow), from one sign
+    partition of C's rows and ``extra_rows`` on [0, H]; H = 0 partitions
+    nothing and returns no flow (None).  Half the budget goes to the
+    partition, half to the certified tail past H, the tail share split
+    evenly across rows.  The SISO periodic figure |c (I - exp(AH))^-1 W_H|
+    takes the exp(AH) that the partition's flow formed for its end, H, and
+    verify_gain_equality reads its bang-bang switches off the zeros and the
+    flow."""
     if sys.m != 1:
         raise DimensionError("impulse-response integrals require a single input")
     rows = np.vstack((sys.c, extra_rows))
     q, cert = rows.shape[0], sys.certificate
     coef = float(np.max(np.linalg.norm(rows, axis=1))) * cert.m * spectral_norm(sys.b)
     horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
-    ints, roots, lost = np.zeros(q), [np.empty(0)] * q, np.zeros(q)
+    ints, roots, lost, flow = np.zeros(q), [np.empty(0)] * q, np.zeros(q), None
     if horizon > 0.0:
         flow = _KernelFlow(sys, [horizon])
         roots, signed, lost = _sign_partition(flow, rows, tol / 2.0)
@@ -349,7 +352,7 @@ def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
             "roots": [int(r.size) for r in roots[: sys.p]],
             "unresolved_bound": float(lost[: sys.p].sum()),
         },
-    ), ints[sys.p :]
+    ), ints[sys.p :], roots, flow
 
 
 def dc_gain(sys: StateSpaceSystem) -> GainEstimate:
@@ -577,8 +580,18 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
     flow = _KernelFlow(sys, [horizon])
     roots, signed, _ = _sign_partition(flow, sys.c, 1e-12 * scale)
-    zero = bool(signed[0, 0] @ sys.c[0] <= 1e-14 * scale * horizon)
-    lags = roots[0][(roots[0] > 1e-12) & (roots[0] < horizon - 1e-12) & (not zero)]
+    return _bang_bang(sys, flow, roots[0], horizon, signed[0, 0] @ sys.c[0])
+
+
+def _bang_bang(sys, flow: _KernelFlow, roots, horizon: float, integral: float) -> BangBangInput:
+    """bang_bang_switches's input on [0, horizon] from a partition of the
+    kernel c exp(As) b on a flow reaching at least ``horizon``: ``roots`` its
+    increasing zeros, ``integral`` its L1 norm on [0, horizon] or on the
+    flow's longer span (an upper bound).  An integral of at most 1e-14 |c| |b|
+    per unit of horizon marks an identically vanishing kernel."""
+    scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
+    zero = bool(integral <= 1e-14 * scale * horizon)
+    lags = roots[(roots > 1e-12) & (roots < horizon - 1e-12) & (not zero)]
     switches = horizon - lags[::-1]
     # The first sign is the kernel's between its last zero and the horizon.
     mid = 0.5 * (horizon + (lags[-1] if lags.size else 0.0))
@@ -690,7 +703,7 @@ def _onb_bound(sys, random_bases: int, tol: float, seed: int):
     # (l1, onb): the standard basis is l1 itself; the drawn bases ride along.
     draws = np.random.default_rng(seed).standard_normal((random_bases * (sys.p > 1), sys.p, sys.p))
     rows = [np.linalg.qr(g)[0].T @ sys.c for g in draws]
-    l1, ints = _l1_gain(sys, np.reshape(rows, (-1, sys.n)), tol)
+    l1, ints, _, _ = _l1_gain(sys, np.reshape(rows, (-1, sys.n)), tol)
     values = [l1.value, *(float(np.linalg.norm(v)) for v in ints.reshape(-1, sys.p))]
     best = int(np.argmin(values))
     return l1, GainEstimate(

@@ -256,6 +256,12 @@ class _Flow:
         """_orbit of ``z`` over ``count`` strides of 2^level cells."""
         return _orbit(self.powers[level:], z, count)
 
+    def row_orbit(self, r: np.ndarray, count: int, level: int = 0) -> np.ndarray:
+        """r exp(j stride M) for j = 0..count-1 as a (count, n) array, the
+        stride 2^level cells: the _orbit of the row ``r`` over the transposed
+        powers, so a caller reading one row of many orbits walks one."""
+        return _orbit(self.powers[level:].transpose(0, 2, 1), r, count)
+
 
 def _grid_flow(matrix: np.ndarray, h: float, end: float) -> tuple[_Flow, int]:
     """(flow, j): the _Flow of M to ``end`` on cells h / 2^j, j the least with

@@ -15,10 +15,13 @@ to those powers and that series (no ODE discretization error).
 A periodic input needs one period's walk.  From a start state x_k, period k
 records the zero-state outputs of the first period plus the free response
 C exp(A j h) x_k, and x_{k+1} = exp(A period) x_k + x_zs(period): the free
-response is an orbit of the same generator flow from (x_k, 0), and
-exp(A period) is the top-left block of its power exp(G period).  So
-verify_gain_equality walks one of its ten periods, and steady_periodic_state
-reads the periodic start state off the same one-period helper.
+response is the orbit of the output row (C, 0) of the same generator flow,
+applied to (x_k, 0), and exp(A period) is the top-left block of its power
+exp(G period).  So verify_gain_equality walks one of its ten periods and
+one row orbit for all ten, and steady_periodic_state reads the periodic
+start state off the same one-period helper.  verify reads its bang-bang
+input off the sign partition that gave it the gain, so one kernel flow
+serves both.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, SimulationError
-from .gains import bang_bang_switches, l1_impulse_gain
+from .gains import _bang_bang, _checked_tol, _l1_gain, bang_bang_switches
+from .gains import l1_impulse_gain  # noqa: F401  (perfbench's tracing wraps sim.l1_impulse_gain)
 from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _Flow, _grid_flow
 from .quadrature import tail_horizon
 from .signals import (
@@ -231,19 +235,24 @@ def worst_case_periodic_input(
         raise DimensionError("worst-case construction requires a SISO system")
     if not (0.0 < rest_tolerance < 1.0):
         raise ValueError("rest_tolerance must lie in (0, 1)")
-    cert = sys.certificate
-    rest = _rest_length(cert, rest_tolerance)
-    achieved = cert.m * math.exp(-cert.sigma * rest)
-    bang = bang_bang_switches(sys, horizon)
-    signal = PeriodicExtension(base=bang, base_span=horizon, period=horizon + rest)
+    rest = _rest_length(sys.certificate, rest_tolerance)
+    return _periodic_input(sys.certificate, bang_bang_switches(sys, horizon), rest, rest_tolerance)
+
+
+def _periodic_input(
+    cert, bang, rest: float, rest_tolerance: float
+) -> tuple[PeriodicExtension, WorstCaseSpec]:
+    """worst_case_periodic_input's (input, spec) for the bang-bang input
+    ``bang`` followed by ``rest``, the rest length of ``rest_tolerance``."""
+    period = bang.horizon + rest
     spec = WorstCaseSpec(
-        horizon=horizon,
+        horizon=bang.horizon,
         rest=rest,
-        period=horizon + rest,
+        period=period,
         rest_tolerance=rest_tolerance,
-        achieved_decay=achieved,
+        achieved_decay=cert.m * math.exp(-cert.sigma * rest),
     )
-    return signal, spec
+    return PeriodicExtension(base=bang, base_span=bang.horizon, period=period), spec
 
 
 def _rest_length(cert, rest_tolerance: float) -> float:
@@ -317,18 +326,23 @@ def verify_gain_equality(
     (certified tail) and is a whole number of recording steps period / 4096
     (so the output's peaks at horizon + k period are recorded), the rest
     tolerance small enough that inter-period leakage costs at most
-    accuracy/4 each way.  The input runs for 10 periods from rest, recorded
-    without simulating more than the first: each later period's outputs are
-    the first's plus the free response of its start state.  The asymptotic
-    output over the last 5 periods must land in
-    [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol]; failure is reported in
-    the record, not raised.
+    accuracy/4 each way.  The gain gamma and the input's switches come from
+    one sign partition of the kernel on [0, H], H the L1 horizon: a horizon
+    past H (gamma below about tol / accuracy) partitions [0, horizon] anew,
+    as bang_bang_switches does.  The input runs for 10 periods from rest,
+    recorded without simulating more than the first: each later period's
+    outputs are the first's plus the free response of its start state, read
+    off one orbit of the output row.  The asymptotic output over the last 5
+    periods must land in [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol];
+    failure is reported in the record, not raised.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("gain-equality verification requires a SISO system")
     if not (0.0 < accuracy < 1.0):
         raise ValueError("accuracy must lie in (0, 1)")
-    gamma = l1_impulse_gain(sys, tol).value
+    _checked_tol(tol)
+    l1, _, roots, kernel_flow = _l1_gain(sys, sys.c[:0], tol)
+    gamma = l1.value
     cert = sys.certificate
     coef = cert.m * float(np.linalg.norm(sys.b)) * float(np.linalg.norm(sys.c))
     if gamma <= 1e-300:
@@ -351,18 +365,25 @@ def verify_gain_equality(
     rest = _rest_length(cert, rest_tol)
     j = min(math.ceil(_VERIFY_STEPS * horizon / (horizon + rest)), _VERIFY_STEPS - 1)
     horizon = max(horizon, j * rest / (_VERIFY_STEPS - j))
-    signal, spec = worst_case_periodic_input(sys, horizon, rest_tol)
+    if horizon <= l1.details["horizon"]:
+        integral = l1.details["component_integrals"][0]
+        bang = _bang_bang(sys, kernel_flow, roots[0], horizon, integral)
+    else:
+        bang = bang_bang_switches(sys, horizon)
+    signal, spec = _periodic_input(cert, bang, rest, rest_tol)
     # The input repeats every period, so period k's outputs are the zero-state
     # ones plus the free response C exp(A j h) x_k of its start state, with
     # x_0 = 0 and x_{k+1} = exp(A period) x_k + x_zs(period).
     zero_state, e_period, flow, level = _one_period(sys, signal, spec.period, _VERIFY_STEPS)
     x_zs = zero_state.states[-1]
-    starts = np.zeros((flow.matrix.shape[0], _VERIFY_PERIODS + 1))  # columns (x_k, 0)
+    starts = np.zeros((sys.n, _VERIFY_PERIODS + 1))
     for k in range(_VERIFY_PERIODS):
-        starts[: sys.n, k + 1] = e_period @ starts[: sys.n, k] + x_zs
-    free = sys.c @ flow.orbit(starts[:, :-1], _VERIFY_STEPS, level)[:, : sys.n]
-    outputs = zero_state.outputs[:-1] + free[:, 0]
-    norms = np.abs(np.append(outputs.T, sys.c @ starts[: sys.n, -1]))
+        starts[:, k + 1] = e_period @ starts[:, k] + x_zs
+    row = np.zeros(flow.matrix.shape[0])  # (C, 0): the input state adds nothing
+    row[: sys.n] = sys.c[0]
+    free = flow.row_orbit(row, _VERIFY_STEPS, level)[:, : sys.n] @ starts[:, :-1]
+    outputs = zero_state.outputs[:-1] + free
+    norms = np.abs(np.append(outputs.T, sys.c @ starts[:, -1]))
     times = np.arange(norms.size) * zero_state.step
     emp = _measured_gains(times, norms, _VERIFY_PERIODS // 2 * spec.period)
     lower_target = (1.0 - accuracy) * gamma

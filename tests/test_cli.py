@@ -308,17 +308,25 @@ class TestErrors:
         + [("delay-demo", "delay", "--window", v) for v in ("nan", "inf", "0", "-1", "100")]
         + [("delay-demo", "delay", "--step", v) for v in ("nan", "0")]
         + [(c, "osc", "--t-max", v) for c in ("simulate", "worstcase") for v in ("inf", "nan")]
-        + [("simulate", "delay", "--t-max", "nan"), ("worstcase", "osc", "--step", "nan")],
+        + [("simulate", "delay", "--t-max", "nan"), ("worstcase", "osc", "--step", "nan")]
+        + [("verify", "osc", "--accuracy", v) for v in ("nan", "0", "1.5")]
+        + [("worstcase", "osc", "--horizon", v) for v in ("nan", "inf", "0", "-1")]
+        + [("worstcase", "osc", "--tol", "2")]
+        + [(c, "osc", "--t-max", "0.001") for c in ("simulate", "worstcase")],
     )
     def test_bad_grid_flag_named_before_any_work(
         self, oscillator_file, delay_file, capsys, monkeypatch, command, model, flag, value
     ):
         # delay-demo's --t-max used to be reported as a window outside the
-        # duration, simulate's and worstcase's as "t_end", without the flag.
+        # duration, simulate's and worstcase's as "t_end", without the flag;
+        # verify's --accuracy, worstcase's --horizon and --tol, and a --t-max
+        # shorter than one step as the library's own checks saw them.
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the flags were checked")
 
-        for name in ("delay.delay_bounds", "delay._rk4_step_map", "sim.bang_bang_switches"):
+        refused = ("delay.delay_bounds", "delay._rk4_step_map", "sim.bang_bang_switches",
+                   "gains._KernelFlow", "sim.simulate")
+        for name in refused:
             monkeypatch.setattr(f"gainlab.{name}", refuse)
         path = {"osc": oscillator_file, "delay": delay_file}[model]
         assert main([command, path, f"{flag}={value}"]) == 1

@@ -16,6 +16,7 @@ from gainlab import (
     bang_bang_switches,
     empirical_gains,
     evaluate,
+    l1_impulse_gain,
     mat_exp,
     max_terminal_output,
     simulate,
@@ -23,7 +24,7 @@ from gainlab import (
     verify_gain_equality,
     worst_case_periodic_input,
 )
-from gainlab import linalg, sim
+from gainlab import gains, linalg, sim
 from gainlab.signals import iter_segments as signal_segments
 from gainlab_testkit import (
     full_recording_gains,
@@ -495,6 +496,59 @@ class TestVerifyGainEquality:
         full = full_recording_gains(sys, record)
         assert record.sup_gain == pytest.approx(full.sup_gain, rel=1e-13, abs=0.0)
         assert record.asymptotic_gain == pytest.approx(full.asymptotic_gain, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-10])
+    def test_horizon_past_the_l1_horizon(self, scale):
+        # C scaled down takes gamma below about tol / accuracy, so verify's
+        # horizon passes the L1 horizon and verify partitions [0, horizon]
+        # anew, as bang_bang_switches does.
+        base = verify_model("random-0", None)
+        sys = StateSpaceSystem(a=base.a, b=base.b, c=base.c * scale)
+        record = verify_gain_equality(sys, accuracy=0.02)
+        assert record.horizon > l1_impulse_gain(sys, 1e-9).details["horizon"]
+        assert record.passed
+        full = full_recording_gains(sys, record)
+        assert record.sup_gain == pytest.approx(full.sup_gain, rel=1e-13, abs=0.0)
+        assert record.asymptotic_gain == pytest.approx(full.asymptotic_gain, rel=1e-13, abs=0.0)
+
+    def test_one_kernel_flow_and_one_output_row_orbit(self, monkeypatch):
+        # The gain and the bang-bang switches come off one kernel flow (two
+        # _expm stacks: its powers and its end), the period's generator flow
+        # is the third, and the ten periods' free outputs are one orbit of
+        # the output row, not an orbit of ten columns of states.
+        sys = verify_model("random-0", None)
+        flows, calls, orbits, rows = [], [], [], []
+        original_expm, original_orbit = linalg._expm, linalg._Flow.orbit
+        original_row_orbit = linalg._Flow.row_orbit
+
+        class CountingFlow(gains._KernelFlow):
+            def __init__(self, *args):
+                flows.append(args[1])
+                super().__init__(*args)
+
+        def counting_expm(m):
+            calls.append(m.shape)
+            return original_expm(m)
+
+        def recording_orbit(flow, z, count, level=0):
+            orbits.append(z.shape)
+            return original_orbit(flow, z, count, level)
+
+        def recording_row_orbit(flow, r, count, level=0):
+            out = original_row_orbit(flow, r, count, level)
+            rows.append(out.shape)
+            return out
+
+        monkeypatch.setattr(gains, "_KernelFlow", CountingFlow)
+        monkeypatch.setattr(linalg, "_expm", counting_expm)
+        monkeypatch.setattr(linalg._Flow, "orbit", recording_orbit)
+        monkeypatch.setattr(linalg._Flow, "row_orbit", recording_row_orbit)
+        record = verify_gain_equality(sys, accuracy=0.02)
+        monkeypatch.undo()
+        assert record.passed
+        assert len(flows) == 1 and len(calls) == 3
+        assert rows == [(4096, sys.n + 1)]
+        assert orbits and all(len(shape) == 1 for shape in orbits)
 
     def test_walks_the_segments_of_one_period(self, monkeypatch):
         # Ten periods of random-0's input are 375 segments; verify walks the
