@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         else:
             _sys.stdout.write(text)
         return code
-    except (GainlabError, ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (GainlabError, ValueError, OSError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"gainlab: error: {exc}", file=_sys.stderr)
         return 1
 

@@ -15,7 +15,8 @@ a strong consistency check for the integrator.
 Simulation is classical RK4 with the distributed term J handled by a
 composite trapezoid rule over the stored z history (linear interpolation at
 half steps), its weighted kernels h w_j exp(A j h) B taken once as one
-orbit of B under a linalg._Flow of A.  Everything a step reads is stored
+orbit of B under a linalg._Flow of A, and exp(A tau) as that flow's ladder
+(delay_bounds walks a flow of A too).  Everything a step reads is stored
 before it starts, so one linear RK4 step map serves every input on one
 grid: the history window folds into one matrix on the stored z rows and the
 input drive is evaluated in blocks of the grid.  The resulting recurrence
@@ -40,8 +41,6 @@ from .gains import _checked_tol
 from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
-    _expm,
-    _expm_times,
     _grid_flow,
     _spectral_norms,
     as_matrix,
@@ -176,13 +175,14 @@ class DelayTrajectory:
     exp_a_tau: np.ndarray = field(repr=False)
 
 
-def _weighted_kernels(sys: DelayPredictorSystem, h: float, steps: int) -> np.ndarray:
-    """Trapezoid-weighted kernels h w_j exp(A j h) B for j = 0..steps, where
-    w_j is 1/2 at both ends and 1 inside: one orbit of B's columns."""
+def _weighted_kernels(sys, h: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(kernels, exp(A tau)): trapezoid-weighted kernels h w_j exp(A j h) B
+    for j = 0..steps, w_j 1/2 at both ends and 1 inside, one orbit of B's
+    columns, and the same flow's ladder of tau = steps h, steps 2^level cells."""
     flow, level = _grid_flow(sys.a, h, steps * h)
     kernels = h * flow.orbit(sys.b, steps + 1, level)
     kernels[[0, -1]] *= 0.5
-    return kernels
+    return kernels, flow.ladder(steps << level, np.eye(sys.n))
 
 
 def _history_steps(tau: float, h: float) -> int:
@@ -331,8 +331,7 @@ def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _Step
 
     # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
     # sums the weighted samples z(t - j h), j >= 1; the j = 0 term is in lin.
-    kernels = _weighted_kernels(sys, h, hist_steps)
-    exp_a_tau = _expm(sys.a * sys.tau)
+    kernels, exp_a_tau = _weighted_kernels(sys, h, hist_steps)
     x, e0, eh, e1 = (np.eye(d, 4 * d, j * d) for j in range(4))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if it overflows
         k_amu = sys.k @ (sys.a + sys.mu * np.eye(n))
@@ -525,21 +524,22 @@ def delay_bounds(sys: DelayPredictorSystem, quad_tol: float = 1e-8) -> DelayBoun
 
     With phi(s) = |B K exp(A s) G| and r(s) = |exp(A s) G| (spectral norms),
     the asymptotic bound is (M / sigma) (|G| + int_0^tau phi + phi(tau) / mu)
-    and the sup bound adds M int_0^tau r for the initial transient.
+    and the sup bound adds M int_0^tau r for the initial transient.  The
+    Simpson nodes and exp(A tau) come off one linalg._Flow of A on [0, tau].
     """
     _checked_tol(quad_tol, "quad_tol")
     cert = sys.certificate
     bk = sys.b @ sys.k
-    a_mat, g_mat = sys.a, sys.g
+    flow = _grid_flow(sys.a, sys.tau, sys.tau)[0]  # tau is 2^level cells
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        eg = _expm_times(a_mat, s, g_mat)
+        eg = flow.advance(sys.g, s)
         return np.stack((_spectral_norms(bk @ eg), _spectral_norms(eg)), axis=1)
 
     ints = simpson_panels(integrand, [0.0, sys.tau], quad_tol)[0]
     phi_int, r_int = float(ints[0]), float(ints[1])
-    phi_tau = spectral_norm(bk @ _expm(a_mat * sys.tau) @ g_mat)
-    g_norm = spectral_norm(g_mat)
+    phi_tau = spectral_norm(bk @ flow.powers[-1] @ sys.g)
+    g_norm = spectral_norm(sys.g)
     oag = (cert.m / cert.sigma) * (g_norm + phi_int + phi_tau / sys.mu)
     ios = oag + cert.m * r_int
     return DelayBoundReport(

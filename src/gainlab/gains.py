@@ -22,9 +22,9 @@ partition of the kernel at its zeros, C's rows and the ONB bases' in one;
 adaptive Simpson is left for the multi-input ascent's vector-norm integrand.
 Each caller builds one kernel flow (_KernelFlow, a linalg._Flow of A) on its
 grid and partitions its rows on it: the flow alone holds what the partition
-takes from the system (A, b, n, the certificate's M), its exponentials at
-the ends (the SISO periodic figures' exp(AT)) and its orbit powers, and the
-Taylor stack of its base cell, formed on first use.
+takes from the system (A, b, n, the certificate's M), its one stack of orbit
+powers, whose ladder gives exp(A) at the last end (the SISO periodic
+figures' exp(AT)), and the Taylor stack of its base cell, formed on first use.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
@@ -48,9 +48,8 @@ from .linalg import (
     StabilityCertificate,
     StateSpaceSystem,
     StructureFlags,
-    _expm_stack,
-    _expm_times,
     _Flow,
+    _grid_flow,
     spectral_norm,
     structure_flags,
 )
@@ -132,15 +131,16 @@ class _KernelFlow(_Flow):
     matrix), b, n and the certificate's M, not the system, so it is the one
     object that holds the partition's state coordinates.
 
-    It is the _Flow of A on ``count`` cells up to ends[-1]; of its own it
-    holds A^0..A^5, the logarithmic norm mu of A, exp(A ends[-1]) and the
-    states y = A^-1 exp(As) b at s = 0 and at each end.  A block's lead is a
-    row of the orbit at the block's stride, a product of at most
-    log2(blocks) powers (one carried from the last block by one fixed
-    exponential drifts into rounding noise, and false zeros, where the
-    kernel underflows).  A halving or a zero steps inside a cell by the
-    Taylor stack, so a partition whose cells all clear their tests never
-    forms it.
+    It is the _Flow of A on ``count`` cells up to ends[-1], whose power
+    stack is its one matrix exponential; of its own it holds A^0..A^5, the
+    logarithmic norm mu of A, exp(A ends[-1]) (the ladder of ``count``
+    cells) and the states y = A^-1 exp(As) b at s = 0 and at each end (the
+    earlier ends off one array advance).  A block's lead is a row of the
+    orbit at the block's stride, a product of at most log2(blocks) powers
+    (one carried from the last block by one fixed exponential drifts into
+    rounding noise, and false zeros, where the kernel underflows).  A
+    halving or a zero steps inside a cell by the Taylor stack, so a
+    partition whose cells all clear their tests never forms it.
     """
 
     def __init__(self, sys: StateSpaceSystem, ends):
@@ -152,12 +152,8 @@ class _KernelFlow(_Flow):
         self.mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
         self.count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
         super().__init__(a, t_end / self.count, t_end)
-        # exp(A e) b in _expm_times's stacks, keeping the last exp(A e) whole.
-        chunk, x_ends = max(1, _STACK_ENTRIES // a.size), np.empty((self.ends.size, self.n))
-        for start in range(0, self.ends.size, chunk):
-            exps = _expm_stack(a, self.ends[start : start + chunk])
-            x_ends[start : start + chunk] = (exps @ b)[:, :, 0]
-        self.exp_end = exps[-1]
+        self.exp_end = self.ladder(self.count, np.eye(self.n))
+        x_ends = np.vstack((self.advance(b[:, 0], self.ends[:-1]), self.exp_end @ b[:, 0]))
         self.y_ends = np.linalg.solve(a, x_ends.T).T
         self.y_start = np.linalg.solve(a, b).T
 
@@ -318,7 +314,7 @@ def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
     nothing and returns no flow (None).  Half the budget goes to the
     partition, half to the certified tail past H, the tail share split
     evenly across rows.  The SISO periodic figure |c (I - exp(AH))^-1 W_H|
-    takes the exp(AH) that the partition's flow formed for its end, H, and
+    takes exp(AH) off the partition's flow, the ladder to its end H, and
     verify_gain_equality reads its bang-bang switches off the zeros and the
     flow."""
     if sys.m != 1:
@@ -446,8 +442,9 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     # d'C exp(As) b out to the last horizon, each pair reading its terminal
     # state at its own horizon.  Each iterate is feasible, so the best value
     # seen per horizon is a valid lower estimate whatever the iteration does.
-    # Every step partitions on one kernel flow over the horizons.
-    flow = _KernelFlow(sys, horizons) if sys.m == 1 else None
+    # Every step walks one flow to the last horizon (with several inputs, A's).
+    end = horizons[-1]
+    flow = _KernelFlow(sys, horizons) if sys.m == 1 else _grid_flow(sys.a, end, end)[0]
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((restarts, sys.p))
     starts = [*np.eye(sys.p), *(v / np.linalg.norm(v) for v in draws)]
@@ -461,7 +458,8 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
             signed = _sign_partition(flow, d[live] @ sys.c, tol)[1]
             x = signed[horizon_of[live], np.arange(live.size)]
         else:
-            x = np.array([_aligned_terminal(sys, horizons[horizon_of[j]], d[j], tol)[1:] for j in live])
+            x = [_aligned_terminal(sys, flow, horizons[horizon_of[j]], d[j], tol) for j in live]
+            x = np.array(x)[:, 1:]
         y = x @ sys.c.T
         value = np.linalg.norm(y, axis=1)
         up = value > best[live]
@@ -477,15 +475,14 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     return best[pick], best_dir[pick]
 
 
-def _aligned_terminal(sys, horizon, d, tol):
-    # Integrates [|v(s)|, exp(A (horizon - s)) B v(s) / |v(s)|] with
-    # v(s) = B' exp(A' (horizon - s)) C' d, the input aligned with d, for
-    # several inputs (one input takes the sign partition instead).
-    a, b, c = sys.a, sys.b, sys.c
-    ctd = c.T @ d
+def _aligned_terminal(sys, flow, horizon, d, tol):
+    # Integrates [|v(s)|, exp(A (horizon - s)) B v(s) / |v(s)|], read off
+    # ``flow``, with v(s) = B' exp(A' (horizon - s)) C' d, the input aligned
+    # with d, for several inputs (one input takes the sign partition instead).
+    b, ctd = sys.b, sys.c.T @ d
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        eb = _expm_times(a, horizon - s, b)
+        eb = flow.advance(b, horizon - s)
         v = np.swapaxes(eb, 1, 2) @ ctd
         nv = np.linalg.norm(v, axis=1)
         out = np.zeros((s.size, 1 + sys.n))

@@ -2,13 +2,14 @@
 
 Everything downstream (gain estimates, simulation, delay bounds) is built on
 the handful of operations in this module: a scaling-and-squaring matrix
-exponential, the one flow object _Flow (exp(t M) by a ladder of powers
-exp(2^i c M) over cells c with ||c M||_1 <= 1/2, and the Taylor series of a
-cell, one stack of scaled powers read by one product), a Kronecker-product
-Lyapunov solver, and the decay certificate (M, sigma) read off its
-solution.  Positive-definiteness probes, symmetric eigendecompositions and
-spectral norms go to LAPACK through numpy.linalg.  Matrices are plain
-float64 ndarrays throughout.
+exponential, taken only by the public mat_exp and by the one flow object
+_Flow (exp(t M) at one time or many by a ladder of powers exp(2^i c M) over
+cells c with ||c M||_1 <= 1/2, and the Taylor series of a cell, one stack of
+scaled powers read by one product), a Kronecker-product Lyapunov solver,
+and the decay certificate (M, sigma) read off its solution.
+Positive-definiteness probes, symmetric eigendecompositions and spectral
+norms go to LAPACK through numpy.linalg.  Matrices are plain float64
+ndarrays throughout.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ _PADE13 = (
     1.0,
 )
 _PADE13_THETA = 5.371920351148152
-# Matrix entries per stack handed to _expm by _expm_times: k = 65536 // n^2
-# matrices of n-by-n, about 0.5 MB per intermediate.
+# Entries a batched intermediate holds (orbit rows, an array advance's
+# Taylor terms, rescaled resolvents), about 0.5 MB of float64.
 _STACK_ENTRIES = 65536
 # Largest simulation grid, and the most base cells a terminal-output
 # partition may cut a caller's horizon into.  verify's 40,960 steps are the
@@ -151,35 +152,14 @@ def _pade13(m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def _expm_stack(a: np.ndarray, s) -> np.ndarray:
-    """exp(s_k a) for every entry s_k of ``s``, as one (k, n, n) _expm stack."""
-    return _expm(a * np.asarray(s, dtype=float).reshape(-1)[:, None, None])
-
-
-def _expm_times(a: np.ndarray, s, b: np.ndarray) -> np.ndarray:
-    """exp(s_k a) @ b for every entry s_k of ``s``, as a (k, n, m) array.
-
-    The exponentials are formed in stacks of at most _STACK_ENTRIES // n^2
-    matrices: peak memory does not grow with k, and larger stacks ran
-    slower than one matrix at a time once n reached a few tens.
-    """
-    s = np.asarray(s, dtype=float).reshape(-1)
-    n = a.shape[0]
-    chunk = max(1, _STACK_ENTRIES // (n * n))
-    out = np.empty((s.size, n, b.shape[1]))
-    for start in range(0, s.size, chunk):
-        out[start : start + chunk] = _expm_stack(a, s[start : start + chunk]) @ b
-    return out
-
-
 def _orbit(powers: np.ndarray | list[np.ndarray], v: np.ndarray, count: int) -> np.ndarray:
     """exp(j step a) v for j = 0..count-1, stacked along a new first axis:
     ``v`` one vector, giving (count, n), or an (n, k) matrix whose columns
     each walk the orbit, giving (count, n, k).
 
     ``powers`` holds exp(2^i step a) for i = 0, 1, ..., at least
-    (count - 1).bit_length() of them (one _expm_stack of step * 2^i), so
-    callers that walk one orbit in many pieces form them once.  Row j is the
+    (count - 1).bit_length() of them (a _Flow's powers), so callers that
+    walk one orbit in many pieces form them once.  Row j is the
     product of the powers named by the binary digits of j: each power
     doubles the rows filled, so no row carries more than log2(count)
     products.
@@ -224,14 +204,14 @@ class _Flow:
     """The flow exp(t M) of a square M for 0 <= t <= ``end`` on cells of
     width ``cell``, ||cell M||_1 <= 1/2 (the caller's choice), walked by the
     gains partition, the simulator and the delay kernels alike: the powers
-    exp(2^i cell M) for 2^i up to end / cell cells, in one _expm_stack, and
+    exp(2^i cell M) for 2^i up to end / cell cells, in one _expm stack, and
     the cell's Taylor ``stack``, formed on first use (a flow walked only on
     multiples of its cell never forms it)."""
 
     def __init__(self, matrix: np.ndarray, cell: float, end: float):
         self.matrix, self.cell = matrix, cell
         cells = int(end / cell + 0.5)
-        self.powers = _expm_stack(matrix, cell * 2.0 ** np.arange(cells.bit_length()))
+        self.powers = _expm(matrix * (cell * 2.0 ** np.arange(cells.bit_length()))[:, None, None])
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -241,16 +221,36 @@ class _Flow:
         """exp(s cell M) x by _cell_flow, for s in [-1, 1] (or one s per row of x)."""
         return _cell_flow(self.stack, s, x)
 
-    def advance(self, z: np.ndarray, t: float) -> np.ndarray:
-        """exp(t M) z for 0 <= t <= end, ``z`` one vector: the powers named
-        by the binary digits of t // cell, lowest first, then one Taylor
-        product over the remainder."""
-        cells, rest = divmod(t, self.cell)
-        cells = int(cells)
+    def ladder(self, cells: int, z: np.ndarray) -> np.ndarray:
+        """exp(cells cell M) z for a whole number of cells (z = I gives the
+        matrix): the powers named by the binary digits of ``cells``, lowest first."""
         for i in range(cells.bit_length()):
             if cells >> i & 1:
                 z = self.powers[i] @ z
-        return self.taylor(rest / self.cell, z) if rest else z
+        return z
+
+    def advance(self, z: np.ndarray, t) -> np.ndarray:
+        """exp(t M) z for 0 <= t <= end, ``z`` one vector or an (n, k) matrix
+        of columns: the ladder of t // cell, then one Taylor product over the
+        remainder.  A 1-d ndarray of times stacks the results on a new first
+        axis: one masked product per binary digit of t // cell, then Taylor
+        products in blocks of at most _STACK_ENTRIES terms, each time's
+        columns taken as rows."""
+        if not isinstance(t, np.ndarray):
+            cells, rest = divmod(t, self.cell)
+            z = self.ladder(int(cells), z)
+            return self.taylor(rest / self.cell, z) if rest else z
+        cells, rest = np.divmod(t, self.cell)
+        cells, rows = cells.astype(np.int64), np.repeat(z.T[None], cells.size, axis=0)
+        for i in range(int(cells.max(initial=0)).bit_length()):
+            on = (cells >> i & 1).astype(bool)
+            rows[on] = rows[on] @ self.powers[i].T
+        if rest.any():
+            s = (rest / self.cell).reshape(-1, *(1,) * (z.ndim - 1))
+            block = max(1, _STACK_ENTRIES // (_CELL_TERMS * z.size))
+            for lo in range(0, cells.size, block):
+                rows[lo : lo + block] = self.taylor(s[lo : lo + block], rows[lo : lo + block])
+        return rows.swapaxes(1, -1)
 
     def orbit(self, z: np.ndarray, count: int, level: int = 0) -> np.ndarray:
         """_orbit of ``z`` over ``count`` strides of 2^level cells."""

@@ -67,8 +67,10 @@ class Sinusoid:
         norm = np.linalg.norm(d)
         if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
             raise ValueError("direction must have unit Euclidean norm")
-        if not (self.omega > 0):
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
+        if not np.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
         object.__setattr__(self, "direction", d)
 
 
@@ -114,8 +116,8 @@ class PeriodicExtension:
     def __post_init__(self) -> None:
         if not (self.base_span >= 0):
             raise ValueError("base_span must be nonnegative")
-        if not (self.period >= self.base_span) or self.period <= 0:
-            raise ValueError("period must be positive and >= base_span")
+        if not (self.base_span <= self.period < np.inf) or self.period <= 0:
+            raise ValueError("period must be finite, positive and >= base_span")
 
 
 InputSignal = Union[Zero, Constant, Sinusoid, BangBangInput, PeriodicExtension]

@@ -26,8 +26,7 @@ from gainlab.linalg import (
     _cell_flow,
     _cell_stack,
     _expm,
-    _expm_stack,
-    _expm_times,
+    _grid_flow,
     _orbit,
     spectral_norm,
 )
@@ -42,6 +41,22 @@ from gainlab.sim import (
     _generator,
     _grid_steps,
 )
+
+
+def expm_stack(a, s):
+    """exp(s_k a) for every entry s_k of ``s``, as one (k, n, n) linalg._expm
+    stack: the reference exponentials of the kernel integrals below."""
+    return _expm(a * np.asarray(s, dtype=float).reshape(-1)[:, None, None])
+
+
+def expm_times(a, s, b):
+    """exp(s_k a) @ b for every entry s_k of ``s``, as a (k, n, m) array, in
+    expm_stack stacks of at most _STACK_ENTRIES // n^2 matrices."""
+    s = np.asarray(s, dtype=float).reshape(-1)
+    chunk, out = max(1, _STACK_ENTRIES // a.size), np.empty((s.size, a.shape[0], b.shape[1]))
+    for i in range(0, s.size, chunk):
+        out[i : i + chunk] = expm_stack(a, s[i : i + chunk]) @ b
+    return out
 
 
 def random_hurwitz_matrix(rng, n_max=5, abscissa=-0.2, scale=2.0, n=None):
@@ -158,7 +173,7 @@ def reference_impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
         return np.zeros(q), 0.0
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return np.abs(rows @ _expm_times(a, s, b))[:, :, 0]
+        return np.abs(rows @ expm_times(a, s, b))[:, :, 0]
 
     return simpson_panels(integrand, [0.0, horizon], tol / 2.0)[0], horizon
 
@@ -187,7 +202,7 @@ def reference_bang_bang_switches(
     a, b, c = sys.a, sys.b, sys.c
     step = horizon / (samples - 1)
     # g_j = C exp(A j step) B on the lag grid; the kernel at s is g(horizon-s).
-    powers = _expm_stack(a, step * 2.0 ** np.arange((samples - 1).bit_length()))
+    powers = expm_stack(a, step * 2.0 ** np.arange((samples - 1).bit_length()))
     g = _orbit(powers, b[:, 0], samples) @ c[0]
     kernel = g[::-1]  # kernel[i] = g(horizon - s_i) on the s grid
     scale = spectral_norm(c) * spectral_norm(b)
@@ -207,7 +222,7 @@ def reference_bang_bang_switches(
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        fmid = (c @ _expm_times(a, horizon - mid, b)).reshape(-1)
+        fmid = (c @ expm_times(a, horizon - mid, b)).reshape(-1)
         same = (fmid >= 0.0) == (flo[live] >= 0.0)
         lo[live[same]] = mid[same]
         flo[live[same]] = fmid[same]
@@ -238,7 +253,7 @@ def reference_aligned_terminal(sys, horizon, d, tol):
     ctd = c.T @ d
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        eb = _expm_times(a, horizon - s, b)
+        eb = expm_times(a, horizon - s, b)
         v = np.swapaxes(eb, 1, 2) @ ctd
         nv = np.linalg.norm(v, axis=1)
         out = np.zeros((s.size, 1 + sys.n))
@@ -254,9 +269,10 @@ def aligned_terminal(sys, horizon, d, tol):
     """[d'C x, x] for x the terminal state at ``horizon`` under the input
     aligned with d: with one input v(horizon - r) = d'C exp(Ar) b is a scalar
     kernel, and x its signed state integral over one sign partition;
-    several inputs take ``gains._aligned_terminal``'s Simpson integral."""
+    several inputs take ``gains._aligned_terminal``'s Simpson integral on a
+    flow of A to ``horizon``."""
     if sys.m != 1:
-        return gains._aligned_terminal(sys, horizon, d, tol)
+        return gains._aligned_terminal(sys, _grid_flow(sys.a, horizon, horizon)[0], horizon, d, tol)
     ctd = sys.c.T @ d
     x = gains._sign_partition(gains._KernelFlow(sys, [horizon]), ctd[None], tol)[1][0, 0]
     return np.concatenate(([ctd @ x], x))
@@ -314,11 +330,11 @@ def reference_periodic_values(sys, t_grid, tol):
     horizons = np.asarray(list(t_grid), dtype=float)
     a, b, c = sys.a, sys.b, sys.c
     values = []
-    for t_per, e_t in zip(horizons, _expm_times(a, horizons, np.eye(sys.n))):
+    for t_per, e_t in zip(horizons, expm_times(a, horizons, np.eye(sys.n))):
         cmod = np.linalg.solve((e_t - np.eye(sys.n)).T, c.T).T
 
         def integrand(s: np.ndarray, cmod=cmod) -> np.ndarray:
-            return np.linalg.norm((cmod @ _expm_times(a, s, b))[:, :, 0], axis=1)
+            return np.linalg.norm((cmod @ expm_times(a, s, b))[:, :, 0], axis=1)
 
         values.append(float(simpson_panels(integrand, [0.0, float(t_per)], tol)[0]))
     return values
@@ -570,7 +586,7 @@ def segmentwise_simulate(sys, signal, x0, t_end, h):
         j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(g, 1)) * h)))
         cell = h / 2.0**j
         longest = max(seg.end, times[stop - 1]) - seg.start
-        ladder = _expm_stack(g, cell * 2.0 ** np.arange(int(longest / cell + 1.0).bit_length()))
+        ladder = expm_stack(g, cell * 2.0 ** np.arange(int(longest / cell + 1.0).bit_length()))
         stack = _cell_stack(g * cell)
 
         def flow(t):

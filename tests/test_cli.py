@@ -19,7 +19,7 @@ from gainlab import (
     vcurve,
     worst_case_periodic_input,
 )
-from gainlab import cli
+from gainlab import cli, linalg
 from gainlab.cli import main
 from gainlab.delay import _history_steps
 from gainlab.modelio import parse_system
@@ -366,6 +366,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("gainlab: error: ") and err.count("\n") == 1
         assert "step map overflows" in err and "--step" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "delay-demo"])
+    def test_overflowing_exponential_exit_1(self, tmp_path, capsys, command):
+        # A + BK = -1 is Hurwitz, so the file is valid, but exp(A tau) = e^1000
+        # is not a double: that used to end in an OverflowError traceback.
+        model = {"A": [[1.0]], "B": [[1.0]], "K": [[-2.0]], "G": [[1.0]], "tau": 1000.0, "mu": 1.0}
+        path = tmp_path / "long-delay.json"
+        path.write_text(json.dumps(model))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gainlab: error: matrix exponential overflowed double precision\n"
 
     @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
     @pytest.mark.parametrize("step", ["5e-7", "5e-8"])
@@ -786,6 +798,23 @@ class TestDelayDemo:
 
     def test_standard_file_rejected(self, scalar_file, capsys):
         assert main(["delay-demo", scalar_file]) == 1
+
+    def test_one_expm_stack_per_flow(self, delay_file, capsys, monkeypatch):
+        # The bounds' flow of A on [0, tau] gives every Simpson node and
+        # exp(A tau); the step map's flow gives the kernels and its own
+        # exp(A tau): two _expm stacks, where each Simpson level and each
+        # exp(A tau) used to form one (seven calls on this file).
+        calls = []
+        original = linalg._expm
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(linalg, "_expm", counting)
+        assert main(["delay-demo", delay_file]) == 0
+        assert json.loads(capsys.readouterr().out)["all_within_oag"] is True
+        assert len(calls) == 2
 
 
 class TestCsvCommandsMatchReference:

@@ -494,7 +494,7 @@ class TestDelayBounds:
             raise AssertionError("computation reached")
 
         monkeypatch.setattr(delaymod, "simpson_panels", refuse)
-        monkeypatch.setattr(delaymod, "_expm", refuse)
+        monkeypatch.setattr(linalg, "_expm", refuse)
         for tol in (math.inf, math.nan, True, 0, 0.0, -1e-6, "1e-6"):
             with pytest.raises(ValueError, match="^quad_tol must be finite and positive, got "):
                 delay_bounds(scalar_delay, quad_tol=tol)

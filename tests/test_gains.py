@@ -35,6 +35,7 @@ from gainlab_testkit import (
     damped_oscillator,
     damped_oscillator_l1,
     eigenbasis_sinusoid_response,
+    expm_times,
     heat_system,
     oscillator_kernel,
     quad_kernel_integrals,
@@ -136,7 +137,7 @@ def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
         return original(m)
 
     original = linalg._expm
-    # gains reaches _expm only through linalg (_expm_times, _orbit).
+    # gains reaches _expm only through linalg (each _Flow's power stack).
     monkeypatch.setattr(linalg, "_expm", counting)
     est = l1_impulse_gain(oscillator)
     assert 0 < len(calls) <= 22
@@ -379,7 +380,7 @@ def test_l1_figure_ignores_state_coordinates(tol, p):
             flow = gains._KernelFlow(sys, [est.details["horizon"]])
             roots = gains._sign_partition(flow, sys.c, tol / 2.0)[0]
             assert [t.size for t in roots] == est.details["roots"]
-            norms = [np.linalg.norm(linalg._expm_times(a, t, b)[:, :, 0], axis=1) for t in roots]
+            norms = [np.linalg.norm(expm_times(a, t, b)[:, :, 0], axis=1) for t in roots]
             estimates.append(est)
             counts.append([int(np.sum(x >= 1e-300)) for x in norms])
         base, moved = estimates
@@ -886,11 +887,11 @@ class TestVCurve:
         assert 0 < len(calls) <= 40
 
     def test_ascent_expm_calls(self, monkeypatch):
-        # The ascent's steps share one kernel flow, whose end stack and orbit
-        # powers are its only exponentials: formed once, not per step and
-        # block (3,412 calls when each block formed its own; 43 while the
-        # flow formed block leads and halving steps, and the zeros' polish
-        # one stack per iteration).
+        # The ascent's steps share one kernel flow, whose orbit powers are
+        # its only exponential stack: formed once, not per step and block
+        # (3,412 calls when each block formed its own; 43 while the flow
+        # formed block leads and halving steps, and the zeros' polish one
+        # stack per iteration; 2 while the flow formed its ends' own stack).
         calls = []
         original = linalg._expm
 
@@ -900,7 +901,7 @@ class TestVCurve:
 
         monkeypatch.setattr(linalg, "_expm", counting)
         vcurve(identity_output_oscillator(10.0, 1.0), np.linspace(0.5, 20.0, 40), tol=1e-8)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_shared_flow_partitions_bit_for_bit(self):
         # Row sets of changing size, so of changing block length, partitioned

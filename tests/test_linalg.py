@@ -23,7 +23,7 @@ from gainlab import (
     symmetric_eigen,
 )
 from gainlab import linalg
-from gainlab_testkit import random_hurwitz_matrix
+from gainlab_testkit import expm_stack, random_hurwitz_matrix
 
 
 class TestMatExp:
@@ -84,11 +84,13 @@ class TestMatExp:
             np.testing.assert_array_equal(linalg._expm(mixed)[3], np.eye(n))
 
     def test_stack_kernel_matches_one_by_one(self):
+        # The array advance of a _Flow of A to 30: 5000 times, more than one
+        # block of Taylor products.
         rng = np.random.default_rng(23)
         a = random_hurwitz_matrix(rng, n=4, abscissa=-0.2)
         b = rng.standard_normal((4, 2))
-        s = np.linspace(0.0, 30.0, 5000)  # more than one stack of 65536 // 16
-        stacked = linalg._expm_times(a, s, b)
+        s = np.linspace(0.0, 30.0, 5000)
+        stacked = linalg._grid_flow(a, 30.0, 30.0)[0].advance(b, s)
         assert stacked.shape == (s.size, 4, 2)
         for k in (0, 1, 4095, 4096, 4999):
             np.testing.assert_allclose(
@@ -102,7 +104,7 @@ class TestMatExp:
         # Walked by _orbit on its own power stack and by a _Flow to the
         # orbit's end.
         g, v = flow_generator()
-        powers = linalg._expm_stack(g, 0.05 * 2.0 ** np.arange((count - 1).bit_length()))
+        powers = expm_stack(g, 0.05 * 2.0 ** np.arange((count - 1).bit_length()))
         ref = np.array([scipy.linalg.expm(j * 0.05 * g) @ v for j in range(count)])
         by_flow = linalg._Flow(g, 0.05, 0.05 * (count - 1)).orbit(v, count)
         for rows in linalg._orbit(powers, v, count), by_flow:
@@ -190,6 +192,37 @@ class TestFlow:
             np.testing.assert_allclose(rows[j], e @ v, rtol=0, atol=1e-13 * scale)
             np.testing.assert_allclose(cols[j], e @ columns, rtol=0, atol=1e-13 * scale)
 
+    @pytest.mark.parametrize("columns", [0, 2])
+    def test_array_advance_meets_scipy_expm(self, columns):
+        # One call at t = 0, inside the first cell, at whole cells, off the
+        # cell grid and at the end time, of a vector and of two columns.
+        flow, g, v = self.flow()
+        z = v if not columns else np.stack((v, -2.0 * v[::-1]), axis=1)
+        c = flow.cell
+        times = np.array([0.0, c / 3.0, c, 4.0 * c, 11.0 * c, 11.6 * c, 36.2 * c, 37.0 * c])
+        got = flow.advance(z, times)
+        assert got.shape == (times.size, *z.shape)
+        for t, row in zip(times, got):
+            ref = scipy.linalg.expm(t * g) @ z
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        np.testing.assert_array_equal(got[0], z)
+        assert flow.advance(z, times[:0]).shape == (0, *z.shape)
+
+    def test_ladder_meets_scipy_expm(self):
+        # A flow whose end is count = 14,552 cells of a non-binary width:
+        # float divmod of the end time gives 14,551 cells and a remainder
+        # just short of one, the integer ladder exactly count cells.
+        g, v = flow_generator()
+        count = 14552
+        flow = linalg._Flow(g, 1.0 / count, 1.0)
+        assert divmod(1.0, flow.cell)[0] == count - 1
+        ref = scipy.linalg.expm(g)
+        for z in np.eye(5), v:
+            got, want = flow.ladder(count, z), ref @ z
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        np.testing.assert_array_equal(flow.ladder(0, v), v)
+        assert "stack" not in vars(flow)
+
     def test_grid_walk_forms_no_taylor_stack(self):
         # Orbits and advances by whole cells take powers alone; the first
         # advance off the grid forms the cell's Taylor stack.
@@ -204,13 +237,42 @@ class TestFlow:
 
 def test_ladder_and_taylor_code_only_in_linalg():
     # gains, sim and delay walk every flow through linalg._Flow: none of
-    # them imports the orbit, cell stack or cell flow primitives.
+    # them imports the orbit, cell stack or cell flow primitives, nor any
+    # matrix exponential of linalg's own.
     primitives = {"_orbit", "_cell_stack", "_cell_flow"}
     for name in ("gains", "sim", "delay"):
         tree = ast.parse(Path(linalg.__file__).with_name(f"{name}.py").read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "linalg":
-                assert not primitives & {alias.name for alias in node.names}, name
+                names = {alias.name for alias in node.names}
+                assert not primitives & names, name
+                assert not any(n.startswith("_expm") for n in names), name
+
+
+def test_expm_called_only_by_flows_and_mat_exp():
+    # One way to form exp(tA): _expm's only callers in the package, besides
+    # its own recursion on one matrix, are _Flow's power stack and the public
+    # mat_exp, and no other exponential helper is left.
+    def calls_expm(func):
+        return any(
+            isinstance(node, ast.Call)
+            and "_expm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(func)
+        )
+
+    callers = set()
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert "_expm_times" not in source and "_expm_stack" not in source, path.name
+        tree = ast.parse(source)
+        scoped = [("", node) for node in tree.body]
+        scoped += [(f"{c.name}.", node) for c in tree.body if isinstance(c, ast.ClassDef) for node in c.body]
+        callers |= {
+            f"{path.stem}:{prefix}{node.name}"
+            for prefix, node in scoped
+            if isinstance(node, ast.FunctionDef) and calls_expm(node)
+        }
+    assert callers == {"linalg:_expm", "linalg:_Flow.__init__", "linalg:mat_exp"}
 
 
 class TestLyapunov:

@@ -41,6 +41,18 @@ class TestBasicSignals:
         with pytest.raises(ValueError):
             Sinusoid(direction=[2.0], omega=1.0)
 
+    @pytest.mark.parametrize(
+        "omega, phase, field",
+        [(math.inf, 0.0, "omega"), (math.nan, 0.0, "omega"), (0.0, 0.0, "omega"),
+         (-1.0, 0.0, "omega"), (1.0, math.nan, "phase"), (1.0, math.inf, "phase"),
+         (1.0, -math.inf, "phase")],
+    )
+    def test_sinusoid_rejects_non_finite_parameters(self, omega, phase, field):
+        # An infinite omega reached simulate as an OverflowError, a NaN phase
+        # as a state diverging at the first step.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Sinusoid([1.0], omega, phase)
+
     def test_sinusoid_direction_sets_vector(self):
         d = np.array([0.6, 0.8])
         u = Sinusoid(direction=d, omega=1.0)
@@ -102,6 +114,14 @@ class TestPeriodicExtension:
             PeriodicExtension(base=base, base_span=-1.0, period=1.0)
         with pytest.raises(ValueError):
             PeriodicExtension(base=base, base_span=0.0, period=0.0)
+
+    @pytest.mark.parametrize("span", [0.0, 1.0, math.inf])
+    @pytest.mark.parametrize("period", [math.inf, math.nan])
+    def test_rejects_non_finite_period(self, span, period):
+        # An infinite period made evaluate return NaN while simulate ran the
+        # base once.
+        with pytest.raises(ValueError, match="^period must be finite"):
+            PeriodicExtension(base=Constant(u0=[1.0]), base_span=span, period=period)
 
 
 class TestSegments:

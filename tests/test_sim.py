@@ -512,10 +512,10 @@ class TestVerifyGainEquality:
         assert record.asymptotic_gain == pytest.approx(full.asymptotic_gain, rel=1e-13, abs=0.0)
 
     def test_one_kernel_flow_and_one_output_row_orbit(self, monkeypatch):
-        # The gain and the bang-bang switches come off one kernel flow (two
-        # _expm stacks: its powers and its end), the period's generator flow
-        # is the third, and the ten periods' free outputs are one orbit of
-        # the output row, not an orbit of ten columns of states.
+        # The gain and the bang-bang switches come off one kernel flow (one
+        # _expm stack, its powers, which also give its end), the period's
+        # generator flow is the second, and the ten periods' free outputs are
+        # one orbit of the output row, not an orbit of ten columns of states.
         sys = verify_model("random-0", None)
         flows, calls, orbits, rows = [], [], [], []
         original_expm, original_orbit = linalg._expm, linalg._Flow.orbit
@@ -546,7 +546,7 @@ class TestVerifyGainEquality:
         record = verify_gain_equality(sys, accuracy=0.02)
         monkeypatch.undo()
         assert record.passed
-        assert len(flows) == 1 and len(calls) == 3
+        assert len(flows) == 1 and len(calls) == 2
         assert rows == [(4096, sys.n + 1)]
         assert orbits and all(len(shape) == 1 for shape in orbits)
 
