@@ -47,7 +47,7 @@ from .linalg import (
     spectral_norm,
     stability_certificate,
 )
-from .quadrature import simpson_panels
+from .quadrature import gauss_legendre
 from .signals import InputSignal, evaluate, signal_dim, sup_norm
 from .sim import _MAX_GRID_STEPS, _grid_steps, _measured_gains, simulate
 
@@ -525,7 +525,9 @@ def delay_bounds(sys: DelayPredictorSystem, quad_tol: float = 1e-8) -> DelayBoun
     With phi(s) = |B K exp(A s) G| and r(s) = |exp(A s) G| (spectral norms),
     the asymptotic bound is (M / sigma) (|G| + int_0^tau phi + phi(tau) / mu)
     and the sup bound adds M int_0^tau r for the initial transient.  The
-    Simpson nodes and exp(A tau) come off one linalg._Flow of A on [0, tau].
+    two integrals share one adaptive Gauss–Legendre refinement on [0, tau]
+    (quadrature.gauss_legendre), and its nodes and exp(A tau) come off one
+    linalg._Flow of A.
     """
     _checked_tol(quad_tol, "quad_tol")
     cert = sys.certificate
@@ -536,7 +538,7 @@ def delay_bounds(sys: DelayPredictorSystem, quad_tol: float = 1e-8) -> DelayBoun
         eg = flow.advance(sys.g, s)
         return np.stack((_spectral_norms(bk @ eg), _spectral_norms(eg)), axis=1)
 
-    ints = simpson_panels(integrand, [0.0, sys.tau], quad_tol)[0]
+    ints = gauss_legendre(integrand, 0.0, sys.tau, quad_tol)
     phi_int, r_int = float(ints[0]), float(ints[1])
     phi_tau = spectral_norm(bk @ flow.powers[-1] @ sys.g)
     g_norm = spectral_norm(sys.g)

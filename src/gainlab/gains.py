@@ -19,7 +19,8 @@ Every integral of a single-input scalar kernel |row exp(As) b| (the L1 norm
 and the ONB bases, the terminal-output curve and its ascent, the SISO periodic
 values, the bang-bang switches and the positivity proof) comes from a certified
 partition of the kernel at its zeros, C's rows and the ONB bases' in one;
-adaptive Simpson is left for the multi-input ascent's vector-norm integrand.
+the multi-input ascent's vector-norm integrand takes adaptive Gauss–Legendre
+panels (quadrature.gauss_legendre) on [0, T].
 Each caller builds one kernel flow (_KernelFlow, a linalg._Flow of A) on its
 grid and partitions its rows on it: the flow alone holds what the partition
 takes from the system (A, b, n, the certificate's M), its one stack of orbit
@@ -53,7 +54,7 @@ from .linalg import (
     spectral_norm,
     structure_flags,
 )
-from .quadrature import simpson_panels, tail_horizon
+from .quadrature import gauss_legendre, tail_horizon
 from .signals import BangBangInput
 
 __all__ = [
@@ -445,8 +446,9 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     # Every step walks one flow to the last horizon (with several inputs, A's).
     end = horizons[-1]
     flow = _KernelFlow(sys, horizons) if sys.m == 1 else _grid_flow(sys.a, end, end)[0]
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((restarts, sys.p))
+    # With one output every unit direction is +-1, so restarts would repeat
+    # the first start (-1 mirrors +1 exactly): only p > 1 draws them.
+    draws = np.random.default_rng(seed).standard_normal((restarts * (sys.p > 1), sys.p))
     starts = [*np.eye(sys.p), *(v / np.linalg.norm(v) for v in draws)]
     k, s = horizons.size, len(starts)
     horizon_of = np.repeat(np.arange(k), s)
@@ -491,7 +493,7 @@ def _aligned_terminal(sys, flow, horizon, d, tol):
         out[live, 1:] = (eb[live] @ (v[live] / nv[live, None])[:, :, None])[:, :, 0]
         return out
 
-    return simpson_panels(integrand, [0.0, horizon], tol)[0]
+    return gauss_legendre(integrand, 0.0, horizon, tol)
 
 
 def _check_partition_cells(sys: StateSpaceSystem, horizon: float, flag: str) -> None:
@@ -530,10 +532,11 @@ def vcurve(
 
     SISO systems read the curve off one sign partition of the kernel (each
     value a partial sum).  Otherwise the direction-alignment ascent runs from
-    the standard basis and ``restarts`` seeded directions at every horizon at
-    once.  With one input each of its at most 40 steps is one sign partition,
-    out to the largest horizon, for all starts and horizons, so a grid of any
-    size costs at most 40 partitions, as one horizon does.  The steps share
+    the standard basis and ``restarts`` seeded directions (none with one
+    output, whose directions are +-1) at every horizon at once.  With one
+    input each of its at most 40 steps is one sign partition, out to the
+    largest horizon, for all starts and horizons, so a grid of any size
+    costs at most 40 partitions, as one horizon does.  The steps share
     one kernel flow, whose matrix exponentials (end states, orbit powers) are
     formed once per curve: a step adds only its rows' kernel values and the
     Newton polish of their zeros, neither of which forms one.  Horizons must be

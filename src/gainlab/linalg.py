@@ -272,10 +272,14 @@ def _grid_flow(matrix: np.ndarray, h: float, end: float) -> tuple[_Flow, int]:
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a (k, rows, cols) stack,
-    the Euclidean norm when rows or cols is 1."""
+    the Euclidean norm when rows or cols is 1.  Each matrix is first divided
+    by the power of two at its largest entry, so that squared entries past
+    1e154 do not overflow; the scaling is exact."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1] - 1)
+    scaled = stack / scale[:, None, None]
     if 1 in stack.shape[1:]:
-        return np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
+        return scale * np.linalg.norm(scaled.reshape(stack.shape[0], -1), axis=1)
+    return scale * np.linalg.norm(scaled, 2, axis=(-2, -1))
 
 
 def mat_exp(a, t: float) -> np.ndarray:

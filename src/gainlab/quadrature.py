@@ -1,19 +1,18 @@
-"""Adaptive Simpson quadrature with an absolute error budget.
+"""Adaptive quadrature with an absolute error budget.
 
 The integrands in this package are norms of matrix exponentials: smooth
 almost everywhere but with isolated kinks where a component crosses zero.
-Plain adaptive Simpson handles those provided subdivision is allowed to
-continue below the kink scale; a width floor (default 1e-6 of the original
-interval) stops pathological refinement on a kink sitting exactly at a node.
+gauss_legendre gives each panel an 8-point Gauss–Legendre value (exact for
+polynomials of degree 15) and splits a panel while that value differs from
+the sum of its halves' by more than the panel's share of the tolerance; a
+width floor of 1e-6 of the interval stops refinement on a kink sitting
+exactly at a node.  The integrand is vectorized: the open panels go to it
+in groups of at most _GROUP panels, deepest first, so an integrand built on
+a stacked matrix exponential pays one call per group, and memory stays
+bounded however many panels the floor lets the rule open.
 
-The rule runs level-synchronously: all intervals still open at one depth
-are refined together, and their new midpoints go to the integrand in one
-vectorized call, so an integrand built on a stacked matrix exponential
-pays one call per level instead of one per node.  Every interval keeps the
-acceptance test of the classical recursion, so the nodes visited, the
-decisions taken and the sums formed are exactly those of the recursive
-rule.  A level with too many open intervals is refined in contiguous
-groups, so memory stays bounded (see _refine).
+adaptive_simpson is the classical recursive Simpson rule on a scalar
+integrand, one call per node.
 """
 
 from __future__ import annotations
@@ -23,11 +22,66 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "simpson_panels", "tail_horizon"]
+__all__ = ["adaptive_simpson", "gauss_legendre", "tail_horizon"]
 
-# Node values held per level: at most _LIVE_ENTRIES // q open intervals of an
-# integrand with q components are refined together (see _refine).
-_LIVE_ENTRIES = 1 << 16
+# The 8-point Gauss–Legendre rule on [-1, 1]: its positive nodes and their
+# weights (the rule is symmetric), then the whole rule moved to [0, 1].
+_HALF_NODES = np.array(
+    [0.18343464249564980494, 0.52553240991632898582, 0.79666647741362673959, 0.96028985649753623168]
+)
+_HALF_WEIGHTS = np.array(
+    [0.36268378337836198297, 0.31370664587788728734, 0.22238103445337447054, 0.10122853629037625915]
+)
+_NODES = 0.5 + 0.5 * np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
+_WEIGHTS = 0.5 * np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+
+# Panels handed to the integrand in one call: 16 nodes each.
+_GROUP = 256
+
+
+def gauss_legendre(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float
+) -> "float | np.ndarray":
+    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+
+    ``f`` is vectorized: given a 1-d array of k nodes it returns an array of
+    shape (k,) or (k, q); q components are integrated under a shared
+    refinement.  A panel of width w is accepted, as the sum of its halves'
+    values, when that sum is within tol w / (b - a) of the panel's own value
+    (absolute component differences summed) or when w is at most
+    1e-6 (b - a).
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"invalid interval [{a}, {b}]")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    floor, rate = 1e-6 * (b - a), tol / (b - a)
+    lo, width = np.array([a]), np.array([b - a])
+    total = 0.0
+    stack = [(lo, width, _panels(f, lo, width))]
+    while stack:
+        lo, width, whole = stack.pop()
+        half, count = 0.5 * width, lo.size
+        parts = _panels(f, np.concatenate((lo, lo + half)), np.tile(half, 2))
+        both = parts[:count] + parts[count:]
+        err = np.abs(both - whole).reshape(count, -1).sum(axis=1)
+        done = (err <= rate * width) | (width <= floor)
+        total = total + both[done].sum(axis=0)
+        split = np.flatnonzero(~done)
+        lo = np.concatenate((lo[split], lo[split] + half[split]))
+        width, whole = np.tile(half[split], 2), parts[np.concatenate((split, split + count))]
+        stack.extend(
+            (lo[i : i + _GROUP], width[i : i + _GROUP], whole[i : i + _GROUP])
+            for i in range(0, lo.size, _GROUP)
+        )
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def _panels(f, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The Gauss–Legendre values of the panels [lo_i, lo_i + width_i]."""
+    values = np.asarray(f((lo[:, None] + width[:, None] * _NODES).reshape(-1)), dtype=float)
+    values = np.moveaxis(values.reshape((lo.size, _NODES.size) + values.shape[1:]), 1, -1)
+    return width.reshape((-1,) + (1,) * (values.ndim - 2)) * (values @ _WEIGHTS)
 
 
 def adaptive_simpson(
@@ -37,12 +91,15 @@ def adaptive_simpson(
     tol: float,
     min_width: float | None = None,
 ):
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+    """Integrate ``f`` over [a, b] to absolute tolerance ``tol`` by the
+    classical recursive Simpson rule.
 
     ``f`` may return a scalar or a 1-d array; arrays are integrated
     componentwise under a shared refinement (the acceptance test sums
-    absolute component errors, so each component meets ``tol``).  ``f`` is
-    called once per node; simpson_panels takes a vectorized integrand.
+    absolute component errors, so each component meets ``tol``).  An
+    interval is accepted when its two halves' Simpson values differ from its
+    own by at most 15 tol, or when it is at most ``min_width`` wide (default
+    1e-6 (b - a)); tol halves at each level.  ``f`` is called once per node.
     """
     if not (b >= a):
         raise ValueError(f"invalid interval [{a}, {b}]")
@@ -50,119 +107,31 @@ def adaptive_simpson(
         raise ValueError("tol must be positive")
     if b == a:
         return 0.0 * np.asarray(f(a), dtype=float) if np.ndim(f(a)) else 0.0
-
-    def stacked(s: np.ndarray) -> np.ndarray:
-        return np.array([np.asarray(f(x), dtype=float) for x in s])
-
-    result = simpson_panels(stacked, [a, b], tol, min_width)[0]
-    if result.ndim == 0:
-        return float(result)
-    return result
-
-
-def simpson_panels(
-    f: Callable[[np.ndarray], np.ndarray],
-    edges,
-    tol: float,
-    min_width: float | None = None,
-) -> np.ndarray:
-    """Integrate ``f`` over each panel [edges[i], edges[i+1]].
-
-    ``f`` is vectorized: given a 1-d array of k nodes it returns an array of
-    shape (k,) or (k, q).  Each panel is refined as a separate
-    adaptive_simpson call would refine it, with tolerance ``tol`` and a
-    width floor of ``min_width`` (default 1e-6 of the panel's width); the
-    result has shape (panels,) or (panels, q).  Panels share their edge
-    nodes.
-    """
-    edges = np.asarray(edges, dtype=float).reshape(-1)
-    if edges.size < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be finite and strictly increasing")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    lo, hi = edges[:-1], edges[1:]
     if min_width is None:
-        floor = 1e-6 * (hi - lo)
-    else:
-        floor = np.full(lo.size, float(min_width))
-    count = lo.size
-    mid = 0.5 * (lo + hi)
-    values = np.asarray(f(np.concatenate((edges, mid))), dtype=float)
-    f_lo, f_hi, f_mid = values[:count], values[1 : count + 1], values[count + 1 :]
-    whole = _weight(lo, hi, values) * (f_lo + 4.0 * f_mid + f_hi)
-    live = max(2, _LIVE_ENTRIES // max(1, values[0].size))
-    return _refine(f, live, tol, lo, hi, floor, f_lo, f_mid, f_hi, whole)
+        min_width = 1e-6 * (b - a)
+    mid = 0.5 * (a + b)
+    fa, fm, fb = (np.asarray(f(x), dtype=float) for x in (a, mid, b))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    result = _simpson(f, a, b, fa, fm, fb, whole, tol, min_width)
+    return float(result) if result.ndim == 0 else result
 
 
-def _refine(f, live, tol, lo, hi, floor, f_lo, f_mid, f_hi, whole):
-    """Values of the intervals [lo_i, hi_i], refined level by level.
-
-    ``f_lo``, ``f_mid``, ``f_hi`` are the integrand at each interval's ends
-    and midpoint, ``whole`` its Simpson value, ``floor`` its width floor and
-    ``tol`` the tolerance of the current level.  When more than ``live``
-    intervals are open, they are handed on in contiguous groups of
-    live // 2, each refined to the end by its own call, so that memory stays
-    bounded when roundoff drives every interval down to its width floor.
-    """
-    # One entry per depth: which of its intervals were accepted, and their
-    # values (split intervals are filled in from their children below).
-    levels = []
-    below = None
-    while lo.size:
-        if lo.size > live:
-            step = live // 2
-            state = (lo, hi, floor, f_lo, f_mid, f_hi, whole)
-            below = np.concatenate(
-                [
-                    _refine(f, live, tol, *(x[i : i + step] for x in state))
-                    for i in range(0, lo.size, step)
-                ]
-            )
-            break
-        mid = 0.5 * (lo + hi)
-        l_mid = 0.5 * (lo + mid)
-        r_mid = 0.5 * (mid + hi)
-        fresh = np.asarray(f(np.concatenate((l_mid, r_mid))), dtype=float)
-        f_lm, f_rm = fresh[: lo.size], fresh[lo.size :]
-        left = _weight(lo, mid, fresh) * (f_lo + 4.0 * f_lm + f_mid)
-        right = _weight(mid, hi, fresh) * (f_mid + 4.0 * f_rm + f_hi)
-        delta = left + right - whole
-        err = np.abs(delta).reshape(lo.size, -1).sum(axis=1)
-        done = (err <= 15.0 * tol) | (hi - lo <= floor)
-        value = np.empty_like(left)
-        value[done] = left[done] + right[done] + delta[done] / 15.0
-        levels.append((done, value))
-        split = ~done
-        lo, mid, hi = lo[split], mid[split], hi[split]
-        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
-        f_lo, f_mid, f_hi = (
-            _interleave(f_lo[split], f_mid[split]),
-            _interleave(f_lm[split], f_rm[split]),
-            _interleave(f_mid[split], f_hi[split]),
-        )
-        whole = _interleave(left[split], right[split])
-        floor = np.repeat(floor[split], 2)
-        tol = 0.5 * tol
-    # Sum children into parents from the deepest level up, left + right, in
-    # the order the recursive rule adds them.
-    for done, value in reversed(levels):
-        if below is not None:
-            value[~done] = below[0::2] + below[1::2]
-        below = value
-    return below
-
-
-def _weight(a: np.ndarray, b: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Interval widths / 6 as a column that broadcasts against ``like``."""
-    return ((b - a) / 6.0).reshape((-1,) + (1,) * (like.ndim - 1))
-
-
-def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x0, y0, x1, y1, ...] along the first axis."""
-    out = np.empty((2 * x.shape[0],) + x.shape[1:], dtype=x.dtype)
-    out[0::2] = x
-    out[1::2] = y
-    return out
+def _simpson(f, a, b, fa, fm, fb, whole, tol, min_width):
+    """The value of [a, b], given f at its ends and midpoint and its Simpson
+    value ``whole``: the halves' sum plus its Richardson correction, or the
+    halves' values, each refined at tol / 2."""
+    mid = 0.5 * (a + b)
+    flm = np.asarray(f(0.5 * (a + mid)), dtype=float)
+    frm = np.asarray(f(0.5 * (mid + b)), dtype=float)
+    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if float(np.sum(np.abs(delta))) <= 15.0 * tol or (b - a) <= min_width:
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return _simpson(f, a, mid, fa, flm, fm, left, half, min_width) + _simpson(
+        f, mid, b, fm, frm, fb, right, half, min_width
+    )
 
 
 def tail_horizon(sigma: float, coefficient: float, tail_tol: float) -> float:

@@ -31,7 +31,7 @@ from gainlab.linalg import (
     spectral_norm,
 )
 from gainlab.modelio import _fmt
-from gainlab.quadrature import simpson_panels, tail_horizon
+from gainlab.quadrature import tail_horizon
 from gainlab.signals import BangBangInput, Segment, iter_segments, signal_dim
 from gainlab.sim import (
     _STACK_ENTRIES,
@@ -151,6 +151,36 @@ def quad_kernel_integrals(a, b, row, t_end, samples=2001):
     return scipy.integrate.quad_vec(f, 0.0, t_end, epsabs=1e-13, epsrel=1e-13, points=zeros)[0]
 
 
+def simpson(f, a, b, tol):
+    """adaptive_simpson's rule on [a, b] for a vectorized ``f`` (nodes in, one
+    row of values per node out), run level by level so that each level's new
+    nodes go to ``f`` in one call: the same nodes and decisions, the accepted
+    intervals summed in another order."""
+    lo, hi = np.array([a]), np.array([b])
+    f_lo, f_mid, f_hi = np.split(np.asarray(f(np.array([a, 0.5 * (a + b), b]))), 3)
+    whole = (b - a) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
+    total = 0.0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        f_l, f_r = np.split(np.asarray(f(np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi))))), 2)
+        column = (1,) * (whole.ndim - 1)
+        left = ((mid - lo) / 6.0).reshape(-1, *column) * (f_lo + 4.0 * f_l + f_mid)
+        right = ((hi - mid) / 6.0).reshape(-1, *column) * (f_mid + 4.0 * f_r + f_hi)
+        delta = left + right - whole
+        err = np.abs(delta).reshape(lo.size, -1).sum(axis=1)
+        done = (err <= 15.0 * tol) | (hi - lo <= 1e-6 * (b - a))
+        total = total + (left + right + delta / 15.0)[done].sum(axis=0)
+        split = ~done
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        f_lo, f_mid, f_hi = (
+            np.concatenate((f_lo[split], f_mid[split])),
+            np.concatenate((f_l[split], f_r[split])),
+            np.concatenate((f_mid[split], f_hi[split])),
+        )
+        whole, tol = np.concatenate((left[split], right[split])), 0.5 * tol
+    return total
+
+
 def reference_impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     """The adaptive Simpson integral, kept as the reference for gainlab's
     kernel sign partition.  Componentwise L1 norms of s -> rows @ exp(As) @ B
@@ -175,7 +205,7 @@ def reference_impulse_rows(sys: StateSpaceSystem, rows: np.ndarray, tol: float):
     def integrand(s: np.ndarray) -> np.ndarray:
         return np.abs(rows @ expm_times(a, s, b))[:, :, 0]
 
-    return simpson_panels(integrand, [0.0, horizon], tol / 2.0)[0], horizon
+    return simpson(integrand, 0.0, horizon, tol / 2.0), horizon
 
 
 def reference_bang_bang_switches(
@@ -262,7 +292,7 @@ def reference_aligned_terminal(sys, horizon, d, tol):
         out[live, 1:] = (eb[live] @ (v[live] / nv[live, None])[:, :, None])[:, :, 0]
         return out
 
-    return simpson_panels(integrand, [0.0, horizon], tol)[0]
+    return simpson(integrand, 0.0, horizon, tol)
 
 
 def aligned_terminal(sys, horizon, d, tol):
@@ -336,13 +366,13 @@ def reference_periodic_values(sys, t_grid, tol):
         def integrand(s: np.ndarray, cmod=cmod) -> np.ndarray:
             return np.linalg.norm((cmod @ expm_times(a, s, b))[:, :, 0], axis=1)
 
-        values.append(float(simpson_panels(integrand, [0.0, float(t_per)], tol)[0]))
+        values.append(float(simpson(integrand, 0.0, float(t_per), tol)))
     return values
 
 
 def recursive_simpson(f, a, b, tol, min_width=None):
     """The classical depth-first adaptive Simpson rule, kept as the reference
-    for gainlab's level-synchronous one: same start (a, midpoint, b), same
+    for gainlab's adaptive_simpson: same start (a, midpoint, b), same
     acceptance test sum|delta| <= 15 tol or width <= min_width (default
     1e-6 (b - a)), tol halved per level, and the same left + right sums."""
     if min_width is None:

@@ -1,9 +1,11 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +380,20 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "gainlab: error: matrix exponential overflowed double precision\n"
+
+    def test_bounds_past_1e154_stay_finite(self, tmp_path, capsys):
+        # exp(A tau) = e^600 is a double but its square is not: the spectral
+        # norms used to square the entries, and every bound printed NaN.
+        # phi(s) = 2 e^s and r(s) = e^s integrate in closed form.
+        model = {"A": [[1.0]], "B": [[1.0]], "K": [[-2.0]], "G": [[1.0]], "tau": 600.0, "mu": 1.0}
+        path = tmp_path / "long-delay.json"
+        path.write_text(json.dumps(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["phi_integral"] == pytest.approx(2.0 * math.expm1(600.0), rel=1e-12)
+        assert doc["r_integral"] == pytest.approx(math.expm1(600.0), rel=1e-12)
 
     @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
     @pytest.mark.parametrize("step", ["5e-7", "5e-8"])

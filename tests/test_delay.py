@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 import gainlab.delay as delaymod
 from gainlab import linalg
@@ -23,7 +25,7 @@ from gainlab import (
     predictor_error_series,
     simulate_predictor,
 )
-from gainlab_testkit import reference_error_grid, reference_predictor
+from gainlab_testkit import random_hurwitz_matrix, reference_error_grid, reference_predictor
 
 E_HALF = math.exp(-0.5)
 
@@ -487,13 +489,36 @@ class TestDelayBounds:
         assert rep.oag_bound == pytest.approx(1.0, abs=1e-9)
         assert rep.ios_bound == pytest.approx(1.0 + (1.0 - E_HALF), abs=1e-9)
 
+    @pytest.mark.parametrize("tau", [1.0, 3.0])
+    def test_two_column_g_against_scipy(self, tau):
+        # G with two columns: phi and r are largest singular values, with
+        # kinks where the two cross.  Each integral holds quad_tol.
+        rng = np.random.default_rng(90)
+        for _ in range(3):
+            n = int(rng.integers(2, 4))
+            a, b = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-2.0, 2.0, (n, n)) + 3.0 * np.eye(n)
+            closed = random_hurwitz_matrix(rng, n=n)
+            sys = DelayPredictorSystem(
+                a=a, b=b, g=rng.uniform(-2.0, 2.0, (n, 2)), k=np.linalg.solve(b, closed - a), tau=tau, mu=1.0
+            )
+            rep = delay_bounds(sys, quad_tol=1e-8)
+            bk = sys.b @ sys.k
+
+            def f(s):
+                eg = scipy.linalg.expm(sys.a * s) @ sys.g
+                return np.array([np.linalg.norm(bk @ eg, 2), np.linalg.norm(eg, 2)])
+
+            ref = scipy.integrate.quad_vec(f, 0.0, tau, epsabs=1e-13, epsrel=0.0)[0]
+            assert abs(rep.phi_integral - ref[0]) <= 1e-8
+            assert abs(rep.r_integral - ref[1]) <= 1e-8
+
     def test_rejects_bad_tol(self, scalar_delay, monkeypatch):
-        # quad_tol=inf returned a "certified" bound from one Simpson panel;
+        # quad_tol=inf returned a "certified" bound from one quadrature panel;
         # True passed as 1.0.  Both now fail before any quadrature.
         def refuse(*args, **kwargs):
             raise AssertionError("computation reached")
 
-        monkeypatch.setattr(delaymod, "simpson_panels", refuse)
+        monkeypatch.setattr(delaymod, "gauss_legendre", refuse)
         monkeypatch.setattr(linalg, "_expm", refuse)
         for tol in (math.inf, math.nan, True, 0, 0.0, -1e-6, "1e-6"):
             with pytest.raises(ValueError, match="^quad_tol must be finite and positive, got "):

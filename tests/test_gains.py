@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from gainlab import (
@@ -292,9 +293,9 @@ def seeded_three_output():
 
 def test_single_input_scalar_kernels_skip_simpson(monkeypatch, oscillator):
     def refuse(*args, **kwargs):
-        raise AssertionError("simpson_panels reached")
+        raise AssertionError("gauss_legendre reached")
 
-    monkeypatch.setattr(gains, "simpson_panels", refuse)
+    monkeypatch.setattr(gains, "gauss_legendre", refuse)
     three = seeded_three_output()
     l1_impulse_gain(oscillator)
     onb_upper_bound(three)
@@ -305,9 +306,9 @@ def test_single_input_scalar_kernels_skip_simpson(monkeypatch, oscillator):
         gain_report(sys)
     assert positivity_certificate(oscillator) is None
     bang_bang_switches(oscillator, 5.0)
-    # Two inputs make the aligned-terminal integrand a vector norm, still Simpson's.
+    # Two inputs make the aligned-terminal integrand a vector norm, still quadrature's.
     two_input = StateSpaceSystem(a=[[-1.0, 0.0], [0.0, -2.0]], b=np.eye(2), c=[[1.0, 1.0]])
-    with pytest.raises(AssertionError, match="simpson_panels reached"):
+    with pytest.raises(AssertionError, match="gauss_legendre reached"):
         max_terminal_output(two_input, 5.0)
 
 
@@ -868,6 +869,49 @@ class TestVCurve:
         hs = np.linspace(0.5, 20.0, 40)
         curve = vcurve(sys, hs, restarts=restarts, tol=tol)
         reference = reference_terminal_ascent(sys, hs, restarts=restarts, tol=tol)
+        np.testing.assert_allclose(curve.values, reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_single_output_curve_against_scipy(self, m):
+        # With one output the aligned input is optimal: V(T) is the integral
+        # of |c exp(As) B| over [0, T], each value within tol.
+        rng = np.random.default_rng(80 + m)
+        hs = [0.5, 3.0, 12.0]
+        for _ in range(3):
+            n = int(rng.integers(2, 6))
+            a = random_hurwitz_matrix(rng, n=n)
+            sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (n, m)), c=rng.uniform(-2.0, 2.0, (1, n)))
+            curve = vcurve(sys, hs, tol=1e-8)
+            kernel = lambda s: np.linalg.norm(sys.c @ scipy.linalg.expm(a * s) @ sys.b)  # noqa: E731
+            for t, value in zip(hs, curve.values):
+                ref = scipy.integrate.quad(kernel, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                assert abs(value - ref) <= 1e-8
+
+    def test_single_output_skips_restarts(self, monkeypatch):
+        # Every unit direction of one output is +-1, and the ascent from -1
+        # mirrors the one from +1 bit for bit, so the seeded restarts could
+        # only repeat the first start: each horizon takes one start, of two
+        # steps (the second confirms the first).
+        rng = np.random.default_rng(31)
+        a = random_hurwitz_matrix(rng, n=3)
+        sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (3, 2)), c=rng.uniform(-2.0, 2.0, (1, 3)))
+        hs = np.linspace(0.5, 20.0, 8)
+        flow = linalg._grid_flow(sys.a, hs[-1], hs[-1])[0]
+        for h in hs:
+            plus = gains._aligned_terminal(sys, flow, h, np.ones(1), 1e-8)
+            minus = gains._aligned_terminal(sys, flow, h, -np.ones(1), 1e-8)
+            assert np.array_equal(minus, np.concatenate((plus[:1], -plus[1:])))
+        calls = []
+        aligned = gains._aligned_terminal
+
+        def counting(*args):
+            calls.append(args[3])
+            return aligned(*args)
+
+        monkeypatch.setattr(gains, "_aligned_terminal", counting)
+        curve = vcurve(sys, hs, restarts=8, tol=1e-8)
+        assert len(calls) == 2 * hs.size
+        reference = reference_terminal_ascent(sys, hs, restarts=8, tol=1e-8)
         np.testing.assert_allclose(curve.values, reference, rtol=1e-12, atol=0.0)
 
     def test_ascent_costs_one_partition_per_step(self, monkeypatch):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gainlab import adaptive_simpson, quadrature, tail_horizon
-from gainlab.quadrature import simpson_panels
-from gainlab_testkit import recursive_simpson
+from gainlab.quadrature import gauss_legendre
+from gainlab_testkit import recursive_simpson, simpson
 
 # (integrand, a, b, tol, min_width): the integrands of TestAdaptiveSimpson.
 REFERENCE_CASES = {
@@ -75,7 +76,8 @@ class TestAdaptiveSimpson:
 
 
 class TestLevelSynchronousCore:
-    """The level-by-level rule against the classical recursion it replaces."""
+    """adaptive_simpson against gainlab_testkit's recursion, and the testkit's
+    level-synchronous Simpson reference against adaptive_simpson."""
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_same_nodes_and_values_as_recursion(self, case):
@@ -87,69 +89,118 @@ class TestLevelSynchronousCore:
         assert sorted(new_nodes) == sorted(ref_nodes)
         np.testing.assert_allclose(val, ref, rtol=1e-14, atol=1e-14)
 
-    def test_panels_refine_like_separate_calls(self):
-        # Each panel gets the full tol and its own 1e-6-width floor; shared
-        # edges are evaluated once instead of once per neighbouring panel.
-        f = lambda s: np.abs(np.sin(3.0 * s)) * np.exp(-0.1 * s)  # noqa: E731
-        edges = np.array([0.0, 0.5, 2.0, 2.1, 7.0, 20.0])
-        tol = 1e-9
-        ref_nodes, ref = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            g, nodes = recording(f)
-            ref.append(recursive_simpson(g, lo, hi, tol))
-            ref_nodes += nodes
+    # The testkit rule keeps the default width floor.
+    @pytest.mark.parametrize("case", sorted(k for k, v in REFERENCE_CASES.items() if v[4] is None))
+    def test_testkit_levels_match_recursion(self, case):
+        f, a, b, tol, _ = REFERENCE_CASES[case]
+        g_ref, ref_nodes = recording(f)
         new_nodes = []
 
         def vectorized(s):
             new_nodes.extend(s.tolist())
-            return f(s)
+            return np.array([np.asarray(f(x), dtype=float) for x in s])
 
-        cells = simpson_panels(vectorized, edges, tol)
-        for edge in edges[1:-1]:
-            ref_nodes.remove(edge)
+        ref = adaptive_simpson(g_ref, a, b, tol)
+        val = simpson(vectorized, a, b, tol)
         assert sorted(new_nodes) == sorted(ref_nodes)
-        np.testing.assert_allclose(cells, ref, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(val, ref, rtol=1e-14, atol=1e-14)
 
-    def test_one_call_per_level(self):
+
+class TestGaussLegendre:
+    def test_rule_is_golub_welsch(self):
+        # The constants against NumPy's nodes and weights, moved to [0, 1].
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        np.testing.assert_allclose(quadrature._NODES, 0.5 + 0.5 * nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(quadrature._WEIGHTS, 0.5 * weights, rtol=0.0, atol=1e-15)
+
+    def test_degree_15_exact_on_one_panel(self):
         calls = []
 
-        def vectorized(s):
+        def f(s):
             calls.append(s.size)
-            return np.abs(np.sin(s))
+            return s**15
 
-        simpson_panels(vectorized, [0.0, 2.0 * math.pi], 1e-9)
-        g, ref_nodes = recording(lambda s: abs(math.sin(s)))
-        recursive_simpson(g, 0.0, 2.0 * math.pi, 1e-9)
-        # the three starting nodes, then two new nodes per open interval
-        assert calls[0] == 3 and all(k % 2 == 0 for k in calls[1:])
-        assert sum(calls) == len(ref_nodes)
-        assert len(calls) <= 22  # the 1e-6 width floor caps the depth
+        # The panel and its two halves agree to rounding, so the panel is
+        # accepted; s^15 turns a node's rounding into 15 ulps.
+        assert gauss_legendre(f, 0.0, 2.0, 1e-12) == pytest.approx(2.0**16 / 16.0, rel=2e-15)
+        assert calls == [8, 16]
+
+    @pytest.mark.parametrize(
+        "f, a, b, exact",
+        [
+            (lambda s: np.exp(-s), 0.0, 10.0, 1.0 - math.exp(-10.0)),
+            (lambda s: np.abs(np.sin(s)), 0.0, 2.0 * math.pi, 4.0),
+            (lambda s: np.abs(s - 1.0 / 3.0), 0.0, 1.0, 5.0 / 18.0),
+            (lambda s: np.exp(-(s**2)), -6.0, 6.0, math.sqrt(math.pi)),
+        ],
+        ids=["exp", "abs-sin", "kink", "gaussian"],
+    )
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_meets_tol(self, f, a, b, exact, tol):
+        assert abs(gauss_legendre(f, a, b, tol) - exact) <= tol
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    def test_capped_levels_keep_nodes_and_values(self, case, monkeypatch):
-        # With at most four open intervals per level the rule refines in
-        # contiguous groups; nodes and sums stay those of the recursion.
-        f, a, b, tol, min_width = REFERENCE_CASES[case]
-        g_ref, ref_nodes = recording(f)
-        g_new, new_nodes = recording(f)
-        recursive_simpson(g_ref, a, b, tol, min_width)
-        uncapped = adaptive_simpson(f, a, b, tol, min_width)
-        monkeypatch.setattr(quadrature, "_LIVE_ENTRIES", 4)
-        val = adaptive_simpson(g_new, a, b, tol, min_width)
-        assert sorted(new_nodes) == sorted(ref_nodes)
-        np.testing.assert_array_equal(val, uncapped)
+    def test_capped_groups_keep_nodes_and_values(self, case, monkeypatch):
+        # With one panel per integrand call the rule visits the same nodes;
+        # only the order in which accepted panels are summed changes.
+        f, a, b, tol, _ = REFERENCE_CASES[case]
 
-    def test_capped_levels_keep_panel_values(self, monkeypatch):
-        f = lambda s: np.abs(np.sin(3.0 * s)) * np.exp(-0.1 * s)  # noqa: E731
-        edges = np.array([0.0, 0.5, 2.0, 2.1, 7.0, 20.0])
-        uncapped = simpson_panels(f, edges, 1e-9)
-        monkeypatch.setattr(quadrature, "_LIVE_ENTRIES", 4)
-        np.testing.assert_array_equal(simpson_panels(f, edges, 1e-9), uncapped)
+        def run():
+            nodes = []
 
-    def test_rejects_bad_edges(self):
-        for edges in ([0.0], [0.0, 0.0, 1.0], [1.0, 0.0], [0.0, float("inf")]):
-            with pytest.raises(ValueError):
-                simpson_panels(np.abs, edges, 1e-9)
+            def vectorized(s):
+                nodes.extend(s.tolist())
+                return np.array([np.asarray(f(x), dtype=float) for x in s])
+
+            return gauss_legendre(vectorized, a, b, tol), sorted(nodes)
+
+        grouped, grouped_nodes = run()
+        monkeypatch.setattr(quadrature, "_GROUP", 1)
+        single, single_nodes = run()
+        assert single_nodes == grouped_nodes
+        np.testing.assert_allclose(single, grouped, rtol=1e-14, atol=1e-16)
+
+    def test_vector_integrand(self):
+        val = gauss_legendre(lambda s: np.stack((np.exp(-s), np.cos(s)), axis=1), 0.0, 1.0, 1e-10)
+        assert val.shape == (2,)
+        np.testing.assert_allclose(val, [1.0 - math.exp(-1.0), math.sin(1.0)], rtol=0.0, atol=1e-10)
+
+    def test_rejects_bad_args(self):
+        for a, b in ((1.0, 0.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="invalid interval"):
+                gauss_legendre(np.abs, a, b, 1e-9)
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                gauss_legendre(np.abs, 0.0, 1.0, tol)
+
+    def test_rounding_tol_stops_at_width_floor_in_bounded_memory(self):
+        # Every panel where f is not zero splits down to the 1e-6 width
+        # floor (2^-20 here, its halves 2^-21): the tol is below rounding, and
+        # f oscillates faster than the floor resolves.  Ten times the panels
+        # must not take ten times the memory.
+        def run(start):
+            seen = {"nodes": 0, "width": math.inf}  # a list of nodes would dominate the peak
+
+            def f(s):
+                blocks = s.reshape(-1, 8)
+                spans = (blocks[:, 7] - blocks[:, 0]) / (quadrature._NODES[7] - quadrature._NODES[0])
+                seen["nodes"] += s.size
+                seen["width"] = min(seen["width"], float(spans.min()))
+                return np.where(s > start, np.sin(1e7 * s), 0.0)
+
+            tracemalloc.start()
+            gauss_legendre(f, 0.0, 1.0, 1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert seen["width"] == pytest.approx(2.0**-21, rel=1e-6)
+            return seen["nodes"], peak
+
+        few, few_peak = run(0.99)
+        many, many_peak = run(0.9)
+        # The waiting groups grow with the depth, not with the panel count:
+        # the 0.9 run's node values alone would take 27 MB held at once.
+        assert many > 9 * few
+        assert many_peak < 2 * few_peak and many_peak < 1 << 20
 
 
 class TestTailHorizon:
