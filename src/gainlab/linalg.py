@@ -298,6 +298,17 @@ def mat_exp(a, t: float) -> np.ndarray:
     return _expm(arr * t)
 
 
+def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
+    """I kron A' + A' kron I, the matrix of P -> A'P + PA on column-stacked P,
+    by index assignment: entry (i n + k, j n + l) is row (i, k, j, l) of an
+    (n, n, n, n) array, A'[k, l] where i = j plus A'[i, j] where k = l."""
+    n = a.shape[0]
+    k, i = np.zeros((n, n, n, n)), np.arange(n)
+    k[i, :, i, :] = a.T
+    k[:, i, :, i] += a.T
+    return k.reshape(n * n, n * n)
+
+
 def lyapunov_solve(a, q) -> np.ndarray:
     """Solve A'P + PA = -Q for symmetric P via Kronecker vectorization.
 
@@ -310,10 +321,8 @@ def lyapunov_solve(a, q) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise DimensionError("a and q must be square matrices of equal size")
-    ident = np.eye(n)
-    k = np.kron(ident, a.T) + np.kron(a.T, ident)
     try:
-        vec_p = np.linalg.solve(k, -q.reshape(-1, order="F"))
+        vec_p = np.linalg.solve(_lyapunov_operator(a), -q.reshape(-1, order="F"))
     except np.linalg.LinAlgError as exc:
         raise LyapunovSolveError(f"Lyapunov equation not solvable: {exc}") from exc
     p = vec_p.reshape((n, n), order="F")

@@ -7,13 +7,16 @@ emitted through a custom JSON writer so floats carry 17 significant digits
 and identical inputs produce byte-identical documents.  CSV values carry the
 same 17 digits, byte for byte as ``"%.17g" % x``: a large table (a simulated
 trajectory) is printed by NumPy arithmetic in blocks of rows, a small one
-(a V(T) curve, a sweep) one block of rows per ``%``.
+(a V(T) curve, a sweep) one block of rows per ``%``.  A document or a
+command's table refuses a NaN or infinite number with a GainlabError naming
+its field or column; csv_lines alone prints them as ``%`` does.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +28,7 @@ from .delay import (
     DelayPredictorSystem,
     DelayTrajectory,
 )
-from .exceptions import NotHurwitzError
+from .exceptions import GainlabError, NotHurwitzError
 from .gains import CertificateBoundInput, GainEstimate, GainReport, VCurve, _checked_seed
 from .linalg import StateSpaceSystem
 from .sim import GainEqualityRecord, Trajectory
@@ -164,13 +167,17 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot format {type(value)!r}")
 
 
-def _emit(obj, indent: int) -> str:
+def _emit(obj, indent: int, key: str) -> str:
+    """``obj`` as JSON text; ``key`` names it (or the list holding it) in
+    the error that refuses a non-finite number."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        raise GainlabError(f"non-finite value {float(obj)!r} in document field {key!r}")
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return _fmt(obj)
     if isinstance(obj, np.ndarray):
@@ -179,20 +186,21 @@ def _emit(obj, indent: int) -> str:
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1)}" for k, v in obj.items()
+            f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1, str(k))}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{_emit(v, indent + 1)}" for v in obj]
+        parts = [f"{inner}{_emit(v, indent + 1, key)}" for v in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps_document(doc: dict) -> str:
-    """Serialize a report document deterministically (17-digit floats)."""
-    return _emit(doc, 0) + "\n"
+    """Serialize a report document deterministically (17-digit floats).
+    A NaN or infinite number raises GainlabError naming its field."""
+    return _emit(doc, 0, "document") + "\n"
 
 
 def _estimate_dict(est: GainEstimate | None):
@@ -502,10 +510,21 @@ def _g17_lines(block: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _finite_csv(header, table: np.ndarray) -> str:
+    """csv_lines of a command's output table, which refuses a NaN or
+    infinite value with a GainlabError naming its column."""
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        raise GainlabError(
+            f"non-finite value {float(table[row, col])!r} in column {header[col]!r}, row {row + 1}"
+        )
+    return csv_lines(header, table)
+
+
 def _columns_csv(times, **blocks) -> str:
     """CSV of a "t" column, then the columns name_1, name_2, ... of each block."""
     header = ["t"] + [f"{k}_{i + 1}" for k, v in blocks.items() for i in range(v.shape[1])]
-    return csv_lines(header, np.column_stack((times, *blocks.values())))
+    return _finite_csv(header, np.column_stack((times, *blocks.values())))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -519,8 +538,8 @@ def delay_trajectory_csv(
 
 
 def vcurve_csv(curve: VCurve) -> str:
-    return csv_lines(["T", "V"], np.column_stack((curve.horizons, curve.values)))
+    return _finite_csv(["T", "V"], np.column_stack((curve.horizons, curve.values)))
 
 
 def sweep_csv(omegas, values) -> str:
-    return csv_lines(["omega", "Psi"], np.column_stack((omegas, values)))
+    return _finite_csv(["omega", "Psi"], np.column_stack((omegas, values)))

@@ -745,3 +745,34 @@ def reference_sinusoid_refine(sys, omegas=None):
             if f > best:
                 best, best_omega = f, math.exp(x)
     return best, best_omega
+
+
+def reference_sinusoid_zoom(sys, omegas=None):
+    """The batched zoom gainlab's sinusoid_lower_bound used before its Newton
+    polish: the grid maximum, then 4 rounds of 65 log-spaced frequencies
+    across the best point's neighbours, ends included, each round keeping
+    the best value seen and narrowing to its best point's neighbours.
+    Returns (value, omega)."""
+    if omegas is None:
+        omegas = np.logspace(-3.0, 3.0, 200)
+    omegas = np.asarray(list(omegas), dtype=float)
+    vals = gains.sinusoid_sweep(sys, omegas)
+    i_best = int(np.argmax(vals))
+    best, best_omega = float(vals[i_best]), float(omegas[i_best])
+    bracket = omegas[[max(0, i_best - 1), min(omegas.size - 1, i_best + 1)]]
+    if bracket[1] > bracket[0]:
+        for _ in range(4):
+            points = np.geomspace(bracket[0], bracket[1], 65)
+            vals = gains.sinusoid_sweep(sys, points)
+            j = int(np.argmax(vals))
+            if vals[j] > best:
+                best, best_omega = float(vals[j]), float(points[j])
+            bracket = points[[max(0, j - 1), min(64, j + 1)]]
+    return best, best_omega
+
+
+def kron_lyapunov_operator(a):
+    """I kron A' + A' kron I by np.kron, as gainlab's Lyapunov solve
+    assembled it before its index assignment."""
+    ident = np.eye(a.shape[0])
+    return np.kron(ident, a.T) + np.kron(a.T, ident)

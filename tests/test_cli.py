@@ -21,7 +21,7 @@ from gainlab import (
     vcurve,
     worst_case_periodic_input,
 )
-from gainlab import cli, linalg
+from gainlab import GainEstimate, cli, gains, linalg, sim
 from gainlab.cli import main
 from gainlab.delay import _history_steps
 from gainlab.modelio import parse_system
@@ -542,6 +542,34 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and f"matrix {key!r}" in err and "boolean" in err
+
+    def test_non_finite_estimate_exits_1(self, oscillator_file, capsys, monkeypatch):
+        # A NaN in a document is refused at the writer: exit 1, one error
+        # line naming the field, and no partial document on stdout.
+        def nan_sinusoid(sys, omegas=None):
+            return GainEstimate(1.0, "lower", "sinusoid", 1e-12, {"omega": math.nan})
+
+        monkeypatch.setattr(gains, "sinusoid_lower_bound", nan_sinusoid)
+        assert main(["analyze", oscillator_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
+        assert "'omega'" in err
+
+    def test_non_finite_trajectory_row_exits_1(self, oscillator_file, capsys, monkeypatch):
+        simulate_once = sim.simulate
+
+        def nan_row(*args, **kwargs):
+            traj = simulate_once(*args, **kwargs)
+            traj.states[7, 1] = math.nan
+            return traj
+
+        monkeypatch.setattr(sim, "simulate", nan_row)
+        assert main(["simulate", oscillator_file, "--t-max", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
+        assert "column 'x_2', row 8" in err
 
     def test_delay_rejected_where_standard_needed(self, delay_file, capsys):
         assert main(["vt", delay_file]) == 1

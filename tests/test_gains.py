@@ -48,6 +48,7 @@ from gainlab_testkit import (
     reference_impulse_rows,
     reference_periodic_values,
     reference_sinusoid_refine,
+    reference_sinusoid_zoom,
     reference_terminal_ascent,
     signed_states_loop,
 )
@@ -411,6 +412,19 @@ def test_report_l1_and_onb_against_scipy(seed, p):
     np.testing.assert_allclose(onb.details["basis_values"], refs, rtol=0.0, atol=tol)
 
 
+def lapack_calls(monkeypatch):
+    """The names of the np.linalg solve and inv calls made from now on, in order."""
+    calls = []
+
+    def counted(name):
+        call = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or call(*args, **kwargs)
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
 def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_positive):
     # The report reads positivity off its own L1 partition: one partition per
     # SISO report, and per p = 3 report (the ONB bases share it), none when
@@ -442,22 +456,17 @@ def test_siso_report_costs_one_l1_partition(monkeypatch, oscillator, triangular_
         assert len(calls) == expected
         assert rep.positivity is positivity
 
-    solves = []
-    solve = np.linalg.solve
-
-    def counting_solve(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    solves = lapack_calls(monkeypatch)
     # The bound's 200-point grid maximum is one solve.
     sinusoid_sweep(oscillator, np.logspace(-3.0, 3.0, 200)).max()
-    assert len(solves) == 1
-    # The golden-section refinement made 22 more solves, one per frequency;
-    # the zoom makes one per round.
+    assert solves == ["solve"]
+    # The golden-section refinement made 22 more solves, one per frequency,
+    # and the zoom one per round, 4 in all; the Newton polish takes one
+    # inverse per iterate (4 here) and one solve for the value.
     solves.clear()
     est = sinusoid_lower_bound(oscillator)
-    assert len(solves) == 1 + gains._ZOOM_ROUNDS <= 6
+    assert solves[0] == "solve" and solves[-1] == "solve"
+    assert len(solves) <= 7 and set(solves[1:-1]) == {"inv"}
     assert est.details["grid_points"] == 200
 
 
@@ -1182,8 +1191,8 @@ class TestSinusoidLowerBound:
 
     def test_zoom_between_golden_section_and_gain(self):
         # The acceptance suite's 100 draws and five oscillators, two of them
-        # lightly damped: the zoom never falls below the golden-section
-        # refinement it replaced, and stays a lower bound on the L1 gain
+        # lightly damped: the polish never falls below the golden-section
+        # refinement the zoom replaced, and stays a lower bound on the L1 gain
         # (closed form for the oscillators: (10, 0.02) takes 18 s at 1e-10).
         rng = np.random.default_rng(12345)
         cases = [random_siso_system(rng, n_max=5) for _ in range(100)]
@@ -1198,6 +1207,71 @@ class TestSinusoidLowerBound:
             assert est.value >= reference - 1e-12 * max(1.0, reference), trial
             assert est.value <= gain + 1e-9 * max(1.0, gain), trial
             assert est.value == sinusoid_response(sys, est.details["omega"]), trial
+
+    @pytest.mark.parametrize(
+        "w, d", [(1.0, 1.0), (7.0, 0.1), (10.0, 0.02), (100.0, 1e-3), (1000.0, 0.1), (30.0, 1e-4)]
+    )
+    def test_oscillator_peak_in_closed_form(self, w, d):
+        # |G(i omega)| = 1 / |w^2 - omega^2 + i omega d| peaks at
+        # omega^2 = w^2 - d^2 / 2 with 1 / (d sqrt(w^2 - d^2 / 4)).  The zoom
+        # fell short by up to 9.7e-6 at (100, 1e-3) and 4.7e-5 at (30, 1e-4).
+        est = sinusoid_lower_bound(damped_oscillator(w, d))
+        peak = 1.0 / (d * math.sqrt(w * w - d * d / 4.0))
+        assert abs(est.value - peak) <= 1e-12 * peak
+        assert est.details["omega"] == pytest.approx(math.sqrt(w * w - d * d / 2.0), rel=1e-6)
+
+    def test_never_below_the_zoom(self, diag_two_output):
+        # The acceptance suite's 100 draws, 60 seeded p = 2 or 3 draws, and
+        # symmetric A with C = I: the polish never falls below the batched
+        # zoom it replaced.
+        rng = np.random.default_rng(12345)
+        cases = [random_siso_system(rng, n_max=5) for _ in range(100)]
+        rng = np.random.default_rng(3232)
+        for _ in range(60):
+            n, p = int(rng.integers(1, 7)), int(rng.integers(2, 4))
+            b, c = rng.uniform(-2.0, 2.0, (n, 1)), rng.uniform(-2.0, 2.0, (p, n))
+            cases.append(StateSpaceSystem(a=random_hurwitz_matrix(rng, n=n), b=b, c=c))
+        for n in (2, 3, 3, 4):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            a = -(q * rng.uniform(0.3, 3.0, n)) @ q.T
+            b = rng.uniform(-2.0, 2.0, (n, 1))
+            cases.append(StateSpaceSystem(a=0.5 * (a + a.T), b=b, c=np.eye(n)))
+        cases += [diag_two_output, oscillator_two_output(1.0, 1.0), oscillator_two_output(3.0, 0.3)]
+        for trial, sys in enumerate(cases):
+            est = sinusoid_lower_bound(sys)
+            zoom = reference_sinusoid_zoom(sys)[0]
+            assert est.value >= zoom - 1e-12 * max(1.0, zoom), trial
+            assert est.value == sinusoid_response(sys, est.details["omega"]), trial
+
+    def test_grid_end_stands(self, scalar_system, monkeypatch):
+        # 1 / (1 + i omega) peaks at omega -> 0: the grid maximum is its first
+        # point, phi' points out of the grid, and one inverse decides it.
+        calls = lapack_calls(monkeypatch)
+        est = sinusoid_lower_bound(scalar_system)
+        assert calls == ["solve", "inv"]
+        assert est.details["omega"] == 1e-3
+        assert est.value == sinusoid_response(scalar_system, 1e-3)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_phi_derivatives_by_finite_differences(self, p):
+        # _sinusoid_phi returns phi, phi', phi'' times one positive factor,
+        # so phi' / phi and phi'' / phi match central differences of
+        # phi(t) = Psi(e^t)^2 on either side of a peak and near it.
+        rng = np.random.default_rng(40 + p)
+        h = 1e-4
+        for _ in range(5):
+            n = int(rng.integers(2, 6))
+            a = random_hurwitz_matrix(rng, n=n)
+            b, c = rng.uniform(-2.0, 2.0, (n, 1)), rng.uniform(-2.0, 2.0, (p, n))
+            sys = StateSpaceSystem(a=a, b=b, c=c)
+            peak = sinusoid_lower_bound(sys).details["omega"]
+            for t in math.log(peak) + np.array([-2.0, -0.3, 0.05, 0.4, 1.5]):
+                phi = [sinusoid_response(sys, math.exp(t + k * h)) ** 2 for k in (-1, 0, 1)]
+                slope = (phi[2] - phi[0]) / (2.0 * h * phi[1])
+                curve = (phi[2] - 2.0 * phi[1] + phi[0]) / (h * h * phi[1])
+                value, d1, d2 = gains._sinusoid_phi(sys, math.exp(t))
+                assert d1 / value == pytest.approx(slope, rel=1e-5, abs=1e-6)
+                assert d2 / value == pytest.approx(curve, rel=1e-5, abs=1e-5)
 
 
 class TestOnbUpperBound:

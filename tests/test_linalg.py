@@ -23,7 +23,7 @@ from gainlab import (
     symmetric_eigen,
 )
 from gainlab import linalg
-from gainlab_testkit import expm_stack, random_hurwitz_matrix
+from gainlab_testkit import expm_stack, kron_lyapunov_operator, random_hurwitz_matrix
 
 
 class TestMatExp:
@@ -295,6 +295,25 @@ class TestLyapunov:
             assert residual <= 1e-10 * (np.linalg.norm(a) * np.linalg.norm(p) + n)
             ref = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
             np.testing.assert_allclose(p, ref, rtol=1e-8, atol=1e-10)
+
+    def test_operator_is_the_kronecker_sum(self):
+        # Index assignment gives I kron A' + A' kron I entry for entry.
+        rng = np.random.default_rng(5)
+        for n in range(1, 9):
+            a = rng.standard_normal((n, n))
+            assert np.array_equal(linalg._lyapunov_operator(a), kron_lyapunov_operator(a)), n
+
+    def test_certificate_unchanged_from_kron_assembly(self, monkeypatch):
+        # The same matrix, so the same P, M and sigma to the bit.
+        rng = np.random.default_rng(6)
+        mats = [random_hurwitz_matrix(rng, n=int(rng.integers(1, 9))) for _ in range(40)]
+        mats += [np.diag(-np.arange(1.0, 5.0)), -np.eye(4) + np.eye(4, k=1)]
+        certs = [stability_certificate(a) for a in mats]
+        monkeypatch.setattr(linalg, "_lyapunov_operator", kron_lyapunov_operator)
+        for a, cert in zip(mats, certs):
+            old = stability_certificate(a)
+            assert cert.p.tobytes() == old.p.tobytes()
+            assert (cert.m, cert.sigma) == (old.m, old.sigma)
 
     def test_singular_pair_rejected(self):
         # eigenvalues +1 and -1 sum to zero, so the vectorized system is singular

@@ -9,6 +9,7 @@ from gainlab import (
     Constant,
     DelayPredictorSystem,
     DelayState,
+    GainlabError,
     NotHurwitzError,
     Sinusoid,
     StateSpaceSystem,
@@ -244,6 +245,25 @@ class TestDeterministicSerialization:
         parsed = json.loads(dumps_document(doc))
         assert parsed["oag_bound"] == pytest.approx(1.0 - math.exp(-0.5) / 6.0, abs=1e-8)
         assert parsed["oag_bound"] < parsed["ios_bound"]
+
+    def test_non_finite_number_refused(self):
+        # A NaN or infinite number would make the document invalid JSON and a
+        # false labelled figure: the writer names the field instead.
+        for value in (math.nan, math.inf, -np.inf):
+            with pytest.raises(GainlabError, match="document field 'omega'"):
+                dumps_document({"lowers": [{"value": 1.0, "details": {"omega": value}}]})
+        with pytest.raises(GainlabError, match="document field 'm'"):
+            dumps_document({"m": np.array([[1.0, 2.0], [math.nan, 4.0]])})
+
+    def test_non_finite_table_refused(self, scalar_system):
+        # The commands' tables refuse too, naming the column; csv_lines
+        # itself prints NaN and infinity as "%.17g" does.
+        with pytest.raises(GainlabError, match="column 'Psi', row 2"):
+            sweep_csv([1.0, 2.0], [0.5, math.inf])
+        traj = simulate(scalar_system, Constant([1.0]), np.zeros(1), 30.0, 0.01)
+        traj.outputs[1500, 0] = math.nan
+        with pytest.raises(GainlabError, match="column 'y_1', row 1501"):
+            trajectory_csv(traj)
 
 
 class TestCsv:
