@@ -515,6 +515,9 @@ class DelayBoundReport:
     quad_tol: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"delay bound field {name} must be finite, got {value}")
         if self.oag_bound > self.ios_bound + 1e-12 * max(1.0, self.ios_bound):
             raise ValueError("asymptotic bound cannot exceed the sup bound")
 

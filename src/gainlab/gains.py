@@ -101,6 +101,8 @@ class GainEstimate:
             raise ValueError(f"unknown estimate kind {self.kind!r}")
         if not np.isfinite(self.value) or self.value < 0:
             raise ValueError(f"estimate value must be finite and nonnegative, got {self.value}")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"estimate tolerance must be finite and nonnegative, got {self.tolerance}")
 
 
 class PositivityCertificate(enum.Enum):

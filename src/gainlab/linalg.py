@@ -1,12 +1,12 @@
 """Dense real-matrix primitives and stability machinery.
 
 Everything downstream (gain estimates, simulation, delay bounds) is built on
-the handful of operations in this module: a scaling-and-squaring matrix
-exponential, taken only by the public mat_exp and by the one flow object
-_Flow (exp(t M) at one time or many by a ladder of powers exp(2^i c M) over
-cells c with ||c M||_1 <= 1/2, and the Taylor series of a cell, one stack of
-scaled powers read by one product), a Kronecker-product Lyapunov solver,
-and the decay certificate (M, sigma) read off its solution.
+the handful of operations in this module: the one flow object _Flow (exp(t M)
+at one time or many by a ladder of powers exp(2^i c M) over cells c with
+||c M||_1 <= 1/2, formed by scaling and squaring, and the Taylor series of a
+cell, one stack of scaled powers read by one product), whose top power is
+the public mat_exp, a Kronecker-product Lyapunov solver, and the decay
+certificate (M, sigma) read off its solution.
 Positive-definiteness probes, symmetric eigendecompositions and spectral
 norms go to LAPACK through numpy.linalg.  Matrices are plain float64
 ndarrays throughout.
@@ -39,7 +39,7 @@ __all__ = [
 
 # Coefficients of the degree-13 diagonal Pade approximant to exp, ordered by
 # ascending power, and the largest scaled norm at which it is accurate to
-# double precision.
+# double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 _PADE13 = (
     64764752532480000.0,
     32382376266240000.0,
@@ -81,51 +81,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scaling and squaring with the degree-13 Pade approximant.
-
-    ``m`` is one (n, n) matrix or a (k, n, n) stack; a stack is exponentiated
-    matrix by matrix in one pass of broadcast products and solves, and one
-    matrix is handled as a stack of one.  Each matrix gets its own scaling
-    count from its own 1-norm, a zero matrix maps to the identity exactly,
-    and only the matrices that were scaled are squared back.
-    """
-    if m.ndim == 2:
-        return _expm(m[None])[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(m, 1, axis=(-2, -1)).tolist()
-        counts = [_squarings(x) for x in norms]
-        top = max(counts, default=0)
-        # Square a contiguous tail per level: order by ascending count, unless
-        # all counts are equal (always so for one matrix).
-        if min(counts, default=0) == top:
-            order, starts = None, [0] * top
-            result = _pade13(m / 2.0**top)
-        else:
-            order = np.argsort(counts, kind="stable")
-            squarings = np.array(counts)[order]
-            starts = np.searchsorted(squarings, np.arange(top), side="right")
-            result = _pade13(m[order] / (2.0**squarings)[:, None, None])
-        for start in starts:
-            tail = result[start:]
-            tail[...] = tail @ tail
-        if order is not None:
-            result = result[np.argsort(order)]
-        if 0.0 in norms:
-            result[np.equal(norms, 0.0)] = np.eye(m.shape[-1])
-    if not np.all(np.isfinite(result)):
-        raise OverflowError("matrix exponential overflowed double precision")
-    return result
-
-
-def _squarings(norm: float) -> int:
-    """Squarings that bring a matrix of 1-norm ``norm`` into the range
-    where the degree-13 Pade approximant is accurate to double precision."""
-    if norm > _PADE13_THETA:
-        return max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
-    return 0
 
 
 def _pade13(m: np.ndarray) -> np.ndarray:
@@ -204,14 +159,29 @@ class _Flow:
     """The flow exp(t M) of a square M for 0 <= t <= ``end`` on cells of
     width ``cell``, ||cell M||_1 <= 1/2 (the caller's choice), walked by the
     gains partition, the simulator and the delay kernels alike: the powers
-    exp(2^i cell M) for 2^i up to end / cell cells, in one _expm stack, and
-    the cell's Taylor ``stack``, formed on first use (a flow walked only on
-    multiples of its cell never forms it)."""
+    exp(2^i cell M) for 2^i up to end / cell cells, and the cell's Taylor
+    ``stack``, formed on first use (a flow walked only on multiples of its
+    cell never forms it).
+
+    The powers are the package's one scaling and squaring: one stack of
+    degree-13 Pade approximants gives level 0 and every level of 1-norm
+    within _PADE13_THETA, and each level past it is the square of the level
+    below.  A zero level gives the identity exactly, and a power that
+    overflows raises OverflowError."""
 
     def __init__(self, matrix: np.ndarray, cell: float, end: float):
         self.matrix, self.cell = matrix, cell
         cells = int(end / cell + 0.5)
-        self.powers = _expm(matrix * (cell * 2.0 ** np.arange(cells.bit_length()))[:, None, None])
+        levels = matrix * (cell * 2.0 ** np.arange(cells.bit_length()))[:, None, None]
+        norms = np.linalg.norm(levels, 1, axis=(-2, -1))
+        direct = max(1, int(np.count_nonzero(norms <= _PADE13_THETA)))
+        self.powers = np.concatenate((_pade13(levels[:direct]), levels[direct:]))
+        self.powers[norms == 0.0] = np.eye(matrix.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(direct, len(levels)):
+                self.powers[i] = self.powers[i - 1] @ self.powers[i - 1]
+        if not np.all(np.isfinite(self.powers)):
+            raise OverflowError("matrix exponential overflowed double precision")
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -283,7 +253,8 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def mat_exp(a, t: float) -> np.ndarray:
-    """Evaluate exp(a * t) for a square matrix ``a`` and time ``t >= 0``.
+    """Evaluate exp(a * t) for a square matrix ``a`` and time ``t >= 0``:
+    the top power of the _grid_flow of ``a`` to t, one step of t.
 
     Raises OverflowError when the result leaves the representable range
     (possible despite Hurwitz ``a`` for intermediate scalings of huge norm).
@@ -295,7 +266,7 @@ def mat_exp(a, t: float) -> np.ndarray:
         raise ValueError("t must be finite")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return _expm(arr * t)
+    return _grid_flow(arr, t, t)[0].powers[-1] if t else np.eye(arr.shape[0])
 
 
 def _lyapunov_operator(a: np.ndarray) -> np.ndarray:

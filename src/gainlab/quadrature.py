@@ -4,12 +4,13 @@ The integrands in this package are norms of matrix exponentials: smooth
 almost everywhere but with isolated kinks where a component crosses zero.
 gauss_legendre gives each panel an 8-point Gauss–Legendre value (exact for
 polynomials of degree 15) and splits a panel while that value differs from
-the sum of its halves' by more than the panel's share of the tolerance; a
-width floor of 1e-6 of the interval stops refinement on a kink sitting
-exactly at a node.  The integrand is vectorized: the open panels go to it
-in groups of at most _GROUP panels, deepest first, so an integrand built on
-a stacked matrix exponential pays one call per group, and memory stays
-bounded however many panels the floor lets the rule open.
+the sum of its halves' by more than the panel's share of the tolerance and
+by more than the rounding of the halves' values; a width floor of 1e-6 of
+the interval stops refinement on a kink sitting exactly at a node.  The
+integrand is vectorized: the open panels go to it in groups of at most
+_GROUP panels, deepest first, so an integrand built on a stacked matrix
+exponential pays one call per group, and memory stays bounded however many
+panels the floor lets the rule open.
 
 adaptive_simpson is the classical recursive Simpson rule on a scalar
 integrand, one call per node.
@@ -37,6 +38,10 @@ _WEIGHTS = 0.5 * np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 
 # Panels handed to the integrand in one call: 16 nodes each.
 _GROUP = 256
+# A panel whose halves differ from it by at most this many ulps of their
+# summed magnitudes is accepted: a difference that small is rounding, which
+# splitting does not shrink.
+_NOISE = 64.0 * np.finfo(float).eps
 
 
 def gauss_legendre(
@@ -48,8 +53,9 @@ def gauss_legendre(
     shape (k,) or (k, q); q components are integrated under a shared
     refinement.  A panel of width w is accepted, as the sum of its halves'
     values, when that sum is within tol w / (b - a) of the panel's own value
-    (absolute component differences summed) or when w is at most
-    1e-6 (b - a).
+    (absolute component differences summed), when it is within 64 ulps of
+    the halves' summed magnitudes (so a tolerance below the values' rounding
+    does not split a smooth panel further) or when w is at most 1e-6 (b - a).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"invalid interval [{a}, {b}]")
@@ -65,7 +71,8 @@ def gauss_legendre(
         parts = _panels(f, np.concatenate((lo, lo + half)), np.tile(half, 2))
         both = parts[:count] + parts[count:]
         err = np.abs(both - whole).reshape(count, -1).sum(axis=1)
-        done = (err <= rate * width) | (width <= floor)
+        noise = (_NOISE * np.abs(parts)).reshape(2, count, -1).sum(axis=(0, 2))
+        done = (err <= np.maximum(rate * width, noise)) | (width <= floor)
         total = total + both[done].sum(axis=0)
         split = np.flatnonzero(~done)
         lo = np.concatenate((lo[split], lo[split] + half[split]))

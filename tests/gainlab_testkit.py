@@ -25,7 +25,6 @@ from gainlab import (
 from gainlab.linalg import (
     _cell_flow,
     _cell_stack,
-    _expm,
     _grid_flow,
     _orbit,
     spectral_norm,
@@ -44,9 +43,10 @@ from gainlab.sim import (
 
 
 def expm_stack(a, s):
-    """exp(s_k a) for every entry s_k of ``s``, as one (k, n, n) linalg._expm
-    stack: the reference exponentials of the kernel integrals below."""
-    return _expm(a * np.asarray(s, dtype=float).reshape(-1)[:, None, None])
+    """exp(s_k a) for every entry s_k of ``s``, as one (k, n, n) batched
+    scipy.linalg.expm: the reference exponentials of the kernel integrals
+    below, independent of gainlab's own."""
+    return scipy.linalg.expm(a * np.asarray(s, dtype=float).reshape(-1)[:, None, None])
 
 
 def expm_times(a, s, b):
@@ -507,7 +507,7 @@ class _Propagators:
             aug = np.zeros((n + m, n + m))
             aug[:n, :n] = self.sys.a
             aug[:n, n:] = self.sys.b
-            full = _expm(aug * dt)
+            full = mat_exp(aug, dt)
             pair = (full[:n, :n], full[:n, n:])
             self.const[dt] = pair
         phi, gamma = pair
@@ -525,7 +525,7 @@ class _Propagators:
             aug[:n, n] = self.sys.b @ seg.direction
             aug[n, n + 1] = seg.omega
             aug[n + 1, n] = -seg.omega
-            full = _expm(aug * dt)
+            full = mat_exp(aug, dt)
             self.sin[key] = full
         theta = seg.omega * t_local + seg.theta0
         z = np.concatenate((x, [math.sin(theta), math.cos(theta)]))
@@ -595,11 +595,12 @@ def segmentwise_simulate(sys, signal, x0, t_end, h):
     """gainlab's segment-orbit simulator with nothing shared between
     segments: each forms its own cell c = h / 2^j (j the least with
     ||c G||_1 <= 1/2), its own ladder of powers exp(2^i c G) up to its
-    longest flow, and its own Taylor stack of the cell.  Each flow from the
-    segment start (a block's lead, the end state) is the powers named by
-    the binary digits of t // c, lowest first, then one Taylor product over
-    the remainder.  Kept as the bit-for-bit reference for the flows a call
-    shares between segments."""
+    longest flow (the powers of a _grid_flow of G to that length), and its
+    own Taylor stack of the cell.  Each flow from the segment start (a
+    block's lead, the end state) is the powers named by the binary digits
+    of t // c, lowest first, then one Taylor product over the remainder.
+    Kept as the bit-for-bit reference for the flows a call shares between
+    segments."""
     x = np.asarray(x0, dtype=float).reshape(-1)
     n_steps = _grid_steps(t_end, h)
     t_final = n_steps * h
@@ -616,7 +617,7 @@ def segmentwise_simulate(sys, signal, x0, t_end, h):
         j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(g, 1)) * h)))
         cell = h / 2.0**j
         longest = max(seg.end, times[stop - 1]) - seg.start
-        ladder = expm_stack(g, cell * 2.0 ** np.arange(int(longest / cell + 1.0).bit_length()))
+        ladder = _grid_flow(g, h, longest)[0].powers
         stack = _cell_stack(g * cell)
 
         def flow(t):

@@ -21,7 +21,7 @@ from gainlab import (
     vcurve,
     worst_case_periodic_input,
 )
-from gainlab import GainEstimate, cli, gains, linalg, sim
+from gainlab import GainEstimate, cli, delay, gains, linalg, sim
 from gainlab.cli import main
 from gainlab.delay import _history_steps
 from gainlab.modelio import parse_system
@@ -381,19 +381,41 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "gainlab: error: matrix exponential overflowed double precision\n"
 
-    def test_bounds_past_1e154_stay_finite(self, tmp_path, capsys):
+    def test_bounds_past_1e154_stay_finite(self, tmp_path, capsys, monkeypatch):
         # exp(A tau) = e^600 is a double but its square is not: the spectral
         # norms used to square the entries, and every bound printed NaN.
-        # phi(s) = 2 e^s and r(s) = e^s integrate in closed form.
+        # phi(s) = 2 e^s and r(s) = e^s integrate in closed form.  The
+        # absolute quad_tol is far below the integrals' rounding, so the
+        # quadrature stops at rounding level: it took 2.7 million nodes
+        # when it split every such panel down to its width floor.
         model = {"A": [[1.0]], "B": [[1.0]], "K": [[-2.0]], "G": [[1.0]], "tau": 600.0, "mu": 1.0}
         path = tmp_path / "long-delay.json"
         path.write_text(json.dumps(model))
+        nodes = []
+        original = delay.gauss_legendre
+
+        def counting(f, a, b, tol):
+            return original(lambda s: nodes.append(s.size) or f(s), a, b, tol)
+
+        monkeypatch.setattr(delay, "gauss_legendre", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["analyze", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["phi_integral"] == pytest.approx(2.0 * math.expm1(600.0), rel=1e-12)
         assert doc["r_integral"] == pytest.approx(math.expm1(600.0), rel=1e-12)
+        assert 0 < sum(nodes) < 10**5
+
+    def test_bound_past_double_range_exit_1(self, tmp_path, capsys):
+        # exp(A tau) = e^709 is a double, but (M / sigma) times the phi
+        # integral is not: the bounds report refuses its infinite field.
+        model = {"A": [[1.0]], "B": [[1.0]], "K": [[-2.0]], "G": [[1.0]], "tau": 709.0, "mu": 1.0}
+        path = tmp_path / "long-delay.json"
+        path.write_text(json.dumps(model))
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gainlab: error: delay bound field oag_bound must be finite, got inf\n"
 
     @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
     @pytest.mark.parametrize("step", ["5e-7", "5e-8"])
@@ -846,16 +868,16 @@ class TestDelayDemo:
     def test_one_expm_stack_per_flow(self, delay_file, capsys, monkeypatch):
         # The bounds' flow of A on [0, tau] gives every Simpson node and
         # exp(A tau); the step map's flow gives the kernels and its own
-        # exp(A tau): two _expm stacks, where each Simpson level and each
+        # exp(A tau): two Pade stacks, where each Simpson level and each
         # exp(A tau) used to form one (seven calls on this file).
         calls = []
-        original = linalg._expm
+        original = linalg._pade13
 
         def counting(m):
             calls.append(m.shape)
             return original(m)
 
-        monkeypatch.setattr(linalg, "_expm", counting)
+        monkeypatch.setattr(linalg, "_pade13", counting)
         assert main(["delay-demo", delay_file]) == 0
         assert json.loads(capsys.readouterr().out)["all_within_oag"] is True
         assert len(calls) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -478,6 +479,15 @@ class TestDelayBounds:
         assert rep.ios_bound == pytest.approx(2.0 - 7.0 * E_HALF / 6.0, abs=1e-9)
         assert rep.oag_bound < rep.ios_bound
 
+    def test_report_refuses_non_finite_fields(self, scalar_delay):
+        # A NaN passed the oag <= ios check, and an integral past double
+        # range gave an infinite bound: each field is refused by name.
+        rep = delay_bounds(scalar_delay)
+        for name in vars(rep):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^delay bound field {name} must be finite"):
+                    dataclasses.replace(rep, **{name: bad})
+
     def test_zero_feedthrough_matrix(self):
         # B = 0 kills phi, leaving oag = M |G| / sigma
         sys = DelayPredictorSystem(
@@ -519,7 +529,7 @@ class TestDelayBounds:
             raise AssertionError("computation reached")
 
         monkeypatch.setattr(delaymod, "gauss_legendre", refuse)
-        monkeypatch.setattr(linalg, "_expm", refuse)
+        monkeypatch.setattr(linalg, "_pade13", refuse)
         for tol in (math.inf, math.nan, True, 0, 0.0, -1e-6, "1e-6"):
             with pytest.raises(ValueError, match="^quad_tol must be finite and positive, got "):
                 delay_bounds(scalar_delay, quad_tol=tol)

@@ -69,12 +69,12 @@ BAD_TOLS = (math.inf, math.nan, True, 0, 0.0, -1e-6, -1e-8, "1e-6")
 
 
 def refuse_computation(monkeypatch):
-    """Make linalg._expm and np.linalg.solve raise."""
+    """Make linalg._pade13 and np.linalg.solve raise."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("computation reached")
 
-    monkeypatch.setattr(linalg, "_expm", refuse)
+    monkeypatch.setattr(linalg, "_pade13", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
 
 
@@ -138,9 +138,9 @@ def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
         calls.append(m.shape)
         return original(m)
 
-    original = linalg._expm
-    # gains reaches _expm only through linalg (each _Flow's power stack).
-    monkeypatch.setattr(linalg, "_expm", counting)
+    original = linalg._pade13
+    # gains reaches _pade13 only through linalg (each _Flow's power stack).
+    monkeypatch.setattr(linalg, "_pade13", counting)
     est = l1_impulse_gain(oscillator)
     assert 0 < len(calls) <= 22
     assert est.value == pytest.approx(OSCILLATOR_GAIN, abs=1e-7)
@@ -160,13 +160,13 @@ def test_partition_forms_orbit_powers_once(monkeypatch):
     a = random_hurwitz_matrix(rng, n=6)
     sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (6, 1)), c=rng.uniform(-2.0, 2.0, (1, 6)))
     stacks = []
-    original = linalg._expm
+    original = linalg._pade13
 
     def recording(m):
         stacks.append(m)
         return original(m)
 
-    monkeypatch.setattr(linalg, "_expm", recording)
+    monkeypatch.setattr(linalg, "_pade13", recording)
     horizon = l1_impulse_gain(sys, tol=1e-6).details["horizon"]
     monkeypatch.undo()
     flow = gains._KernelFlow(sys, [horizon])
@@ -188,13 +188,13 @@ def test_partitioned_flow_forms_no_exponential(monkeypatch):
     rows = np.array([[1.0, 0.0], [0.3, -1.0]])
     gains._sign_partition(flow, rows, 1e-10)
     calls = []
-    original = linalg._expm
+    original = linalg._pade13
 
     def counting(m):
         calls.append(m.shape)
         return original(m)
 
-    monkeypatch.setattr(linalg, "_expm", counting)
+    monkeypatch.setattr(linalg, "_pade13", counting)
     roots = gains._sign_partition(flow, rows, 1e-10)[0]
     assert calls == []
     w_d = math.sqrt(9.0 - 0.3**2 / 4.0)
@@ -520,6 +520,12 @@ class TestGainEstimate:
             GainEstimate(value=-1.0, kind="exact", method="x", tolerance=0.0)
         with pytest.raises(ValueError):
             GainEstimate(value=float("nan"), kind="exact", method="x", tolerance=0.0)
+
+    def test_tolerance_validated(self):
+        # A NaN, infinite or negative tolerance states no accuracy.
+        for bad in (math.nan, math.inf, -1e-12):
+            with pytest.raises(ValueError, match="^estimate tolerance must be finite and nonnegative"):
+                GainEstimate(value=1.0, kind="lower", method="x", tolerance=bad)
 
 
 class TestL1ImpulseGain:
@@ -946,13 +952,13 @@ class TestVCurve:
         # formed block leads and halving steps, and the zeros' polish one
         # stack per iteration; 2 while the flow formed its ends' own stack).
         calls = []
-        original = linalg._expm
+        original = linalg._pade13
 
         def counting(m):
             calls.append(m.shape)
             return original(m)
 
-        monkeypatch.setattr(linalg, "_expm", counting)
+        monkeypatch.setattr(linalg, "_pade13", counting)
         vcurve(identity_output_oscillator(10.0, 1.0), np.linspace(0.5, 20.0, 40), tol=1e-8)
         assert len(calls) == 1
 

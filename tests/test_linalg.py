@@ -51,37 +51,24 @@ class TestMatExp:
             bound = 1e-12 * math.exp(np.linalg.norm(a * t))
             assert np.linalg.norm(ours - ref) <= max(bound, 1e-13)
             by_size.setdefault(n, []).append(a * t)
-        # The same draws again, exponentiated as one (k, n, n) stack per n
-        # behind a zero matrix and a skew matrix (its exponential is a
-        # rotation) whose 1-norm of 1500 needs 9 squarings.
+        # The same draws again, behind a zero matrix and a skew matrix (its
+        # exponential is a rotation) whose 1-norm of 1500 needs 9 squarings:
+        # by mat_exp, and by the ladder of a _Flow on ceil(2 ||m||_1) cells
+        # of a width that is no power of two.
         for n, mats in by_size.items():
             skew = rng.standard_normal((n, n))
             skew = skew - skew.T
             if n > 1:
                 skew *= 1500.0 / np.linalg.norm(skew, 1)
                 assert np.linalg.norm(skew, 1) > linalg._PADE13_THETA * 2.0**8
-            ours = linalg._expm(np.stack([np.zeros((n, n)), skew] + mats))
-            assert ours.shape == (len(mats) + 2, n, n)
-            np.testing.assert_array_equal(ours[0], np.eye(n))
-            assert np.linalg.norm(ours[1] - scipy.linalg.expm(skew)) <= 1e-10
-            for m, e in zip(mats, ours[2:]):
-                bound = 1e-12 * math.exp(np.linalg.norm(m))
-                assert np.linalg.norm(e - scipy.linalg.expm(m)) <= max(bound, 1e-13)
-
-    def test_stack_rows_equal_single_matrices(self):
-        # Mixed scaling counts in shuffled order (reordered, squared by
-        # levels, scattered back) and equal counts (no reordering): every
-        # row is the matrix's own exponential to the bit.
-        rng = np.random.default_rng(37)
-        for n in (1, 2, 3, 6):
-            mats = [rng.standard_normal((n, n)) - 3.0 * np.eye(n) for _ in range(9)]
-            mixed = np.array(mats) * np.array([0.1, 50, 3, 0, 40, 7, 0.5, 20, 2])[:, None, None]
-            equal = np.array(mats) * 0.01
-            for stack in (mixed, equal):
-                ours = linalg._expm(stack)
-                for m, e in zip(stack, ours):
-                    np.testing.assert_array_equal(e, linalg._expm(m))
-            np.testing.assert_array_equal(linalg._expm(mixed)[3], np.eye(n))
+            for k, m in enumerate([np.zeros((n, n)), skew] + mats):
+                count = max(1, math.ceil(2.0 * np.linalg.norm(m, 1)))
+                ours = mat_exp(m, 1.0), linalg._Flow(m, 1.0 / count, 1.0).ladder(count, np.eye(n))
+                bound = 1e-10 if k == 1 else max(1e-12 * math.exp(np.linalg.norm(m)), 1e-13)
+                for e in ours:
+                    if k == 0:
+                        np.testing.assert_array_equal(e, np.eye(n))
+                    assert np.linalg.norm(e - scipy.linalg.expm(m)) <= bound
 
     def test_stack_kernel_matches_one_by_one(self):
         # The array advance of a _Flow of A to 30: 5000 times, more than one
@@ -144,10 +131,8 @@ class TestMatExp:
         with pytest.raises(OverflowError):
             mat_exp([[800.0]], 1.0)
 
-    def test_overflow_in_stack_reported(self):
-        stack = np.array([[[-1.0]], [[800.0]], [[0.0]]])
-        with pytest.raises(OverflowError):
-            linalg._expm(stack)
+    def test_zero_time_gives_identity(self):
+        np.testing.assert_array_equal(mat_exp([[2.0, -1.0], [3.0, 0.5]], 0.0), np.eye(2))
 
 
 def flow_generator():
@@ -223,6 +208,39 @@ class TestFlow:
         np.testing.assert_array_equal(flow.ladder(0, v), v)
         assert "stack" not in vars(flow)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_powers_past_pade_range_square_the_level_below(self, n):
+        # Kernel-type flows (cells of 1-norm 1/2, ends a non-binary number of
+        # cells) and grid flows of 1-norms 1e-3 to 1e3: every level within
+        # _PADE13_THETA meets SciPy within 1e-13 relative, and every level
+        # past it is the square of the level below, to the bit.
+        rng = np.random.default_rng(33 + n)
+        for norm in (1e-3, 1.0, 1e3):
+            a = rng.standard_normal((n, n))
+            a *= norm / np.linalg.norm(a, 1)
+            for flow in linalg._Flow(a, 0.5 / norm, 300.3 / norm), linalg._grid_flow(a, 7.0 / norm, 60.0 / norm)[0]:
+                levels = a * (flow.cell * 2.0 ** np.arange(len(flow.powers)))[:, None, None]
+                within = np.linalg.norm(levels, 1, axis=(1, 2)) <= linalg._PADE13_THETA
+                assert within[:4].all() and not within[-1]
+                for i, (level, power) in enumerate(zip(levels, flow.powers)):
+                    if within[i]:
+                        ref = scipy.linalg.expm(level)
+                        assert np.linalg.norm(power - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+                    else:
+                        np.testing.assert_array_equal(power, flow.powers[i - 1] @ flow.powers[i - 1])
+
+    def test_zero_matrix_gives_exact_identities(self):
+        flow = linalg._Flow(np.zeros((3, 3)), 0.5, 40.0)
+        assert len(flow.powers) == 7
+        for power in flow.powers:
+            np.testing.assert_array_equal(power, np.eye(3))
+
+    def test_overflowing_top_power_reported(self):
+        # The flow of M = 1 to 1500 on cells of 1/2: its top power
+        # exp(1024) is past double range, its lower levels within it.
+        with pytest.raises(OverflowError):
+            linalg._Flow(np.array([[1.0]]), 0.5, 1500.0)
+
     def test_grid_walk_forms_no_taylor_stack(self):
         # Orbits and advances by whole cells take powers alone; the first
         # advance off the grid forms the cell's Taylor stack.
@@ -246,33 +264,32 @@ def test_ladder_and_taylor_code_only_in_linalg():
             if isinstance(node, ast.ImportFrom) and node.module == "linalg":
                 names = {alias.name for alias in node.names}
                 assert not primitives & names, name
-                assert not any(n.startswith("_expm") for n in names), name
+                assert not any(n.startswith(("_expm", "_pade")) for n in names), name
 
 
-def test_expm_called_only_by_flows_and_mat_exp():
-    # One way to form exp(tA): _expm's only callers in the package, besides
-    # its own recursion on one matrix, are _Flow's power stack and the public
-    # mat_exp, and no other exponential helper is left.
-    def calls_expm(func):
+def test_pade_called_only_by_flow_init():
+    # One scaling and squaring: the Pade approximant's only caller in the
+    # package is _Flow's constructor, and no other exponential helper is left.
+    def calls_pade(func):
         return any(
             isinstance(node, ast.Call)
-            and "_expm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and "_pade13" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
             for node in ast.walk(func)
         )
 
     callers = set()
     for path in Path(linalg.__file__).parent.glob("*.py"):
         source = path.read_text()
-        assert "_expm_times" not in source and "_expm_stack" not in source, path.name
+        assert "_expm" not in source and "_squarings" not in source, path.name
         tree = ast.parse(source)
         scoped = [("", node) for node in tree.body]
         scoped += [(f"{c.name}.", node) for c in tree.body if isinstance(c, ast.ClassDef) for node in c.body]
         callers |= {
             f"{path.stem}:{prefix}{node.name}"
             for prefix, node in scoped
-            if isinstance(node, ast.FunctionDef) and calls_expm(node)
+            if isinstance(node, ast.FunctionDef) and calls_pade(node)
         }
-    assert callers == {"linalg:_expm", "linalg:_Flow.__init__", "linalg:mat_exp"}
+    assert callers == {"linalg:_Flow.__init__"}
 
 
 class TestLyapunov:

@@ -206,9 +206,9 @@ class TestReferenceSimulator:
             calls.append(m.shape)
             return original(m)
 
-        original = linalg._expm
-        monkeypatch.setattr(linalg, "_expm", counting)
-        monkeypatch.setattr(sim, "_expm", counting, raising=False)
+        original = linalg._pade13
+        monkeypatch.setattr(linalg, "_pade13", counting)
+        monkeypatch.setattr(sim, "_pade13", counting, raising=False)
         periodic = PeriodicExtension(BangBangInput(2.0, [0.5, 1.25]), 2.0, 3.0)
         for signal, t_ends in (Constant([1.0]), (1.25, 125.0, 1250.0)), (periodic, (6.0, 60.0, 600.0)):
             counts = []
@@ -221,26 +221,26 @@ class TestReferenceSimulator:
     def test_periodic_input_reaches_expm_only_through_one_stack_per_generator(self, monkeypatch):
         # verify's run: 10 periods of a worst-case input at 4096 steps each,
         # 20 segments or more.  Each generator's one linalg._Flow, whose
-        # power stack is one _expm call, is the only matrix exponential; no
+        # power stack is one _pade13 call, is the only matrix exponential; no
         # segment's lead or end state forms one.
         system = random_siso_system(np.random.default_rng(11), 3)
         signal, spec = worst_case_periodic_input(system, 3.0, 1e-6)
         t_end, h = 10.0 * spec.period, spec.period / 4096
         stacks, calls = [], []
-        original_flow, original_expm = linalg._Flow, linalg._expm
+        original_flow, original_pade = linalg._Flow, linalg._pade13
 
         def counting_flow(matrix, cell, end):
             stacks.append(matrix.tobytes())
             return original_flow(matrix, cell, end)
 
-        def counting_expm(m):
+        def counting_pade(m):
             calls.append(m.shape)
-            return original_expm(m)
+            return original_pade(m)
 
         monkeypatch.setattr(linalg, "_Flow", counting_flow)
-        monkeypatch.setattr(linalg, "_expm", counting_expm)
-        # Also counted: an _expm that sim called directly.
-        monkeypatch.setattr(sim, "_expm", counting_expm, raising=False)
+        monkeypatch.setattr(linalg, "_pade13", counting_pade)
+        # Also counted: a _pade13 that sim called directly.
+        monkeypatch.setattr(sim, "_pade13", counting_pade, raising=False)
         simulate(system, signal, np.zeros(system.n), t_end, h)
         assert sum(1 for _ in signal_segments(signal, t_end)) >= 20
         assert len(set(stacks)) == len(stacks) == len(calls)
@@ -513,12 +513,12 @@ class TestVerifyGainEquality:
 
     def test_one_kernel_flow_and_one_output_row_orbit(self, monkeypatch):
         # The gain and the bang-bang switches come off one kernel flow (one
-        # _expm stack, its powers, which also give its end), the period's
+        # Pade stack, its powers, which also give its end), the period's
         # generator flow is the second, and the ten periods' free outputs are
         # one orbit of the output row, not an orbit of ten columns of states.
         sys = verify_model("random-0", None)
         flows, calls, orbits, rows = [], [], [], []
-        original_expm, original_orbit = linalg._expm, linalg._Flow.orbit
+        original_pade, original_orbit = linalg._pade13, linalg._Flow.orbit
         original_row_orbit = linalg._Flow.row_orbit
 
         class CountingFlow(gains._KernelFlow):
@@ -526,9 +526,9 @@ class TestVerifyGainEquality:
                 flows.append(args[1])
                 super().__init__(*args)
 
-        def counting_expm(m):
+        def counting_pade(m):
             calls.append(m.shape)
-            return original_expm(m)
+            return original_pade(m)
 
         def recording_orbit(flow, z, count, level=0):
             orbits.append(z.shape)
@@ -540,7 +540,7 @@ class TestVerifyGainEquality:
             return out
 
         monkeypatch.setattr(gains, "_KernelFlow", CountingFlow)
-        monkeypatch.setattr(linalg, "_expm", counting_expm)
+        monkeypatch.setattr(linalg, "_pade13", counting_pade)
         monkeypatch.setattr(linalg._Flow, "orbit", recording_orbit)
         monkeypatch.setattr(linalg._Flow, "row_orbit", recording_row_orbit)
         record = verify_gain_equality(sys, accuracy=0.02)
