@@ -126,6 +126,14 @@ def _checked_tol(tol, source: str = "tol") -> None:
         raise ValueError(f"{source} must be finite and positive, got {tol!r}")
 
 
+def _partition_cells(a: np.ndarray, horizon: float) -> int | float:
+    """The base cells of 1 / ||A||_1 a sign partition cuts [0, horizon] into,
+    at least one (inf past the float range): within a cell w, ||w A||_1 <= 1
+    and the flow's Taylor stack is exact to 8.7e-18 relative."""
+    cells = float(np.linalg.norm(a, 1)) * float(horizon)
+    return max(1, math.ceil(cells)) if cells < math.inf else cells
+
+
 class _KernelFlow(_Flow):
     """Everything of a sign partition but its rows: the flow x(s) = exp(As) b
     of one single-input system on the base cells of one increasing grid
@@ -154,7 +162,7 @@ class _KernelFlow(_Flow):
         t_end = float(self.ends[-1])
         self.a_powers = [np.linalg.matrix_power(a, k) for k in range(6)]
         self.mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
-        self.count = max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t_end))
+        self.count = _partition_cells(a, t_end)
         super().__init__(a, t_end / self.count, t_end)
         self.exp_end = self.ladder(self.count, np.eye(self.n))
         x_ends = np.vstack((self.advance(b[:, 0], self.ends[:-1]), self.exp_end @ b[:, 0]))
@@ -501,12 +509,11 @@ def _aligned_terminal(sys, flow, horizon, d, tol):
 
 def _check_partition_cells(sys: StateSpaceSystem, horizon: float, flag: str) -> None:
     """Raises ValueError, naming the command-line ``flag`` that set it, when a
-    finite ``horizon`` needs more than _MAX_GRID_STEPS sign-partition cells of
-    1 / (2 ||A||_1).  Non-finite horizons are left to the caller's own check."""
-    if math.isfinite(horizon) and 2.0 * np.linalg.norm(sys.a, 1) * horizon > _MAX_GRID_STEPS:
-        raise ValueError(
-            f"horizon {horizon:.4g} needs more than {_MAX_GRID_STEPS} partition cells ({flag})"
-        )
+    finite ``horizon`` needs more than _MAX_GRID_STEPS / 2 _partition_cells.
+    Non-finite horizons are left to the caller's own check."""
+    limit = _MAX_GRID_STEPS // 2
+    if math.isfinite(horizon) and _partition_cells(sys.a, horizon) > limit:
+        raise ValueError(f"horizon {horizon:.4g} needs more than {limit} partition cells ({flag})")
 
 
 @dataclass(frozen=True)
@@ -543,7 +550,7 @@ def vcurve(
     one kernel flow, whose matrix exponentials (end states, orbit powers) are
     formed once per curve: a step adds only its rows' kernel values and the
     Newton polish of their zeros, neither of which forms one.  Horizons must be
-    finite, and the largest at most _MAX_GRID_STEPS cells of 1 / (2 ||A||_1).
+    finite, and the largest at most _MAX_GRID_STEPS / 2 cells of 1 / ||A||_1.
     The ascent's signed states, n entries per (start, horizon) pair at each
     of the k horizons, k^2 (p + restarts) n in all, may number at most
     _MAX_GRID_STEPS.

@@ -3,7 +3,7 @@
 Everything downstream (gain estimates, simulation, delay bounds) is built on
 the handful of operations in this module: the one flow object _Flow (exp(t M)
 at one time or many by a ladder of powers exp(2^i c M) over cells c with
-||c M||_1 <= 1/2, formed by scaling and squaring, and the Taylor series of a
+||c M||_1 <= 1, formed by scaling and squaring, and the Taylor series of a
 cell, one stack of scaled powers read by one product), whose top power is
 the public mat_exp, a Kronecker-product Lyapunov solver, and the decay
 certificate (M, sigma) read off its solution.
@@ -60,13 +60,13 @@ _PADE13_THETA = 5.371920351148152
 # Entries a batched intermediate holds (orbit rows, an array advance's
 # Taylor terms, rescaled resolvents), about 0.5 MB of float64.
 _STACK_ENTRIES = 65536
-# Largest simulation grid, and the most base cells a terminal-output
+# Largest simulation grid, and twice the most base cells a terminal-output
 # partition may cut a caller's horizon into.  verify's 40,960 steps are the
 # most any command takes by default; a million steps simulate in about 0.2 s.
 # The cap bounds memory (ten million states of n floats) and CSV size.
 _MAX_GRID_STEPS = 10**7
 # A cell flow's Taylor series stops at its (c M)^18 / 18! term: with
-# ||c M||_1 <= 1/2 the terms left out are below 1e-21 relative.
+# ||c M||_1 <= 1 the terms left out are below 8.7e-18 relative (1.6e-23 at 1/2).
 _CELL_TERMS = 19
 _CELL_DEGREES = np.arange(_CELL_TERMS - 1, -1, -1)
 
@@ -132,9 +132,9 @@ def _orbit(powers: np.ndarray | list[np.ndarray], v: np.ndarray, count: int) -> 
 
 def _cell_stack(m: np.ndarray) -> np.ndarray:
     """The (n, 19 n) stack [(m^18 / 18!)', ..., (m / 1!)', I] of an (n, n)
-    matrix m = c M, the flow of M over a cell c with ||c M||_1 <= 1/2.
+    matrix m = c M, the flow of M over a cell c with ||c M||_1 <= 1.
 
-    Term k has 1-norm at most 2^-k / k!, so no entry can overflow.
+    Term k has 1-norm at most 1 / k!, so no entry can overflow.
     _cell_flow reads exp(s c M) x off it for any s in [-1, 1].
     """
     n = m.shape[0]
@@ -157,7 +157,7 @@ def _cell_flow(stack: np.ndarray, s, x: np.ndarray) -> np.ndarray:
 
 class _Flow:
     """The flow exp(t M) of a square M for 0 <= t <= ``end`` on cells of
-    width ``cell``, ||cell M||_1 <= 1/2 (the caller's choice), walked by the
+    width ``cell`` (||cell M||_1 <= 1 for its Taylor stack), walked by the
     gains partition, the simulator and the delay kernels alike: the powers
     exp(2^i cell M) for 2^i up to end / cell cells, and the cell's Taylor
     ``stack``, formed on first use (a flow walked only on multiples of its
@@ -235,7 +235,8 @@ class _Flow:
 
 def _grid_flow(matrix: np.ndarray, h: float, end: float) -> tuple[_Flow, int]:
     """(flow, j): the _Flow of M to ``end`` on cells h / 2^j, j the least with
-    ||(h / 2^j) M||_1 <= 1/2, so that a grid of step h is its orbit at level j."""
+    ||(h / 2^j) M||_1 <= 1/2, so that a grid of step h is its orbit at level j.
+    The simulators' trajectories depend on that 1/2 bit for bit."""
     j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(matrix, 1)) * h)))
     return _Flow(matrix, h / 2.0**j, end), j
 
@@ -254,7 +255,7 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
 
 def mat_exp(a, t: float) -> np.ndarray:
     """Evaluate exp(a * t) for a square matrix ``a`` and time ``t >= 0``:
-    the top power of the _grid_flow of ``a`` to t, one step of t.
+    the top power of its _Flow on the fewest cells t / 2^s of 1-norm within _PADE13_THETA.
 
     Raises OverflowError when the result leaves the representable range
     (possible despite Hurwitz ``a`` for intermediate scalings of huge norm).
@@ -266,7 +267,8 @@ def mat_exp(a, t: float) -> np.ndarray:
         raise ValueError("t must be finite")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return _grid_flow(arr, t, t)[0].powers[-1] if t else np.eye(arr.shape[0])
+    s = math.ceil(math.log2(max(1.0, float(np.linalg.norm(arr, 1)) * t / _PADE13_THETA)))
+    return _Flow(arr, t / 2.0**s, t).powers[-1] if t else np.eye(arr.shape[0])
 
 
 def _lyapunov_operator(a: np.ndarray) -> np.ndarray:

@@ -461,8 +461,8 @@ class TestErrors:
         assert "window entries" in capsys.readouterr().err
 
     def test_vt_partition_cells_exit_1(self, oscillator_file, capsys):
-        # ||A||_1 = 2: T = 1e9 needs 4 x 10^9 base cells, about half an hour
-        # of partition before the cell limit.
+        # ||A||_1 = 2: T = 1e9 needs 2 x 10^9 base cells, many minutes of
+        # partition before the cell limit.
         start = time.perf_counter()
         assert main(["vt", oscillator_file, "--t-max", "1e9"]) == 1
         assert time.perf_counter() - start < 1.0

@@ -151,7 +151,7 @@ def test_one_expm_call_per_refinement_level(oscillator, monkeypatch):
 
 
 def test_partition_forms_orbit_powers_once(monkeypatch):
-    # A seeded n = 6 SISO system whose L1 partition at tol 1e-6 walks 5
+    # A seeded n = 6 SISO system whose L1 partition at tol 1e-12 walks 5
     # blocks of 1,024 cells, the largest power of two within a quarter
     # stack: one stack of orbit powers exp(2^i w A) serves every block and
     # every block's lead, and no exponential of a sub-cell width is formed
@@ -167,7 +167,7 @@ def test_partition_forms_orbit_powers_once(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(linalg, "_pade13", recording)
-    horizon = l1_impulse_gain(sys, tol=1e-6).details["horizon"]
+    horizon = l1_impulse_gain(sys, tol=1e-12).details["horizon"]
     monkeypatch.undo()
     flow = gains._KernelFlow(sys, [horizon])
     block = 1 << ((linalg._STACK_ENTRIES // (4 * (sys.n + 4))).bit_length() - 1)
@@ -175,6 +175,40 @@ def test_partition_forms_orbit_powers_once(monkeypatch):
     assert sum(np.array_equal(m[0], a * flow.cell) for m in stacks) == 1
     narrowest = min(float(np.linalg.norm(m, 1, axis=(1, 2)).min()) for m in stacks)
     assert narrowest >= np.linalg.norm(a * flow.cell, 1)
+
+
+def test_partition_figures_do_not_depend_on_cell_width(oscillator, monkeypatch):
+    # The README oscillator, a seeded n = 6 SISO system and a seeded p = 3
+    # system (C's rows and four drawn ONB bases, 15 rows), partitioned on
+    # base cells of 1 / ||A||_1 and again on cells half as wide: the zero
+    # counts and the unresolved loss are identical, and the L1 and ONB
+    # figures agree within 1e-13 relative.  The chord tests hold at any
+    # width, and the Taylor stack is exact to rounding on both.
+    rng = np.random.default_rng(0)
+    a = random_hurwitz_matrix(rng, n=6)
+    siso = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (6, 1)), c=rng.uniform(-2.0, 2.0, (1, 6)))
+    a = random_hurwitz_matrix(rng, n=4)
+    three = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (4, 1)), c=rng.uniform(-2.0, 2.0, (3, 4)))
+    systems = oscillator, siso, three
+
+    def partitions():
+        out = []
+        for sys in systems:
+            l1, onb = gains._onb_bound(sys, 4, 1e-8, 0)
+            count = gains._KernelFlow(sys, [l1.details["horizon"]]).count
+            out.append((count, l1.details, [l1.value, *onb.details["basis_values"]]))
+        return out
+
+    wide = partitions()
+    monkeypatch.setattr(
+        gains, "_partition_cells", lambda a, t: max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t))
+    )
+    narrow = partitions()
+    for (count, details, values), (half_count, half_details, half_values) in zip(wide, narrow):
+        assert half_count in (2 * count - 1, 2 * count)
+        assert details["roots"] == half_details["roots"] and sum(details["roots"]) > 0
+        assert details["unresolved_bound"] == half_details["unresolved_bound"]
+        np.testing.assert_allclose(values, half_values, rtol=1e-13, atol=0.0)
 
 
 def test_partitioned_flow_forms_no_exponential(monkeypatch):
@@ -249,13 +283,13 @@ def cell_flow_systems():
 
 @pytest.mark.parametrize("name", sorted(cell_flow_systems()))
 def test_cell_flow_meets_scipy_expm(name):
-    # Within a cell of w = 1 / (2 ||A||_1) the Taylor stack is exact to
+    # Within a cell of w = 1 / ||A||_1 the Taylor stack is exact to
     # double precision: each exp(t A) x, for t from -w to w, meets SciPy's
     # within 1e-15 relative in the 1-norm, taken by _cell_flow on its own
     # stack and by the taylor step of a _Flow on cells of w.
     a = cell_flow_systems()[name]
-    w = 1.0 / (2.0 * np.linalg.norm(a, 1))
-    t = np.repeat([0.0, w / 1024.0, w / 7.0, w / 2.0, w, -w / 3.0], 3)
+    w = 1.0 / np.linalg.norm(a, 1)
+    t = np.repeat([0.0, w / 1024.0, w / 7.0, w / 2.0, w, -w / 3.0, -w], 3)
     x = np.random.default_rng(a.shape[0]).standard_normal((t.size, a.shape[0]))
     by_function = linalg._cell_flow(linalg._cell_stack(a * w), t / w, x)
     by_flow = linalg._Flow(a, w, w).taylor(t / w, x)
@@ -365,7 +399,7 @@ def test_l1_figure_ignores_state_coordinates(tol, p):
     # orthogonal change x -> Q x (Q drawn as the benchmark draws it) keeps
     # the certificate (M, sigma) and the norms of b and C's rows: so H and
     # the zero counts stay put, and the value moves within tol, though the
-    # partition's cells of 1 / (2 ||A||_1) do not.  Zeros where exp(As) b
+    # partition's cells of 1 / ||A||_1 do not.  Zeros where exp(As) b
     # has underflowed are rounding noise in any coordinates (the p = 3 draw
     # 9 has 131 zeros per row before its H = 6812 reaches them, and more
     # after, a different number in each), so only the others are compared.
@@ -1001,11 +1035,12 @@ class TestVCurve:
                 max_terminal_output(sys, math.inf)
 
     def test_rejects_horizon_past_cell_limit(self, oscillator, diag_two_output, monkeypatch):
-        # ||A||_1 = 2 for both: T = 1e9 asks for 4 x 10^9 base cells, about
-        # half an hour of partition; 2.6e6 just passes the 10^7 limit.
+        # ||A||_1 = 2 for both: T = 1e9 asks for 2 x 10^9 base cells, many
+        # minutes of partition; 2.6e6 just passes the 5 x 10^6 limit, and
+        # 1e308 cells of 1 / ||A||_1 are past the float range.
         refuse_computation(monkeypatch)
         for sys in (oscillator, diag_two_output):
-            for horizons in ([1.0, 1e9], [2.6e6]):
+            for horizons in ([1.0, 1e9], [2.6e6], [1e308]):
                 with pytest.raises(ValueError, match=r"partition cells.*\(--t-max\)$"):
                     vcurve(sys, horizons)
             with pytest.raises(ValueError, match="partition cells"):

@@ -134,6 +134,35 @@ class TestMatExp:
     def test_zero_time_gives_identity(self):
         np.testing.assert_array_equal(mat_exp([[2.0, -1.0], [3.0, 0.5]], 0.0), np.eye(2))
 
+    def test_one_pade_matrix_per_call(self, monkeypatch):
+        # mat_exp(a, t) evaluates the Pade approximant on one matrix, the
+        # cell t / 2^s of the fewest squarings: its 1-norm is within
+        # _PADE13_THETA, and past half of it whenever s > 0.
+        calls = []
+        original = linalg._pade13
+
+        def recording(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(linalg, "_pade13", recording)
+        rng = np.random.default_rng(34)
+        theta = linalg._PADE13_THETA
+        for n in (1, 2, 3, 6):
+            for norm_t in (1e-3, 1.0, 5.0, 6.0, 1e2, 1e3):
+                a = rng.standard_normal((n, n))
+                a -= (np.linalg.norm(a, 1) + 1.0) * np.eye(n)
+                t = norm_t / np.linalg.norm(a, 1)
+                calls.clear()
+                mat_exp(a, t)
+                assert len(calls) == 1 and calls[0].shape == (1, n, n)
+                cell_norm = np.linalg.norm(calls[0][0], 1)
+                assert cell_norm <= theta
+                if norm_t > theta:
+                    assert cell_norm > theta / 2.0
+                else:
+                    np.testing.assert_array_equal(calls[0][0], a * t)
+
 
 def flow_generator():
     """The constant-input generator [[A, B], [0, 0]] of a seeded n = 4 SISO
