@@ -210,7 +210,6 @@ def _cmd_worstcase(args, system, extras):
     period = args.horizon + sim._rest_length(system.certificate, rest_tol)
     h = args.step if args.step is not None else period / 4096.0
     _check_grid_flags(args, h)
-    gains._check_partition_cells(system, args.horizon, "--horizon")
     signal, spec = sim.worst_case_periodic_input(system, args.horizon, rest_tol)
     t_end = args.t_max if args.t_max is not None else 3.0 * spec.period
     traj = sim.simulate(system, signal, np.zeros(system.n), t_end, h)

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .exceptions import ConsistencyError, DimensionError
 from .linalg import (
     _MAX_GRID_STEPS,
@@ -126,14 +127,6 @@ def _checked_tol(tol, source: str = "tol") -> None:
         raise ValueError(f"{source} must be finite and positive, got {tol!r}")
 
 
-def _partition_cells(a: np.ndarray, horizon: float) -> int | float:
-    """The base cells of 1 / ||A||_1 a sign partition cuts [0, horizon] into,
-    at least one (inf past the float range): within a cell w, ||w A||_1 <= 1
-    and the flow's Taylor stack is exact to 8.7e-18 relative."""
-    cells = float(np.linalg.norm(a, 1)) * float(horizon)
-    return max(1, math.ceil(cells)) if cells < math.inf else cells
-
-
 class _KernelFlow(_Flow):
     """Everything of a sign partition but its rows: the flow x(s) = exp(As) b
     of one single-input system on the base cells of one increasing grid
@@ -162,7 +155,7 @@ class _KernelFlow(_Flow):
         t_end = float(self.ends[-1])
         self.a_powers = [np.linalg.matrix_power(a, k) for k in range(6)]
         self.mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
-        self.count = _partition_cells(a, t_end)
+        self.count = linalg._partition_cells(a, t_end)
         super().__init__(a, t_end / self.count, t_end)
         self.exp_end = self.ladder(self.count, np.eye(self.n))
         x_ends = np.vstack((self.advance(b[:, 0], self.ends[:-1]), self.exp_end @ b[:, 0]))
@@ -507,15 +500,6 @@ def _aligned_terminal(sys, flow, horizon, d, tol):
     return gauss_legendre(integrand, 0.0, horizon, tol)
 
 
-def _check_partition_cells(sys: StateSpaceSystem, horizon: float, flag: str) -> None:
-    """Raises ValueError, naming the command-line ``flag`` that set it, when a
-    finite ``horizon`` needs more than _MAX_GRID_STEPS / 2 _partition_cells.
-    Non-finite horizons are left to the caller's own check."""
-    limit = _MAX_GRID_STEPS // 2
-    if math.isfinite(horizon) and _partition_cells(sys.a, horizon) > limit:
-        raise ValueError(f"horizon {horizon:.4g} needs more than {limit} partition cells ({flag})")
-
-
 @dataclass(frozen=True)
 class VCurve:
     """Largest reachable terminal output norm as a function of the horizon."""
@@ -561,7 +545,7 @@ def vcurve(
     hs = np.asarray(list(horizons), dtype=float)
     if hs.size == 0 or not np.all((hs > 0) & (hs < math.inf)) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be finite, positive and strictly increasing")
-    _check_partition_cells(sys, hs[-1], "--t-max")
+    linalg._check_partition_cells(sys.a, hs[-1], "--t-max")
     if sys.p == 1 and sys.m == 1:
         values = _sign_partition(_KernelFlow(sys, hs), sys.c, tol)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
@@ -581,12 +565,19 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
     For a SISO system the optimizer of |y(horizon)| is u(s) = sgn of the
     kernel C exp(A (horizon - s)) B, with sgn(0) taken as +1: it switches at
     horizon - r for the kernel's certified zeros r, good to 1e-12.  An
-    identically vanishing kernel yields the zero-input marker.
+    identically vanishing kernel yields the zero-input marker.  A horizon
+    past the cell budget is refused.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("bang-bang construction requires a SISO system")
     if not (0 < horizon < math.inf):
         raise ValueError("horizon must be finite and positive")
+    linalg._check_partition_cells(sys.a, horizon, "--horizon")
+    return _bang_bang_switches(sys, horizon)
+
+
+def _bang_bang_switches(sys, horizon: float) -> BangBangInput:
+    """bang_bang_switches without its checks, for a horizon the code derives."""
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
     flow = _KernelFlow(sys, [horizon])
     roots, signed, _ = _sign_partition(flow, sys.c, 1e-12 * scale)
@@ -796,11 +787,12 @@ def periodic_upper_estimate(
     _checked_tol(tol)
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("periodic estimate requires a SISO system")
-    if t_grid is None:
-        t_grid = [2.0**k / sys.certificate.sigma for k in range(-2, 7)]
-    horizons = np.asarray(list(t_grid), dtype=float)
+    default = [2.0**k / sys.certificate.sigma for k in range(-2, 7)]
+    horizons = np.asarray(list(default if t_grid is None else t_grid), dtype=float)
     if horizons.size == 0 or not np.all((horizons > 0) & (horizons < math.inf)):
         raise ValueError("t_grid must contain finite positive periods")
+    if t_grid is not None:
+        linalg._check_partition_cells(sys.a, horizons.max(), "t_grid")
     values = []
     for t_per in horizons:
         flow = _KernelFlow(sys, [t_per])

@@ -2,14 +2,14 @@
 
 Everything downstream (gain estimates, simulation, delay bounds) is built on
 the handful of operations in this module: the one flow object _Flow (exp(t M)
-at one time or many by a ladder of powers exp(2^i c M) over cells c with
-||c M||_1 <= 1, formed by scaling and squaring, and the Taylor series of a
-cell, one stack of scaled powers read by one product), whose top power is
-the public mat_exp, a Kronecker-product Lyapunov solver, and the decay
-certificate (M, sigma) read off its solution.
-Positive-definiteness probes, symmetric eigendecompositions and spectral
-norms go to LAPACK through numpy.linalg.  Matrices are plain float64
-ndarrays throughout.
+by a ladder of powers exp(2^i c M), formed by scaling and squaring, and the
+Taylor series of a cell c, one stack of scaled powers read by one product),
+whose cells every Taylor flow sizes by one rule, ||c M||_1 <= 1
+(_partition_cells, with one budget for a caller's horizon), and whose top
+power is mat_exp; a Kronecker-product Lyapunov solver; and the decay
+certificate (M, sigma) read off its solution.  Positive-definiteness probes,
+symmetric eigendecompositions and spectral norms go to LAPACK through
+numpy.linalg, on float64 ndarrays.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ _PADE13_THETA = 5.371920351148152
 # Entries a batched intermediate holds (orbit rows, an array advance's
 # Taylor terms, rescaled resolvents), about 0.5 MB of float64.
 _STACK_ENTRIES = 65536
-# Largest simulation grid, and twice the most base cells a terminal-output
-# partition may cut a caller's horizon into.  verify's 40,960 steps are the
+# Largest simulation grid, and twice the most _partition_cells a caller's
+# horizon may need.  verify's 40,960 steps are the
 # most any command takes by default; a million steps simulate in about 0.2 s.
 # The cap bounds memory (ten million states of n floats) and CSV size.
 _MAX_GRID_STEPS = 10**7
 # A cell flow's Taylor series stops at its (c M)^18 / 18! term: with
-# ||c M||_1 <= 1 the terms left out are below 8.7e-18 relative (1.6e-23 at 1/2).
+# ||c M||_1 <= 1 the terms left out are below 8.7e-18 relative.
 _CELL_TERMS = 19
 _CELL_DEGREES = np.arange(_CELL_TERMS - 1, -1, -1)
 
@@ -209,7 +209,7 @@ class _Flow:
         if not isinstance(t, np.ndarray):
             cells, rest = divmod(t, self.cell)
             z = self.ladder(int(cells), z)
-            return self.taylor(rest / self.cell, z) if rest else z
+            return self.taylor(rest / self.cell, z.T).T if rest else z
         cells, rest = np.divmod(t, self.cell)
         cells, rows = cells.astype(np.int64), np.repeat(z.T[None], cells.size, axis=0)
         for i in range(int(cells.max(initial=0)).bit_length()):
@@ -233,11 +233,25 @@ class _Flow:
         return _orbit(self.powers[level:].transpose(0, 2, 1), r, count)
 
 
+def _partition_cells(a: np.ndarray, horizon: float) -> int | float:
+    """Cells of 1 / ||A||_1 covering [0, horizon], at least one (inf past the float
+    range): ||w A||_1 <= 1 on a cell w, where a _Flow's Taylor stack is exact."""
+    cells = float(np.linalg.norm(a, 1)) * float(horizon)
+    return max(1, math.ceil(cells)) if cells < math.inf else cells
+
+
+def _check_partition_cells(a: np.ndarray, horizon: float, flag: str) -> None:
+    """Raises ValueError, naming the command-line ``flag`` that set it, when
+    ``horizon`` needs more than _MAX_GRID_STEPS / 2 _partition_cells."""
+    limit = _MAX_GRID_STEPS // 2
+    if _partition_cells(a, horizon) > limit:
+        raise ValueError(f"horizon {horizon:.4g} needs more than {limit} partition cells ({flag})")
+
+
 def _grid_flow(matrix: np.ndarray, h: float, end: float) -> tuple[_Flow, int]:
     """(flow, j): the _Flow of M to ``end`` on cells h / 2^j, j the least with
-    ||(h / 2^j) M||_1 <= 1/2, so that a grid of step h is its orbit at level j.
-    The simulators' trajectories depend on that 1/2 bit for bit."""
-    j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(matrix, 1)) * h)))
+    _partition_cells(M, h) <= 2^j, so that a grid of step h is its orbit at level j."""
+    j = int(_partition_cells(matrix, h) - 1).bit_length()
     return _Flow(matrix, h / 2.0**j, end), j
 
 

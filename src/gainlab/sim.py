@@ -6,7 +6,7 @@ own state (the constant, or the sine and cosine of the phase) together follow
 one autonomous linear flow z' = G z, so the grid states the segment covers are
 one orbit z, exp(G h) z, exp(G h)^2 z, ... of that flow.  The simulator walks
 the segments and fills each one's grid rows from its orbit.  Each generator G
-is one linalg._Flow on cells c = h / 2^j, the widest with ||c G||_1 <= 1/2:
+is one linalg._Flow on cells c = h / 2^j, the widest with ||c G||_1 <= 1:
 one stack of powers exp(2^i c G) and the Taylor series of its cell flow; a
 flow over any time t is the powers named by the binary digits of t // c and
 one Taylor product over the remainder.  So the recorded states are exact up
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, SimulationError
-from .gains import _bang_bang, _checked_tol, _l1_gain, bang_bang_switches
+from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, bang_bang_switches
 from .gains import l1_impulse_gain  # noqa: F401  (perfbench's tracing wraps sim.l1_impulse_gain)
 from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _Flow, _grid_flow
 from .quadrature import tail_horizon
@@ -308,6 +308,11 @@ class GainEqualityRecord:
     accuracy: float
     passed: bool
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"gain-equality field {name} must be finite, got {value}")
+
 
 # verify_gain_equality records each period in this many steps, and runs
 # this many periods, measuring the asymptotic output over the last half.
@@ -329,12 +334,12 @@ def verify_gain_equality(
     accuracy/4 each way.  The gain gamma and the input's switches come from
     one sign partition of the kernel on [0, H], H the L1 horizon: a horizon
     past H (gamma below about tol / accuracy) partitions [0, horizon] anew,
-    as bang_bang_switches does.  The input runs for 10 periods from rest,
-    recorded without simulating more than the first: each later period's
-    outputs are the first's plus the free response of its start state, read
-    off one orbit of the output row.  The asymptotic output over the last 5
-    periods must land in [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol];
-    failure is reported in the record, not raised.
+    as bang_bang_switches does but with no cell budget.  The input runs for
+    10 periods from rest, recorded without simulating more than the first:
+    each later period's outputs are the first's plus the free response of
+    its start state, read off one orbit of the output row.  The asymptotic
+    output over the last 5 periods must land in [(1 - accuracy) gamma,
+    gamma (1 + 1e-6) + 2 tol]; failure is reported in the record, not raised.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("gain-equality verification requires a SISO system")
@@ -369,7 +374,7 @@ def verify_gain_equality(
         integral = l1.details["component_integrals"][0]
         bang = _bang_bang(sys, kernel_flow, roots[0], horizon, integral)
     else:
-        bang = bang_bang_switches(sys, horizon)
+        bang = _bang_bang_switches(sys, horizon)
     signal, spec = _periodic_input(cert, bang, rest, rest_tol)
     # The input repeats every period, so period k's outputs are the zero-state
     # ones plus the free response C exp(A j h) x_k of its start state, with

@@ -593,10 +593,9 @@ def full_recording_gains(sys, record):
 
 def segmentwise_simulate(sys, signal, x0, t_end, h):
     """gainlab's segment-orbit simulator with nothing shared between
-    segments: each forms its own cell c = h / 2^j (j the least with
-    ||c G||_1 <= 1/2), its own ladder of powers exp(2^i c G) up to its
-    longest flow (the powers of a _grid_flow of G to that length), and its
-    own Taylor stack of the cell.  Each flow from the segment start (a
+    segments: each forms its own _grid_flow of G to its longest flow, on
+    the cell c = h / 2^j that _grid_flow takes (its ladder of powers
+    exp(2^i c G)), and its own Taylor stack of the cell.  Each flow from the segment start (a
     block's lead, the end state) is the powers named by the binary digits
     of t // c, lowest first, then one Taylor product over the remainder.
     Kept as the bit-for-bit reference for the flows a call shares between
@@ -614,10 +613,8 @@ def segmentwise_simulate(sys, signal, x0, t_end, h):
         g, z = _generator(sys, seg), np.concatenate((x, w))
         stop = int(np.searchsorted(times, seg.end + eps, side="right"))
         block = _STACK_ENTRIES // z.size
-        j = math.ceil(math.log2(max(1.0, 2.0 * float(np.linalg.norm(g, 1)) * h)))
-        cell = h / 2.0**j
-        longest = max(seg.end, times[stop - 1]) - seg.start
-        ladder = _grid_flow(g, h, longest)[0].powers
+        grid, j = _grid_flow(g, h, max(seg.end, times[stop - 1]) - seg.start)
+        ladder, cell = grid.powers, grid.cell
         stack = _cell_stack(g * cell)
 
         def flow(t):

@@ -28,6 +28,7 @@ from gainlab import (
     sinusoid_response,
     sinusoid_sweep,
     vcurve,
+    worst_case_periodic_input,
 )
 from gainlab import gains, linalg
 from gainlab_testkit import (
@@ -201,7 +202,7 @@ def test_partition_figures_do_not_depend_on_cell_width(oscillator, monkeypatch):
 
     wide = partitions()
     monkeypatch.setattr(
-        gains, "_partition_cells", lambda a, t: max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t))
+        linalg, "_partition_cells", lambda a, t: max(1, math.ceil(2.0 * np.linalg.norm(a, 1) * t))
     )
     narrow = partitions()
     for (count, details, values), (half_count, half_details, half_values) in zip(wide, narrow):
@@ -1099,6 +1100,32 @@ class TestBangBangSwitches:
         for horizon in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="horizon must be finite and positive"):
                 bang_bang_switches(scalar_system, horizon)
+
+
+def test_caller_horizons_past_cell_budget_refused_at_once(oscillator, monkeypatch):
+    # ||A||_1 = 2: a horizon or period of 1e11 asks for 2 x 10^11 cells;
+    # bang_bang_switches at 1e7 took 3.2 s, and at 1e11 had not finished in
+    # 120 s.  Each entry point that turns a caller's horizon into a flow
+    # refuses it before any exponential; horizons the code derives (the L1
+    # horizon, the default period grid) are not checked.
+    refuse_computation(monkeypatch)
+    calls = (
+        lambda: bang_bang_switches(oscillator, 1e11),
+        lambda: worst_case_periodic_input(oscillator, 1e11, 1e-6),
+        lambda: periodic_upper_estimate(oscillator, [1e11]),
+    )
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="partition cells"):
+            call()
+        assert time.perf_counter() - start < 0.1
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("budget checked")
+
+    monkeypatch.setattr(linalg, "_check_partition_cells", refuse)
+    assert periodic_upper_estimate(oscillator).value <= l1_impulse_gain(oscillator).value
 
 
 class TestSinusoidResponse:

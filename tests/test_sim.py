@@ -452,6 +452,15 @@ class TestVerifyGainEquality:
         with pytest.raises(DimensionError):
             verify_gain_equality(diag_two_output, accuracy=0.1)
 
+    def test_record_refuses_non_finite_fields(self, scalar_system):
+        # A record is a claim: each numeric field, set to NaN or infinity in
+        # turn, is refused with its name.
+        fields = vars(verify_gain_equality(scalar_system, accuracy=0.02))
+        for name in set(fields) - {"passed"}:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"field {name} must be finite"):
+                    sim.GainEqualityRecord(**{**fields, name: bad})
+
     def test_recording_grid_holds_the_peak(self):
         # A base system of the acceptance generator (n = 6) whose kernel turns
         # 3.2 rad/s while the period / 4096 recording step is 0.77: on a grid
@@ -498,13 +507,20 @@ class TestVerifyGainEquality:
         assert record.asymptotic_gain == pytest.approx(full.asymptotic_gain, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-10])
-    def test_horizon_past_the_l1_horizon(self, scale):
+    def test_horizon_past_the_l1_horizon(self, scale, monkeypatch):
         # C scaled down takes gamma below about tol / accuracy, so verify's
         # horizon passes the L1 horizon and verify partitions [0, horizon]
-        # anew, as bang_bang_switches does.
+        # anew, as bang_bang_switches does, but with no cell budget: the
+        # horizon is derived, not given.
         base = verify_model("random-0", None)
         sys = StateSpaceSystem(a=base.a, b=base.b, c=base.c * scale)
+
+        def refuse(*args):
+            raise AssertionError("verify's derived horizon was checked against the cell budget")
+
+        monkeypatch.setattr(linalg, "_check_partition_cells", refuse)
         record = verify_gain_equality(sys, accuracy=0.02)
+        monkeypatch.undo()
         assert record.horizon > l1_impulse_gain(sys, 1e-9).details["horizon"]
         assert record.passed
         full = full_recording_gains(sys, record)
