@@ -593,9 +593,9 @@ def full_recording_gains(sys, record):
 
 def segmentwise_simulate(sys, signal, x0, t_end, h):
     """gainlab's segment-orbit simulator with nothing shared between
-    segments: each forms its own _grid_flow of G to its longest flow, on
-    the cell c = h / 2^j that _grid_flow takes (its ladder of powers
-    exp(2^i c G)), and its own Taylor stack of the cell.  Each flow from the segment start (a
+    segments: each forms its own _grid_flow of G to its longest flow (its
+    cell c = h / 2^j and ladder of powers exp(2^i c G)) and its own Taylor
+    stack of the cell.  Each flow from the segment start (a
     block's lead, the end state) is the powers named by the binary digits
     of t // c, lowest first, then one Taylor product over the remainder.
     Kept as the bit-for-bit reference for the flows a call shares between

@@ -1104,7 +1104,7 @@ class TestBangBangSwitches:
 
 def test_caller_horizons_past_cell_budget_refused_at_once(oscillator, monkeypatch):
     # ||A||_1 = 2: a horizon or period of 1e11 asks for 2 x 10^11 cells;
-    # bang_bang_switches at 1e7 took 3.2 s, and at 1e11 had not finished in
+    # bang_bang_switches at 1e7 took 3-4 s, and at 1e11 had not finished in
     # 120 s.  Each entry point that turns a caller's horizon into a flow
     # refuses it before any exponential; horizons the code derives (the L1
     # horizon, the default period grid) are not checked.
