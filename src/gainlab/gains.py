@@ -22,11 +22,12 @@ values, the bang-bang switches and the positivity proof) comes from a certified
 partition of the kernel at its zeros, C's rows and the ONB bases' in one;
 the multi-input ascent's vector-norm integrand takes adaptive Gauss–Legendre
 panels (quadrature.gauss_legendre) on [0, T].
-Each caller builds one kernel flow (_KernelFlow, a linalg._Flow of A) on its
-grid and partitions its rows on it: the flow alone holds what the partition
-takes from the system (A, b, n, the certificate's M), its one stack of orbit
-powers, whose ladder gives exp(A) at the last end (the SISO periodic
-figures' exp(AT)), and the Taylor stack of its base cell, formed on first use.
+Every partition goes through _partition, on a kernel flow (_KernelFlow, a
+linalg._Flow of A) that it builds or that the caller built, and every derived
+horizon comes from one tail rule, _tail_horizon.  The flow alone holds what
+the partition takes from the system (A, b, n, the certificate's M), its one
+stack of orbit powers, whose ladder gives exp(A) at the last end (the SISO
+periodic figures' exp(AT)), and the Taylor stack of its base cell.
 
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
@@ -163,6 +164,22 @@ class _KernelFlow(_Flow):
         self.y_start = np.linalg.solve(a, b).T
 
 
+def _tail_horizon(sys: StateSpaceSystem, rows: np.ndarray, tail: float) -> float:
+    """H where the largest row's certified tail ||row|| M ||b|| exp(-sigma H) / sigma meets tail."""
+    coef = float(np.max(np.linalg.norm(rows, axis=1))) * sys.certificate.m * spectral_norm(sys.b)
+    return tail_horizon(sys.certificate.sigma, coef, tail)
+
+
+def _partition(sys, rows, budget, horizons, flag=None, flow=None):
+    """(roots, signed, unresolved, flow): _sign_partition on ``flow``, else on a
+    new _KernelFlow of ``horizons``, refused past the cell budget first if a
+    caller's ``flag`` set them (derived horizons pass none)."""
+    if flag is not None:
+        linalg._check_partition_cells(sys.a, horizons[-1], flag)
+    flow = _KernelFlow(sys, horizons) if flow is None else flow
+    return (*_sign_partition(flow, rows, budget), flow)
+
+
 def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     """(roots, signed, unresolved) for the kernels g_i(s) = rows_i exp(As) b
     of the single-input system that ``flow`` was built from: roots[i] the
@@ -170,9 +187,9 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     sgn(g_i(s)) exp(As) b over [0, flow.ends[j]], and unresolved[i] the
     certified worst-case loss left in row i.  The integral of |g_i| over
     [0, ends[j]] is rows_i @ signed[j, i].  The partition reads A, b, n and M
-    from the flow alone, and callers partitioning several row sets on one
-    grid share one flow.  It walks blocks of 2^k cells, the most that fill a
-    quarter stack, each from its lead exp(first w A) b, an orbit row.
+    from the flow alone, which _partition, its one caller, builds or is
+    handed.  It walks blocks of 2^k cells, the most that fill a quarter
+    stack, each from its lead exp(first w A) b, an orbit row.
 
     On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
     logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
@@ -314,24 +331,19 @@ def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:
 
 def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
     """(l1_impulse_gain's estimate off C's rows, the extra rows' L1 norms,
-    every row's zeros on [0, H], the partition's _KernelFlow), from one sign
-    partition of C's rows and ``extra_rows`` on [0, H]; H = 0 partitions
-    nothing and returns no flow (None).  Half the budget goes to the
-    partition, half to the certified tail past H, the tail share split
-    evenly across rows.  The SISO periodic figure |c (I - exp(AH))^-1 W_H|
-    takes exp(AH) off the partition's flow, the ladder to its end H, and
-    verify_gain_equality reads its bang-bang switches off the zeros and the
-    flow."""
+    every row's zeros on [0, H], the partition's flow, None if H = 0) from
+    one partition of C's rows and ``extra_rows`` to tol / 2, the other half
+    split evenly across the rows' tails past H.  The SISO periodic figure
+    |c (I - exp(AH))^-1 W_H| takes exp(AH) off the flow, and
+    verify_gain_equality reads its bang-bang switches off the zeros and the flow."""
     if sys.m != 1:
         raise DimensionError("impulse-response integrals require a single input")
     rows = np.vstack((sys.c, extra_rows))
-    q, cert = rows.shape[0], sys.certificate
-    coef = float(np.max(np.linalg.norm(rows, axis=1))) * cert.m * spectral_norm(sys.b)
-    horizon = tail_horizon(cert.sigma, coef, (tol / 2.0) / q)
+    q = rows.shape[0]
+    horizon = _tail_horizon(sys, rows, (tol / 2.0) / q)
     ints, roots, lost, flow = np.zeros(q), [np.empty(0)] * q, np.zeros(q), None
     if horizon > 0.0:
-        flow = _KernelFlow(sys, [horizon])
-        roots, signed, lost = _sign_partition(flow, rows, tol / 2.0)
+        roots, signed, lost, flow = _partition(sys, rows, tol / 2.0, [horizon])
         ints = (signed[0] * rows).sum(axis=1)
     value = float(np.linalg.norm(ints[: sys.p]))
     if sys.p == 1 and horizon > 0.0:
@@ -410,12 +422,10 @@ def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | Non
     pos = _structural_positivity(sys, structure_flags(sys))
     if pos is not None:
         return pos
-    cert = sys.certificate
-    coef = spectral_norm(sys.c) * cert.m * spectral_norm(sys.b)
-    horizon = tail_horizon(cert.sigma, coef, _POSITIVITY_TAIL)
+    horizon = _tail_horizon(sys, sys.c, _POSITIVITY_TAIL)
     if horizon > 0.0:
-        for end in sorted({min(horizon, 1.0 / cert.sigma), horizon}):
-            roots, _, lost = _sign_partition(_KernelFlow(sys, [end]), sys.c, _POSITIVITY_TAIL)
+        for end in sorted({min(horizon, 1.0 / sys.certificate.sigma), horizon}):
+            roots, _, lost, _ = _partition(sys, sys.c, _POSITIVITY_TAIL, [end])
             if lost.any() or any(r.size for r in roots):
                 return None
     return PositivityCertificate.SIGN_PARTITION
@@ -461,7 +471,7 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     last, live = np.full(k * s, -np.inf), np.arange(k * s)
     for _ in range(40):
         if sys.m == 1:
-            signed = _sign_partition(flow, d[live] @ sys.c, tol)[1]
+            signed = _partition(sys, d[live] @ sys.c, tol, horizons, flow=flow)[1]
             x = signed[horizon_of[live], np.arange(live.size)]
         else:
             x = [_aligned_terminal(sys, flow, horizons[horizon_of[j]], d[j], tol) for j in live]
@@ -547,7 +557,7 @@ def vcurve(
         raise ValueError("horizons must be finite, positive and strictly increasing")
     linalg._check_partition_cells(sys.a, hs[-1], "--t-max")
     if sys.p == 1 and sys.m == 1:
-        values = _sign_partition(_KernelFlow(sys, hs), sys.c, tol)[1][:, 0] @ sys.c[0]
+        values = _partition(sys, sys.c, tol, hs)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
     entries = hs.size**2 * (sys.p + restarts) * sys.n
     if entries > _MAX_GRID_STEPS:
@@ -572,15 +582,13 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
         raise DimensionError("bang-bang construction requires a SISO system")
     if not (0 < horizon < math.inf):
         raise ValueError("horizon must be finite and positive")
-    linalg._check_partition_cells(sys.a, horizon, "--horizon")
-    return _bang_bang_switches(sys, horizon)
+    return _bang_bang_switches(sys, horizon, "--horizon")
 
 
-def _bang_bang_switches(sys, horizon: float) -> BangBangInput:
-    """bang_bang_switches without its checks, for a horizon the code derives."""
+def _bang_bang_switches(sys, horizon: float, flag=None) -> BangBangInput:
+    """bang_bang_switches past its argument checks; verify's derived horizon passes no flag."""
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
-    flow = _KernelFlow(sys, [horizon])
-    roots, signed, _ = _sign_partition(flow, sys.c, 1e-12 * scale)
+    roots, signed, _, flow = _partition(sys, sys.c, 1e-12 * scale, [horizon], flag)
     return _bang_bang(sys, flow, roots[0], horizon, signed[0, 0] @ sys.c[0])
 
 
@@ -797,7 +805,7 @@ def periodic_upper_estimate(
     for t_per in horizons:
         flow = _KernelFlow(sys, [t_per])
         cmod = np.linalg.solve((flow.exp_end - np.eye(sys.n)).T, sys.c.T).T
-        values.append(float(_sign_partition(flow, cmod, tol)[1][0, 0] @ cmod[0]))
+        values.append(float(_partition(sys, cmod, tol, [t_per], flow=flow)[1][0, 0] @ cmod[0]))
     i_best = int(np.argmax(values))
     return GainEstimate(
         value=values[i_best],

@@ -502,7 +502,3 @@ class StateSpaceSystem:
     @property
     def p(self) -> int:
         return self.c.shape[0]
-
-    def impulse_matrix(self, s: float) -> np.ndarray:
-        """C exp(A s) B, the p-by-m response kernel at lag s."""
-        return self.c @ mat_exp(self.a, s) @ self.b

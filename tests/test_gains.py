@@ -28,6 +28,7 @@ from gainlab import (
     sinusoid_response,
     sinusoid_sweep,
     vcurve,
+    verify_gain_equality,
     worst_case_periodic_input,
 )
 from gainlab import gains, linalg
@@ -1126,6 +1127,74 @@ def test_caller_horizons_past_cell_budget_refused_at_once(oscillator, monkeypatc
 
     monkeypatch.setattr(linalg, "_check_partition_cells", refuse)
     assert periodic_upper_estimate(oscillator).value <= l1_impulse_gain(oscillator).value
+
+
+def test_every_partition_goes_through_the_entry_point(monkeypatch, oscillator, triangular_positive):
+    # Every path that partitions a kernel does so inside gains._partition,
+    # and the cell budget is checked on exactly the horizons a caller gives
+    # (--t-max, --horizon, a t_grid's longest period), never on a derived
+    # one: the L1 horizon, positivity's, verify's horizon past the L1
+    # horizon, or the default period grid.
+    entry, partition, check = gains._partition, gains._sign_partition, linalg._check_partition_cells
+    depth, entries, checked = [], [], []
+
+    def recording_entry(*args, **kwargs):
+        entries.append(1)
+        depth.append(1)
+        try:
+            return entry(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def guarded_partition(*args):
+        assert depth, "a sign partition bypassed gains._partition"
+        return partition(*args)
+
+    def recording_check(a, horizon, flag):
+        checked.append((float(horizon), flag))
+        return check(a, horizon, flag)
+
+    monkeypatch.setattr(gains, "_partition", recording_entry)
+    monkeypatch.setattr(gains, "_sign_partition", guarded_partition)
+    monkeypatch.setattr(linalg, "_check_partition_cells", recording_check)
+    two_output = oscillator_two_output(1.0, 1.0)
+    base = random_siso_system(np.random.default_rng(0))
+    past_h = StateSpaceSystem(a=base.a, b=base.b, c=base.c * 1e-9)
+    cases = (
+        (lambda: gain_report(oscillator), 1, []),
+        (lambda: gain_report(two_output), 1, []),
+        (lambda: vcurve(oscillator, [1.0, 2.0]), 1, [(2.0, "--t-max")]),
+        (lambda: vcurve(two_output, [1.0, 2.0]), None, [(2.0, "--t-max")]),
+        (lambda: bang_bang_switches(oscillator, 3.0), 1, [(3.0, "--horizon")]),
+        (lambda: worst_case_periodic_input(oscillator, 3.0, 1e-6), 1, [(3.0, "--horizon")]),
+        (lambda: verify_gain_equality(oscillator, 0.02), 1, []),
+        (lambda: verify_gain_equality(past_h, 0.02), 2, []),
+        (lambda: periodic_upper_estimate(oscillator), 9, []),
+        (lambda: periodic_upper_estimate(oscillator, [1.0, 4.0, 2.0]), 3, [(4.0, "t_grid")]),
+        (lambda: positivity_certificate(damped_oscillator(3.0, 1.0)), 1, []),
+        (lambda: positivity_certificate(triangular_positive), 2, []),
+    )
+    for case, (call, partitions, budget_checks) in enumerate(cases):
+        entries.clear()
+        checked.clear()
+        call()
+        # The ascent takes one partition per step, at most 40.
+        assert len(entries) == partitions if partitions else 0 < len(entries) <= 40, case
+        assert checked == budget_checks, case
+
+
+def test_tail_rule_meets_the_largest_rows_tail():
+    # Rows of norms 5 and 1/2, so the largest row's norm, not ||C||_2 = 5.009,
+    # sets the horizon: there max_i ||c_i|| M ||b|| exp(-sigma H) / sigma is
+    # the tail.
+    a, b, c = [[-1.0, 2.0], [0.0, -3.0]], [[1.0], [1.0]], [[3.0, 4.0], [0.5, 0.0]]
+    sys = StateSpaceSystem(a=a, b=b, c=c)
+    cert, coef = sys.certificate, 5.0 * sys.certificate.m * math.sqrt(2.0)
+    for tail in (1e-2, 1e-6, 1e-10, 1e-14):
+        horizon = gains._tail_horizon(sys, sys.c, tail)
+        assert horizon > 0.0
+        reached = coef * math.exp(-cert.sigma * horizon) / cert.sigma
+        assert reached == pytest.approx(tail, rel=1e-12, abs=0.0)
 
 
 class TestSinusoidResponse:

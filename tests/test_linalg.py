@@ -567,10 +567,3 @@ class TestStateSpaceSystem:
     def test_matrices_read_only(self, scalar_system):
         with pytest.raises(ValueError):
             scalar_system.a[0, 0] = 2.0
-
-    def test_impulse_matrix(self, oscillator):
-        from gainlab_testkit import oscillator_kernel
-
-        for s in (0.0, 0.7, 2.3):
-            val = oscillator.impulse_matrix(s)[0, 0]
-            assert val == pytest.approx(float(oscillator_kernel(s)), abs=1e-12)
