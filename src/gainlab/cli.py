@@ -27,14 +27,12 @@ from . import gains, modelio, sim
 from .delay import DelayPredictorSystem, DelayState
 from .exceptions import GainlabError
 from .gains import CertificateBoundInput
-from .linalg import StateSpaceSystem
+from .linalg import _MAX_POINTS, StateSpaceSystem, _check_budget
 from .signals import Constant, Sinusoid
 
 __all__ = ["build_parser", "main"]
 
 DEFAULT_TOL = 1e-8
-# Largest vt and sweep grid: about 125 bytes per point, so 125 MB at the cap.
-_MAX_POINTS = 10**6
 
 
 def _checked_tol(value, source: str) -> float:
@@ -74,8 +72,7 @@ def _checked_points(points: int) -> int:
     allocated."""
     if points < 1:
         raise ValueError("--points must be at least 1")
-    if points > _MAX_POINTS:
-        raise ValueError(f"--points {points} exceeds the limit of {_MAX_POINTS}")
+    _check_budget(points, _MAX_POINTS, "points", "--points")
     return points
 
 
@@ -293,7 +290,9 @@ def main(argv=None) -> int:
         else:
             _sys.stdout.write(text)
         return code
-    except (GainlabError, ValueError, OSError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (
+        GainlabError, ValueError, OSError, OverflowError, MemoryError, np.linalg.LinAlgError
+    ) as exc:
         print(f"gainlab: error: {exc}", file=_sys.stderr)
         return 1
 

@@ -39,8 +39,11 @@ import numpy as np
 from .exceptions import DimensionError, NotHurwitzError, SimulationError
 from .gains import _checked_tol
 from .linalg import (
+    _MAX_DELAY_WORK,
+    _MAX_GRID_STEPS,
     StabilityCertificate,
     StateSpaceSystem,
+    _check_budget,
     _grid_flow,
     _spectral_norms,
     as_matrix,
@@ -49,7 +52,7 @@ from .linalg import (
 )
 from .quadrature import gauss_legendre
 from .signals import InputSignal, evaluate, signal_dim, sup_norm
-from .sim import _MAX_GRID_STEPS, _grid_steps, _measured_gains, simulate
+from .sim import _grid_steps, _measured_gains, simulate
 
 __all__ = [
     "DelayPredictorSystem",
@@ -185,57 +188,26 @@ def _weighted_kernels(sys, h: float, steps: int) -> tuple[np.ndarray, np.ndarray
     return kernels, flow.ladder(steps << level, np.eye(sys.n))
 
 
-def _history_steps(tau: float, h: float) -> int:
-    """Grid steps tau / h of the z history; raises ValueError unless h is
-    finite and positive, divides tau and gives at most _MAX_GRID_STEPS."""
+def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[int, int]:
+    """(N, n_steps): the history steps tau / h and the grid steps t_end / h of
+    a simulation of ``sys``.  Raises ValueError unless h is finite and
+    positive, N is at most _MAX_GRID_STEPS, h divides tau, the grid passes
+    _grid_steps, the stored rows n_steps (N + 1) it reads are at most
+    _MAX_DELAY_WORK and the RK4 step map's window, (N + 1)(n + m)^2 entries,
+    at most _MAX_GRID_STEPS: checked in that order where the grid is
+    derived, before a caller allocates anything of N rows (a resting
+    history, the kernels)."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive (--step), got {h!r}")
-    ratio = tau / h
-    if ratio >= _MAX_GRID_STEPS + 0.5:
-        raise ValueError(
-            f"tau / h = {ratio:.4g} history steps exceeds the limit of "
-            f"{_MAX_GRID_STEPS}; use a larger step (--step)"
-        )
-    steps = int(round(ratio))
-    if steps < 1 or abs(steps * h - tau) > 1e-9 * tau:
-        raise ValueError(f"step h={h!r} must divide tau={tau!r} (--step)")
-    return steps
-
-
-# Largest n_steps * (N + 1), the stored rows a simulation of n_steps steps
-# over an N-step history reads: every grid of at most _MAX_GRID_STEPS steps
-# at the default step tau / 64 fits.
-_MAX_DELAY_WORK = 65 * _MAX_GRID_STEPS
-
-
-def _delay_grid(tau: float, h: float, t_end: float) -> tuple[int, int]:
-    """(N, n_steps): the history steps tau / h and the grid steps t_end / h;
-    raises ValueError unless both are legal and n_steps (N + 1) is at most
-    _MAX_DELAY_WORK, so a simulation's work has a bound."""
-    hist_steps = _history_steps(tau, h)
+    _check_budget(sys.tau / h, _MAX_GRID_STEPS, "history steps", "--step")
+    hist_steps = int(round(sys.tau / h))
+    if hist_steps < 1 or abs(hist_steps * h - sys.tau) > 1e-9 * sys.tau:
+        raise ValueError(f"step h={h!r} must divide tau={sys.tau!r} (--step)")
     n_steps = _grid_steps(t_end, h)
-    work = n_steps * (hist_steps + 1)
-    if work > _MAX_DELAY_WORK:
-        raise ValueError(
-            f"{n_steps} grid steps over {hist_steps + 1} history rows read "
-            f"{work:.4g} stored rows, over the limit of {_MAX_DELAY_WORK:.4g}; "
-            "use a larger step (--step) or a shorter duration (--t-max)"
-        )
-    return hist_steps, n_steps
-
-
-def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[int, int]:
-    """_delay_grid's (N, n_steps) for ``sys``; raises ValueError also when the
-    RK4 step map's window, (N + 1)(n + m)^2 entries, would hold more than
-    _MAX_GRID_STEPS: checked where the grid is derived, before a caller
-    allocates anything of N rows (a resting history, the kernels)."""
-    hist_steps, n_steps = _delay_grid(sys.tau, h, t_end)
+    rows = n_steps * (hist_steps + 1)
+    _check_budget(rows, _MAX_DELAY_WORK, "stored rows", "--step or --t-max")
     entries = (hist_steps + 1) * (sys.n + sys.m) ** 2
-    if entries > _MAX_GRID_STEPS:
-        raise ValueError(
-            f"a {hist_steps}-step history needs {entries} window entries, "
-            f"over the limit of {_MAX_GRID_STEPS}; use a larger step (--step)"
-        )
+    _check_budget(entries, _MAX_GRID_STEPS, "window entries", "--step")
     return hist_steps, n_steps
 
 
@@ -260,9 +232,9 @@ def simulate_predictor(
     """Integrate the delayed interconnection with RK4 on a uniform grid.
 
     ``h`` must divide tau (relative tolerance 1e-9) and match the history
-    grid in ``state0``; the grid must pass _predictor_grid: _delay_grid's
-    work bound, and a step map window, (N + 1)(n + m)^2 entries for
-    N = tau / h, of at most _MAX_GRID_STEPS.  Error order: the distributed
+    grid in ``state0``, and the grid must pass _predictor_grid's size
+    budget: its history steps, stored rows and step-map window, each
+    refused by linalg._check_budget.  Error order: the distributed
     term is trapezoid (order 2), so the global error is O(h^2) despite the
     RK4 shell.  One _StepMap is built per call (see _rk4_step_map) and
     solved by _solve_predictor.

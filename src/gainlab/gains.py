@@ -399,7 +399,7 @@ _POSITIVITY_TAIL = 1e-8
 def _structural_positivity(sys, flags: StructureFlags) -> PositivityCertificate | None:
     # Symmetric negative definite A with identity output, or Metzler A with
     # nonnegative B and C: positivity of a single-input kernel by structure.
-    if flags.assumption_h is not None and np.array_equal(sys.c, np.eye(sys.n)):
+    if flags.assumption_h and np.array_equal(sys.c, np.eye(sys.n)):
         return PositivityCertificate.ASSUMPTION_H
     if flags.metzler and flags.nonnegative_b and flags.nonnegative_c:
         return PositivityCertificate.METZLER_NONNEG
@@ -560,11 +560,7 @@ def vcurve(
         values = _partition(sys, sys.c, tol, hs)[1][:, 0] @ sys.c[0]
         return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
     entries = hs.size**2 * (sys.p + restarts) * sys.n
-    if entries > _MAX_GRID_STEPS:
-        raise ValueError(
-            f"{hs.size} horizons need {entries} ascent state entries, more than "
-            f"{_MAX_GRID_STEPS}; use fewer points (--points)"
-        )
+    linalg._check_budget(entries, _MAX_GRID_STEPS, "ascent state entries", "--points")
     values, dirs = _iterative_terminal_output(sys, hs, restarts, tol, seed)
     return VCurve(hs, values, list(dirs), exact=sys.p == 1)
 

@@ -5,11 +5,12 @@ the handful of operations in this module: the one flow object _Flow (exp(t M)
 by a ladder of powers exp(2^i c M), formed by scaling and squaring, and the
 Taylor series of a cell c, one stack of scaled powers read by one product),
 whose cells every Taylor flow sizes by one rule, ||c M||_1 <= 1
-(_partition_cells, with one budget for a caller's horizon), and whose top
-power is mat_exp; a Kronecker-product Lyapunov solver; and the decay
-certificate (M, sigma) read off its solution.  Positive-definiteness probes,
-symmetric eigendecompositions and spectral norms go to LAPACK through
-numpy.linalg, on float64 ndarrays.
+(_partition_cells), and whose top power is mat_exp; every size limit, with
+the one check that refuses a request past it (_check_budget); a
+Kronecker-product Lyapunov solver; and the decay certificate (M, sigma) read
+off its solution.  Positive-definiteness probes, symmetric
+eigendecompositions and spectral norms go to LAPACK through numpy.linalg, on
+float64 ndarrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "spectral_norm",
     "StabilityCertificate",
     "stability_certificate",
-    "AssumptionH",
     "StructureFlags",
     "structure_flags",
     "StateSpaceSystem",
@@ -60,15 +60,30 @@ _PADE13_THETA = 5.371920351148152
 # Entries a batched intermediate holds (orbit rows, an array advance's
 # Taylor terms, rescaled resolvents), about 0.5 MB of float64.
 _STACK_ENTRIES = 65536
-# Largest simulation grid, and twice the most _partition_cells a caller's
-# horizon may need.  verify's 40,960 steps are the most any command takes
-# by default; a million steps simulate in about 0.2 s.
-# The cap bounds memory (ten million states of n floats) and CSV size.
+# Every size limit, each refused by _check_budget before the work it bounds.
+# _MAX_GRID_STEPS caps a simulation grid, a delay history, its step map's
+# window and the ascent's state entries, and half of it a caller horizon's
+# _partition_cells: verify's 40,960 steps are the most any command takes by
+# default, a million steps simulate in about 0.2 s, and the cap bounds memory
+# (ten million states of n floats) and CSV size.  _MAX_DELAY_WORK caps the
+# stored rows n_steps (N + 1) a delay simulation over an N-step history
+# reads; every grid of _MAX_GRID_STEPS steps at the default step tau / 64
+# fits.  _MAX_POINTS caps a vt or sweep grid, about 125 bytes a point.
 _MAX_GRID_STEPS = 10**7
+_MAX_DELAY_WORK = 65 * _MAX_GRID_STEPS
+_MAX_POINTS = 10**6
 # A cell flow's Taylor series stops at its (c M)^18 / 18! term: with
 # ||c M||_1 <= 1 the terms left out are below 8.7e-18 relative.
 _CELL_TERMS = 19
 _CELL_DEGREES = np.arange(_CELL_TERMS - 1, -1, -1)
+
+
+def _check_budget(need, limit: int, what: str, flags: str) -> None:
+    """Raises ValueError, naming the count, ``what`` it counts, the limit and
+    the command-line ``flags`` that set it, when ``need``, rounded to a whole
+    count (a float ratio, or inf), exceeds ``limit``."""
+    if need >= limit + 0.5:
+        raise ValueError(f"{need:.10g} {what} exceeds the limit of {limit} ({flags})")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -242,11 +257,10 @@ def _partition_cells(a: np.ndarray, horizon: float) -> int | float:
 
 
 def _check_partition_cells(a: np.ndarray, horizon: float, flag: str) -> None:
-    """Raises ValueError, naming the command-line ``flag`` that set it, when
-    ``horizon`` needs more than _MAX_GRID_STEPS / 2 _partition_cells."""
-    limit = _MAX_GRID_STEPS // 2
-    if _partition_cells(a, horizon) > limit:
-        raise ValueError(f"horizon {horizon:.4g} needs more than {limit} partition cells ({flag})")
+    """_check_budget of the _partition_cells of ``horizon``, at most
+    _MAX_GRID_STEPS / 2, naming the command-line ``flag`` that set it."""
+    what = f"partition cells for horizon {horizon:.4g}"
+    _check_budget(_partition_cells(a, horizon), _MAX_GRID_STEPS // 2, what, flag)
 
 
 def _grid_flow(matrix: np.ndarray, h: float, end: float) -> tuple[_Flow, int]:
@@ -410,48 +424,29 @@ def stability_certificate(a) -> StabilityCertificate:
 
 
 @dataclass(frozen=True)
-class AssumptionH:
-    """Orthogonal diagonalization A = -Q' diag(lambdas) Q of a symmetric
-    negative definite A; lambdas are positive and ascend."""
-
-    q: np.ndarray
-    lambdas: np.ndarray
-
-
-@dataclass(frozen=True)
 class StructureFlags:
     """Sign/symmetry structure of a system that certifies exact gain formulas."""
 
     metzler: bool
     nonnegative_b: bool
     nonnegative_c: bool
-    assumption_h: AssumptionH | None
+    assumption_h: bool
 
 
 def structure_flags(sys: "StateSpaceSystem") -> StructureFlags:
     """Detect Metzler/nonnegativity structure and symmetric negative
     definiteness of the state matrix, by exact sign and symmetry tests.
 
-    The assumption_h field is populated only when A is exactly symmetric
-    with all eigenvalues negative.
+    A system's A is Hurwitz, and a symmetric Hurwitz matrix is negative
+    definite, so assumption_h is exact symmetry of A.
     """
     a, b, c = sys.a, sys.b, sys.c
     off = a - np.diag(np.diag(a))
-    metzler = bool(np.all(off >= 0.0))
-    nonneg_b = bool(np.all(b >= 0.0))
-    nonneg_c = bool(np.all(c >= 0.0))
-    assumption = None
-    if np.array_equal(a, a.T):
-        w, v = symmetric_eigen(0.5 * (a + a.T))
-        if np.all(w < 0.0):
-            # A = v diag(w) v', so with q = v' the lambdas -w are positive.
-            order = np.argsort(-w)  # ascending lambdas
-            assumption = AssumptionH(q=v[:, order].T.copy(), lambdas=-w[order])
     return StructureFlags(
-        metzler=metzler,
-        nonnegative_b=nonneg_b,
-        nonnegative_c=nonneg_c,
-        assumption_h=assumption,
+        metzler=bool(np.all(off >= 0.0)),
+        nonnegative_b=bool(np.all(b >= 0.0)),
+        nonnegative_c=bool(np.all(c >= 0.0)),
+        assumption_h=bool(np.array_equal(a, a.T)),
     )
 
 

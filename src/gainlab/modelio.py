@@ -8,8 +8,8 @@ and identical inputs produce byte-identical documents.  CSV values carry the
 same 17 digits, byte for byte as ``"%.17g" % x``: a large table (a simulated
 trajectory) is printed by NumPy arithmetic in blocks of rows, a small one
 (a V(T) curve, a sweep) one block of rows per ``%``.  A document or a
-command's table refuses a NaN or infinite number with a GainlabError naming
-its field or column; csv_lines alone prints them as ``%`` does.
+table refuses a NaN or infinite number with a GainlabError naming its field
+or column.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def gain_report_document(report: GainReport) -> dict:
             "metzler": flags.metzler,
             "nonnegative_b": flags.nonnegative_b,
             "nonnegative_c": flags.nonnegative_c,
-            "assumption_h": flags.assumption_h is not None,
+            "assumption_h": flags.assumption_h,
         },
         "positivity": None if report.positivity is None else report.positivity.value,
         "tolerance": report.tolerance,
@@ -305,12 +305,18 @@ def csv_lines(header, rows):
     """Render rows (an array or any iterable of rows) as CSV text: comma
     separator, every value printed as ``"%.17g" % x`` prints it.
 
-    The rows become one float64 table.  A table of at least
+    The rows become one float64 table, which refuses a NaN or infinite value
+    with a GainlabError naming its column and row.  A table of at least
     _CSV_ARRAY_VALUES values is written by _g17_lines in blocks of
     _CSV_ARRAY_ROWS rows; a smaller one takes one ``%``.  Both give the same
     bytes.
     """
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        raise GainlabError(
+            f"non-finite value {float(table[row, col])!r} in column {header[col]!r}, row {row + 1}"
+        )
     head = ",".join(header)
     if table.size >= _CSV_ARRAY_VALUES:
         starts = range(0, len(table), _CSV_ARRAY_ROWS)
@@ -510,21 +516,10 @@ def _g17_lines(block: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _finite_csv(header, table: np.ndarray) -> str:
-    """csv_lines of a command's output table, which refuses a NaN or
-    infinite value with a GainlabError naming its column."""
-    if not np.isfinite(table).all():
-        row, col = np.argwhere(~np.isfinite(table))[0]
-        raise GainlabError(
-            f"non-finite value {float(table[row, col])!r} in column {header[col]!r}, row {row + 1}"
-        )
-    return csv_lines(header, table)
-
-
 def _columns_csv(times, **blocks) -> str:
     """CSV of a "t" column, then the columns name_1, name_2, ... of each block."""
     header = ["t"] + [f"{k}_{i + 1}" for k, v in blocks.items() for i in range(v.shape[1])]
-    return _finite_csv(header, np.column_stack((times, *blocks.values())))
+    return csv_lines(header, np.column_stack((times, *blocks.values())))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -538,8 +533,8 @@ def delay_trajectory_csv(
 
 
 def vcurve_csv(curve: VCurve) -> str:
-    return _finite_csv(["T", "V"], np.column_stack((curve.horizons, curve.values)))
+    return csv_lines(["T", "V"], np.column_stack((curve.horizons, curve.values)))
 
 
 def sweep_csv(omegas, values) -> str:
-    return _finite_csv(["omega", "Psi"], np.column_stack((omegas, values)))
+    return csv_lines(["omega", "Psi"], np.column_stack((omegas, values)))

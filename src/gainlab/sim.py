@@ -35,7 +35,7 @@ import numpy as np
 from .exceptions import DimensionError, SimulationError
 from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, bang_bang_switches
 from .gains import l1_impulse_gain  # noqa: F401  (perfbench's tracing wraps sim.l1_impulse_gain)
-from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _Flow, _grid_flow
+from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _check_budget, _Flow, _grid_flow
 from .quadrature import tail_horizon
 from .signals import (
     InputSignal,
@@ -80,12 +80,7 @@ def _grid_steps(t_end: float, h: float) -> int:
     if t_end < h:
         raise ValueError("t_end must be at least one step")
     ratio = t_end / h
-    if ratio >= _MAX_GRID_STEPS + 0.5:
-        raise ValueError(
-            f"t_end / h = {ratio:.4g} grid steps exceeds the limit of "
-            f"{_MAX_GRID_STEPS}; use a larger step (--step) or a shorter "
-            "duration (--t-max)"
-        )
+    _check_budget(ratio, _MAX_GRID_STEPS, "grid steps", "--step or --t-max")
     n_steps = int(round(ratio))
     if abs(n_steps * h - t_end) > 1e-9 * max(1.0, t_end):
         n_steps = int(math.floor(t_end / h + 1e-12))

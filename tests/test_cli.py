@@ -23,7 +23,7 @@ from gainlab import (
 )
 from gainlab import GainEstimate, cli, delay, gains, linalg, sim
 from gainlab.cli import main
-from gainlab.delay import _history_steps
+from gainlab.delay import _predictor_grid
 from gainlab.modelio import parse_system
 from gainlab_testkit import (
     assert_same_text,
@@ -469,6 +469,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("gainlab: error: ") and err.count("\n") == 1
         assert "partition cells" in err and "--t-max" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_refused_allocation_exit_1(self, oscillator_file, capsys, monkeypatch, command):
+        # On (100, 1e-3) and the n = 20 Jordan chain the partition's block
+        # leads ask NumPy for 25.6 GiB to 3.25 TiB.  The refusal is raised
+        # here without allocating: a host that overcommits memory could
+        # accept the request and then run out of memory.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 25.6 GiB for an array")
+
+        monkeypatch.setattr(gains, "_sign_partition", refuse)
+        assert main([command, oscillator_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gainlab: error: Unable to allocate 25.6 GiB for an array\n"
 
     @pytest.mark.parametrize(
         "argv, needles",
@@ -922,7 +937,7 @@ class TestCsvCommandsMatchReference:
         out = self.run(capsys, ["simulate", delay_file, "--t-max", "9"])
         system, _ = parse_system(delay_file)
         h = system.tau / 64.0
-        state = DelayState.resting(system, _history_steps(system.tau, h))
+        state = DelayState.resting(system, _predictor_grid(system, h, 9.0)[0])
         traj = simulate_predictor(system, Constant(u0=[1.0]), state, 9.0, h)
         xi, xi_ref = predictor_error_series(traj, system)
         assert_same_text(out, reference_delay_trajectory_csv(traj, xi, xi_ref))

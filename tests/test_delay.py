@@ -90,16 +90,15 @@ class TestDelayState:
         with pytest.raises(ValueError):
             simulate_predictor(scalar_delay, Zero(dim=1), state, 2.0, 0.3)
 
-    def test_grid_work_bounded(self):
+    def test_grid_work_bounded(self, scalar_delay):
         # Every grid of at most _MAX_GRID_STEPS steps at the default step
         # tau / 64 stays legal; one more history row is over the bound.
         limit = delaymod._MAX_GRID_STEPS
-        tau = 0.5
-        h = tau / 64
-        assert delaymod._delay_grid(tau, h, limit * h) == (64, limit)
-        h = tau / 65
+        h = scalar_delay.tau / 64
+        assert delaymod._predictor_grid(scalar_delay, h, limit * h) == (64, limit)
+        h = scalar_delay.tau / 65
         with pytest.raises(ValueError, match="stored rows.*--step.*--t-max"):
-            delaymod._delay_grid(tau, h, limit * h)
+            delaymod._predictor_grid(scalar_delay, h, limit * h)
 
     @pytest.mark.parametrize(
         "h, message",

@@ -256,8 +256,7 @@ class TestDeterministicSerialization:
             dumps_document({"m": np.array([[1.0, 2.0], [math.nan, 4.0]])})
 
     def test_non_finite_table_refused(self, scalar_system):
-        # The commands' tables refuse too, naming the column; csv_lines
-        # itself prints NaN and infinity as "%.17g" does.
+        # The commands' tables refuse too, naming the column.
         with pytest.raises(GainlabError, match="column 'Psi', row 2"):
             sweep_csv([1.0, 2.0], [0.5, math.inf])
         traj = simulate(scalar_system, Constant([1.0]), np.zeros(1), 30.0, 0.01)
@@ -368,10 +367,14 @@ class TestCsvMatchesReference:
         assert_same_text(sweep_csv(omegas, values), reference_sweep_csv(omegas, values))
 
     def test_edge_values(self):
+        # csv_lines refuses NaN and infinity; _g17_lines prints them as "%.17g" does.
         edge = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
-        text = csv_lines(["a", "b", "c"], [edge[:3], edge[3:], [1, 2.5, 3]])
-        assert text == reference_csv_lines(["a", "b", "c"], [edge[:3], edge[3:], [1, 2.5, 3]])
-        assert text.split("\n")[1:4] == [
+        table = [edge[:3], edge[3:], [1, 2.5, 3]]
+        with pytest.raises(GainlabError, match="non-finite value nan in column 'b', row 1"):
+            csv_lines(["a", "b", "c"], table)
+        text = modelio._g17_lines(np.array(table))
+        assert text == reference_csv_lines([], table)[1:]
+        assert text.split("\n")[:3] == [
             "-0,nan,inf",
             "-inf,4.9406564584124654e-324,1.7976931348623157e+308",
             "1,2.5,3",
@@ -488,9 +491,17 @@ class TestG17Writer:
     def test_both_paths_match_reference(self, name, monkeypatch):
         values = _g17_cases()[name]
         values = np.concatenate((values, -values))
+        header = ["a", "b", "c", "d", "e"]
+        if not np.isfinite(values).all():
+            # csv_lines refuses NaN and infinity, which _g17_lines prints as
+            # "%.17g" does; both paths print the finite values.
+            block = np.resize(values, (-(-values.size // 5), 5))
+            assert_same_text(modelio._g17_lines(block), reference_csv_lines([], block)[1:])
+            with pytest.raises(GainlabError, match="non-finite value"):
+                csv_lines(header, block)
+            values = values[np.isfinite(values)]
         rows = -(-max(values.size, modelio._CSV_ARRAY_VALUES) // 5)
         table = np.resize(values, (rows, 5))
-        header = ["a", "b", "c", "d", "e"]
         calls = []
         original = modelio._g17_lines
         monkeypatch.setattr(modelio, "_g17_lines", lambda b: calls.append(b.shape) or original(b))
