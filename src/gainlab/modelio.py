@@ -313,9 +313,10 @@ def csv_lines(header, rows):
     """
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
     if not np.isfinite(table).all():
-        row, col = np.argwhere(~np.isfinite(table))[0]
+        bad = int(np.flatnonzero(~np.isfinite(table))[0])
+        row, col = divmod(bad, len(header))
         raise GainlabError(
-            f"non-finite value {float(table[row, col])!r} in column {header[col]!r}, row {row + 1}"
+            f"non-finite value {float(table.flat[bad])!r} in column {header[col]!r}, row {row + 1}"
         )
     head = ",".join(header)
     if table.size >= _CSV_ARRAY_VALUES:
