@@ -372,6 +372,8 @@ class TestCsvMatchesReference:
         table = [edge[:3], edge[3:], [1, 2.5, 3]]
         with pytest.raises(GainlabError, match="non-finite value nan in column 'b', row 1"):
             csv_lines(["a", "b", "c"], table)
+        with pytest.raises(GainlabError, match="non-finite value inf in column 'a', row 2"):
+            csv_lines(["a"], [0.1, math.inf])
         text = modelio._g17_lines(np.array(table))
         assert text == reference_csv_lines([], table)[1:]
         assert text.split("\n")[:3] == [
