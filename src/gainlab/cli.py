@@ -8,17 +8,19 @@ failure, 2 usage error.
 Every command takes one path through ``main``, which builds the parser on its
 first call and reuses it for the rest of the process.  It reads the model file
 once, rejects a kind the command does not accept (``_COMMANDS``), calls the
-command's handler, which returns (text, exit code), and writes the text once.
+command's handler, which returns (text, exit code), and writes the text.  The
+text of ``simulate`` and ``worstcase`` is an iterator of CSV chunks, written
+in order as each is formatted; every other handler's is one string.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import sys as _sys
-from pathlib import Path
 
 import numpy as np
 
@@ -194,10 +196,10 @@ def _cmd_simulate(args, system, extras):
         signal = Constant(_unit_direction(system.p))
         traj = delaymod.simulate_predictor(system, signal, state0, args.t_max, h)
         xi, xi_ref = delaymod.predictor_error_series(traj, system)
-        return modelio.delay_trajectory_csv(traj, xi, xi_ref), 0
+        return modelio._trajectory_chunks(traj, xi, xi_ref), 0
     signal = Constant(_unit_direction(system.m))
     traj = sim.simulate(system, signal, np.zeros(system.n), args.t_max, h)
-    return modelio.trajectory_csv(traj), 0
+    return modelio._trajectory_chunks(traj), 0
 
 
 def _cmd_worstcase(args, system, extras):
@@ -215,7 +217,7 @@ def _cmd_worstcase(args, system, extras):
         f"period={spec.period:g} rest_tolerance={spec.rest_tolerance:g}",
         file=_sys.stderr,
     )
-    return modelio.trajectory_csv(traj), 0
+    return modelio._trajectory_chunks(traj), 0
 
 
 def _cmd_verify(args, system, extras):
@@ -285,10 +287,8 @@ def main(argv=None) -> int:
             if kind is not None and not isinstance(model, kind):
                 raise ValueError(f"{args.command} requires {_KIND_NAMES[kind]}")
         text, code = handler(args, model, extras)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            _sys.stdout.write(text)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(_sys.stdout) as out:
+            out.writelines([text] if isinstance(text, str) else text)
         return code
     except (
         GainlabError, ValueError, OSError, OverflowError, MemoryError, np.linalg.LinAlgError

@@ -795,8 +795,7 @@ def periodic_upper_estimate(
     horizons = np.asarray(list(default if t_grid is None else t_grid), dtype=float)
     if horizons.size == 0 or not np.all((horizons > 0) & (horizons < math.inf)):
         raise ValueError("t_grid must contain finite positive periods")
-    if t_grid is not None:
-        linalg._check_partition_cells(sys.a, horizons.max(), "t_grid")
+    linalg._check_partition_cells(sys.a, horizons.max(), "t_grid")
     values = []
     for t_per in horizons:
         flow = _KernelFlow(sys, [t_per])

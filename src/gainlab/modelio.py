@@ -5,16 +5,16 @@ System files are JSON documents with matrices as nested row-major arrays:
 a delayed predictor loop, plus optional "tol" and "seed".  Reports are
 emitted through a custom JSON writer so floats carry 17 significant digits
 and identical inputs produce byte-identical documents.  CSV values carry the
-same 17 digits, byte for byte as ``"%.17g" % x``: a large table (a simulated
-trajectory) is printed by NumPy arithmetic in blocks of rows, a small one
-(a V(T) curve, a sweep) one block of rows per ``%``.  A document or a
-table refuses a NaN or infinite number with a GainlabError naming its field
-or column.
+same 17 digits, byte for byte as ``"%.17g" % x``: a table is written in
+chunks of rows, each printed by NumPy arithmetic, or, when small (a V(T)
+curve, a sweep), by one ``%``.  A document or a table refuses a NaN or
+infinite number with a GainlabError naming its field or column.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -51,13 +51,17 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-# Tables of at least _CSV_ARRAY_VALUES values are printed by _g17_lines, in
-# blocks of _CSV_ARRAY_ROWS rows.  Per value it takes about a third of the
-# 0.7 us of ``%``, but each block has a fixed cost of about 0.2 ms (shared
-# 2-CPU x86-64 machine), so ``%`` stays faster up to about 500 values.  One
-# block per table raised the peak RSS of a sim-verify run from 56 to 72 MB.
+# A table is written in chunks of _CSV_CHUNK values, _CSV_CHUNK // columns
+# rows each, so what it costs beyond its own arrays is one chunk.  A chunk of
+# at least _CSV_ARRAY_VALUES values is printed by _g17_lines: per value it
+# takes about a third of the 0.7 us of ``%``, but each call has a fixed cost
+# of about 0.2 ms (shared 2-CPU x86-64 machine), so ``%`` stays faster up to
+# about 500 values.  On the 12,289-row tables of 4 and 7 columns a worstcase
+# run writes, chunks of 8192 and 16384 values were the fastest, 4096 and 32768
+# 8-30% slower; one chunk per table raised a sim-verify run's peak RSS from 56
+# to 70-71 MB.
 _CSV_ARRAY_VALUES = 2048
-_CSV_ARRAY_ROWS = 1024
+_CSV_CHUNK = 8192
 
 
 def _load_json(path) -> dict:
@@ -239,18 +243,10 @@ def gain_report_document(report: GainReport) -> dict:
 
 
 def delay_bounds_document(report: DelayBoundReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "delay-bounds",
-        "certificate": {"M": report.m_const, "sigma": report.sigma},
-        "g_norm": report.g_norm,
-        "phi_integral": report.phi_integral,
-        "phi_tau": report.phi_tau,
-        "r_integral": report.r_integral,
-        "oag_bound": report.oag_bound,
-        "ios_bound": report.ios_bound,
-        "quad_tol": report.quad_tol,
-    }
+    fields = dict(vars(report))
+    certificate = {"M": fields.pop("m_const"), "sigma": fields.pop("sigma")}
+    return {"schema_version": SCHEMA_VERSION, "kind": "delay-bounds", "certificate": certificate,
+            **fields}
 
 
 def delay_demo_document(check: DelayEmpiricalCheck, labels) -> dict:
@@ -274,20 +270,7 @@ def delay_demo_document(check: DelayEmpiricalCheck, labels) -> dict:
 
 
 def verification_document(record: GainEqualityRecord) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verification",
-        "gamma": record.gamma,
-        "horizon": record.horizon,
-        "rest": record.rest,
-        "period": record.period,
-        "sup_gain": record.sup_gain,
-        "asymptotic_gain": record.asymptotic_gain,
-        "lower_target": record.lower_target,
-        "upper_limit": record.upper_limit,
-        "accuracy": record.accuracy,
-        "passed": record.passed,
-    }
+    return {"schema_version": SCHEMA_VERSION, "kind": "verification", **vars(record)}
 
 
 def bound_document(est: GainEstimate) -> dict:
@@ -301,29 +284,38 @@ def bound_document(est: GainEstimate) -> dict:
     }
 
 
-def csv_lines(header, rows):
-    """Render rows (an array or any iterable of rows) as CSV text: comma
-    separator, every value printed as ``"%.17g" % x`` prints it.
-
-    The rows become one float64 table, which refuses a NaN or infinite value
-    with a GainlabError naming its column and row.  A table of at least
-    _CSV_ARRAY_VALUES values is written by _g17_lines in blocks of
-    _CSV_ARRAY_ROWS rows; a smaller one takes one ``%``.  Both give the same
-    bytes.
-    """
-    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    if not np.isfinite(table).all():
+def _csv_chunks(header, *columns):
+    """The header line, then the CSV lines of _CSV_CHUNK values at a time, each
+    chunk stacked from row slices of ``columns``: float arrays of equal length,
+    each a column or a block of them.  A NaN or infinite value raises
+    GainlabError naming its column and row before any chunk is formed."""
+    cols = [c if c.ndim == 2 else c[:, None] for c in columns]
+    if not np.isfinite([f(c, initial=0.0) for c in cols for f in (np.min, np.max)]).all():
+        table = np.hstack(cols)
         bad = int(np.flatnonzero(~np.isfinite(table))[0])
         row, col = divmod(bad, len(header))
         raise GainlabError(
             f"non-finite value {float(table.flat[bad])!r} in column {header[col]!r}, row {row + 1}"
         )
-    head = ",".join(header)
-    if table.size >= _CSV_ARRAY_VALUES:
-        starts = range(0, len(table), _CSV_ARRAY_ROWS)
-        return head + "\n" + "".join(_g17_lines(table[i : i + _CSV_ARRAY_ROWS]) for i in starts)
-    row = "\n" + ",".join(["%.17g"] * len(header))
-    return head + row * len(table) % tuple(table.ravel().tolist()) + "\n"
+    rows = max(1, _CSV_CHUNK // len(header))
+
+    def chunk(start):
+        block = np.hstack([c[start : start + rows] for c in cols])
+        if block.size >= _CSV_ARRAY_VALUES:
+            return _g17_lines(block)
+        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        return line * len(block) % tuple(block.ravel().tolist())
+
+    return itertools.chain([",".join(header) + "\n"], map(chunk, range(0, len(cols[0]), rows)))
+
+
+def csv_lines(header, rows):
+    """Render rows (an array or any iterable of rows) as CSV text: comma
+    separator, every value printed as ``"%.17g" % x`` prints it.  The rows
+    become one float64 table, and the text is its _csv_chunks joined, after
+    their refusal of a NaN or infinite value."""
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    return "".join(_csv_chunks(header, table))
 
 
 # Bytes of one _g17_lines cell: the longest "%.17g" text,
@@ -517,20 +509,22 @@ def _g17_lines(block: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _columns_csv(times, **blocks) -> str:
-    """CSV of a "t" column, then the columns name_1, name_2, ... of each block."""
-    header = ["t"] + [f"{k}_{i + 1}" for k, v in blocks.items() for i in range(v.shape[1])]
-    return csv_lines(header, np.column_stack((times, *blocks.values())))
+def _trajectory_chunks(traj, *errors):
+    """_csv_chunks of a Trajectory: columns t, x_i, y_i; or of a
+    DelayTrajectory and its ``errors`` xi, xi_ref: t, y_i, z_i, pred_err_i,
+    pred_err_ref_i."""
+    names = ("y", "z", "pred_err", "pred_err_ref") if errors else ("x", "y")
+    blocks = (traj.ys, traj.zs, *errors) if errors else (traj.states, traj.outputs)
+    header = ["t"] + [f"{k}_{i + 1}" for k, v in zip(names, blocks) for i in range(v.shape[1])]
+    return _csv_chunks(header, traj.times, *blocks)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    return _columns_csv(traj.times, x=traj.states, y=traj.outputs)
+    return "".join(_trajectory_chunks(traj))
 
 
-def delay_trajectory_csv(
-    traj: DelayTrajectory, xi: np.ndarray, xi_ref: np.ndarray
-) -> str:
-    return _columns_csv(traj.times, y=traj.ys, z=traj.zs, pred_err=xi, pred_err_ref=xi_ref)
+def delay_trajectory_csv(traj: DelayTrajectory, xi: np.ndarray, xi_ref: np.ndarray) -> str:
+    return "".join(_trajectory_chunks(traj, xi, xi_ref))
 
 
 def vcurve_csv(curve: VCurve) -> str:

@@ -21,7 +21,7 @@ from gainlab import (
     vcurve,
     worst_case_periodic_input,
 )
-from gainlab import GainEstimate, cli, delay, gains, linalg, sim
+from gainlab import GainEstimate, cli, delay, gains, linalg, modelio, sim
 from gainlab.cli import main
 from gainlab.delay import _predictor_grid
 from gainlab.modelio import parse_system
@@ -31,6 +31,7 @@ from gainlab_testkit import (
     reference_delay_trajectory_csv,
     reference_sweep_csv,
     reference_trajectory_csv,
+    random_hurwitz_matrix,
     reference_vcurve_csv,
 )
 
@@ -941,3 +942,150 @@ class TestCsvCommandsMatchReference:
         traj = simulate_predictor(system, Constant(u0=[1.0]), state, 9.0, h)
         xi, xi_ref = predictor_error_series(traj, system)
         assert_same_text(out, reference_delay_trajectory_csv(traj, xi, xi_ref))
+
+
+def _system_file(tmp_path, n, seed):
+    """A random SISO system of n states, written as a model file."""
+    rng = np.random.default_rng(seed)
+    doc = {
+        "A": random_hurwitz_matrix(rng, n=n).tolist(),
+        "B": rng.uniform(-2.0, 2.0, (n, 1)).tolist(),
+        "C": rng.uniform(-2.0, 2.0, (1, n)).tolist(),
+    }
+    path = tmp_path / f"siso-{n}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _delay_loop_file(tmp_path, n):
+    """A delay loop of n plant states and one input: 1 + n + 3 columns."""
+    a = -np.eye(n) + 0.2 * np.eye(n, k=1)
+    ones = np.ones((n, 1))
+    doc = {"A": a.tolist(), "B": ones.tolist(), "G": ones.tolist(),
+           "K": (-0.5 / n * ones.T).tolist(), "tau": 0.5, "mu": 2.0}
+    path = tmp_path / f"delay-{n}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Rows of a table around one and two chunks of _CSV_CHUNK values.
+CHUNK_OFFSETS = {"chunk-1": (1, -1), "chunk": (1, 0), "chunk+1": (1, 1), "2chunk+1": (2, 1)}
+
+
+def _chunk_rows(columns, offset):
+    chunks, extra = CHUNK_OFFSETS[offset]
+    return chunks * (modelio._CSV_CHUNK // columns) + extra
+
+
+class TestStreamedCsv:
+    """simulate, worstcase and a delay simulate write their CSV chunk by
+    chunk; on stdout and in an --out file the bytes are the value-by-value
+    reference writer's, on tables that end just before, at and just after a
+    chunk boundary."""
+
+    def check(self, capsys, tmp_path, argv, reference, rows):
+        assert reference.count("\n") == rows + 1
+        assert main(argv) == 0
+        assert_same_text(capsys.readouterr().out, reference)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == reference.encode("ascii")
+
+    @pytest.mark.parametrize("offset", sorted(CHUNK_OFFSETS))
+    @pytest.mark.parametrize("columns", [3, 4, 5, 6, 7, 8])
+    def test_simulate(self, tmp_path, capsys, columns, offset):
+        rows = _chunk_rows(columns, offset)
+        path = _system_file(tmp_path, columns - 2, columns)
+        t_max = (rows - 1) * 0.01
+        system, _ = parse_system(path)
+        traj = simulate(system, Constant(u0=[1.0]), np.zeros(system.n), t_max, 0.01)
+        argv = ["simulate", path, "--t-max", repr(t_max), "--step", "0.01"]
+        self.check(capsys, tmp_path, argv, reference_trajectory_csv(traj), rows)
+
+    @pytest.mark.parametrize("offset", sorted(CHUNK_OFFSETS))
+    @pytest.mark.parametrize("columns", [3, 5, 8])
+    def test_worstcase(self, tmp_path, capsys, columns, offset):
+        rows = _chunk_rows(columns, offset)
+        path = _system_file(tmp_path, columns - 2, 10 + columns)
+        t_max = (rows - 1) * 0.01
+        system, _ = parse_system(path)
+        signal, _ = worst_case_periodic_input(system, 3.0, 1e-6)
+        traj = simulate(system, signal, np.zeros(system.n), t_max, 0.01)
+        argv = ["worstcase", path, "--horizon", "3", "--t-max", repr(t_max), "--step", "0.01"]
+        self.check(capsys, tmp_path, argv, reference_trajectory_csv(traj), rows)
+
+    @pytest.mark.parametrize("offset", sorted(CHUNK_OFFSETS))
+    @pytest.mark.parametrize("columns", [5, 6, 8])
+    def test_delay_simulate(self, tmp_path, capsys, columns, offset):
+        rows = _chunk_rows(columns, offset)
+        path = _delay_loop_file(tmp_path, columns - 4)
+        system, _ = parse_system(path)
+        h = system.tau / 64.0
+        t_max = (rows - 1) * h
+        state = DelayState.resting(system, _predictor_grid(system, h, t_max)[0])
+        traj = simulate_predictor(system, Constant(u0=[1.0]), state, t_max, h)
+        xi, xi_ref = predictor_error_series(traj, system)
+        argv = ["simulate", path, "--t-max", repr(t_max)]
+        self.check(capsys, tmp_path, argv, reference_delay_trajectory_csv(traj, xi, xi_ref), rows)
+
+    def test_memory_is_a_few_chunks(self, oscillator_file, tmp_path, monkeypatch):
+        # Beyond the trajectory's own arrays (built before tracing starts),
+        # writing its CSV takes a few chunks, whatever the row count: at
+        # 20,000 and 160,000 rows (1.6 and 12.5 MB of CSV) the traced peak
+        # stays under 16 chunks of the widest text.  Writing the joined text
+        # peaked at 4.0 and 30 MB.
+        system, _ = parse_system(oscillator_file)
+        cli._parser()
+        for rows in (20_000, 160_000):
+            t_max = (rows - 1) * 0.01
+            traj = simulate(system, Constant(u0=[1.0]), np.zeros(2), t_max, 0.01)
+            monkeypatch.setattr(sim, "simulate", lambda *args, traj=traj: traj)
+            out = tmp_path / f"{rows}.csv"
+            tracemalloc.start()
+            try:
+                argv = ["simulate", oscillator_file, "--t-max", repr(t_max), "--out", str(out)]
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.read_text().count("\n") == rows + 1
+            assert peak < 16 * modelio._CSV_CHUNK * modelio._CELL, rows
+
+    @pytest.mark.parametrize("command", ["simulate", "worstcase", "delay-simulate"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_value_writes_nothing(self, tmp_path, capsys, monkeypatch, command, value):
+        # The value sits in the table's second chunk: the whole table is
+        # checked before the first chunk, so stdout stays empty and no --out
+        # file is made.
+        row = modelio._CSV_CHUNK // 4 + 5
+        if command == "delay-simulate":
+            path, argv, column = _delay_loop_file(tmp_path, 1), ["simulate"], "pred_err_1"
+            series_once = delay.predictor_error_series
+
+            def spoiled(*args):
+                xi, xi_ref = series_once(*args)
+                xi[row - 1, 0] = value
+                return xi, xi_ref
+
+            monkeypatch.setattr(delay, "predictor_error_series", spoiled)
+        else:
+            path, argv, column = _system_file(tmp_path, 2, 1), [command, "--step", "0.01"], "x_2"
+            simulate_once = sim.simulate
+
+            def spoiled(*args, **kwargs):
+                traj = simulate_once(*args, **kwargs)
+                traj.states[row - 1, 1] = value
+                return traj
+
+            monkeypatch.setattr(sim, "simulate", spoiled)
+        argv = [argv[0], path, "--t-max", "30", *argv[1:]]
+        out = tmp_path / "out.csv"
+        for extra in ([], ["--out", str(out)]):
+            assert main(argv + extra) == 1
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert err.splitlines()[-1] == (
+                f"gainlab: error: non-finite value {value!r} in column {column!r}, row {row}"
+            )
+            assert not out.exists()

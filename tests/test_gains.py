@@ -1107,8 +1107,8 @@ def test_caller_horizons_past_cell_budget_refused_at_once(oscillator, monkeypatc
     # ||A||_1 = 2: a horizon or period of 1e11 asks for 2 x 10^11 cells;
     # bang_bang_switches at 1e7 took 3-4 s, and at 1e11 had not finished in
     # 120 s.  Each entry point that turns a caller's horizon into a flow
-    # refuses it before any exponential; horizons the code derives (the L1
-    # horizon, the default period grid) are not checked.
+    # refuses it before any exponential; the L1 horizon, which the code
+    # derives, is not checked.
     refuse_computation(monkeypatch)
     calls = (
         lambda: bang_bang_switches(oscillator, 1e11),
@@ -1126,15 +1126,27 @@ def test_caller_horizons_past_cell_budget_refused_at_once(oscillator, monkeypatc
         raise AssertionError("budget checked")
 
     monkeypatch.setattr(linalg, "_check_partition_cells", refuse)
-    assert periodic_upper_estimate(oscillator).value <= l1_impulse_gain(oscillator).value
+    assert l1_impulse_gain(oscillator).value == pytest.approx(OSCILLATOR_GAIN, abs=1e-7)
+
+
+def test_default_period_grid_past_cell_budget_refused_at_once():
+    # On the (10, 0.02) oscillator the default grid's longest period, 64 /
+    # sigma = 3.2e5, asks for 3.2 x 10^7 cells of 1 / ||A||_1, past the
+    # budget of 5 x 10^6; it is refused before the first flow is built.
+    sys = damped_oscillator(10.0, 0.02)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^\d+ partition cells for horizon 3\.232e\+05 exceeds "
+                       r"the limit of 5000000 \(t_grid\)$"):
+        periodic_upper_estimate(sys)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_every_partition_goes_through_the_entry_point(monkeypatch, oscillator, triangular_positive):
     # Every path that partitions a kernel does so inside gains._partition,
     # and the cell budget is checked on exactly the horizons a caller gives
-    # (--t-max, --horizon, a t_grid's longest period), never on a derived
-    # one: the L1 horizon, positivity's, verify's horizon past the L1
-    # horizon, or the default period grid.
+    # (--t-max, --horizon, a t_grid's longest period) and on the default
+    # period grid's longest, never on another derived one: the L1 horizon,
+    # positivity's, or verify's horizon past the L1 horizon.
     entry, partition, check = gains._partition, gains._sign_partition, linalg._check_partition_cells
     depth, entries, checked = [], [], []
 
@@ -1158,6 +1170,7 @@ def test_every_partition_goes_through_the_entry_point(monkeypatch, oscillator, t
     monkeypatch.setattr(gains, "_sign_partition", guarded_partition)
     monkeypatch.setattr(linalg, "_check_partition_cells", recording_check)
     two_output = oscillator_two_output(1.0, 1.0)
+    sigma = oscillator.certificate.sigma
     base = random_siso_system(np.random.default_rng(0))
     past_h = StateSpaceSystem(a=base.a, b=base.b, c=base.c * 1e-9)
     cases = (
@@ -1169,7 +1182,7 @@ def test_every_partition_goes_through_the_entry_point(monkeypatch, oscillator, t
         (lambda: worst_case_periodic_input(oscillator, 3.0, 1e-6), 1, [(3.0, "--horizon")]),
         (lambda: verify_gain_equality(oscillator, 0.02), 1, []),
         (lambda: verify_gain_equality(past_h, 0.02), 2, []),
-        (lambda: periodic_upper_estimate(oscillator), 9, []),
+        (lambda: periodic_upper_estimate(oscillator), 9, [(64.0 / sigma, "t_grid")]),
         (lambda: periodic_upper_estimate(oscillator, [1.0, 4.0, 2.0]), 3, [(4.0, "t_grid")]),
         (lambda: positivity_certificate(damped_oscillator(3.0, 1.0)), 1, []),
         (lambda: positivity_certificate(triangular_positive), 2, []),

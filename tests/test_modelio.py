@@ -318,8 +318,9 @@ def _delay_traj(system, t_end, steps):
     return (traj, *predictor_error_series(traj, system))
 
 
-ARRAY_ROWS = modelio._CSV_ARRAY_ROWS
-# Rows of the smallest three-column table that _g17_lines writes.
+# Rows of a three-column chunk, and of the smallest three-column table that
+# _g17_lines writes.
+ARRAY_ROWS = modelio._CSV_CHUNK // 3
 ARRAY_CUT = -(-modelio._CSV_ARRAY_VALUES // 3)
 FOUR_STATE_LOOP = DelayPredictorSystem(
     a=[[-0.5, 0.4, 0.0, 0.1], [-0.3, -0.6, 0.2, 0.0], [0.0, 0.1, -0.4, 0.3], [0.2, 0.0, -0.1, -0.7]],
@@ -392,8 +393,14 @@ class TestCsvMatchesReference:
             256,
             257,
             ARRAY_CUT - 1,
-            # Tables printed by _g17_lines, in blocks of ARRAY_ROWS rows.
+            # Tables printed by _g17_lines in one chunk, among them the
+            # boundaries of the former 1,024-row blocks.
             ARRAY_CUT,
+            1023,
+            1024,
+            1025,
+            2049,
+            # Tables printed in chunks of ARRAY_ROWS rows.
             ARRAY_ROWS - 1,
             ARRAY_ROWS,
             ARRAY_ROWS + 1,
@@ -508,7 +515,7 @@ class TestG17Writer:
         original = modelio._g17_lines
         monkeypatch.setattr(modelio, "_g17_lines", lambda b: calls.append(b.shape) or original(b))
         assert_same_text(csv_lines(header, table), reference_csv_lines(header, table))
-        assert calls and max(rows for rows, _ in calls) <= ARRAY_ROWS
+        assert calls and max(rows * cols for rows, cols in calls) <= modelio._CSV_CHUNK
         calls.clear()
         small = modelio._CSV_ARRAY_VALUES // 5 - 1
         for start in range(0, len(table), small):
