@@ -289,9 +289,8 @@ def _csv_chunks(header, *columns):
     chunk stacked from row slices of ``columns``: float arrays of equal length,
     each a column or a block of them.  A NaN or infinite value raises
     GainlabError naming its column and row before any chunk is formed."""
-    cols = [c if c.ndim == 2 else c[:, None] for c in columns]
-    if not np.isfinite([f(c, initial=0.0) for c in cols for f in (np.min, np.max)]).all():
-        table = np.hstack(cols)
+    if not np.isfinite([f(c, initial=0.0) for c in columns for f in (np.min, np.max)]).all():
+        table = np.column_stack(columns)
         bad = int(np.flatnonzero(~np.isfinite(table))[0])
         row, col = divmod(bad, len(header))
         raise GainlabError(
@@ -300,13 +299,13 @@ def _csv_chunks(header, *columns):
     rows = max(1, _CSV_CHUNK // len(header))
 
     def chunk(start):
-        block = np.hstack([c[start : start + rows] for c in cols])
+        block = np.column_stack([c[start : start + rows] for c in columns])
         if block.size >= _CSV_ARRAY_VALUES:
             return _g17_lines(block)
         line = ",".join(["%.17g"] * block.shape[1]) + "\n"
         return line * len(block) % tuple(block.ravel().tolist())
 
-    return itertools.chain([",".join(header) + "\n"], map(chunk, range(0, len(cols[0]), rows)))
+    return itertools.chain([",".join(header) + "\n"], map(chunk, range(0, len(columns[0]), rows)))
 
 
 def csv_lines(header, rows):
