@@ -196,7 +196,7 @@ def _cmd_simulate(args, system, extras):
         signal = Constant(_unit_direction(system.p))
         traj = delaymod.simulate_predictor(system, signal, state0, args.t_max, h)
         xi, xi_ref = delaymod.predictor_error_series(traj, system)
-        return modelio._trajectory_chunks(traj, xi, xi_ref), 0
+        return modelio._delay_trajectory_chunks(traj, xi, xi_ref), 0
     signal = Constant(_unit_direction(system.m))
     traj = sim.simulate(system, signal, np.zeros(system.n), args.t_max, h)
     return modelio._trajectory_chunks(traj), 0

@@ -311,8 +311,8 @@ def _csv_chunks(header, *columns):
 def csv_lines(header, rows):
     """Render rows (an array or any iterable of rows) as CSV text: comma
     separator, every value printed as ``"%.17g" % x`` prints it.  The rows
-    become one float64 table, and the text is its _csv_chunks joined, after
-    their refusal of a NaN or infinite value."""
+    become one float64 table, and the text is its _csv_chunks joined, which
+    refuse a NaN or infinite value."""
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
     return "".join(_csv_chunks(header, table))
 
@@ -508,14 +508,18 @@ def _g17_lines(block: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _trajectory_chunks(traj, *errors):
-    """_csv_chunks of a Trajectory: columns t, x_i, y_i; or of a
-    DelayTrajectory and its ``errors`` xi, xi_ref: t, y_i, z_i, pred_err_i,
-    pred_err_ref_i."""
-    names = ("y", "z", "pred_err", "pred_err_ref") if errors else ("x", "y")
-    blocks = (traj.ys, traj.zs, *errors) if errors else (traj.states, traj.outputs)
-    header = ["t"] + [f"{k}_{i + 1}" for k, v in zip(names, blocks) for i in range(v.shape[1])]
-    return _csv_chunks(header, traj.times, *blocks)
+def _columns_chunks(times, **blocks):
+    """_csv_chunks of a "t" column, then the columns name_1, name_2, ... of each block."""
+    header = ["t"] + [f"{k}_{i + 1}" for k, v in blocks.items() for i in range(v.shape[1])]
+    return _csv_chunks(header, times, *blocks.values())
+
+
+def _trajectory_chunks(traj: Trajectory):
+    return _columns_chunks(traj.times, x=traj.states, y=traj.outputs)
+
+
+def _delay_trajectory_chunks(traj: DelayTrajectory, xi: np.ndarray, xi_ref: np.ndarray):
+    return _columns_chunks(traj.times, y=traj.ys, z=traj.zs, pred_err=xi, pred_err_ref=xi_ref)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -523,7 +527,7 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def delay_trajectory_csv(traj: DelayTrajectory, xi: np.ndarray, xi_ref: np.ndarray) -> str:
-    return "".join(_trajectory_chunks(traj, xi, xi_ref))
+    return "".join(_delay_trajectory_chunks(traj, xi, xi_ref))
 
 
 def vcurve_csv(curve: VCurve) -> str:
