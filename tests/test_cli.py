@@ -1033,8 +1033,8 @@ class TestStreamedCsv:
         # Beyond the trajectory's own arrays (built before tracing starts),
         # writing its CSV takes a few chunks, whatever the row count: at
         # 20,000 and 160,000 rows (1.6 and 12.5 MB of CSV) the traced peak
-        # stays under 16 chunks of the widest text.  Writing the joined text
-        # peaked at 4.0 and 30 MB.
+        # stays under 16 chunks of the widest text.  A writer that joins the
+        # text first peaks at 4.0 and 30 MB.
         system, _ = parse_system(oscillator_file)
         cli._parser()
         for rows in (20_000, 160_000):
