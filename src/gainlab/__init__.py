@@ -1,152 +1,24 @@
 """Peak-gain analysis, worst-case inputs, and delay-predictor bounds for
 stable LTI systems."""
 
-from .delay import (
-    DelayBoundReport,
-    DelayEmpiricalCheck,
-    DelayEmpiricalEntry,
-    DelayPredictorSystem,
-    DelayState,
-    DelayTrajectory,
-    delay_bounds,
-    delay_empirical_check,
-    predictor_error_residual,
-    predictor_error_series,
-    simulate_predictor,
-)
-from .exceptions import (
-    ConsistencyError,
-    DimensionError,
-    GainlabError,
-    LyapunovSolveError,
-    NotHurwitzError,
-    SimulationError,
-)
-from .gains import (
-    CertificateBoundInput,
-    GainEstimate,
-    GainReport,
-    PositivityCertificate,
-    VCurve,
-    bang_bang_switches,
-    certificate_cell_value,
-    certificate_gain_bound,
-    dc_gain,
-    gain_report,
-    l1_impulse_gain,
-    max_terminal_output,
-    onb_upper_bound,
-    periodic_upper_estimate,
-    positivity_certificate,
-    sinusoid_lower_bound,
-    sinusoid_response,
-    sinusoid_sweep,
-    vcurve,
-)
-from .linalg import (
-    StabilityCertificate,
-    StateSpaceSystem,
-    StructureFlags,
-    is_hurwitz,
-    lyapunov_solve,
-    mat_exp,
-    spectral_norm,
-    stability_certificate,
-    structure_flags,
-    symmetric_eigen,
-)
-from .quadrature import adaptive_simpson, tail_horizon
-from .signals import (
-    BangBangInput,
-    Constant,
-    PeriodicExtension,
-    Sinusoid,
-    Zero,
-    evaluate,
-    iter_segments,
-    signal_dim,
-    sup_norm,
-)
-from .sim import (
-    EmpiricalGains,
-    GainEqualityRecord,
-    Trajectory,
-    WorstCaseSpec,
-    empirical_gains,
-    simulate,
-    steady_periodic_state,
-    verify_gain_equality,
-    worst_case_periodic_input,
-)
+# The public names are each module's own __all__, re-exported whole.
+from .exceptions import *
+from .linalg import *
+from .quadrature import *
+from .signals import *
+from .gains import *
+from .sim import *
+from .delay import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "GainlabError",
-    "DimensionError",
-    "NotHurwitzError",
-    "LyapunovSolveError",
-    "SimulationError",
-    "ConsistencyError",
-    "mat_exp",
-    "lyapunov_solve",
-    "is_hurwitz",
-    "symmetric_eigen",
-    "spectral_norm",
-    "StabilityCertificate",
-    "stability_certificate",
-    "StructureFlags",
-    "structure_flags",
-    "StateSpaceSystem",
-    "adaptive_simpson",
-    "tail_horizon",
-    "Zero",
-    "Constant",
-    "Sinusoid",
-    "BangBangInput",
-    "PeriodicExtension",
-    "signal_dim",
-    "sup_norm",
-    "evaluate",
-    "iter_segments",
-    "GainEstimate",
-    "GainReport",
-    "VCurve",
-    "PositivityCertificate",
-    "CertificateBoundInput",
-    "l1_impulse_gain",
-    "dc_gain",
-    "positivity_certificate",
-    "max_terminal_output",
-    "vcurve",
-    "bang_bang_switches",
-    "sinusoid_response",
-    "sinusoid_sweep",
-    "sinusoid_lower_bound",
-    "onb_upper_bound",
-    "periodic_upper_estimate",
-    "certificate_cell_value",
-    "certificate_gain_bound",
-    "gain_report",
-    "Trajectory",
-    "simulate",
-    "steady_periodic_state",
-    "WorstCaseSpec",
-    "worst_case_periodic_input",
-    "EmpiricalGains",
-    "empirical_gains",
-    "GainEqualityRecord",
-    "verify_gain_equality",
-    "DelayPredictorSystem",
-    "DelayState",
-    "DelayTrajectory",
-    "simulate_predictor",
-    "predictor_error_series",
-    "predictor_error_residual",
-    "DelayBoundReport",
-    "delay_bounds",
-    "DelayEmpiricalEntry",
-    "DelayEmpiricalCheck",
-    "delay_empirical_check",
+    *exceptions.__all__,
+    *linalg.__all__,
+    *quadrature.__all__,
+    *signals.__all__,
+    *gains.__all__,
+    *sim.__all__,
+    *delay.__all__,
 ]

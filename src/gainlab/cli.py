@@ -242,15 +242,10 @@ def _cmd_delay_demo(args, system, extras):
     _check_flag("--window", args.window, inside, t_end)
     window = args.window if args.window is not None else t_end / 4.0
     direction = _unit_direction(system.p)
-    inputs = [
-        Constant(direction),
-        Sinusoid(direction, 0.1),
-        Sinusoid(direction, 1.0),
-        Sinusoid(direction, 10.0),
-    ]
-    labels = ["constant", "sin-0.1", "sin-1", "sin-10"]
-    check = delaymod.delay_empirical_check(system, inputs, t_end, window, h)
-    return modelio.dumps_document(modelio.delay_demo_document(check, labels)), 0
+    battery = {"constant": Constant(direction)}
+    battery.update({f"sin-{omega:g}": Sinusoid(direction, omega) for omega in (0.1, 1.0, 10.0)})
+    check = delaymod.delay_empirical_check(system, list(battery.values()), t_end, window, h)
+    return modelio.dumps_document(modelio.delay_demo_document(check, battery)), 0
 
 
 # Each command's handler(args, model, extras) and the model it accepts: a

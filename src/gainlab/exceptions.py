@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "GainlabError",
+    "DimensionError",
+    "NotHurwitzError",
+    "LyapunovSolveError",
+    "SimulationError",
+    "ConsistencyError",
+]
+
 
 class GainlabError(Exception):
     """Base class for all errors raised by gainlab."""

@@ -461,7 +461,8 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     end = horizons[-1]
     flow = _KernelFlow(sys, horizons) if sys.m == 1 else _grid_flow(sys.a, end, end)[0]
     # With one output every unit direction is +-1, so restarts would repeat
-    # the first start (-1 mirrors +1 exactly): only p > 1 draws them.
+    # the first start (-1 mirrors +1 exactly): only p > 1 draws them, and a
+    # second step, from the first's +-1, could only confirm it.
     draws = np.random.default_rng(seed).standard_normal((restarts * (sys.p > 1), sys.p))
     starts = [*np.eye(sys.p), *(v / np.linalg.norm(v) for v in draws)]
     k, s = horizons.size, len(starts)
@@ -469,7 +470,7 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     d = np.tile(starts, (k, 1))
     best, best_dir = np.zeros(k * s), np.tile(starts[0], (k * s, 1))
     last, live = np.full(k * s, -np.inf), np.arange(k * s)
-    for _ in range(40):
+    for _ in range(40 if sys.p > 1 else 1):
         if sys.m == 1:
             signed = _partition(sys, d[live] @ sys.c, tol, horizons, flow=flow)[1]
             x = signed[horizon_of[live], np.arange(live.size)]
@@ -536,18 +537,18 @@ def vcurve(
 
     SISO systems read the curve off one sign partition of the kernel (each
     value a partial sum).  Otherwise the direction-alignment ascent runs from
-    the standard basis and ``restarts`` seeded directions (none with one
-    output, whose directions are +-1) at every horizon at once.  With one
-    input each of its at most 40 steps is one sign partition, out to the
-    largest horizon, for all starts and horizons, so a grid of any size
-    costs at most 40 partitions, as one horizon does.  The steps share
-    one kernel flow, whose matrix exponentials (end states, orbit powers) are
-    formed once per curve: a step adds only its rows' kernel values and the
-    Newton polish of their zeros, neither of which forms one.  Horizons must be
-    finite, and the largest at most _MAX_GRID_STEPS / 2 cells of 1 / ||A||_1.
-    The ascent's signed states, n entries per (start, horizon) pair at each
-    of the k horizons, k^2 (p + restarts) n in all, may number at most
-    _MAX_GRID_STEPS.
+    the standard basis and ``restarts`` seeded directions at every horizon at
+    once; with one output, whose directions are +-1, it runs from +1 alone and
+    takes one step.  With one input each of its at most 40 steps is one sign
+    partition, out to the largest horizon, for all starts and horizons, so a
+    grid of any size costs at most 40 partitions, as one horizon does.  The
+    steps share one kernel flow, whose matrix exponentials (end states, orbit
+    powers) are formed once per curve: a step adds only its rows' kernel
+    values and the Newton polish of their zeros, neither of which forms one.
+    Horizons must be finite, and the largest at most _MAX_GRID_STEPS / 2
+    cells of 1 / ||A||_1.  The ascent's signed states, n entries per (start,
+    horizon) pair at each of the k horizons, k^2 (p + restarts) n in all, may
+    number at most _MAX_GRID_STEPS.
     """
     _checked_tol(tol)
     _checked_seed(restarts, "restarts")

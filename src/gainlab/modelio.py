@@ -53,14 +53,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 # A table is written in chunks of _CSV_CHUNK values, _CSV_CHUNK // columns
 # rows each, so what it costs beyond its own arrays is one chunk.  A chunk of
-# at least _CSV_ARRAY_VALUES values is printed by _g17_lines: per value it
-# takes about a third of the 0.7 us of ``%``, but each call has a fixed cost
-# of about 0.2 ms (shared 2-CPU x86-64 machine), so ``%`` stays faster up to
-# about 500 values.  On the 12,289-row tables of 4 and 7 columns a worstcase
-# run writes, chunks of 8192 and 16384 values were the fastest, 4096 and 32768
-# 8-30% slower; one chunk per table raised a sim-verify run's peak RSS from 56
-# to 70-71 MB.
-_CSV_ARRAY_VALUES = 2048
+# at least _CSV_ARRAY_VALUES values is printed by _g17_lines, a smaller one
+# by ``%``, at the crossover measured on random 4- and 7-column blocks (best
+# of 30, shared 2-CPU x86-64 machine), ``%`` against _g17_lines: 200 values
+# 101-103 vs 181-188 us, 380 values 197-199 vs 197-213 us, 420 values 219 vs
+# 202-205 us, 1,000 values 529-553 vs 301-302 us.  On the 12,289-row tables
+# of 4 and 7 columns a worstcase run writes, chunks of 8192 and 16384 values
+# were the fastest, 4096 and 32768 8-30% slower; one chunk per table raised a
+# sim-verify run's peak RSS from 56 to 70-71 MB.
+_CSV_ARRAY_VALUES = 400
 _CSV_CHUNK = 8192
 
 
@@ -207,34 +208,17 @@ def dumps_document(doc: dict) -> str:
     return _emit(doc, 0, "document") + "\n"
 
 
-def _estimate_dict(est: GainEstimate | None):
-    if est is None:
-        return None
-    return {
-        "value": est.value,
-        "kind": est.kind,
-        "method": est.method,
-        "tolerance": est.tolerance,
-        "details": est.details,
-    }
-
-
 def gain_report_document(report: GainReport) -> dict:
-    flags = report.structure
+    # Each record's fields, copied: editing the document leaves it as it was.
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "gain-report",
         "dims": {"n": report.dims[0], "m": report.dims[1], "p": report.dims[2]},
-        "exact": _estimate_dict(report.exact),
-        "lowers": [_estimate_dict(e) for e in report.lowers],
-        "uppers": [_estimate_dict(e) for e in report.uppers],
+        "exact": None if report.exact is None else {**vars(report.exact)},
+        "lowers": [{**vars(e)} for e in report.lowers],
+        "uppers": [{**vars(e)} for e in report.uppers],
         "certificate": {"M": report.certificate.m, "sigma": report.certificate.sigma},
-        "structure": {
-            "metzler": flags.metzler,
-            "nonnegative_b": flags.nonnegative_b,
-            "nonnegative_c": flags.nonnegative_c,
-            "assumption_h": flags.assumption_h,
-        },
+        "structure": {**vars(report.structure)},
         "positivity": None if report.positivity is None else report.positivity.value,
         "tolerance": report.tolerance,
         "seed": report.seed,
@@ -254,16 +238,7 @@ def delay_demo_document(check: DelayEmpiricalCheck, labels) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "delay-demo",
         "bounds": delay_bounds_document(check.bounds),
-        "entries": [
-            {
-                "input": label,
-                "sup_gain": entry.sup_gain,
-                "asymptotic_gain": entry.asymptotic_gain,
-                "gap_to_oag": entry.gap_to_oag,
-                "within": entry.within,
-            }
-            for label, entry in zip(labels, check.entries)
-        ],
+        "entries": [{"input": label, **vars(entry)} for label, entry in zip(labels, check.entries)],
         "all_within_oag": check.all_within_oag,
         "tolerance": check.tolerance,
     }

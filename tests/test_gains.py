@@ -941,8 +941,8 @@ class TestVCurve:
     def test_single_output_skips_restarts(self, monkeypatch):
         # Every unit direction of one output is +-1, and the ascent from -1
         # mirrors the one from +1 bit for bit, so the seeded restarts could
-        # only repeat the first start: each horizon takes one start, of two
-        # steps (the second confirms the first).
+        # only repeat the first start, and a second step, from the first's
+        # +-1, only confirm it: each horizon takes one start, of one step.
         rng = np.random.default_rng(31)
         a = random_hurwitz_matrix(rng, n=3)
         sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (3, 2)), c=rng.uniform(-2.0, 2.0, (1, 3)))
@@ -961,7 +961,7 @@ class TestVCurve:
 
         monkeypatch.setattr(gains, "_aligned_terminal", counting)
         curve = vcurve(sys, hs, restarts=8, tol=1e-8)
-        assert len(calls) == 2 * hs.size
+        assert len(calls) == hs.size
         reference = reference_terminal_ascent(sys, hs, restarts=8, tol=1e-8)
         np.testing.assert_allclose(curve.values, reference, rtol=1e-12, atol=0.0)
 

@@ -217,6 +217,17 @@ class TestDeterministicSerialization:
             docs.append(dumps_document(gain_report_document(rep)))
         assert docs[0] == docs[1]
 
+    def test_editing_a_document_leaves_its_records(self, diag_two_output):
+        # Documents hold copies of the frozen records' fields, not the
+        # records' own __dict__.
+        rep = gain_report(diag_two_output, tol=1e-8)
+        doc = gain_report_document(rep)
+        for entry in (doc["exact"], *doc["lowers"], *doc["uppers"], doc["structure"]):
+            if entry is not None:
+                entry.clear()
+        assert dumps_document(gain_report_document(rep)) == dumps_document(gain_report_document(
+            gain_report(diag_two_output, tol=1e-8)))
+
     def test_nested_arrays_serialized(self):
         text = dumps_document({"m": np.array([[1.0, 2.0], [3.0, 4.0]])})
         parsed = json.loads(text)
@@ -389,13 +400,16 @@ class TestCsvMatchesReference:
         "k",
         [
             # Tables under _CSV_ARRAY_VALUES values, each printed by one %.
+            ARRAY_CUT - 1,
+            # Tables printed by _g17_lines in one chunk, among them the
+            # boundaries of the former 256- and 1,024-row blocks and of the
+            # former cut at 2,048 values (682 and 683 rows).
+            ARRAY_CUT,
             255,
             256,
             257,
-            ARRAY_CUT - 1,
-            # Tables printed by _g17_lines in one chunk, among them the
-            # boundaries of the former 1,024-row blocks.
-            ARRAY_CUT,
+            682,
+            683,
             1023,
             1024,
             1025,

@@ -1,0 +1,48 @@
+"""The package's public surface: every module's ``__all__``, once each."""
+
+import gainlab
+from gainlab import delay, exceptions, gains, linalg, quadrature, signals, sim
+
+MODULES = (exceptions, linalg, quadrature, signals, gains, sim, delay)
+
+# Every name the package exported before it re-exported its modules' __all__;
+# none may be dropped.
+EXPORTED = """
+__version__ GainlabError DimensionError NotHurwitzError LyapunovSolveError
+SimulationError ConsistencyError mat_exp lyapunov_solve is_hurwitz
+symmetric_eigen spectral_norm StabilityCertificate stability_certificate
+StructureFlags structure_flags StateSpaceSystem adaptive_simpson tail_horizon
+Zero Constant Sinusoid BangBangInput PeriodicExtension signal_dim sup_norm
+evaluate iter_segments GainEstimate GainReport VCurve PositivityCertificate
+CertificateBoundInput l1_impulse_gain dc_gain positivity_certificate
+max_terminal_output vcurve bang_bang_switches sinusoid_response sinusoid_sweep
+sinusoid_lower_bound onb_upper_bound periodic_upper_estimate
+certificate_cell_value certificate_gain_bound gain_report Trajectory simulate
+steady_periodic_state WorstCaseSpec worst_case_periodic_input EmpiricalGains
+empirical_gains GainEqualityRecord verify_gain_equality DelayPredictorSystem
+DelayState DelayTrajectory simulate_predictor predictor_error_series
+predictor_error_residual DelayBoundReport delay_bounds DelayEmpiricalEntry
+DelayEmpiricalCheck delay_empirical_check
+""".split()
+
+
+def test_no_name_exported_twice():
+    assert len(gainlab.__all__) == len(set(gainlab.__all__))
+
+
+def test_exports_are_the_modules_public_names():
+    names = {"__version__"}.union(*(module.__all__ for module in MODULES))
+    assert set(gainlab.__all__) == names
+    assert {"as_matrix", "gauss_legendre", "InputSignal"} <= names
+
+
+def test_every_export_resolves_to_its_module():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(gainlab, name) is getattr(module, name)
+    assert gainlab.__version__ == "0.1.0"
+
+
+def test_no_earlier_export_dropped():
+    assert len(EXPORTED) == len(set(EXPORTED)) == 67
+    assert set(EXPORTED) <= set(gainlab.__all__)
