@@ -244,7 +244,7 @@ def _cmd_delay_demo(args, system, extras):
     direction = _unit_direction(system.p)
     battery = {"constant": Constant(direction)}
     battery.update({f"sin-{omega:g}": Sinusoid(direction, omega) for omega in (0.1, 1.0, 10.0)})
-    check = delaymod.delay_empirical_check(system, list(battery.values()), t_end, window, h)
+    check = delaymod.delay_empirical_check(system, battery.values(), t_end, window, h)
     return modelio.dumps_document(modelio.delay_demo_document(check, battery)), 0
 
 

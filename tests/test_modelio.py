@@ -222,11 +222,11 @@ class TestDeterministicSerialization:
         # records' own __dict__.
         rep = gain_report(diag_two_output, tol=1e-8)
         doc = gain_report_document(rep)
+        text = dumps_document(doc)
         for entry in (doc["exact"], *doc["lowers"], *doc["uppers"], doc["structure"]):
             if entry is not None:
                 entry.clear()
-        assert dumps_document(gain_report_document(rep)) == dumps_document(gain_report_document(
-            gain_report(diag_two_output, tol=1e-8)))
+        assert dumps_document(gain_report_document(rep)) == text
 
     def test_nested_arrays_serialized(self):
         text = dumps_document({"m": np.array([[1.0, 2.0], [3.0, 4.0]])})
