@@ -861,38 +861,30 @@ class CertificateBoundInput:
         object.__setattr__(self, "t_grid", grid)
 
 
-def _step_value(samples: np.ndarray, t: float) -> float:
-    idx = int(np.searchsorted(samples[:, 0], t, side="right")) - 1
-    return float(samples[max(idx, 0), 1])
-
-
 def certificate_cell_value(
     m_const: float, sigma: float, b_samples: np.ndarray, horizon: float
 ) -> float | None:
-    """Bound contributed by one (M, sigma, T) cell, or None when T is too
-    short for the decay factor to contract (M exp(-sigma T) >= 1)."""
+    """Bound contributed by one (M, sigma, T) cell: the largest
+    M exp(-sigma t_k) b(T) / (1 - M exp(-sigma T)) + b_k over t_k < T, b the
+    right-open step envelope (b_0 below t_0; -inf with no t_k < T), or None
+    when T is too short for the decay to contract (M exp(-sigma T) >= 1)."""
     decay_t = m_const * math.exp(-sigma * horizon)
     if decay_t >= 1.0:
         return None
-    b_t = _step_value(b_samples, horizon)
-    denom = 1.0 - decay_t
-    best = -math.inf
-    for t_k, b_k in b_samples:
-        if t_k >= horizon:
-            break
-        cand = m_const * math.exp(-sigma * t_k) * b_t / denom + b_k
-        if cand > best:
-            best = cand
-    return best
+    times, levels = b_samples.T
+    before = times < horizon
+    b_t = levels[max(np.count_nonzero(times <= horizon) - 1, 0)]
+    cands = m_const * np.exp(-sigma * times[before]) * b_t / (1.0 - decay_t) + levels[before]
+    return float(cands.max(initial=-math.inf))
 
 
 def certificate_gain_bound(data: CertificateBoundInput) -> GainEstimate:
     """Gain upper bound from decay certificates and a robustness envelope.
 
-    Minimizes over certificate/horizon cells the closed-form bound obtained
-    by splitting a trajectory at the horizon, falling back to the envelope
-    supremum (itself always a valid bound) when that is smaller.  Cell values
-    are reported in the details for audit.
+    Minimizes over certificate/horizon cells with M exp(-sigma T) < 1 the
+    split-at-T bound max over t_k < T of M exp(-sigma t_k) b(T) / (1 - M exp(-sigma T)) + b_k,
+    falling back to the envelope supremum (itself always a valid bound) when
+    that is smaller.  Cell values are reported in the details for audit.
     """
     sup_b = float(data.b_samples[-1, 1])
     cells = []

@@ -346,54 +346,46 @@ def verify_gain_equality(
     cert = sys.certificate
     coef = cert.m * float(np.linalg.norm(sys.b)) * float(np.linalg.norm(sys.c))
     if gamma <= 1e-300:
-        return GainEqualityRecord(
-            gamma=gamma,
-            horizon=0.0,
-            rest=0.0,
-            period=0.0,
-            sup_gain=0.0,
-            asymptotic_gain=0.0,
-            lower_target=0.0,
-            upper_limit=2.0 * tol,
-            accuracy=accuracy,
-            passed=True,
-        )
-    horizon = tail_horizon(cert.sigma, coef, 0.5 * accuracy * gamma)
-    horizon = max(horizon * 1.05, 1.0 / cert.sigma)
-    rest_tol = accuracy * gamma * cert.sigma / (4.0 * cert.m * coef)
-    rest_tol = min(max(rest_tol, 1e-14), 0.25)
-    rest = _rest_length(cert, rest_tol)
-    j = min(math.ceil(_VERIFY_STEPS * horizon / (horizon + rest)), _VERIFY_STEPS - 1)
-    horizon = max(horizon, j * rest / (_VERIFY_STEPS - j))
-    if horizon <= l1.details["horizon"]:
-        integral = l1.details["component_integrals"][0]
-        bang = _bang_bang(sys, kernel_flow, roots[0], horizon, integral)
+        horizon = rest = period = lower_target = 0.0
+        emp = EmpiricalGains(0.0, 0.0)
     else:
-        bang = _bang_bang_switches(sys, horizon)
-    signal, spec = _periodic_input(cert, bang, rest, rest_tol)
-    # The input repeats every period, so period k's outputs are the zero-state
-    # ones plus the free response C exp(A j h) x_k of its start state, with
-    # x_0 = 0 and x_{k+1} = exp(A period) x_k + x_zs(period).
-    zero_state, e_period, flow, level = _one_period(sys, signal, spec.period, _VERIFY_STEPS)
-    x_zs = zero_state.states[-1]
-    starts = np.zeros((sys.n, _VERIFY_PERIODS + 1))
-    for k in range(_VERIFY_PERIODS):
-        starts[:, k + 1] = e_period @ starts[:, k] + x_zs
-    row = np.zeros(flow.matrix.shape[0])  # (C, 0): the input state adds nothing
-    row[: sys.n] = sys.c[0]
-    free = flow.row_orbit(row, _VERIFY_STEPS, level)[:, : sys.n] @ starts[:, :-1]
-    outputs = zero_state.outputs[:-1] + free
-    norms = np.abs(np.append(outputs.T, sys.c @ starts[:, -1]))
-    times = np.arange(norms.size) * zero_state.step
-    emp = _measured_gains(times, norms, _VERIFY_PERIODS // 2 * spec.period)
-    lower_target = (1.0 - accuracy) * gamma
+        horizon = tail_horizon(cert.sigma, coef, 0.5 * accuracy * gamma)
+        horizon = max(horizon * 1.05, 1.0 / cert.sigma)
+        rest_tol = accuracy * gamma * cert.sigma / (4.0 * cert.m * coef)
+        rest_tol = min(max(rest_tol, 1e-14), 0.25)
+        rest = _rest_length(cert, rest_tol)
+        j = min(math.ceil(_VERIFY_STEPS * horizon / (horizon + rest)), _VERIFY_STEPS - 1)
+        horizon = max(horizon, j * rest / (_VERIFY_STEPS - j))
+        if horizon <= l1.details["horizon"]:
+            integral = l1.details["component_integrals"][0]
+            bang = _bang_bang(sys, kernel_flow, roots[0], horizon, integral)
+        else:
+            bang = _bang_bang_switches(sys, horizon)
+        signal, spec = _periodic_input(cert, bang, rest, rest_tol)
+        period = spec.period
+        # The input repeats every period, so period k's outputs are the zero-state
+        # ones plus the free response C exp(A j h) x_k of its start state, with
+        # x_0 = 0 and x_{k+1} = exp(A period) x_k + x_zs(period).
+        zero_state, e_period, flow, level = _one_period(sys, signal, period, _VERIFY_STEPS)
+        x_zs = zero_state.states[-1]
+        starts = np.zeros((sys.n, _VERIFY_PERIODS + 1))
+        for k in range(_VERIFY_PERIODS):
+            starts[:, k + 1] = e_period @ starts[:, k] + x_zs
+        row = np.zeros(flow.matrix.shape[0])  # (C, 0): the input state adds nothing
+        row[: sys.n] = sys.c[0]
+        free = flow.row_orbit(row, _VERIFY_STEPS, level)[:, : sys.n] @ starts[:, :-1]
+        outputs = zero_state.outputs[:-1] + free
+        norms = np.abs(np.append(outputs.T, sys.c @ starts[:, -1]))
+        times = np.arange(norms.size) * zero_state.step
+        emp = _measured_gains(times, norms, _VERIFY_PERIODS // 2 * period)
+        lower_target = (1.0 - accuracy) * gamma
     upper_limit = gamma * (1.0 + 1e-6) + 2.0 * tol
     passed = lower_target <= emp.asymptotic_gain <= upper_limit
     return GainEqualityRecord(
         gamma=gamma,
         horizon=horizon,
-        rest=spec.rest,
-        period=spec.period,
+        rest=rest,
+        period=period,
         sup_gain=emp.sup_gain,
         asymptotic_gain=emp.asymptotic_gain,
         lower_target=lower_target,

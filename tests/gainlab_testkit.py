@@ -370,6 +370,28 @@ def reference_periodic_values(sys, t_grid, tol):
     return values
 
 
+def reference_certificate_cell_value(m_const, sigma, b_samples, horizon):
+    """gains.certificate_cell_value one sample at a time with math.exp: the
+    step envelope's level b(T) by bisection, then the largest candidate
+    M exp(-sigma t_k) b(T) / (1 - M exp(-sigma T)) + b_k over the samples
+    before the first t_k >= T (-inf if there is none; None, as there, when
+    M exp(-sigma T) >= 1)."""
+    decay_t = m_const * math.exp(-sigma * horizon)
+    if decay_t >= 1.0:
+        return None
+    idx = int(np.searchsorted(b_samples[:, 0], horizon, side="right")) - 1
+    b_t = float(b_samples[max(idx, 0), 1])
+    denom = 1.0 - decay_t
+    best = -math.inf
+    for t_k, b_k in b_samples:
+        if t_k >= horizon:
+            break
+        cand = m_const * math.exp(-sigma * t_k) * b_t / denom + b_k
+        if cand > best:
+            best = cand
+    return best
+
+
 def recursive_simpson(f, a, b, tol, min_width=None):
     """The classical depth-first adaptive Simpson rule, kept as the reference
     for gainlab's adaptive_simpson: same start (a, midpoint, b), same

@@ -795,6 +795,27 @@ class TestVerify:
     def test_bad_accuracy_exit_1(self, scalar_file, capsys):
         assert main(["verify", scalar_file, "--accuracy", "2.0"]) == 1
 
+    def test_vanishing_kernel_passes_exit_0(self, tmp_path, capsys):
+        # B drives only x_1 and C reads only x_2, so the kernel is 0.
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "C": [[0.0, 1.0]]}))
+        assert main(["verify", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
+            "schema_version": modelio.SCHEMA_VERSION,
+            "kind": "verification",
+            "gamma": 0.0,
+            "horizon": 0.0,
+            "rest": 0.0,
+            "period": 0.0,
+            "sup_gain": 0.0,
+            "asymptotic_gain": 0.0,
+            "lower_target": 0.0,
+            "upper_limit": 2e-9,
+            "accuracy": 0.02,
+            "passed": True,
+        }
+
 
 class TestBound41:
     def test_document(self, bound_file, capsys):

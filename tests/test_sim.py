@@ -461,6 +461,24 @@ class TestVerifyGainEquality:
                 with pytest.raises(ValueError, match=f"field {name} must be finite"):
                     sim.GainEqualityRecord(**{**fields, name: bad})
 
+    def test_vanishing_kernel_record(self):
+        # C exp(As) B = 0: nothing to drive, so every measured figure is 0,
+        # the upper limit is the quadrature allowance 2 tol and the check passes.
+        sys = StateSpaceSystem(a=np.diag([-1.0, -2.0]), b=[[1.0], [0.0]], c=[[0.0, 1.0]])
+        record = verify_gain_equality(sys, accuracy=0.02, tol=1e-9)
+        assert vars(record) == {
+            "gamma": 0.0,
+            "horizon": 0.0,
+            "rest": 0.0,
+            "period": 0.0,
+            "sup_gain": 0.0,
+            "asymptotic_gain": 0.0,
+            "lower_target": 0.0,
+            "upper_limit": 2e-9,
+            "accuracy": 0.02,
+            "passed": True,
+        }
+
     def test_recording_grid_holds_the_peak(self):
         # A base system of the acceptance generator (n = 6) whose kernel turns
         # 3.2 rad/s while the period / 4096 recording step is 0.77: on a grid
