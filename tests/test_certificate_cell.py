@@ -103,7 +103,7 @@ def large_envelope():
     }
 
 
-def test_large_envelope_cells_are_one_array_expression_each():
+def test_large_envelope_bound_is_fast_and_matches_reference():
     doc = large_envelope()
     data = CertificateBoundInput(doc["certificates"], doc["b_samples"], doc["T_grid"])
     start = time.perf_counter()
