@@ -8,31 +8,35 @@ behaves like y' = (A + BK) y after a transient:
     z' = (K B - mu I) z + K (A + mu I) [exp(A tau) y + J(t)]
     J(t) = integral over [t - tau, t] of exp(A (t - s)) B z(s) ds
 
-The prediction error xi = z - K exp(A tau) y - K J obeys the decoupled law
-xi' = -mu xi - K exp(A tau) G u, which gives both an a-priori gain bound and
-a strong consistency check for the integrator.
+The predicted plant state P = exp(A tau) y + J and the prediction error
+xi = z - K P follow one finite-dimensional LTI system driven by u alone
+(the reduction behind predictor feedback: Artstein, IEEE TAC 1982; Krstic,
+Delay Compensation for Nonlinear, Adaptive, and PDE Systems, 2009):
 
-Simulation is classical RK4 with the distributed term J handled by a
-composite trapezoid rule over the stored z history (linear interpolation at
-half steps), its weighted kernels h w_j exp(A j h) B taken once as one
-orbit of B under a linalg._Flow of A, and exp(A tau) as that flow's ladder
-(delay_bounds walks a flow of A too).  Everything a step reads is stored
-before it starts, so one linear RK4 step map serves every input on one
-grid: the history window folds into one matrix on the stored z rows and the
-input drive is evaluated in blocks of the grid.  The resulting recurrence
-has constant coefficients, so a block of steps is one precomputed block map
-times the solved rows it reads plus the block-Toeplitz matrix of the
-recurrence's impulse responses times its drive, the latter formed for a
-whole drive block at once; delay_empirical_check solves all its inputs in
-one pass, block by block.
-The step must divide the delay exactly so history lookups stay on the grid.
+    P'  = (A + B K) P + B xi + exp(A tau) G u
+    xi' = -mu xi - K exp(A tau) G u
+
+The decoupled xi law gives both an a-priori gain bound and a consistency
+check.  From a resting z history, P(0) = exp(A tau) y(0), and
+
+    y(t) = exp(A t) y(0) + integral over [0, t] of exp(A (t - s)) G u(s) ds,  t <= tau
+    y(t) = P(t - tau) + R(t),  R(t) = integral over [t - tau, t] of exp(A (t - s)) G u(s) ds
+    z(t) = xi(t) + K P(t)
+
+So a simulation is two exact walks of sim's segment simulator, with no ODE
+discretization error: one of F2 = [[A + B K, B], [0, -mu I]] for (P, xi), and
+one of (A, G) over [0, tau], whose flow also gives exp(A tau) and R.  A
+constant or sinusoidal input is one segment, so R(t) is the state block of
+exp(Gamma tau), Gamma that walk's generator, applied to the input's own state
+at t - tau; R is never formed as a difference of two long walks, which for an
+unstable plant would subtract numbers growing like exp(alpha t).  The step
+must divide the delay exactly so that t - tau stays on the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +55,8 @@ from .linalg import (
     stability_certificate,
 )
 from .quadrature import gauss_legendre
-from .signals import InputSignal, evaluate, signal_dim, sup_norm
-from .sim import _grid_steps, _measured_gains, simulate
+from .signals import Constant, InputSignal, Sinusoid, Zero, evaluate, signal_dim, sup_norm
+from .sim import _grid_steps, _measured_gains, _walk, simulate
 
 __all__ = [
     "DelayPredictorSystem",
@@ -161,10 +165,12 @@ class DelayState:
 class DelayTrajectory:
     """Grid record of a predictor simulation.
 
-    z_record holds the full z sample sequence including the initial history,
-    so z_record[history_steps + k] is z at times[k].  kernels and exp_a_tau
-    are the step map's _weighted_kernels and exp(A tau), which
-    predictor_error_series reuses.
+    z_record holds the full z sample sequence including the resting
+    history, so z_record[history_steps + k] is z at times[k].  kernels are
+    the trapezoid-weighted kernels h w_j exp(A j h) B, j = 0..history_steps
+    (w_j 1/2 at both ends and 1 inside), and exp_a_tau is exp(A tau), both
+    read off the flow of the simulation's walk over [0, tau];
+    predictor_error_series reuses them.
     """
 
     times: np.ndarray
@@ -178,25 +184,14 @@ class DelayTrajectory:
     exp_a_tau: np.ndarray = field(repr=False)
 
 
-def _weighted_kernels(sys, h: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(kernels, exp(A tau)): trapezoid-weighted kernels h w_j exp(A j h) B
-    for j = 0..steps, w_j 1/2 at both ends and 1 inside, one orbit of B's
-    columns, and the same flow's ladder of tau = steps h, steps 2^level cells."""
-    flow, level = _grid_flow(sys.a, h, steps * h)
-    kernels = h * flow.orbit(sys.b, steps + 1, level)
-    kernels[[0, -1]] *= 0.5
-    return kernels, flow.ladder(steps << level, np.eye(sys.n))
-
-
 def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[int, int]:
     """(N, n_steps): the history steps tau / h and the grid steps t_end / h of
     a simulation of ``sys``.  Raises ValueError unless h is finite and
     positive, N is at most _MAX_GRID_STEPS, h divides tau, the grid passes
-    _grid_steps, the stored rows n_steps (N + 1) it reads are at most
-    _MAX_DELAY_WORK and the RK4 step map's window, (N + 1)(n + m)^2 entries,
-    at most _MAX_GRID_STEPS: checked in that order where the grid is
-    derived, before a caller allocates anything of N rows (a resting
-    history, the kernels)."""
+    _grid_steps and the stored rows n_steps (N + 1) that
+    predictor_error_series's windowed trapezoid sum reads are at most
+    _MAX_DELAY_WORK: checked in that order where the grid is derived, before
+    a caller allocates anything of N rows (a resting history, the kernels)."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive (--step), got {h!r}")
     _check_budget(sys.tau / h, _MAX_GRID_STEPS, "history steps", "--step")
@@ -206,20 +201,7 @@ def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[
     n_steps = _grid_steps(t_end, h)
     rows = n_steps * (hist_steps + 1)
     _check_budget(rows, _MAX_DELAY_WORK, "stored rows", "--step or --t-max")
-    entries = (hist_steps + 1) * (sys.n + sys.m) ** 2
-    _check_budget(entries, _MAX_GRID_STEPS, "window entries", "--step")
     return hist_steps, n_steps
-
-
-# Grid steps whose input drive simulate_predictor builds at once.
-_DRIVE_BLOCK = 1 << 16
-# Grid steps L that simulate_predictor solves at once, fewer only where the
-# block map would be too large or its rows overflow.  Of 8, 16, 24, 32, 48
-# and 64, 32 ran the benchmark's delay loops fastest (2-CPU x86-64).
-_SOLVE_BLOCK = 32
-# Record entries, (N + n_steps + 1)(n + m) per input, of the inputs that
-# _solve_predictor solves together.
-_GROUP_ENTRIES = 1 << 20
 
 
 def simulate_predictor(
@@ -229,15 +211,18 @@ def simulate_predictor(
     t_end: float,
     h: float,
 ) -> DelayTrajectory:
-    """Integrate the delayed interconnection with RK4 on a uniform grid.
+    """Simulate the delayed interconnection exactly on a uniform grid.
 
-    ``h`` must divide tau (relative tolerance 1e-9) and match the history
-    grid in ``state0``, and the grid must pass _predictor_grid's size
-    budget: its history steps, stored rows and step-map window, each
-    refused by linalg._check_budget.  Error order: the distributed
-    term is trapezoid (order 2), so the global error is O(h^2) despite the
-    RK4 shell.  One _StepMap is built per call (see _rk4_step_map) and
-    solved by _solve_predictor.
+    The input must be Zero, Constant or Sinusoid and ``state0`` must hold a
+    resting z history (all zeros; y may be any finite vector), each refused
+    with ValueError before any work.  ``h`` must divide tau (relative
+    tolerance 1e-9) and match the history grid in ``state0``, and the grid
+    must pass _predictor_grid's size budget: its history steps and stored
+    rows, each refused by linalg._check_budget.  y and z are read off two
+    exact walks (see the module docstring), so ``h`` sets only the recording
+    density.  A loop too stiff for the walk's cells is refused with
+    ValueError (see _MAX_STIFFNESS), and a state that leaves double range
+    raises SimulationError.
     """
     _check_input(sys, signal)
     hist_steps, n_steps = _predictor_grid(sys, h, t_end)
@@ -247,197 +232,79 @@ def simulate_predictor(
         )
     if state0.y.shape != (sys.n,):
         raise DimensionError(f"y must have length {sys.n}")
-    step_map = _rk4_step_map(sys, h, hist_steps)
-    (traj,) = _solve_predictor(sys, step_map, [signal], state0, n_steps, h)
-    return traj
+    if state0.z_history.any():
+        raise ValueError("a delay simulation starts from a resting z history (all zeros)")
+    ys, zs, flow, level, exp_a_tau = _loop_states(sys, signal, state0.y, hist_steps, n_steps, h)
+    # The orbit of (B, 0): a zero input state leaves exp(A j h) B in the first n rows.
+    columns = np.zeros((flow.matrix.shape[0], sys.m))
+    columns[: sys.n] = sys.b
+    kernels = h * flow.orbit(columns, hist_steps + 1, level)[:, : sys.n]
+    kernels[[0, -1]] *= 0.5
+    z_record = np.concatenate((np.zeros((hist_steps, sys.m)), zs))
+    return DelayTrajectory(
+        np.arange(n_steps + 1) * h, ys, z_record[hist_steps:], z_record, h, hist_steps, signal,
+        kernels, exp_a_tau,
+    )
 
 
 def _check_input(sys: DelayPredictorSystem, signal: InputSignal) -> None:
+    if not isinstance(signal, (Zero, Constant, Sinusoid)):
+        raise ValueError(f"delay inputs are Zero, Constant or Sinusoid, got {type(signal).__name__}")
     if signal_dim(signal) != sys.p:
         raise DimensionError(
             f"input dimension {signal_dim(signal)} does not match system p={sys.p}"
         )
 
 
-class _StepMap(NamedTuple):
-    """The RK4 step map of one system on one grid, whatever the input.
-
-    With x = (y, z), a step is x_{k+1} = x_k + (Phi - I) x_k + Q0 e0 +
-    Qh eh + Q1 e1, the drives e taken at t_k, t_k + h/2 and t_k + h.  Their
-    history terms are linear in the stored window z_record[k : k + N + 1]
-    (N = tau / h), which is folded with Phi - I into one (n + m) x
-    (N + 1)(n + m) matrix W acting on the last N + 1 rows of x:
-    x_{k+1} = x_k + W window_k + drive_k.  W reads y in row N only: it is
-    kept as ``win_z`` on the window's z columns and ``win_y`` on y_k.  That
-    recurrence has constant coefficients, so the L steps after a known row
-    x_k (L at most _SOLVE_BLOCK) are X = H S_k + T drive, with S_k = (z rows
-    k..k+N, y_k) the only solved data they read, T the block lower-triangular
-    Toeplitz matrix of the recurrence's first L impulse responses and H =
-    T F, F the forcing of the L steps by S_k; ``toeplitz`` and ``block``
-    keep T and H transposed.  ``drives`` stacks Q0, Qh and Q1 restricted to
-    the input, (Q[:, :n] G)', so drive_k is u at the three times, side by
-    side, times it.  ``kernels`` and ``exp_a_tau`` are the
-    _weighted_kernels and exp(A tau) the map is built from.
-    """
-
-    win_z: np.ndarray
-    win_y: np.ndarray
-    toeplitz: np.ndarray
-    block: np.ndarray
-    drives: np.ndarray
-    kernels: np.ndarray
-    exp_a_tau: np.ndarray
+def _input_states(signal: InputSignal, t: np.ndarray) -> np.ndarray:
+    """Rows of the input's own state at the times t, as sim._generator
+    carries it: u for Zero and Constant, (sin, cos) of a Sinusoid's phase."""
+    if isinstance(signal, Sinusoid):
+        phase = signal.omega * t + signal.phase
+        return np.column_stack((np.sin(phase), np.cos(phase)))
+    return evaluate(signal, t)
 
 
-def _shifted_rows(strip: np.ndarray, step: int, count: int) -> np.ndarray:
-    """Rows j = 0..count-1 of a block Toeplitz matrix, stacked: block row j
-    is ``strip`` shifted right by j step columns, zeros shifted in."""
-    padded = np.concatenate((np.zeros((len(strip), (count - 1) * step)), strip), axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, strip.shape[1], axis=1)
-    return windows[:, (count - 1) * step :: -step].transpose(1, 0, 2).reshape(-1, strip.shape[1])
+# The F2 walk's cells 1 / ||F2||_1 keep the certificate's decay sigma, and so
+# the states, to about 3 eps ||F2||_1 / sigma relative (4.6e-6 at mu = 1e10,
+# sigma = 1.5; P = 0 at mu = 1e30): a stiffer loop is refused.
+_MAX_STIFFNESS = 10**9
 
 
-def _rk4_step_map(sys: DelayPredictorSystem, h: float, hist_steps: int) -> _StepMap:
-    """The _StepMap of ``sys`` at step h over a history of hist_steps steps."""
-    n, m, d = sys.n, sys.m, sys.n + sys.m
-
-    # x' = lin x + e with e = (B z(t - tau) + G u, K (A + mu I) S), where S
-    # sums the weighted samples z(t - j h), j >= 1; the j = 0 term is in lin.
-    kernels, exp_a_tau = _weighted_kernels(sys, h, hist_steps)
-    x, e0, eh, e1 = (np.eye(d, 4 * d, j * d) for j in range(4))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below if it overflows
-        k_amu = sys.k @ (sys.a + sys.mu * np.eye(n))
-        a_zz = sys.k @ sys.b - sys.mu * np.eye(m) + k_amu @ kernels[0]
-        lin = np.block([[sys.a, np.zeros((n, m))], [k_amu @ exp_a_tau, a_zz]])
-        k1 = lin @ x + e0
-        k2 = lin @ (x + 0.5 * h * k1) + eh
-        k3 = lin @ (x + 0.5 * h * k2) + eh
-        k4 = lin @ (x + h * k3) + e1
-        # The increment x_{k+1} - x_k, so that x_k is added exactly as in RK4.
-        step = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        grow, q0, qh, q1 = np.split(step, 4, axis=1)
-
-        # Window row r holds x(t_k - (N - r) h): S_k reads the z of rows 0..N-1
-        # and S_{k+1} of rows 1..N with the kernels j = N..1, z(t - tau) is row
-        # 0 at t_k and row 1 at t_{k+1}, the half step takes the mean of both
-        # ends, and row N is x_k itself.
-        past = kernels[:0:-1]
-        win = np.zeros((hist_steps + 1, d, d))
-        win[:-1, :, n:] += (q0[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-        win[1:, :, n:] += (q1[:, n:] + 0.5 * qh[:, n:]) @ k_amu @ past
-        win[0, :, n:] += (q0[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-        win[1, :, n:] += (q1[:, :n] + 0.5 * qh[:, :n]) @ sys.b
-        win[-1] += grow
-        drives = np.concatenate([(q[:, :n] @ sys.g).T for q in (q0, qh, q1)])
-    if not (np.isfinite(win).all() and np.isfinite(drives).all()):
-        raise ValueError(f"the RK4 step map overflows at h={h!r}; use a smaller step (--step)")
-    win = win.transpose(1, 0, 2)
-    win_z, win_y, win = win[:, :, n:].reshape(d, -1), win[:, -1, :n].copy(), win.reshape(d, -1)
-
-    # Block row j of [R, H] maps a unit drive g_k and S_k to x_{k+1+j}.  Both
-    # obey the recurrence, from R_0 = I and H_0 = F_0, and H_j also takes
-    # F_j: step k + j reads W_{i-j} z_{k+i}, i = j..N, off S_k, and step k
-    # also x_k and W_y y_k.  An unstable step map overflows within a few
-    # steps.  H has L (n + m) rows, one column per entry of S_k and at most
-    # _MAX_GRID_STEPS entries, whatever N is.
-    cols = win_z.shape[1] + n
-    size = min(_SOLVE_BLOCK, max(1, _MAX_GRID_STEPS // (d * cols)))
-    rows = np.zeros((size, d, d + cols))  # [R_j, H_j]
-    rows[:, :, d:-n] = _shifted_rows(win_z, m, size).reshape(size, d, -1)
-    rows[0, :, :d], rows[0, :, -n:] = np.eye(d), win_y + np.eye(d, n)
-    rows[0, n:, -n - m : -n] += np.eye(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, size):
-            lo = max(0, j - hist_steps - 1)
-            earlier = rows[lo:j].reshape(-1, d + cols)
-            rows[j] += rows[j - 1] + win[:, (lo + hist_steps + 1 - j) * d :] @ earlier
-    # Cut before the first block row that is not finite, keeping row 0.
-    finite = np.isfinite(rows).all(axis=(1, 2))
-    cut = size if finite.all() else max(1, int(np.argmin(finite)))
-    toeplitz = _shifted_rows(rows[:cut, :, :d].transpose(2, 0, 1).reshape(d, -1), d, cut)
-    block = rows[:cut, :, d:].reshape(cut * d, cols).T.copy()
-    return _StepMap(win_z, win_y, toeplitz, block, drives, kernels, exp_a_tau)
-
-
-def _solve_predictor(sys, step_map, signals, state0, n_steps, h):
-    """simulate_predictor's grid record of each checked input from one start,
-    yielded in order.  Inputs are solved in groups whose records fit in
-    _GROUP_ENTRIES (or one at a time); a group's records are freed with its
-    trajectories, before the next group's are made."""
-    entries = (state0.z_history.shape[0] + n_steps) * (sys.n + sys.m)
-    group = max(1, _GROUP_ENTRIES // entries)
-    for first in range(0, len(signals), group):
-        yield from _solve_group(sys, step_map, signals[first : first + group], state0, n_steps, h)
-
-
-def _drive(step_map: _StepMap, signal: InputSignal, t: np.ndarray, h: float, out) -> None:
-    """Write drive_k of ``signal`` at the grid times t into ``out``."""
-    inputs = [evaluate(signal, t + c * h) for c in (0.0, 0.5, 1.0)]
-    np.matmul(np.concatenate(inputs, axis=1), step_map.drives, out=out)
-
-
-def _solve_group(sys, step_map, signals, state0, n_steps, h) -> list[DelayTrajectory]:
-    """_solve_predictor's trajectories of one group, L steps at a time, in one
-    record per input whose row N + k is x_k = (y_k, z_k).  Per drive block
-    of at most _DRIVE_BLOCK steps, drive_k is written into row N + k + 1 and
-    T drive over it, one product per input; per solve block, one stacked
-    product of H with each input's S_k is added to its rows, so that each
-    input's arithmetic is that of a group of one.  Divergence is checked
-    after each drive block."""
-    n, d, count = sys.n, sys.n + sys.m, len(signals)
-    hist_steps, block_map = state0.z_history.shape[0] - 1, step_map.block
-    size = block_map.shape[1] // d
-    # A block runs up to size - 1 rows past its drive block; the next drive
-    # block overwrites them, and the record keeps them past the grid's end.
-    rec = np.zeros((count, hist_steps + n_steps + size, d))
-    rec[:, : hist_steps + 1, n:], rec[:, hist_steps, :n] = state0.z_history, state0.y
-    xs = rec[:, hist_steps:]
-    state = np.empty((count, 1, block_map.shape[0]))
-    state_z = state[:, 0, :-n].reshape(count, hist_steps + 1, -1)
-
-    def diverged_at(i: int, finite: np.ndarray) -> float:
-        # finite flags input i's rows from first + 1 on.  Stepping the
-        # recurrence through the solve block after row k0 that holds the first
-        # bad one names the row where it fails, else the block's own.
-        j = int(np.argmin(finite))
-        k0 = first + j // size * size
-        drive = np.empty((min(size, last - k0), d))
-        _drive(step_map, signals[i], np.arange(k0, k0 + len(drive)) * h, h, drive)
-        for k, drive_k in enumerate(drive, start=k0):
-            x = xs[i, k] + drive_k + step_map.win_y @ xs[i, k, :n]
-            x += step_map.win_z @ rec[i, k : k + hist_steps + 1, n:].reshape(-1)
-            if not np.isfinite(x).all():
-                return (k + 1) * h
-            xs[i, k + 1] = x
-        return (first + j + 1) * h
-
-    for first in range(0, n_steps, _DRIVE_BLOCK):
-        last = min(first + _DRIVE_BLOCK, n_steps)
-        t_now = np.arange(first, first + -(-(last - first) // size) * size) * h
-        # A diverging state overflows to inf or nan; the check below reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, signal in enumerate(signals):
-                drive = xs[i, first + 1 : first + 1 + len(t_now)]
-                _drive(step_map, signal, t_now, h, drive)
-                drive = drive.reshape(-1, size * d)
-                np.matmul(drive, step_map.toeplitz, out=drive)
-            for k in range(first, last, size):
-                state_z[...] = rec[:, k : k + hist_steps + 1, n:]
-                state[:, 0, -n:] = xs[:, k, :n]
-                xs[:, k + 1 : k + size + 1] += (state @ block_map).reshape(count, size, d)
-            if not np.isfinite(xs[:, first + 1 : last + 1]).all():
-                finite = np.isfinite(xs[:, first + 1 : last + 1]).all(axis=2)
-                t_bad = min(diverged_at(i, row) for i, row in enumerate(finite) if not row.all())
-                raise SimulationError(f"delay state diverged at t={t_bad}")
-
-    times, rec = np.arange(n_steps + 1) * h, rec[:, : hist_steps + n_steps + 1]
-    return [
-        DelayTrajectory(
-            times, x[hist_steps:, :n], x[hist_steps:, n:], x[:, n:], h, hist_steps, u,
-            step_map.kernels, step_map.exp_a_tau,
+def _loop_states(sys, signal, y0, hist_steps, n_steps, h):
+    """(ys, zs, flow, level, exp(A tau)) of a checked input from a resting
+    z history: the grid states of y and z, and the flow of the walk of
+    (A, G) over [0, tau] at its orbit level.  That flow's ladder over tau
+    is exp(Gamma tau) = [[exp(A tau), E], [0, exp(Omega tau)]] on the walk's
+    scaled input state w / s, so R(t) = E w(t - tau) / s."""
+    n, m, flows = sys.n, sys.m, {}
+    f2 = np.block([[sys.closed_loop, sys.b], [np.zeros((m, n)), -sys.mu * np.eye(m)]])
+    stiffness = float(np.linalg.norm(f2, 1)) / sys.certificate.sigma
+    if stiffness > _MAX_STIFFNESS:
+        raise ValueError(
+            f"the loop is too stiff to simulate: ||F2||_1 / sigma = {stiffness:.4g} exceeds "
+            f"{_MAX_STIFFNESS:g} (mu = {sys.mu:g})"
         )
-        for x, u in zip(rec, signals)
-    ]
+    ys = np.empty((n_steps + 1, n))
+    ys[: hist_steps + 1] = _walk(sys.a, sys.g, signal, y0, hist_steps * h, h, flows)[: n_steps + 1]
+    flow, level, scale = next(iter(flows.values()))
+    # A diverging state overflows to inf or nan; the checks below report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow_tau = flow.ladder(hist_steps << level, np.eye(flow.matrix.shape[0]))
+        exp_a_tau = flow_tau[:n, :n]
+        gain, start = exp_a_tau @ sys.g, exp_a_tau @ y0
+        drive, start = np.vstack((gain, -sys.k @ gain)), np.concatenate((start, -sys.k @ start))
+        if not (np.isfinite(drive).all() and np.isfinite(start).all()):
+            raise OverflowError("the predictor's input gain exp(A tau) G overflowed double precision")
+        p_xi = _walk(f2, drive, signal, start, n_steps * h, h, {})
+        zs = p_xi[:, n:] + p_xi[:, :n] @ sys.k.T
+        tail = n_steps - hist_steps
+        if tail > 0:
+            inputs = _input_states(signal, np.arange(1, tail + 1) * h) / scale
+            ys[hist_steps + 1 :] = p_xi[1 : tail + 1, :n] + inputs @ flow_tau[:n, n:].T
+    if not (np.isfinite(ys).all() and np.isfinite(zs).all()):
+        raise SimulationError("delay state left double range")
+    return ys, zs, flow, level, exp_a_tau
 
 
 def predictor_error_series(
@@ -445,17 +312,24 @@ def predictor_error_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prediction error on the grid and its exact closed-form reference.
 
-    xi = z - K exp(A tau) y - K J is reconstructed with the same trapezoid
-    rule the integrator uses; the reference is the trajectory of
+    xi = z - K exp(A tau) y - K J is reconstructed from the grid record,
+    J by the composite trapezoid rule over the stored z window (the
+    trajectory's kernels); the reference is the trajectory of
     xi' = -mu xi - K exp(A tau) G u from the reconstructed xi(0), which the
-    exact LTI simulator integrates without discretization error.
+    exact LTI simulator integrates without discretization error.  The
+    trajectory itself is exact, so the gap between the two measures that
+    quadrature: it is O(h^2).
     """
     # Reversed weighting: window row j' holds z(t - (N - j') h), N = tau / h.
     rwk = traj.kernels[::-1].transpose(0, 2, 1).reshape(-1, sys.n)
     windows = np.lib.stride_tricks.sliding_window_view(traj.z_record.reshape(-1), len(rwk))
-    dist = windows[:: sys.m] @ rwk
     k_etau = sys.k @ traj.exp_a_tau
-    xi_grid = traj.zs - traj.ys @ k_etau.T - dist @ sys.k.T
+    # exp(A tau) y and J can each leave double range where P = their sum does not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = windows[:: sys.m] @ rwk
+        xi_grid = traj.zs - traj.ys @ k_etau.T - dist @ sys.k.T
+    if not np.isfinite(xi_grid).all():
+        raise OverflowError("the prediction error's terms exp(A tau) y and J overflowed double precision")
     closed = StateSpaceSystem(a=-sys.mu * np.eye(sys.m), b=-(k_etau @ sys.g), c=np.eye(sys.m))
     ref = simulate(closed, traj.signal, xi_grid[0], float(traj.times[-1]), traj.step)
     return xi_grid, ref.states
@@ -463,7 +337,7 @@ def predictor_error_series(
 
 def predictor_error_residual(traj: DelayTrajectory, sys: DelayPredictorSystem) -> float:
     """Largest Euclidean gap between the reconstructed prediction error and
-    its closed form; a direct measure of the integrator's error."""
+    its closed form; a direct measure of the trapezoid reconstruction's error."""
     xi_grid, xi_ref = predictor_error_series(traj, sys)
     return float(np.max(np.linalg.norm(xi_grid - xi_ref, axis=1)))
 
@@ -564,7 +438,10 @@ def delay_empirical_check(
 
     Each input must be bounded by one in sup norm.  An entry is within the
     bound when its sup norm does not exceed oag_bound + tolerance (the small
-    slack absorbs integrator error on instances where the bound is tight).
+    slack absorbs rounding on instances where the bound is tight).  Every
+    input is checked (sup norm, dimension, and kind as simulate_predictor
+    takes it) before any is simulated, each from rest as _loop_states reads
+    y off its two walks.
     """
     if not (0.0 < window < t_end):
         raise ValueError("window must lie strictly inside the duration")
@@ -575,16 +452,17 @@ def delay_empirical_check(
         _check_input(sys, signal)
     hist_steps, n_steps = _predictor_grid(sys, h, t_end)
     bounds = delay_bounds(sys)
-    state0 = DelayState.resting(sys, hist_steps)
-    step_map = _rk4_step_map(sys, h, hist_steps)
+    times, rest = np.arange(n_steps + 1) * h, np.zeros(sys.n)
 
-    def entry(traj: DelayTrajectory) -> DelayEmpiricalEntry:
-        measured = _measured_gains(traj.times, np.linalg.norm(traj.ys, axis=1), window)
+    def entry(signal: InputSignal) -> DelayEmpiricalEntry:
+        ys = _loop_states(sys, signal, rest, hist_steps, n_steps, h)[0]
+        # One power-of-two scale keeps squares of states past 1e154 finite, exactly.
+        scale = np.ldexp(1.0, int(np.frexp(np.abs(ys).max())[1]))
+        measured = _measured_gains(times, scale * np.linalg.norm(ys / scale, axis=1), window)
         sup, oag = measured.sup_gain, bounds.oag_bound
         return DelayEmpiricalEntry(sup, measured.asymptotic_gain, oag - sup, sup <= oag + tolerance)
 
-    # map keeps no trajectory while the next group is solved.
-    entries = tuple(map(entry, _solve_predictor(sys, step_map, inputs, state0, n_steps, h)))
+    entries = tuple(map(entry, inputs))
     return DelayEmpiricalCheck(
         bounds=bounds,
         entries=entries,

@@ -61,14 +61,15 @@ _PADE13_THETA = 5.371920351148152
 # Taylor terms, rescaled resolvents), about 0.5 MB of float64.
 _STACK_ENTRIES = 65536
 # Every size limit, each refused by _check_budget before the work it bounds.
-# _MAX_GRID_STEPS caps a simulation grid, a delay history, its step map's
-# window and the ascent's state entries, and half of it a caller horizon's
-# _partition_cells: verify's 40,960 steps are the most any command takes by
-# default, a million steps simulate in about 0.2 s, and the cap bounds memory
-# (ten million states of n floats) and CSV size.  _MAX_DELAY_WORK caps the
-# stored rows n_steps (N + 1) a delay simulation over an N-step history
-# reads; every grid of _MAX_GRID_STEPS steps at the default step tau / 64
-# fits.  _MAX_POINTS caps a vt or sweep grid, about 125 bytes a point.
+# _MAX_GRID_STEPS caps a simulation grid, a delay history and the ascent's
+# state entries, and half of it a caller horizon's _partition_cells:
+# verify's 40,960 steps are the most any command takes by default, a million
+# steps simulate in about 0.2 s, and the cap bounds memory (ten million
+# states of n floats) and CSV size.  _MAX_DELAY_WORK caps the stored rows
+# n_steps (N + 1) that a delay simulation's windowed trapezoid sum over an
+# N-step history reads; every grid of _MAX_GRID_STEPS steps at the default
+# step tau / 64 fits.  _MAX_POINTS caps a vt or sweep grid, about 125 bytes
+# a point.
 _MAX_GRID_STEPS = 10**7
 _MAX_DELAY_WORK = 65 * _MAX_GRID_STEPS
 _MAX_POINTS = 10**6

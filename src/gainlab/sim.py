@@ -87,24 +87,36 @@ def _grid_steps(t_end: float, h: float) -> int:
     return n_steps
 
 
-def _generator(sys: StateSpaceSystem, seg: Segment) -> np.ndarray:
-    """G, the flow z' = G z of the state and the input's own state on ``seg``.
+def _input_scale(a: np.ndarray, block: np.ndarray) -> float:
+    """s, the largest power of two up to 1 with ||s block||_1 <= max(1, ||a||_1),
+    so that a large input matrix does not set the flow's cells.  A power of
+    two scales exactly, and s = 1 leaves a block that fits unchanged."""
+    bound, s = max(1.0, float(np.linalg.norm(a, 1))), 1.0
+    while np.linalg.norm(s * block, 1) > bound:
+        s *= 0.5
+    return s
 
-    A constant u holds still: G = [[A, B], [0, 0]], z = (x, u).  A sinusoid
-    d sin(omega t + theta0) carries (sin, cos) of its phase through a harmonic
-    oscillator: G = [[A, B d e1'], [0, omega J]], z = (x, sin, cos).
+
+def _generator(a: np.ndarray, b: np.ndarray, seg: Segment) -> tuple[np.ndarray, float]:
+    """(G, s): the flow z' = G z of the state and the input's own state on
+    ``seg`` for x' = Ax + Bu, and the scale s of the input's state.
+
+    A constant u holds still: G = [[A, s B], [0, 0]], z = (x, u / s).  A
+    sinusoid d sin(omega t + theta0) carries (sin, cos) of its phase through
+    a harmonic oscillator: G = [[A, s B d e1'], [0, omega J]],
+    z = (x, sin / s, cos / s).  s is the _input_scale of the input block.
     """
-    n = sys.n
-    if seg.kind == "const":
-        g = np.zeros((n + sys.m, n + sys.m))
-        g[:n, n:] = sys.b
-    else:
-        g = np.zeros((n + 2, n + 2))
-        g[:n, n] = sys.b @ seg.direction
+    n = a.shape[0]
+    block = b if seg.kind == "const" else b @ seg.direction[:, None]
+    s = _input_scale(a, block)
+    size = n + (block.shape[1] if seg.kind == "const" else 2)
+    g = np.zeros((size, size))
+    g[:n, n : n + block.shape[1]] = s * block
+    if seg.kind != "const":
         g[n, n + 1] = seg.omega
         g[n + 1, n] = -seg.omega
-    g[:n, :n] = sys.a
-    return g
+    g[:n, :n] = a
+    return g, s
 
 
 def simulate(
@@ -127,48 +139,56 @@ def simulate(
         raise DimensionError(f"x0 must have length {sys.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
-    return _walk(sys, signal, x, t_end, h, {})
+    return _trajectory(sys, _walk(sys.a, sys.b, signal, x, t_end, h, {}), h)
 
 
-def _walk(sys, signal, x, t_end, h, flows) -> Trajectory:
-    """simulate's walk from the checked state x.  A generator met again
-    (every constant segment has the same one) reuses its (flow, orbit level)
+def _trajectory(sys: StateSpaceSystem, states: np.ndarray, h: float) -> Trajectory:
+    return Trajectory(times=np.arange(len(states)) * h, states=states, outputs=states @ sys.c.T, step=h)
+
+
+def _walk(a, b, signal, x, t_end, h, flows) -> np.ndarray:
+    """The grid states of x' = Ax + Bu from the checked state x, for any
+    square A (Hurwitz or not).  A generator met again (every constant
+    segment has the same one) reuses its (flow, orbit level, input scale)
     in ``flows``, keyed on what G depends on, so G is formed once; the
     caller may read the flows afterwards."""
-    if signal_dim(signal) != sys.m:
+    if signal_dim(signal) != b.shape[1]:
         raise DimensionError(
-            f"input dimension {signal_dim(signal)} does not match system m={sys.m}"
+            f"input dimension {signal_dim(signal)} does not match system m={b.shape[1]}"
         )
+    n = a.shape[0]
     n_steps = _grid_steps(t_end, h)
     t_final = n_steps * h
     times = np.arange(n_steps + 1) * h
-    states = np.empty((n_steps + 1, sys.n))
+    states = np.empty((n_steps + 1, n))
     states[0] = x
     eps = 1e-12 * max(1.0, t_final)
     k = 1
     # A diverging state overflows to inf or nan; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in iter_segments(signal, t_final):
+        segments = iter_segments(signal, t_final)
+        for seg in segments:
             key = seg.kind if seg.kind == "const" else (seg.omega, seg.direction.tobytes())
             if key not in flows:
-                flows[key] = _grid_flow(_generator(sys, seg), h, t_final)
-            flow, j = flows[key]
+                g, s = _generator(a, b, seg)
+                flows[key] = (*_grid_flow(g, h, t_final), s)
+            flow, j, s = flows[key]
             w = seg.value if seg.kind == "const" else [math.sin(seg.theta0), math.cos(seg.theta0)]
-            z = np.concatenate((x, w))
+            z = np.concatenate((x, np.divide(w, s)))
             stop = int(np.searchsorted(times, seg.end + eps, side="right"))
             block = _STACK_ENTRIES // z.size
             for lo in range(k, stop, block):
                 hi = min(lo + block, stop)
                 lead = flow.advance(z, times[lo] - seg.start)
-                rows = flow.orbit(lead, hi - lo, j)[:, : sys.n]
+                rows = flow.orbit(lead, hi - lo, j)[:, :n]
                 if not np.isfinite(rows).all():
                     bad = np.nonzero(~np.all(np.isfinite(rows), axis=1))[0]
                     raise SimulationError(f"state diverged at t={times[lo + bad[0]]}")
                 states[lo:hi] = rows
-            x = flow.advance(z, seg.end - seg.start)[: sys.n]
+            if seg is not segments[-1]:  # the next segment starts from its end state
+                x = flow.advance(z, seg.end - seg.start)[:n]
             k = stop
-    outputs = states @ sys.c.T
-    return Trajectory(times=times, states=states, outputs=outputs, step=h)
+    return states
 
 
 def steady_periodic_state(
@@ -199,9 +219,9 @@ def _one_period(
     exp(G period) (2^level cells a step, steps a power of two), holds
     exp(A period) top left.
     """
-    flows = {}
-    zero_state = _walk(sys, signal, np.zeros(sys.n), period, period / steps, flows)
-    flow, level = next(iter(flows.values()))
+    flows, h = {}, period / steps
+    zero_state = _trajectory(sys, _walk(sys.a, sys.b, signal, np.zeros(sys.n), period, h, flows), h)
+    flow, level, _ = next(iter(flows.values()))
     return zero_state, flow.powers[-1][: sys.n, : sys.n], flow, level
 
 

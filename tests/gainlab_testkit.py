@@ -439,65 +439,46 @@ def _weighted_history_kernels(sys, h, steps):
     return kernels * (h * weights)[:, None, None]
 
 
-def reference_predictor(sys, signal, state0, n_steps, h):
-    """The three-window RK4 predictor loop, kept as the reference for
-    gainlab's precomputed step map: each step forms the trapezoid sums at
-    t_k, t_k + h/2 and t_k + h from their own history windows.  Returns
-    (ys, z_record) over ``n_steps`` steps, laid out as in a DelayTrajectory."""
-    hist_steps = int(round(sys.tau / h))
-    wk_full = _weighted_history_kernels(sys, h, hist_steps)
-    wk_inner = wk_full[1:]
-    half_b = 0.5 * h * sys.b
-    a_mat, b_mat, g_mat, k_mat = sys.a, sys.b, sys.g, sys.k
-    e_tau = mat_exp(a_mat, sys.tau)
-    k_amu = k_mat @ (a_mat + sys.mu * np.eye(sys.n))
-    a_zz = k_mat @ b_mat - sys.mu * np.eye(sys.m)
+def method_of_steps(sys, signal, y0, n_steps, h):
+    """(ys, zs) of the delay loop on the grid k h, k = 0..n_steps, from y0 and
+    a resting z history, by the method of steps: solve_ivp (DOP853, rtol
+    1e-13, atol 1e-15) over the states (y, z, J) one tau-interval at a time,
+    z(t - tau) read off the previous interval's dense output.  An ODE for J
+    carries a spurious mode exp(A t), unstable for an unstable plant, so each
+    interval restarts J from its definition: the integral Q of
+    exp(A (t - s)) B z(s) over the interval, solved alongside from Q = 0."""
+    n, m, tau = sys.n, sys.m, sys.tau
+    a, b, g, k = sys.a, sys.b, sys.g, sys.k
+    e_tau = scipy.linalg.expm(a * tau)
+    k_amu = k @ (a + sys.mu * np.eye(n))
+    a_zz = k @ b - sys.mu * np.eye(m)
+    times = np.arange(n_steps + 1) * h
+    out = np.empty((times.size, n + m))
+    state = np.concatenate((y0, np.zeros(m + 2 * n)))
+    past, t0 = None, 0.0
+    while t0 < times[-1]:
+        t1 = min(t0 + tau, times[-1])
 
-    z_record = np.zeros((hist_steps + n_steps + 1, sys.m))
-    z_record[: hist_steps + 1] = state0.z_history
-    ys = np.empty((n_steps + 1, sys.n))
-    ys[0] = state0.y
+        def rhs(t, x, past=past):
+            y, z, j, q = np.split(x, [n, n + m, 2 * n + m])
+            z_del = np.zeros(m) if past is None else past(t - tau)[n : n + m]
+            u = evaluate(signal, t)
+            return np.concatenate((
+                a @ y + b @ z_del + g @ u,
+                a_zz @ z + k_amu @ (e_tau @ y + j),
+                a @ j + b @ z - e_tau @ b @ z_del,
+                a @ q + b @ z,
+            ))
 
-    def rhs(y_s, z_s, z_delay, dist, u_val):
-        dy = a_mat @ y_s + b_mat @ z_delay + g_mat @ u_val
-        dz = a_zz @ z_s + k_amu @ (e_tau @ y_s + dist)
-        return dy, dz
-
-    for k in range(n_steps):
-        base = hist_steps + k
-        t_now = k * h
-        window = z_record[base - hist_steps : base + 1][::-1]
-        dist_full = np.einsum("jnm,jm->n", wk_full, window)
-        win_one = z_record[base + 1 - hist_steps : base + 1][::-1]
-        dist_one = np.einsum("jnm,jm->n", wk_inner, win_one)
-        win_half = 0.5 * (
-            z_record[base + 1 - hist_steps : base + 1]
-            + z_record[base - hist_steps : base]
-        )[::-1]
-        dist_half = np.einsum("jnm,jm->n", wk_inner, win_half)
-        z_del_0 = z_record[base - hist_steps]
-        z_del_1 = z_record[base + 1 - hist_steps]
-        z_del_half = 0.5 * (z_del_0 + z_del_1)
-        u0 = np.atleast_1d(evaluate(signal, t_now))
-        u_half = np.atleast_1d(evaluate(signal, t_now + 0.5 * h))
-        u1 = np.atleast_1d(evaluate(signal, t_now + h))
-
-        y0 = ys[k]
-        z0 = z_record[base]
-        k1y, k1z = rhs(y0, z0, z_del_0, dist_full, u0)
-        zs2 = z0 + 0.5 * h * k1z
-        k2y, k2z = rhs(
-            y0 + 0.5 * h * k1y, zs2, z_del_half, dist_half + half_b @ zs2, u_half
+        sol = scipy.integrate.solve_ivp(
+            rhs, (t0, t1), state, method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True
         )
-        zs3 = z0 + 0.5 * h * k2z
-        k3y, k3z = rhs(
-            y0 + 0.5 * h * k2y, zs3, z_del_half, dist_half + half_b @ zs3, u_half
-        )
-        zs4 = z0 + h * k3z
-        k4y, k4z = rhs(y0 + h * k3y, zs4, z_del_1, dist_one + half_b @ zs4, u1)
-        ys[k + 1] = y0 + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z_record[base + 1] = z0 + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return ys, z_record
+        inside = (times >= t0 - 1e-12 * tau) & (times <= t1 + 1e-12 * tau)
+        out[inside] = sol.sol(times[inside])[: n + m].T
+        end = sol.y[:, -1]
+        state = np.concatenate((end[: n + m], end[2 * n + m :], np.zeros(n)))
+        past, t0 = sol.sol, t1
+    return out[:, :n], out[:, n:]
 
 
 def reference_error_grid(traj, sys):
@@ -632,7 +613,8 @@ def segmentwise_simulate(sys, signal, x0, t_end, h):
     k = 1
     for seg in iter_segments(signal, t_final):
         w = seg.value if seg.kind == "const" else [math.sin(seg.theta0), math.cos(seg.theta0)]
-        g, z = _generator(sys, seg), np.concatenate((x, w))
+        g, scale = _generator(sys.a, sys.b, seg)
+        z = np.concatenate((x, np.divide(w, scale)))
         stop = int(np.searchsorted(times, seg.end + eps, side="right"))
         block = _STACK_ENTRIES // z.size
         grid, j = _grid_flow(g, h, max(seg.end, times[stop - 1]) - seg.start)

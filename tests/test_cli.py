@@ -327,7 +327,7 @@ class TestErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the flags were checked")
 
-        refused = ("delay.delay_bounds", "delay._rk4_step_map", "sim.bang_bang_switches",
+        refused = ("delay.delay_bounds", "delay._loop_states", "sim.bang_bang_switches",
                    "gains._KernelFlow", "sim.simulate")
         for name in refused:
             monkeypatch.setattr(f"gainlab.{name}", refuse)
@@ -357,18 +357,38 @@ class TestErrors:
         assert err.startswith("gainlab: error: ")
         assert message in err and "--step" in err
 
-    @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
-    def test_overflowing_step_map_exit_1(self, tmp_path, capsys, command):
-        # mu h = 2.5e99: the RK4 stages of the step map overflow.  That used
-        # to print two RuntimeWarnings (errors under this suite's warning
-        # filter) and report the state diverged at t = 0.25.
-        model = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-0.5]], "tau": 1.0, "mu": 1e100}
-        path = tmp_path / "fast.json"
-        path.write_text(json.dumps(model))
-        assert main([command, str(path), "--step", "0.25"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
-        assert "step map overflows" in err and "--step" in err
+    @pytest.mark.parametrize(
+        "model, argv, code, message",
+        [
+            ({"A": [[1.0]], "K": [[-2.0]], "tau": 600.0, "mu": 1.0}, ["simulate", "--t-max", "6000"], 1,
+             "the prediction error's terms exp(A tau) y and J overflowed double precision"),
+            ({"A": [[1.0]], "K": [[-2.0]], "tau": 600.0, "mu": 1.0}, ["delay-demo"], 0, None),
+            ({"A": [[-1.0]], "K": [[-1.0]], "tau": 1.0, "mu": 1e4}, ["simulate", "--step", "1"], 0, None),
+            ({"A": [[-1.0]], "K": [[-1.0]], "tau": 1.0, "mu": 1e4}, ["delay-demo", "--step", "1"], 0, None),
+            ({"A": [[-1.0]], "K": [[-0.5]], "tau": 1.0, "mu": 1e100}, ["simulate", "--step", "0.25"], 1,
+             "the loop is too stiff to simulate: ||F2||_1 / sigma = 6.667e+99 exceeds 1e+09 (mu = 1e+100)"),
+            ({"A": [[-1.0]], "K": [[-0.5]], "tau": 1.0, "mu": 1e100}, ["delay-demo", "--step", "0.25"], 1,
+             "the loop is too stiff to simulate: ||F2||_1 / sigma = 6.667e+99 exceeds 1e+09 (mu = 1e+100)"),
+        ],
+        ids=["tau-600-simulate", "tau-600-delay-demo", "mu-1e4-simulate", "mu-1e4-delay-demo",
+             "mu-1e100-simulate", "mu-1e100-delay-demo"],
+    )
+    def test_hard_delay_file_exits_cleanly(self, tmp_path, capsys, model, argv, code, message):
+        # Files the former RK4 map refused: tau = 600 diverged at t = 56.25,
+        # mu = 1e4 at h = 1 diverged, mu = 1e100 overflowed its step map.  Each
+        # now prints finite numbers, or one error line: J reaches e^1200 on
+        # the first, and the last is too stiff for its walk's cells.
+        path = tmp_path / "hard.json"
+        path.write_text(json.dumps({"B": [[1.0]], "G": [[1.0]], **model}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([argv[0], str(path), *argv[1:]]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err == f"gainlab: error: {message}\n"
+        else:
+            assert err == "" and out
+            assert not any(word in out for word in ("nan", "inf", "NaN", "Infinity"))
 
     @pytest.mark.parametrize("command", ["analyze", "delay-demo"])
     def test_overflowing_exponential_exit_1(self, tmp_path, capsys, command):
@@ -431,35 +451,18 @@ class TestErrors:
         assert "stored rows" in err and "--step" in err and "--t-max" in err
 
     @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
-    def test_delay_window_exit_1(self, delay_file, capsys, monkeypatch, command):
-        # tau = 0.5, h = 1.25e-7: 80 steps over a 4 x 10^6-step history pass
-        # the work bound, but the step map's window would hold (N + 1) 2^2 =
-        # 1.6 x 10^7 entries (the simulator holds about 410 bytes per history
-        # step at n = 4).
-        def refuse(*args, **kwargs):
-            raise AssertionError("_weighted_kernels reached")
-
-        monkeypatch.setattr("gainlab.delay._weighted_kernels", refuse)
-        start = time.perf_counter()
-        assert main([command, delay_file, "--t-max", "1e-5", "--step", "1.25e-7"]) == 1
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert err.startswith("gainlab: error: ") and err.count("\n") == 1
-        assert "window entries" in err and "--step" in err
-
-    @pytest.mark.parametrize("command", ["simulate", "delay-demo"])
-    def test_delay_window_refused_before_allocating(self, delay_file, capsys, command):
-        # tau = 0.5, h = tau / 9.9e6: 20 steps pass the work bound, but the
-        # window, (N + 1) 2^2 entries, is over its limit.  The resting
-        # history of N + 1 rows alone made an 89 MB peak before the refusal.
+    def test_delay_stored_rows_refused_before_allocating(self, delay_file, capsys, command):
+        # tau = 0.5, h = tau / 9.9e6: 2,000 steps read 1.98 x 10^10 stored rows.
+        # The resting history of N + 1 rows alone would make an 80 MB peak
+        # before the refusal.
         tracemalloc.start()
         try:
-            code = main([command, delay_file, "--t-max", "1e-6", "--step", repr(0.5 / 9.9e6)])
+            code = main([command, delay_file, "--t-max", "1e-4", "--step", repr(0.5 / 9.9e6)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 1 and peak < 10 * 2**20
-        assert "window entries" in capsys.readouterr().err
+        assert "stored rows" in capsys.readouterr().err
 
     def test_vt_partition_cells_exit_1(self, oscillator_file, capsys):
         # ||A||_1 = 2: T = 1e9 needs 2 x 10^9 base cells, many minutes of
@@ -534,17 +537,6 @@ class TestErrors:
         argv = ["analyze", str(path)] + (["--tol", flag] if flag is not None else [])
         assert main(argv) == 1
         assert capsys.readouterr().err == f"gainlab: error: {message}\n"
-
-    def test_delay_divergence_exit_1(self, tmp_path, capsys):
-        path = tmp_path / "stiff.json"
-        doc = {"A": [[-1.0]], "B": [[1.0]], "G": [[1.0]], "K": [[-1.0]], "tau": 1, "mu": 1e4}
-        path.write_text(json.dumps(doc))
-        assert main(["simulate", str(path), "--step", "1", "--t-max", "50"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        # the diagnostic alone: no RuntimeWarning text ahead of it
-        assert captured.err.startswith("gainlab: error: delay state diverged at t=")
-        assert captured.err.count("\n") == 1
 
     def test_infinite_mu_exit_1(self, tmp_path, capsys):
         path = tmp_path / "delay.json"
@@ -903,10 +895,11 @@ class TestDelayDemo:
         assert main(["delay-demo", scalar_file]) == 1
 
     def test_one_expm_stack_per_flow(self, delay_file, capsys, monkeypatch):
-        # The bounds' flow of A on [0, tau] gives every Simpson node and
-        # exp(A tau); the step map's flow gives the kernels and its own
-        # exp(A tau): two Pade stacks, where each Simpson level and each
-        # exp(A tau) used to form one (seven calls on this file).
+        # The bounds' flow of A on [0, tau] gives every quadrature node and
+        # exp(A tau).  Each of the four battery inputs walks two flows, of
+        # (A, G) over [0, tau] and of (P, xi), whose generators carry that
+        # input's own state: one Pade stack each, nine in all, whatever the
+        # step count.
         calls = []
         original = linalg._pade13
 
@@ -915,9 +908,11 @@ class TestDelayDemo:
             return original(m)
 
         monkeypatch.setattr(linalg, "_pade13", counting)
-        assert main(["delay-demo", delay_file]) == 0
-        assert json.loads(capsys.readouterr().out)["all_within_oag"] is True
-        assert len(calls) == 2
+        for steps in (64, 256):
+            calls.clear()
+            assert main(["delay-demo", delay_file, "--step", repr(0.5 / steps)]) == 0
+            assert json.loads(capsys.readouterr().out)["all_within_oag"] is True
+            assert len(calls) == 9
 
 
 class TestCsvCommandsMatchReference:

@@ -26,7 +26,7 @@ from gainlab import (
     predictor_error_series,
     simulate_predictor,
 )
-from gainlab_testkit import random_hurwitz_matrix, reference_error_grid, reference_predictor
+from gainlab_testkit import method_of_steps, random_hurwitz_matrix, reference_error_grid
 
 E_HALF = math.exp(-0.5)
 
@@ -120,32 +120,24 @@ class TestDelayState:
             delay_empirical_check(scalar_delay, [Zero(dim=1)], 2.0, 1.0, h)
 
 
-# (mu, h, t_end, t): the step by step recurrence of a unit constant input
-# first overflows at t.
-DIVERGENCE_CASES = [
-    (1e4, 1.0, 50.0, 21.0),
-    (300.0, 0.25, 200.0, 12.5),
-    (60.0, 1.0 / 16, 400.0, 29.5),
-]
-
-
 class TestPredictorDynamics:
     def test_decoupled_observer_when_k_zero(self):
+        # With K = 0 the prediction error and z stay at rest, and y is the open
+        # plant's response y' = -y + u from y(0) = 2: y = 1 + e^{-t}.
         sys = DelayPredictorSystem(
             a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[0.0]], tau=0.5, mu=2.0
         )
         steps = 64
         h = sys.tau / steps
-        state = DelayState(y=np.zeros(1), z_history=np.ones((steps + 1, 1)))
-        traj = simulate_predictor(sys, Zero(dim=1), state, 1.0, h)
-        # with K = 0 the z equation is z' = -mu z, solved by RK4
-        expected = np.exp(-sys.mu * traj.times)
-        np.testing.assert_allclose(traj.zs[:, 0], expected, atol=1e-8)
+        state = DelayState(y=[2.0], z_history=np.zeros((steps + 1, 1)))
+        traj = simulate_predictor(sys, Constant([1.0]), state, 3.0, h)
+        assert not traj.zs.any()
+        np.testing.assert_allclose(traj.ys[:, 0], 1.0 + np.exp(-traj.times), rtol=1e-13)
 
     def test_zero_input_decays(self, scalar_delay):
         steps = 32
         h = scalar_delay.tau / steps
-        state = DelayState(y=np.array([2.0]), z_history=np.full((steps + 1, 1), -1.0))
+        state = DelayState(y=np.array([2.0]), z_history=np.zeros((steps + 1, 1)))
         sigma = scalar_delay.certificate.sigma
         t_end = 20.0 / sigma
         traj = simulate_predictor(scalar_delay, Zero(dim=1), state, t_end, h)
@@ -175,81 +167,89 @@ class TestPredictorDynamics:
         np.testing.assert_array_equal(traj.z_record[steps:], traj.zs)
 
     def test_divergence_raises_simulation_error(self):
-        # RK4 is unstable at mu h = 1e4; the state overflows to inf and nan
+        # A = 1, tau = 709: exp(A tau) = 8.2e307 is a double, but the
+        # predicted state P approaches 3 e^709, past double range.
         sys = DelayPredictorSystem(
-            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=1e4
+            a=[[1.0]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=709.0, mu=1.0
         )
-        state = DelayState.resting(sys, 1)
+        state = DelayState.resting(sys, 64)
         with pytest.raises(SimulationError, match="diverged at t="):
-            simulate_predictor(sys, Constant(u0=[1.0]), state, 50.0, 1.0)
+            simulate_predictor(sys, Constant(u0=[1.0]), state, 7090.0, sys.tau / 64)
 
     @pytest.mark.parametrize("mu", [1e4, 1e6, 1e9])
     def test_zero_input_from_rest_with_unstable_step_map(self, mu):
-        # mu h >= 1e4 makes RK4 unstable, so the impulse responses overflow
-        # within a few steps; the block must stop short of them, or inf * 0
-        # turns this all-zero run into a spurious divergence.
+        # mu h >= 1e4 made the former RK4 step map unstable.  The exact walks
+        # of a zero input from rest keep every recorded state exactly at rest.
         sys = DelayPredictorSystem(
             a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=mu
         )
         traj = simulate_predictor(sys, Zero(dim=1), DelayState.resting(sys, 1), 50.0, 1.0)
         assert not traj.ys.any() and not traj.z_record.any()
 
-    @pytest.mark.parametrize("mu, h, t_end, t_bad", DIVERGENCE_CASES)
-    def test_divergence_reported_at_first_nonfinite_row(self, mu, h, t_end, t_bad):
-        # The rows where the step by step recurrence first overflows.
+    def test_too_stiff_loop_refused(self):
+        # mu = 1e100: the walk's cells, 1 / ||F2||_1, are too fine for
+        # exp(-sigma cell) to keep the loop's decay; it returned P = 0.
         sys = DelayPredictorSystem(
-            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=mu
+            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-0.5]], tau=1.0, mu=1e100
         )
-        state = DelayState.resting(sys, int(round(1.0 / h)))
-        with pytest.raises(SimulationError, match="diverged at t=") as info:
-            simulate_predictor(sys, Constant(u0=[1.0]), state, t_end, h)
-        assert float(str(info.value).rpartition("=")[2]) == t_bad
-
-    def test_overflowing_forcing_does_not_poison_earlier_rows(self):
-        # With N = 1, x_1 = W_1 z(0) is finite, but the forcing of x_2 holds
-        # W_0 z(0), which overflows; x_1 is solved without it.
-        sys = DelayPredictorSystem(
-            a=[[2.0]], b=[[1.0]], g=[[1.0]], k=[[-3.0]], tau=1.0, mu=1.0
-        )
-        state = DelayState(y=np.zeros(1), z_history=[[0.0], [1e306]])
-        with pytest.raises(SimulationError, match=r"diverged at t=2\.0$"):
-            simulate_predictor(sys, Zero(dim=1), state, 4.0, 1.0)
-
-    @pytest.mark.parametrize("mu, h, t_end, t_bad", DIVERGENCE_CASES)
-    def test_divergence_reported_across_drive_blocks(self, monkeypatch, mu, h, t_end, t_bad):
-        # 40-step drive blocks, not a multiple of _SOLVE_BLOCK, put the first
-        # bad row in the first, second and twelfth drive block, at the end of
-        # a solve block in the last case; the check after each drive block
-        # finds the same row as a check after every solve block.
-        monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", 40)
-        self.test_divergence_reported_at_first_nonfinite_row(mu, h, t_end, t_bad)
-        self.test_overflowing_forcing_does_not_poison_earlier_rows()
+        with pytest.raises(ValueError, match="too stiff to simulate"):
+            simulate_predictor(sys, Constant([1.0]), DelayState.resting(sys, 4), 20.0, 0.25)
 
     def test_one_step_map_per_simulation(self, scalar_delay, monkeypatch):
-        # One linalg._Flow per simulation: the step map's kernels are its
-        # one orbit.
-        calls = {"evaluate": 0, "_Flow": 0}
-        modules = {"evaluate": delaymod, "_Flow": linalg}
+        # Two linalg._Flow per simulation, whatever its length: one for the
+        # walk of (A, G) over [0, tau], which also gives exp(A tau), R's block
+        # and the kernels, and one for the walk of (P, xi).
+        calls = []
+        original = linalg._Flow
 
-        def counted(name):
-            original = getattr(modules[name], name)
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(modules[name], name, counted(name))
+        monkeypatch.setattr(linalg, "_Flow", counting)
         steps = 16
         state = DelayState.resting(scalar_delay, steps)
         for t_end in (1.0, 10.0):
-            calls.update(evaluate=0, _Flow=0)
+            calls.clear()
             simulate_predictor(
                 scalar_delay, Sinusoid([1.0], 1.0), state, t_end, scalar_delay.tau / steps
             )
-            assert calls == {"evaluate": 3, "_Flow": 1}
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "signal",
+        [
+            BangBangInput(horizon=1.0, switch_times=[0.37, 0.71]),
+            PeriodicExtension(Constant([1.0]), base_span=1.0, period=1.5),
+        ],
+        ids=["bang-bang", "periodic"],
+    )
+    def test_switching_input_refused(self, scalar_delay, signal, monkeypatch):
+        # Only Zero, Constant and Sinusoid inputs are one segment long; the
+        # rest are refused before any walk.
+        monkeypatch.setattr(delaymod, "_walk", None)
+        with pytest.raises(ValueError, match="^delay inputs are Zero, Constant or Sinusoid, got "):
+            simulate_predictor(scalar_delay, signal, DelayState.resting(scalar_delay, 8), 2.0, 0.5 / 8)
+
+    def test_nonzero_history_refused(self, scalar_delay, monkeypatch):
+        monkeypatch.setattr(delaymod, "_walk", None)
+        history = np.zeros((9, 1))
+        history[3] = 1e-300
+        with pytest.raises(ValueError, match="resting z history"):
+            simulate_predictor(
+                scalar_delay, Zero(dim=1), DelayState(y=[1.0], z_history=history), 2.0, 0.5 / 8
+            )
+
+    def test_long_delay_unstable_plant_steady_state(self):
+        # A = 1, K = -2, tau = 600: y settles at 4 e^600 - 1 and z at -4 e^600.
+        # The former RK4 map diverged at t = 56.25; R(t) is one block of
+        # exp(Gamma tau), not a difference of two numbers near e^600 t.
+        sys = DelayPredictorSystem(
+            a=[[1.0]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=600.0, mu=1.0
+        )
+        traj = simulate_predictor(sys, Constant([1.0]), DelayState.resting(sys, 64), 6000.0, 600.0 / 64)
+        assert traj.ys[-1, 0] == pytest.approx(4.0 * math.exp(600.0) - 1.0, rel=1e-12)
+        assert traj.zs[-1, 0] == pytest.approx(-4.0 * math.exp(600.0), rel=1e-12)
 
 
 UNSTABLE_PLANT = DelayPredictorSystem(
@@ -263,11 +263,16 @@ TWO_INPUT_PLANT = DelayPredictorSystem(
     tau=0.4,
     mu=3.0,
 )
-BANG_BANG = PeriodicExtension(
-    BangBangInput(horizon=1.0, switch_times=[0.37, 0.71]), base_span=1.0, period=1.5
+# The double integrator and a stronger unstable plant of the realization's oracle tests.
+DOUBLE_INTEGRATOR = DelayPredictorSystem(
+    a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]], g=[[0.0], [1.0]], k=[[-1.0, -1.5]],
+    tau=0.3, mu=3.0,
+)
+UNIT_UNSTABLE_PLANT = DelayPredictorSystem(
+    a=[[1.0]], b=[[1.0]], g=[[1.0]], k=[[-3.0]], tau=0.2, mu=2.0
 )
 
-# The system and battery of test_one_step_map_serves_every_input.
+# The system and battery of TestEmpiricalCheck.
 BATTERY_PLANT = DelayPredictorSystem(
     a=[[0.2, 1.0], [-1.0, -0.3]], b=[[0.0], [1.0]], g=[[0.5], [-0.2]], k=[[-0.6, -1.4]],
     tau=0.4, mu=3.0,
@@ -276,49 +281,8 @@ BATTERY = [
     Constant([1.0]),
     Sinusoid([1.0], 0.1),
     Sinusoid([1.0], 1.0),
-    PeriodicExtension(BangBangInput(1.5, [0.7]), 1.5, 2.5),
+    Sinusoid([1.0], 10.0),
 ]
-
-
-def _two_input_run(steps):
-    h = TWO_INPUT_PLANT.tau / 4
-    state = DelayState.resting(TWO_INPUT_PLANT, 4)
-    signal = Sinusoid(direction=[1.0], omega=3.0)
-    return simulate_predictor(TWO_INPUT_PLANT, signal, state, steps * h, h)
-
-
-def test_input_drive_built_in_blocks(monkeypatch):
-    # 2 x 10^5 steps are four drive blocks of 2^16 steps, three evaluate calls
-    # each; a one-block drive gives the same trajectory.
-    calls = []
-    evaluate = delaymod.evaluate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(delaymod, "evaluate", counting)
-    blocked = _two_input_run(200_000)
-    assert blocked.times.size == 200_001 and len(calls) == 12
-    monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", 10**6)
-    calls.clear()
-    whole = _two_input_run(200_000)
-    assert len(calls) == 3
-    for ours, reference in ((blocked.ys, whole.ys), (blocked.zs, whole.zs)):
-        assert np.all(np.abs(ours - reference) <= 1e-15 * np.max(np.abs(reference), axis=0))
-
-
-def test_drive_blocks_bound_memory(monkeypatch):
-    # Tracing slows the blocked solve about 15x, so the four-block layout above
-    # is traced at an eighth of its size: 25,000 steps in blocks of 2^13.
-    peaks = []
-    for block in (1 << 13, 10**6):
-        monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", block)
-        tracemalloc.start()
-        _two_input_run(25_000)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    assert peaks[0] <= (2.0 / 3.0) * peaks[1]
 
 
 def _relative_gap(value, reference):
@@ -326,42 +290,48 @@ def _relative_gap(value, reference):
 
 
 class TestReferenceIntegrator:
-    """The precomputed RK4 step map against the three-window loop."""
+    """The exact realization against a method-of-steps solve_ivp oracle:
+    y and z within 1e-10 relative."""
 
     @pytest.mark.parametrize(
-        "plant, signal",
+        "plant, signal, y0",
         [
-            (UNSTABLE_PLANT, Constant(u0=[1.0])),
-            (UNSTABLE_PLANT, Sinusoid(direction=[1.0], omega=2.0)),
-            (UNSTABLE_PLANT, BANG_BANG),
-            (TWO_INPUT_PLANT, Constant(u0=[1.0])),
-            (TWO_INPUT_PLANT, Sinusoid(direction=[1.0], omega=3.0)),
-            (TWO_INPUT_PLANT, Zero(dim=1)),
-            (None, Sinusoid(direction=[1.0], omega=1.0)),
+            (UNSTABLE_PLANT, Constant(u0=[1.0]), None),
+            (UNSTABLE_PLANT, Sinusoid(direction=[1.0], omega=2.0), None),
+            (TWO_INPUT_PLANT, Constant(u0=[1.0]), None),
+            (TWO_INPUT_PLANT, Sinusoid(direction=[1.0], omega=3.0), None),
+            (TWO_INPUT_PLANT, Zero(dim=1), [0.7, -1.2]),
+            (None, Sinusoid(direction=[1.0], omega=1.0), None),
+            (None, Constant(u0=[1.0]), None),
+            (DOUBLE_INTEGRATOR, Constant(u0=[1.0]), None),
+            (DOUBLE_INTEGRATOR, Sinusoid(direction=[1.0], omega=2.0), [1.0, -0.5]),
+            (UNIT_UNSTABLE_PLANT, Constant(u0=[1.0]), [0.5]),
+            (UNIT_UNSTABLE_PLANT, Sinusoid(direction=[1.0], omega=2.0), None),
         ],
         ids=[
             "unstable-constant",
             "unstable-sinusoid",
-            "unstable-bang-bang",
             "two-input-constant",
             "two-input-sinusoid",
             "two-input-zero",
             "scalar-sinusoid",
+            "scalar-constant",
+            "double-integrator-constant",
+            "double-integrator-sinusoid-y0",
+            "unit-unstable-constant-y0",
+            "unit-unstable-sinusoid",
         ],
     )
-    def test_matches_reference(self, scalar_delay, plant, signal):
+    def test_matches_reference(self, scalar_delay, plant, signal, y0):
         plant = scalar_delay if plant is None else plant
         steps = 16
         h = plant.tau / steps
-        rng = np.random.default_rng(7)
-        state = DelayState(
-            y=rng.standard_normal(plant.n),
-            z_history=rng.standard_normal((steps + 1, plant.m)),
-        )
+        y0 = np.zeros(plant.n) if y0 is None else np.asarray(y0)
+        state = DelayState(y=y0, z_history=np.zeros((steps + 1, plant.m)))
         traj = simulate_predictor(plant, signal, state, 5.0, h)
-        ys, z_record = reference_predictor(plant, signal, state, traj.times.size - 1, h)
-        assert _relative_gap(traj.ys, ys) <= 1e-13
-        assert _relative_gap(traj.z_record, z_record) <= 1e-13
+        ys, zs = method_of_steps(plant, signal, y0, traj.times.size - 1, h)
+        assert _relative_gap(traj.ys, ys) <= 1e-10
+        assert _relative_gap(traj.zs, zs) <= 1e-10
         xi, xi_ref = predictor_error_series(traj, plant)
         assert _relative_gap(xi, reference_error_grid(traj, plant)) <= 1e-13
         # the closed form starts from the reconstructed xi(0)
@@ -371,60 +341,29 @@ class TestReferenceIntegrator:
         # the CLI's default step tau/64 over a long run
         steps = 64
         h = scalar_delay.tau / steps
-        rng = np.random.default_rng(11)
-        state = DelayState(
-            y=rng.standard_normal(1), z_history=rng.standard_normal((steps + 1, 1))
-        )
+        y0 = np.random.default_rng(11).standard_normal(1)
+        state = DelayState(y=y0, z_history=np.zeros((steps + 1, 1)))
         signal = Sinusoid(direction=[1.0], omega=1.0)
         traj = simulate_predictor(scalar_delay, signal, state, 40.0, h)
         assert traj.times.size == 5121
-        ys, z_record = reference_predictor(
-            scalar_delay, signal, state, traj.times.size - 1, h
-        )
-        assert _relative_gap(traj.ys, ys) <= 1e-13
-        assert _relative_gap(traj.z_record, z_record) <= 1e-13
-
-
-    @pytest.mark.parametrize("hist_steps", [1, 4, 64, 200])
-    @pytest.mark.parametrize(
-        "blocks", [0.5, 3.25], ids=["shorter-than-a-block", "not-a-block-multiple"]
-    )
-    def test_matches_reference_across_block_boundaries(self, hist_steps, blocks):
-        # N = tau / h on both sides of the block length L
-        n_steps = int(blocks * delaymod._SOLVE_BLOCK) + 1
-        h = TWO_INPUT_PLANT.tau / hist_steps
-        rng = np.random.default_rng(hist_steps)
-        state = DelayState(
-            y=rng.standard_normal(TWO_INPUT_PLANT.n),
-            z_history=rng.standard_normal((hist_steps + 1, TWO_INPUT_PLANT.m)),
-        )
-        signal = Sinusoid(direction=[1.0], omega=3.0)
-        traj = simulate_predictor(TWO_INPUT_PLANT, signal, state, n_steps * h, h)
-        assert traj.times.size == n_steps + 1
-        ys, z_record = reference_predictor(TWO_INPUT_PLANT, signal, state, n_steps, h)
-        assert _relative_gap(traj.ys, ys) <= 1e-13
-        assert _relative_gap(traj.z_record, z_record) <= 1e-13
+        ys, zs = method_of_steps(scalar_delay, signal, y0, traj.times.size - 1, h)
+        assert _relative_gap(traj.ys, ys) <= 1e-10
+        assert _relative_gap(traj.zs, zs) <= 1e-10
 
     @pytest.mark.parametrize("hist_steps", [1, 4, 64])
-    @pytest.mark.parametrize("block", [1, 5, 32, 96])
-    def test_matches_reference_at_any_block_length(self, monkeypatch, hist_steps, block):
-        # N < L, N = L - 1 and N > L: a block reads its history and y only
-        # from rows solved before it, whatever its length.  The grid holds
-        # two blocks of the longest L and part of a third.
-        monkeypatch.setattr(delaymod, "_SOLVE_BLOCK", block)
-        n_steps = 2 * 96 + 11
-        h = TWO_INPUT_PLANT.tau / hist_steps
-        rng = np.random.default_rng(100 + hist_steps)
-        state = DelayState(
-            y=rng.standard_normal(TWO_INPUT_PLANT.n),
-            z_history=rng.standard_normal((hist_steps + 1, TWO_INPUT_PLANT.m)),
-        )
+    @pytest.mark.parametrize("delays", [0.5, 1.0, 3.25], ids=["inside-tau", "at-tau", "past-tau"])
+    def test_matches_reference_around_the_delay(self, hist_steps, delays):
+        # y is the walk of (A, G) up to tau and P(t - tau) + R(t) after it:
+        # grids that end inside [0, tau], at tau, and between multiples of it.
+        n_steps = max(1, int(delays * hist_steps)) + (delays > 1)
+        h = UNIT_UNSTABLE_PLANT.tau / hist_steps
         signal = Sinusoid(direction=[1.0], omega=3.0)
-        traj = simulate_predictor(TWO_INPUT_PLANT, signal, state, n_steps * h, h)
-        assert delaymod._rk4_step_map(TWO_INPUT_PLANT, h, hist_steps).toeplitz.shape[0] == 4 * block
-        ys, z_record = reference_predictor(TWO_INPUT_PLANT, signal, state, n_steps, h)
-        assert _relative_gap(traj.ys, ys) <= 1e-13
-        assert _relative_gap(traj.z_record, z_record) <= 1e-13
+        state = DelayState(y=[0.3], z_history=np.zeros((hist_steps + 1, 1)))
+        traj = simulate_predictor(UNIT_UNSTABLE_PLANT, signal, state, n_steps * h, h)
+        assert traj.times.size == n_steps + 1
+        ys, zs = method_of_steps(UNIT_UNSTABLE_PLANT, signal, state.y, n_steps, h)
+        assert _relative_gap(traj.ys, ys) <= 1e-10
+        assert _relative_gap(traj.zs, zs) <= 1e-10
 
 
 class TestPredictorError:
@@ -557,95 +496,36 @@ class TestEmpiricalCheck:
         # the constant disturbance settles exactly on the asymptotic bound
         assert abs(check.entries[0].gap_to_oag) <= 2e-3
 
-    def test_one_step_map_serves_every_input(self, monkeypatch):
-        system = DelayPredictorSystem(
-            a=[[0.2, 1.0], [-1.0, -0.3]],
-            b=[[0.0], [1.0]],
-            g=[[0.5], [-0.2]],
-            k=[[-0.6, -1.4]],
-            tau=0.4,
-            mu=3.0,
-        )
-        h, t_end, window = system.tau / 32.0, 12.0, 3.0
-        inputs = [
-            Constant([1.0]),
-            Sinusoid([1.0], 0.1),
-            Sinusoid([1.0], 1.0),
-            PeriodicExtension(BangBangInput(1.5, [0.7]), 1.5, 2.5),
-        ]
-        builds = []
-        original = delaymod._rk4_step_map
-
-        def counting(*args):
-            builds.append(args[1:])
-            return original(*args)
-
-        monkeypatch.setattr(delaymod, "_rk4_step_map", counting)
-        check = delay_empirical_check(system, inputs, t_end, window, h)
-        assert builds == [(h, 32)]
-        monkeypatch.setattr(delaymod, "_rk4_step_map", original)
-        for signal, entry in zip(inputs, check.entries):
-            traj = simulate_predictor(system, signal, DelayState.resting(system, 32), t_end, h)
+    def test_one_step_map_serves_every_input(self):
+        # Each entry is what a one-input simulation of the same input reads.
+        h, t_end, window = BATTERY_PLANT.tau / 32.0, 12.0, 3.0
+        check = delay_empirical_check(BATTERY_PLANT, BATTERY, t_end, window, h)
+        for signal, entry in zip(BATTERY, check.entries):
+            state = DelayState.resting(BATTERY_PLANT, 32)
+            traj = simulate_predictor(BATTERY_PLANT, signal, state, t_end, h)
             norms = np.linalg.norm(traj.ys, axis=1)
             tail = traj.times >= traj.times[-1] - window - 1e-12
             assert entry.sup_gain == float(np.max(norms))
             assert entry.asymptotic_gain == float(np.max(norms[tail]))
-
-    @pytest.mark.parametrize("mu, h, t_end, t_bad", DIVERGENCE_CASES)
-    @pytest.mark.parametrize("first", [True, False], ids=["zero-first", "zero-last"])
-    def test_battery_diverges_where_its_input_does(self, mu, h, t_end, t_bad, first):
-        # The zero input stays at rest on the unstable step map; the battery
-        # reports the constant's divergence, at the time a one-input run does.
-        sys = DelayPredictorSystem(
-            a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=mu
-        )
-        state = DelayState.resting(sys, int(round(1.0 / h)))
-        with pytest.raises(SimulationError) as alone:
-            simulate_predictor(sys, Constant(u0=[1.0]), state, t_end, h)
-        battery = [Zero(dim=1), Constant(u0=[1.0])][:: 1 if first else -1]
-        with pytest.raises(SimulationError) as together:
-            delay_empirical_check(sys, battery, t_end, 1.0, h)
-        assert str(together.value) == str(alone.value) == f"delay state diverged at t={t_bad}"
 
     @pytest.mark.parametrize(
         "battery",
         [
             [Constant([1.0]), Sinusoid([1.0], 1.0), Constant([2.0])],
             [Constant([1.0]), Sinusoid([1.0], 1.0), Constant([0.5, 0.5])],
+            [Constant([1.0]), Sinusoid([1.0], 1.0), PeriodicExtension(BangBangInput(1.5, [0.7]), 1.5, 2.5)],
         ],
-        ids=["last-sup-norm-2", "last-wrong-dimension"],
+        ids=["last-sup-norm-2", "last-wrong-dimension", "last-bang-bang"],
     )
     def test_checks_every_input_before_solving(self, scalar_delay, battery, monkeypatch):
         solves = []
-        monkeypatch.setattr(delaymod, "_solve_predictor", lambda *args: solves.append(args))
+        monkeypatch.setattr(delaymod, "_loop_states", lambda *args: solves.append(args))
         with pytest.raises(ValueError):
             delay_empirical_check(scalar_delay, battery, 5.0, 1.0, scalar_delay.tau / 16.0)
         assert solves == []
 
-    def test_battery_solved_in_one_call(self, monkeypatch):
-        # 960 steps in 256-step drive blocks: four blocks, three evaluate
-        # calls per input in each, and one solve for the whole battery.
-        solves, evaluations = [], []
-        solve, evaluate = delaymod._solve_predictor, delaymod.evaluate
-        monkeypatch.setattr(delaymod, "_solve_predictor", lambda *a: solves.append(1) or solve(*a))
-        monkeypatch.setattr(delaymod, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
-        monkeypatch.setattr(delaymod, "_DRIVE_BLOCK", 256)
-        h = BATTERY_PLANT.tau / 32.0
-        check = delay_empirical_check(BATTERY_PLANT, BATTERY, 12.0, 3.0, h)
-        assert len(check.entries) == 4
-        assert len(solves) == 1 and len(evaluations) == 3 * 4 * 4
-
-    def test_groups_match_one_pass(self, monkeypatch):
-        # Each input's arithmetic is the same whatever group it is solved in.
-        h = BATTERY_PLANT.tau / 32.0
-        together = delay_empirical_check(BATTERY_PLANT, BATTERY, 12.0, 3.0, h)
-        monkeypatch.setattr(delaymod, "_GROUP_ENTRIES", 1)
-        alone = delay_empirical_check(BATTERY_PLANT, BATTERY, 12.0, 3.0, h)
-        assert alone.entries == together.entries
-
     def test_battery_memory_does_not_grow_with_inputs(self):
-        # 320,000 steps: an input's record, 960,195 entries, is over
-        # _GROUP_ENTRIES, so the inputs are solved one at a time.
+        # 320,000 steps: each input's states are freed before the next is walked.
         h, peaks = BATTERY_PLANT.tau / 64.0, []
         for battery in (BATTERY[:1], BATTERY):
             tracemalloc.start()

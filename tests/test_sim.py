@@ -158,6 +158,37 @@ def _assert_matches_reference(traj, ref):
     assert np.all(np.abs(traj.states - ref.states) <= 1e-12 * scale)
 
 
+def _scaled_figures(k):
+    """simulate's, worstcase's and verify's figures for A = -1, B = 10^k,
+    C = 10^-k, whose kernel is e^{-s} for every k."""
+    system = StateSpaceSystem(a=[[-1.0]], b=[[10.0**k]], c=[[10.0**-k]])
+    figures = {
+        "constant": simulate(system, Constant([1.0]), np.zeros(1), 5.0, 0.01).outputs,
+        "sinusoid": simulate(system, Sinusoid([1.0], 2.0), np.zeros(1), 5.0, 0.01).outputs,
+    }
+    if k <= 40:
+        signal, spec = worst_case_periodic_input(system, 4.0, 1e-6)
+        figures["worstcase"] = simulate(system, signal, np.zeros(1), 3.0 * spec.period, spec.period / 4096).outputs
+        record = verify_gain_equality(system, 0.01)
+        figures["verify"] = np.array([getattr(record, name) for name in vars(record) if name != "passed"])
+    return figures
+
+
+class TestScaledInputMatrix:
+    """A large input matrix no longer sets the simulator's cells: the input
+    block is scaled by a power of two.  At k = 20 the walk used to record
+    y = 0 exactly; worstcase and verify read the same walk."""
+
+    @pytest.mark.parametrize("k", [10, 20, 40, 200])
+    def test_figures_match_unit_scaling(self, k):
+        # worstcase and verify at k = 200 also run the gain partition, whose
+        # squared norms of b and c leave double range; they are held to k <= 40.
+        reference = _scaled_figures(0)
+        for name, values in _scaled_figures(k).items():
+            gap = np.max(np.abs(values - reference[name])) / np.max(np.abs(reference[name]))
+            assert gap <= 1e-12, (name, gap)
+
+
 class TestReferenceSimulator:
     @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
     def test_matches_grid_stepper(self, oscillator, case):
@@ -265,9 +296,9 @@ class TestReferenceSimulator:
             return original_flow(matrix, cell, end)
 
         def recording_generator(*args):
-            g = original_generator(*args)
+            g, scale = original_generator(*args)
             generators.add(g.tobytes())
-            return g
+            return g, scale
 
         args = (system, signal, np.zeros(system.n), t_end, h)
         monkeypatch.setattr(linalg, "_Flow", counting_flow)
