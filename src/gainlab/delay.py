@@ -46,7 +46,6 @@ from .linalg import (
     _MAX_DELAY_WORK,
     _MAX_GRID_STEPS,
     StabilityCertificate,
-    StateSpaceSystem,
     _check_budget,
     _grid_flow,
     _spectral_norms,
@@ -56,7 +55,8 @@ from .linalg import (
 )
 from .quadrature import gauss_legendre
 from .signals import Constant, InputSignal, Sinusoid, Zero, evaluate, signal_dim, sup_norm
-from .sim import _grid_steps, _measured_gains, _walk, simulate
+from .sim import _grid_steps, _measured_gains, _walk
+from .sim import simulate  # noqa: F401  (perfbench's tracing wraps delay.simulate)
 
 __all__ = [
     "DelayPredictorSystem",
@@ -166,16 +166,17 @@ class DelayTrajectory:
     """Grid record of a predictor simulation.
 
     z_record holds the full z sample sequence including the resting
-    history, so z_record[history_steps + k] is z at times[k].  kernels are
-    the trapezoid-weighted kernels h w_j exp(A j h) B, j = 0..history_steps
-    (w_j 1/2 at both ends and 1 inside), and exp_a_tau is exp(A tau), both
-    read off the flow of the simulation's walk over [0, tau];
-    predictor_error_series reuses them.
+    history, so z_record[history_steps + k] is z at times[k]; xis[k] is xi
+    there, off the walk that gives z.  kernels are the trapezoid-weighted
+    kernels h w_j exp(A j h) B, j = 0..history_steps (w_j 1/2 at both ends
+    and 1 inside), and exp_a_tau is exp(A tau), both read off the flow of
+    the simulation's walk over [0, tau]; predictor_error_series reuses them.
     """
 
     times: np.ndarray
     ys: np.ndarray
     zs: np.ndarray
+    xis: np.ndarray
     z_record: np.ndarray
     step: float
     history_steps: int
@@ -234,7 +235,7 @@ def simulate_predictor(
         raise DimensionError(f"y must have length {sys.n}")
     if state0.z_history.any():
         raise ValueError("a delay simulation starts from a resting z history (all zeros)")
-    ys, zs, flow, level, exp_a_tau = _loop_states(sys, signal, state0.y, hist_steps, n_steps, h)
+    ys, zs, xis, flow, level, exp_a_tau = _loop_states(sys, signal, state0.y, hist_steps, n_steps, h)
     # The orbit of (B, 0): a zero input state leaves exp(A j h) B in the first n rows.
     columns = np.zeros((flow.matrix.shape[0], sys.m))
     columns[: sys.n] = sys.b
@@ -242,8 +243,8 @@ def simulate_predictor(
     kernels[[0, -1]] *= 0.5
     z_record = np.concatenate((np.zeros((hist_steps, sys.m)), zs))
     return DelayTrajectory(
-        np.arange(n_steps + 1) * h, ys, z_record[hist_steps:], z_record, h, hist_steps, signal,
-        kernels, exp_a_tau,
+        np.arange(n_steps + 1) * h, ys, z_record[hist_steps:], xis, z_record, h, hist_steps,
+        signal, kernels, exp_a_tau,
     )
 
 
@@ -272,11 +273,11 @@ _MAX_STIFFNESS = 10**9
 
 
 def _loop_states(sys, signal, y0, hist_steps, n_steps, h):
-    """(ys, zs, flow, level, exp(A tau)) of a checked input from a resting
-    z history: the grid states of y and z, and the flow of the walk of
-    (A, G) over [0, tau] at its orbit level.  That flow's ladder over tau
-    is exp(Gamma tau) = [[exp(A tau), E], [0, exp(Omega tau)]] on the walk's
-    scaled input state w / s, so R(t) = E w(t - tau) / s."""
+    """(ys, zs, xis, flow, level, exp(A tau)) of a checked input from a
+    resting z history: the grid states of y, z and xi, and the flow of the
+    walk of (A, G) over [0, tau] at its orbit level.  That flow's ladder
+    over tau is exp(Gamma tau) = [[exp(A tau), E], [0, exp(Omega tau)]] on
+    the walk's scaled input state w / s, so R(t) = E w(t - tau) / s."""
     n, m, flows = sys.n, sys.m, {}
     f2 = np.block([[sys.closed_loop, sys.b], [np.zeros((m, n)), -sys.mu * np.eye(m)]])
     stiffness = float(np.linalg.norm(f2, 1)) / sys.certificate.sigma
@@ -304,21 +305,20 @@ def _loop_states(sys, signal, y0, hist_steps, n_steps, h):
             ys[hist_steps + 1 :] = p_xi[1 : tail + 1, :n] + inputs @ flow_tau[:n, n:].T
     if not (np.isfinite(ys).all() and np.isfinite(zs).all()):
         raise SimulationError("delay state left double range")
-    return ys, zs, flow, level, exp_a_tau
+    return ys, zs, p_xi[:, n:], flow, level, exp_a_tau
 
 
 def predictor_error_series(
     traj: DelayTrajectory, sys: DelayPredictorSystem
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction error on the grid and its exact closed-form reference.
+    """Prediction error on the grid and its exact reference.
 
     xi = z - K exp(A tau) y - K J is reconstructed from the grid record,
     J by the composite trapezoid rule over the stored z window (the
-    trajectory's kernels); the reference is the trajectory of
-    xi' = -mu xi - K exp(A tau) G u from the reconstructed xi(0), which the
-    exact LTI simulator integrates without discretization error.  The
-    trajectory itself is exact, so the gap between the two measures that
-    quadrature: it is O(h^2).
+    trajectory's kernels); the reference is the trajectory's own xis, the
+    solution of xi' = -mu xi - K exp(A tau) G u that the exact walk giving z
+    reads without discretization error.  So the gap between the two
+    measures that quadrature: it is O(h^2).
     """
     # Reversed weighting: window row j' holds z(t - (N - j') h), N = tau / h.
     rwk = traj.kernels[::-1].transpose(0, 2, 1).reshape(-1, sys.n)
@@ -330,9 +330,7 @@ def predictor_error_series(
         xi_grid = traj.zs - traj.ys @ k_etau.T - dist @ sys.k.T
     if not np.isfinite(xi_grid).all():
         raise OverflowError("the prediction error's terms exp(A tau) y and J overflowed double precision")
-    closed = StateSpaceSystem(a=-sys.mu * np.eye(sys.m), b=-(k_etau @ sys.g), c=np.eye(sys.m))
-    ref = simulate(closed, traj.signal, xi_grid[0], float(traj.times[-1]), traj.step)
-    return xi_grid, ref.states
+    return xi_grid, traj.xis
 
 
 def predictor_error_residual(traj: DelayTrajectory, sys: DelayPredictorSystem) -> float:

@@ -20,8 +20,8 @@ Every integral of a single-input scalar kernel |row exp(As) b| (the L1 norm
 and the ONB bases, the terminal-output curve and its ascent, the SISO periodic
 values, the bang-bang switches and the positivity proof) comes from a certified
 partition of the kernel at its zeros, C's rows and the ONB bases' in one;
-the multi-input ascent's vector-norm integrand takes adaptive Gauss–Legendre
-panels (quadrature.gauss_legendre) on [0, T].
+the multi-input terminal output's vector-norm integrand takes adaptive
+Gauss–Legendre panels (quadrature.gauss_legendre) on [0, T].
 Every partition goes through _partition, on a kernel flow (_KernelFlow, a
 linalg._Flow of A) that it builds or that the caller built, and every derived
 horizon comes from one tail rule, _tail_horizon.  The flow alone holds what
@@ -135,7 +135,9 @@ class _KernelFlow(_Flow):
     whatever rows are partitioned on it (the lockstep ascent partitions new
     rows on one flow at each of its steps).  It keeps A (the _Flow's
     matrix), b, n and the certificate's M, not the system, so it is the one
-    object that holds the partition's state coordinates.
+    object that holds the partition's state coordinates: b over ``scale``,
+    the power of two at its largest entry, so that no norm of a state
+    leaves double range, whatever B's scale.
 
     It is the _Flow of A on ``count`` cells up to ends[-1], whose power
     stack is its one matrix exponential; of its own it holds A^0..A^5, the
@@ -151,6 +153,8 @@ class _KernelFlow(_Flow):
 
     def __init__(self, sys: StateSpaceSystem, ends):
         a, b = sys.a, sys.b
+        self.scale = float(linalg._power_of_two_at(np.abs(b).max()))
+        b = b / self.scale
         self.b, self.n, self.m_const = b, sys.n, sys.certificate.m
         self.ends = np.asarray(ends, dtype=float)
         t_end = float(self.ends[-1])
@@ -166,7 +170,8 @@ class _KernelFlow(_Flow):
 
 def _tail_horizon(sys: StateSpaceSystem, rows: np.ndarray, tail: float) -> float:
     """H where the largest row's certified tail ||row|| M ||b|| exp(-sigma H) / sigma meets tail."""
-    coef = float(np.max(np.linalg.norm(rows, axis=1))) * sys.certificate.m * spectral_norm(sys.b)
+    largest = float(np.max(linalg._spectral_norms(rows[:, None])))
+    coef = largest * sys.certificate.m * spectral_norm(sys.b)
     return tail_horizon(sys.certificate.sigma, coef, tail)
 
 
@@ -199,10 +204,16 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     exceeds e_1 in one sign at both ends.  Any other cell can hide zeros
     costing 2 h e_0 (4 h e_0 across a sign change); it is halved until that
     fits its share of ``budget`` or it is 1e-6 of the horizon wide.  Between
-    zeros exp(As) b integrates to the change of A^-1 exp(As) b.
+    zeros exp(As) b integrates to the change of A^-1 exp(As) b.  The rows,
+    like the flow's b, are divided by powers of two first, exactly, so the
+    bounds' norms neither overflow nor underflow under B -> 2^k B,
+    C -> 2^-k C.
     """
     q, count = rows.shape[0], flow.count
     t_end = float(flow.ends[-1])
+    # A scaled row's loss times ``unscale`` is the row's own.
+    row_scale = linalg._power_of_two_at(np.abs(rows).max(axis=1))
+    rows, unscale = rows / row_scale[:, None], row_scale * flow.scale
     powers = [rows @ power for power in flow.a_powers]
     # g_i and its first three derivatives are x @ lift.T; A^4, A^5 bound the rest.
     lift, high = np.concatenate(powers[:4]), np.linalg.norm(powers[4:], axis=2)[None]
@@ -225,7 +236,7 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
             flip = (g0 >= 0.0) != (g1 >= 0.0)
             monotone = (p0 * p1 > 0.0) & (np.minimum(abs(p0), abs(p1)) > e1)
             clear = monotone | (~flip & (np.minimum(abs(g0), abs(g1)) > e0))
-            loss = np.where(clear, 0.0, width * e0 * np.where(flip, 4.0, 2.0))
+            loss = np.where(clear, 0.0, width * e0 * np.where(flip, 4.0, 2.0)) * unscale
             # Each cell's loss within its share of the budget keeps the sum within it.
             done = (loss.sum(axis=1) <= budget * width / t_end) | (width < 2e-6 * t_end)
             lost += loss[done].sum(axis=0)
@@ -243,7 +254,7 @@ def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     offset, x = _kernel_zeros(flow, rows[row], powers[1][row], x, width, g0, g1)
     y_roots = np.linalg.solve(flow.matrix, x.T).T
     roots, signed = _signed_states(rows, row, start + offset, y_roots, flow)
-    return roots, signed, lost
+    return roots, flow.scale * signed, lost
 
 
 def _signed_states(rows, row, t, y_roots, flow):
@@ -442,8 +453,8 @@ def max_terminal_output(
     with inputs bounded by one in Euclidean norm.
 
     Returns (value, direction) where direction is the unit output direction
-    achieving the value: vcurve on the one horizon, so SISO systems are exact
-    and several outputs give a lower estimate.
+    achieving the value: vcurve on the one horizon, so one output is exact
+    and several outputs give the seeded ascent's lower estimate.
     """
     curve = vcurve(sys, [horizon], restarts, tol, seed)
     return float(curve.values[0]), curve.directions[0]
@@ -460,17 +471,14 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     # Every step walks one flow to the last horizon (with several inputs, A's).
     end = horizons[-1]
     flow = _KernelFlow(sys, horizons) if sys.m == 1 else _grid_flow(sys.a, end, end)[0]
-    # With one output every unit direction is +-1, so restarts would repeat
-    # the first start (-1 mirrors +1 exactly): only p > 1 draws them, and a
-    # second step, from the first's +-1, could only confirm it.
-    draws = np.random.default_rng(seed).standard_normal((restarts * (sys.p > 1), sys.p))
+    draws = np.random.default_rng(seed).standard_normal((restarts, sys.p))
     starts = [*np.eye(sys.p), *(v / np.linalg.norm(v) for v in draws)]
     k, s = horizons.size, len(starts)
     horizon_of = np.repeat(np.arange(k), s)
     d = np.tile(starts, (k, 1))
     best, best_dir = np.zeros(k * s), np.tile(starts[0], (k * s, 1))
     last, live = np.full(k * s, -np.inf), np.arange(k * s)
-    for _ in range(40 if sys.p > 1 else 1):
+    for _ in range(40):
         if sys.m == 1:
             signed = _partition(sys, d[live] @ sys.c, tol, horizons, flow=flow)[1]
             x = signed[horizon_of[live], np.arange(live.size)]
@@ -535,11 +543,11 @@ def vcurve(
 ) -> VCurve:
     """Evaluate max_terminal_output on an increasing horizon grid.
 
-    SISO systems read the curve off one sign partition of the kernel (each
-    value a partial sum).  Otherwise the direction-alignment ascent runs from
-    the standard basis and ``restarts`` seeded directions at every horizon at
-    once; with one output, whose directions are +-1, it runs from +1 alone and
-    takes one step.  With one input each of its at most 40 steps is one sign
+    One output's V(T) is its norm integral of ||c exp(As) B|| on [0, T],
+    off one sign partition with one input, else one Gauss–Legendre
+    integral per horizon.  Several outputs run the ascent from the
+    standard basis and ``restarts`` seeded directions at every horizon
+    at once; with one input each of its at most 40 steps is one sign
     partition, out to the largest horizon, for all starts and horizons, so a
     grid of any size costs at most 40 partitions, as one horizon does.  The
     steps share one kernel flow, whose matrix exponentials (end states, orbit
@@ -557,13 +565,18 @@ def vcurve(
     if hs.size == 0 or not np.all((hs > 0) & (hs < math.inf)) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be finite, positive and strictly increasing")
     linalg._check_partition_cells(sys.a, hs[-1], "--t-max")
-    if sys.p == 1 and sys.m == 1:
+    if sys.p > 1:
+        entries = hs.size**2 * (sys.p + restarts) * sys.n
+        linalg._check_budget(entries, _MAX_GRID_STEPS, "ascent state entries", "--points")
+        values, dirs = _iterative_terminal_output(sys, hs, restarts, tol, seed)
+        return VCurve(hs, values, list(dirs), exact=False)
+    if sys.m == 1:
         values = _partition(sys, sys.c, tol, hs)[1][:, 0] @ sys.c[0]
-        return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
-    entries = hs.size**2 * (sys.p + restarts) * sys.n
-    linalg._check_budget(entries, _MAX_GRID_STEPS, "ascent state entries", "--points")
-    values, dirs = _iterative_terminal_output(sys, hs, restarts, tol, seed)
-    return VCurve(hs, values, list(dirs), exact=sys.p == 1)
+    else:
+        flow = _grid_flow(sys.a, hs[-1], hs[-1])[0]
+        x = np.array([_aligned_terminal(sys, flow, t, np.ones(1), tol)[1:] for t in hs])
+        values = np.linalg.norm(x @ sys.c.T, axis=1)
+    return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
 
 
 def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:

@@ -271,12 +271,18 @@ def _grid_flow(matrix: np.ndarray, h: float, end: float) -> tuple[_Flow, int]:
     return _Flow(matrix, h / 2.0**j, end), j
 
 
+def _power_of_two_at(largest):
+    """2^(e - 1) where 2^(e - 1) <= largest < 2^e (1/2 at 0), elementwise:
+    dividing by it is exact, and leaves the largest entry in [1, 2)."""
+    return np.ldexp(1.0, np.frexp(largest)[1] - 1)
+
+
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a (k, rows, cols) stack,
     the Euclidean norm when rows or cols is 1.  Each matrix is first divided
     by the power of two at its largest entry, so that squared entries past
     1e154 do not overflow; the scaling is exact."""
-    scale = np.ldexp(1.0, np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1] - 1)
+    scale = _power_of_two_at(np.abs(stack).max(axis=(1, 2), initial=0.0))
     scaled = stack / scale[:, None, None]
     if 1 in stack.shape[1:]:
         return scale * np.linalg.norm(scaled.reshape(stack.shape[0], -1), axis=1)

@@ -35,7 +35,15 @@ import numpy as np
 from .exceptions import DimensionError, SimulationError
 from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, bang_bang_switches
 from .gains import l1_impulse_gain  # noqa: F401  (perfbench's tracing wraps sim.l1_impulse_gain)
-from .linalg import _MAX_GRID_STEPS, _STACK_ENTRIES, StateSpaceSystem, _check_budget, _Flow, _grid_flow
+from .linalg import (
+    _MAX_GRID_STEPS,
+    _STACK_ENTRIES,
+    StateSpaceSystem,
+    _check_budget,
+    _Flow,
+    _grid_flow,
+    spectral_norm,
+)
 from .quadrature import tail_horizon
 from .signals import (
     InputSignal,
@@ -364,7 +372,7 @@ def verify_gain_equality(
     l1, _, roots, kernel_flow = _l1_gain(sys, sys.c[:0], tol)
     gamma = l1.value
     cert = sys.certificate
-    coef = cert.m * float(np.linalg.norm(sys.b)) * float(np.linalg.norm(sys.c))
+    coef = cert.m * spectral_norm(sys.b) * spectral_norm(sys.c)
     if gamma <= 1e-300:
         horizon = rest = period = lower_target = 0.0
         emp = EmpiricalGains(0.0, 0.0)

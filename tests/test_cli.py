@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 from gainlab import (
     Constant,
@@ -685,6 +687,23 @@ class TestVt:
 
     def test_bad_points(self, oscillator_file, capsys):
         assert main(["vt", oscillator_file, "--points", "0"]) == 1
+
+    def test_single_output_curve_past_the_ascent_budget(self, tmp_path, capsys):
+        # Two inputs and one output: V(T) is the integral of |c exp(As) B|
+        # over [0, T], one per horizon.  The one-step ascent that computed it
+        # refused 1000 points (1000^2 (1 + 8) 2 = 1.8 x 10^7 state entries).
+        a, b, c = np.array([[0.0, 1.0], [-1.0, -1.0]]), np.eye(2), np.array([[1.0, 0.5]])
+        path = tmp_path / "m2p1.json"
+        path.write_text(json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist()}))
+        assert main(["vt", str(path), "--points", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = np.array([[float(v) for v in line.split(",")] for line in captured.out.split()[1:]])
+        assert rows.shape == (1000, 2)
+        kernel = lambda s: np.linalg.norm(c @ scipy.linalg.expm(a * s) @ b)  # noqa: E731
+        for t, value in rows[[0, 499, 999]]:
+            ref = scipy.integrate.quad(kernel, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+            assert abs(value - ref) <= 1e-8
 
 
 class TestSweep:

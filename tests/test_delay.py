@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.linalg
 
 import gainlab.delay as delaymod
-from gainlab import linalg
+from gainlab import linalg, sim
 from gainlab import (
     BangBangInput,
     Constant,
@@ -334,7 +334,7 @@ class TestReferenceIntegrator:
         assert _relative_gap(traj.zs, zs) <= 1e-10
         xi, xi_ref = predictor_error_series(traj, plant)
         assert _relative_gap(xi, reference_error_grid(traj, plant)) <= 1e-13
-        # the closed form starts from the reconstructed xi(0)
+        # the walk's xi(0) = -K exp(A tau) y(0) is the reconstructed one (J(0) = 0)
         np.testing.assert_array_equal(xi_ref[0], xi[0])
 
     def test_matches_reference_on_cli_grid(self, scalar_delay):
@@ -399,6 +399,29 @@ class TestPredictorError:
             residuals.append(predictor_error_residual(traj, scalar_delay))
         assert residuals[0] < 1e-4
         # halving the step shrinks the defect by about four (order two)
+        assert residuals[0] / residuals[1] >= 3.5
+        assert residuals[1] / residuals[2] >= 3.5
+
+    def test_reference_is_the_walks_own_xi(self, scalar_delay, monkeypatch):
+        # Criterion 8's residuals with no simulation past the delay walk: the
+        # reference is the xi that the walk giving z carries, which for a
+        # constant u from rest is (-K exp(A tau) G u / mu)(1 - exp(-mu t)).
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference simulated xi again")
+
+        monkeypatch.setattr(delaymod, "simulate", refuse)
+        monkeypatch.setattr(sim, "simulate", refuse)
+        residuals = []
+        for steps in (50, 100, 200):
+            state = DelayState.resting(scalar_delay, steps)
+            h = scalar_delay.tau / steps
+            traj = simulate_predictor(scalar_delay, Constant(u0=[1.0]), state, 10.0, h)
+            xi, xi_ref = predictor_error_series(traj, scalar_delay)
+            assert xi_ref is traj.xis
+            closed = 0.25 * math.exp(-0.5) * (1.0 - np.exp(-2.0 * traj.times))
+            assert _relative_gap(xi_ref[:, 0], closed) <= 1e-13
+            residuals.append(float(np.max(np.linalg.norm(xi - xi_ref, axis=1))))
+        assert residuals[0] <= 1e-4
         assert residuals[0] / residuals[1] >= 3.5
         assert residuals[1] / residuals[2] >= 3.5
 

@@ -939,10 +939,10 @@ class TestVCurve:
                 assert abs(value - ref) <= 1e-8
 
     def test_single_output_skips_restarts(self, monkeypatch):
-        # Every unit direction of one output is +-1, and the ascent from -1
-        # mirrors the one from +1 bit for bit, so the seeded restarts could
-        # only repeat the first start, and a second step, from the first's
-        # +-1, only confirm it: each horizon takes one start, of one step.
+        # Every unit direction of one output is +-1, and the aligned integral
+        # from -1 mirrors the one from +1 bit for bit, so seeded restarts
+        # could only repeat it: each horizon takes one aligned integral, the
+        # reference ascent's first step from +1.
         rng = np.random.default_rng(31)
         a = random_hurwitz_matrix(rng, n=3)
         sys = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (3, 2)), c=rng.uniform(-2.0, 2.0, (1, 3)))
@@ -964,6 +964,28 @@ class TestVCurve:
         assert len(calls) == hs.size
         reference = reference_terminal_ascent(sys, hs, restarts=8, tol=1e-8)
         np.testing.assert_allclose(curve.values, reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_single_output_never_runs_the_ascent(self, m, monkeypatch):
+        # One output's V(T) is its norm integral: the ascent serves p > 1 only.
+        calls = []
+        ascent = gains._iterative_terminal_output
+
+        def counting(*args):
+            calls.append(args[0].p)
+            return ascent(*args)
+
+        monkeypatch.setattr(gains, "_iterative_terminal_output", counting)
+        rng = np.random.default_rng(40 + m)
+        a = random_hurwitz_matrix(rng, n=3)
+        one = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (3, m)), c=rng.uniform(-2.0, 2.0, (1, 3)))
+        curve = vcurve(one, np.linspace(0.5, 20.0, 40), restarts=8, tol=1e-8)
+        assert curve.exact and all(np.array_equal(d, [1.0]) for d in curve.directions)
+        max_terminal_output(one, 5.0)
+        assert calls == []
+        two = StateSpaceSystem(a=a, b=one.b, c=rng.uniform(-2.0, 2.0, (2, 3)))
+        assert not vcurve(two, [1.0, 2.0], restarts=2, tol=1e-8).exact
+        assert calls == [2]
 
     def test_ascent_costs_one_partition_per_step(self, monkeypatch):
         # One partition per start, horizon and step made 1,706 calls here.

@@ -1,4 +1,10 @@
-"""The package's public surface: every module's ``__all__``, once each."""
+"""The package's public surface: every module's ``__all__``, once each,
+and every attribute that the benchmark's tracing wraps."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import gainlab
 from gainlab import delay, exceptions, gains, linalg, quadrature, signals, sim
@@ -46,3 +52,18 @@ def test_every_export_resolves_to_its_module():
 def test_no_earlier_export_dropped():
     assert len(EXPORTED) == len(set(EXPORTED)) == 67
     assert set(EXPORTED) <= set(gainlab.__all__)
+
+
+def test_every_tracing_boundary_resolves(monkeypatch):
+    # perfbench/tracing.py wraps gainlab.<module>.<attribute> for each of its
+    # BOUNDARIES; an attribute that a change moves or deletes breaks it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.BOUNDARIES) == 35
+    for module_name, attr, _, _ in tracing.BOUNDARIES:
+        module = importlib.import_module(f"gainlab.{module_name}")
+        assert callable(getattr(module, attr, None)), f"gainlab.{module_name}.{attr}"

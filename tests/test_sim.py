@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gainlab import (
     bang_bang_switches,
     empirical_gains,
     evaluate,
+    gain_report,
     l1_impulse_gain,
     mat_exp,
     max_terminal_output,
@@ -158,20 +160,53 @@ def _assert_matches_reference(traj, ref):
     assert np.all(np.abs(traj.states - ref.states) <= 1e-12 * scale)
 
 
+def _gain_figures(system):
+    """worstcase's figures (the input's switches and period, the outputs
+    over three periods) and verify's record, which must pass."""
+    signal, spec = worst_case_periodic_input(system, 4.0, 1e-6)
+    outputs = simulate(system, signal, np.zeros(system.n), 3.0 * spec.period, spec.period / 4096).outputs
+    record = verify_gain_equality(system, 0.01)
+    assert record.passed
+    return {
+        "worstcase": np.append(signal.base.switch_times, spec.period),
+        "worstcase-outputs": outputs,
+        "verify": np.array([getattr(record, name) for name in vars(record) if name != "passed"]),
+    }
+
+
 def _scaled_figures(k):
     """simulate's, worstcase's and verify's figures for A = -1, B = 10^k,
     C = 10^-k, whose kernel is e^{-s} for every k."""
     system = StateSpaceSystem(a=[[-1.0]], b=[[10.0**k]], c=[[10.0**-k]])
-    figures = {
+    return {
         "constant": simulate(system, Constant([1.0]), np.zeros(1), 5.0, 0.01).outputs,
         "sinusoid": simulate(system, Sinusoid([1.0], 2.0), np.zeros(1), 5.0, 0.01).outputs,
+        **_gain_figures(system),
     }
-    if k <= 40:
-        signal, spec = worst_case_periodic_input(system, 4.0, 1e-6)
-        figures["worstcase"] = simulate(system, signal, np.zeros(1), 3.0 * spec.period, spec.period / 4096).outputs
-        record = verify_gain_equality(system, 0.01)
-        figures["verify"] = np.array([getattr(record, name) for name in vars(record) if name != "passed"])
-    return figures
+
+
+@functools.cache
+def _scaled_kernel_figures(k, c):
+    """gain_report's, worstcase's and verify's figures for A = diag(-1, -2),
+    B = 10^k (1, 1)', C = 10^-k c, whose kernel c_1 e^{-s} + c_2 e^{-2s}
+    changes sign once for every k."""
+    b, c = np.full((2, 1), 10.0**k), [np.multiply(c, 10.0**-k)]
+    system = StateSpaceSystem(a=np.diag([-1.0, -2.0]), b=b, c=c)
+    report = gain_report(system)
+    assert report.positivity is None and report.exact.method == "l1-impulse"
+    details = report.exact.details
+    summary = [details["horizon"], *details["component_integrals"], *details["roots"]]
+    lowers = [low.value for low in report.lowers]
+    return {
+        "report": np.array([report.exact.value, *summary, details["unresolved_bound"], *lowers]),
+        **_gain_figures(system),
+    }
+
+
+def _assert_figures_match(figures, reference):
+    for name, values in figures.items():
+        gap = np.max(np.abs(values - reference[name])) / np.max(np.abs(reference[name]))
+        assert gap <= 1e-12, (name, gap)
 
 
 class TestScaledInputMatrix:
@@ -181,12 +216,22 @@ class TestScaledInputMatrix:
 
     @pytest.mark.parametrize("k", [10, 20, 40, 200])
     def test_figures_match_unit_scaling(self, k):
-        # worstcase and verify at k = 200 also run the gain partition, whose
-        # squared norms of b and c leave double range; they are held to k <= 40.
-        reference = _scaled_figures(0)
-        for name, values in _scaled_figures(k).items():
-            gap = np.max(np.abs(values - reference[name])) / np.max(np.abs(reference[name]))
-            assert gap <= 1e-12, (name, gap)
+        # At k = 200 the squares of b's and c's entries leave double range:
+        # worstcase's and verify's gain partition scales both by powers of two.
+        _assert_figures_match(_scaled_figures(k), _scaled_figures(0))
+
+
+class TestScaledKernelPartition:
+    """The sign partition divides b and each row by the power of two at
+    its largest entry, and the tail rule and verify take scaled norms, so
+    B -> 10^k B, C -> 10^-k C moves no figure.  At k = 200 the partition
+    squared entries past double range: it found no zero, certified
+    positivity and reported the dc value 0.5 for the gain 0.8333."""
+
+    @pytest.mark.parametrize("c", [(1.0, -3.0), (2.0, -3.0)], ids=["c13", "c23"])
+    @pytest.mark.parametrize("k", [100, 160, 170, 200, 250])
+    def test_figures_match_unit_scaling(self, k, c):
+        _assert_figures_match(_scaled_kernel_figures(k, c), _scaled_kernel_figures(0, c))
 
 
 class TestReferenceSimulator:
