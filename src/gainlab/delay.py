@@ -337,7 +337,7 @@ def predictor_error_residual(traj: DelayTrajectory, sys: DelayPredictorSystem) -
     """Largest Euclidean gap between the reconstructed prediction error and
     its closed form; a direct measure of the trapezoid reconstruction's error."""
     xi_grid, xi_ref = predictor_error_series(traj, sys)
-    return float(np.max(np.linalg.norm(xi_grid - xi_ref, axis=1)))
+    return float(np.max(_spectral_norms((xi_grid - xi_ref)[:, None])))
 
 
 @dataclass(frozen=True)
@@ -454,9 +454,7 @@ def delay_empirical_check(
 
     def entry(signal: InputSignal) -> DelayEmpiricalEntry:
         ys = _loop_states(sys, signal, rest, hist_steps, n_steps, h)[0]
-        # One power-of-two scale keeps squares of states past 1e154 finite, exactly.
-        scale = np.ldexp(1.0, int(np.frexp(np.abs(ys).max())[1]))
-        measured = _measured_gains(times, scale * np.linalg.norm(ys / scale, axis=1), window)
+        measured = _measured_gains(times, _spectral_norms(ys[:, None]), window)
         sup, oag = measured.sup_gain, bounds.oag_bound
         return DelayEmpiricalEntry(sup, measured.asymptotic_gain, oag - sup, sup <= oag + tolerance)
 

@@ -356,7 +356,7 @@ def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
     if horizon > 0.0:
         roots, signed, lost, flow = _partition(sys, rows, tol / 2.0, [horizon])
         ints = (signed[0] * rows).sum(axis=1)
-    value = float(np.linalg.norm(ints[: sys.p]))
+    value = spectral_norm(ints[: sys.p])
     if sys.p == 1 and horizon > 0.0:
         periodic = abs(float(sys.c[0] @ np.linalg.solve(np.eye(sys.n) - flow.exp_end, signed[0, 0])))
         # gain_report's slack for a pair of figures computed to tol.
@@ -486,7 +486,7 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
             x = [_aligned_terminal(sys, flow, horizons[horizon_of[j]], d[j], tol) for j in live]
             x = np.array(x)[:, 1:]
         y = x @ sys.c.T
-        value = np.linalg.norm(y, axis=1)
+        value = linalg._spectral_norms(y[:, None])
         up = value > best[live]
         best[live[up]], best_dir[live[up]] = value[up], y[up] / value[up, None]
         stop = (value <= 0) | (value - last[live] <= tol * np.maximum(1.0, value))
@@ -509,7 +509,7 @@ def _aligned_terminal(sys, flow, horizon, d, tol):
     def integrand(s: np.ndarray) -> np.ndarray:
         eb = flow.advance(b, horizon - s)
         v = np.swapaxes(eb, 1, 2) @ ctd
-        nv = np.linalg.norm(v, axis=1)
+        nv = linalg._spectral_norms(v[:, None])
         out = np.zeros((s.size, 1 + sys.n))
         live = nv != 0.0
         out[live, 0] = nv[live]
@@ -575,7 +575,7 @@ def vcurve(
     else:
         flow = _grid_flow(sys.a, hs[-1], hs[-1])[0]
         x = np.array([_aligned_terminal(sys, flow, t, np.ones(1), tol)[1:] for t in hs])
-        values = np.linalg.norm(x @ sys.c.T, axis=1)
+        values = linalg._spectral_norms((x @ sys.c.T)[:, None])
     return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
 
 
@@ -648,11 +648,10 @@ def sinusoid_sweep(sys: StateSpaceSystem, omegas) -> np.ndarray:
     out, chunk = np.empty(grid.size), max(1, _STACK_ENTRIES // (sys.n * sys.n))
     for start in range(0, grid.size, chunk):
         omega = grid[start : start + chunk]
-        scale = np.ldexp(1.0, np.maximum(0, np.frexp(omega)[1] - 1))
+        scale = np.maximum(1.0, linalg._power_of_two_at(omega))
         shifted = 1j * (omega / scale)[:, None, None] * np.eye(sys.n) - sys.a / scale[:, None, None]
         g = (sys.c @ np.linalg.solve(shifted, sys.b[None]))[:, :, 0]
-        # A power of two keeps |G|^2 clear of underflow and overflow.
-        unit = np.ldexp(1.0, np.frexp(abs(g).max(axis=1))[1])[:, None]
+        unit = linalg._power_of_two_at(abs(g).max(axis=1))[:, None]  # |G|^2 stays in range
         re, im = g.real / unit, g.imag / unit
         squares = np.hypot((re * re - im * im).sum(axis=1), 2.0 * (re * im).sum(axis=1))
         psi = np.sqrt(0.5 * ((re * re + im * im).sum(axis=1) + squares))
@@ -669,16 +668,15 @@ def _sinusoid_phi(sys: StateSpaceSystem, omega: float) -> tuple[float, float, fl
     d^2G/dt^2 = omega G' + omega^2 G''; phi = (||G||^2 + |S|) / 2 with
     S = sum_k G_k^2, differentiated term by term (|S|' = Re(S* S') / |S|).
     """
-    scale = math.ldexp(1.0, max(0, math.frexp(omega)[1] - 1))
+    scale = max(1.0, float(linalg._power_of_two_at(omega)))
     w = omega / scale
     r = np.linalg.inv(1j * w * np.eye(sys.n) - sys.a / scale)
     x1 = r @ sys.b[:, 0]
     x2 = r @ x1
-    # Columns G, dG/dt, d^2G/dt^2 (each times s), scaled by a power of two
-    # that keeps their products clear of underflow and overflow.
+    # Columns G, dG/dt, d^2G/dt^2 (each times s), their products kept in range.
     steps = [[1.0, 0.0, 0.0], [0.0, -1j * w, -1j * w], [0.0, 0.0, -2.0 * w * w]]
     y = sys.c @ np.column_stack((x1, x2, r @ x2)) @ steps
-    y /= math.ldexp(1.0, math.frexp(float(np.abs(y).max()))[1])
+    y /= linalg._power_of_two_at(np.abs(y).max())
     # h_jk = sum conj(y_j) y_k and q_jk = sum y_j y_k over the outputs, so
     # ||G||^2 = h_00 and S = q_00, S' = 2 q_01, S'' = 2 (q_02 + q_11).
     (h00, h01, h02), (_, h11, _) = (y.conj().T @ y)[:2].tolist()
@@ -773,7 +771,7 @@ def _onb_bound(sys, random_bases: int, tol: float, seed: int):
     draws = np.random.default_rng(seed).standard_normal((random_bases * (sys.p > 1), sys.p, sys.p))
     rows = [np.linalg.qr(g)[0].T @ sys.c for g in draws]
     l1, ints, _, _ = _l1_gain(sys, np.reshape(rows, (-1, sys.n)), tol)
-    values = [l1.value, *(float(np.linalg.norm(v)) for v in ints.reshape(-1, sys.p))]
+    values = [l1.value, *linalg._spectral_norms(ints.reshape(-1, 1, sys.p)).tolist()]
     best = int(np.argmin(values))
     return l1, GainEstimate(
         value=values[best],

@@ -10,7 +10,10 @@ the one check that refuses a request past it (_check_budget); a
 Kronecker-product Lyapunov solver; and the decay certificate (M, sigma) read
 off its solution.  Positive-definiteness probes, symmetric
 eigendecompositions and spectral norms go to LAPACK through numpy.linalg, on
-float64 ndarrays.
+float64 ndarrays.  Two rules, here alone, keep numbers in double range: the
+exact scale _power_of_two_at (gains' kernel flows, partition rows and
+sinusoids, sim's input scale) and the norm after it, _spectral_norms (Blue,
+ACM TOMS 1978), of each gain, output, state and V(T) in gains, sim and delay.
 """
 
 from __future__ import annotations
@@ -278,15 +281,12 @@ def _power_of_two_at(largest):
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (k, rows, cols) stack,
-    the Euclidean norm when rows or cols is 1.  Each matrix is first divided
-    by the power of two at its largest entry, so that squared entries past
-    1e154 do not overflow; the scaling is exact."""
+    """Largest singular value of each matrix of a (k, rows, cols) stack, k >= 0,
+    the Euclidean norm for a row or column, each matrix divided first by the
+    power of two at its largest entry, exactly, so that no square overflows."""
     scale = _power_of_two_at(np.abs(stack).max(axis=(1, 2), initial=0.0))
-    scaled = stack / scale[:, None, None]
-    if 1 in stack.shape[1:]:
-        return scale * np.linalg.norm(scaled.reshape(stack.shape[0], -1), axis=1)
-    return scale * np.linalg.norm(scaled, 2, axis=(-2, -1))
+    order = None if 1 in stack.shape[1:] else 2
+    return scale * np.linalg.norm(stack / scale[:, None, None], order, axis=(1, 2))
 
 
 def mat_exp(a, t: float) -> np.ndarray:
@@ -386,8 +386,7 @@ def symmetric_eigen(s) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_norm(m) -> float:
     """Largest singular value of ``m`` (Euclidean norm for vector shapes)."""
-    arr = np.asarray(m, dtype=float)
-    return float(_spectral_norms(arr.reshape((1,) + np.atleast_2d(arr).shape))[0])
+    return float(_spectral_norms(np.atleast_2d(np.asarray(m, dtype=float))[None])[0])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The package's public surface: every module's ``__all__``, once each,
 and every attribute that the benchmark's tracing wraps."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -67,3 +68,21 @@ def test_every_tracing_boundary_resolves(monkeypatch):
     for module_name, attr, _, _ in tracing.BOUNDARIES:
         module = importlib.import_module(f"gainlab.{module_name}")
         assert callable(getattr(module, attr, None)), f"gainlab.{module_name}.{attr}"
+
+
+def test_power_of_two_scaling_lives_in_linalg():
+    # linalg._power_of_two_at is the package's one exact power-of-two scale
+    # and _spectral_norms its one overflow-safe norm: no other module calls
+    # frexp or ldexp, from numpy or math, or imports them by name.
+    users = set()
+    for path in Path(gainlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):  # np.frexp(...), math.ldexp(...), frexp(...)
+                names = {getattr(node.func, "attr", getattr(node.func, "id", None))}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"frexp", "ldexp"}:
+                users.add(path.stem)
+    assert users == {"linalg"}
