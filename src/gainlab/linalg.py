@@ -10,10 +10,10 @@ the one check that refuses a request past it (_check_budget); a
 Kronecker-product Lyapunov solver; and the decay certificate (M, sigma) read
 off its solution.  Positive-definiteness probes, symmetric
 eigendecompositions and spectral norms go to LAPACK through numpy.linalg, on
-float64 ndarrays.  Two rules, here alone, keep numbers in double range: the
-exact scale _power_of_two_at (gains' kernel flows, partition rows and
-sinusoids, sim's input scale) and the norm after it, _spectral_norms (Blue,
-ACM TOMS 1978), of each gain, output, state and V(T) in gains, sim and delay.
+float64 ndarrays.  Two helpers here are the package's only range-keeping
+scale and norm: the exact power-of-two scale _power_of_two_at and the norm
+built on it, _spectral_norms (Blue, ACM TOMS 1978), whose squares do not
+overflow.
 """
 
 from __future__ import annotations

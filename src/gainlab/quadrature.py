@@ -146,7 +146,7 @@ def tail_horizon(sigma: float, coefficient: float, tail_tol: float) -> float:
 
     Bounds the discarded tail of integral_0^inf of any kernel dominated by
     coefficient * exp(-sigma s).  Returns 0 when the whole integral already
-    fits inside the budget; past double range the ratio's log is a difference of logs.
+    fits inside the budget.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -154,6 +154,6 @@ def tail_horizon(sigma: float, coefficient: float, tail_tol: float) -> float:
         raise ValueError("tail_tol must be positive")
     if coefficient <= 0:
         return 0.0
-    ratio = coefficient / (sigma * tail_tol) if sigma * tail_tol > 0 else math.inf
-    t = math.log(ratio) if ratio < math.inf else math.log(coefficient) - math.log(sigma) - math.log(tail_tol)
+    # A difference of logs: the ratio itself may overflow or underflow.
+    t = math.log(coefficient) - math.log(sigma) - math.log(tail_tol)
     return max(0.0, t / sigma)

@@ -42,7 +42,6 @@ from .linalg import (
     _check_budget,
     _Flow,
     _grid_flow,
-    _power_of_two_at,
     _spectral_norms,
     spectral_norm,
 )
@@ -99,14 +98,12 @@ def _grid_steps(t_end: float, h: float) -> int:
 
 def _input_scale(a: np.ndarray, block: np.ndarray) -> float:
     """s, the largest power of two up to 1 with ||s block||_1 <= max(1, ||a||_1),
-    so that a large input matrix does not set the flow's cells; past the bound it is
-    read off the block over the power of two at its largest entry (finite 1-norm)."""
-    bound = max(1.0, float(np.linalg.norm(a, 1)))
-    if np.linalg.norm(block, 1) <= bound:
-        return 1.0
-    unit = _power_of_two_at(np.abs(block).max())
-    s = _power_of_two_at(bound / np.linalg.norm(block / unit, 1)) / unit
-    return float(s if np.linalg.norm(s * block, 1) <= bound else 0.5 * s)
+    so that a large input matrix does not set the flow's cells.  A power of
+    two scales exactly, and s = 1 leaves a block that fits unchanged."""
+    bound, s = max(1.0, float(np.linalg.norm(a, 1))), 1.0
+    while np.linalg.norm(s * block, 1) > bound:
+        s *= 0.5
+    return s
 
 
 def _generator(a: np.ndarray, b: np.ndarray, seg: Segment) -> tuple[np.ndarray, float]:

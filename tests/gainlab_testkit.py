@@ -59,15 +59,6 @@ def expm_times(a, s, b):
     return out
 
 
-def reference_input_scale(a, block):
-    """sim._input_scale by halving: s, the largest power of two up to 1 with
-    ||s block||_1 <= max(1, ||a||_1), one 1-norm per factor of two."""
-    bound, s = max(1.0, float(np.linalg.norm(a, 1))), 1.0
-    while np.linalg.norm(s * block, 1) > bound:
-        s *= 0.5
-    return s
-
-
 def random_hurwitz_matrix(rng, n_max=5, abscissa=-0.2, scale=2.0, n=None):
     """Random matrix with entries in [-scale, scale], shifted so the largest
     eigenvalue real part is at most ``abscissa``; n-by-n, or of a random size

@@ -227,10 +227,6 @@ class TestTailHorizon:
             logs = math.log(coef) - math.log(sigma) - math.log(tol)
             assert tail_horizon(sigma, coef, tol) == pytest.approx(logs / sigma, rel=1e-15)
 
-    def test_finite_ratio_keeps_one_log(self):
-        for sigma, coef, tol in ((0.5, 3.0, 1e-8), (1e-3, 1e290, 1e-9), (7.0, 2.5, 1e-300)):
-            assert tail_horizon(sigma, coef, tol) == math.log(coef / (sigma * tol)) / sigma
-
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             tail_horizon(0.0, 1.0, 1e-8)

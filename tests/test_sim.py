@@ -34,7 +34,6 @@ from gainlab_testkit import (
     quad_kernel_integrals,
     random_hurwitz_matrix,
     random_siso_system,
-    reference_input_scale,
     reference_simulate,
     segmentwise_simulate,
 )
@@ -220,51 +219,6 @@ class TestScaledInputMatrix:
         # At k = 200 the squares of b's and c's entries leave double range:
         # worstcase's and verify's gain partition scales both by powers of two.
         _assert_figures_match(_scaled_figures(k), _scaled_figures(0))
-
-
-class TestInputScale:
-    """sim._input_scale's closed form gives the halving loop's scale
-    (gainlab_testkit.reference_input_scale) exactly.  The simulator calls it
-    with overflow ignored, as here, so a block whose 1-norm overflows is
-    one more block."""
-
-    @staticmethod
-    def _assert_same(a, block):
-        with np.errstate(over="ignore"):
-            assert sim._input_scale(a, block) == reference_input_scale(a, block)
-
-    def test_seeded_blocks(self):
-        rng = np.random.default_rng(44)
-        for exponent in np.repeat(np.linspace(-10.0, 300.0, 32), 4):
-            n, m = (int(d) for d in rng.integers(1, 5, size=2))
-            a = random_hurwitz_matrix(rng, n=n) * 10.0 ** rng.uniform(-2.0, 4.0)
-            self._assert_same(a, rng.standard_normal((n, m)) * 10.0**exponent)
-            # Entries of many magnitudes: the scaled ones underflow in part.
-            self._assert_same(a, rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-300.0, exponent, (n, m)))
-
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 2)])
-    def test_zero_block(self, shape):
-        assert sim._input_scale(-np.eye(shape[0]), np.zeros(shape)) == 1.0
-
-    @pytest.mark.parametrize("a_exponent", [-3, 0, 1, 5])
-    def test_power_of_two_blocks(self, a_exponent):
-        # Ratios of the bound to the block's 1-norm that are powers of two
-        # themselves, where the scale meets the bound exactly.
-        a = -(2.0**a_exponent) * np.eye(2)
-        for exponent in (-5, 0, 1, 2, 10, 500, 1000, 1022):
-            for block in ([[1.0], [1.0]], [[1.0, -0.5], [0.5, 1.0]], [[3.0], [0.0]]):
-                self._assert_same(a, 2.0**exponent * np.array(block))
-
-    @pytest.mark.parametrize(
-        "block",
-        [[[8.2e307], [-1.6e308]], [[1.7e308], [1.7e308]], [[1.79e308, 1.0], [1.79e308, -1.0]], [[1e308]] * 4],
-        ids=["predictor-drive", "two-rows", "two-columns", "four-rows"],
-    )
-    def test_overflowing_one_norm(self, block):
-        # predictor-drive: (exp(709), -2 exp(709)), the tau = 709 predictor's
-        # input column, whose column sum overflows.
-        for a in (-np.eye(len(block)), -1e300 * np.eye(len(block))):
-            self._assert_same(a, np.array(block))
 
 
 class TestScaledKernelPartition:
