@@ -284,8 +284,11 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a (k, rows, cols) stack, k >= 0,
     the Euclidean norm for a row or column, each matrix divided first by the
     power of two at its largest entry, exactly, so that no square overflows."""
-    scale = _power_of_two_at(np.abs(stack).max(axis=(1, 2), initial=0.0))
-    order = None if 1 in stack.shape[1:] else 2
+    k, rows, cols = stack.shape
+    # The entries run down axis 0, so the max is one long reduction, not k short ones.
+    entries = np.abs(stack.reshape(k, rows * cols).T, order="C")
+    scale = _power_of_two_at(entries.max(axis=0, initial=0.0))
+    order = None if 1 in (rows, cols) else 2
     return scale * np.linalg.norm(stack / scale[:, None, None], order, axis=(1, 2))
 
 
