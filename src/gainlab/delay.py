@@ -222,7 +222,7 @@ def simulate_predictor(
     rows, each refused by linalg._check_budget.  y and z are read off two
     exact walks (see the module docstring), so ``h`` sets only the recording
     density.  A loop too stiff for the walk's cells is refused with
-    ValueError (see _MAX_STIFFNESS), and a state that leaves double range
+    ValueError (see linalg._MAX_STIFFNESS), and a state that leaves double range
     raises SimulationError.
     """
     _check_input(sys, signal)
@@ -266,12 +266,6 @@ def _input_states(signal: InputSignal, t: np.ndarray) -> np.ndarray:
     return evaluate(signal, t)
 
 
-# The F2 walk's cells 1 / ||F2||_1 keep the certificate's decay sigma, and so
-# the states, to about 3 eps ||F2||_1 / sigma relative (4.6e-6 at mu = 1e10,
-# sigma = 1.5; P = 0 at mu = 1e30): a stiffer loop is refused.
-_MAX_STIFFNESS = 10**9
-
-
 def _loop_states(sys, signal, y0, hist_steps, n_steps, h):
     """(ys, zs, xis, flow, level, exp(A tau)) of a checked input from a
     resting z history: the grid states of y, z and xi, and the flow of the
@@ -280,14 +274,10 @@ def _loop_states(sys, signal, y0, hist_steps, n_steps, h):
     the walk's scaled input state w / s, so R(t) = E w(t - tau) / s."""
     n, m, flows = sys.n, sys.m, {}
     f2 = np.block([[sys.closed_loop, sys.b], [np.zeros((m, n)), -sys.mu * np.eye(m)]])
-    stiffness = float(np.linalg.norm(f2, 1)) / sys.certificate.sigma
-    if stiffness > _MAX_STIFFNESS:
-        raise ValueError(
-            f"the loop is too stiff to simulate: ||F2||_1 / sigma = {stiffness:.4g} exceeds "
-            f"{_MAX_STIFFNESS:g} (mu = {sys.mu:g})"
-        )
     ys = np.empty((n_steps + 1, n))
-    ys[: hist_steps + 1] = _walk(sys.a, sys.g, signal, y0, hist_steps * h, h, flows)[: n_steps + 1]
+    # The plant's walk over [0, tau] has no certificate to check; the F2 walk has the loop's.
+    plant = _walk(sys.a, sys.g, signal, y0, hist_steps * h, h, flows, None)
+    ys[: hist_steps + 1] = plant[: n_steps + 1]
     flow, level, scale = next(iter(flows.values()))
     # A diverging state overflows to inf or nan; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,7 +287,8 @@ def _loop_states(sys, signal, y0, hist_steps, n_steps, h):
         drive, start = np.vstack((gain, -sys.k @ gain)), np.concatenate((start, -sys.k @ start))
         if not (np.isfinite(drive).all() and np.isfinite(start).all()):
             raise OverflowError("the predictor's input gain exp(A tau) G overflowed double precision")
-        p_xi = _walk(f2, drive, signal, start, n_steps * h, h, {})
+        stiff = sys.certificate.sigma, "loop", "F2", f" (mu = {sys.mu:g})"
+        p_xi = _walk(f2, drive, signal, start, n_steps * h, h, {}, stiff)
         zs = p_xi[:, n:] + p_xi[:, :n] @ sys.k.T
         tail = n_steps - hist_steps
         if tail > 0:

@@ -426,7 +426,8 @@ def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | Non
     has a zero or an unresolved cell on the horizon past which its integral
     is below 1e-8 (so the DC value misses the L1 gain by at most 2e-8 per
     output); it runs on [0, 1/sigma] first, so an early sign change rejects
-    cheaply.  Returns None when nothing applies.
+    cheaply.  A horizon of 0 (the whole kernel within the tail) runs no
+    partition, so proves nothing.  Returns None when nothing applies.
     """
     if sys.m != 1:
         raise DimensionError("positivity certificates require a single input")
@@ -434,11 +435,12 @@ def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | Non
     if pos is not None:
         return pos
     horizon = _tail_horizon(sys, sys.c, _POSITIVITY_TAIL)
-    if horizon > 0.0:
-        for end in sorted({min(horizon, 1.0 / sys.certificate.sigma), horizon}):
-            roots, _, lost, _ = _partition(sys, sys.c, _POSITIVITY_TAIL, [end])
-            if lost.any() or any(r.size for r in roots):
-                return None
+    if horizon == 0.0:
+        return None
+    for end in sorted({min(horizon, 1.0 / sys.certificate.sigma), horizon}):
+        roots, _, lost, _ = _partition(sys, sys.c, _POSITIVITY_TAIL, [end])
+        if lost.any() or any(r.size for r in roots):
+            return None
     return PositivityCertificate.SIGN_PARTITION
 
 
@@ -584,9 +586,9 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
 
     For a SISO system the optimizer of |y(horizon)| is u(s) = sgn of the
     kernel C exp(A (horizon - s)) B, with sgn(0) taken as +1: it switches at
-    horizon - r for the kernel's certified zeros r, good to 1e-12.  An
-    identically vanishing kernel yields the zero-input marker.  A horizon
-    past the cell budget is refused.
+    horizon - r for the kernel's certified zeros r, good to 1e-12.  A
+    kernel that vanishes to the rounding of the data (_vanishes) yields the
+    zero-input marker.  A horizon past the cell budget is refused.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("bang-bang construction requires a SISO system")
@@ -598,18 +600,34 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
 def _bang_bang_switches(sys, horizon: float, flag=None) -> BangBangInput:
     """bang_bang_switches past its argument checks; verify's derived horizon passes no flag."""
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
-    roots, signed, _, flow = _partition(sys, sys.c, 1e-12 * scale, [horizon], flag)
-    return _bang_bang(sys, flow, roots[0], horizon, signed[0, 0] @ sys.c[0])
+    roots, _, _, flow = _partition(sys, sys.c, 1e-12 * scale, [horizon], flag)
+    return _bang_bang(sys, flow, roots[0], horizon)
 
 
-def _bang_bang(sys, flow: _KernelFlow, roots, horizon: float, integral: float) -> BangBangInput:
+def _vanishes(sys: StateSpaceSystem) -> bool:
+    """Whether the SISO kernel c exp(As) b vanishes to the rounding of the
+    data: whether each Markov parameter c A^k b, k < n (which fix the
+    kernel, by Cayley-Hamilton), is within 4 (k + 1) n eps of its
+    absolute-value bound |c| |A|^k |b|, the rounding scale of the data
+    themselves, so a tiny kernel of exact data never counts.  Each step
+    divides the Krylov vectors A^k b and |A|^k |b| by the power of two at the
+    bound's largest entry, exactly, so neither leaves double range."""
+    c = sys.c[0] / linalg._power_of_two_at(np.abs(sys.c).max())
+    v, w, abs_a = sys.b[:, 0], np.abs(sys.b[:, 0]), np.abs(sys.a)
+    for k in range(sys.n):
+        scale = linalg._power_of_two_at(w.max())
+        v, w = v / scale, w / scale
+        if abs(c @ v) > 4 * (k + 1) * sys.n * 2.0**-52 * (abs(c) @ w):
+            return False
+        v, w = sys.a @ v, abs_a @ w
+    return True
+
+
+def _bang_bang(sys, flow: _KernelFlow, roots, horizon: float) -> BangBangInput:
     """bang_bang_switches's input on [0, horizon] from a partition of the
     kernel c exp(As) b on a flow reaching at least ``horizon``: ``roots`` its
-    increasing zeros, ``integral`` its L1 norm on [0, horizon] or on the
-    flow's longer span (an upper bound).  An integral of at most 1e-14 |c| |b|
-    per unit of horizon marks an identically vanishing kernel."""
-    scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
-    zero = bool(integral <= 1e-14 * scale * horizon)
+    increasing zeros.  A kernel that _vanishes gets the zero-input marker."""
+    zero = _vanishes(sys)
     lags = roots[(roots > 1e-12) & (roots < horizon - 1e-12) & (not zero)]
     switches = horizon - lags[::-1]
     # The first sign is the kernel's between its last zero and the horizon.
@@ -945,9 +963,10 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     only) with an explanatory note.  A single-input report takes positivity
     from structure (then one output needs no partition at all) or else from
     its one sign partition, of C's rows and, for several outputs, the ONB
-    bound's drawn bases: no zero and nothing unresolved in any of C's rows
-    certifies SIGN_PARTITION, and as each of their tails is within
-    tol / (2p) the dc value is then exact to tol (plus 1e-12 relative).
+    bound's drawn bases: a partition that ran (a horizon past 0) with no zero
+    and nothing unresolved in any of C's rows certifies SIGN_PARTITION, and
+    as each of their tails is within tol / (2p) the dc value is then exact
+    to tol (plus 1e-12 relative).
     ConsistencyError is raised if any lower or exact figure exceeds any
     upper or exact one beyond their combined tolerances.
     """
@@ -959,7 +978,8 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
         pos = _structural_positivity(sys, flags)
         if pos is None or sys.p > 1:
             l1, onb = _onb_bound(sys, random_bases=4, tol=tol, seed=seed)
-            if pos is None and l1.details["unresolved_bound"] == 0.0 and not any(l1.details["roots"]):
+            d = l1.details
+            if pos is None and d["horizon"] > 0.0 and d["unresolved_bound"] == 0.0 and not any(d["roots"]):
                 pos = PositivityCertificate.SIGN_PARTITION
             if sys.p > 1:
                 uppers = [l1, onb]

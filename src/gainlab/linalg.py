@@ -76,6 +76,11 @@ _STACK_ENTRIES = 65536
 _MAX_GRID_STEPS = 10**7
 _MAX_DELAY_WORK = 65 * _MAX_GRID_STEPS
 _MAX_POINTS = 10**6
+# A walk on cells 1 / ||G||_1 keeps a decay rate sigma, and so its states,
+# only to about 3 eps ||G||_1 / sigma relative (4.6e-6 at ||G||_1 / sigma =
+# 6.7e9; the states of A = diag(-1e10, -1) under u = 1 were 2.4e-6 off at
+# t = 5): _check_stiffness refuses a stiffer generator.
+_MAX_STIFFNESS = 10**9
 # A cell flow's Taylor series stops at its (c M)^18 / 18! term: with
 # ||c M||_1 <= 1 the terms left out are below 8.7e-18 relative.
 _CELL_TERMS = 19
@@ -88,6 +93,18 @@ def _check_budget(need, limit: int, what: str, flags: str) -> None:
     count (a float ratio, or inf), exceeds ``limit``."""
     if need >= limit + 0.5:
         raise ValueError(f"{need:.10g} {what} exceeds the limit of {limit} ({flags})")
+
+
+def _check_stiffness(g: np.ndarray, sigma: float, what: str, symbol: str, note: str) -> None:
+    """Raises ValueError when ||g||_1 / sigma exceeds _MAX_STIFFNESS, naming
+    ``what`` the walk simulates, its generator's ``symbol``, the ratio and
+    the limit, then ``note``."""
+    stiffness = float(np.linalg.norm(g, 1)) / sigma
+    if stiffness > _MAX_STIFFNESS:
+        raise ValueError(
+            f"the {what} is too stiff to simulate: ||{symbol}||_1 / sigma = {stiffness:.4g} "
+            f"exceeds {_MAX_STIFFNESS:g}{note}"
+        )
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

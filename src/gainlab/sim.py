@@ -33,13 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, SimulationError
-from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, bang_bang_switches
+from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, _vanishes, bang_bang_switches
 from .gains import l1_impulse_gain  # noqa: F401  (perfbench's tracing wraps sim.l1_impulse_gain)
 from .linalg import (
     _MAX_GRID_STEPS,
     _STACK_ENTRIES,
     StateSpaceSystem,
     _check_budget,
+    _check_stiffness,
     _Flow,
     _grid_flow,
     _spectral_norms,
@@ -148,19 +149,28 @@ def simulate(
         raise DimensionError(f"x0 must have length {sys.n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
-    return _trajectory(sys, _walk(sys.a, sys.b, signal, x, t_end, h, {}), h)
+    return _trajectory(sys, _walk(sys.a, sys.b, signal, x, t_end, h, {}, _stiffness(sys)), h)
+
+
+def _stiffness(sys: StateSpaceSystem) -> tuple:
+    """_walk's ``stiff`` for a standard system: A's decay rate, and the names
+    linalg._check_stiffness gives a refused generator."""
+    return sys.certificate.sigma, "system", "G", " (G the flow of the state and the input)"
 
 
 def _trajectory(sys: StateSpaceSystem, states: np.ndarray, h: float) -> Trajectory:
     return Trajectory(times=np.arange(len(states)) * h, states=states, outputs=states @ sys.c.T, step=h)
 
 
-def _walk(a, b, signal, x, t_end, h, flows) -> np.ndarray:
+def _walk(a, b, signal, x, t_end, h, flows, stiff) -> np.ndarray:
     """The grid states of x' = Ax + Bu from the checked state x, for any
     square A (Hurwitz or not).  A generator met again (every constant
     segment has the same one) reuses its (flow, orbit level, input scale)
     in ``flows``, keyed on what G depends on, so G is formed once; the
-    caller may read the flows afterwards."""
+    caller may read the flows afterwards.  A walk with a certificate passes
+    ``stiff``, its decay rate sigma and the names of linalg._check_stiffness,
+    which refuses each new G whose cells would lose that decay; None checks
+    nothing."""
     if signal_dim(signal) != b.shape[1]:
         raise DimensionError(
             f"input dimension {signal_dim(signal)} does not match system m={b.shape[1]}"
@@ -180,6 +190,8 @@ def _walk(a, b, signal, x, t_end, h, flows) -> np.ndarray:
             key = seg.kind if seg.kind == "const" else (seg.omega, seg.direction.tobytes())
             if key not in flows:
                 g, s = _generator(a, b, seg)
+                if stiff is not None:
+                    _check_stiffness(g, *stiff)
                 flows[key] = (*_grid_flow(g, h, t_final), s)
             flow, j, s = flows[key]
             w = seg.value if seg.kind == "const" else [math.sin(seg.theta0), math.cos(seg.theta0)]
@@ -229,7 +241,8 @@ def _one_period(
     exp(A period) top left.
     """
     flows, h = {}, period / steps
-    zero_state = _trajectory(sys, _walk(sys.a, sys.b, signal, np.zeros(sys.n), period, h, flows), h)
+    states = _walk(sys.a, sys.b, signal, np.zeros(sys.n), period, h, flows, _stiffness(sys))
+    zero_state = _trajectory(sys, states, h)
     flow, level, _ = next(iter(flows.values()))
     return zero_state, flow.powers[-1][: sys.n, : sys.n], flow, level
 
@@ -364,6 +377,9 @@ def verify_gain_equality(
     its start state, read off one orbit of the output row.  The asymptotic
     output over the last 5 periods must land in [(1 - accuracy) gamma,
     gamma (1 + 1e-6) + 2 tol]; failure is reported in the record, not raised.
+    A kernel that gains._vanishes, or one whose L1 horizon is 0 (no
+    partition ran), has nothing to drive: gamma and every measured figure
+    are 0, and the record passes.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("gain-equality verification requires a SISO system")
@@ -371,13 +387,13 @@ def verify_gain_equality(
         raise ValueError("accuracy must lie in (0, 1)")
     _checked_tol(tol)
     l1, _, roots, kernel_flow = _l1_gain(sys, sys.c[:0], tol)
-    gamma = l1.value
     cert = sys.certificate
     coef = cert.m * spectral_norm(sys.b) * spectral_norm(sys.c)
-    if gamma <= 1e-300:
-        horizon = rest = period = lower_target = 0.0
+    if not l1.details["horizon"] or _vanishes(sys):
+        gamma = horizon = rest = period = lower_target = 0.0
         emp = EmpiricalGains(0.0, 0.0)
     else:
+        gamma = l1.value
         horizon = tail_horizon(cert.sigma, coef, 0.5 * accuracy * gamma)
         horizon = max(horizon * 1.05, 1.0 / cert.sigma)
         rest_tol = accuracy * gamma * cert.sigma / (4.0 * cert.m * coef)
@@ -386,8 +402,7 @@ def verify_gain_equality(
         j = min(math.ceil(_VERIFY_STEPS * horizon / (horizon + rest)), _VERIFY_STEPS - 1)
         horizon = max(horizon, j * rest / (_VERIFY_STEPS - j))
         if horizon <= l1.details["horizon"]:
-            integral = l1.details["component_integrals"][0]
-            bang = _bang_bang(sys, kernel_flow, roots[0], horizon, integral)
+            bang = _bang_bang(sys, kernel_flow, roots[0], horizon)
         else:
             bang = _bang_bang_switches(sys, horizon)
         signal, spec = _periodic_input(cert, bang, rest, rest_tol)

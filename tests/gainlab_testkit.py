@@ -122,6 +122,52 @@ def damped_oscillator_l1(w, d, t=math.inf):
     return (1.0 + q) * (1.0 - q**k) / ((1.0 - q) * w * w) + q**k * part / (w * w * w_d)
 
 
+# Small kernels on A = diag(-1, -2) (name -> model file): C = (1e-20, 1) with
+# B = e_1 reads the real kernel 1e-20 e^{-s}, B = e_1 with C = e_2 reads an
+# exactly zero one, and B = 1e-10 or 1e-300 times (1, 1) with C = (1, -3)
+# scales a kernel that changes sign at s = ln 3.
+SMALL_KERNEL_MODELS = {
+    "tiny": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "C": [[1e-20, 1.0]]},
+    "exact-zero": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "C": [[0.0, 1.0]]},
+    "b-1e-10": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1e-10], [1e-10]], "C": [[1.0, -3.0]]},
+    "b-1e-300": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1e-300], [1e-300]], "C": [[1.0, -3.0]]},
+}
+
+
+def decoupled_pair(t, ti, lam, j, k):
+    """A = T diag(lam) T^-1 (``ti`` the computed T^-1) with B the j-th column
+    of T and C the k-th row of T^-1, k != j: B drives one mode and C reads
+    another, so the kernel vanishes up to the rounding of T and T^-1."""
+    return StateSpaceSystem(a=t @ np.diag(lam) @ ti, b=t[:, j : j + 1], c=ti[k : k + 1])
+
+
+def near_zero_kernel_system():
+    """The decoupled pair of diag(-1, -2) in the orthogonal basis Q of a
+    seeded 2 x 2 draw: its kernel is 2.5e-15 wide, all rounding."""
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+    return decoupled_pair(q, q.T, [-1.0, -2.0], 0, 1)
+
+
+def decoupled_pairs(seed, count=40):
+    """``count`` seeded decoupled pairs, n = 2..6 in turn, eigenvalues drawn
+    from [-3, -0.5]: even draws in an orthogonal basis Q, odd ones in
+    T = Q diag(1 .. kappa) Q2 with kappa up to 1e3."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = 2 + i % 5
+        q, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        if i % 2:
+            t = q @ np.diag(np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 3.0), n)) @ q2
+            ti = np.linalg.inv(t)
+        else:
+            t, ti = q, q.T
+        lam = -rng.uniform(0.5, 3.0, n)
+        j, k = rng.choice(n, 2, replace=False)
+        out.append(decoupled_pair(t, ti, lam, j, k))
+    return out
+
+
 def kernel_zeros(a, b, row, t_end, samples=2001):
     """SciPy reference for the zeros of g(r) = row exp(Ar) b on [0, t_end]:
     brentq between the sign changes of ``samples`` equally spaced samples."""

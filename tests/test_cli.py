@@ -28,8 +28,10 @@ from gainlab.cli import main
 from gainlab.delay import _predictor_grid
 from gainlab.modelio import parse_system
 from gainlab_testkit import (
+    SMALL_KERNEL_MODELS,
     assert_same_text,
     damped_oscillator_l1,
+    near_zero_kernel_system,
     reference_delay_trajectory_csv,
     reference_sweep_csv,
     reference_trajectory_csv,
@@ -100,6 +102,30 @@ def bound_file(tmp_path):
     return str(path)
 
 
+def _model_file(tmp_path, name):
+    """The SMALL_KERNEL_MODELS file ``name`` in tmp_path."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SMALL_KERNEL_MODELS[name]))
+    return str(path)
+
+
+# verify's document of a vanishing kernel at the default tol 1e-9.
+VANISHING_DOCUMENT = {
+    "schema_version": modelio.SCHEMA_VERSION,
+    "kind": "verification",
+    "gamma": 0.0,
+    "horizon": 0.0,
+    "rest": 0.0,
+    "period": 0.0,
+    "sup_gain": 0.0,
+    "asymptotic_gain": 0.0,
+    "lower_target": 0.0,
+    "upper_limit": 2e-9,
+    "accuracy": 0.02,
+    "passed": True,
+}
+
+
 class TestAnalyze:
     def test_scalar_stdout(self, scalar_file, capsys):
         assert main(["analyze", scalar_file]) == 0
@@ -163,6 +189,16 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["exact"]["value"] - damped_oscillator_l1(w, d)) <= 1e-6
+
+    def test_small_b_positivity_needs_a_partition(self, tmp_path, capsys):
+        # The kernel changes sign at ln 3 but lies within the tail, so no
+        # partition ran: this printed sign-partition and an exact dc of 5e-11.
+        path = _model_file(tmp_path, "b-1e-10")
+        assert main(["analyze", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["positivity"] is None
+        assert (doc["lowers"][0]["method"], doc["lowers"][0]["kind"]) == ("dc", "lower")
+        assert doc["exact"]["method"] == "l1-impulse"
 
     def test_deterministic_bytes(self, oscillator_file, capsys):
         main(["analyze", oscillator_file])
@@ -756,6 +792,17 @@ class TestSimulate:
         assert last[0] == pytest.approx(2.0)
         assert last[1] == pytest.approx(1.0 - np.exp(-2.0), abs=1e-12)
 
+    def test_stiff_system_refused(self, tmp_path, capsys):
+        # y(5) printed 0.99325968346467075, 2.4e-6 from 1 - e^-5, with exit 0.
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps({"A": [[-1e10, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]], "C": [[0.0, 1.0]]}))
+        assert main(["simulate", str(path), "--t-max", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "gainlab: error: the system is too stiff to simulate: ||G||_1 / sigma = 1e+10 "
+            "exceeds 1e+09 (G the flow of the state and the input)\n"
+        )
+
     def test_delay_csv_has_error_columns(self, delay_file, capsys):
         assert main(["simulate", delay_file, "--t-max", "2"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -784,6 +831,34 @@ class TestWorstcase:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,x_1,y_1"
 
+    def _trajectory(self, path, capsys):
+        assert main(["worstcase", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == "worst-case input: horizon=10 rest=15 period=25 rest_tolerance=1e-06\n"
+        return np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+
+    def test_tiny_kernel_is_driven(self, tmp_path, capsys):
+        # The kernel 1e-20 e^{-s} was taken for a vanishing one: x and y
+        # printed all zero.  Under u = 1 on [0, 10], y = 1e-20 x_1.
+        rows = self._trajectory(_model_file(tmp_path, "tiny"), capsys)
+        assert rows[:, 1].max() > 0.99 and not rows[:, 2].any()
+        np.testing.assert_allclose(rows[:, 3], 1e-20 * rows[:, 1], rtol=1e-15)
+
+    def test_exact_zero_kernel_rests(self, tmp_path, capsys):
+        # The zero-input marker: every period is rest, and every state 0.
+        rows = self._trajectory(_model_file(tmp_path, "exact-zero"), capsys)
+        assert rows.shape == (3 * 4096 + 1, 4) and not rows[:, 1:].any()
+
+    def test_small_b_kernel_scales(self, tmp_path, capsys):
+        # B = 1e-300 (1, 1): the same input as at B = (1, 1), one switch at
+        # 10 - ln 3, and the states 1e-300 times its states.
+        small = self._trajectory(_model_file(tmp_path, "b-1e-300"), capsys)
+        unit = tmp_path / "unit.json"
+        unit.write_text(json.dumps({**SMALL_KERNEL_MODELS["b-1e-300"], "B": [[1.0], [1.0]]}))
+        rows = self._trajectory(str(unit), capsys)
+        np.testing.assert_allclose(small[:, 1:], 1e-300 * rows[:, 1:], rtol=1e-12, atol=1e-320)
+        assert np.abs(small[:, 1:]).max() > 1e-301
+
 
 class TestVerify:
     def test_scalar_passes_exit_0(self, scalar_file, capsys):
@@ -808,24 +883,28 @@ class TestVerify:
 
     def test_vanishing_kernel_passes_exit_0(self, tmp_path, capsys):
         # B drives only x_1 and C reads only x_2, so the kernel is 0.
-        path = tmp_path / "zero.json"
-        path.write_text(json.dumps({"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "C": [[0.0, 1.0]]}))
-        assert main(["verify", str(path)]) == 0
+        assert main(["verify", _model_file(tmp_path, "exact-zero")]) == 0
+        assert json.loads(capsys.readouterr().out) == VANISHING_DOCUMENT
+
+    def test_near_zero_and_small_b_kernels_vanish(self, tmp_path, capsys):
+        # The near-zero kernel (2.5e-15, all rounding) printed gamma 2.5e-15
+        # and passed false with exit 1.  At B = 1e-300 the L1 horizon is 0, so
+        # no partition runs, and gamma is 0.
+        near = tmp_path / "near.json"
+        sys = near_zero_kernel_system()
+        near.write_text(json.dumps({"A": sys.a.tolist(), "B": sys.b.tolist(), "C": sys.c.tolist()}))
+        for path in (str(near), _model_file(tmp_path, "b-1e-300")):
+            assert main(["verify", path]) == 0
+            assert json.loads(capsys.readouterr().out) == VANISHING_DOCUMENT
+
+    def test_tiny_kernel_passes_exit_0(self, tmp_path, capsys):
+        # 1e-20 e^{-s}: the check ran the zero input (asymptotic gain 0) and
+        # exited 1.
+        assert main(["verify", _model_file(tmp_path, "tiny")]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc == {
-            "schema_version": modelio.SCHEMA_VERSION,
-            "kind": "verification",
-            "gamma": 0.0,
-            "horizon": 0.0,
-            "rest": 0.0,
-            "period": 0.0,
-            "sup_gain": 0.0,
-            "asymptotic_gain": 0.0,
-            "lower_target": 0.0,
-            "upper_limit": 2e-9,
-            "accuracy": 0.02,
-            "passed": True,
-        }
+        assert doc["passed"] is True
+        assert doc["gamma"] == pytest.approx(1e-20, rel=1e-9)
+        assert abs(doc["asymptotic_gain"] - doc["gamma"]) <= doc["accuracy"] * doc["gamma"]
 
 
 class TestBound41:

@@ -34,12 +34,14 @@ from gainlab import (
 from gainlab import gains, linalg
 from gainlab_testkit import (
     OSCILLATOR_GAIN,
+    SMALL_KERNEL_MODELS,
     aligned_terminal,
     damped_oscillator,
     damped_oscillator_l1,
     eigenbasis_sinusoid_response,
     expm_times,
     heat_system,
+    near_zero_kernel_system,
     oscillator_kernel,
     quad_kernel_integrals,
     random_hurwitz_matrix,
@@ -806,6 +808,18 @@ class TestPositivityCertificate:
         with pytest.raises(DimensionError):
             positivity_certificate(sys)
 
+    def test_no_partition_proves_nothing(self):
+        # The whole kernel 1e-10 (e^-s - 3 e^-2s), which changes sign at ln 3,
+        # lies within the 1e-8 tail, so no partition ran: SIGN_PARTITION was
+        # returned all the same, and dc = 5e-11 was printed as exact.
+        model = SMALL_KERNEL_MODELS["b-1e-10"]
+        sys = StateSpaceSystem(a=model["A"], b=model["B"], c=model["C"])
+        assert positivity_certificate(sys) is None
+        assert dc_gain(sys).kind == "lower"
+        report = gain_report(sys)
+        assert report.positivity is None
+        assert report.exact.method == "l1-impulse"
+
     def test_early_sign_change_rejects_fast(self):
         # The whole 1e-8 tail horizon (about 2.8e4 here) took 1.7 s to reject;
         # the kernel's first zero, at pi / 10, lies in the [0, 1/sigma] prefix.
@@ -1123,6 +1137,38 @@ class TestBangBangSwitches:
         for horizon in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="horizon must be finite and positive"):
                 bang_bang_switches(scalar_system, horizon)
+
+
+class TestVanishes:
+    @pytest.mark.parametrize(
+        "c, b",
+        [*(([[10.0**-k, 1.0]], [[1.0], [0.0]]) for k in (15, 20, 100, 300)),
+         *(([[1.0, -3.0]], [[10.0**-k], [10.0**-k]]) for k in (10, 100, 300))],
+        ids=[*(f"c-1e-{k}" for k in (15, 20, 100, 300)), *(f"b-1e-{k}" for k in (10, 100, 300))],
+    )
+    def test_small_real_kernels_are_driven(self, c, b):
+        # Each Markov parameter is its own absolute-value bound or half of it,
+        # however small: a real kernel, which the bang-bang input drives (its
+        # one zero, at ln 3 for C = (1, -3), a switch).
+        sys = StateSpaceSystem(a=DIAGONAL, b=b, c=c)
+        assert not gains._vanishes(sys)
+        u = bang_bang_switches(sys, 4.0)
+        assert not u.zero_kernel and u.initial_sign == 1
+        switches = [4.0 - math.log(3.0)] if c[0][1] == -3.0 else []
+        np.testing.assert_allclose(u.switch_times, switches, atol=1e-12)
+
+    def test_vanishing_kernels(self):
+        exact = StateSpaceSystem(a=DIAGONAL, b=[[1.0], [0.0]], c=[[0.0, 1.0]])
+        for sys in (exact, near_zero_kernel_system()):
+            assert gains._vanishes(sys)
+            assert bang_bang_switches(sys, 4.0).zero_kernel
+
+    def test_krylov_vectors_stay_in_range(self):
+        # |A|^k |b| reaches 4e8^39 = 1e336 unscaled at n = 40.
+        a = -4e8 * np.diag(np.linspace(0.5, 1.0, 40))
+        zero = StateSpaceSystem(a=a, b=np.eye(40)[:, :1], c=np.eye(40)[1:2])
+        assert gains._vanishes(zero)
+        assert not gains._vanishes(StateSpaceSystem(a=a, b=np.ones((40, 1)), c=np.ones((1, 40))))
 
 
 def test_caller_horizons_past_cell_budget_refused_at_once(oscillator, monkeypatch):

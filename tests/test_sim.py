@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gainlab import (
 from gainlab import gains, linalg, sim
 from gainlab.signals import iter_segments as signal_segments
 from gainlab_testkit import (
+    decoupled_pairs,
     full_recording_gains,
     kernel_zeros,
     quad_kernel_integrals,
@@ -448,6 +450,31 @@ class TestWorstCasePeriodicInput:
             worst_case_periodic_input(diag_two_output, 10.0, 1e-6)
 
 
+# A = diag(-1e10, -1): cells of 1 / ||A||_1 keep the slow mode's decay only
+# to about 2.4e-6 relative, and simulate's y(5) under u = 1 was that far off.
+STIFF = {"a": [[-1e10, 0.0], [0.0, -1.0]], "b": [[1.0], [1.0]], "c": [[0.0, 1.0]]}
+
+
+class TestStiffness:
+    MESSAGE = "the system is too stiff to simulate: ||G||_1 / sigma = 1e+10 exceeds 1e+09"
+
+    def test_every_walk_refuses(self):
+        sys = StateSpaceSystem(**STIFF)
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            simulate(sys, Constant(u0=[1.0]), np.zeros(2), 5.0, 0.01)
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            empirical_gains(sys, Constant(u0=[1.0]), 5.0, 1.0, 0.01)
+        with pytest.raises(ValueError, match="too stiff to simulate"):
+            steady_periodic_state(sys, Sinusoid(direction=[1.0], omega=1.0), 2.0 * math.pi)
+
+    def test_below_the_limit_runs(self):
+        # The slow rate sets sigma: at -1e8 the ratio is 1e8 and y(5) is
+        # within 1e-7 of 1 - e^-5.
+        sys = StateSpaceSystem(**{**STIFF, "a": [[-1e8, 0.0], [0.0, -1.0]]})
+        traj = simulate(sys, Constant(u0=[1.0]), np.zeros(2), 5.0, 0.01)
+        assert traj.outputs[-1, 0] == pytest.approx(1.0 - math.exp(-5.0), rel=1e-7)
+
+
 class TestEmpiricalGains:
     def test_scalar_constant(self, scalar_system):
         emp = empirical_gains(scalar_system, Constant(u0=[1.0]), 20.0, 5.0, 0.05)
@@ -462,6 +489,21 @@ class TestEmpiricalGains:
     def test_rejects_bad_window(self, scalar_system):
         with pytest.raises(ValueError):
             empirical_gains(scalar_system, Constant(u0=[1.0]), 10.0, 20.0, 0.1)
+
+
+# verify_gain_equality's record of a vanishing kernel at tol 1e-9.
+VANISHING_RECORD = {
+    "gamma": 0.0,
+    "horizon": 0.0,
+    "rest": 0.0,
+    "period": 0.0,
+    "sup_gain": 0.0,
+    "asymptotic_gain": 0.0,
+    "lower_target": 0.0,
+    "upper_limit": 2e-9,
+    "accuracy": 0.02,
+    "passed": True,
+}
 
 
 def steady_bang_bang_peak(sys, record, steps_per_period=4096):
@@ -542,18 +584,22 @@ class TestVerifyGainEquality:
         # the upper limit is the quadrature allowance 2 tol and the check passes.
         sys = StateSpaceSystem(a=np.diag([-1.0, -2.0]), b=[[1.0], [0.0]], c=[[0.0, 1.0]])
         record = verify_gain_equality(sys, accuracy=0.02, tol=1e-9)
-        assert vars(record) == {
-            "gamma": 0.0,
-            "horizon": 0.0,
-            "rest": 0.0,
-            "period": 0.0,
-            "sup_gain": 0.0,
-            "asymptotic_gain": 0.0,
-            "lower_target": 0.0,
-            "upper_limit": 2e-9,
-            "accuracy": 0.02,
-            "passed": True,
-        }
+        assert vars(record) == VANISHING_RECORD
+
+    def test_decoupled_pairs(self):
+        # Every kernel is rounding.  gains._vanishes takes 39 of the 40 for
+        # vanishing.  Draw 20's orthogonal basis lies within 2e-3 of -I, so
+        # its c b = 1e-16 is 120 eps of |c| |b| = 0.0038: a real kernel of the
+        # data as given, which verify demonstrates.  verify runs on the
+        # orthogonal draws only: the conditioned ones' sigma, down to 1e-4,
+        # makes their L1 horizons long.
+        family = decoupled_pairs(0)
+        vanishing = [gains._vanishes(sys) for sys in family]
+        assert [i for i, v in enumerate(vanishing) if not v] == [20]
+        for sys, vanishes in zip(family[::2], vanishing[::2]):
+            record = verify_gain_equality(sys, accuracy=0.02, tol=1e-9)
+            assert record.passed
+            assert (vars(record) == VANISHING_RECORD) is vanishes
 
     def test_recording_grid_holds_the_peak(self):
         # A base system of the acceptance generator (n = 6) whose kernel turns
