@@ -175,12 +175,10 @@ def _tail_horizon(sys: StateSpaceSystem, rows: np.ndarray, tail: float) -> float
     return tail_horizon(sys.certificate.sigma, coef, tail)
 
 
-def _partition(sys, rows, budget, horizons, flag=None, flow=None):
+def _partition(sys, rows, budget, horizons, flow=None):
     """(roots, signed, unresolved, flow): _sign_partition on ``flow``, else on a
-    new _KernelFlow of ``horizons``, refused past the cell budget first if a
-    caller's ``flag`` set them (derived horizons pass none)."""
-    if flag is not None:
-        linalg._check_partition_cells(sys.a, horizons[-1], flag)
+    new _KernelFlow of ``horizons``.  A caller whose horizons a flag set has
+    checked their cell budget first (linalg._check_partition_cells)."""
     flow = _KernelFlow(sys, horizons) if flow is None else flow
     return (*_sign_partition(flow, rows, budget), flow)
 
@@ -380,68 +378,67 @@ def _l1_gain(sys: StateSpaceSystem, extra_rows: np.ndarray, tol: float):
 
 
 def dc_gain(sys: StateSpaceSystem) -> GainEstimate:
-    """Norm of the steady output under the worst constant unit input.
+    """Norm of the steady output under the worst constant unit input:
+    gain_report's dc entry at its default tol (1e-8) and seed (0).
 
     Always a valid lower bound on the peak gain.  For single-input systems
     whose response kernel carries a positivity certificate (see
     positivity_certificate) the constant input is worst-case overall and the
     value is exact: to rounding under a structural certificate, and to
-    2e-8 sqrt(p) more under SIGN_PARTITION, whose 1e-8 tail per output is
-    left unchecked.
+    1e-8 more under SIGN_PARTITION.
     """
     pos = positivity_certificate(sys) if sys.m == 1 else None
-    return _dc_estimate(sys, pos, 2.0 * _POSITIVITY_TAIL * math.sqrt(sys.p))
+    return _dc_estimate(sys, pos, 1e-8)
 
 
-def _dc_estimate(sys, pos, partition_slack: float) -> GainEstimate:
-    # The dc figure, exact when pos certifies positivity; partition_slack is
-    # what a sign partition's unchecked tails can add to the L1 gain above it.
+def _dc_estimate(sys, pos, tol: float) -> GainEstimate:
+    # The dc figure, exact when pos certifies positivity: to rounding by
+    # structure, and to tol more by the report's partition, whose rows' tails
+    # past its horizon go unchecked.
     value = float(spectral_norm(sys.c @ np.linalg.solve(sys.a, sys.b)))
-    slack = partition_slack if pos is PositivityCertificate.SIGN_PARTITION else 0.0
+    slack = tol if pos is PositivityCertificate.SIGN_PARTITION else 0.0
     kind, details = ("lower", None) if pos is None else ("exact", pos.value)
     return GainEstimate(value, kind, "dc", slack + 1e-12 * max(1.0, value), {"positivity": details})
 
 
-# Positivity is proved on the horizon past which every kernel row integrates
-# to less than this.
-_POSITIVITY_TAIL = 1e-8
-
-
-def _structural_positivity(sys, flags: StructureFlags) -> PositivityCertificate | None:
-    # Symmetric negative definite A with identity output, or Metzler A with
-    # nonnegative B and C: positivity of a single-input kernel by structure.
+def _positivity(sys, flags: StructureFlags, tol: float, seed: int, bounds: bool):
+    """(positivity, l1, onb) for a single-input system: the one rule that
+    decides positivity.  Structure first: symmetric negative definite A with
+    identity output, or Metzler A with nonnegative B and C.  Else the report's
+    own partition (_onb_bound at tol and seed) certifies SIGN_PARTITION when it
+    ran (a horizon past 0) with no zero and nothing unresolved in any of C's
+    rows.  l1 and onb are that partition's figures, None when structure
+    decided and ``bounds`` did not ask for them."""
+    pos = None
     if flags.assumption_h and np.array_equal(sys.c, np.eye(sys.n)):
-        return PositivityCertificate.ASSUMPTION_H
-    if flags.metzler and flags.nonnegative_b and flags.nonnegative_c:
-        return PositivityCertificate.METZLER_NONNEG
-    return None
+        pos = PositivityCertificate.ASSUMPTION_H
+    elif flags.metzler and flags.nonnegative_b and flags.nonnegative_c:
+        pos = PositivityCertificate.METZLER_NONNEG
+    if pos is not None and not bounds:
+        return pos, None, None
+    l1, onb = _onb_bound(sys, random_bases=4, tol=tol, seed=seed)
+    d = l1.details
+    if pos is None and d["horizon"] > 0.0 and d["unresolved_bound"] == 0.0 and not any(d["roots"]):
+        pos = PositivityCertificate.SIGN_PARTITION
+    return pos, l1, onb
 
 
 def positivity_certificate(sys: StateSpaceSystem) -> PositivityCertificate | None:
-    """Certify that each output's response kernel never changes sign.
+    """Certify that each output's response kernel never changes sign:
+    gain_report's positivity at its default tol (1e-8) and seed (0).
 
     Checked in order: symmetric negative definite A with identity output
     (exact, via the orthogonal diagonalization), Metzler A with nonnegative
-    B and C (exact), and the kernel sign partition: no row of C exp(As) b
-    has a zero or an unresolved cell on the horizon past which its integral
-    is below 1e-8 (so the DC value misses the L1 gain by at most 2e-8 per
-    output); it runs on [0, 1/sigma] first, so an early sign change rejects
-    cheaply.  A horizon of 0 (the whole kernel within the tail) runs no
-    partition, so proves nothing.  Returns None when nothing applies.
+    B and C (exact), neither of which runs a partition, and the report's
+    sign partition: no row of C exp(As) b has a zero or an unresolved cell
+    on the horizon past which the partitioned rows' integrals add up to
+    within 5e-9 (so the DC value misses the L1 gain by at most 1e-8).  A
+    horizon of 0 (the whole kernel within the tail) runs no partition, so
+    proves nothing.  Returns None when nothing applies.
     """
     if sys.m != 1:
         raise DimensionError("positivity certificates require a single input")
-    pos = _structural_positivity(sys, structure_flags(sys))
-    if pos is not None:
-        return pos
-    horizon = _tail_horizon(sys, sys.c, _POSITIVITY_TAIL)
-    if horizon == 0.0:
-        return None
-    for end in sorted({min(horizon, 1.0 / sys.certificate.sigma), horizon}):
-        roots, _, lost, _ = _partition(sys, sys.c, _POSITIVITY_TAIL, [end])
-        if lost.any() or any(r.size for r in roots):
-            return None
-    return PositivityCertificate.SIGN_PARTITION
+    return _positivity(sys, structure_flags(sys), 1e-8, 0, bounds=False)[0]
 
 
 def max_terminal_output(
@@ -599,8 +596,10 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
 
 def _bang_bang_switches(sys, horizon: float, flag=None) -> BangBangInput:
     """bang_bang_switches past its argument checks; verify's derived horizon passes no flag."""
+    if flag is not None:
+        linalg._check_partition_cells(sys.a, horizon, flag)
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
-    roots, _, _, flow = _partition(sys, sys.c, 1e-12 * scale, [horizon], flag)
+    roots, _, _, flow = _partition(sys, sys.c, 1e-12 * scale, [horizon])
     return _bang_bang(sys, flow, roots[0], horizon)
 
 
@@ -975,14 +974,9 @@ def gain_report(sys: StateSpaceSystem, tol: float = 1e-8, seed: int = 0) -> Gain
     flags = structure_flags(sys)
     pos, l1, uppers = None, None, []
     if sys.m == 1:
-        pos = _structural_positivity(sys, flags)
-        if pos is None or sys.p > 1:
-            l1, onb = _onb_bound(sys, random_bases=4, tol=tol, seed=seed)
-            d = l1.details
-            if pos is None and d["horizon"] > 0.0 and d["unresolved_bound"] == 0.0 and not any(d["roots"]):
-                pos = PositivityCertificate.SIGN_PARTITION
-            if sys.p > 1:
-                uppers = [l1, onb]
+        pos, l1, onb = _positivity(sys, flags, tol, seed, bounds=sys.p > 1)
+        if sys.p > 1:
+            uppers = [l1, onb]
     dc = _dc_estimate(sys, pos, tol)
     exact = dc if pos is not None else l1 if sys.p == 1 else None
     if sys.m > 1:

@@ -99,10 +99,6 @@ class BangBangInput:
             raise ValueError("initial_sign must be +1 or -1")
         object.__setattr__(self, "switch_times", s)
 
-    def sign_at(self, t: float) -> float:
-        flips = int(np.searchsorted(self.switch_times, t, side="right"))
-        return float(self.initial_sign * (-1) ** flips)
-
 
 @dataclass(frozen=True)
 class PeriodicExtension:
@@ -199,8 +195,6 @@ class Segment:
 
 def iter_segments(signal: InputSignal, t_end: float) -> list[Segment]:
     """Decompose the signal over [0, t_end] into constant/sinusoid segments."""
-    if t_end <= 0:
-        return []
     return _segments(signal, 0.0, t_end)
 
 
@@ -209,10 +203,6 @@ def _segments(signal: InputSignal, offset: float, t_end: float) -> list[Segment]
     span = t_end - offset
     if span <= 0:
         return []
-    if isinstance(signal, Zero):
-        return [Segment(offset, t_end, "const", value=np.zeros(signal.dim))]
-    if isinstance(signal, Constant):
-        return [Segment(offset, t_end, "const", value=signal.u0.copy())]
     if isinstance(signal, Sinusoid):
         return [
             Segment(
@@ -224,25 +214,6 @@ def _segments(signal: InputSignal, offset: float, t_end: float) -> list[Segment]
                 theta0=signal.phase,
             )
         ]
-    if isinstance(signal, BangBangInput):
-        if signal.zero_kernel:
-            return [Segment(offset, t_end, "const", value=np.zeros(1))]
-        out: list[Segment] = []
-        bounds = [0.0]
-        bounds += [s for s in signal.switch_times.tolist() if s < span]
-        bounds.append(min(signal.horizon, span))
-        sign = float(signal.initial_sign)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                out.append(
-                    Segment(offset + lo, offset + hi, "const", value=np.array([sign]))
-                )
-            sign = -sign
-        if span > signal.horizon:
-            out.append(
-                Segment(offset + signal.horizon, t_end, "const", value=np.zeros(1))
-            )
-        return out
     if isinstance(signal, PeriodicExtension):
         out = []
         k = 0
@@ -261,4 +232,13 @@ def _segments(signal: InputSignal, offset: float, t_end: float) -> list[Segment]
                 )
             k += 1
         return out
-    raise TypeError(f"not an input signal: {signal!r}")
+    # Zero, Constant and BangBangInput are constant between their switch
+    # times and horizon; evaluate gives each piece's value at its midpoint.
+    cuts = np.empty(0)
+    if isinstance(signal, BangBangInput):
+        cuts = signal.switch_times[signal.switch_times < span]
+        if signal.horizon < span:
+            cuts = np.append(cuts, signal.horizon)
+    values = evaluate(signal, 0.5 * (np.append(0.0, cuts) + np.append(cuts, span)))
+    bounds = [offset, *(offset + cuts).tolist(), t_end]
+    return [Segment(lo, hi, "const", value=v) for lo, hi, v in zip(bounds, bounds[1:], values)]

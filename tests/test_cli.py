@@ -38,6 +38,7 @@ from gainlab_testkit import (
     random_hurwitz_matrix,
     reference_vcurve_csv,
 )
+from op_digests import op_digests
 
 
 @pytest.fixture
@@ -206,6 +207,12 @@ class TestAnalyze:
         main(["analyze", oscillator_file])
         second = capsys.readouterr().out
         assert first == second
+        # Every op of one cycle of each benchmarked workload, run twice: the
+        # same exit code, stdout and stderr.
+        root = Path(__file__).resolve().parent.parent
+        for workload in ("gain-report", "sim-verify"):
+            first = op_digests(root, workload, seed=1, cycles=1)
+            assert first and op_digests(root, workload, seed=1, cycles=1) == first
 
 
 class TestErrors:

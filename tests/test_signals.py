@@ -62,16 +62,16 @@ class TestBasicSignals:
 class TestBangBang:
     def test_sign_walk(self):
         u = BangBangInput(horizon=4.0, switch_times=[1.0, 2.5], initial_sign=1)
-        assert u.sign_at(0.5) == 1
-        assert u.sign_at(1.5) == -1
-        assert u.sign_at(3.0) == 1
+        assert evaluate(u, 0.5)[0] == 1.0
+        assert evaluate(u, 1.5)[0] == -1.0
+        assert evaluate(u, 3.0)[0] == 1.0
         # zero after horizon
         assert evaluate(u, 4.5)[0] == 0.0
         assert sup_norm(u) == 1.0
 
     def test_switch_point_takes_next_sign(self):
         u = BangBangInput(horizon=2.0, switch_times=[1.0], initial_sign=1)
-        assert u.sign_at(1.0) == -1
+        assert evaluate(u, 1.0)[0] == -1.0
 
     def test_initial_sign_minus(self):
         u = BangBangInput(horizon=2.0, switch_times=[], initial_sign=-1)
@@ -128,7 +128,7 @@ class TestSegments:
     def _check_consistency(self, signal, t_end, dim):
         segs = list(iter_segments(signal, t_end))
         assert segs[0].start == 0.0
-        assert segs[-1].end == pytest.approx(t_end)
+        assert segs[-1].end == t_end
         for prev, cur in zip(segs, segs[1:]):
             assert cur.start == pytest.approx(prev.end)
         # segment description must reproduce pointwise evaluation
@@ -155,17 +155,24 @@ class TestSegments:
         self._check_consistency(Sinusoid(direction=[1.0], omega=3.0), 4.0, 1)
 
     def test_bang_bang_segments(self):
-        u = BangBangInput(horizon=2.0, switch_times=[0.7, 1.3])
-        self._check_consistency(u, 3.0, 1)
-        segs = list(iter_segments(u, 3.0))
-        # three constant pieces plus the zero tail past the horizon
-        assert len(segs) == 4
-        assert segs[-1].value[0] == 0.0
+        # Three constant pieces (a vanishing kernel's none) and the zero
+        # tail past the horizon.
+        cases = (([0.7, 1.3], False, [1.0, -1.0, 1.0, 0.0]), ([], True, [0.0, 0.0]))
+        for switches, zero_kernel, values in cases:
+            u = BangBangInput(horizon=2.0, switch_times=switches, zero_kernel=zero_kernel)
+            self._check_consistency(u, 3.0, 1)
+            segs = list(iter_segments(u, 3.0))
+            assert [seg.value[0] for seg in segs] == values
+            assert segs[-2].end == 2.0
 
     def test_periodic_segments(self):
-        base = BangBangInput(horizon=1.0, switch_times=[0.5])
-        u = PeriodicExtension(base=base, base_span=1.0, period=1.5)
-        self._check_consistency(u, 4.0, 1)
+        # Cut off at the end of a base span, inside one, and inside the rest,
+        # with a switching base and a vanishing one.
+        for switches, zero_kernel in (([0.5], False), ([], True)):
+            base = BangBangInput(horizon=1.0, switch_times=switches, zero_kernel=zero_kernel)
+            u = PeriodicExtension(base=base, base_span=1.0, period=1.5)
+            for t_end in (4.0, 3.7, 4.2):
+                self._check_consistency(u, t_end, 1)
 
     def test_periodic_sinusoid_phase_tracking(self):
         base = Sinusoid(direction=[1.0], omega=2.0, phase=0.3)
