@@ -20,8 +20,8 @@ Every integral of a single-input scalar kernel |row exp(As) b| (the L1 norm
 and the ONB bases, the terminal-output curve and its ascent, the SISO periodic
 values, the bang-bang switches and the positivity proof) comes from a certified
 partition of the kernel at its zeros, C's rows and the ONB bases' in one;
-the multi-input terminal output's vector-norm integrand takes adaptive
-Gauss–Legendre panels (quadrature.gauss_legendre) on [0, T].
+the multi-input terminal states take one Gauss–Legendre pass per interval of
+the horizon grid, for every output direction at once (_aligned_states).
 Every partition goes through _partition, on a kernel flow (_KernelFlow, a
 linalg._Flow of A) that it builds or that the caller built, and every derived
 horizon comes from one tail rule, _tail_horizon.  The flow alone holds what
@@ -462,11 +462,11 @@ def max_terminal_output(
 def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     # Each (start, horizon) pair alternates between the optimal input for its
     # output direction and realigning the direction with the terminal output
-    # that input produces, at most 40 times.  The pairs run in lockstep: with
-    # one input a step is one sign partition of every live pair's kernel
-    # d'C exp(As) b out to the last horizon, each pair reading its terminal
-    # state at its own horizon.  Each iterate is feasible, so the best value
-    # seen per horizon is a valid lower estimate whatever the iteration does.
+    # that input produces, at most 40 times.  The pairs run in lockstep: a
+    # step is one call giving every live pair's terminal states at every
+    # horizon (one input's sign partition of the kernels d'C exp(As) b, else
+    # _aligned_states), each pair reading its own.  Each iterate is feasible,
+    # so the best value per horizon is a lower estimate whatever it does.
     # Every step walks one flow to the last horizon (with several inputs, A's).
     end = horizons[-1]
     flow = _KernelFlow(sys, horizons) if sys.m == 1 else _grid_flow(sys.a, end, end)[0]
@@ -478,13 +478,9 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     best, best_dir = np.zeros(k * s), np.tile(starts[0], (k * s, 1))
     last, live = np.full(k * s, -np.inf), np.arange(k * s)
     for _ in range(40):
-        if sys.m == 1:
-            signed = _partition(sys, d[live] @ sys.c, tol, horizons, flow=flow)[1]
-            x = signed[horizon_of[live], np.arange(live.size)]
-        else:
-            x = [_aligned_terminal(sys, flow, horizons[horizon_of[j]], d[j], tol) for j in live]
-            x = np.array(x)[:, 1:]
-        y = x @ sys.c.T
+        states = (_partition(sys, d[live] @ sys.c, tol, horizons, flow=flow)[1] if sys.m == 1
+                  else _aligned_states(sys, flow, horizons, d[live], tol))
+        y = states[horizon_of[live], np.arange(live.size)] @ sys.c.T
         value = linalg._spectral_norms(y[:, None])
         up = value > best[live]
         best[live[up]], best_dir[live[up]] = value[up], y[up] / value[up, None]
@@ -499,23 +495,26 @@ def _iterative_terminal_output(sys, horizons, restarts, tol, seed):
     return best[pick], best_dir[pick]
 
 
-def _aligned_terminal(sys, flow, horizon, d, tol):
-    # Integrates [|v(s)|, exp(A (horizon - s)) B v(s) / |v(s)|], read off
-    # ``flow``, with v(s) = B' exp(A' (horizon - s)) C' d, the input aligned
-    # with d, for several inputs (one input takes the sign partition instead).
-    b, ctd = sys.b, sys.c.T @ d
+def _aligned_states(sys, flow, horizons, dirs, tol):
+    """The (k, q, n) terminal states at the k ``horizons`` under the input
+    aligned with each of the q output directions ``dirs`` (several inputs):
+    x(T) = int_0^T exp(Ar) B w_d(r) dr, r the time left, w_d = v_d / |v_d|
+    (0 where v_d = B' exp(A'r) C'd vanishes), an integrand free of T.  So
+    each grid interval is integrated once, to tol times its share of the last
+    horizon, every direction a component of one refinement, and the states
+    are the running sums; each node's exp(Ar) B comes once off ``flow``, A's."""
+    rows = dirs @ sys.c
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        eb = flow.advance(b, horizon - s)
-        v = np.swapaxes(eb, 1, 2) @ ctd
-        nv = linalg._spectral_norms(v[:, None])
-        out = np.zeros((s.size, 1 + sys.n))
-        live = nv != 0.0
-        out[live, 0] = nv[live]
-        out[live, 1:] = (eb[live] @ (v[live] / nv[live, None])[:, :, None])[:, :, 0]
-        return out
+    def integrand(r: np.ndarray) -> np.ndarray:
+        eb = flow.advance(sys.b, r)
+        v = rows @ eb
+        nv = linalg._spectral_norms(v.reshape(-1, 1, sys.m)).reshape(r.size, -1, 1)
+        w = np.divide(v, nv, out=np.zeros_like(v), where=nv != 0.0)
+        return (w @ np.swapaxes(eb, 1, 2)).reshape(r.size, -1)
 
-    return gauss_legendre(integrand, 0.0, horizon, tol)
+    ends = np.concatenate(([0.0], horizons))
+    parts = [gauss_legendre(integrand, a, b, tol * (b - a) / ends[-1]) for a, b in zip(ends, ends[1:])]
+    return np.cumsum(parts, axis=0).reshape(horizons.size, *rows.shape)
 
 
 @dataclass(frozen=True)
@@ -543,15 +542,15 @@ def vcurve(
     """Evaluate max_terminal_output on an increasing horizon grid.
 
     One output's V(T) is its norm integral of ||c exp(As) B|| on [0, T],
-    off one sign partition with one input, else one Gauss–Legendre
-    integral per horizon.  Several outputs run the ascent from the
-    standard basis and ``restarts`` seeded directions at every horizon
-    at once; with one input each of its at most 40 steps is one sign
-    partition, out to the largest horizon, for all starts and horizons, so a
-    grid of any size costs at most 40 partitions, as one horizon does.  The
-    steps share one kernel flow, whose matrix exponentials (end states, orbit
-    powers) are formed once per curve: a step adds only its rows' kernel
-    values and the Newton polish of their zeros, neither of which forms one.
+    off one sign partition with one input, else one _aligned_states call
+    (a Gauss–Legendre pass per grid interval).  Several outputs run the
+    ascent from the standard basis and ``restarts`` seeded directions at
+    every horizon at once; each of its at most 40 steps is one such call,
+    out to the largest horizon, for all starts and horizons, so a grid of
+    any size costs at most 40 of them, as one horizon does.  The steps share
+    one flow, whose matrix exponentials are formed once per curve: with one
+    input a step adds only its rows' kernel values and the Newton polish of
+    their zeros, neither of which forms one.
     Horizons must be finite, and the largest at most _MAX_GRID_STEPS / 2
     cells of 1 / ||A||_1.  The ascent's signed states, n entries per (start,
     horizon) pair at each of the k horizons, k^2 (p + restarts) n in all, may
@@ -572,9 +571,8 @@ def vcurve(
     if sys.m == 1:
         values = _partition(sys, sys.c, tol, hs)[1][:, 0] @ sys.c[0]
     else:
-        flow = _grid_flow(sys.a, hs[-1], hs[-1])[0]
-        x = np.array([_aligned_terminal(sys, flow, t, np.ones(1), tol)[1:] for t in hs])
-        values = linalg._spectral_norms((x @ sys.c.T)[:, None])
+        x = _aligned_states(sys, _grid_flow(sys.a, hs[-1], hs[-1])[0], hs, np.ones((1, 1)), tol)
+        values = linalg._spectral_norms(x @ sys.c.T)
     return VCurve(hs, values, [np.array([1.0])] * hs.size, exact=True)
 
 
@@ -591,13 +589,12 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
         raise DimensionError("bang-bang construction requires a SISO system")
     if not (0 < horizon < math.inf):
         raise ValueError("horizon must be finite and positive")
-    return _bang_bang_switches(sys, horizon, "--horizon")
+    linalg._check_partition_cells(sys.a, horizon, "--horizon")
+    return _bang_bang_switches(sys, horizon)
 
 
-def _bang_bang_switches(sys, horizon: float, flag=None) -> BangBangInput:
-    """bang_bang_switches past its argument checks; verify's derived horizon passes no flag."""
-    if flag is not None:
-        linalg._check_partition_cells(sys.a, horizon, flag)
+def _bang_bang_switches(sys, horizon: float) -> BangBangInput:
+    """bang_bang_switches past its argument checks and cell budget (verify's derived horizon has none)."""
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
     roots, _, _, flow = _partition(sys, sys.c, 1e-12 * scale, [horizon])
     return _bang_bang(sys, flow, roots[0], horizon)

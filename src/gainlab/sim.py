@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionError, SimulationError
-from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, _vanishes, bang_bang_switches
+from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, _tail_horizon, _vanishes
+from .gains import bang_bang_switches
 from .gains import l1_impulse_gain  # noqa: F401  (perfbench's tracing wraps sim.l1_impulse_gain)
 from .linalg import (
     _MAX_GRID_STEPS,
@@ -377,22 +378,23 @@ def verify_gain_equality(
     its start state, read off one orbit of the output row.  The asymptotic
     output over the last 5 periods must land in [(1 - accuracy) gamma,
     gamma (1 + 1e-6) + 2 tol]; failure is reported in the record, not raised.
-    A kernel that gains._vanishes, or one whose L1 horizon is 0 (no
-    partition ran), has nothing to drive: gamma and every measured figure
-    are 0, and the record passes.
+    A kernel that gains._vanishes, or whose L1 horizon is 0, takes no
+    partition: gamma and every measured figure are 0, and the record passes.
+    A system too stiff to walk is refused before the partition.
     """
     if sys.m != 1 or sys.p != 1:
         raise DimensionError("gain-equality verification requires a SISO system")
     if not (0.0 < accuracy < 1.0):
         raise ValueError("accuracy must lie in (0, 1)")
     _checked_tol(tol)
-    l1, _, roots, kernel_flow = _l1_gain(sys, sys.c[:0], tol)
     cert = sys.certificate
     coef = cert.m * spectral_norm(sys.b) * spectral_norm(sys.c)
-    if not l1.details["horizon"] or _vanishes(sys):
+    if _vanishes(sys) or not _tail_horizon(sys, sys.c, tol / 2.0):  # _l1_gain's horizon
         gamma = horizon = rest = period = lower_target = 0.0
         emp = EmpiricalGains(0.0, 0.0)
     else:
+        _check_stiffness(_generator(sys.a, sys.b, Segment(0.0, 0.0, "const"))[0], *_stiffness(sys))
+        l1, _, roots, kernel_flow = _l1_gain(sys, sys.c[:0], tol)
         gamma = l1.value
         horizon = tail_horizon(cert.sigma, coef, 0.5 * accuracy * gamma)
         horizon = max(horizon * 1.05, 1.0 / cert.sigma)

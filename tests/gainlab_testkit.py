@@ -345,12 +345,14 @@ def aligned_terminal(sys, horizon, d, tol):
     """[d'C x, x] for x the terminal state at ``horizon`` under the input
     aligned with d: with one input v(horizon - r) = d'C exp(Ar) b is a scalar
     kernel, and x its signed state integral over one sign partition;
-    several inputs take ``gains._aligned_terminal``'s Simpson integral on a
-    flow of A to ``horizon``."""
-    if sys.m != 1:
-        return gains._aligned_terminal(sys, _grid_flow(sys.a, horizon, horizon)[0], horizon, d, tol)
+    several inputs take ``gains._aligned_states`` for the one direction and
+    the one horizon, on a flow of A to ``horizon``."""
     ctd = sys.c.T @ d
-    x = gains._sign_partition(gains._KernelFlow(sys, [horizon]), ctd[None], tol)[1][0, 0]
+    if sys.m != 1:
+        flow = _grid_flow(sys.a, horizon, horizon)[0]
+        x = gains._aligned_states(sys, flow, np.array([horizon]), np.asarray(d)[None], tol)[0, 0]
+    else:
+        x = gains._sign_partition(gains._KernelFlow(sys, [horizon]), ctd[None], tol)[1][0, 0]
     return np.concatenate(([ctd @ x], x))
 
 

@@ -169,6 +169,21 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerance"] == pytest.approx(1e-7)
 
+    def test_seed_file_and_flag(self, tmp_path, capsys):
+        # The file's seed draws the ONB bases of a p = 2 report, and --seed
+        # beats it.
+        model = {"A": [[-1.0, 2.0], [0.0, -3.0]], "B": [[1.0], [1.0]], "C": [[1.0, 0.0], [0.5, -2.0]]}
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps({**model, "seed": 7}))
+        sys, extras = parse_system(path)
+        assert extras["seed"] == 7
+        for flags, seed in (([], 7), (["--seed", "3"], 3)):
+            assert main(["analyze", str(path), *flags]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            onb = gains.gain_report(sys, seed=seed).uppers[1]
+            assert doc["seed"] == seed and doc["uppers"][1]["method"] == onb.method == "onb"
+            assert doc["uppers"][1]["details"]["basis_values"] == onb.details["basis_values"]
+
     def test_fast_oscillator_exact(self, tmp_path, capsys):
         # w = 10, d = 1: quadrature missed the kernel (onb=8e-142 below dc=0.01)
         # and the report stopped with a ConsistencyError.
@@ -903,6 +918,21 @@ class TestVerify:
         for path in (str(near), _model_file(tmp_path, "b-1e-300")):
             assert main(["verify", path]) == 0
             assert json.loads(capsys.readouterr().out) == VANISHING_DOCUMENT
+
+    def test_stiff_system_refused_before_the_partition(self, tmp_path, capsys, monkeypatch):
+        # The L1 partition ran first and held 3.2 GB after 2.5 min.
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps({"A": [[-1e10, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]], "C": [[0.0, 1.0]]}))
+        partitions = []
+        monkeypatch.setattr(gains, "_partition", lambda *args, **kwargs: partitions.append(1))
+        start = time.perf_counter()
+        assert main(["verify", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0 and not partitions
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "gainlab: error: the system is too stiff to simulate: ||G||_1 / sigma = 1e+10 "
+            "exceeds 1e+09 (G the flow of the state and the input)\n"
+        )
 
     def test_tiny_kernel_passes_exit_0(self, tmp_path, capsys):
         # 1e-20 e^{-s}: the check ran the zero input (asymptotic gain 0) and

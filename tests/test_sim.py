@@ -467,6 +467,16 @@ class TestStiffness:
         with pytest.raises(ValueError, match="too stiff to simulate"):
             steady_periodic_state(sys, Sinusoid(direction=[1.0], omega=1.0), 2.0 * math.pi)
 
+    def test_verify_refuses_before_partitioning(self, monkeypatch):
+        # verify's L1 partition held 3.2 GB after 2.5 min on this system,
+        # only for its walk to refuse the system afterwards.
+        def no_partition(*args, **kwargs):
+            raise AssertionError("verify partitioned a system its walk refuses")
+
+        monkeypatch.setattr(gains, "_partition", no_partition)
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            verify_gain_equality(StateSpaceSystem(**STIFF), 0.02)
+
     def test_below_the_limit_runs(self):
         # The slow rate sets sigma: at -1e8 the ratio is 1e8 and y(5) is
         # within 1e-7 of 1 - e^-5.
