@@ -26,7 +26,7 @@ import numpy as np
 
 from . import delay as delaymod
 from . import gains, modelio, sim
-from .delay import DelayPredictorSystem, DelayState
+from .delay import DelayPredictorSystem
 from .exceptions import GainlabError
 from .gains import CertificateBoundInput
 from .linalg import _MAX_POINTS, StateSpaceSystem, _check_budget
@@ -191,10 +191,8 @@ def _cmd_simulate(args, system, extras):
     h = args.step if args.step is not None else system.tau / 64.0 if delayed else 0.01
     _check_grid_flags(args, h)
     if delayed:
-        hist_steps, _ = delaymod._predictor_grid(system, h, args.t_max)
-        state0 = DelayState.resting(system, hist_steps)
         signal = Constant(_unit_direction(system.p))
-        traj = delaymod.simulate_predictor(system, signal, state0, args.t_max, h)
+        traj = delaymod.simulate_predictor(system, signal, np.zeros(system.n), args.t_max, h)
         xi, xi_ref = delaymod.predictor_error_series(traj, system)
         return modelio._delay_trajectory_chunks(traj, xi, xi_ref), 0
     signal = Constant(_unit_direction(system.m))

@@ -55,12 +55,11 @@ from .linalg import (
 )
 from .quadrature import gauss_legendre
 from .signals import Constant, InputSignal, Sinusoid, Zero, evaluate, signal_dim, sup_norm
-from .sim import _grid_steps, _measured_gains, _walk
+from .sim import _grid_steps, _measured_gains, _start_state, _walk
 from .sim import simulate  # noqa: F401  (perfbench's tracing wraps delay.simulate)
 
 __all__ = [
     "DelayPredictorSystem",
-    "DelayState",
     "DelayTrajectory",
     "simulate_predictor",
     "predictor_error_series",
@@ -134,40 +133,12 @@ class DelayPredictorSystem:
 
 
 @dataclass(frozen=True)
-class DelayState:
-    """Plant state plus the z history over [-tau, 0] on a uniform grid.
-
-    z_history rows run from z(-tau) to z(0) inclusive; the row count fixes
-    the simulation step via h = tau / (rows - 1).
-    """
-
-    y: np.ndarray
-    z_history: np.ndarray
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        hist = np.asarray(self.z_history, dtype=float)
-        if hist.ndim != 2 or hist.shape[0] < 2:
-            raise ValueError("z_history must be a 2-d array with at least two rows")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(hist))):
-            raise ValueError("delay state entries must be finite")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z_history", hist)
-
-    @classmethod
-    def resting(cls, sys: DelayPredictorSystem, steps: int) -> "DelayState":
-        if steps < 1:
-            raise ValueError("steps must be at least 1")
-        return cls(y=np.zeros(sys.n), z_history=np.zeros((steps + 1, sys.m)))
-
-
-@dataclass(frozen=True)
 class DelayTrajectory:
     """Grid record of a predictor simulation.
 
-    z_record holds the full z sample sequence including the resting
-    history, so z_record[history_steps + k] is z at times[k]; xis[k] is xi
-    there, off the walk that gives z.  kernels are the trapezoid-weighted
+    ys[k], zs[k] and xis[k] are y, z and xi at times[k], xi off the walk
+    that gives z; z rests over the history_steps steps before 0, where no
+    row is kept.  kernels are the trapezoid-weighted
     kernels h w_j exp(A j h) B, j = 0..history_steps (w_j 1/2 at both ends
     and 1 inside), and exp_a_tau is exp(A tau), both read off the flow of
     the simulation's walk over [0, tau]; predictor_error_series reuses them.
@@ -177,10 +148,8 @@ class DelayTrajectory:
     ys: np.ndarray
     zs: np.ndarray
     xis: np.ndarray
-    z_record: np.ndarray
     step: float
     history_steps: int
-    signal: InputSignal
     kernels: np.ndarray = field(repr=False)
     exp_a_tau: np.ndarray = field(repr=False)
 
@@ -192,7 +161,7 @@ def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[
     _grid_steps and the stored rows n_steps (N + 1) that
     predictor_error_series's windowed trapezoid sum reads are at most
     _MAX_DELAY_WORK: checked in that order where the grid is derived, before
-    a caller allocates anything of N rows (a resting history, the kernels)."""
+    anything of N rows (the kernels, the trapezoid windows) is allocated."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive (--step), got {h!r}")
     _check_budget(sys.tau / h, _MAX_GRID_STEPS, "history steps", "--step")
@@ -208,44 +177,33 @@ def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[
 def simulate_predictor(
     sys: DelayPredictorSystem,
     signal: InputSignal,
-    state0: DelayState,
+    y0: np.ndarray,
     t_end: float,
     h: float,
 ) -> DelayTrajectory:
-    """Simulate the delayed interconnection exactly on a uniform grid.
+    """Simulate the delayed interconnection exactly on a uniform grid, from
+    the plant state ``y0`` and a resting z history.
 
-    The input must be Zero, Constant or Sinusoid and ``state0`` must hold a
-    resting z history (all zeros; y may be any finite vector), each refused
-    with ValueError before any work.  ``h`` must divide tau (relative
-    tolerance 1e-9) and match the history grid in ``state0``, and the grid
-    must pass _predictor_grid's size budget: its history steps and stored
-    rows, each refused by linalg._check_budget.  y and z are read off two
-    exact walks (see the module docstring), so ``h`` sets only the recording
-    density.  A loop too stiff for the walk's cells is refused with
-    ValueError (see linalg._MAX_STIFFNESS), and a state that leaves double range
-    raises SimulationError.
+    The input must be Zero, Constant or Sinusoid and ``y0`` a finite vector
+    of length n, each refused before any work.  ``h`` must divide tau
+    (relative tolerance 1e-9), and the grid must pass _predictor_grid's size
+    budget: its history steps and stored rows, each refused by
+    linalg._check_budget.  y and z are read off two exact walks (see the
+    module docstring), so ``h`` sets only the recording density.  A loop too
+    stiff for the walk's cells is refused with ValueError (see
+    linalg._MAX_STIFFNESS), and a state that leaves double range raises
+    SimulationError.
     """
     _check_input(sys, signal)
     hist_steps, n_steps = _predictor_grid(sys, h, t_end)
-    if state0.z_history.shape != (hist_steps + 1, sys.m):
-        raise DimensionError(
-            f"z_history must have shape ({hist_steps + 1}, {sys.m}) for h={h}"
-        )
-    if state0.y.shape != (sys.n,):
-        raise DimensionError(f"y must have length {sys.n}")
-    if state0.z_history.any():
-        raise ValueError("a delay simulation starts from a resting z history (all zeros)")
-    ys, zs, xis, flow, level, exp_a_tau = _loop_states(sys, signal, state0.y, hist_steps, n_steps, h)
+    y0 = _start_state(y0, sys.n, "y0")
+    ys, zs, xis, flow, level, exp_a_tau = _loop_states(sys, signal, y0, hist_steps, n_steps, h)
     # The orbit of (B, 0): a zero input state leaves exp(A j h) B in the first n rows.
     columns = np.zeros((flow.matrix.shape[0], sys.m))
     columns[: sys.n] = sys.b
     kernels = h * flow.orbit(columns, hist_steps + 1, level)[:, : sys.n]
     kernels[[0, -1]] *= 0.5
-    z_record = np.concatenate((np.zeros((hist_steps, sys.m)), zs))
-    return DelayTrajectory(
-        np.arange(n_steps + 1) * h, ys, z_record[hist_steps:], xis, z_record, h, hist_steps,
-        signal, kernels, exp_a_tau,
-    )
+    return DelayTrajectory(np.arange(n_steps + 1) * h, ys, zs, xis, h, hist_steps, kernels, exp_a_tau)
 
 
 def _check_input(sys: DelayPredictorSystem, signal: InputSignal) -> None:
@@ -311,9 +269,11 @@ def predictor_error_series(
     reads without discretization error.  So the gap between the two
     measures that quadrature: it is O(h^2).
     """
-    # Reversed weighting: window row j' holds z(t - (N - j') h), N = tau / h.
+    # Reversed weighting: window row j' holds z(t - (N - j') h), N = tau / h,
+    # over the resting history's N zero rows and then the recorded z.
     rwk = traj.kernels[::-1].transpose(0, 2, 1).reshape(-1, sys.n)
-    windows = np.lib.stride_tricks.sliding_window_view(traj.z_record.reshape(-1), len(rwk))
+    record = np.concatenate((np.zeros((traj.history_steps, sys.m)), traj.zs))
+    windows = np.lib.stride_tricks.sliding_window_view(record.reshape(-1), len(rwk))
     k_etau = sys.k @ traj.exp_a_tau
     # exp(A tau) y and J can each leave double range where P = their sum does not.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -376,9 +336,11 @@ def delay_bounds(sys: DelayPredictorSystem, quad_tol: float = 1e-8) -> DelayBoun
         eg = flow.advance(sys.g, s)
         return np.stack((_spectral_norms(bk @ eg), _spectral_norms(eg)), axis=1)
 
-    ints = gauss_legendre(integrand, 0.0, sys.tau, quad_tol)
+    # A kernel past double range overflows to inf; DelayBoundReport refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ints = gauss_legendre(integrand, 0.0, sys.tau, quad_tol)
+        phi_tau = spectral_norm(bk @ flow.powers[-1] @ sys.g)
     phi_int, r_int = float(ints[0]), float(ints[1])
-    phi_tau = spectral_norm(bk @ flow.powers[-1] @ sys.g)
     g_norm = spectral_norm(sys.g)
     oag = (cert.m / cert.sigma) * (g_norm + phi_int + phi_tau / sys.mu)
     ios = oag + cert.m * r_int

@@ -311,7 +311,7 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
 
 def mat_exp(a, t: float) -> np.ndarray:
     """Evaluate exp(a * t) for a square matrix ``a`` and time ``t >= 0``:
-    the top power of its _Flow on the fewest cells t / 2^s of 1-norm within _PADE13_THETA.
+    the top power of the _grid_flow of one step t.
 
     Raises OverflowError when the result leaves the representable range
     (possible despite Hurwitz ``a`` for intermediate scalings of huge norm).
@@ -323,8 +323,7 @@ def mat_exp(a, t: float) -> np.ndarray:
         raise ValueError("t must be finite")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    s = math.ceil(math.log2(max(1.0, float(np.linalg.norm(arr, 1)) * t / _PADE13_THETA)))
-    return _Flow(arr, t / 2.0**s, t).powers[-1] if t else np.eye(arr.shape[0])
+    return _grid_flow(arr, t, t)[0].powers[-1] if t else np.eye(arr.shape[0])
 
 
 def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
@@ -356,8 +355,11 @@ def lyapunov_solve(a, q) -> np.ndarray:
         raise LyapunovSolveError(f"Lyapunov equation not solvable: {exc}") from exc
     p = vec_p.reshape((n, n), order="F")
     p = 0.5 * (p + p.T)
-    residual = np.linalg.norm(a.T @ p + p @ a + q)
-    scale = np.linalg.norm(a) * np.linalg.norm(p) + np.linalg.norm(q)
+    # Frobenius norms, each the Euclidean norm of the flattened matrix, so
+    # that no square leaves double range; the product in Python floats.
+    norms = _spectral_norms(np.stack((a.T @ p + p @ a + q, a, p, q)).reshape(4, 1, -1))
+    residual, norm_a, norm_p, norm_q = map(float, norms)
+    scale = norm_a * norm_p + norm_q
     if not np.isfinite(residual) or residual > 1e-10 * max(scale, 1e-300):
         raise LyapunovSolveError(
             f"Lyapunov solve residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"

@@ -98,6 +98,17 @@ def _grid_steps(t_end: float, h: float) -> int:
     return n_steps
 
 
+def _start_state(x0, n: int, name: str) -> np.ndarray:
+    """``x0`` as a float vector; raises unless it has length ``n`` and finite
+    entries, naming it ``name``."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise DimensionError(f"{name} must have length {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return x
+
+
 def _input_scale(a: np.ndarray, block: np.ndarray) -> float:
     """s, the largest power of two up to 1 with ||s block||_1 <= max(1, ||a||_1),
     so that a large input matrix does not set the flow's cells.  A power of
@@ -145,11 +156,7 @@ def simulate(
     like the state at the segment's end, are flows from the segment start,
     so ``h`` controls only the recording density, not the accuracy.
     """
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (sys.n,):
-        raise DimensionError(f"x0 must have length {sys.n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 contains non-finite entries")
+    x = _start_state(x0, sys.n, "x0")
     return _trajectory(sys, _walk(sys.a, sys.b, signal, x, t_end, h, {}, _stiffness(sys)), h)
 
 

@@ -535,9 +535,10 @@ def reference_error_grid(traj, sys):
     steps = traj.history_steps
     wk = _weighted_history_kernels(sys, traj.step, steps)
     k_etau = sys.k @ mat_exp(sys.a, sys.tau)
+    record = np.concatenate((np.zeros((steps, sys.m)), traj.zs))  # the resting history, then z
     xi = np.empty_like(traj.zs)
     for k in range(traj.times.size):
-        window = traj.z_record[k : k + steps + 1][::-1]
+        window = record[k : k + steps + 1][::-1]
         dist = np.einsum("jnm,jm->n", wk, window)
         xi[k] = traj.zs[k] - k_etau @ traj.ys[k] - sys.k @ dist
     return xi

@@ -16,7 +16,6 @@ from gainlab import (
     CertificateBoundInput,
     Constant,
     DelayPredictorSystem,
-    DelayState,
     Sinusoid,
     StateSpaceSystem,
     bang_bang_switches,
@@ -225,9 +224,8 @@ def test_acceptance_8_delay_oracle():
     )
     residuals = []
     for steps in (50, 100, 200):
-        state = DelayState.resting(sys, steps)
         traj = simulate_predictor(
-            sys, Constant(u0=[1.0]), state, 10.0, sys.tau / steps
+            sys, Constant(u0=[1.0]), np.zeros(sys.n), 10.0, sys.tau / steps
         )
         residuals.append(predictor_error_residual(traj, sys))
     assert residuals[0] <= 1e-4, f"residual at tau/50 is {residuals[0]}"

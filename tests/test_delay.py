@@ -13,7 +13,6 @@ from gainlab import (
     BangBangInput,
     Constant,
     DelayPredictorSystem,
-    DelayState,
     DimensionError,
     NotHurwitzError,
     PeriodicExtension,
@@ -72,23 +71,21 @@ class TestConstructor:
 
 
 class TestDelayState:
-    def test_resting(self, scalar_delay):
-        state = DelayState.resting(scalar_delay, 8)
-        assert state.y.shape == (1,)
-        assert state.z_history.shape == (9, 1)
-        assert not state.y.any()
-        assert not state.z_history.any()
+    """The simulation's initial state y0 and the grid it is recorded on."""
 
-    def test_shape_checked_in_simulation(self, scalar_delay):
-        state = DelayState.resting(scalar_delay, 8)
-        with pytest.raises(DimensionError):
-            # history sized for 8 steps but h implies 16
-            simulate_predictor(scalar_delay, Zero(dim=1), state, 2.0, 0.5 / 16)
+    def test_shape_checked_in_simulation(self, scalar_delay, monkeypatch):
+        # y0 is refused, by length and then by finiteness, before any walk.
+        monkeypatch.setattr(delaymod, "_walk", None)
+        for y0 in ([0.0, 0.0], np.zeros((1, 2))):
+            with pytest.raises(DimensionError, match="^y0 must have length 1$"):
+                simulate_predictor(scalar_delay, Zero(dim=1), y0, 2.0, 0.5 / 8)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^y0 contains non-finite entries$"):
+                simulate_predictor(scalar_delay, Zero(dim=1), [bad], 2.0, 0.5 / 8)
 
     def test_step_must_divide_tau(self, scalar_delay):
-        state = DelayState.resting(scalar_delay, 1)
         with pytest.raises(ValueError):
-            simulate_predictor(scalar_delay, Zero(dim=1), state, 2.0, 0.3)
+            simulate_predictor(scalar_delay, Zero(dim=1), [0.0], 2.0, 0.3)
 
     def test_grid_work_bounded(self, scalar_delay):
         # Every grid of at most _MAX_GRID_STEPS steps at the default step
@@ -112,9 +109,8 @@ class TestDelayState:
         ],
     )
     def test_bad_step_rejected_before_allocation(self, scalar_delay, h, message):
-        state = DelayState.resting(scalar_delay, 1)
         with pytest.raises(ValueError, match=message) as info:
-            simulate_predictor(scalar_delay, Zero(dim=1), state, 2.0, h)
+            simulate_predictor(scalar_delay, Zero(dim=1), [0.0], 2.0, h)
         assert "--step" in str(info.value)
         with pytest.raises(ValueError, match=message):
             delay_empirical_check(scalar_delay, [Zero(dim=1)], 2.0, 1.0, h)
@@ -129,42 +125,38 @@ class TestPredictorDynamics:
         )
         steps = 64
         h = sys.tau / steps
-        state = DelayState(y=[2.0], z_history=np.zeros((steps + 1, 1)))
-        traj = simulate_predictor(sys, Constant([1.0]), state, 3.0, h)
+        traj = simulate_predictor(sys, Constant([1.0]), [2.0], 3.0, h)
         assert not traj.zs.any()
         np.testing.assert_allclose(traj.ys[:, 0], 1.0 + np.exp(-traj.times), rtol=1e-13)
 
     def test_zero_input_decays(self, scalar_delay):
         steps = 32
         h = scalar_delay.tau / steps
-        state = DelayState(y=np.array([2.0]), z_history=np.zeros((steps + 1, 1)))
         sigma = scalar_delay.certificate.sigma
         t_end = 20.0 / sigma
-        traj = simulate_predictor(scalar_delay, Zero(dim=1), state, t_end, h)
+        traj = simulate_predictor(scalar_delay, Zero(dim=1), [2.0], t_end, h)
         assert abs(traj.ys[-1, 0]) < 1e-6
         assert abs(traj.zs[-1, 0]) < 1e-6
 
     def test_linearity_in_disturbance(self, scalar_delay):
         steps = 16
         h = scalar_delay.tau / steps
-        state = DelayState.resting(scalar_delay, steps)
-        full = simulate_predictor(scalar_delay, Constant(u0=[1.0]), state, 4.0, h)
-        half = simulate_predictor(scalar_delay, Constant(u0=[0.5]), state, 4.0, h)
+        full = simulate_predictor(scalar_delay, Constant(u0=[1.0]), [0.0], 4.0, h)
+        half = simulate_predictor(scalar_delay, Constant(u0=[0.5]), [0.0], 4.0, h)
         np.testing.assert_allclose(half.ys, 0.5 * full.ys, atol=1e-13)
         np.testing.assert_allclose(half.zs, 0.5 * full.zs, atol=1e-13)
 
     def test_trajectory_record_layout(self, scalar_delay):
         steps = 8
         h = scalar_delay.tau / steps
-        state = DelayState.resting(scalar_delay, steps)
-        traj = simulate_predictor(scalar_delay, Constant(u0=[1.0]), state, 1.0, h)
+        traj = simulate_predictor(scalar_delay, Constant(u0=[1.0]), [0.0], 1.0, h)
         n_steps = int(round(1.0 / h))
         assert traj.times.shape == (n_steps + 1,)
         assert traj.ys.shape == (n_steps + 1, 1)
         assert traj.zs.shape == (n_steps + 1, 1)
-        assert traj.z_record.shape == (steps + n_steps + 1, 1)
+        assert traj.xis.shape == (n_steps + 1, 1)
+        assert traj.kernels.shape == (steps + 1, 1, 1)
         assert traj.history_steps == steps
-        np.testing.assert_array_equal(traj.z_record[steps:], traj.zs)
 
     def test_divergence_raises_simulation_error(self):
         # A = 1, tau = 709: exp(A tau) = 8.2e307 is a double, but the
@@ -172,9 +164,8 @@ class TestPredictorDynamics:
         sys = DelayPredictorSystem(
             a=[[1.0]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=709.0, mu=1.0
         )
-        state = DelayState.resting(sys, 64)
         with pytest.raises(SimulationError, match="diverged at t="):
-            simulate_predictor(sys, Constant(u0=[1.0]), state, 7090.0, sys.tau / 64)
+            simulate_predictor(sys, Constant(u0=[1.0]), [0.0], 7090.0, sys.tau / 64)
 
     @pytest.mark.parametrize("mu", [1e4, 1e6, 1e9])
     def test_zero_input_from_rest_with_unstable_step_map(self, mu):
@@ -183,8 +174,8 @@ class TestPredictorDynamics:
         sys = DelayPredictorSystem(
             a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-1.0]], tau=1.0, mu=mu
         )
-        traj = simulate_predictor(sys, Zero(dim=1), DelayState.resting(sys, 1), 50.0, 1.0)
-        assert not traj.ys.any() and not traj.z_record.any()
+        traj = simulate_predictor(sys, Zero(dim=1), np.zeros(sys.n), 50.0, 1.0)
+        assert not traj.ys.any() and not traj.zs.any()
 
     def test_too_stiff_loop_refused(self):
         # mu = 1e100: the walk's cells, 1 / ||F2||_1, are too fine for
@@ -193,7 +184,7 @@ class TestPredictorDynamics:
             a=[[-1.0]], b=[[1.0]], g=[[1.0]], k=[[-0.5]], tau=1.0, mu=1e100
         )
         with pytest.raises(ValueError, match="too stiff to simulate"):
-            simulate_predictor(sys, Constant([1.0]), DelayState.resting(sys, 4), 20.0, 0.25)
+            simulate_predictor(sys, Constant([1.0]), np.zeros(sys.n), 20.0, 0.25)
 
     def test_one_step_map_per_simulation(self, scalar_delay, monkeypatch):
         # Two linalg._Flow per simulation, whatever its length: one for the
@@ -208,11 +199,10 @@ class TestPredictorDynamics:
 
         monkeypatch.setattr(linalg, "_Flow", counting)
         steps = 16
-        state = DelayState.resting(scalar_delay, steps)
         for t_end in (1.0, 10.0):
             calls.clear()
             simulate_predictor(
-                scalar_delay, Sinusoid([1.0], 1.0), state, t_end, scalar_delay.tau / steps
+                scalar_delay, Sinusoid([1.0], 1.0), [0.0], t_end, scalar_delay.tau / steps
             )
             assert len(calls) == 2
 
@@ -229,16 +219,7 @@ class TestPredictorDynamics:
         # rest are refused before any walk.
         monkeypatch.setattr(delaymod, "_walk", None)
         with pytest.raises(ValueError, match="^delay inputs are Zero, Constant or Sinusoid, got "):
-            simulate_predictor(scalar_delay, signal, DelayState.resting(scalar_delay, 8), 2.0, 0.5 / 8)
-
-    def test_nonzero_history_refused(self, scalar_delay, monkeypatch):
-        monkeypatch.setattr(delaymod, "_walk", None)
-        history = np.zeros((9, 1))
-        history[3] = 1e-300
-        with pytest.raises(ValueError, match="resting z history"):
-            simulate_predictor(
-                scalar_delay, Zero(dim=1), DelayState(y=[1.0], z_history=history), 2.0, 0.5 / 8
-            )
+            simulate_predictor(scalar_delay, signal, np.zeros(scalar_delay.n), 2.0, 0.5 / 8)
 
     def test_long_delay_unstable_plant_steady_state(self):
         # A = 1, K = -2, tau = 600: y settles at 4 e^600 - 1 and z at -4 e^600.
@@ -247,7 +228,7 @@ class TestPredictorDynamics:
         sys = DelayPredictorSystem(
             a=[[1.0]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=600.0, mu=1.0
         )
-        traj = simulate_predictor(sys, Constant([1.0]), DelayState.resting(sys, 64), 6000.0, 600.0 / 64)
+        traj = simulate_predictor(sys, Constant([1.0]), np.zeros(sys.n), 6000.0, 600.0 / 64)
         assert traj.ys[-1, 0] == pytest.approx(4.0 * math.exp(600.0) - 1.0, rel=1e-12)
         assert traj.zs[-1, 0] == pytest.approx(-4.0 * math.exp(600.0), rel=1e-12)
 
@@ -327,8 +308,7 @@ class TestReferenceIntegrator:
         steps = 16
         h = plant.tau / steps
         y0 = np.zeros(plant.n) if y0 is None else np.asarray(y0)
-        state = DelayState(y=y0, z_history=np.zeros((steps + 1, plant.m)))
-        traj = simulate_predictor(plant, signal, state, 5.0, h)
+        traj = simulate_predictor(plant, signal, y0, 5.0, h)
         ys, zs = method_of_steps(plant, signal, y0, traj.times.size - 1, h)
         assert _relative_gap(traj.ys, ys) <= 1e-10
         assert _relative_gap(traj.zs, zs) <= 1e-10
@@ -342,9 +322,8 @@ class TestReferenceIntegrator:
         steps = 64
         h = scalar_delay.tau / steps
         y0 = np.random.default_rng(11).standard_normal(1)
-        state = DelayState(y=y0, z_history=np.zeros((steps + 1, 1)))
         signal = Sinusoid(direction=[1.0], omega=1.0)
-        traj = simulate_predictor(scalar_delay, signal, state, 40.0, h)
+        traj = simulate_predictor(scalar_delay, signal, y0, 40.0, h)
         assert traj.times.size == 5121
         ys, zs = method_of_steps(scalar_delay, signal, y0, traj.times.size - 1, h)
         assert _relative_gap(traj.ys, ys) <= 1e-10
@@ -358,10 +337,9 @@ class TestReferenceIntegrator:
         n_steps = max(1, int(delays * hist_steps)) + (delays > 1)
         h = UNIT_UNSTABLE_PLANT.tau / hist_steps
         signal = Sinusoid(direction=[1.0], omega=3.0)
-        state = DelayState(y=[0.3], z_history=np.zeros((hist_steps + 1, 1)))
-        traj = simulate_predictor(UNIT_UNSTABLE_PLANT, signal, state, n_steps * h, h)
+        traj = simulate_predictor(UNIT_UNSTABLE_PLANT, signal, [0.3], n_steps * h, h)
         assert traj.times.size == n_steps + 1
-        ys, zs = method_of_steps(UNIT_UNSTABLE_PLANT, signal, state.y, n_steps, h)
+        ys, zs = method_of_steps(UNIT_UNSTABLE_PLANT, signal, np.array([0.3]), n_steps, h)
         assert _relative_gap(traj.ys, ys) <= 1e-10
         assert _relative_gap(traj.zs, zs) <= 1e-10
 
@@ -369,17 +347,15 @@ class TestReferenceIntegrator:
 class TestPredictorError:
     def test_zero_input_error_identically_zero(self, scalar_delay):
         steps = 32
-        state = DelayState.resting(scalar_delay, steps)
         traj = simulate_predictor(
-            scalar_delay, Zero(dim=1), state, 4.0, scalar_delay.tau / steps
+            scalar_delay, Zero(dim=1), [0.0], 4.0, scalar_delay.tau / steps
         )
         assert predictor_error_residual(traj, scalar_delay) <= 1e-8
 
     def test_series_shapes(self, scalar_delay):
         steps = 16
-        state = DelayState.resting(scalar_delay, steps)
         traj = simulate_predictor(
-            scalar_delay, Constant(u0=[1.0]), state, 2.0, scalar_delay.tau / steps
+            scalar_delay, Constant(u0=[1.0]), [0.0], 2.0, scalar_delay.tau / steps
         )
         xi, xi_ref = predictor_error_series(traj, scalar_delay)
         assert xi.shape == xi_ref.shape == (traj.times.size, 1)
@@ -392,9 +368,8 @@ class TestPredictorError:
     def test_residual_second_order(self, scalar_delay, signal):
         residuals = []
         for steps in (50, 100, 200):
-            state = DelayState.resting(scalar_delay, steps)
             traj = simulate_predictor(
-                scalar_delay, signal, state, 6.0, scalar_delay.tau / steps
+                scalar_delay, signal, [0.0], 6.0, scalar_delay.tau / steps
             )
             residuals.append(predictor_error_residual(traj, scalar_delay))
         assert residuals[0] < 1e-4
@@ -413,9 +388,8 @@ class TestPredictorError:
         monkeypatch.setattr(sim, "simulate", refuse)
         residuals = []
         for steps in (50, 100, 200):
-            state = DelayState.resting(scalar_delay, steps)
             h = scalar_delay.tau / steps
-            traj = simulate_predictor(scalar_delay, Constant(u0=[1.0]), state, 10.0, h)
+            traj = simulate_predictor(scalar_delay, Constant(u0=[1.0]), [0.0], 10.0, h)
             xi, xi_ref = predictor_error_series(traj, scalar_delay)
             assert xi_ref is traj.xis
             closed = 0.25 * math.exp(-0.5) * (1.0 - np.exp(-2.0 * traj.times))
@@ -524,8 +498,7 @@ class TestEmpiricalCheck:
         h, t_end, window = BATTERY_PLANT.tau / 32.0, 12.0, 3.0
         check = delay_empirical_check(BATTERY_PLANT, BATTERY, t_end, window, h)
         for signal, entry in zip(BATTERY, check.entries):
-            state = DelayState.resting(BATTERY_PLANT, 32)
-            traj = simulate_predictor(BATTERY_PLANT, signal, state, t_end, h)
+            traj = simulate_predictor(BATTERY_PLANT, signal, np.zeros(2), t_end, h)
             norms = np.linalg.norm(traj.ys, axis=1)
             tail = traj.times >= traj.times[-1] - window - 1e-12
             assert entry.sup_gain == float(np.max(norms))

@@ -134,9 +134,11 @@ class TestMatExp:
         np.testing.assert_array_equal(mat_exp([[2.0, -1.0], [3.0, 0.5]], 0.0), np.eye(2))
 
     def test_one_pade_matrix_per_call(self, monkeypatch):
-        # mat_exp(a, t) evaluates the Pade approximant on one matrix, the
-        # cell t / 2^s of the fewest squarings: its 1-norm is within
-        # _PADE13_THETA, and past half of it whenever s > 0.
+        # mat_exp(a, t) evaluates the Pade approximant once, on one stack:
+        # the levels of its _grid_flow of 1-norm within _PADE13_THETA, the
+        # first a grid cell (1-norm within 1).  exp(t a) is squared up from
+        # the top one, the cell t / 2^s of the fewest squarings: its 1-norm
+        # is past half of _PADE13_THETA whenever s > 0.
         calls = []
         original = linalg._pade13
 
@@ -154,13 +156,39 @@ class TestMatExp:
                 t = norm_t / np.linalg.norm(a, 1)
                 calls.clear()
                 mat_exp(a, t)
-                assert len(calls) == 1 and calls[0].shape == (1, n, n)
-                cell_norm = np.linalg.norm(calls[0][0], 1)
+                assert len(calls) == 1 and calls[0].shape[1:] == (n, n)
+                assert np.linalg.norm(calls[0][0], 1) <= 1.0
+                cell_norm = np.linalg.norm(calls[0][-1], 1)
                 assert cell_norm <= theta
                 if norm_t > theta:
                     assert cell_norm > theta / 2.0
                 else:
-                    np.testing.assert_array_equal(calls[0][0], a * t)
+                    np.testing.assert_array_equal(calls[0][-1], a * t)
+
+    def test_matches_the_fewest_squarings_rule(self):
+        # mat_exp once squared up from the fewest cells t / 2^s of 1-norm
+        # within _PADE13_THETA, s = ceil(log2(||a||_1 t / theta)); the grid
+        # flow's levels give the same bits, or refuse with the same exception.
+        def fewest_squarings(a, t):
+            s = math.ceil(math.log2(max(1.0, float(np.linalg.norm(a, 1)) * t / linalg._PADE13_THETA)))
+            return linalg._Flow(a, t / 2.0**s, t).powers[-1]
+
+        rng, refused = np.random.default_rng(49), 0
+        for _ in range(500):
+            n = int(rng.integers(1, 9))
+            a = rng.standard_normal((n, n))
+            if rng.random() < 0.5:
+                a -= (np.linalg.norm(a, 1) + rng.random()) * np.eye(n)
+            t = 10.0 ** rng.uniform(-19.0, 15.0) / np.linalg.norm(a, 1)
+            try:
+                expected = fewest_squarings(a, t)
+            except OverflowError:
+                refused += 1
+                with pytest.raises(OverflowError):
+                    mat_exp(a, t)
+                continue
+            assert mat_exp(a, t).tobytes() == expected.tobytes()
+        assert 0 < refused < 250
 
 
 def flow_generator():

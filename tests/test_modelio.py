@@ -8,7 +8,6 @@ from gainlab import (
     CertificateBoundInput,
     Constant,
     DelayPredictorSystem,
-    DelayState,
     GainlabError,
     NotHurwitzError,
     Sinusoid,
@@ -293,9 +292,8 @@ class TestCsv:
 
     def test_delay_trajectory_csv(self, scalar_delay):
         steps = 8
-        state = DelayState.resting(scalar_delay, steps)
         traj = simulate_predictor(
-            scalar_delay, Zero(dim=1), state, 1.0, scalar_delay.tau / steps
+            scalar_delay, Zero(dim=1), np.zeros(scalar_delay.n), 1.0, scalar_delay.tau / steps
         )
         xi, xi_ref = predictor_error_series(traj, scalar_delay)
         text = delay_trajectory_csv(traj, xi, xi_ref)
@@ -323,9 +321,8 @@ def _random_system(rng, n, p=1):
 
 
 def _delay_traj(system, t_end, steps):
-    state = DelayState.resting(system, steps)
     signal = Constant(u0=np.ones(system.p) / np.sqrt(system.p))
-    traj = simulate_predictor(system, signal, state, t_end, system.tau / steps)
+    traj = simulate_predictor(system, signal, np.zeros(system.n), t_end, system.tau / steps)
     return (traj, *predictor_error_series(traj, system))
 
 
