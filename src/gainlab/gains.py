@@ -177,8 +177,9 @@ def _tail_horizon(sys: StateSpaceSystem, rows: np.ndarray, tail: float) -> float
 
 def _partition(sys, rows, budget, horizons, flow=None):
     """(roots, signed, unresolved, flow): _sign_partition on ``flow``, else on a
-    new _KernelFlow of ``horizons``.  A caller whose horizons a flag set has
-    checked their cell budget first (linalg._check_partition_cells)."""
+    new _KernelFlow of ``horizons``.  A caller has checked the cell budget
+    (linalg._check_partition_cells) of every horizon but the L1 and
+    positivity horizons first."""
     flow = _KernelFlow(sys, horizons) if flow is None else flow
     return (*_sign_partition(flow, rows, budget), flow)
 
@@ -594,7 +595,7 @@ def bang_bang_switches(sys: StateSpaceSystem, horizon: float) -> BangBangInput:
 
 
 def _bang_bang_switches(sys, horizon: float) -> BangBangInput:
-    """bang_bang_switches past its argument checks and cell budget (verify's derived horizon has none)."""
+    """bang_bang_switches past its argument checks and cell budget (verify checks its own horizon's)."""
     scale = max(spectral_norm(sys.c) * spectral_norm(sys.b), 1e-300)
     roots, _, _, flow = _partition(sys, sys.c, 1e-12 * scale, [horizon])
     return _bang_bang(sys, flow, roots[0], horizon)

@@ -31,7 +31,6 @@ __all__ = [
     "mat_exp",
     "lyapunov_solve",
     "is_hurwitz",
-    "symmetric_eigen",
     "spectral_norm",
     "StabilityCertificate",
     "stability_certificate",
@@ -191,6 +190,24 @@ def _cell_flow(stack: np.ndarray, s, x: np.ndarray) -> np.ndarray:
     return (weights @ terms)[..., 0, :]
 
 
+def _closed_form_rows(m: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values): the rows of an autonomous tail of M, and those rows of
+    exp(t M) at each of ``times``, a (times, rows, n) array.  A zero row of M
+    is a unit row of exp(t M), and a trailing [[0, w], [-w, 0]] block with
+    zero rows to its left is the rotation [[cos wt, sin wt], [-sin wt, cos wt]]."""
+    n = m.shape[0]
+    rows = np.flatnonzero(~m.any(axis=1))
+    values = np.zeros((times.size, rows.size + 2, n))
+    values[:, np.arange(rows.size), rows] = 1.0
+    w = m[-2, -1] if n > 1 else 0.0
+    if w == 0.0 or m[-2:, :-2].any() or m[-2, -2] or m[-1, -1] or m[-1, -2] != -w:
+        return rows, values[:, :-2]
+    cos, sin = np.cos(w * times), np.sin(w * times)
+    values[:, -2, -2:] = np.stack((cos, sin), axis=1)
+    values[:, -1, -2:] = np.stack((-sin, cos), axis=1)
+    return np.append(rows, (n - 2, n - 1)), values
+
+
 class _Flow:
     """The flow exp(t M) of a square M for 0 <= t <= ``end`` on cells of
     width ``cell`` (||cell M||_1 <= 1 for its Taylor stack), walked by the
@@ -202,20 +219,27 @@ class _Flow:
     The powers are the package's one scaling and squaring: one stack of
     degree-13 Pade approximants gives level 0 and every level of 1-norm
     within _PADE13_THETA, and each level past it is the square of the level
-    below.  A zero level gives the identity exactly, and a power that
-    overflows raises OverflowError."""
+    below.  The _closed_form_rows of M (a walk's constant or sinusoidal
+    input state) are reset to their closed form at every level before it is
+    squared: each squaring doubles a level's relative rounding, and after
+    the 990 squarings of one stiff step a constant input's 1, which the Pade
+    approximant gives as 1 - 2^-53, had become 0.  So a zero M gives the
+    identity exactly.  A power that overflows raises OverflowError."""
 
     def __init__(self, matrix: np.ndarray, cell: float, end: float):
         self.matrix, self.cell = matrix, cell
         cells = int(end / cell + 0.5)
-        levels = matrix * (cell * 2.0 ** np.arange(cells.bit_length()))[:, None, None]
+        times = cell * 2.0 ** np.arange(cells.bit_length())
+        levels = matrix * times[:, None, None]
         norms = np.linalg.norm(levels, 1, axis=(-2, -1))
         direct = max(1, int(np.count_nonzero(norms <= _PADE13_THETA)))
         self.powers = np.concatenate((_pade13(levels[:direct]), levels[direct:]))
-        self.powers[norms == 0.0] = np.eye(matrix.shape[0])
+        rows, exact = _closed_form_rows(matrix, times)
+        self.powers[:direct, rows] = exact[:direct]
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(direct, len(levels)):
                 self.powers[i] = self.powers[i - 1] @ self.powers[i - 1]
+                self.powers[i, rows] = exact[i]
         if not np.all(np.isfinite(self.powers)):
             raise OverflowError("matrix exponential overflowed double precision")
 
@@ -390,22 +414,6 @@ def is_hurwitz(a) -> bool:
     return True
 
 
-def symmetric_eigen(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
-
-    Returns (w, v) with eigenvalues ``w`` ascending and orthonormal columns
-    ``v`` such that s = v @ diag(w) @ v.T.
-    """
-    s = as_matrix(s, "s")
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise DimensionError(f"s must be square, got shape {s.shape}")
-    if np.max(np.abs(s - s.T)) > 1e-10 * max(1.0, np.max(np.abs(s))):
-        raise ValueError("s must be symmetric")
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
-    return w, v
-
-
 def spectral_norm(m) -> float:
     """Largest singular value of ``m`` (Euclidean norm for vector shapes)."""
     return float(_spectral_norms(np.atleast_2d(np.asarray(m, dtype=float))[None])[0])
@@ -444,7 +452,7 @@ def stability_certificate(a) -> StabilityCertificate:
         raise NotHurwitzError(f"matrix is not Hurwitz: {exc}") from exc
     if not _cholesky_positive_definite(p):
         raise NotHurwitzError("matrix is not Hurwitz: Lyapunov solution not positive definite")
-    w, _ = symmetric_eigen(p)
+    w = np.linalg.eigh(p)[0]
     lmin, lmax = float(w[0]), float(w[-1])
     if lmin <= 0.0:
         raise NotHurwitzError("matrix is not Hurwitz: Lyapunov solution not positive definite")

@@ -18,10 +18,8 @@ C exp(A j h) x_k, and x_{k+1} = exp(A period) x_k + x_zs(period): the free
 response is the orbit of the output row (C, 0) of the same generator flow,
 applied to (x_k, 0), and exp(A period) is the top-left block of its power
 exp(G period).  So verify_gain_equality walks one of its ten periods and
-one row orbit for all ten, and steady_periodic_state reads the periodic
-start state off the same one-period helper.  verify reads its bang-bang
-input off the sign partition that gave it the gain, so one kernel flow
-serves both.
+one row orbit for all ten.  verify reads its bang-bang input off the sign
+partition that gave it the gain, so one kernel flow serves both.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .exceptions import DimensionError, SimulationError
 from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, _tail_horizon, _vanishes
 from .gains import bang_bang_switches
@@ -42,7 +41,6 @@ from .linalg import (
     StateSpaceSystem,
     _check_budget,
     _check_stiffness,
-    _Flow,
     _grid_flow,
     _spectral_norms,
     spectral_norm,
@@ -60,7 +58,6 @@ from .signals import (
 __all__ = [
     "Trajectory",
     "simulate",
-    "steady_periodic_state",
     "WorstCaseSpec",
     "worst_case_periodic_input",
     "EmpiricalGains",
@@ -220,41 +217,6 @@ def _walk(a, b, signal, x, t_end, h, flows, stiff) -> np.ndarray:
     return states
 
 
-def steady_periodic_state(
-    sys: StateSpaceSystem, signal: InputSignal, period: float
-) -> np.ndarray:
-    """Initial state whose response to the periodic input is itself periodic.
-
-    Solves (exp(A period) - I) x = -x_zs(period), with the zero-state
-    response x_zs(period) and exp(A period) from _one_period.
-    """
-    if not (period > 0):
-        raise ValueError("period must be positive")
-    zero_state, e_period, _, _ = _one_period(sys, signal, period, 1)
-    return np.linalg.solve(e_period - np.eye(sys.n), -zero_state.states[-1])
-
-
-def _one_period(
-    sys: StateSpaceSystem, signal: InputSignal, period: float, steps: int
-) -> tuple[Trajectory, np.ndarray, _Flow, int]:
-    """(trajectory, exp(A period), flow, level): the zero-state response to
-    ``signal`` over one period, recorded in ``steps`` steps of h = period /
-    steps (steps a power of two), and one generator flow of its walk with
-    its orbit level.
-
-    Every generator is block upper triangular with A top left, and its
-    input state enters no state row, so from z = (x, 0) the flow's orbit
-    at ``level`` walks exp(A j h) x in its first n rows, and its last power,
-    exp(G period) (2^level cells a step, steps a power of two), holds
-    exp(A period) top left.
-    """
-    flows, h = {}, period / steps
-    states = _walk(sys.a, sys.b, signal, np.zeros(sys.n), period, h, flows, _stiffness(sys))
-    zero_state = _trajectory(sys, states, h)
-    flow, level, _ = next(iter(flows.values()))
-    return zero_state, flow.powers[-1][: sys.n, : sys.n], flow, level
-
-
 class WorstCaseSpec(NamedTuple):
     """Shape parameters of a constructed worst-case periodic input."""
 
@@ -262,7 +224,6 @@ class WorstCaseSpec(NamedTuple):
     rest: float
     period: float
     rest_tolerance: float
-    achieved_decay: float
 
 
 def worst_case_periodic_input(
@@ -281,22 +242,14 @@ def worst_case_periodic_input(
     if not (0.0 < rest_tolerance < 1.0):
         raise ValueError("rest_tolerance must lie in (0, 1)")
     rest = _rest_length(sys.certificate, rest_tolerance)
-    return _periodic_input(sys.certificate, bang_bang_switches(sys, horizon), rest, rest_tolerance)
+    return _periodic_input(bang_bang_switches(sys, horizon), rest, rest_tolerance)
 
 
-def _periodic_input(
-    cert, bang, rest: float, rest_tolerance: float
-) -> tuple[PeriodicExtension, WorstCaseSpec]:
+def _periodic_input(bang, rest: float, rest_tolerance: float) -> tuple[PeriodicExtension, WorstCaseSpec]:
     """worst_case_periodic_input's (input, spec) for the bang-bang input
     ``bang`` followed by ``rest``, the rest length of ``rest_tolerance``."""
     period = bang.horizon + rest
-    spec = WorstCaseSpec(
-        horizon=bang.horizon,
-        rest=rest,
-        period=period,
-        rest_tolerance=rest_tolerance,
-        achieved_decay=cert.m * math.exp(-cert.sigma * rest),
-    )
+    spec = WorstCaseSpec(horizon=bang.horizon, rest=rest, period=period, rest_tolerance=rest_tolerance)
     return PeriodicExtension(base=bang, base_span=bang.horizon, period=period), spec
 
 
@@ -379,12 +332,14 @@ def verify_gain_equality(
     accuracy/4 each way.  The gain gamma and the input's switches come from
     one sign partition of the kernel on [0, H], H the L1 horizon: a horizon
     past H (gamma below about tol / accuracy) partitions [0, horizon] anew,
-    as bang_bang_switches does but with no cell budget.  The input runs for
-    10 periods from rest, recorded without simulating more than the first:
-    each later period's outputs are the first's plus the free response of
-    its start state, read off one orbit of the output row.  The asymptotic
-    output over the last 5 periods must land in [(1 - accuracy) gamma,
-    gamma (1 + 1e-6) + 2 tol]; failure is reported in the record, not raised.
+    as bang_bang_switches does, and is refused past the same cell budget
+    (a stiff system's horizon is at least rest / 4095, rest a whole number
+    of time units).  The input runs for 10 periods from rest, recorded
+    without simulating more than the first: each later period's outputs are
+    the first's plus the free response of its start state, read off one
+    orbit of the output row.  The asymptotic output over the last 5 periods
+    must land in [(1 - accuracy) gamma, gamma (1 + 1e-6) + 2 tol]; failure
+    is reported in the record, not raised.
     A kernel that gains._vanishes, or whose L1 horizon is 0, takes no
     partition: gamma and every measured figure are 0, and the record passes.
     A system too stiff to walk is refused before the partition.
@@ -413,23 +368,29 @@ def verify_gain_equality(
         if horizon <= l1.details["horizon"]:
             bang = _bang_bang(sys, kernel_flow, roots[0], horizon)
         else:
+            linalg._check_partition_cells(sys.a, horizon, "derived from the system, with no flag")
             bang = _bang_bang_switches(sys, horizon)
-        signal, spec = _periodic_input(cert, bang, rest, rest_tol)
-        period = spec.period
+        signal, spec = _periodic_input(bang, rest, rest_tol)
+        period, h, flows = spec.period, spec.period / _VERIFY_STEPS, {}
+        states = _walk(sys.a, sys.b, signal, np.zeros(sys.n), period, h, flows, _stiffness(sys))
         # The input repeats every period, so period k's outputs are the zero-state
         # ones plus the free response C exp(A j h) x_k of its start state, with
-        # x_0 = 0 and x_{k+1} = exp(A period) x_k + x_zs(period).
-        zero_state, e_period, flow, level = _one_period(sys, signal, period, _VERIFY_STEPS)
-        x_zs = zero_state.states[-1]
+        # x_0 = 0 and x_{k+1} = exp(A period) x_k + x_zs(period).  Every generator
+        # is block upper triangular with A top left, and its input state enters
+        # no state row, so from (x, 0) the orbit of any one of them walks
+        # exp(A j h) x in its first n rows, and its last power, exp(G period)
+        # (2^level cells a step, 4096 steps), holds exp(A period) top left.
+        flow, level, _ = next(iter(flows.values()))
+        e_period = flow.powers[-1][: sys.n, : sys.n]
         starts = np.zeros((sys.n, _VERIFY_PERIODS + 1))
         for k in range(_VERIFY_PERIODS):
-            starts[:, k + 1] = e_period @ starts[:, k] + x_zs
+            starts[:, k + 1] = e_period @ starts[:, k] + states[-1]
         row = np.zeros(flow.matrix.shape[0])  # (C, 0): the input state adds nothing
         row[: sys.n] = sys.c[0]
         free = flow.row_orbit(row, _VERIFY_STEPS, level)[:, : sys.n] @ starts[:, :-1]
-        outputs = zero_state.outputs[:-1] + free
+        outputs = states[:-1] @ sys.c.T + free
         norms = np.abs(np.append(outputs.T, sys.c @ starts[:, -1]))
-        times = np.arange(norms.size) * zero_state.step
+        times = np.arange(norms.size) * h
         emp = _measured_gains(times, norms, _VERIFY_PERIODS // 2 * period)
         lower_target = (1.0 - accuracy) * gamma
     upper_limit = gamma * (1.0 + 1e-6) + 2.0 * tol

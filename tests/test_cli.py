@@ -108,6 +108,13 @@ def _model_file(tmp_path, name):
     return str(path)
 
 
+def _stiff_scalar_file(tmp_path, k):
+    """The model A = -10^k, B = 10^k, C = 1 in tmp_path."""
+    path = tmp_path / f"stiff-{k}.json"
+    path.write_text(json.dumps({"A": [[-(10.0**k)]], "B": [[10.0**k]], "C": [[1.0]]}))
+    return str(path)
+
+
 # verify's document of a vanishing kernel at the default tol 1e-9.
 VANISHING_DOCUMENT = {
     "schema_version": modelio.SCHEMA_VERSION,
@@ -882,6 +889,16 @@ class TestSimulate:
             "exceeds 1e+09 (G the flow of the state and the input)\n"
         )
 
+    @pytest.mark.parametrize("k", [6, 10, 15, 300])
+    def test_stiff_scalar_family(self, tmp_path, capsys, k):
+        # A = -10^k, B = 10^k, C = 1: y = 1 - e^{-10^k t}.  y(20) printed 0.61
+        # at k = 15, and 0 from k = 20 on, with exit 0.
+        assert main(["simulate", _stiff_scalar_file(tmp_path, k)]) == 0
+        rows = np.loadtxt(capsys.readouterr().out.splitlines(), delimiter=",", skiprows=1)
+        assert rows.shape == (2001, 3)
+        exact = 1.0 - np.exp(-(10.0**k) * rows[:, 0])
+        np.testing.assert_allclose(rows[:, 2], exact, rtol=0.0, atol=1e-12)
+
     def test_delay_csv_has_error_columns(self, delay_file, capsys):
         assert main(["simulate", delay_file, "--t-max", "2"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -909,6 +926,17 @@ class TestWorstcase:
         assert "period=24" in err
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,x_1,y_1"
+
+    @pytest.mark.parametrize("k", [12, 15])
+    def test_stiff_scalar_horizon_refused(self, tmp_path, capsys, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["worstcase", _stiff_scalar_file(tmp_path, k)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"gainlab: error: 1e+{k + 1} partition cells for horizon 10 exceeds the limit "
+            "of 5000000 (--horizon)\n"
+        )
 
     def _trajectory(self, path, capsys):
         assert main(["worstcase", path]) == 0
@@ -990,6 +1018,20 @@ class TestVerify:
             "gainlab: error: the system is too stiff to simulate: ||G||_1 / sigma = 1e+10 "
             "exceeds 1e+09 (G the flow of the state and the input)\n"
         )
+
+    @pytest.mark.parametrize("k", [12, 15])
+    def test_stiff_scalar_horizon_past_the_cell_budget(self, tmp_path, capsys, k):
+        # The rest is a whole time unit, so verify's horizon is at least
+        # 1 / 4095, and A = -10^k partitioned 2.4 x 10^(k - 4) cells of it:
+        # no answer in 30 s under a 3 GB address-space limit.
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", _stiff_scalar_file(tmp_path, k)]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gainlab: error: ") and err.count("\n") == 1
+        assert "partition cells for horizon 0.0002442" in err and "with no flag" in err
 
     def test_tiny_kernel_passes_exit_0(self, tmp_path, capsys):
         # 1e-20 e^{-s}: the check ran the zero input (asymptotic gain 0) and

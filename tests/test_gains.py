@@ -1307,12 +1307,15 @@ def test_default_period_grid_past_cell_budget_refused_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+VERIFY_HORIZON = "derived from the system, with no flag"
+
+
 def test_every_partition_goes_through_the_entry_point(monkeypatch, oscillator, triangular_positive):
     # Every path that partitions a kernel does so inside gains._partition,
     # and the cell budget is checked on exactly the horizons a caller gives
-    # (--t-max, --horizon, a t_grid's longest period) and on the default
-    # period grid's longest, never on another derived one: the L1 horizon,
-    # positivity's, or verify's horizon past the L1 horizon.
+    # (--t-max, --horizon, a t_grid's longest period), on the default period
+    # grid's longest and on verify's horizon past the L1 horizon, never on
+    # another derived one: the L1 horizon or positivity's.
     entry, partition, check = gains._partition, gains._sign_partition, linalg._check_partition_cells
     depth, entries, checked = [], [], []
 
@@ -1332,13 +1335,14 @@ def test_every_partition_goes_through_the_entry_point(monkeypatch, oscillator, t
         checked.append((float(horizon), flag))
         return check(a, horizon, flag)
 
+    base = random_siso_system(np.random.default_rng(0))
+    past_h = StateSpaceSystem(a=base.a, b=base.b, c=base.c * 1e-9)
+    past_h_horizon = verify_gain_equality(past_h, 0.02).horizon
     monkeypatch.setattr(gains, "_partition", recording_entry)
     monkeypatch.setattr(gains, "_sign_partition", guarded_partition)
     monkeypatch.setattr(linalg, "_check_partition_cells", recording_check)
     two_output = oscillator_two_output(1.0, 1.0)
     sigma = oscillator.certificate.sigma
-    base = random_siso_system(np.random.default_rng(0))
-    past_h = StateSpaceSystem(a=base.a, b=base.b, c=base.c * 1e-9)
     cases = (
         (lambda: gain_report(oscillator), 1, []),
         (lambda: gain_report(two_output), 1, []),
@@ -1347,7 +1351,7 @@ def test_every_partition_goes_through_the_entry_point(monkeypatch, oscillator, t
         (lambda: bang_bang_switches(oscillator, 3.0), 1, [(3.0, "--horizon")]),
         (lambda: worst_case_periodic_input(oscillator, 3.0, 1e-6), 1, [(3.0, "--horizon")]),
         (lambda: verify_gain_equality(oscillator, 0.02), 1, []),
-        (lambda: verify_gain_equality(past_h, 0.02), 2, []),
+        (lambda: verify_gain_equality(past_h, 0.02), 2, [(past_h_horizon, VERIFY_HORIZON)]),
         (lambda: periodic_upper_estimate(oscillator), 9, [(64.0 / sigma, "t_grid")]),
         (lambda: periodic_upper_estimate(oscillator, [1.0, 4.0, 2.0]), 3, [(4.0, "t_grid")]),
         (lambda: positivity_certificate(damped_oscillator(3.0, 1.0)), 1, []),

@@ -23,7 +23,6 @@ from gainlab import (
     mat_exp,
     max_terminal_output,
     simulate,
-    steady_periodic_state,
     verify_gain_equality,
     worst_case_periodic_input,
 )
@@ -98,6 +97,21 @@ class TestSimulateExactness:
             simulate(scalar_system, Zero(dim=1), [0.0, 0.0], 1.0, 0.1)
         with pytest.raises(ValueError):
             simulate(scalar_system, Zero(dim=1), [0.0], 1.0, 0.0)
+
+    @pytest.mark.parametrize("k", [6, 10, 15, 300])
+    def test_stiff_scalar_family(self, k):
+        # A = -a, B = a, C = 1, a = 10^k: under u = 1, x = 1 - e^{-a t}; under
+        # u = sin t, x = (sin t - r cos t + r e^{-a t}) / (1 + r^2), r = 1 / a.
+        # Each squaring doubled the rounding of the input's own state: y(20)
+        # was 0.61 at k = 15 and x was 0 from k = 20 on.
+        a = 10.0**k
+        system = StateSpaceSystem(a=[[-a]], b=[[a]], c=[[1.0]])
+        traj = simulate(system, Constant([1.0]), [0.0], 20.0, 0.01)
+        t = traj.times
+        np.testing.assert_allclose(traj.outputs[:, 0], 1.0 - np.exp(-a * t), rtol=0.0, atol=1e-12)
+        traj = simulate(system, Sinusoid(direction=[1.0], omega=1.0), [0.0], 20.0, 0.01)
+        exact = (np.sin(t) - np.cos(t) / a + np.exp(-a * t) / a) / (1.0 + a**-2)
+        np.testing.assert_allclose(traj.outputs[:, 0], exact, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf]])
     def test_rejects_non_finite_x0(self, oscillator, x0):
@@ -390,30 +404,6 @@ class TestLinearity:
         np.testing.assert_allclose(combined, free + y2, atol=1e-12)
 
 
-class TestSteadyPeriodicState:
-    def test_fixed_point(self, oscillator):
-        period = 3.0
-        u = Sinusoid(direction=[1.0], omega=2.0 * math.pi / period)
-        x_star = steady_periodic_state(oscillator, u, period)
-        traj = simulate(oscillator, u, x_star, period, period / 512.0)
-        np.testing.assert_allclose(traj.states[-1], x_star, atol=1e-10)
-
-    def test_convergence_from_rest(self, scalar_system):
-        period = 2.0
-        u = Sinusoid(direction=[1.0], omega=2.0 * math.pi / period)
-        x_star = steady_periodic_state(scalar_system, u, period)
-        traj = simulate(scalar_system, u, np.zeros(1), 10.0 * period, period / 256.0)
-        idx = np.nonzero(np.isclose(traj.times % period, 0.0, atol=1e-9))[0]
-        boundary_states = traj.states[idx, 0]
-        errors = np.abs(boundary_states - x_star[0])
-        assert errors[-1] < 1e-8
-        assert errors[-1] < errors[1]
-
-    def test_scalar_constant_steady(self, scalar_system):
-        x_star = steady_periodic_state(scalar_system, Constant(u0=[-0.5]), 1.0)
-        assert x_star[0] == pytest.approx(-0.5, abs=1e-12)
-
-
 class TestBangBangRealization:
     def test_oscillator_reaches_claimed_value(self, oscillator):
         t_end = 10.0
@@ -437,7 +427,8 @@ class TestWorstCasePeriodicInput:
         # M = 1, sigma = 1: rest = ceil(ln(1e6)) = 14
         assert spec.rest == 14.0
         assert spec.period == pytest.approx(24.0)
-        assert spec.achieved_decay <= 1e-6
+        cert = scalar_system.certificate
+        assert cert.m * math.exp(-cert.sigma * spec.rest) <= 1e-6
         assert signal.base_span == pytest.approx(10.0)
         # rest phase is silent
         assert evaluate(signal, 10.0 + 2.0)[0] == 0.0
@@ -464,8 +455,6 @@ class TestStiffness:
             simulate(sys, Constant(u0=[1.0]), np.zeros(2), 5.0, 0.01)
         with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
             empirical_gains(sys, Constant(u0=[1.0]), 5.0, 1.0, 0.01)
-        with pytest.raises(ValueError, match="too stiff to simulate"):
-            steady_periodic_state(sys, Sinusoid(direction=[1.0], omega=1.0), 2.0 * math.pi)
 
     def test_verify_refuses_before_partitioning(self, monkeypatch):
         # verify's L1 partition held 3.2 GB after 2.5 min on this system,
@@ -660,17 +649,20 @@ class TestVerifyGainEquality:
     def test_horizon_past_the_l1_horizon(self, scale, monkeypatch):
         # C scaled down takes gamma below about tol / accuracy, so verify's
         # horizon passes the L1 horizon and verify partitions [0, horizon]
-        # anew, as bang_bang_switches does, but with no cell budget: the
-        # horizon is derived, not given.
+        # anew, as bang_bang_switches does, within the same cell budget,
+        # which names no flag: the horizon is derived, not given.
         base = verify_model("random-0", None)
         sys = StateSpaceSystem(a=base.a, b=base.b, c=base.c * scale)
+        checked, check = [], linalg._check_partition_cells
 
-        def refuse(*args):
-            raise AssertionError("verify's derived horizon was checked against the cell budget")
+        def recording(a, horizon, flag):
+            checked.append((horizon, flag))
+            return check(a, horizon, flag)
 
-        monkeypatch.setattr(linalg, "_check_partition_cells", refuse)
+        monkeypatch.setattr(linalg, "_check_partition_cells", recording)
         record = verify_gain_equality(sys, accuracy=0.02)
         monkeypatch.undo()
+        assert checked == [(record.horizon, "derived from the system, with no flag")]
         assert record.horizon > l1_impulse_gain(sys, 1e-9).details["horizon"]
         assert record.passed
         full = full_recording_gains(sys, record)
