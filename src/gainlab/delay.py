@@ -31,21 +31,23 @@ exp(Gamma tau), Gamma that walk's generator, applied to the input's own state
 at t - tau; R is never formed as a difference of two long walks, which for an
 unstable plant would subtract numbers growing like exp(alpha t).  The step
 must divide the delay exactly so that t - tau stays on the grid.
+DelayPredictorSystem is a plain class, equal only to itself; the
+trajectories, bounds and checks are immutable records (_record.Record, not
+dataclasses: a changed copy is type(r)(**{**vars(r), name: value})).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .exceptions import DimensionError, NotHurwitzError, SimulationError
 from .gains import _checked_tol
 from .linalg import (
     _MAX_DELAY_WORK,
     _MAX_GRID_STEPS,
-    StabilityCertificate,
     _check_budget,
     _grid_flow,
     _spectral_norms,
@@ -72,29 +74,22 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class DelayPredictorSystem:
     """Plant (A, B, G), predictor gain K, delay tau, filter rate mu.
 
     A is n x n, B is n x m, G is n x p, K is m x n; A + B K must be Hurwitz
     (the design premise), tau and mu positive and finite.  The decay
     certificate of A + B K, built once to decide that, is kept as
-    ``certificate``.
+    ``certificate``.  Two systems are equal only if they are the same
+    object.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    g: np.ndarray
-    k: np.ndarray
-    tau: float
-    mu: float
-    certificate: StabilityCertificate = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.a = as_matrix(self.a, "a")
-        self.b = as_matrix(self.b, "b")
-        self.g = as_matrix(self.g, "g")
-        self.k = as_matrix(self.k, "k")
+    def __init__(self, a, b, g, k, tau: float, mu: float) -> None:
+        self.a = as_matrix(a, "a")
+        self.b = as_matrix(b, "b")
+        self.g = as_matrix(g, "g")
+        self.k = as_matrix(k, "k")
+        self.tau, self.mu = tau, mu
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise DimensionError("a must be square")
@@ -132,8 +127,7 @@ class DelayPredictorSystem:
         return self.a + self.b @ self.k
 
 
-@dataclass(frozen=True)
-class DelayTrajectory:
+class DelayTrajectory(Record):
     """Grid record of a predictor simulation.
 
     ys[k], zs[k] and xis[k] are y, z and xi at times[k], xi off the walk
@@ -150,8 +144,8 @@ class DelayTrajectory:
     xis: np.ndarray
     step: float
     history_steps: int
-    kernels: np.ndarray = field(repr=False)
-    exp_a_tau: np.ndarray = field(repr=False)
+    kernels: np.ndarray
+    exp_a_tau: np.ndarray
 
 
 def _predictor_grid(sys: DelayPredictorSystem, h: float, t_end: float) -> tuple[int, int]:
@@ -291,8 +285,7 @@ def predictor_error_residual(traj: DelayTrajectory, sys: DelayPredictorSystem) -
     return float(np.max(_spectral_norms((xi_grid - xi_ref)[:, None])))
 
 
-@dataclass(frozen=True)
-class DelayBoundReport:
+class DelayBoundReport(Record):
     """Certified disturbance-to-state bounds for the closed delay loop.
 
     oag_bound limits the asymptotic plant-state norm under unit disturbances,
@@ -357,8 +350,7 @@ def delay_bounds(sys: DelayPredictorSystem, quad_tol: float = 1e-8) -> DelayBoun
     )
 
 
-@dataclass(frozen=True)
-class DelayEmpiricalEntry:
+class DelayEmpiricalEntry(Record):
     """Measured plant-state norms for one disturbance input."""
 
     sup_gain: float
@@ -367,8 +359,7 @@ class DelayEmpiricalEntry:
     within: bool
 
 
-@dataclass(frozen=True)
-class DelayEmpiricalCheck:
+class DelayEmpiricalCheck(Record):
     """Bounds plus per-input empirical measurements."""
 
     bounds: DelayBoundReport

@@ -32,7 +32,9 @@ periodic figures' exp(AT)), and the Taylor stack of its base cell.
 All estimates carry their kind (exact / lower / upper / estimate), the method
 label, and the tolerance they were computed to, so reports stay auditable;
 callers' tolerances, seeds, counts and horizons are checked before any
-computation.
+computation.  Estimates, reports and their inputs are immutable records
+(_record.Record, not dataclasses: a changed copy is
+type(r)(**{**vars(r), name: value})).
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
+from ._record import Record
 from .exceptions import ConsistencyError, DimensionError
 from .linalg import (
     _MAX_GRID_STEPS,
@@ -83,22 +85,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GainEstimate:
+class GainEstimate(Record):
     """One gain figure with its provenance.
 
     kind is one of "exact", "lower", "upper", "estimate"; method is the
     label of the producing routine; tolerance is the absolute accuracy the
-    number was computed to (0 for closed-form arithmetic).
+    number was computed to (0 for closed-form arithmetic); details holds
+    the routine's audit data, a new empty dict when left out or None.
     """
 
     value: float
     kind: str
     method: str
     tolerance: float
-    details: dict = field(default_factory=dict)
+    details: dict = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        if self.details is None:
+            object.__setattr__(self, "details", {})
         if self.kind not in ("exact", "lower", "upper", "estimate"):
             raise ValueError(f"unknown estimate kind {self.kind!r}")
         if not np.isfinite(self.value) or self.value < 0:
@@ -518,8 +522,7 @@ def _aligned_states(sys, flow, horizons, dirs, tol):
     return np.cumsum(parts, axis=0).reshape(horizons.size, *rows.shape)
 
 
-@dataclass(frozen=True)
-class VCurve:
+class VCurve(Record):
     """Largest reachable terminal output norm as a function of the horizon."""
 
     horizons: np.ndarray
@@ -841,8 +844,7 @@ def periodic_upper_estimate(
     )
 
 
-@dataclass(frozen=True)
-class CertificateBoundInput:
+class CertificateBoundInput(Record):
     """Inputs for the decay-certificate gain bound.
 
     certificates: (M, sigma) pairs, each M >= 1, sigma > 0.
@@ -934,8 +936,7 @@ def certificate_gain_bound(data: CertificateBoundInput) -> GainEstimate:
     )
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(Record):
     """All gain figures for one system, cross-checked for consistency:
     ``exact`` is dc (also in ``lowers``) whenever ``positivity`` is certified,
     else the L1 figure for one input and output; only several outputs have

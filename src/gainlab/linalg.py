@@ -13,17 +13,20 @@ eigendecompositions and spectral norms go to LAPACK through numpy.linalg, on
 float64 ndarrays.  Two helpers here are the package's only range-keeping
 scale and norm: the exact power-of-two scale _power_of_two_at and the norm
 built on it, _spectral_norms (Blue, ACM TOMS 1978), whose squares do not
-overflow.
+overflow.  StabilityCertificate and StructureFlags are immutable records
+(_record.Record, not dataclasses: a changed copy is
+type(r)(**{**vars(r), name: value})); StateSpaceSystem is a plain class,
+equal only to itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .exceptions import DimensionError, LyapunovSolveError, NotHurwitzError
 
 __all__ = [
@@ -419,8 +422,7 @@ def spectral_norm(m) -> float:
     return float(_spectral_norms(np.atleast_2d(np.asarray(m, dtype=float))[None])[0])
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(Record):
     """Decay envelope ||exp(A t)|| <= M exp(-sigma t) from a Lyapunov solution.
 
     P solves A'P + PA = -I; M = sqrt(lmax(P)/lmin(P)) and
@@ -459,8 +461,7 @@ def stability_certificate(a) -> StabilityCertificate:
     return StabilityCertificate(p=p, m=math.sqrt(lmax / lmin), sigma=1.0 / (2.0 * lmax))
 
 
-@dataclass(frozen=True)
-class StructureFlags:
+class StructureFlags(Record):
     """Sign/symmetry structure of a system that certifies exact gain formulas."""
 
     metzler: bool
@@ -486,24 +487,19 @@ def structure_flags(sys: "StateSpaceSystem") -> StructureFlags:
     )
 
 
-@dataclass(eq=False)
 class StateSpaceSystem:
     """Strictly causal LTI system  x' = A x + B u,  y = C x  with Hurwitz A.
 
     Dimensions: A is n-by-n, B is n-by-m, C is p-by-n.  The constructor
     rejects non-Hurwitz state matrices; the decay certificate it builds to
-    decide that (one Lyapunov solve) is kept as ``certificate``.
+    decide that (one Lyapunov solve) is kept as ``certificate``.  Two
+    systems are equal only if they are the same object.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    certificate: StabilityCertificate = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.a = as_matrix(self.a, "A")
-        self.b = as_matrix(self.b, "B")
-        self.c = as_matrix(self.c, "C")
+    def __init__(self, a, b, c) -> None:
+        self.a = as_matrix(a, "A")
+        self.b = as_matrix(b, "B")
+        self.c = as_matrix(c, "C")
         n = self.a.shape[0]
         if self.a.shape != (n, n):
             raise DimensionError(f"A must be square, got shape {self.a.shape}")

@@ -4,16 +4,18 @@ Every signal the simulator accepts is, on any bounded window, a finite
 concatenation of segments on which it is either constant or a pure sinusoid.
 ``iter_segments`` performs that decomposition; the simulator then carries the
 state and the input's own state across each segment as one linear flow, so
-signal handling is the only place where switching structure lives.
+signal handling is the only place where switching structure lives.  The
+signals and segments are immutable records (_record.Record, not dataclasses:
+a changed copy is type(r)(**{**vars(r), name: value})).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
+from ._record import Record
 from .exceptions import DimensionError
 
 __all__ = [
@@ -30,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Record):
     """The zero input of a given channel count."""
 
     dim: int = 1
@@ -41,8 +42,7 @@ class Zero:
             raise DimensionError("dim must be >= 1")
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     """u(t) = u0 for all t."""
 
     u0: np.ndarray
@@ -54,8 +54,7 @@ class Constant:
         object.__setattr__(self, "u0", u)
 
 
-@dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(Record):
     """u(t) = direction * sin(omega t + phase) with a unit direction vector."""
 
     direction: np.ndarray
@@ -74,8 +73,7 @@ class Sinusoid:
         object.__setattr__(self, "direction", d)
 
 
-@dataclass(frozen=True)
-class BangBangInput:
+class BangBangInput(Record):
     """Scalar switching input on [0, horizon]: +-1 with sign flips at
     switch_times, zero after the horizon.
 
@@ -100,8 +98,7 @@ class BangBangInput:
         object.__setattr__(self, "switch_times", s)
 
 
-@dataclass(frozen=True)
-class PeriodicExtension:
+class PeriodicExtension(Record):
     """Periodic repetition of ``base`` restricted to [0, base_span], padded
     with zero on (base_span, period]."""
 
@@ -176,19 +173,20 @@ def evaluate(signal: InputSignal, t) -> np.ndarray:
     raise TypeError(f"not an input signal: {signal!r}")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """Maximal interval on which the signal is constant or one sinusoid.
 
     For kind "const", ``value`` holds u; for kind "sin", the signal on the
-    segment is direction * sin(omega (t - start) + theta0).
+    segment is direction * sin(omega (t - start) + theta0).  _segments
+    builds constant segments positionally, a record's cheapest construction:
+    a periodic input over a long horizon has one per switch.
     """
 
     start: float
     end: float
     kind: str
-    value: np.ndarray = field(default=None)  # type: ignore[assignment]
-    direction: np.ndarray = field(default=None)  # type: ignore[assignment]
+    value: np.ndarray = None  # type: ignore[assignment]
+    direction: np.ndarray = None  # type: ignore[assignment]
     omega: float = 0.0
     theta0: float = 0.0
 
@@ -228,7 +226,7 @@ def _segments(signal: InputSignal, offset: float, t_end: float) -> list[Segment]
             pad_end = min(start + signal.period, t_end)
             if pad_end > start + signal.base_span:
                 out.append(
-                    Segment(start + signal.base_span, pad_end, "const", value=np.zeros(dim))
+                    Segment(start + signal.base_span, pad_end, "const", np.zeros(dim))
                 )
             k += 1
         return out
@@ -241,4 +239,4 @@ def _segments(signal: InputSignal, offset: float, t_end: float) -> list[Segment]
             cuts = np.append(cuts, signal.horizon)
     values = evaluate(signal, 0.5 * (np.append(0.0, cuts) + np.append(cuts, span)))
     bounds = [offset, *(offset + cuts).tolist(), t_end]
-    return [Segment(lo, hi, "const", value=v) for lo, hi, v in zip(bounds, bounds[1:], values)]
+    return [Segment(lo, hi, "const", v) for lo, hi, v in zip(bounds, bounds[1:], values)]

@@ -20,17 +20,19 @@ applied to (x_k, 0), and exp(A period) is the top-left block of its power
 exp(G period).  So verify_gain_equality walks one of its ten periods and
 one row orbit for all ten.  verify reads its bang-bang input off the sign
 partition that gave it the gain, so one kernel flow serves both.
+Trajectory and GainEqualityRecord are immutable records (_record.Record, not
+dataclasses: a changed copy is type(r)(**{**vars(r), name: value})).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
+from ._record import Record
 from .exceptions import DimensionError, SimulationError
 from .gains import _bang_bang, _bang_bang_switches, _checked_tol, _l1_gain, _tail_horizon, _vanishes
 from .gains import bang_bang_switches
@@ -67,8 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """States and outputs sampled on a uniform time grid."""
 
     times: np.ndarray
@@ -291,8 +292,7 @@ def _measured_gains(times: np.ndarray, norms: np.ndarray, window: float) -> Empi
     return EmpiricalGains(float(np.max(norms)), float(np.max(norms[tail])))
 
 
-@dataclass(frozen=True)
-class GainEqualityRecord:
+class GainEqualityRecord(Record):
     """Outcome of the sup-gain vs asymptotic-gain equality check."""
 
     gamma: float

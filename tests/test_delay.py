@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +11,7 @@ from gainlab import linalg, sim
 from gainlab import (
     BangBangInput,
     Constant,
+    DelayBoundReport,
     DelayPredictorSystem,
     DimensionError,
     NotHurwitzError,
@@ -421,7 +421,7 @@ class TestDelayBounds:
         for name in vars(rep):
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^delay bound field {name} must be finite"):
-                    dataclasses.replace(rep, **{name: bad})
+                    DelayBoundReport(**{**vars(rep), name: bad})
 
     def test_zero_feedthrough_matrix(self):
         # B = 0 kills phi, leaving oag = M |G| / sigma

@@ -89,3 +89,20 @@ def test_power_of_two_scaling_lives_in_linalg():
             if names & {"frexp", "ldexp"}:
                 users.add(path.stem)
     assert users == {"linalg"}
+
+
+def test_no_module_imports_dataclasses():
+    # Records subclass gainlab._record.Record, which generates no code:
+    # dataclasses compiled six methods per class with exec at every import.
+    users = set()
+    for path in Path(gainlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            else:
+                continue
+            if "dataclasses" in names:
+                users.add(path.stem)
+    assert users == set()
