@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import functools
 import math
-import os
 import sys as _sys
 
 import numpy as np
@@ -49,14 +48,11 @@ def _checked_tol(value, source: str) -> float:
 
 
 def _resolve_tol(flag_value, extras) -> float:
-    """Priority: --tol flag, then the model file, then GAINLAB_TOL, then 1e-8."""
+    """Priority: --tol flag, then the model file, then 1e-8."""
     if flag_value is not None:
         return _checked_tol(flag_value, "--tol")
     if extras.get("tol") is not None:
         return _checked_tol(extras["tol"], "model file")
-    env = os.environ.get("GAINLAB_TOL")
-    if env:
-        return _checked_tol(env, "GAINLAB_TOL")
     return DEFAULT_TOL
 
 

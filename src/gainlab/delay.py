@@ -398,9 +398,9 @@ def delay_empirical_check(
 
     def entry(signal: InputSignal) -> DelayEmpiricalEntry:
         ys = _loop_states(sys, signal, rest, hist_steps, n_steps, h)[0]
-        measured = _measured_gains(times, _spectral_norms(ys[:, None]), window)
-        sup, oag = measured.sup_gain, bounds.oag_bound
-        return DelayEmpiricalEntry(sup, measured.asymptotic_gain, oag - sup, sup <= oag + tolerance)
+        sup, asymptotic = _measured_gains(times, _spectral_norms(ys[:, None]), window)
+        oag = bounds.oag_bound
+        return DelayEmpiricalEntry(sup, asymptotic, oag - sup, sup <= oag + tolerance)
 
     entries = tuple(map(entry, inputs))
     return DelayEmpiricalCheck(

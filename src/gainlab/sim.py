@@ -44,7 +44,6 @@ from .linalg import (
     _check_budget,
     _check_stiffness,
     _grid_flow,
-    _spectral_norms,
     spectral_norm,
 )
 from .quadrature import tail_horizon
@@ -54,7 +53,6 @@ from .signals import (
     Segment,
     iter_segments,
     signal_dim,
-    sup_norm,
 )
 
 __all__ = [
@@ -62,8 +60,6 @@ __all__ = [
     "simulate",
     "WorstCaseSpec",
     "worst_case_periodic_input",
-    "EmpiricalGains",
-    "empirical_gains",
     "GainEqualityRecord",
     "verify_gain_equality",
 ]
@@ -76,9 +72,6 @@ class Trajectory(Record):
     states: np.ndarray
     outputs: np.ndarray
     step: float
-
-    def output_norms(self) -> np.ndarray:
-        return _spectral_norms(self.outputs[:, None])
 
 
 def _grid_steps(t_end: float, h: float) -> int:
@@ -111,10 +104,15 @@ def _input_scale(a: np.ndarray, block: np.ndarray) -> float:
     """s, the largest power of two up to 1 with ||s block||_1 <= max(1, ||a||_1),
     so that a large input matrix does not set the flow's cells.  A power of
     two scales exactly, and s = 1 leaves a block that fits unchanged."""
-    bound, s = max(1.0, float(np.linalg.norm(a, 1))), 1.0
-    while np.linalg.norm(s * block, 1) > bound:
-        s *= 0.5
-    return s
+    bound = max(1.0, float(np.linalg.norm(a, 1)))
+    if np.linalg.norm(block, 1) <= bound:
+        return 1.0
+    # ||block||_1 may overflow, so it is taken of block / p, p the power of two
+    # at its largest entry.  The rounded quotient may reach the next power of
+    # two, which one halving undoes.
+    p = linalg._power_of_two_at(np.abs(block).max())
+    s = float(linalg._power_of_two_at(bound / p / np.linalg.norm(block / p, 1)))
+    return s if np.linalg.norm(s * block, 1) <= bound else 0.5 * s
 
 
 def _generator(a: np.ndarray, b: np.ndarray, seg: Segment) -> tuple[np.ndarray, float]:
@@ -260,36 +258,11 @@ def _rest_length(cert, rest_tolerance: float) -> float:
     return rest + 1.0 if cert.m * math.exp(-cert.sigma * rest) > rest_tolerance else rest
 
 
-class EmpiricalGains(NamedTuple):
-    sup_gain: float
-    asymptotic_gain: float
-
-
-def empirical_gains(
-    sys: StateSpaceSystem,
-    signal: InputSignal,
-    t_end: float,
-    window: float,
-    h: float,
-) -> EmpiricalGains:
-    """Measured peak and asymptotic output norms under a unit-bounded input.
-
-    Starts from rest so the output norms are directly comparable to gain
-    figures; the asymptotic value is the maximum over the trailing window.
-    """
-    if sup_norm(signal) > 1.0 + 1e-9:
-        raise ValueError("empirical gains require an input bounded by one")
-    if not (0.0 < window < t_end):
-        raise ValueError("window must lie strictly inside the duration")
-    traj = simulate(sys, signal, np.zeros(sys.n), t_end, h)
-    return _measured_gains(traj.times, traj.output_norms(), window)
-
-
-def _measured_gains(times: np.ndarray, norms: np.ndarray, window: float) -> EmpiricalGains:
-    """The largest output norm on the grid ``times``, and the largest over
-    its trailing ``window``."""
+def _measured_gains(times: np.ndarray, norms: np.ndarray, window: float) -> tuple[float, float]:
+    """(sup, asymptotic): the largest output norm on the grid ``times``, and
+    the largest over its trailing ``window``."""
     tail = times >= times[-1] - window - 1e-12
-    return EmpiricalGains(float(np.max(norms)), float(np.max(norms[tail])))
+    return float(np.max(norms)), float(np.max(norms[tail]))
 
 
 class GainEqualityRecord(Record):
@@ -352,8 +325,7 @@ def verify_gain_equality(
     cert = sys.certificate
     coef = cert.m * spectral_norm(sys.b) * spectral_norm(sys.c)
     if _vanishes(sys) or not _tail_horizon(sys, sys.c, tol / 2.0):  # _l1_gain's horizon
-        gamma = horizon = rest = period = lower_target = 0.0
-        emp = EmpiricalGains(0.0, 0.0)
+        gamma = horizon = rest = period = lower_target = sup_gain = asymptotic_gain = 0.0
     else:
         _check_stiffness(_generator(sys.a, sys.b, Segment(0.0, 0.0, "const"))[0], *_stiffness(sys))
         l1, _, roots, kernel_flow = _l1_gain(sys, sys.c[:0], tol)
@@ -391,17 +363,17 @@ def verify_gain_equality(
         outputs = states[:-1] @ sys.c.T + free
         norms = np.abs(np.append(outputs.T, sys.c @ starts[:, -1]))
         times = np.arange(norms.size) * h
-        emp = _measured_gains(times, norms, _VERIFY_PERIODS // 2 * period)
+        sup_gain, asymptotic_gain = _measured_gains(times, norms, _VERIFY_PERIODS // 2 * period)
         lower_target = (1.0 - accuracy) * gamma
     upper_limit = gamma * (1.0 + 1e-6) + 2.0 * tol
-    passed = lower_target <= emp.asymptotic_gain <= upper_limit
+    passed = lower_target <= asymptotic_gain <= upper_limit
     return GainEqualityRecord(
         gamma=gamma,
         horizon=horizon,
         rest=rest,
         period=period,
-        sup_gain=emp.sup_gain,
-        asymptotic_gain=emp.asymptotic_gain,
+        sup_gain=sup_gain,
+        asymptotic_gain=asymptotic_gain,
         lower_target=lower_target,
         upper_limit=upper_limit,
         accuracy=accuracy,

@@ -158,21 +158,26 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerance"] == pytest.approx(1e-6)
 
-    def test_tol_env(self, scalar_file, capsys, monkeypatch):
+    def test_tol_env(self, oscillator_file, capsys, monkeypatch):
+        # GAINLAB_TOL sets no tolerance: analyze prints the same document
+        # with it as without, at the default 1e-8.
+        assert main(["analyze", oscillator_file]) == 0
+        plain = capsys.readouterr().out
         monkeypatch.setenv("GAINLAB_TOL", "1e-5")
-        assert main(["analyze", scalar_file]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["tolerance"] == pytest.approx(1e-5)
+        assert main(["analyze", oscillator_file]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["tolerance"] == 1e-8
 
     def test_tol_file_beats_env(self, tmp_path, capsys, monkeypatch):
+        # The file's tol, and --tol over it; GAINLAB_TOL changes nothing.
         path = tmp_path / "sys.json"
         path.write_text(
             json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "tol": 1e-7})
         )
         monkeypatch.setenv("GAINLAB_TOL", "1e-4")
-        assert main(["analyze", str(path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["tolerance"] == pytest.approx(1e-7)
+        for flags, tol in (([], 1e-7), (["--tol", "1e-6"], 1e-6)):
+            assert main(["analyze", str(path), *flags]) == 0
+            assert json.loads(capsys.readouterr().out)["tolerance"] == tol
 
     def test_seed_file_and_flag(self, tmp_path, capsys):
         # The file's seed draws the ONB bases of a p = 2 report, and --seed
@@ -268,13 +273,14 @@ class TestErrors:
             ("analyze", True, None, None),
             ("analyze", "1e-6", None, None),
             ("analyze", None, "nan", None),
-            ("analyze", None, None, "nan"),
-            ("vt", None, None, "nan"),
+            ("analyze", -1.0, None, "1e-6"),
+            ("vt", None, "nan", "1e-6"),
             ("verify", None, "nan", None),
             ("worstcase", None, "nan", None),
         ],
     )
     def test_bad_tol_exit_1(self, tmp_path, capsys, monkeypatch, command, file_tol, flag, env):
+        # env, when given, is a valid GAINLAB_TOL, which rescues nothing.
         doc = {"A": [[0.0, 1.0], [-1.0, -1.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
         if file_tol is not None:
             doc["tol"] = file_tol
@@ -646,11 +652,12 @@ class TestErrors:
         [
             (-1.0, None, None, "model file: tol must be finite and positive, got -1.0"),
             (None, "nan", None, "--tol: tol must be finite and positive, got nan"),
-            (None, None, "nan", "GAINLAB_TOL: tol must be finite and positive, got nan"),
-            (None, None, "abc", "GAINLAB_TOL: tol must be finite and positive, got 'abc'"),
+            (-1.0, None, "1e-6", "model file: tol must be finite and positive, got -1.0"),
+            (None, "inf", "1e-6", "--tol: tol must be finite and positive, got inf"),
         ],
     )
     def test_bad_tol_message(self, tmp_path, capsys, monkeypatch, file_tol, flag, env, message):
+        # env, when given, is a valid GAINLAB_TOL, which changes no message.
         doc = {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}
         if file_tol is not None:
             doc["tol"] = file_tol
@@ -774,9 +781,7 @@ class TestDispatch:
             main(argv)
         assert len(built) == 9
 
-    def test_no_arguments_carried_over(self, oscillator_file, capsys, monkeypatch):
-        monkeypatch.delenv("GAINLAB_TOL", raising=False)
-
+    def test_no_arguments_carried_over(self, oscillator_file, capsys):
         def vt_rows(argv):
             assert main(["vt", oscillator_file, *argv]) == 0
             return len(capsys.readouterr().out.strip().split("\n")) - 1

@@ -17,7 +17,6 @@ import pytest
 
 from gainlab import (
     StateSpaceSystem,
-    empirical_gains,
     gain_report,
     simulate,
     vcurve,
@@ -58,8 +57,8 @@ def _report_figures(name, k):
 @functools.cache
 def _siso_figures(k):
     """(figures, times): verify's record, the worst-case input's trajectory
-    over two periods and its empirical gains, and the times that must not
-    move with B (verify's horizon, rest and period, the input's switches)."""
+    over two periods, and the times that must not move with B (verify's
+    horizon, rest and period, the input's switches)."""
     system = _system("siso", k)
     record = verify_gain_equality(system, 0.02, tol=TOL)
     assert record.passed
@@ -71,7 +70,6 @@ def _siso_figures(k):
         "verify-measured": (np.array([record.sup_gain, record.asymptotic_gain]), 0.0),
         "states": (traj.states, 0.0),
         "outputs": (traj.outputs, 0.0),
-        "empirical": (np.array(empirical_gains(system, signal, t_end, spec.period, h)), 0.0),
     }
     times = [record.horizon, record.rest, record.period, spec.period, *signal.base.switch_times]
     return figures, np.array(times)

@@ -9,6 +9,7 @@ import scipy.linalg
 from gainlab import (
     BangBangInput,
     Constant,
+    DelayPredictorSystem,
     DimensionError,
     PeriodicExtension,
     SimulationError,
@@ -16,13 +17,13 @@ from gainlab import (
     StateSpaceSystem,
     Zero,
     bang_bang_switches,
-    empirical_gains,
     evaluate,
     gain_report,
     l1_impulse_gain,
     mat_exp,
     max_terminal_output,
     simulate,
+    simulate_predictor,
     verify_gain_equality,
     worst_case_periodic_input,
 )
@@ -31,6 +32,7 @@ from gainlab.signals import iter_segments as signal_segments
 from gainlab_testkit import (
     decoupled_pairs,
     full_recording_gains,
+    halving_input_scale,
     kernel_zeros,
     quad_kernel_integrals,
     random_hurwitz_matrix,
@@ -124,12 +126,6 @@ class TestSimulateExactness:
         system = StateSpaceSystem(a=[[-1.0, 1e3], [0.0, -1.0]], b=[[0.0], [1.0]], c=[[1.0, 0.0]])
         with pytest.raises(SimulationError, match=r"diverged at t=0\.5$"):
             simulate(system, Zero(dim=1), [0.0, 8e305], 5.0, 0.25)
-
-    def test_output_norms(self, diag_two_output):
-        traj = simulate(diag_two_output, Constant(u0=[1.0]), np.zeros(2), 2.0, 0.5)
-        norms = traj.output_norms()
-        assert norms.shape == traj.times.shape
-        np.testing.assert_allclose(norms, np.linalg.norm(traj.outputs, axis=1))
 
 
 def _two_input_system():
@@ -235,6 +231,52 @@ class TestScaledInputMatrix:
         # At k = 200 the squares of b's and c's entries leave double range:
         # worstcase's and verify's gain partition scales both by powers of two.
         _assert_figures_match(_scaled_figures(k), _scaled_figures(0))
+
+    def test_input_scale_matches_halving(self):
+        # sim._input_scale against the halving loop it replaced, bit for bit:
+        # seeded A up to 1e300 and blocks from 1e-300 to 1e308 whose entries
+        # span up to 600 decades (some 1-norms overflow), and single entries
+        # one rounding from bound * 2^k.
+        rng = np.random.default_rng(52)
+        cases = []
+        for _ in range(400):
+            n, m = rng.integers(1, 5), rng.integers(1, 4)
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-5, 300)
+            spread = rng.choice([0, 20, 300, 600])
+            decades = np.clip(rng.uniform(-300, 308) - rng.uniform(0, spread, (n, m)), -320, 308)
+            block = rng.choice([-1.0, 1.0], (n, m)) * rng.uniform(1.0, 1.79, (n, m)) * 10.0**decades
+            cases.append((a, block))
+        for k in range(-1, 1025, 7):
+            a = np.array([[-rng.uniform(0.5, 4.0)]])
+            edge = max(1.0, -a[0, 0]) * 2.0**k
+            for entry in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                cases.append((a, np.array([[entry]])))
+        # bound / ||block||_1 below 2^-1022 rounds on a coarser grid, here up
+        # to the next power of two, which the one halving takes back.
+        top = 2.0**1023
+        cases.append((np.array([[-0.5]]), np.array([[np.nextafter(top, np.inf)]])))
+        cases.append((-0.5 * np.eye(4), np.array([[top * (1.0 + 2.0**-50)], [top], [top], [top]])))
+        with np.errstate(over="ignore"):
+            for a, block in cases:
+                assert sim._input_scale(a, block) == halving_input_scale(a, block), (a, block)
+
+    def test_input_scale_of_an_overflowing_drive(self, monkeypatch):
+        # The predictor loop of TestPredictorDynamics::test_divergence_raises_simulation_error
+        # drives F2 with a block whose 1-norm, 2.46e308, is inf in double.
+        seen, scale = [], sim._input_scale
+
+        def recording(a, block):
+            seen.append((a, block))
+            return scale(a, block)
+
+        monkeypatch.setattr(sim, "_input_scale", recording)
+        sys = DelayPredictorSystem(a=[[1.0]], b=[[1.0]], g=[[1.0]], k=[[-2.0]], tau=709.0, mu=1.0)
+        with pytest.raises(SimulationError, match="diverged at t="):
+            simulate_predictor(sys, Constant(u0=[1.0]), [0.0], 7090.0, sys.tau / 64)
+        with np.errstate(over="ignore"):
+            assert np.isinf([np.linalg.norm(block, 1) for _, block in seen]).any()
+            for a, block in seen:
+                assert scale(a, block) == halving_input_scale(a, block)
 
 
 class TestScaledKernelPartition:
@@ -453,8 +495,6 @@ class TestStiffness:
         sys = StateSpaceSystem(**STIFF)
         with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
             simulate(sys, Constant(u0=[1.0]), np.zeros(2), 5.0, 0.01)
-        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
-            empirical_gains(sys, Constant(u0=[1.0]), 5.0, 1.0, 0.01)
 
     def test_verify_refuses_before_partitioning(self, monkeypatch):
         # verify's L1 partition held 3.2 GB after 2.5 min on this system,
@@ -472,22 +512,6 @@ class TestStiffness:
         sys = StateSpaceSystem(**{**STIFF, "a": [[-1e8, 0.0], [0.0, -1.0]]})
         traj = simulate(sys, Constant(u0=[1.0]), np.zeros(2), 5.0, 0.01)
         assert traj.outputs[-1, 0] == pytest.approx(1.0 - math.exp(-5.0), rel=1e-7)
-
-
-class TestEmpiricalGains:
-    def test_scalar_constant(self, scalar_system):
-        emp = empirical_gains(scalar_system, Constant(u0=[1.0]), 20.0, 5.0, 0.05)
-        assert emp.sup_gain == pytest.approx(1.0, abs=1e-8)
-        assert emp.asymptotic_gain == pytest.approx(1.0, abs=1e-8)
-        assert emp.asymptotic_gain <= emp.sup_gain + 1e-15
-
-    def test_rejects_oversized_input(self, scalar_system):
-        with pytest.raises(ValueError):
-            empirical_gains(scalar_system, Constant(u0=[2.0]), 10.0, 2.0, 0.1)
-
-    def test_rejects_bad_window(self, scalar_system):
-        with pytest.raises(ValueError):
-            empirical_gains(scalar_system, Constant(u0=[1.0]), 10.0, 20.0, 0.1)
 
 
 # verify_gain_equality's record of a vanishing kernel at tol 1e-9.
@@ -641,9 +665,9 @@ class TestVerifyGainEquality:
         # records the same outputs up to rounding.
         sys = verify_model(model, request)
         record = verify_gain_equality(sys, accuracy=0.02)
-        full = full_recording_gains(sys, record)
-        assert record.sup_gain == pytest.approx(full.sup_gain, rel=1e-13, abs=0.0)
-        assert record.asymptotic_gain == pytest.approx(full.asymptotic_gain, rel=1e-13, abs=0.0)
+        sup, asymptotic = full_recording_gains(sys, record)
+        assert record.sup_gain == pytest.approx(sup, rel=1e-13, abs=0.0)
+        assert record.asymptotic_gain == pytest.approx(asymptotic, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-10])
     def test_horizon_past_the_l1_horizon(self, scale, monkeypatch):
@@ -665,9 +689,9 @@ class TestVerifyGainEquality:
         assert checked == [(record.horizon, "derived from the system, with no flag")]
         assert record.horizon > l1_impulse_gain(sys, 1e-9).details["horizon"]
         assert record.passed
-        full = full_recording_gains(sys, record)
-        assert record.sup_gain == pytest.approx(full.sup_gain, rel=1e-13, abs=0.0)
-        assert record.asymptotic_gain == pytest.approx(full.asymptotic_gain, rel=1e-13, abs=0.0)
+        sup, asymptotic = full_recording_gains(sys, record)
+        assert record.sup_gain == pytest.approx(sup, rel=1e-13, abs=0.0)
+        assert record.asymptotic_gain == pytest.approx(asymptotic, rel=1e-13, abs=0.0)
 
     def test_one_kernel_flow_and_one_output_row_orbit(self, monkeypatch):
         # The gain and the bang-bang switches come off one kernel flow (one
