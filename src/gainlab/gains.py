@@ -133,43 +133,33 @@ def _checked_tol(tol, source: str = "tol") -> None:
 
 
 class _KernelFlow(_Flow):
-    """Everything of a sign partition but its rows: the flow x(s) = exp(As) b
-    of one single-input system on the base cells of one increasing grid
-    ``ends``, with the matrix exponentials the partition needs formed once,
-    whatever rows are partitioned on it (the lockstep ascent partitions new
-    rows on one flow at each of its steps).  It keeps A (the _Flow's
-    matrix), b, n and the certificate's M, not the system, so it is the one
-    object that holds the partition's state coordinates: b over ``scale``,
-    the power of two at its largest entry, so that no norm of a state
-    leaves double range, whatever B's scale.
-
-    It is the _Flow of A on ``count`` cells up to ends[-1], whose power
-    stack is its one matrix exponential; of its own it holds A^0..A^5, the
-    logarithmic norm mu of A, exp(A ends[-1]) (the ladder of ``count``
-    cells) and the states y = A^-1 exp(As) b at s = 0 and at each end (the
-    earlier ends off one array advance).  A block's lead is a row of the
-    orbit at the block's stride, a product of at most log2(blocks) powers
-    (one carried from the last block by one fixed exponential drifts into
-    rounding noise, and false zeros, where the kernel underflows).  A
-    halving or a zero steps inside a cell by the Taylor stack, so a
-    partition whose cells all clear their tests never forms it.
-    """
+    """Everything of a sign partition but its rows, formed once whatever rows
+    are partitioned on it (the lockstep ascent partitions new rows on one flow
+    at each step): the flow x(s) = exp(As) b of one single-input system on the
+    base cells of one increasing grid ``ends``.  It holds the partition's state
+    coordinates: A (the _Flow's matrix), n, the certificate's M and b over
+    ``scale``, the power of two at its largest entry, so that no state norm
+    leaves double range.  As the _Flow of A on ``count`` cells up to ends[-1]
+    its power stack is its one matrix exponential; of its own it holds the
+    logarithmic norm mu of A, exp(A ends[-1]) (the ladder of ``count`` cells)
+    and, off one solve, the rows y of A^-1 exp(As) b at s = 0 and at each end.
+    A block's lead is an orbit row at the block's stride (one carried across
+    blocks by one exponential drifts into rounding noise, and false zeros,
+    where the kernel underflows).  A halving or a zero steps inside a cell by
+    the Taylor stack, never formed where every cell clears its tests."""
 
     def __init__(self, sys: StateSpaceSystem, ends):
-        a, b = sys.a, sys.b
-        self.scale = float(linalg._power_of_two_at(np.abs(b).max()))
-        b = b / self.scale
+        a, self.scale = sys.a, float(linalg._power_of_two_at(np.abs(sys.b).max()))
+        b = sys.b / self.scale
         self.b, self.n, self.m_const = b, sys.n, sys.certificate.m
         self.ends = np.asarray(ends, dtype=float)
         t_end = float(self.ends[-1])
-        self.a_powers = [np.linalg.matrix_power(a, k) for k in range(6)]
         self.mu = max(0.0, float(np.linalg.eigvalsh(a + a.T)[-1]) / 2.0)
         self.count = linalg._partition_cells(a, t_end)
         super().__init__(a, t_end / self.count, t_end)
         self.exp_end = self.ladder(self.count, np.eye(self.n))
-        x_ends = np.vstack((self.advance(b[:, 0], self.ends[:-1]), self.exp_end @ b[:, 0]))
-        self.y_ends = np.linalg.solve(a, x_ends.T).T
-        self.y_start = np.linalg.solve(a, b).T
+        x = np.concatenate((b.T, self.advance(b[:, 0], self.ends[:-1]), [self.exp_end @ b[:, 0]]))
+        self.y = np.linalg.solve(a, x.T).T
 
 
 def _tail_horizon(sys: StateSpaceSystem, rows: np.ndarray, tail: float) -> float:
@@ -190,136 +180,146 @@ def _partition(sys, rows, budget, horizons, flow=None):
 
 def _sign_partition(flow: _KernelFlow, rows: np.ndarray, budget: float):
     """(roots, signed, unresolved) for the kernels g_i(s) = rows_i exp(As) b
-    of the single-input system that ``flow`` was built from: roots[i] the
-    increasing zeros of g_i, signed[j, i] the state integral of
-    sgn(g_i(s)) exp(As) b over [0, flow.ends[j]], and unresolved[i] the
-    certified worst-case loss left in row i.  The integral of |g_i| over
-    [0, ends[j]] is rows_i @ signed[j, i].  The partition reads A, b, n and M
-    from the flow alone, which _partition, its one caller, builds or is
-    handed.  It walks blocks of 2^k cells, the most that fill a quarter
-    stack, each from its lead exp(first w A) b, an orbit row.
+    of the single-input system that ``flow`` was built from (which holds all
+    it reads of the system): roots[i] the increasing zeros of g_i,
+    signed[j, i] the state integral of sgn(g_i(s)) exp(As) b over
+    [0, flow.ends[j]], whose product with rows_i is the integral of |g_i|
+    there, and unresolved[i] the certified worst-case loss left in row i.
+    It walks blocks of 2^k cells, the most that fill a quarter stack, each
+    from its lead exp(first w A) b, an orbit row.
 
-    On a cell of width h, ||exp(At)|| <= G = min(M, exp(mu h)) (mu the
-    logarithmic norm of A) bounds each derivative g_i^(k) within e_k =
-    h^2 / 8 (max |g_i^(k+2)| at the ends + h^2 / 8 ||rows_i A^(k+4)|| G |x|)
-    of its chord, x = exp(As) b at the cell's start.  So the cell holds no
-    zero if g_i exceeds e_0 in one sign at both ends, and at most one if g_i'
-    exceeds e_1 in one sign at both ends.  Any other cell can hide zeros
-    costing 2 h e_0 (4 h e_0 across a sign change); it is halved until that
-    fits its share of ``budget`` or it is 1e-6 of the horizon wide.  Between
-    zeros exp(As) b integrates to the change of A^-1 exp(As) b.  The rows,
-    like the flow's b, are divided by powers of two first, exactly, so the
-    bounds' norms neither overflow nor underflow under B -> 2^k B,
-    C -> 2^-k C.
-    """
-    q, count = rows.shape[0], flow.count
-    t_end = float(flow.ends[-1])
+    The tests run in cells of width w, where the k-th derivative of g_i is
+    rows_i (wA)^k exp(As) b and ||wA||_1 <= 1.  On a cell of h of them,
+    ||exp(At)|| <= G = min(M, exp(mu h w)) (mu the logarithmic norm of A)
+    bounds each derivative g_i^(k) within e_k = h^2 / 8 (max |g_i^(k+2)| at
+    the ends + h^2 / 8 ||rows_i (wA)^(k+4)|| G |x|) of its chord, x the
+    state at the cell's start.  So the cell holds no zero if g_i exceeds e_0
+    in one sign at both ends, and at most one if g_i' exceeds e_1 so.  Any
+    other cell can hide zeros costing 2 h w e_0 (4 h w e_0 across a sign
+    change); it is halved until that fits its share of ``budget`` or it is
+    1e-6 of the horizon wide.  Between zeros exp(As) b integrates to the
+    change of A^-1 exp(As) b.  The rows, like b, are divided by powers of two
+    first, exactly, so the bounds' norms keep in range under B -> 2^k B,
+    C -> 2^-k C, and the derivatives in cells whatever A's scale."""
+    (q, n), count, w = rows.shape, flow.count, flow.cell
     # A scaled row's loss times ``unscale`` is the row's own.
     row_scale = linalg._power_of_two_at(np.abs(rows).max(axis=1))
-    rows, unscale = rows / row_scale[:, None], row_scale * flow.scale
-    powers = [rows @ power for power in flow.a_powers]
-    # g_i and its first three derivatives are x @ lift.T; A^4, A^5 bound the rest.
-    lift, high = np.concatenate(powers[:4]), np.linalg.norm(powers[4:], axis=2)[None]
+    rows, unscale = rows / row_scale[:, None], row_scale[:, None] * (flow.scale * w)
+    # lift[k, i] = rows_i (wA)^k: g_i and its first three derivatives in
+    # cells, (4, q, samples), are lift[:4] @ x.T; (wA)^4, (wA)^5 bound the rest.
+    lift, wa = np.empty((6, q, n)), flow.matrix * w
+    lift[0] = rows
+    for k in range(1, 6):
+        np.matmul(lift[k - 1], wa, out=lift[k])
+    high = np.sqrt(np.einsum("kqn,kqn->kq", lift[4:], lift[4:]))[..., None]
+    flat = lift[:4].reshape(4 * q, n)
     # Per sample, x and four kernel rows: a block fills at most a quarter stack.
-    block = 1 << (max(1, _STACK_ENTRIES // (4 * (flow.n + 4 * q))).bit_length() - 1)
+    block = 1 << (max(1, _STACK_ENTRIES // (4 * (n + 4 * q))).bit_length() - 1)
     leads = flow.orbit(flow.b[:, 0], -(-count // block), block.bit_length() - 1)
     brackets, lost = [], np.zeros(q)
     for first, lead in zip(range(0, count, block), leads):
-        last, width = min(first + block, count), flow.cell
-        x = flow.orbit(lead, last - first + 1)
-        v = (x @ lift.T).reshape(-1, 4, q)
-        cells = [np.arange(first, last) * width, x[:-1], v[:-1], v[1:]]
+        x = flow.orbit(lead, min(block, count - first) + 1)
+        v = (flat @ x.T).reshape(4, q, -1)
+        cells, h = [np.arange(first, first + len(x) - 1.0), x[:-1], v[..., :-1], v[..., 1:]], 1.0
         while True:
             start, x, v0, v1 = cells
-            chord = width**2 / 8.0
-            grow = min(flow.m_const, math.exp(flow.mu * width)) * np.linalg.norm(x, axis=1)
-            bound = np.maximum(abs(v0[:, 2:]), abs(v1[:, 2:])) + chord * grow[:, None, None] * high
-            e0, e1 = chord * bound[:, 0], chord * bound[:, 1]
-            g0, p0, g1, p1 = v0[:, 0], v0[:, 1], v1[:, 0], v1[:, 1]
-            flip = (g0 >= 0.0) != (g1 >= 0.0)
-            monotone = (p0 * p1 > 0.0) & (np.minimum(abs(p0), abs(p1)) > e1)
-            clear = monotone | (~flip & (np.minimum(abs(g0), abs(g1)) > e0))
-            loss = np.where(clear, 0.0, width * e0 * np.where(flip, 4.0, 2.0)) * unscale
-            # Each cell's loss within its share of the budget keeps the sum within it.
-            done = (loss.sum(axis=1) <= budget * width / t_end) | (width < 2e-6 * t_end)
-            lost += loss[done].sum(axis=0)
-            c, i = np.nonzero(flip & done[:, None])
-            brackets.append((i, start[c], x[c], np.full(c.size, width), g0[c, i], g1[c, i]))
+            chord, grow = h * h / 8.0, min(flow.m_const, math.exp(flow.mu * h * w)) * h**4 / 64.0
+            same, a0, a1 = (v0[:2] >= 0.0) == (v1[:2] >= 0.0), abs(v0), abs(v1)
+            e = chord * np.maximum(a0[2:], a1[2:]) + grow * np.sqrt(np.einsum("cn,cn->c", x, x)) * high
+            # Clear: [g, g'] of the same sign at both ends and past [e_0, e_1] in size.
+            clear = (same & (np.minimum(a0[:2], a1[:2]) > e)).any(axis=0)
+            flip, done = ~same[0], clear.all(axis=0)
+            if not done.all():
+                loss = np.where(clear, 0.0, e[0] * (flip + 1.0)) * (2.0 * h * unscale)
+                # Each cell's loss within its share of the budget keeps the sum within it.
+                done = (loss.sum(axis=0) <= budget * h / count) | (h < 2e-6 * count)
+                lost += loss[:, done].sum(axis=1)
+            i, c = np.nonzero(flip & done)
+            if c.size:
+                brackets.append((i, start[c], x[c], np.full(c.size, h), v0[:2, i, c].T, v1[:2, i, c].T))
             if done.all():
                 break
-            start, x, v0, v1 = (part[~done] for part in cells)
-            width /= 2.0
-            xm = flow.taylor(width / flow.cell, x)
-            vm = (xm @ lift.T).reshape(-1, 4, q)
-            pairs = (start, start + width), (x, xm), (v0, vm), (vm, v1)
-            cells = [np.concatenate(pair) for pair in pairs]
-    row, start, x, width, g0, g1 = map(np.concatenate, zip(*brackets))
-    offset, x = _kernel_zeros(flow, rows[row], powers[1][row], x, width, g0, g1)
-    y_roots = np.linalg.solve(flow.matrix, x.T).T
-    roots, signed = _signed_states(rows, row, start + offset, y_roots, flow)
+            start, x, v0, v1, h = start[~done], x[~done], v0[..., ~done], v1[..., ~done], h / 2.0
+            xm = flow.taylor(h, x)
+            vm = (flat @ xm.T).reshape(4, q, -1)
+            pairs = ((start, start + h), 0), ((x, xm), 0), ((v0, vm), 2), ((vm, v1), 2)
+            cells = [np.concatenate(pair, axis=axis) for pair, axis in pairs]
+    if not brackets:  # no zero: each end's signed state is one step from y at 0
+        steps = flow.y[1:] - flow.y[:1]
+        return [np.empty(0)] * q, flow.scale * np.sign(steps @ rows.T)[..., None] * steps[:, None], lost
+    row, start, x, width, end0, end1 = map(np.concatenate, zip(*brackets))
+    offset, y_roots = _kernel_zeros(flow, lift[:2, row, None], x, width, end0, end1)
+    roots, signed = _signed_states(rows, row, (start + offset) * w, y_roots, flow)
     return roots, flow.scale * signed, lost
 
 
 def _signed_states(rows, row, t, y_roots, flow):
-    """(roots, signed) from the zeros t of the kernels rows_i exp(As) b (row
-    their row numbers) and y = A^-1 exp(As) b at each: _sign_partition's
-    per-row zeros and signed state integrals over [0, flow.ends[j]].
-
-    Each step of y between consecutive zeros, and from the last zero before
-    an end to the end, is signed by the kernel's sign across it (the sign of
-    its change along the row).  Row i's states (y at 0, then at its zeros)
-    fill y_pad[i], padded with its last state to the most zeros any row has,
-    so every row's signed steps add up in one cumulative sum along axis 1:
-    sequential, and so bit for bit the sum of each row on its own.
-    """
+    """_sign_partition's (roots, signed) from the zeros t of its kernels (row
+    their row numbers) and y = A^-1 exp(As) b at each.  Each step of y, zero
+    to zero and last zero to each end, is signed by its change along the row.
+    Row i's states (y at 0, then at its zeros) fill y_pad[i], padded with its
+    last to the most zeros any row has, so one sequential cumulative sum
+    along axis 1 adds every row's steps, bit for bit each row's own."""
     q, ends = rows.shape[0], flow.ends
-    order = np.lexsort((t, row))
-    counts = np.bincount(row, minlength=q)
-    bounds = np.cumsum(counts)
+    order, counts = np.lexsort((t, row)), np.bincount(row, minlength=q)
+    bounds = counts.cumsum()
     # pos[i, j]: row i's j-th state, 0 the start, its last repeated after it.
     pos = np.minimum(np.arange(int(counts.max()) + 1), counts[:, None])
     at = np.where(pos > 0, (bounds - counts)[:, None] + pos, 0)
-    y_pad = np.vstack((flow.y_start, y_roots[order]))[at]
-    # k[i, j]: how many of row i's zeros lie before ends[j].
+    y_pad = np.concatenate((flow.y[:1], y_roots[order]))[at]
+    # k[j, i]: how many of row i's zeros lie before ends[j], as a state index.
     past = row * (ends.size + 1) + np.searchsorted(ends, t, side="right")
-    k = np.bincount(past, minlength=q * (ends.size + 1)).reshape(q, -1).cumsum(axis=1)[:, :-1]
-    inner, each = pos.shape[1] - 1, np.arange(q)[:, None]
-    steps = np.concatenate((np.diff(y_pad, axis=1), flow.y_ends - y_pad[each, k]), axis=1)
-    steps *= np.sign(steps @ rows[:, :, None])
-    total = np.zeros_like(y_pad)
-    np.cumsum(steps[:, :inner], axis=1, out=total[:, 1:])
-    signed = np.ascontiguousarray((total[each, k] + steps[:, inner:]).transpose(1, 0, 2))
-    t = t[order]
+    k = np.bincount(past, minlength=q * (ends.size + 1)).reshape(q, -1).cumsum(axis=1)[:, :-1].T
+    last = np.arange(q), k
+    # Steps between zeros, (q, zeros, n), and from the last zero to each end, (ends, q, n).
+    inner = y_pad[:, 1:] - y_pad[:, :-1]
+    inner *= np.sign(inner @ rows[:, :, None])
+    tail = flow.y[1:, None] - y_pad[last]
+    tail *= np.sign(tail[..., None, :] @ rows[:, :, None])[..., 0]
+    total = np.zeros(y_pad.shape)
+    np.add.accumulate(inner, axis=1, out=total[:, 1:])
+    t, signed = t[order], total[last] + tail
     return [t[stop - count : stop] for stop, count in zip(bounds.tolist(), counts.tolist())], signed
 
 
-def _kernel_zeros(flow, rows, ra, x0, width, g0, g1):
-    """Zeros of g_k(t) = rows_k exp(At) x0_k, A the flow's, on [0, width_k],
-    across which g_k changes sign (g0, g1 its end values): Newton on (g, g')
-    from the secant point, bisecting where a step would leave the bracket or
-    not halve the last one, all in lockstep.  Returns the zeros (to 1e-13)
-    and exp(A zero_k) x0_k."""
-    lo, hi, last = np.zeros(width.size), width.copy(), width.copy()
-    t, x = width * g0 / (g0 - g1), x0.copy()
-    live = np.arange(t.size)
-    for iteration in range(100):
-        if not live.size:
-            break
-        tl = t[live]
-        x[live] = flow.taylor(tl / flow.cell, x0[live])
-        g = np.einsum("kn,kn->k", rows[live], x[live])
-        below = (g >= 0.0) == (g0[live] >= 0.0)
-        lo[live[below]], hi[live[~below]] = tl[below], tl[~below]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / np.einsum("kn,kn->k", ra[live], x[live])
-        nxt, lo_l, hi_l = tl - step, lo[live], hi[live]
-        bisect = ~((nxt > lo_l) & (nxt < hi_l) & (abs(step) <= 0.5 * last[live]))
-        nxt[bisect] = 0.5 * (lo_l + hi_l)[bisect]
-        last[live] = abs(nxt - tl)
-        done = (abs(step) <= 1e-13) | (hi_l - lo_l <= 1e-13) | (iteration == 99)
-        t[live[~done]] = nxt[~done]
-        live = live[~done]
-    return t, x
+def _kernel_zeros(flow, lift, x0, width, end0, end1):
+    """Zeros of g_k(u) = lift[0, k] exp(u w A) x0_k (w the flow's cell, u in
+    cells) on [0, width_k], across which it changes sign; end0[k] and end1[k]
+    are (g_k, g_k') at 0 and width_k, g_k' = lift[1, k] exp(u w A) x0_k.
+    Newton on (g, g') from the root of the cubic Hermite interpolant of those
+    ends (else the secant point), bisecting where a step would leave the
+    bracket or not halve the last one, in lockstep until every zero is within
+    1e-13 in time.  Returns the zeros and A^-1 exp(A w zero_k) x0_k."""
+    g0, g1, m0, m1 = end0[:, 0], end1[:, 0], end0[:, 1] * width, end1[:, 1] * width
+    tol, lo, hi, last = 1e-13 / flow.cell, np.zeros(width.size), width, width
+    done, live, zeros, xs = np.zeros(width.size, bool), np.arange(width.size), width.copy(), x0.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The cubic g0 + m0 v + c2 v^2 + c3 v^3 in v = u / width (m = width g'):
+        # two Newton steps from the secant point reach its root to O(width^8).
+        c2, c3 = 3.0 * (g1 - g0) - 2.0 * m0 - m1, 2.0 * (g0 - g1) + m0 + m1
+        v = secant = g0 / (g0 - g1)
+        for _ in range(2):
+            v = v - (((c3 * v + c2) * v + m0) * v + g0) / ((3.0 * c3 * v + 2.0 * c2) * v + m0)
+        u = width * np.where((v > 0.0) & (v < 1.0), v, secant)
+        for iteration in range(100):
+            x = flow.taylor(u, x0)
+            g, d = (lift @ x[:, :, None])[..., 0, 0]
+            below = (g >= 0.0) == (g0 >= 0.0)
+            lo, hi = np.where(below, u, lo), np.where(below, hi, u)
+            step = g / d
+            nxt, size = u - step, abs(step)
+            newton = (nxt > lo) & (nxt < hi) & (size + size <= last)
+            nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+            last = abs(nxt - u)
+            done |= (size <= tol) | (hi - lo <= tol) | (iteration == 99)
+            u = np.where(done, u, nxt)
+            # Finished brackets leave the lockstep once they are at least half of it.
+            if 2 * np.count_nonzero(done) >= done.size:
+                zeros[live[done]], xs[live[done]], keep = u[done], x[done], ~done
+                if not keep.any():
+                    return zeros, np.linalg.solve(flow.matrix, xs.T).T
+                live, u, lo, hi, last, x0, g0 = (a[keep] for a in (live, u, lo, hi, last, x0, g0))
+                lift, done = lift[:, keep], done[keep]
 
 
 def l1_impulse_gain(sys: StateSpaceSystem, tol: float = 1e-8) -> GainEstimate:

@@ -362,13 +362,14 @@ def signed_states_loop(rows, row, t, y_roots, flow):
     q, ends = rows.shape[0], flow.ends
     order = np.lexsort((t, row))
     parts = np.split(order, np.searchsorted(row[order], np.arange(1, q)))
-    roots, signed = [], np.empty((ends.size, q, flow.y_start.shape[1]))
+    y_start, y_ends = flow.y[:1], flow.y[1:]
+    roots, signed = [], np.empty((ends.size, q, y_start.shape[1]))
     for i, part in enumerate(parts):
-        y = np.vstack((flow.y_start, y_roots[part]))
+        y = np.vstack((y_start, y_roots[part]))
         k = np.searchsorted(t[part], ends)
-        steps = np.vstack((np.diff(y, axis=0), flow.y_ends - y[k]))
+        steps = np.vstack((np.diff(y, axis=0), y_ends - y[k]))
         steps *= np.sign(steps @ rows[i])[:, None]
-        total = np.vstack((np.zeros_like(flow.y_start), np.cumsum(steps[: -ends.size], axis=0)))
+        total = np.vstack((np.zeros_like(y_start), np.cumsum(steps[: -ends.size], axis=0)))
         signed[:, i] = total[k] + steps[-ends.size :]
         roots.append(t[part])
     return roots, signed

@@ -36,7 +36,7 @@ from gainlab_testkit import (
     random_hurwitz_matrix,
     reference_vcurve_csv,
 )
-from op_digests import op_digests
+from op_digests import largest_move, op_digests
 
 
 @pytest.fixture
@@ -238,6 +238,17 @@ class TestAnalyze:
         for workload in ("gain-report", "sim-verify"):
             first = op_digests(root, workload, seed=1, cycles=1)
             assert first and op_digests(root, workload, seed=1, cycles=1) == first
+
+    def test_largest_move_reads_the_numbers(self):
+        # The moved-figures mode of tests/op_digests.py: the largest relative
+        # change over an output's numbers, and None where its text moved.
+        old = '{"value": 1.25, "tolerance": 1e-08, "roots": [3]}\n'
+        assert largest_move(old, old) == (0.0, "", "")
+        new = old.replace("1.25", "1.2500000000000002").replace("1e-08", "1.0000000000000001e-08")
+        rel, a, b = largest_move(old, new)
+        assert (a, b) == ("1.25", "1.2500000000000002") and rel == pytest.approx(1.7763568394002505e-16)
+        assert largest_move(old, old.replace("value", "gain")) is None
+        assert largest_move("x,0\n", "x,-0\n") == (0.0, "", "")
 
 
 # Files whose Lyapunov solution P lies near the ends of double range.
@@ -1024,11 +1035,14 @@ class TestVerify:
             "exceeds 1e+09 (G the flow of the state and the input)\n"
         )
 
-    @pytest.mark.parametrize("k", [12, 15])
+    @pytest.mark.parametrize("k", [12, 15, 50, 62, 100, 300])
     def test_stiff_scalar_horizon_past_the_cell_budget(self, tmp_path, capsys, k):
         # The rest is a whole time unit, so verify's horizon is at least
         # 1 / 4095, and A = -10^k partitioned 2.4 x 10^(k - 4) cells of it:
-        # no answer in 30 s under a 3 GB address-space limit.
+        # no answer in 30 s under a 3 GB address-space limit.  The L1
+        # partition before the refusal lifts its rows by wA, the cell-scaled
+        # matrix, so no power or norm of A overflows: unscaled, the norms of
+        # c A^4 and c A^5 did from k = 50 on, and A^5 itself from k = 62.
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

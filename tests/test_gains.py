@@ -255,24 +255,154 @@ def test_cell_stack_formed_only_for_brackets_or_halvings():
     assert "stack" in vars(flow)
 
 
-def test_close_zero_pairs_halve_cells_on_a_shared_flow():
+def polish_steps(monkeypatch):
+    """Per call of gains._kernel_zeros, in order, the list of its lockstep
+    iterates' cell offsets (one Taylor step each), filled as partitions run."""
+    calls, original = [], gains._kernel_zeros
+
+    def recording(flow, *args):
+        steps, taylor = [], flow.taylor
+        flow.taylor = lambda s, x: steps.append(np.array(s)) or taylor(s, x)
+        try:
+            return original(flow, *args)
+        finally:
+            del flow.taylor
+            calls.append(steps)
+
+    monkeypatch.setattr(gains, "_kernel_zeros", recording)
+    return calls
+
+
+def close_pair_system(eps):
+    """g(s) = exp(-s) (1 - eps - cos s): a pair of zeros 2 acos(1 - eps) apart at each 2 pi k."""
+    a = [[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]]
+    return StateSpaceSystem(a=a, b=[[1.0], [1.0], [0.0]], c=[[1.0 - eps, -1.0, 0.0]])
+
+
+def test_close_zero_pairs_halve_cells_on_a_shared_flow(monkeypatch):
     # g(s) = exp(-s) (1 - eps - cos s) has a pair of zeros 2 acos(1 - eps)
     # apart at each 2 pi k, inside one base cell, so those cells are halved
     # level after level, each midpoint reached by the Taylor series of its
-    # cell's flow.  The zeros meet their closed form, and a flow other rows
-    # already used gives the partition's bits again.
+    # cell's flow.  One of the brackets left has g' of the wrong sign at an
+    # end, where the Hermite start is least sure.  The zeros meet their closed
+    # form, and a flow other rows already used gives the partition's bits again.
     eps, t_end = 1e-4, 20.0
-    a = [[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]]
-    sys = StateSpaceSystem(a=a, b=[[1.0], [1.0], [0.0]], c=[[1.0 - eps, -1.0, 0.0]])
+    sys = close_pair_system(eps)
     flow = gains._KernelFlow(sys, [t_end])
     gains._sign_partition(flow, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]), 1e-10)
+    brackets, original = [], gains._kernel_zeros
+
+    def recording(flow, lift, x0, width, end0, end1):
+        brackets.append((end0, end1))
+        return original(flow, lift, x0, width, end0, end1)
+
+    monkeypatch.setattr(gains, "_kernel_zeros", recording)
     shared = gains._sign_partition(flow, sys.c, 1e-10)
+    monkeypatch.undo()
     fresh = gains._sign_partition(gains._KernelFlow(sys, [t_end]), sys.c, 1e-10)
     r = math.acos(1.0 - eps)
     zeros = sorted(z for k in range(4) for z in (2.0 * math.pi * k - r, 2.0 * math.pi * k + r) if z > 0)
     np.testing.assert_allclose(shared[0][0], zeros, rtol=0.0, atol=1e-12)
+    (end0, end1), = brackets
+    slope = end1[:, 0] - end0[:, 0]
+    assert np.any((end0[:, 1] * slope < 0.0) | (end1[:, 1] * slope < 0.0))
     assert np.array_equal(shared[0][0], fresh[0][0])
     assert np.array_equal(shared[1], fresh[1]) and np.array_equal(shared[2], fresh[2])
+
+
+def test_tangent_zero_halves_to_the_width_floor():
+    # With eps = 0 the pair of zeros merges into a tangent zero at each
+    # 2 pi k: those cells never clear their tests, and at a budget of 1e-30
+    # they are halved until they are under 1e-6 of the horizon, 2^-14 of a
+    # base cell when the horizon is 40 cells (2^-14 < 2e-6 * 40 < 2^-13).  One
+    # Taylor step per level, and the loss left is reported, not a zero.
+    sys = close_pair_system(0.0)
+    flow = gains._KernelFlow(sys, [20.0])
+    steps, taylor = [], flow.taylor
+    flow.taylor = lambda s, x: steps.append(s) or taylor(s, x)
+    roots, _, lost = gains._sign_partition(flow, sys.c, 1e-30)
+    assert flow.count == 40 and steps == [2.0**-k for k in range(1, 15)]
+    assert roots[0].size == 0 and 0.0 < lost[0] < 1e-13
+
+
+def test_zero_polish_start_falls_back_to_the_secant_point(monkeypatch):
+    # The bracket [2 pi - 0.3, 2 pi + 0.01] of g(s) = exp(-s) (1 - eps -
+    # cos s) holds the zero 2 pi - acos(1 - eps) and ends past the minimum at
+    # 2 pi, so g' has the wrong sign there: the Hermite cubic's root is not
+    # found inside the bracket, the polish starts at the secant point, and
+    # Newton steps from near the minimum leave the bracket, so the guard
+    # bisects.  The zero still meets its closed form.  A kernel that is
+    # exactly 0 at a bracket's start, -e^-s + e^-2s at s = 0, starts there and
+    # stops at once.
+    calls = polish_steps(monkeypatch)
+    eps = 1e-4
+    sys = close_pair_system(eps)
+    flow = gains._KernelFlow(sys, [20.0])
+    w, lo, hi = flow.cell, 2.0 * math.pi - 0.3, 2.0 * math.pi + 0.01
+    lift = np.array([sys.c[0], sys.c[0] @ (w * sys.a)])
+    x0 = flow.advance(flow.b[:, 0], lo)[None]
+    end0, end1 = ((lift @ x.T).T for x in (x0, flow.taylor((hi - lo) / w, x0)))
+    width = np.array([(hi - lo) / w])
+    offset, _ = gains._kernel_zeros(flow, lift[:, None, None], x0, width, end0, end1)
+    np.testing.assert_allclose(lo + offset * w, 2.0 * math.pi - math.acos(1.0 - eps), rtol=0.0, atol=1e-12)
+    assert end1[0, 1] * (end1[0, 0] - end0[0, 0]) < 0.0
+    steps = [float(u[0]) for u in calls[0]]
+    assert steps[0] == width[0] * end0[0, 0] / (end0[0, 0] - end1[0, 0])
+    # The bracket each iterate leaves, from the kernel's sign at each offset.
+    below, above, bisected = 0.0, width[0], []
+    for u, nxt in zip(steps, steps[1:]):
+        g = sys.c[0] @ flow.advance(flow.b[:, 0], lo + u * w)
+        below, above = (u, above) if g > 0.0 else (below, u)
+        bisected.append(nxt == 0.5 * (below + above))
+    assert any(bisected)
+    sys = StateSpaceSystem(a=[[-1.0, 0.0], [0.0, -2.0]], b=[[1.0], [1.0]], c=[[-1.0, 1.0]])
+    roots = gains._sign_partition(gains._KernelFlow(sys, [10.0]), sys.c, 1e-10)[0]
+    assert roots[0].tolist() == [0.0] and [u.tolist() for u in calls[-1]] == [[0.0]]
+
+
+def test_zero_polish_sheds_finished_brackets(monkeypatch):
+    # Six brackets 0.02 wide around the close pairs' zeros at 2 pi k +- r
+    # converge in a few iterates; the seventh, the slow bracket of the test
+    # above, bisects for longer.  Once the finished brackets are at least
+    # half of the lockstep they leave it, so the late iterates step the slow
+    # bracket alone, and every zero meets its closed form.
+    calls = polish_steps(monkeypatch)
+    eps = 1e-4
+    sys = close_pair_system(eps)
+    flow = gains._KernelFlow(sys, [20.0])
+    w, r = flow.cell, math.acos(1.0 - eps)
+    zeros = [2.0 * math.pi * k + side * r for k in (1, 2, 3) for side in (-1.0, 1.0)] + [2.0 * math.pi - r]
+    lo = np.array([z - 0.01 for z in zeros[:-1]] + [2.0 * math.pi - 0.3])
+    width = np.array([0.02] * 6 + [0.31]) / w
+    lift = np.array([sys.c[0], sys.c[0] @ (w * sys.a)])
+    x0 = flow.advance(flow.b[:, 0], lo)
+    ends = (x0 @ lift.T, flow.taylor(width, x0) @ lift.T)
+    offset, _ = gains._kernel_zeros(flow, np.repeat(lift[:, None, None], 7, axis=1), x0, width, *ends)
+    np.testing.assert_allclose(lo + offset * w, zeros, rtol=0.0, atol=1e-12)
+    sizes = [u.size for u in calls[0]]
+    assert sizes[:3] == [7, 7, 7] and sizes[3:] == [1] * (len(sizes) - 3) and len(sizes) >= 8
+
+
+def test_zero_polish_takes_at_most_three_iterates(monkeypatch):
+    # Each bracket's Newton polish starts at the root of the cubic Hermite
+    # interpolant of g and g' at its ends.  On the seeded SISO and p = 3
+    # systems (C's rows and four drawn ONB bases, as gain_report partitions
+    # them) and on the seeded three-output system, every lockstep call ends
+    # after three iterates (from the secant point the p = 3 call took four).
+    # So do the oscillator's rows, whose zeros meet their closed form.
+    calls = polish_steps(monkeypatch)
+    rng = np.random.default_rng(0)
+    a = random_hurwitz_matrix(rng, n=6)
+    siso = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (6, 1)), c=rng.uniform(-2.0, 2.0, (1, 6)))
+    a = random_hurwitz_matrix(rng, n=4)
+    three = StateSpaceSystem(a=a, b=rng.uniform(-2.0, 2.0, (4, 1)), c=rng.uniform(-2.0, 2.0, (3, 4)))
+    for sys in siso, three, seeded_three_output():
+        gains._onb_bound(sys, 4, 1e-8, 0)
+    sys = damped_oscillator(3.0, 0.3)
+    roots = gains._sign_partition(gains._KernelFlow(sys, [20.0, 60.0]), np.array([[1.0, 0.0], [0.3, -1.0]]), 1e-10)[0]
+    w_d = math.sqrt(9.0 - 0.3**2 / 4.0)
+    np.testing.assert_allclose(roots[0], np.arange(1, int(60.0 * w_d / math.pi) + 1) * math.pi / w_d, rtol=0.0, atol=1e-12)
+    assert [len(steps) for steps in calls] == [3, 3, 3, 3]
 
 
 def cell_flow_systems():
